@@ -224,8 +224,12 @@ def _encode_secret(secret: Event) -> bytes:
 
 
 def _decode_secret(data: bytes) -> Event:
-    (length,) = struct.unpack_from(">I", data, 0)
-    return Event.from_bytes(data[4: 4 + length])
+    # A tampered ciphertext can decrypt to bytes that are no event.
+    try:
+        (length,) = struct.unpack_from(">I", data, 0)
+        return Event.from_bytes(data[4: 4 + length])
+    except (struct.error, IndexError) as error:
+        raise ValueError("malformed secret payload") from error
 
 
 def seal_event(
@@ -346,9 +350,9 @@ def open_event(
                 decrypts = 1
                 payload = decrypt(content_key, sealed.ciphertext)
                 decrypts += 1
+            secret = _decode_secret(payload)
         except ValueError:
             continue
-        secret = _decode_secret(payload)
         merged = dict(sealed.routable.attributes)
         merged.update(secret.attributes)
         return OpenResult(

@@ -13,8 +13,8 @@ match work out of the per-event cost:
 - ``token_prf`` memoizes broker-side proof recomputation ``F_{tok}(r)``
   across the brokers of a process
   (:class:`~repro.routing.tokens.TokenPRFCache`);
-- ``match_results`` memoizes whole filter-match verdicts keyed on the
-  filter and the event's constrained values
+- ``match_results`` memoizes the unit-filter verdicts of the broker
+  walk, keyed on the constraint and the event's constrained value
   (:class:`~repro.siena.index.MatchResultCache`).
 
 Batching is semantics-preserving: per-subscriber delivery streams are

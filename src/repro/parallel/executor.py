@@ -5,12 +5,13 @@ filter (fed by :meth:`BrokerTree.bind_parallel` hooks or directly) and a
 lazily (re)built :class:`~concurrent.futures.ProcessPoolExecutor` whose
 workers each hold the full table, partitioned into ``workers`` shards by
 :func:`~repro.parallel.wire.shard_of` (topic-token groups hash by group
-value, ungrouped filters by canonical filter bytes).
+value, the constraints of unpinned filters by canonical unit-filter
+bytes).
 
 :meth:`prime` is the integration point: given a batch of events it fans
 ``(shard, chunk)`` match tasks across the pool and seeds the shared
 :class:`~repro.siena.index.MatchResultCache` with the returned verdicts
--- full-filter verdicts, group stand-in verdicts, and the topic-group
+-- the unit-filter verdicts the broker walk reads, and the topic-group
 memo.  Dissemination then proceeds down the ordinary serial broker walk,
 hitting the cache instead of recomputing PRFs, so delivery order, dedup,
 and per-subscriber streams are bit-identical to the serial path.
@@ -31,7 +32,7 @@ from typing import TYPE_CHECKING
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import worker as _worker
 from repro.parallel.policy import ParallelPolicy
-from repro.parallel.wire import encode_events, encode_filters
+from repro.parallel.wire import decode_filters, encode_events, encode_filters
 from repro.siena.events import Event
 from repro.siena.filters import Filter
 
@@ -70,6 +71,8 @@ class ShardedMatcher:
         self._generation = 0
         self._built_generation = -1
         self._pool: ProcessPoolExecutor | None = None
+        #: The workers' unit table, rebuilt with the pool.
+        self._table: _worker.UnitTable | None = None
         self._cache: "MatchResultCache | None" = None
         self._closed = False
         # Plain counters mirrored into the registry so ``stats()`` stays a
@@ -133,6 +136,9 @@ class ShardedMatcher:
         self._shutdown_pool()
         try:
             filters_wire = encode_filters(self._order)
+            # Built from the wire form, as the workers build theirs:
+            # unit indexes must agree across the process boundary.
+            self._table = _worker.UnitTable(decode_filters(filters_wire))
             self._pool = ProcessPoolExecutor(
                 max_workers=self.policy.workers,
                 mp_context=self._mp_context,
@@ -208,9 +214,7 @@ class ShardedMatcher:
                          self._pool.submit(_worker.match_chunk, shard, wire))
                     )
             self._g_queue_depth.set(len(futures))
-            merged: list[list] = [
-                [None, [], []] for _ in events
-            ]
+            merged: list[list] = [[None, []] for _ in events]
             offsets = [0]
             for chunk in chunks[:-1]:
                 offsets.append(offsets[-1] + len(chunk))
@@ -223,14 +227,11 @@ class ShardedMatcher:
                     "parallel_worker_busy_seconds_total", shard=str(shard)
                 ).inc(busy)
                 base = offsets[chunk_index]
-                for position, (verified, tested, verdicts) in enumerate(
-                    results
-                ):
+                for position, (verified, verdicts) in enumerate(results):
                     bundle = merged[base + position]
                     if verified is not None:
                         bundle[0] = verified
-                    bundle[1].extend(tested)
-                    bundle[2].extend(verdicts)
+                    bundle[1].extend(verdicts)
         except Exception:
             # A dead worker (OOM kill, interpreter crash) breaks the pool:
             # drop it, run this batch serially, rebuild on the next prime.
@@ -242,18 +243,18 @@ class ShardedMatcher:
 
         from repro.routing.tokens import TOPIC_TOKEN_ATTRIBUTE
 
+        table = self._table
         primed = 0
-        for event, (verified, tested, verdicts) in zip(events, merged):
-            for group, ok in tested:
-                cache.store(_worker.group_stand_in(group), event, ok)
-                primed += 1
+        for event, (verified, verdicts) in zip(events, merged):
             if verified is not None:
                 event_token = event.get(TOPIC_TOKEN_ATTRIBUTE)
                 if isinstance(event_token, str):
-                    cache.remember_topic_group(event_token, verified)
+                    cache.remember_topic_group(
+                        event_token, table.pin_value(verified)
+                    )
             for index, ok in verdicts:
-                cache.store(self._order[index], event, ok)
-                primed += 1
+                cache.store(table.units[index], event, ok)
+            primed += len(verdicts)
         self.primed_verdicts += primed
         self._c_primed.inc(primed)
         return primed

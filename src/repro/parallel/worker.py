@@ -5,15 +5,16 @@ workers.  The matcher protocol is *initializer + stateless tasks*: a pool
 cannot route a task to a chosen worker, so every worker is initialized
 with the FULL filter table (one decode per pool build, amortized over
 every subsequent chunk) and each task names the *shard* it evaluates --
-the subset of topic-token groups and residual filters that
+the subset of topic pins and unpinned constraints that
 :func:`repro.parallel.wire.shard_of` assigns to that shard index.  Any
 worker can serve any shard; the parent fans one task out per
 ``(shard, chunk)`` pair and unions the results.
 
-Workers return *verdicts*, not routing decisions: which topic-token group
-an event verified against, which groups tested false, and the full-filter
-match verdicts for the verified group's members plus the shard's
-ungrouped filters.  The parent seeds the shared
+Workers return *verdicts*, not routing decisions, and exactly the ones
+the broker walk reads (:meth:`repro.siena.broker.Broker._matching_entries`):
+unit-filter verdicts for the topic pins probed, for the remaining
+constraints of the verified pin's bucket, and for the constraints of the
+shard's unpinned filters.  The parent seeds the shared
 :class:`~repro.siena.index.MatchResultCache` with them, and the normal
 (serial, semantics-bearing) broker walk then runs entirely on cache hits
 -- which is how the parallel path stays bit-exact with the serial one:
@@ -30,49 +31,68 @@ from repro.crypto.prf import F
 from repro.core.envelope import SealedEvent, open_event, seal_event
 from repro.parallel.wire import decode_events, decode_filters, shard_of
 from repro.routing.tokens import TokenPRFCache, cached_tokenized_match
-from repro.siena.broker import _TOPIC_TOKEN_ATTRIBUTE, _group_value
+from repro.siena.broker import split_units
 from repro.siena.events import Event
-from repro.siena.filters import Constraint, Filter
-from repro.siena.operators import Op
+from repro.siena.filters import Filter
 
-#: One verdict bundle per event: (verified group or None,
-#: [(group, stand-in verdict)] tested, [(filter index, verdict)]).
-MatchVerdicts = tuple[
-    "str | None", list[tuple[str, bool]], list[tuple[int, bool]]
-]
+#: One verdict bundle per event: (index of the verified pin's unit or
+#: None, [(unit index, verdict)]), indexes into :attr:`UnitTable.units`.
+MatchVerdicts = tuple["int | None", list[tuple[int, bool]]]
 
 
-def group_stand_in(group: str) -> Filter:
-    """The single-constraint filter standing in for a topic-token group."""
-    return Filter.of(Constraint(_TOPIC_TOKEN_ATTRIBUTE, Op.EQ, group))
+class UnitTable:
+    """The distinct unit filters of a filter table, bucketed as a broker
+    buckets them (:func:`repro.siena.broker.split_units`).
+
+    Parent and workers each build one from the same wire-decoded table,
+    so a unit's index means the same filter on both sides.
+    """
+
+    def __init__(self, filters: list[Filter]):
+        self.units: list[Filter] = []
+        #: pin unit index -> distinct unit indexes of the remaining
+        #: constraints of the filters carrying that pin
+        self.buckets: dict[int, list[int]] = {}
+        #: distinct unit indexes of the filters without a topic pin
+        self.unpinned: list[int] = []
+        self._index_of: dict[Filter, int] = {}
+        for subscription_filter in filters:
+            pin, rest = split_units(subscription_filter)
+            if pin is None:
+                target = self.unpinned
+            else:
+                target = self.buckets.setdefault(self._intern(pin), [])
+            for unit in rest:
+                index = self._intern(unit)
+                if index not in target:
+                    target.append(index)
+
+    def _intern(self, unit: Filter) -> int:
+        index = self._index_of.get(unit)
+        if index is None:
+            index = self._index_of[unit] = len(self.units)
+            self.units.append(unit)
+        return index
+
+    def pin_value(self, pin_index: int) -> str:
+        return self.units[pin_index].constraints[0].value
 
 
 class _WorkerState:
     """Per-process matcher state built once by :func:`init_matcher`."""
 
     def __init__(self, filters: list[Filter], shards: int, match_mode: str):
-        self.filters = filters
-        self.shards = shards
-        #: shard -> topic-token group values it owns, in table order
-        self.groups: dict[int, list[str]] = {}
-        #: group value -> indexes of its member filters
-        self.group_members: dict[str, list[int]] = {}
-        #: shard -> indexes of ungrouped (residual) filters it owns
-        self.residuals: dict[int, list[int]] = {}
-        self.group_filters: dict[str, Filter] = {}
-        for index, subscription_filter in enumerate(filters):
-            group = _group_value(subscription_filter)
-            if group is not None:
-                members = self.group_members.get(group)
-                if members is None:
-                    members = self.group_members[group] = []
-                    shard = shard_of(group, shards)
-                    self.groups.setdefault(shard, []).append(group)
-                    self.group_filters[group] = group_stand_in(group)
-                members.append(index)
-            else:
-                shard = shard_of(subscription_filter.to_bytes(), shards)
-                self.residuals.setdefault(shard, []).append(index)
+        self.table = table = UnitTable(filters)
+        #: shard -> pin unit indexes it owns, in table order
+        self.pins: dict[int, list[int]] = {}
+        for pin_index in table.buckets:
+            shard = shard_of(table.pin_value(pin_index), shards)
+            self.pins.setdefault(shard, []).append(pin_index)
+        #: shard -> unit indexes of unpinned filters it owns
+        self.unpinned: dict[int, list[int]] = {}
+        for index in table.unpinned:
+            shard = shard_of(table.units[index].to_bytes(), shards)
+            self.unpinned.setdefault(shard, []).append(index)
         if match_mode == "tokenized":
             self.match: Callable[[Filter, Event], bool] = (
                 cached_tokenized_match(TokenPRFCache())
@@ -95,42 +115,39 @@ def init_matcher(filters_wire: bytes, shards: int, match_mode: str) -> None:
 def match_chunk(
     shard: int, events_wire: bytes
 ) -> tuple[float, list[MatchVerdicts]]:
-    """Evaluate one shard's filters against one chunk of events.
+    """Evaluate one shard's unit filters against one chunk of events.
 
-    Per event: test the shard's topic-token group stand-ins (stopping at
-    the first verified one -- an event routable verifies against exactly
-    one token, and the parent's topic-group memo makes the untested rest
-    unreachable), then full verdicts for the verified group's members and
-    for every residual filter the shard owns.  Returns worker busy
-    seconds plus the per-event verdict bundles.
+    Per event: probe the shard's topic pins, stopping at the first
+    verified one (an event verifies under at most one pin, and the
+    parent's topic-group memo makes the unprobed rest unreachable), then
+    the remaining units of that pin's bucket and every unpinned unit the
+    shard owns.  Returns worker busy seconds plus the per-event verdict
+    bundles.
     """
     state = _STATE
     if state is None:  # pragma: no cover - initializer always ran
         raise RuntimeError("worker used before init_matcher")
     started = time.perf_counter()
     events = decode_events(events_wire)
-    owned_groups = state.groups.get(shard, ())
-    owned_residuals = state.residuals.get(shard, ())
+    units, buckets, match = state.table.units, state.table.buckets, state.match
+    owned_pins = state.pins.get(shard, ())
+    owned_unpinned = state.unpinned.get(shard, ())
     results: list[MatchVerdicts] = []
     for event in events:
-        verified: str | None = None
-        tested: list[tuple[str, bool]] = []
+        verified: int | None = None
+        to_test = []
         verdicts: list[tuple[int, bool]] = []
-        for group in owned_groups:
-            ok = state.match(state.group_filters[group], event)
-            tested.append((group, ok))
+        for pin_index in owned_pins:
+            ok = match(units[pin_index], event)
+            verdicts.append((pin_index, ok))
             if ok:
-                verified = group
-                for index in state.group_members[group]:
-                    verdicts.append(
-                        (index, state.match(state.filters[index], event))
-                    )
+                verified = pin_index
+                to_test += buckets[pin_index]
                 break
-        for index in owned_residuals:
-            verdicts.append(
-                (index, state.match(state.filters[index], event))
-            )
-        results.append((verified, tested, verdicts))
+        to_test += owned_unpinned
+        for index in to_test:
+            verdicts.append((index, match(units[index], event)))
+        results.append((verified, verdicts))
     return time.perf_counter() - started, results
 
 

@@ -35,6 +35,7 @@ from repro.core.subscriber import Subscriber
 from repro.core.wire import decode_sealed_event, encode_sealed_event
 from repro.obs.metrics import MetricsRegistry
 from repro.routing.tokens import (
+    ELEMENT_TOKEN_ATTRIBUTE,
     TOPIC_TOKEN_ATTRIBUTE,
     RoutableToken,
     TokenAuthority,
@@ -59,6 +60,9 @@ from repro.rtnet.frames import (
 )
 from repro.siena.events import Event
 from repro.siena.filters import Filter
+
+
+_TOKEN_ATTRIBUTES = (TOPIC_TOKEN_ATTRIBUTE, ELEMENT_TOKEN_ATTRIBUTE)
 
 
 class HandshakeError(ConnectionError):
@@ -542,9 +546,18 @@ class RtSubscriber(RtEndpoint):
             return
         topic = self._resolve_topic(sealed.routable)
         if topic is not None and sealed.routable.get("topic") is None:
+            # Open on what the publisher sealed -- the routable with its
+            # topic back and the routing tokens, spent once the event
+            # arrived, gone: every opened event is retained.
+            routable = sealed.routable
+            attributes = {
+                name: value
+                for name, value in routable.attributes.items()
+                if not name.startswith(_TOKEN_ATTRIBUTES)
+            }
+            attributes["topic"] = topic
             sealed = replace(
-                sealed,
-                routable=sealed.routable.with_attributes(topic=topic),
+                sealed, routable=Event(attributes, publisher=routable.publisher)
             )
         duplicates_before = self.engine.stats.duplicates_suppressed
         result = (

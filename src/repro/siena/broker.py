@@ -11,12 +11,13 @@ the root unconditionally and down every interface with a matching filter
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Hashable, Optional
 
 from repro.obs.metrics import MetricsRegistry, RegistryBackedStats
 from repro.siena.events import Event
-from repro.siena.filters import Constraint, Filter
+from repro.siena.filters import Filter
 from repro.siena.operators import Op
 
 from typing import TYPE_CHECKING
@@ -31,25 +32,51 @@ Interface = Hashable
 #: Attribute carrying an event's tokenized topic (the same name
 #: :data:`repro.routing.tokens.TOPIC_TOKEN_ATTRIBUTE` uses; duplicated
 #: here because the routing layer imports from siena, not vice versa).
-#: Filters pinning this attribute with EQ partition into *groups*: every
-#: filter of a group shares one topic-token check, so a broker running
-#: with a match cache tests each group once per event and skips the
-#: group's filters wholesale when its topic token does not verify.
+#: A filter's EQ constraint on this attribute is its *topic pin*: the
+#: routing table is bucketed by pin, and an event is only walked against
+#: the one bucket whose pin it verifies under.
 _TOPIC_TOKEN_ATTRIBUTE = "_ttok"
 
-
-def _group_value(subscription_filter: Filter) -> str | None:
-    """The filter's topic-token pin, if it has exactly one EQ constraint."""
-    pinned = [
-        constraint.value
-        for constraint in subscription_filter
-        if constraint.name == _TOPIC_TOKEN_ATTRIBUTE and constraint.op is Op.EQ
-    ]
-    if len(pinned) == 1 and isinstance(pinned[0], str):
-        return pinned[0]
-    return None
-
+#: The contract every broker match predicate honours (both shipped ones
+#: do: plaintext :meth:`Filter.matches` and the tokenized match of
+#: :mod:`repro.routing.tokens`):
+#:
+#: - **pure** -- a verdict depends only on the filter and the event's
+#:   values for the attributes the filter constrains, so it can be
+#:   memoized and shared between brokers;
+#: - **conjunctive over constraints** -- ``match(f, e)`` equals
+#:   ``all(match(Filter.of(c), e) for c in f)``, so a broker may hand the
+#:   predicate single-constraint *unit filters* and test each distinct
+#:   constraint of its table once per event;
+#: - **one pin per event** -- an event verifies under at most one topic
+#:   pin (``<r, F_T(r)>`` is a proof for exactly one token ``T``; a
+#:   plaintext ``_ttok`` value equals exactly one string).
 MatchPredicate = Callable[[Filter, Event], bool]
+
+
+def split_units(
+    subscription_filter: Filter,
+) -> tuple[Filter | None, list[Filter]]:
+    """*subscription_filter* as single-constraint unit filters.
+
+    Returns ``(pin, rest)``: the unit of the filter's topic pin -- its
+    only EQ constraint on the topic-token attribute -- or None when it
+    has no such pin, and one unit per remaining constraint.
+    """
+    pins = [
+        constraint
+        for constraint in subscription_filter
+        if constraint.name == _TOPIC_TOKEN_ATTRIBUTE
+        and constraint.op is Op.EQ
+        and isinstance(constraint.value, str)
+    ]
+    pin = pins[0] if len(pins) == 1 else None
+    rest = [
+        Filter.of(constraint)
+        for constraint in subscription_filter
+        if constraint is not pin
+    ]
+    return (None if pin is None else Filter.of(pin)), rest
 
 
 def _plain_match(subscription_filter: Filter, event: Event) -> bool:
@@ -70,6 +97,8 @@ class BrokerStats(RegistryBackedStats):
         "events_forwarded",
         "subscriptions_received",
         "subscriptions_forwarded",
+        # Unit filters evaluated (one per distinct constraint tested per
+        # event), not table entries visited.
         "match_tests",
         "deliveries",
         "dropped_while_down",
@@ -82,12 +111,37 @@ class BrokerStats(RegistryBackedStats):
     _metric_prefix = "broker_"
 
 
-@dataclass
+_TABLE_ORDER = attrgetter("order")
+
+
+class _Unit:
+    """One single-constraint filter of the table, interned per broker.
+
+    ``holders`` counts the table entries built on the unit, so it (and
+    its memoized verdicts) is released with the last of them.
+    """
+
+    __slots__ = ("filter", "holders")
+
+    def __init__(self, unit_filter: Filter):
+        self.filter = unit_filter
+        self.holders = 0
+
+
+@dataclass(eq=False, slots=True)
 class _Subscription:
     filter: Filter
-    interfaces: set[Interface] = field(default_factory=set)
-    #: Topic-token group key (see :func:`_group_value`), or None.
-    group: str | None = None
+    interfaces: set[Interface]
+    #: Position in the table (insertion order, never reused).
+    order: int
+    #: The topic-pin unit (see :func:`split_units`), or None.
+    pin: _Unit | None
+    #: Units of the remaining constraints.
+    rest: tuple[_Unit, ...]
+
+    @property
+    def pin_value(self) -> str | None:
+        return None if self.pin is None else self.pin.filter.constraints[0].value
 
 
 class Broker:
@@ -113,10 +167,8 @@ class Broker:
     ):
         self.broker_id = broker_id
         self.match = match
-        # Optional shared (filter, value-vector) -> verdict memo.  Only
-        # sound for match predicates that are pure functions of the
-        # filter's constrained attribute values -- true of both the plain
-        # and tokenized predicates shipped here.
+        # Optional shared (unit filter, value) -> verdict memo; sound
+        # because match predicates are pure (see MatchPredicate).
         self.match_cache = match_cache
         self.alive = True
         #: Bumped on every restart; neighbours use it to detect that a
@@ -126,7 +178,16 @@ class Broker:
         self.send_parent: Optional[Callable[[str, object], None]] = None
         self.children: dict[Hashable, Callable[[str, object], None]] = {}
         self.clients: dict[Hashable, Callable[[Event], None]] = {}
-        self.subscriptions: list[_Subscription] = []
+        #: The routing table, in insertion order.
+        self.subscriptions: dict[Filter, _Subscription] = {}
+        self._next_order = 0
+        #: Interned unit filters of the table's constraints.
+        self._units: dict[Filter, _Unit] = {}
+        #: pin value -> entries carrying that topic pin, in table order
+        #: (the pin unit is every member's ``pin``).
+        self._buckets: dict[str, list[_Subscription]] = {}
+        #: Entries without a topic pin, in table order.
+        self._unpinned: list[_Subscription] = []
         self.forwarded_upstream: list[Filter] = []
         #: Optional durable write-ahead log of the routing state; bound by
         #: the overlay via :meth:`bind_journal`.
@@ -139,9 +200,6 @@ class Broker:
         # valid with the default plaintext match predicate).
         self._index = None
         self._index_ids: dict[Filter, int] = {}
-        # Memo of single-constraint filters standing in for whole
-        # topic-token groups (used only when a match cache is present).
-        self._group_filters: dict[str, Filter] = {}
         if indexed:
             if match is not _plain_match:
                 raise ValueError(
@@ -210,21 +268,9 @@ class Broker:
         recomputed when the removals changed what this broker needs.
         """
         changed = False
-        for existing in list(self.subscriptions):
-            if interface not in existing.interfaces:
-                continue
-            existing.interfaces.discard(interface)
-            if self.journal is not None:
-                self.journal.log_unsubscribe(interface, existing.filter)
-            if not existing.interfaces:
-                self.subscriptions.remove(existing)
-                changed = True
-                if self.match_cache is not None:
-                    self.match_cache.invalidate_filter(existing.filter)
-                if self._index is not None:
-                    index_id = self._index_ids.pop(existing.filter, None)
-                    if index_id is not None:
-                        self._index.remove(index_id)
+        for existing in list(self.subscriptions.values()):
+            if interface in existing.interfaces:
+                changed |= self._withdraw(interface, existing)
         if changed and self.send_parent is not None:
             self._recompute_upstream()
 
@@ -243,7 +289,10 @@ class Broker:
         """
         self.alive = True
         self.incarnation += 1
-        self.subscriptions = []
+        self.subscriptions = {}
+        self._units = {}
+        self._buckets = {}
+        self._unpinned = []
         self.forwarded_upstream = []
         self._index_ids = {}
         if self._index is not None:
@@ -265,22 +314,7 @@ class Broker:
         the number of registrations restored.
         """
         for interface, subscription_filter in subscriptions:
-            for existing in self.subscriptions:
-                if existing.filter == subscription_filter:
-                    existing.interfaces.add(interface)
-                    break
-            else:
-                self.subscriptions.append(
-                    _Subscription(
-                        subscription_filter,
-                        {interface},
-                        group=_group_value(subscription_filter),
-                    )
-                )
-                if self._index is not None:
-                    self._index_ids[subscription_filter] = self._index.add(
-                        subscription_filter
-                    )
+            self._register(interface, subscription_filter)
         self.forwarded_upstream = list(forwarded_upstream)
         return len(subscriptions)
 
@@ -312,22 +346,7 @@ class Broker:
         self.stats.subscriptions_received += 1
         if self.journal is not None:
             self.journal.log_subscribe(interface, subscription_filter)
-        for existing in self.subscriptions:
-            if existing.filter == subscription_filter:
-                existing.interfaces.add(interface)
-                break
-        else:
-            self.subscriptions.append(
-                _Subscription(
-                    subscription_filter,
-                    {interface},
-                    group=_group_value(subscription_filter),
-                )
-            )
-            if self._index is not None:
-                self._index_ids[subscription_filter] = self._index.add(
-                    subscription_filter
-                )
+        self._register(interface, subscription_filter)
 
         if self.send_parent is None:
             return
@@ -363,30 +382,82 @@ class Broker:
         if not self.alive:
             self.stats.dropped_while_down += 1
             return
-        changed = False
-        for existing in list(self.subscriptions):
-            if existing.filter == subscription_filter:
-                if self.journal is not None and interface in existing.interfaces:
-                    self.journal.log_unsubscribe(interface, subscription_filter)
-                existing.interfaces.discard(interface)
-                if not existing.interfaces:
-                    self.subscriptions.remove(existing)
-                    changed = True
-                    if self.match_cache is not None:
-                        self.match_cache.invalidate_filter(existing.filter)
-                    if self._index is not None:
-                        index_id = self._index_ids.pop(
-                            existing.filter, None
-                        )
-                        if index_id is not None:
-                            self._index.remove(index_id)
-        if changed and self.send_parent is not None:
+        existing = self.subscriptions.get(subscription_filter)
+        if (
+            existing is not None
+            and self._withdraw(interface, existing)
+            and self.send_parent is not None
+        ):
             self._recompute_upstream()
+
+    def _register(self, interface: Interface, subscription_filter: Filter) -> None:
+        """Add *interface* to the table entry of *subscription_filter*,
+        creating (and bucketing) the entry on first registration."""
+        existing = self.subscriptions.get(subscription_filter)
+        if existing is not None:
+            existing.interfaces.add(interface)
+            return
+        pin, rest = split_units(subscription_filter)
+        entry = _Subscription(
+            subscription_filter,
+            {interface},
+            self._next_order,
+            None if pin is None else self._hold(pin),
+            tuple(self._hold(unit) for unit in rest),
+        )
+        self._next_order += 1
+        self.subscriptions[subscription_filter] = entry
+        self._bucket_of(entry).append(entry)
+        if self._index is not None:
+            self._index_ids[subscription_filter] = self._index.add(
+                subscription_filter
+            )
+
+    def _withdraw(self, interface: Interface, existing: _Subscription) -> bool:
+        """Remove *interface* from *existing*; drops the entry with its
+        last interface and returns whether the table shrank."""
+        if self.journal is not None and interface in existing.interfaces:
+            self.journal.log_unsubscribe(interface, existing.filter)
+        existing.interfaces.discard(interface)
+        if existing.interfaces:
+            return False
+        del self.subscriptions[existing.filter]
+        bucket = self._bucket_of(existing)
+        bucket.remove(existing)
+        if existing.pin is not None and not bucket:
+            del self._buckets[existing.pin_value]
+        for unit in (existing.pin, *existing.rest):
+            if unit is not None:
+                self._release(unit)
+        if self._index is not None:
+            index_id = self._index_ids.pop(existing.filter, None)
+            if index_id is not None:
+                self._index.remove(index_id)
+        return True
+
+    def _bucket_of(self, entry: _Subscription) -> list[_Subscription]:
+        if entry.pin is None:
+            return self._unpinned
+        return self._buckets.setdefault(entry.pin_value, [])
+
+    def _hold(self, unit_filter: Filter) -> _Unit:
+        unit = self._units.get(unit_filter)
+        if unit is None:
+            unit = self._units[unit_filter] = _Unit(unit_filter)
+        unit.holders += 1
+        return unit
+
+    def _release(self, unit: _Unit) -> None:
+        unit.holders -= 1
+        if not unit.holders:
+            del self._units[unit.filter]
+            if self.match_cache is not None:
+                self.match_cache.invalidate_filter(unit.filter)
 
     def _recompute_upstream(self) -> None:
         """Re-derive the minimal covering set to forward upstream."""
         required: list[Filter] = []
-        for candidate in (entry.filter for entry in self.subscriptions):
+        for candidate in self.subscriptions:
             if any(chosen.covers(candidate) for chosen in required):
                 continue
             required = [
@@ -411,26 +482,72 @@ class Broker:
 
     # -- event plane ---------------------------------------------------------
 
-    def _group_filter(self, group: str) -> Filter:
-        """The single-constraint stand-in filter for one topic-token group."""
-        group_filter = self._group_filters.get(group)
-        if group_filter is None:
-            group_filter = Filter.of(
-                Constraint(_TOPIC_TOKEN_ATTRIBUTE, Op.EQ, group)
-            )
-            self._group_filters[group] = group_filter
-        return group_filter
-
-    def _tested_match(self, subscription_filter: Filter, event: Event) -> bool:
-        """One counted match test, via the shared memo when configured."""
-        self.stats.match_tests += 1
-        if self.match_cache is None:
-            return self.match(subscription_filter, event)
-        verdict = self.match_cache.lookup(subscription_filter, event)
+    def _verdict(
+        self, unit: _Unit, event: Event, verdicts: dict[_Unit, bool]
+    ) -> bool:
+        """*unit*'s verdict on *event*: decided at most once per event
+        (*verdicts*), through the shared memo when one is configured."""
+        verdict = verdicts.get(unit)
         if verdict is None:
-            verdict = self.match(subscription_filter, event)
-            self.match_cache.store(subscription_filter, event, verdict)
+            cache = self.match_cache
+            if cache is not None:
+                verdict = cache.lookup(unit.filter, event)
+            if verdict is None:
+                verdict = self.match(unit.filter, event)
+                if cache is not None:
+                    cache.store(unit.filter, event, verdict)
+            verdicts[unit] = verdict
         return verdict
+
+    def _verified_bucket(
+        self, event: Event, verdicts: dict[_Unit, bool]
+    ) -> list[_Subscription]:
+        """The entries whose topic pin *event* verifies under.
+
+        Pins are probed in table order until one verifies -- an event
+        verifies under at most one (see :data:`MatchPredicate`).  With a
+        match cache the pairing, a fact about the event and the token
+        alone, is remembered for the brokers downstream.
+        """
+        cache = self.match_cache
+        event_token = None
+        if cache is not None:
+            event_token = event.get(_TOPIC_TOKEN_ATTRIBUTE)
+            if isinstance(event_token, str):
+                known = cache.topic_group(event_token)
+                if known is not None:
+                    return self._buckets.get(known, ())
+        for pin_value, bucket in self._buckets.items():
+            if self._verdict(bucket[0].pin, event, verdicts):
+                if isinstance(event_token, str):
+                    cache.remember_topic_group(event_token, pin_value)
+                return bucket
+        return ()
+
+    def _matching_entries(self, event: Event) -> list[_Subscription]:
+        """The table entries *event* matches, in table order.
+
+        The predicate only ever sees unit filters, each distinct one at
+        most once per event: the pins probed, then the remaining
+        constraints of the verified bucket and of the unpinned entries.
+        """
+        verdicts: dict[_Unit, bool] = {}
+        candidates = self._verified_bucket(event, verdicts)
+        if not candidates:
+            candidates = self._unpinned
+        elif self._unpinned:
+            candidates = sorted(
+                [*candidates, *self._unpinned], key=_TABLE_ORDER
+            )
+        matching = []
+        for subscription in candidates:
+            for unit in subscription.rest:
+                if not self._verdict(unit, event, verdicts):
+                    break
+            else:
+                matching.append(subscription)
+        self.stats.inc("match_tests", len(verdicts))
+        return matching
 
     def _matched_interfaces(
         self, event: Event, arrived_from: Interface | None
@@ -438,60 +555,22 @@ class Broker:
         """Interfaces *event* must go out on, in stable delivery order.
 
         Shared by :meth:`publish` and :meth:`publish_batch` so both paths
-        apply identical matching, dedup, and ordering.
+        apply identical matching, dedup, and ordering: table order, as a
+        scan ``[s for s in table if match(s.filter, event)]`` would give.
         """
-        matched: list[Interface] = []
-        seen: set[Interface] = set()
         if self._index is not None:
             hits = set(self._index.matching(event))
-            candidates = [
+            matching = [
                 subscription
-                for subscription in self.subscriptions
+                for subscription in self.subscriptions.values()
                 if subscription.filter in hits
             ]
-            self.stats.match_tests += len(hits)
+            self.stats.inc("match_tests", len(hits))
         else:
-            candidates = self.subscriptions
-        # With a match cache, filters pinning the same topic token share
-        # one group check per event: a failed topic token rules out every
-        # filter of the group (the filter is a conjunction containing that
-        # constraint).  Once some broker has verified the event against
-        # one group token, the pairing is a cryptographic fact independent
-        # of the broker, so later brokers skip straight to that group.
-        group_verdicts: dict[str, bool] = {}
-        prefilter = self._index is None and self.match_cache is not None
-        verified_group: str | None = None
-        event_token = None
-        if prefilter:
-            event_token = event.get(_TOPIC_TOKEN_ATTRIBUTE)
-            if isinstance(event_token, str):
-                verified_group = self.match_cache.topic_group(event_token)
-        for subscription in candidates:
-            if prefilter and subscription.group is not None:
-                if verified_group is not None:
-                    if subscription.group != verified_group:
-                        continue
-                else:
-                    verdict = group_verdicts.get(subscription.group)
-                    if verdict is None:
-                        verdict = self._tested_match(
-                            self._group_filter(subscription.group), event
-                        )
-                        group_verdicts[subscription.group] = verdict
-                        if verdict:
-                            # An event routable verifies against exactly
-                            # one token; every other group must fail.
-                            verified_group = subscription.group
-                            if isinstance(event_token, str):
-                                self.match_cache.remember_topic_group(
-                                    event_token, subscription.group
-                                )
-                    if not verdict:
-                        continue
-            if self._index is None and not self._tested_match(
-                subscription.filter, event
-            ):
-                continue
+            matching = self._matching_entries(event)
+        matched: list[Interface] = []
+        seen: set[Interface] = set()
+        for subscription in matching:
             for interface in subscription.interfaces:
                 if interface == arrived_from or interface in seen:
                     continue
@@ -555,22 +634,22 @@ class Broker:
         ):
             self.stats.events_shed += 1
             return 0
-        self.stats.events_received += 1
+        self.stats.inc("events_received")
         forwarded_to: set[Interface] = set()
         for interface in self._matched_interfaces(event, arrived_from):
             forwarded_to.add(interface)
             if interface in self.clients:
-                self.stats.deliveries += 1
+                self.stats.inc("deliveries")
                 self.clients[interface](event)
             elif interface in self.children:
-                self.stats.events_forwarded += 1
+                self.stats.inc("events_forwarded")
                 self.children[interface]("publish", event)
 
         if (
             self.send_parent is not None
             and arrived_from != self.parent
         ):
-            self.stats.events_forwarded += 1
+            self.stats.inc("events_forwarded")
             self.send_parent("publish", event)
             forwarded_to.add(self.parent)
         return len(forwarded_to)
@@ -611,8 +690,8 @@ class Broker:
             # broker sharing the cache) then runs on hits.  Pure memo
             # seeding -- dissemination order and verdicts are unchanged.
             parallel.prime(events, self.match_cache)
-        self.stats.batches_received += 1
-        self.stats.events_received += len(events)
+        self.stats.inc("batches_received")
+        self.stats.inc("events_received", len(events))
         sub_batches: dict[Interface, list[Event]] = {}
         interface_order: list[Interface] = []
         for event in events:
@@ -628,20 +707,20 @@ class Broker:
             sub_batch = sub_batches[interface]
             if interface in self.clients:
                 deliver = self.clients[interface]
-                self.stats.deliveries += len(sub_batch)
+                self.stats.inc("deliveries", len(sub_batch))
                 for event in sub_batch:
                     deliver(event)
             elif interface in self.children:
-                self.stats.events_forwarded += len(sub_batch)
-                self.stats.batches_forwarded += 1
+                self.stats.inc("events_forwarded", len(sub_batch))
+                self.stats.inc("batches_forwarded")
                 self.children[interface]("publish_batch", sub_batch)
 
         if (
             self.send_parent is not None
             and arrived_from != self.parent
         ):
-            self.stats.events_forwarded += len(events)
-            self.stats.batches_forwarded += 1
+            self.stats.inc("events_forwarded", len(events))
+            self.stats.inc("batches_forwarded")
             self.send_parent("publish_batch", list(events))
             forwarded_to.add(self.parent)
         return len(forwarded_to)
@@ -656,6 +735,6 @@ class Broker:
         """All filters registered for *interface*."""
         return [
             subscription.filter
-            for subscription in self.subscriptions
+            for subscription in self.subscriptions.values()
             if interface in subscription.interfaces
         ]

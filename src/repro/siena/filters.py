@@ -65,9 +65,11 @@ class Filter:
         if not self.constraints:
             raise ValueError("a filter must contain at least one constraint")
         # Filters are immutable and heavily used as dict keys on broker
-        # hot paths (subscription tables, match-result caches); hashing a
-        # frozenset of constraints per lookup dominates, so do it once.
-        self._hash = hash(frozenset(self.constraints))
+        # hot paths (subscription tables, match-result caches); building
+        # and hashing a set of constraints per lookup dominates, so do
+        # it once.
+        self._key = frozenset(self.constraints)
+        self._hash = hash(self._key)
 
     @classmethod
     def of(cls, *constraints: Constraint) -> "Filter":
@@ -101,7 +103,7 @@ class Filter:
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, Filter):
             return NotImplemented
-        return set(self.constraints) == set(other.constraints)
+        return self._key == other._key
 
     def __hash__(self) -> int:
         return self._hash

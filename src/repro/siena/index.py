@@ -304,15 +304,17 @@ class MatchIndex:
 class MatchResultCache:
     """A shared memo of filter-match verdicts for the engine's hot path.
 
-    Both supported match predicates (plaintext :meth:`Filter.matches` and
-    PSGuard's tokenized match) are pure functions of the filter and the
-    event's *constrained* attribute values, so a verdict can be memoized
-    exactly.  The cache key is ``(filter, value-vector)`` where the value
-    vector holds the event's values for the filter's constrained attribute
-    names (sorted once per filter) -- the "(filter-id, token-set)" of the
-    engine design.  Transport bookkeeping attributes such as ``_seq``
-    never appear in filters, so a verdict computed at one broker is valid
-    at every other broker carrying an equal filter.
+    Match predicates are pure functions of the filter and the event's
+    *constrained* attribute values (:data:`repro.siena.broker.
+    MatchPredicate`), so a verdict can be memoized exactly.  Brokers
+    store the verdicts of the single-constraint *unit filters* their walk
+    evaluates, so one entry serves every subscription sharing the
+    constraint.  The cache key is ``(filter-id, value-vector)`` where the
+    value vector holds the event's values for the filter's constrained
+    attribute names (sorted once per filter; one name for a unit).
+    Transport bookkeeping attributes such as ``_seq`` never appear in
+    filters, so a verdict computed at one broker is valid at every other
+    broker carrying an equal filter.
 
     Entries never go stale (purity), but :meth:`invalidate_filter` drops a
     departed filter's entries eagerly so unsubscription releases memory
@@ -328,9 +330,12 @@ class MatchResultCache:
         from repro.obs.lru import LRUCache
 
         self.cache = LRUCache(capacity, "match_result_cache", registry, **labels)
-        # Filters intern to dense integer ids so LRU keys hash and compare
-        # on small ints instead of re-walking constraint sets per lookup.
+        # Filters intern to integer ids so LRU keys hash and compare on
+        # small ints instead of re-walking constraint sets per lookup.
+        # Ids are never reused: an invalidated filter's id must not come
+        # back as a live filter's.
         self._filter_ids: dict[Filter, int] = {}
+        self._next_filter_id = 0
         self._names: dict[int, tuple[str, ...]] = {}
         # event topic-token value -> the group token value it verified
         # against.  Verification is a property of the routable and the
@@ -344,7 +349,8 @@ class MatchResultCache:
     def _key(self, subscription_filter: Filter, event: Event):
         filter_id = self._filter_ids.get(subscription_filter)
         if filter_id is None:
-            filter_id = len(self._filter_ids)
+            filter_id = self._next_filter_id
+            self._next_filter_id += 1
             self._filter_ids[subscription_filter] = filter_id
             self._names[filter_id] = tuple(
                 sorted({c.name for c in subscription_filter})

@@ -5,6 +5,8 @@ import asyncio
 from repro.core.composite import CompositeKeySpace
 from repro.core.kdc import KDC
 from repro.core.nakt import NumericKeySpace
+from repro.core.publisher import Publisher
+from repro.core.subscriber import Subscriber
 from repro.obs.metrics import MetricsRegistry
 from repro.routing.tokens import TokenAuthority
 from repro.rtnet import ClusterLauncher, RtPublisher, RtSubscriber
@@ -140,6 +142,65 @@ def test_seven_broker_tree_fans_out_to_every_leaf():
             return counts
 
     assert asyncio.run(scenario()) == [3, 3, 3, 3]
+
+
+def test_opened_event_carries_what_was_sealed_not_the_routing_tokens():
+    """An event opened over TCP has exactly the attributes the same
+    publication opens to in process, except the plaintext routing values
+    tokenization keeps off the wire -- and none of the spent tokens."""
+    kdc = _make_kdc()
+    kdc.register_topic("news", CompositeKeySpace({}))
+    authority = TokenAuthority(kdc.master_key)
+    publications = [
+        Event({"topic": "news", "_seq": 4, "message": "m"}, publisher="p"),
+        Event({"topic": "cancerTrail", "age": 25, "message": "m"},
+              publisher="p"),
+    ]
+    filters = [
+        Filter.topic("news"),
+        Filter.numeric_range("cancerTrail", "age", 0, 127),
+    ]
+
+    reference = Subscriber("s")
+    sealer = Publisher("p", kdc)
+    for subscription_filter in filters:
+        reference.add_grant(kdc.authorize("s", subscription_filter))
+    in_process = [
+        reference.receive(sealer.publish(event), _schema_lookup(kdc)).event
+        for event in publications
+    ]
+
+    async def scenario():
+        async with ClusterLauncher(num_brokers=3, arity=2) as cluster:
+            subscriber = RtSubscriber(
+                "s", *cluster.subscriber_address(),
+                schema_lookup=_schema_lookup(kdc), authority=authority,
+            )
+            await subscriber.connect()
+            for subscription_filter in filters:
+                await subscriber.add_grant(
+                    kdc.authorize("s", subscription_filter)
+                )
+            await subscriber.settle()
+            publisher = RtPublisher(
+                "p", *cluster.publisher_address(), kdc, authority=authority
+            )
+            await publisher.connect()
+            for event in publications:
+                await publisher.publish(event)
+            await publisher.settle()
+            await subscriber.settle()
+            opened = [result.event for result in subscriber.opened]
+            await subscriber.close()
+            await publisher.close()
+            return opened
+
+    over_tcp = asyncio.run(scenario())
+    assert set(over_tcp[0].attributes) == set(in_process[0].attributes)
+    assert over_tcp[0] == in_process[0]
+    assert set(over_tcp[1].attributes) == (
+        set(in_process[1].attributes) - {"age"}
+    )
 
 
 def test_version_mismatch_is_rejected_with_hello_ack_zero():

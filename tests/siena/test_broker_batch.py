@@ -103,34 +103,49 @@ def test_group_prefilter_preserves_tokenized_semantics():
 
 
 def test_group_prefilter_reduces_match_tests():
-    """With the topic-group memo, brokers past the first do O(1) group
-    work per event instead of testing every subscription."""
+    """With or without a match cache, a broker tests per event at most
+    the distinct pins it probes plus the remaining constraints of the
+    verified bucket -- far fewer than the filters it stores."""
     authority = TokenAuthority(MASTER)
-    tests = {}
+    topics = [f"topic-{index}" for index in range(4)]
+    events = 10
     for with_cache in (False, True):
-        registry = MetricsRegistry()
         cache = MatchResultCache() if with_cache else None
         tree = BrokerTree(
-            num_brokers=15, match=tokenized_match,
-            registry=registry, match_cache=cache,
+            num_brokers=15, match=tokenized_match, match_cache=cache
         )
         for index, leaf in enumerate(tree.leaf_ids()):
             tree.attach_subscriber(f"s{index}", leaf, lambda _e: None)
-            for topic_index in range(4):
-                tree.subscribe(
-                    f"s{index}",
-                    tokenized_subscription(
-                        authority, f"topic-{index}-{topic_index}"
-                    ),
-                )
-        for seq in range(10):
+            for topic in topics:
+                for element in (f"e{index}-0", f"e{index}-1"):
+                    tree.subscribe(
+                        f"s{index}",
+                        tokenized_subscription(
+                            authority, topic, {"kind": element}
+                        ),
+                    )
+        for seq in range(events):
             tree.publish(
-                tokenize_event(authority, Event({"_seq": seq}), {}, "topic-0-0")
+                tokenize_event(
+                    authority, Event({"_seq": seq}), {"kind": "e0-1"},
+                    "topic-2",
+                )
             )
-        tests[with_cache] = sum(
-            broker.stats.match_tests for broker in tree.brokers.values()
+        routed = [
+            broker for broker in tree.brokers.values()
+            if broker.stats.events_received
+        ]
+        assert len(routed) == tree.depth() + 1  # one root-to-leaf path
+        # Every pin's bucket holds a quarter of a broker's filters, each
+        # with one further (distinct) constraint.
+        bound = sum(
+            len(topics) + broker.subscription_count() // len(topics)
+            for broker in routed
         )
-    assert tests[True] < tests[False]
+        stored = sum(broker.subscription_count() for broker in routed)
+        assert (bound, stored) == (46, 120)
+        tests = sum(broker.stats.match_tests for broker in routed)
+        assert 0 < tests <= events * bound, with_cache
 
 
 def test_batch_stats_counters():
