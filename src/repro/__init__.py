@@ -12,11 +12,10 @@ replicated KDC), :mod:`repro.siena` (content-based routing),
 :mod:`repro.routing` (probabilistic multi-path), :mod:`repro.net`
 (the timed fault-injected overlay), :mod:`repro.flow` (overload
 protection: bounded queues, credits, admission control -- its headline
-names are re-exported here too), :mod:`repro.parallel` (process-pool
-sharded matching and crypto offload; :class:`ParallelPolicy` is
-re-exported here), :mod:`repro.rekey` (the live key-lifecycle plane:
-GRANT/REKEY over sockets; its :class:`~repro.core.renewal.
-RenewalPolicy` knob is re-exported here), :mod:`repro.obs`
+names are re-exported here too), :mod:`repro.rekey` (the live
+key-lifecycle plane: GRANT/REKEY over sockets; its
+:class:`~repro.core.renewal.RenewalPolicy` knob is re-exported here),
+:mod:`repro.obs`
 (instruments and exporters); ``docs/API.md`` holds a one-page tour and
 ``python -m repro`` a command-line interface.
 
@@ -59,10 +58,9 @@ from repro.core import (
     Subscriber,
 )
 from repro.obs import MetricsRegistry, Observability, Tracer
-from repro.parallel import ParallelPolicy
 from repro.siena import BrokerTree, Event, Filter
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AdmissionController",
@@ -84,7 +82,6 @@ __all__ = [
     "NORMAL",
     "NumericKeySpace",
     "Observability",
-    "ParallelPolicy",
     "Publisher",
     "RateLimited",
     "RenewalPolicy",

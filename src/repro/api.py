@@ -44,7 +44,6 @@ from repro.siena.filters import Filter
 from repro.siena.network import BrokerTree
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.parallel.executor import ShardedMatcher
     from repro.rtnet.live import LiveSystem
 
 
@@ -65,8 +64,6 @@ class SystemOptions:
     - ``master_key``: fix ``rk(KDC)`` for reproducible key material;
     - ``admission``: an :class:`~repro.flow.AdmissionController` or a
       ``{"rate", "burst", "reserve"}`` spec for the edge gate;
-    - ``parallel``: a ``{"workers", "chunk_size"}`` spec for the
-      sharded matcher (``None`` keeps the serial path);
     - ``renewal``: a :class:`~repro.core.renewal.RenewalPolicy`; when
       set, subscribers hold *standing* subscriptions whose grants renew
       across epoch boundaries (inproc: driven by
@@ -79,7 +76,6 @@ class SystemOptions:
     arity: int = 2
     master_key: bytes | None = None
     admission: "AdmissionController | dict | None" = None
-    parallel: dict | None = None
     renewal: RenewalPolicy | None = None
 
     def __post_init__(self) -> None:
@@ -207,7 +203,6 @@ class System:
         tree: BrokerTree,
         obs: Observability,
         admission: AdmissionController | None = None,
-        parallel: "ShardedMatcher | None" = None,
         renewal: RenewalPolicy | None = None,
     ):
         self.kdc = kdc
@@ -226,8 +221,6 @@ class System:
         #: publisher sessions never have to infer sheds from counter
         #: diffs.
         self.admission = admission
-        #: Sharded parallel matcher bound to the tree, or None.
-        self.parallel = parallel
         self._shed_events = 0
         self.registry = obs.registry
         self.tracer = obs.tracer
@@ -301,10 +294,6 @@ class System:
     def shed_events(self) -> int:
         """Publications refused by the facade's admission gate."""
         return self._shed_events
-
-    def parallel_stats(self) -> dict:
-        """Utilization snapshot of the bound parallel matcher ({} if none)."""
-        return self.parallel.stats() if self.parallel is not None else {}
 
     # -- dissemination --------------------------------------------------------
 
@@ -428,25 +417,6 @@ class SystemBuilder:
             )
         return self
 
-    def parallel(
-        self, workers: int, chunk_size: int = 64
-    ) -> "SystemBuilder":
-        """Shard batch matching across *workers* processes.
-
-        The built system carries a shared match-result cache and a
-        :class:`~repro.parallel.ShardedMatcher` bound to its tree
-        (``system.parallel``); batch publishes through ``system.tree``
-        prime the cache in parallel before the serial walk, and
-        ``system.parallel_stats()`` exposes worker utilization.  With
-        ``workers <= 1`` the matcher stays in serial-fallback mode, so
-        the knob is safe to set unconditionally.
-        """
-        self._options = replace(
-            self._options,
-            parallel={"workers": workers, "chunk_size": chunk_size},
-        )
-        return self
-
     def transport(self, kind: str) -> "SystemBuilder":
         """Choose how events move: ``"inproc"`` (default) keeps the
         synchronous in-process :class:`~repro.siena.network.BrokerTree`;
@@ -511,10 +481,10 @@ class SystemBuilder:
         for name, schema, epoch_length, per_publisher in self._topics:
             kdc.register_topic(name, schema, epoch_length, per_publisher)
         if options.transport == "tcp":
-            if options.admission is not None or options.parallel is not None:
+            if options.admission is not None:
                 raise ValueError(
-                    "admission control and parallel matching are not yet "
-                    "wired through the tcp transport"
+                    "admission control is not yet wired through the tcp "
+                    "transport"
                 )
             from repro.rtnet.live import LiveSystem
 
@@ -525,27 +495,11 @@ class SystemBuilder:
                 arity=options.arity,
                 renewal=options.renewal,
             )
-        matcher = None
-        match_cache = None
-        if options.parallel is not None:
-            from repro.parallel.executor import ShardedMatcher
-            from repro.parallel.policy import ParallelPolicy
-            from repro.siena.index import MatchResultCache
-
-            match_cache = MatchResultCache(registry=obs.registry)
-            matcher = ShardedMatcher(
-                ParallelPolicy(**options.parallel),
-                match="plain",
-                registry=obs.registry,
-            )
         tree = BrokerTree(
             num_brokers=options.num_brokers,
             arity=options.arity,
             registry=obs.registry,
-            match_cache=match_cache,
         )
-        if matcher is not None:
-            tree.bind_parallel(matcher)
         admission = options.admission
         if isinstance(admission, dict):
             admission = AdmissionController(
@@ -556,7 +510,6 @@ class SystemBuilder:
             tree,
             obs,
             admission=admission,
-            parallel=matcher,
             renewal=options.renewal,
         )
 
@@ -568,7 +521,6 @@ def connect(
     *,
     arity: int | None = None,
     transport: str | None = None,
-    parallel: int | dict | None = None,
     admission: "AdmissionController | dict | None" = None,
     renewal: RenewalPolicy | None = None,
     master_key: bytes | None = None,
@@ -580,9 +532,8 @@ def connect(
     Every builder knob is reachable here too -- both surfaces resolve
     to the same :class:`SystemOptions` before building.  Pass a ready
     *options* value as the base; explicit keyword arguments override
-    its fields.  *parallel* accepts a worker count or a full
-    ``{"workers", "chunk_size"}`` spec; *admission* accepts a ready
-    controller or a ``{"rate", "burst", "reserve"}`` spec.
+    its fields.  *admission* accepts a ready controller or a
+    ``{"rate", "burst", "reserve"}`` spec.
     """
     resolved = options if options is not None else SystemOptions()
     overrides: dict = {}
@@ -592,12 +543,6 @@ def connect(
         overrides["arity"] = arity
     if transport is not None:
         overrides["transport"] = transport
-    if parallel is not None:
-        overrides["parallel"] = (
-            parallel
-            if isinstance(parallel, dict)
-            else {"workers": parallel, "chunk_size": 64}
-        )
     if admission is not None:
         overrides["admission"] = admission
     if renewal is not None:

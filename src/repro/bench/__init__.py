@@ -1,13 +1,11 @@
 """``repro.bench`` -- the load and regression drivers.
 
-Four suites, selected with ``repro bench --suite``:
+Three suites, selected with ``repro bench --suite``:
 
 - ``engine`` (:func:`run_bench`): wall-clock throughput of the batched
   dissemination engine against the per-event path;
 - ``overload`` (:func:`run_overload_bench`): sustained-storm delivery,
   shedding, and fairness on the simulated flow-controlled overlay;
-- ``parallel`` (:func:`run_parallel_bench`): the sharded
-  matcher/crypto-pool worker ladder against the serial path;
 - ``rekey`` (:func:`run_rekey_bench`): the membership-churn ladder --
   live epoch rollovers, in-band grant renewal, and lazy revocation on a
   loopback TCP cluster, gating rekey/grant latency quantiles and
@@ -38,13 +36,6 @@ from repro.bench.overload import (
     run_overload_bench,
     write_overload_report,
 )
-from repro.bench.parallel import (
-    BENCH_PARALLEL_SCHEMA,
-    ParallelBenchConfig,
-    check_parallel_regression,
-    render_parallel_report,
-    run_parallel_bench,
-)
 from repro.bench.rekey import (
     BENCH_REKEY_SCHEMA,
     RekeyBenchConfig,
@@ -62,29 +53,24 @@ from repro.bench.rtnet import (
 
 __all__ = [
     "BENCH_OVERLOAD_SCHEMA",
-    "BENCH_PARALLEL_SCHEMA",
     "BENCH_REKEY_SCHEMA",
     "BENCH_RTNET_SCHEMA",
     "BENCH_SCHEMA",
     "BenchConfig",
     "OverloadBenchConfig",
-    "ParallelBenchConfig",
     "RekeyBenchConfig",
     "RtnetBenchConfig",
     "check_overload_regression",
-    "check_parallel_regression",
     "check_regression",
     "check_rekey_regression",
     "check_rtnet_regression",
     "load_report",
     "render_overload_report",
-    "render_parallel_report",
     "render_report",
     "render_rekey_report",
     "render_rtnet_report",
     "run_bench",
     "run_overload_bench",
-    "run_parallel_bench",
     "run_rekey_bench",
     "run_rtnet_bench",
     "write_overload_report",

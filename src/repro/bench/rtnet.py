@@ -15,7 +15,7 @@ says they were not authorized to open).
 The report (``BENCH_rtnet.json``; schema ``repro.bench/rtnet.v1``) holds
 socket-path throughput and end-to-end latency quantiles, and
 :func:`check_rtnet_regression` gates a fresh run against a committed
-baseline like the engine/overload/parallel suites.
+baseline like the engine/overload suites.
 """
 
 from __future__ import annotations

@@ -644,11 +644,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _bench_args(parser: argparse.ArgumentParser) -> None:
     add_seed_option(parser)
     parser.add_argument(
-        "--suite", choices=["engine", "overload", "parallel", "rekey"],
+        "--suite", choices=["engine", "overload", "rekey"],
         default="engine",
         help="engine: batched-dissemination throughput (default); "
         "overload: sustained-storm delivery/shedding sweep; "
-        "parallel: sharded-matcher worker-ladder speedups; "
         "rekey: live membership-churn ladder over epoch rollovers",
     )
     parser.add_argument("--events", type=int, default=400,
@@ -666,14 +665,6 @@ def _bench_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sweep", default="1,8,32,128", metavar="SIZES",
         help="comma-separated batch sizes for the sweep section",
-    )
-    parser.add_argument(
-        "--workers", default="1,2,4,8", metavar="COUNTS",
-        help="comma-separated worker ladder for --suite parallel",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=64,
-        help="events per parallel matcher task (--suite parallel)",
     )
     parser.add_argument(
         "--rungs", default="1,3,6", metavar="SURVIVORS",
@@ -727,68 +718,6 @@ def _cmd_bench_overload(args: argparse.Namespace) -> int:
             print(f"error: cannot read baseline: {exc}", file=sys.stderr)
             return 2
         problems = check_overload_regression(
-            report, baseline, args.tolerance
-        )
-        for problem in problems:
-            print(f"regression: {problem}", file=sys.stderr)
-        if problems:
-            return 1
-        print("bench check passed: within tolerance of the baseline",
-              file=sys.stderr)
-    return 0
-
-
-def _cmd_bench_parallel(args: argparse.Namespace) -> int:
-    """The ``--suite parallel`` leg: worker-ladder speedups."""
-    from repro.bench import (
-        ParallelBenchConfig,
-        check_parallel_regression,
-        load_report,
-        render_parallel_report,
-        run_parallel_bench,
-        write_report,
-    )
-
-    output = args.output or "BENCH_parallel.json"
-    baseline_path = (
-        args.baseline or "benchmarks/baselines/BENCH_parallel.json"
-    )
-    try:
-        ladder = tuple(
-            int(workers)
-            for workers in str(args.workers).split(",")
-            if workers.strip()
-        )
-        config = ParallelBenchConfig(
-            seed=args.seed,
-            events=args.events,
-            num_brokers=args.brokers,
-            arity=args.arity,
-            num_subscribers=args.subscribers,
-            num_topics=args.topics,
-            topics_per_subscriber=args.topics_per_subscriber,
-            batch_size=args.batch_size,
-            chunk_size=args.chunk_size,
-            worker_ladder=ladder,
-        )
-        report = run_parallel_bench(config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    write_report(report, output)
-    print(render_parallel_report(report))
-    print(f"wrote report to {output}", file=sys.stderr)
-    if not report["equivalence"]["holds"]:
-        print("error: parallel deliveries diverge from the serial path",
-              file=sys.stderr)
-        return 1
-    if args.check:
-        try:
-            baseline = load_report(baseline_path)
-        except OSError as exc:
-            print(f"error: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        problems = check_parallel_regression(
             report, baseline, args.tolerance
         )
         for problem in problems:
@@ -870,8 +799,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     if args.suite == "overload":
         return _cmd_bench_overload(args)
-    if args.suite == "parallel":
-        return _cmd_bench_parallel(args)
     if args.suite == "rekey":
         return _cmd_bench_rekey(args)
     output = args.output or "BENCH_engine.json"

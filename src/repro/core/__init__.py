@@ -30,12 +30,7 @@ from repro.core.category import CategoryKeySpace, CategoryTree
 from repro.core.composite import CompositeKeySpace
 from repro.core.envelope import SealedEvent, open_event, seal_event
 from repro.core.epochs import AdaptiveEpochPolicy, StaticEpochPolicy
-from repro.core.kdc import (
-    KDC,
-    AuthorizationDenied,
-    AuthorizationGrant,
-    KDCUnavailableError,
-)
+from repro.core.kdc import KDC, AuthorizationGrant
 from repro.core.kdcclient import ClientRetryPolicy, KDCClient
 from repro.core.kdcservice import KDCCluster, KDCReplica
 from repro.core.ktid import KTID
@@ -56,7 +51,6 @@ __all__ = [
     "KDC",
     "KTID",
     "AdaptiveEpochPolicy",
-    "AuthorizationDenied",
     "AuthorizationGrant",
     "CategoryKeySpace",
     "CategoryTree",
@@ -65,7 +59,6 @@ __all__ = [
     "KDCClient",
     "KDCCluster",
     "KDCReplica",
-    "KDCUnavailableError",
     "KeyCache",
     "NumericKeySpace",
     "Publisher",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from repro.errors import GrantDenied, KDCUnavailable
+from repro.errors import GrantDenied
 from repro.crypto.hashes import KEY_BYTES
 from repro.crypto.prf import F, KH
 from repro.core.composite import (
@@ -37,14 +37,6 @@ from repro.siena.operators import Op
 
 #: Securable-attribute pseudo-component used for plain-topic events.
 TOPIC_COMPONENT = "topic"
-
-
-# Historical names for the exceptions now defined in ``repro.errors``.
-# ``KDCUnavailableError`` still subclasses RuntimeError and
-# ``AuthorizationDenied`` still subclasses PermissionError (through the
-# hierarchy), so every pre-existing handler keeps working.
-KDCUnavailableError = KDCUnavailable
-AuthorizationDenied = GrantDenied
 
 
 @dataclass
@@ -325,7 +317,7 @@ class KDC:
         clauses = filter_as_clauses(filters)
         topic = self._clause_topic(clauses[0])
         if (subscriber, topic) in self.revocations:
-            raise AuthorizationDenied(
+            raise GrantDenied(
                 f"subscriber {subscriber!r} is revoked on topic {topic!r}"
             )
         config = self.config_for(topic)

@@ -24,9 +24,9 @@ the availability story:
 The API is callback-based because the client lives on the simulator
 clock: ``authorize`` *initiates* a request and returns; ``on_grant`` /
 ``on_error`` fire when it resolves, possibly several failovers later.
-``on_error`` receives :class:`~repro.core.kdc.KDCUnavailableError` once
+``on_error`` receives :class:`~repro.errors.KDCUnavailable` once
 retries are exhausted (retryable) or
-:class:`~repro.core.kdc.AuthorizationDenied` on revocation (terminal).
+:class:`~repro.errors.GrantDenied` on revocation (terminal).
 """
 
 from __future__ import annotations
@@ -37,12 +37,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
-from repro.core.kdc import (
-    AuthorizationDenied,
-    AuthorizationGrant,
-    KDCUnavailableError,
-)
+from repro.core.kdc import AuthorizationGrant
 from repro.core.kdcservice import KDCRequest, KDCResponse
+from repro.errors import GrantDenied, KDCUnavailable
 from repro.net.service import ServiceNetwork
 from repro.obs.metrics import MetricsRegistry, RegistryBackedStats
 from repro.siena.filters import Filter
@@ -309,7 +306,7 @@ class KDCClient:
             call.done = True
             self.stats.failures += 1
             call.on_error(
-                KDCUnavailableError(
+                KDCUnavailable(
                     f"request {call.request.request_id} exhausted "
                     f"{self.policy.max_attempts} attempts"
                 )
@@ -369,7 +366,7 @@ class KDCClient:
         if reply.error == "denied":
             self.stats.denied += 1
             call.on_error(
-                AuthorizationDenied(
+                GrantDenied(
                     f"request {call.request.request_id} denied"
                 )
             )

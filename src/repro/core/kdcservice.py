@@ -35,11 +35,8 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 from repro.core.composite import CompositeKeySpace
-from repro.core.kdc import (
-    KDC,
-    AuthorizationDenied,
-    TopicConfig,
-)
+from repro.core.kdc import KDC, TopicConfig
+from repro.errors import GrantDenied
 from repro.net.faults import FaultInjector
 from repro.net.service import ServiceNetwork
 from repro.obs.metrics import MetricsRegistry, RegistryBackedStats
@@ -233,7 +230,7 @@ class KDCReplica:
                 return KDCResponse(
                     ok=True, value=key, view=view, primary=primary
                 )
-        except AuthorizationDenied:
+        except GrantDenied:
             self.stats.denials += 1
             return KDCResponse(
                 ok=False, error="denied", view=view, primary=primary

@@ -19,7 +19,7 @@ The manager can be bound to either key source:
 
 - a :class:`~repro.core.kdc.KDC` (or any object with its synchronous
   ``authorize`` signature): renewals complete inside :meth:`tick`.  A
-  source that raises :class:`~repro.core.kdc.KDCUnavailableError`
+  source that raises :class:`~repro.errors.KDCUnavailable`
   models an unreachable KDC -- the renewal is counted as a failure and
   retried on the next tick (degraded mode);
 - an async client such as :class:`~repro.core.kdcclient.KDCClient`
@@ -38,8 +38,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.kdc import AuthorizationGrant, KDCUnavailableError
+from repro.core.kdc import AuthorizationGrant
 from repro.core.subscriber import Subscriber
+from repro.errors import KDCUnavailable
 from repro.siena.filters import Filter
 
 
@@ -161,7 +162,7 @@ class RenewalManager:
                 publisher=standing.publisher,
                 min_epoch=min_epoch,
             )
-        except KDCUnavailableError:
+        except KDCUnavailable:
             self.stats.renewal_failures += 1
             return False
         except PermissionError:

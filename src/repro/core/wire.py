@@ -27,11 +27,9 @@ from repro.siena.filters import Constraint, Filter
 from repro.siena.operators import Op
 
 _MAGIC_GRANT = b"PSG1"
-#: Current sealed-event format: a flags byte after the magic, carrying an
+#: Sealed-event format: a flags byte after the magic, carrying an
 #: optional envelope-metadata block (origin + sequence) when bit 0 is set.
 _MAGIC_EVENT = b"PSE2"
-#: Legacy sealed-event format (no flags byte); still decoded.
-_MAGIC_EVENT_V1 = b"PSE1"
 
 _EVENT_FLAG_ENVELOPE = 0x01
 
@@ -270,24 +268,20 @@ def encode_sealed_event(sealed: SealedEvent) -> bytes:
 
 
 def decode_sealed_event(data: bytes) -> SealedEvent:
-    """Inverse of :func:`encode_sealed_event` (``PSE1`` still accepted)."""
+    """Inverse of :func:`encode_sealed_event`."""
     origin: str | None = None
     sequence: int | None = None
     with _decoding("sealed event"):
-        if data[:4] == _MAGIC_EVENT:
-            offset = 4
-            flags = data[offset]
-            offset += 1
-            if flags & ~_EVENT_FLAG_ENVELOPE:
-                raise FrameError(f"unknown sealed-event flags {flags:#x}")
-            if flags & _EVENT_FLAG_ENVELOPE:
-                origin, offset = _unpack_text(data, offset)
-                (sequence,) = struct.unpack_from(">q", data, offset)
-                offset += 8
-        elif data[:4] == _MAGIC_EVENT_V1:
-            offset = 4  # legacy frame: no flags, no envelope metadata
-        else:
+        if data[:4] != _MAGIC_EVENT:
             raise FrameError("not a serialized sealed event")
+        flags = data[4]
+        offset = 5
+        if flags & ~_EVENT_FLAG_ENVELOPE:
+            raise FrameError(f"unknown sealed-event flags {flags:#x}")
+        if flags & _EVENT_FLAG_ENVELOPE:
+            origin, offset = _unpack_text(data, offset)
+            (sequence,) = struct.unpack_from(">q", data, offset)
+            offset += 8
         direct = bool(data[offset])
         offset += 1
         routable_raw, offset = _unpack_bytes(data, offset)

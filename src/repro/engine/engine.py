@@ -3,7 +3,7 @@
 :class:`DisseminationEngine` sits between publishers and a broker
 overlay.  Instead of pushing every event through the tree one at a time,
 it accumulates publishes into :class:`~repro.engine.batch.EventBatch` es
-and dispatches each batch as a single ``publish_batch`` call -- one
+and dispatches each batch as a single ``publish(events)`` call -- one
 message per tree hop per batch instead of one per event -- while the
 shared memoization layers (:class:`EngineCaches`) strip repeated PRF and
 match work out of the per-event cost:
@@ -18,8 +18,8 @@ match work out of the per-event cost:
   (:class:`~repro.siena.index.MatchResultCache`).
 
 Batching is semantics-preserving: per-subscriber delivery streams are
-identical to the per-event path (``Broker.publish_batch`` shares the
-matching/ordering code with ``Broker.publish``), and every cache memoizes
+identical to the per-event path (a batch ``Broker.publish`` shares the
+matching/ordering code with the single-event one), and every cache memoizes
 a pure function, so verdicts and tokens are bit-identical with caching
 disabled.  The engine trades *latency* for throughput: an event may wait
 up to ``flush_timeout`` (or until the batch fills) before it moves.
@@ -54,13 +54,7 @@ from repro.siena.index import MatchResultCache
 
 
 class BatchTransport(Protocol):
-    """Anything that can disseminate a batch (BrokerTree, SimulatedPubSub).
-
-    The unified surface is ``publish(events)`` (optionally with
-    ``parallel=``); the engine still falls back at runtime to the
-    legacy ``publish_batch`` method for third-party transports that
-    predate the unification (deprecated, removed in repro 2.0).
-    """
+    """Anything that can disseminate a batch (BrokerTree, SimulatedPubSub)."""
 
     def publish(self, events: list[Event]) -> object: ...
 
@@ -138,7 +132,7 @@ class EngineCaches:
 
 
 class DisseminationEngine:
-    """Batched front-end over a ``publish_batch``-capable transport.
+    """Batched front-end over a :class:`BatchTransport`.
 
     >>> from repro.siena.network import BrokerTree
     >>> from repro.siena.filters import Filter
@@ -164,14 +158,9 @@ class DisseminationEngine:
         registry: MetricsRegistry | None = None,
         clock: Callable[[], float] = time.monotonic,
         limiter: AIMDRateLimiter | None = None,
-        parallel: object | None = None,
     ):
         self.transport = transport
         self.config = config
-        #: Optional :class:`~repro.parallel.ShardedMatcher` threaded into
-        #: every batch dispatch (transports without the unified ``publish``
-        #: surface cannot accept it and fall back to the serial path).
-        self.parallel = parallel
         self.registry = registry if registry is not None else MetricsRegistry()
         self.accumulator = BatchAccumulator(
             batch_size=config.batch_size,
@@ -257,15 +246,7 @@ class DisseminationEngine:
         if counter is not None:
             counter.inc()
         self._h_batch_events.observe(len(batch))
-        events = list(batch.events)
-        publish = getattr(self.transport, "publish", None)
-        if publish is not None:
-            if self.parallel is not None:
-                publish(events, parallel=self.parallel)
-            else:
-                publish(events)
-        else:
-            self.transport.publish_batch(events)
+        self.transport.publish(list(batch.events))
         # A dispatched batch is evidence of headroom: additively recover
         # the rate and relax the batch size back toward its configured
         # value one event at a time (slow-shrink avoids oscillation).

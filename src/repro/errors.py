@@ -12,12 +12,11 @@ around a grant request) keeps working unchanged:
   such as :class:`~repro.core.publisher.Publisher`);
 - :class:`GrantDenied` -- the KDC refuses to authorize a revoked
   ``(subscriber, topic)`` pair; terminal, do not retry (lazy
-  revocation: the denial bites at the next renewal).  Also importable
-  under its historical name ``repro.core.kdc.AuthorizationDenied``;
+  revocation: the denial bites at the next renewal);
 - :class:`GrantExpired` -- a grant operation completed only after the
   grant's epoch (plus any grace window) had already lapsed;
 - :class:`KDCUnavailable` -- no KDC replica could serve the request;
-  retryable.  Also importable as ``repro.core.kdc.KDCUnavailableError``;
+  retryable;
 - :class:`FrameError` -- a byte buffer is not a valid wire artifact
   (grant, sealed event, filter, or rtnet frame).  Subclasses
   :class:`ValueError`, which is what the decoders in

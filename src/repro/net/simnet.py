@@ -54,7 +54,6 @@ Passing a :class:`~repro.flow.FlowControlPolicy` activates the
 from __future__ import annotations
 
 import random
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable
@@ -829,7 +828,7 @@ class SimulatedPubSub:
         charge and one link transmission for the batch instead of one per
         event.  Per-event broker processing costs still accrue at the
         receiver (matching work is not amortized away), and the receiving
-        broker routes the batch with :meth:`Broker.publish_batch`, so
+        broker routes the batch with :meth:`Broker.publish`, so
         per-subscriber delivery semantics equal the per-event path.
         """
         seqs = [event.get(_SEQ_ATTRIBUTE) for event in batch]
@@ -1524,7 +1523,6 @@ class SimulatedPubSub:
         delay: float = 0.0,
         *,
         at_time: float | None = None,
-        parallel=None,
     ) -> "int | list[int]":
         """Inject one event or a batch at the root -- unified surface.
 
@@ -1537,10 +1535,6 @@ class SimulatedPubSub:
 
         *at_time* is an absolute simulator time equivalent of *delay*
         (``max(0, at_time - sim.now)``); passing both is an error.
-        *parallel* is accepted for signature uniformity and ignored: the
-        timed overlay's brokers run inside the single-threaded simulator
-        and have no shared match cache, so priming has nothing to seed --
-        the documented serial fallback.
         """
         if at_time is not None:
             if delay:
@@ -1603,25 +1597,6 @@ class SimulatedPubSub:
             self._notify_shed(priority, "admission", 0)
             return False
         return self._flow_enqueue(0, item, priority)
-
-    def publish_batch(
-        self,
-        routables: list[Event],
-        carriers: list[object] | None = None,
-        sizes: list[int] | None = None,
-        delay: float = 0.0,
-    ) -> list[int]:
-        """Deprecated alias for :meth:`publish` with a list of events."""
-        warnings.warn(
-            "SimulatedPubSub.publish_batch is deprecated and will be "
-            "removed in repro 2.0; pass the batch to "
-            "SimulatedPubSub.publish instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._publish_many(
-            list(routables), carriers=carriers, sizes=sizes, delay=delay
-        )
 
     def _publish_many(
         self,

@@ -33,7 +33,8 @@ from __future__ import annotations
 import asyncio
 import time
 
-from repro.core.kdc import KDC, AuthorizationDenied, KDCUnavailableError
+from repro.core.kdc import KDC
+from repro.errors import GrantDenied, KDCUnavailable
 from repro.obs.metrics import MetricsRegistry
 from repro.rtnet.frames import (
     GRANT_DENIED,
@@ -190,10 +191,10 @@ class KdcServer:
                 publisher=frame.publisher,
                 min_epoch=frame.min_epoch,
             )
-        except AuthorizationDenied as exc:
+        except GrantDenied as exc:
             self._count("rekey_grants_denied_total")
             return GrantAck(frame.request_id, GRANT_DENIED, str(exc))
-        except KDCUnavailableError as exc:
+        except KDCUnavailable as exc:
             self._count("rekey_grants_unavailable_total")
             return GrantAck(frame.request_id, GRANT_UNAVAILABLE, str(exc))
         except (FrameError, KeyError, ValueError) as exc:

@@ -135,18 +135,15 @@ class ProbabilisticRouter:
         subscriber: SubscriberId,
         *,
         at_time: float = 0.0,
-        parallel: object | None = None,
     ) -> list[Hashable]:
         """Unified publish surface: route one event or a batch of them.
 
         A single event delegates to :meth:`route`; a list makes one
         uniform path draw for the whole batch via :meth:`route_batch`.
-        *at_time* and *parallel* are accepted for signature uniformity
-        with the broker surfaces and ignored -- path selection is
-        timeless and already O(1) per batch, so there is nothing for a
-        process pool to offload (a serial fallback by construction).
+        *at_time* is accepted for signature uniformity with the broker
+        surfaces and ignored -- path selection is timeless.
         """
-        del at_time, parallel
+        del at_time
         if isinstance(events, list):
             return self.route_batch(token, subscriber, len(events))
         return self.route(token, subscriber)

@@ -160,47 +160,6 @@ TOPIC_TOKEN_ATTRIBUTE = "_ttok"
 ELEMENT_TOKEN_ATTRIBUTE = "_etok"
 
 
-def token_plan(
-    authority: TokenAuthority,
-    elements: dict[str, object],
-    topic: str,
-) -> list[tuple[str, bytes]]:
-    """The ``(attribute name, label token)`` pairs one event tokenizes.
-
-    The *plan* separates deterministic token derivation from the per-event
-    proof computation (``make_routable``), so callers can batch the proof
-    PRFs -- across events, or across a crypto worker pool -- without
-    duplicating the attribute-naming rules of :func:`tokenize_event`.
-    """
-    plan: list[tuple[str, bytes]] = [
-        (TOPIC_TOKEN_ATTRIBUTE, authority.topic_token(topic))
-    ]
-    for attribute, element in elements.items():
-        if isinstance(element, KTID):
-            prefixes = list(element.ancestors()) + [element]
-            for level, prefix in enumerate(prefixes):
-                plan.append((
-                    f"{ELEMENT_TOKEN_ATTRIBUTE}:{attribute}:{level}",
-                    authority.element_token(topic, attribute, prefix),
-                ))
-        elif isinstance(element, str):
-            plan.append((
-                f"{ELEMENT_TOKEN_ATTRIBUTE}:{attribute}",
-                authority.element_token(topic, attribute, element),
-            ))
-    return plan
-
-
-def _assemble_tokenized(
-    routable: Event, attributes: dict[str, str]
-) -> Event:
-    """Strip plaintext routing attributes and graft the token pairs on."""
-    stripped = routable.without_attributes(
-        *(set(routable.attributes) - {"_seq"})
-    )
-    return stripped.with_attributes(**attributes)
-
-
 def tokenize_event(
     authority: TokenAuthority,
     routable: Event,
@@ -212,46 +171,26 @@ def tokenize_event(
     The returned event carries only the nonce/proof pairs; brokers with the
     right subscription tokens can match it, and nothing else.
     """
-    token_attributes = {
-        name: make_routable(token).encode()
-        for name, token in token_plan(authority, elements, topic)
+    token_attributes: dict[str, str] = {
+        TOPIC_TOKEN_ATTRIBUTE: make_routable(
+            authority.topic_token(topic)
+        ).encode()
     }
-    return _assemble_tokenized(routable, token_attributes)
-
-
-def tokenize_event_batch(
-    authority: TokenAuthority,
-    items: list[tuple[Event, dict[str, object], str]],
-    prf: "Callable[[list[tuple[bytes, bytes]]], list[bytes]] | None" = None,
-) -> list[Event]:
-    """Tokenize a batch of ``(routable, elements, topic)`` items at once.
-
-    All proof PRFs of the batch are evaluated through *prf* -- a batch
-    function mapping ``(token, nonce)`` pairs to proofs, typically
-    :meth:`repro.parallel.CryptoPool.prf_batch` -- falling back to the
-    in-process PRF when None.  Semantically identical to calling
-    :func:`tokenize_event` per item (nonces are fresh either way).
-    """
-    plans = [token_plan(authority, elements, topic)
-             for _, elements, topic in items]
-    pairs: list[tuple[bytes, bytes]] = []
-    for plan in plans:
-        for _, token in plan:
-            pairs.append((token, os.urandom(_NONCE_BYTES)))
-    if prf is None:
-        proofs = [F(token, nonce) for token, nonce in pairs]
-    else:
-        proofs = prf(pairs)
-    tokenized: list[Event] = []
-    cursor = 0
-    for (routable, _, _), plan in zip(items, plans):
-        attributes: dict[str, str] = {}
-        for name, _token in plan:
-            nonce = pairs[cursor][1]
-            attributes[name] = RoutableToken(nonce, proofs[cursor]).encode()
-            cursor += 1
-        tokenized.append(_assemble_tokenized(routable, attributes))
-    return tokenized
+    for attribute, element in elements.items():
+        if isinstance(element, KTID):
+            prefixes = list(element.ancestors()) + [element]
+            for level, prefix in enumerate(prefixes):
+                token = authority.element_token(topic, attribute, prefix)
+                name = f"{ELEMENT_TOKEN_ATTRIBUTE}:{attribute}:{level}"
+                token_attributes[name] = make_routable(token).encode()
+        elif isinstance(element, str):
+            token = authority.element_token(topic, attribute, element)
+            name = f"{ELEMENT_TOKEN_ATTRIBUTE}:{attribute}"
+            token_attributes[name] = make_routable(token).encode()
+    stripped = routable.without_attributes(
+        *(set(routable.attributes) - {"_seq"})
+    )
+    return stripped.with_attributes(**token_attributes)
 
 
 def tokenized_subscription(

@@ -10,7 +10,6 @@ the root unconditionally and down every interface with a matching filter
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Hashable, Optional
@@ -554,7 +553,7 @@ class Broker:
     ) -> list[Interface]:
         """Interfaces *event* must go out on, in stable delivery order.
 
-        Shared by :meth:`publish` and :meth:`publish_batch` so both paths
+        Shared by single-event and batch :meth:`publish` so both paths
         apply identical matching, dedup, and ordering: table order, as a
         scan ``[s for s in table if match(s.filter, event)]`` would give.
         """
@@ -584,7 +583,6 @@ class Broker:
         arrived_from: Interface | None = None,
         *,
         at_time: float = 0.0,
-        parallel=None,
     ) -> int:
         """Route one event or a whole batch -- the unified publish surface.
 
@@ -596,30 +594,10 @@ class Broker:
 
         *at_time* is accepted for signature uniformity with the timed
         overlay and ignored here (the synchronous tree has no clock).
-        *parallel* -- a :class:`~repro.parallel.ShardedMatcher` -- primes
-        the broker's match cache with batch verdicts computed across the
-        worker pool before the (serial, semantics-bearing) routing walk;
-        it only applies to locally injected batches on a broker with a
-        match cache, and silently degrades to the plain serial walk
-        otherwise.
         """
         if isinstance(events, Event):
             return self._publish_one(events, arrived_from)
-        return self._publish_many(
-            list(events), arrived_from, parallel=parallel
-        )
-
-    def publish_batch(
-        self, events: list[Event], arrived_from: Interface | None = None
-    ) -> int:
-        """Deprecated alias for :meth:`publish` with a list of events."""
-        warnings.warn(
-            "Broker.publish_batch is deprecated and will be removed in "
-            "repro 2.0; pass the batch to Broker.publish instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.publish(list(events), arrived_from=arrived_from)
+        return self._publish_many(list(events), arrived_from)
 
     def _publish_one(
         self, event: Event, arrived_from: Interface | None
@@ -655,10 +633,7 @@ class Broker:
         return len(forwarded_to)
 
     def _publish_many(
-        self,
-        events: list[Event],
-        arrived_from: Interface | None,
-        parallel=None,
+        self, events: list[Event], arrived_from: Interface | None
     ) -> int:
         """Route a whole batch with one message per outgoing interface.
 
@@ -680,16 +655,6 @@ class Broker:
             events = admitted
             if not events:
                 return 0
-        if (
-            parallel is not None
-            and arrived_from is None
-            and self.match_cache is not None
-        ):
-            # Pool workers compute the batch's match verdicts into the
-            # shared cache; the routing walk below (and every downstream
-            # broker sharing the cache) then runs on hits.  Pure memo
-            # seeding -- dissemination order and verdicts are unchanged.
-            parallel.prime(events, self.match_cache)
         self.stats.inc("batches_received")
         self.stats.inc("events_received", len(events))
         sub_batches: dict[Interface, list[Event]] = {}

@@ -9,14 +9,12 @@ the timed variant used by the throughput/latency experiments).
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
 from repro.siena.broker import Broker, MatchPredicate, _plain_match
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import MetricsRegistry
-    from repro.parallel.executor import ShardedMatcher
     from repro.siena.index import MatchResultCache
 from repro.siena.events import Event
 from repro.siena.filters import Filter
@@ -50,11 +48,10 @@ class BrokerTree:
         self.arity = arity
         self.registry = registry
         self.match_cache = match_cache
-        #: Optional sharded parallel matcher; bound via :meth:`bind_parallel`.
-        self._parallel: "ShardedMatcher | None" = None
         self.brokers: dict[Hashable, Broker] = {}
         self._subscriber_home: dict[Hashable, Hashable] = {}
-        self._client_filters: dict[Hashable, list[Filter]] = {}
+        #: Per subscriber, the filters it holds, each once, in issue order.
+        self._client_filters: dict[Hashable, dict[Filter, None]] = {}
         self._message_count = 0
 
         for index in range(num_brokers):
@@ -146,11 +143,11 @@ class BrokerTree:
         broker_id = self._subscriber_home.get(subscriber_id)
         if broker_id is None:
             raise KeyError(f"subscriber {subscriber_id!r} is not attached")
-        self._client_filters.setdefault(subscriber_id, []).append(
+        # Once, however often it is issued: one unsubscribe withdraws it,
+        # so a restart replay must not find a second copy.
+        self._client_filters.setdefault(subscriber_id, {})[
             subscription_filter
-        )
-        if self._parallel is not None:
-            self._parallel.register_filter(subscription_filter)
+        ] = None
         self.brokers[broker_id].subscribe(subscriber_id, subscription_filter)
 
     def unsubscribe(
@@ -160,57 +157,25 @@ class BrokerTree:
         broker_id = self._subscriber_home.get(subscriber_id)
         if broker_id is None:
             raise KeyError(f"subscriber {subscriber_id!r} is not attached")
-        issued = self._client_filters.get(subscriber_id, [])
-        if subscription_filter in issued:
-            issued.remove(subscription_filter)
-            if self._parallel is not None:
-                self._parallel.unregister_filter(subscription_filter)
+        self._client_filters.get(subscriber_id, {}).pop(
+            subscription_filter, None
+        )
         self.brokers[broker_id].unsubscribe(subscriber_id, subscription_filter)
-
-    def bind_parallel(self, matcher: "ShardedMatcher") -> None:
-        """Arm the tree with a sharded parallel matcher.
-
-        Every already-issued and future client filter registers with
-        *matcher* (unsubscriptions unregister), the tree's shared match
-        cache becomes its default verdict sink, and batch publishes prime
-        through it unless a call overrides ``parallel=``.
-        """
-        self._parallel = matcher
-        matcher.attach_cache(self.match_cache)
-        for filters in self._client_filters.values():
-            for subscription_filter in filters:
-                matcher.register_filter(subscription_filter)
 
     def publish(
         self,
         events: "Event | list[Event]",
         *,
         at_time: float = 0.0,
-        parallel: "ShardedMatcher | None" = None,
     ) -> int:
         """Inject one event or a batch at the root; returns root fan-out.
 
         Batch deliveries are identical to publishing each event in order;
         broker-to-broker hops carry one batch message per interface.
         *at_time* is accepted for signature uniformity and ignored (the
-        tree is synchronous).  *parallel* overrides the matcher bound via
-        :meth:`bind_parallel` for this call; batches prime the shared
-        match cache through it before routing.
+        tree is synchronous).
         """
-        chosen = parallel if parallel is not None else self._parallel
-        return self.root.publish(
-            events, arrived_from=None, at_time=at_time, parallel=chosen
-        )
-
-    def publish_batch(self, events: list[Event]) -> int:
-        """Deprecated alias for :meth:`publish` with a list of events."""
-        warnings.warn(
-            "BrokerTree.publish_batch is deprecated and will be removed "
-            "in repro 2.0; pass the batch to BrokerTree.publish instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.publish(list(events))
+        return self.root.publish(events, arrived_from=None, at_time=at_time)
 
     # -- failure lifecycle ---------------------------------------------------
 
@@ -238,7 +203,7 @@ class BrokerTree:
             if home != broker_id:
                 continue
             for subscription_filter in self._client_filters.get(
-                subscriber_id, []
+                subscriber_id, ()
             ):
                 broker.subscribe(subscriber_id, subscription_filter)
 

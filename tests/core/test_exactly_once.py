@@ -106,15 +106,6 @@ def test_wire_roundtrip_preserves_the_stamp(kdc):
     assert decoded.origin is None and decoded.sequence is None
 
 
-def test_legacy_pse1_frames_still_decode(kdc):
-    stripped = replace(_publish(kdc), origin=None, sequence=None)
-    modern = encode_sealed_event(stripped)
-    legacy = b"PSE1" + modern[5:]  # v1: no flags byte, no envelope block
-    decoded = decode_sealed_event(legacy)
-    assert decoded.origin is None and decoded.sequence is None
-    assert decoded.ciphertext == stripped.ciphertext
-
-
 def test_unknown_flags_rejected(kdc):
     wire = bytearray(
         encode_sealed_event(replace(_publish(kdc), origin=None, sequence=None))

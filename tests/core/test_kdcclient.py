@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.composite import CompositeKeySpace
-from repro.core.kdc import AuthorizationDenied, KDCUnavailableError
+from repro.errors import GrantDenied, KDCUnavailable
 from repro.core.kdcclient import ClientRetryPolicy, KDCClient
 from repro.core.kdcservice import KDCCluster
 from repro.net.faults import (
@@ -77,7 +77,7 @@ def test_all_replicas_down_exhausts_and_fails():
     grants, errors = _authorize(sim, client, horizon=30.0, at_time=0.0)
     assert not grants
     assert len(errors) == 1
-    assert isinstance(errors[0], KDCUnavailableError)
+    assert isinstance(errors[0], KDCUnavailable)
     assert client.stats.failures == 1
     assert client.stats.attempts == client.policy.max_attempts
 
@@ -106,7 +106,7 @@ def test_denial_is_terminal_not_retried():
     sim.run(until=0.5)
     grants, errors = _authorize(sim, client, at_time=1.0)
     assert not grants
-    assert isinstance(errors[0], AuthorizationDenied)
+    assert isinstance(errors[0], GrantDenied)
     assert client.stats.denied == 1
     assert client.stats.retries == 0
 

@@ -214,10 +214,10 @@ class _FlakyKDC:
         self.down = False
 
     def authorize(self, *args, **kwargs):
-        from repro.core.kdc import KDCUnavailableError
+        from repro.errors import KDCUnavailable
 
         if self.down:
-            raise KDCUnavailableError("kdc offline")
+            raise KDCUnavailable("kdc offline")
         return self.kdc.authorize(*args, **kwargs)
 
 

@@ -166,19 +166,14 @@ def test_truncated_sealed_events_raise_value_error_only(cut):
         decode_sealed_event(truncated)
 
 
-def test_legacy_pse1_events_still_decode():
-    from dataclasses import replace
+def test_pse1_magic_rejected_like_any_unknown_magic():
+    from repro.core.wire import encode_sealed_event
+    from repro.errors import FrameError
 
-    from repro.core.wire import _MAGIC_EVENT_V1, encode_sealed_event
-
-    sealed = _sample_sealed()
-    # A PSE1 frame is the PSE2 body without the flags/envelope block.
-    unstamped = replace(sealed, origin=None, sequence=None)
-    data = encode_sealed_event(unstamped)
-    legacy = _MAGIC_EVENT_V1 + data[5:]
-    decoded = decode_sealed_event(legacy)
-    assert decoded.origin is None
-    assert decoded.ciphertext == unstamped.ciphertext
+    body = encode_sealed_event(_sample_sealed())[4:]
+    for magic in (b"PSE1", b"PSE3"):
+        with pytest.raises(FrameError, match="not a serialized sealed event"):
+            decode_sealed_event(magic + body)
 
 
 # -- the filter codec (SUBSCRIBE/UNSUBSCRIBE control frames) -------------------

@@ -40,6 +40,18 @@ def test_size_flush_dispatches_to_transport():
     assert engine.pending == 0
 
 
+def test_dispatch_is_one_publish_call_per_batch():
+    class Transport(RecordingTransport):
+        def publish_batch(self, events):  # pragma: no cover
+            raise AssertionError("the engine only knows publish()")
+
+    transport = Transport()
+    engine = DisseminationEngine(transport, EngineConfig(batch_size=2))
+    engine.publish(_event(0))
+    engine.publish(_event(1))
+    assert len(transport.batches) == 1 and len(transport.batches[0]) == 2
+
+
 def test_close_drains_partial_and_refuses_publish():
     transport = RecordingTransport()
     engine = DisseminationEngine(transport, EngineConfig(batch_size=10))

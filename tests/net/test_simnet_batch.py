@@ -139,3 +139,46 @@ def test_batch_rejects_mismatched_parallel_lists():
         net.publish(_events(2), carrier=[None])
     with pytest.raises(ValueError):
         net.publish(_events(2), size=[10])
+
+
+def _subscribed_network():
+    sim, net = _network(3)
+    net.attach_subscriber("s", net.leaf_ids()[0])
+    net.subscribe("s", Filter.topic("t"))
+    return sim, net
+
+
+def test_timed_broker_tree_is_the_simulated_pubsub():
+    from repro.net import TimedBrokerTree
+
+    assert TimedBrokerTree is SimulatedPubSub
+
+
+def test_single_event_publish_returns_its_seq():
+    sim, net = _subscribed_network()
+    seq = net.publish(Event({"topic": "t"}))
+    assert isinstance(seq, int)
+    sim.run(until=1.0)
+    assert len(net.deliveries) == 1
+
+
+def test_batch_publish_returns_a_seq_per_event():
+    sim, net = _subscribed_network()
+    seqs = net.publish(_events(3))
+    assert isinstance(seqs, list) and len(seqs) == 3
+    sim.run(until=1.0)
+    assert len(net.deliveries) == 3
+
+
+def test_at_time_schedules_at_an_absolute_instant():
+    sim, net = _subscribed_network()
+    net.publish(Event({"topic": "t"}), at_time=1.5)
+    sim.run(until=3.0)
+    assert len(net.deliveries) == 1
+    assert net.deliveries[0].published_at >= 1.5
+
+
+def test_delay_and_at_time_conflict():
+    _, net = _subscribed_network()
+    with pytest.raises(ValueError):
+        net.publish(Event({"topic": "t"}), delay=1.0, at_time=2.0)

@@ -9,6 +9,7 @@ from repro.routing.multipath import (
     paths_for_frequency,
     tau_for,
 )
+from repro.siena.events import Event
 from repro.topology.multipath import MultipathNetwork
 from repro.workloads.zipf import zipf_weights
 
@@ -149,6 +150,29 @@ def test_route_batch_rejects_empty_batch():
     router = ProbabilisticRouter(network, _frequencies(), ind_max=5)
     with pytest.raises(ValueError):
         router.route_batch("t0", network.subscribers()[0], count=0)
+
+
+def _publishing_router():
+    network = MultipathNetwork(depth=3, arity=2, ind=2)
+    return network, ProbabilisticRouter(network, {"t": 2.0}, seed=3)
+
+
+def test_publish_of_one_event_routes_one_path():
+    network, router = _publishing_router()
+    path = router.publish(
+        Event({"topic": "t"}), "t", network.subscribers()[0], at_time=9.0
+    )
+    assert path
+    assert router.registry.get("multipath_routes_total").value == 1
+
+
+def test_publish_of_a_batch_routes_once_and_counts_every_event():
+    network, router = _publishing_router()
+    events = [Event({"topic": "t", "n": n}) for n in range(4)]
+    path = router.publish(events, "t", network.subscribers()[0])
+    assert path
+    assert router.registry.get("multipath_routes_total").value == 4
+    assert router.registry.get("multipath_batch_routes_total").value == 1
 
 
 def test_ideal_ind_max():

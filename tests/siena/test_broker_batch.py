@@ -20,6 +20,27 @@ def _events(count, topic="news"):
     return [Event({"topic": topic, "n": n}) for n in range(count)]
 
 
+def _subscribed_broker():
+    broker = Broker("b")
+    got = []
+    broker.attach_client("s", got.append)
+    broker.subscribe("s", Filter.topic("news"))
+    return broker, got
+
+
+def test_publish_of_one_event_returns_the_fanout():
+    broker, got = _subscribed_broker()
+    assert broker.publish(Event({"topic": "news"})) == 1
+    assert len(got) == 1
+
+
+def test_publish_of_a_batch_counts_interfaces_not_deliveries():
+    broker, got = _subscribed_broker()
+    assert broker.publish(_events(3)) == 1
+    assert broker.stats.deliveries == 3
+    assert [e.get("n") for e in got] == [0, 1, 2]
+
+
 def test_batch_deliveries_match_sequential_publishes():
     results = []
     for batched in (False, True):

@@ -107,3 +107,21 @@ def test_broker_tree_unsubscribe_not_replayed():
     tree.restart_broker(leaf)
     tree.publish(Event({"topic": "news"}))
     assert received == []
+
+
+def test_resubscribed_then_withdrawn_filter_not_replayed():
+    """Subscribing the same filter twice is one subscription: a single
+    unsubscribe withdraws it, and a restart must not bring it back."""
+    tree = BrokerTree(num_brokers=3)
+    received = []
+    leaf = tree.leaf_ids()[0]
+    tree.attach_subscriber("s", leaf, received.append)
+    tree.subscribe("s", Filter.topic("news"))
+    tree.subscribe("s", Filter.topic("news"))
+    tree.unsubscribe("s", Filter.topic("news"))
+    tree.publish(Event({"topic": "news"}))
+    assert received == []
+    tree.crash_broker(leaf)
+    tree.restart_broker(leaf)
+    tree.publish(Event({"topic": "news"}))
+    assert received == []

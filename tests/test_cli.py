@@ -280,46 +280,11 @@ def test_bench_rejects_bad_workload(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-_PARALLEL_SMOKE = [
-    "--suite", "parallel", "--seed", "11", "--events", "30",
-    "--brokers", "7", "--subscribers", "4", "--topics", "8",
-    "--topics-per-subscriber", "3", "--batch-size", "8",
-    "--workers", "1,2", "--chunk-size", "8",
-]
-
-
-def test_bench_parallel_suite_writes_report(tmp_path, capsys):
-    target = tmp_path / "BENCH_parallel.json"
-    assert main(["bench", *_PARALLEL_SMOKE, "--output", str(target)]) == 0
-    captured = capsys.readouterr()
-    assert "parallel ladder" in captured.out
-    assert "equivalence: ok" in captured.out
-
-    import json
-
-    document = json.loads(target.read_text())
-    assert document["schema"] == "repro.bench/parallel.v1"
-    assert document["equivalence"]["holds"] is True
-    assert [rung["workers"] for rung in document["ladder"]] == [1, 2]
-
-
-def test_bench_parallel_check_against_own_baseline(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    assert main(["bench", *_PARALLEL_SMOKE, "--output", str(baseline)]) == 0
-    capsys.readouterr()
-    assert main([
-        "bench", *_PARALLEL_SMOKE, "--output", str(tmp_path / "fresh.json"),
-        "--check", "--baseline", str(baseline), "--tolerance", "0.6",
-    ]) == 0
-    assert "bench check passed" in capsys.readouterr().err
-
-
-def test_bench_parallel_rejects_bad_ladder(tmp_path, capsys):
-    assert main([
-        "bench", "--suite", "parallel", "--workers", "0",
-        "--output", str(tmp_path / "out.json"),
-    ]) == 2
-    assert "error" in capsys.readouterr().err
+def test_bench_has_no_parallel_suite(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "--suite", "parallel"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'parallel'" in capsys.readouterr().err
 
 
 def test_version_flag_reports_the_package_version(capsys):

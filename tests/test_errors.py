@@ -31,13 +31,6 @@ def test_stdlib_compat_bridges():
     assert issubclass(FrameError, ValueError)
 
 
-def test_kdc_aliases_are_the_new_types():
-    from repro.core.kdc import AuthorizationDenied, KDCUnavailableError
-
-    assert AuthorizationDenied is GrantDenied
-    assert KDCUnavailableError is KDCUnavailable
-
-
 def test_flow_rate_limited_is_the_shared_type():
     from repro.flow import RateLimited as FlowRateLimited
     from repro.flow.admission import RateLimited as AdmissionRateLimited
