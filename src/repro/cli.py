@@ -246,9 +246,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
         rows = measure_cache_effect()
         print(format_table(
-            ["cache KB", "pub H/event", "sub H/event", "hit rate"],
+            ["cache KB", "pub H/event", "sub H/event", "hit rate",
+             "derive us"],
             [(r.cache_kb, r.publisher_hash_per_event,
-              r.subscriber_hash_per_event, r.publisher_hit_rate)
+              r.subscriber_hash_per_event, r.publisher_hit_rate,
+              r.derive_s * 1e6)
              for r in rows],
             title="Figure 11: key-cache effect",
         ))

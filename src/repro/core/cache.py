@@ -11,12 +11,17 @@ temporal locality (e.g. consecutive stock quotes; Figure 11 and
 
 The cache is bounded in bytes and evicts least-recently-used entries,
 matching the cache-size axis of Figure 11.
+
+A derivation therefore costs ``D + H * (levels below the deepest cached
+ancestor)`` plus bookkeeping that is constant per level: every entry
+carries its byte cost, so inserting a walk's keys or evicting for them
+never re-walks a path.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING, Hashable, Sequence
 
 from repro.crypto.hashes import KEY_BYTES
 
@@ -27,6 +32,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs is runtime-free)
 CachePath = tuple[Hashable, ...]
 
 
+def _part_cost(part: Hashable) -> int:
+    """Bytes one path element adds to an entry's footprint."""
+    return len(part) if isinstance(part, (str, bytes)) else 1
+
+
 class KeyCache:
     """A byte-bounded LRU cache of derived keys, keyed by derivation path."""
 
@@ -34,7 +44,9 @@ class KeyCache:
         if capacity_bytes < 0:
             raise ValueError("cache capacity must be non-negative")
         self.capacity_bytes = capacity_bytes
-        self._entries: OrderedDict[CachePath, bytes] = OrderedDict()
+        #: path -> (key, byte cost): the cost is fixed at insertion so
+        #: neither a refresh nor an eviction re-walks the path.
+        self._entries: OrderedDict[CachePath, tuple[bytes, int]] = OrderedDict()
         self._size_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -62,10 +74,8 @@ class KeyCache:
     @staticmethod
     def entry_cost(path: CachePath) -> int:
         """Approximate memory footprint of one cache entry, in bytes."""
-        path_cost = sum(
-            len(part) if isinstance(part, (str, bytes)) else 1 for part in path
-        )
-        return KEY_BYTES + path_cost + 8  # key + path + bookkeeping
+        # key + path + bookkeeping
+        return KEY_BYTES + sum(map(_part_cost, path)) + 8
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -78,22 +88,45 @@ class KeyCache:
     def put(self, path: CachePath, key: bytes) -> None:
         """Insert (or refresh) a derived key; evicts LRU entries as needed."""
         cost = self.entry_cost(path)
-        if cost > self.capacity_bytes:
-            return  # entry can never fit
-        if path in self._entries:
-            self._entries.move_to_end(path)
-            self._entries[path] = key
+        if cost <= self.capacity_bytes:  # else the entry can never fit
+            self._store(path, key, cost)
+
+    def put_descent(
+        self, base: CachePath, parts: Sequence[Hashable], keys: Sequence[bytes]
+    ) -> None:
+        """Insert the keys of one downward walk from *base*, top to bottom.
+
+        ``keys[i]`` is the key at ``base + parts[:i + 1]``.  Equivalent to
+        one :meth:`put` per level, but each level's cost is its parent's
+        plus one part, so the whole descent prices *base* once instead of
+        re-walking a path per level.
+        """
+        cost = self.entry_cost(base)
+        path = base
+        for part, key in zip(parts, keys):
+            path += (part,)
+            cost += _part_cost(part)
+            if cost > self.capacity_bytes:
+                break  # nor can any level below it ever fit
+            self._store(path, key, cost)
+
+    def _store(self, path: CachePath, key: bytes, cost: int) -> None:
+        entries = self._entries
+        if path in entries:
+            entries.move_to_end(path)
+            entries[path] = (key, cost)
             return
-        self._entries[path] = key
-        self._size_bytes += cost
-        while self._size_bytes > self.capacity_bytes and self._entries:
-            evicted_path, _ = self._entries.popitem(last=False)
-            self._size_bytes -= self.entry_cost(evicted_path)
+        entries[path] = (key, cost)
+        size = self._size_bytes + cost
+        while size > self.capacity_bytes:
+            _, (_, evicted_cost) = entries.popitem(last=False)
+            size -= evicted_cost
             self.evictions += 1
             if self._c_evictions is not None:
                 self._c_evictions.inc()
+        self._size_bytes = size
         if self._g_bytes is not None:
-            self._g_bytes.set(self._size_bytes)
+            self._g_bytes.set(size)
 
     def _count_hit(self) -> None:
         self.hits += 1
@@ -107,13 +140,13 @@ class KeyCache:
 
     def get(self, path: CachePath) -> bytes | None:
         """Exact-path lookup; refreshes recency on hit."""
-        key = self._entries.get(path)
-        if key is None:
+        entry = self._entries.get(path)
+        if entry is None:
             self._count_miss()
             return None
         self._entries.move_to_end(path)
         self._count_hit()
-        return key
+        return entry[0]
 
     def deepest_ancestor(
         self, path: CachePath, floor: int = 0
@@ -127,11 +160,11 @@ class KeyCache:
         """
         for length in range(len(path), floor - 1, -1):
             candidate = path[:length]
-            key = self._entries.get(candidate)
-            if key is not None:
+            entry = self._entries.get(candidate)
+            if entry is not None:
                 self._entries.move_to_end(candidate)
                 self._count_hit()
-                return candidate, key
+                return candidate, entry[0]
         self._count_miss()
         return None
 

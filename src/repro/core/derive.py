@@ -102,6 +102,11 @@ def cached_walk(
     root-relative).  When a cache is supplied, the walk starts from the
     deepest cached ancestor at or below the start, and every intermediate
     key is cached on the way down.  Returns ``(key, hash_operations)``.
+
+    Cost is one ``H`` per level below that ancestor plus constant cache
+    bookkeeping per level: the descent is handed to the cache in one
+    :meth:`~repro.core.cache.KeyCache.put_descent`, never re-priced per
+    level, so a hash the cache saves is not spent on the cache instead.
     """
     start = tuple(start_parts)
     target = tuple(target_parts)
@@ -120,11 +125,11 @@ def cached_walk(
             position = len(hit[0])
             key = hit[1]
 
-    operations = 0
-    while position < len(full_target):
-        key = derivation_step(key, full_target[position])
-        position += 1
-        operations += 1
-        if cache is not None:
-            cache.put(full_target[:position], key)
-    return key, operations
+    parts = full_target[position:]
+    keys = []
+    for part in parts:
+        key = derivation_step(key, part)
+        keys.append(key)
+    if cache is not None and keys:
+        cache.put_descent(full_target[:position], parts, keys)
+    return key, len(keys)

@@ -86,7 +86,8 @@ class Publisher:
         #: :meth:`on_overload`.
         self.limiter = limiter
         self.stats = PublisherStats()
-        self._topic_keys: dict[tuple[str, int], bytes] = {}
+        #: topic -> {epoch: topic key}, the current and previous epoch only.
+        self._topic_keys: dict[str, dict[int, bytes]] = {}
         self._schema_adapters: dict[str, "_CachingSchema"] = {}
         # Monotonic per-publisher sequence, stamped onto every sealed
         # event so subscribers can suppress at-least-once duplicates.
@@ -95,14 +96,22 @@ class Publisher:
     # -- key acquisition ------------------------------------------------------
 
     def topic_key(self, topic: str, at_time: float = 0.0) -> bytes:
-        """Fetch (and memoize for the epoch) the topic key from the KDC."""
+        """Fetch the topic key from the KDC, memoized for the epoch.
+
+        Two epochs per topic are held (in-flight publishes may straddle a
+        boundary); an older *at_time* re-asks the KDC, which is
+        deterministic, so the map does not grow with the epochs rolled.
+        """
         epoch = self.kdc.epoch_of(topic, at_time)
-        cache_key = (topic, epoch)
-        if cache_key not in self._topic_keys:
-            self._topic_keys[cache_key] = self.kdc.issue_publisher_key(
+        held = self._topic_keys.setdefault(topic, {})
+        key = held.get(epoch)
+        if key is None:
+            key = held[epoch] = self.kdc.issue_publisher_key(
                 topic, self.publisher_id, at_time
             )
-        return self._topic_keys[cache_key]
+            if len(held) > 2:
+                del held[min(held)]
+        return key
 
     # -- publication -----------------------------------------------------------
 

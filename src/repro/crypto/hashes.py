@@ -18,6 +18,20 @@ SUPPORTED_ALGORITHMS = ("sha1", "md5", "sha256")
 
 _DEFAULT_ALGORITHM = "sha1"
 
+#: Constructors bound once at import: ``H`` runs once per tree level of
+#: every derivation, so a by-name ``hashlib.new`` per call is the hot path.
+_CONSTRUCTORS = {name: getattr(hashlib, name) for name in SUPPORTED_ALGORITHMS}
+
+
+def _constructor(algorithm: str):
+    try:
+        return _CONSTRUCTORS[algorithm]
+    except KeyError:
+        raise ValueError(
+            f"unsupported hash algorithm {algorithm!r}; "
+            f"expected one of {SUPPORTED_ALGORITHMS}"
+        ) from None
+
 
 def hash_function(algorithm: str = _DEFAULT_ALGORITHM) -> Callable[[bytes], bytes]:
     """Return a full-width one-way hash function for *algorithm*.
@@ -26,14 +40,10 @@ def hash_function(algorithm: str = _DEFAULT_ALGORITHM) -> Callable[[bytes], byte
     >>> len(digest)
     20
     """
-    if algorithm not in SUPPORTED_ALGORITHMS:
-        raise ValueError(
-            f"unsupported hash algorithm {algorithm!r}; "
-            f"expected one of {SUPPORTED_ALGORITHMS}"
-        )
+    constructor = _constructor(algorithm)
 
     def _hash(data: bytes) -> bytes:
-        return hashlib.new(algorithm, data).digest()
+        return constructor(data).digest()
 
     return _hash
 
@@ -45,4 +55,4 @@ def H(data: bytes, algorithm: str = _DEFAULT_ALGORITHM) -> bytes:
     ``K(xi || b) = H(K(xi) || b)``.  Truncating a cryptographic hash is the
     standard way of fitting its output into a fixed-width key space.
     """
-    return hash_function(algorithm)(data)[:KEY_BYTES]
+    return _constructor(algorithm)(data).digest()[:KEY_BYTES]

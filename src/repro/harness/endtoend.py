@@ -321,6 +321,9 @@ class CacheEffectRow:
     publisher_hit_rate: float
     subscriber_hit_rate: float
     crypto_per_event_s: float
+    #: Wall time of one leaf-key derivation (``cached_walk`` from the
+    #: attribute root, bookkeeping included) replayed over the stream.
+    derive_s: float
 
 
 def measure_cache_effect(
@@ -329,19 +332,25 @@ def measure_cache_effect(
     range_size: int = 256,
     walk_step: int = 3,
     seed: int = 29,
+    uniform: bool = False,
 ) -> list[CacheEffectRow]:
     """Measure how the key cache cuts per-event derivation work.
 
     Uses the paper's own motivating workload for caching (Section 3.2.3):
     a stock-quote-like stream whose numeric value performs a bounded
-    random walk, so consecutive events share long ktid prefixes.  Reports
-    hash operations per event on the publisher (sealing) and subscriber
-    (opening) sides plus cache hit rates, and converts the saved work to
-    seconds via the measured primitive costs.
+    random walk, so consecutive events share long ktid prefixes -- or,
+    with *uniform*, independent uniform values, the stream on which a
+    cache saves the fewest hashes.  Reports hash operations per event on
+    the publisher (sealing) and subscriber (opening) sides plus cache hit
+    rates, converts the saved work to seconds via the measured primitive
+    costs, and times the derivations themselves: hashes saved are only a
+    gain when the cache's own bookkeeping costs less than they did.
     """
     import random as random_module
 
+    from repro.core.cache import KeyCache
     from repro.core.composite import CompositeKeySpace
+    from repro.core.derive import cache_namespace, cached_walk, value_path
     from repro.core.kdc import KDC
     from repro.core.nakt import NumericKeySpace
     from repro.siena.events import Event as _Event
@@ -351,10 +360,8 @@ def measure_cache_effect(
     for size_kb in cache_sizes_kb:
         rng = random_module.Random(seed)
         kdc = KDC(master_key=bytes(range(16)))
-        kdc.register_topic(
-            "quotes",
-            CompositeKeySpace({"price": NumericKeySpace("price", range_size)}),
-        )
+        space = NumericKeySpace("price", range_size)
+        kdc.register_topic("quotes", CompositeKeySpace({"price": space}))
         publisher = Publisher("P", kdc, cache_bytes=size_kb * 1024)
         subscriber = Subscriber("S", cache_bytes=size_kb * 1024)
         subscriber.add_grant(
@@ -366,12 +373,15 @@ def measure_cache_effect(
         lookup = lambda name: kdc.config_for(name).schema  # noqa: E731
 
         price = range_size // 2
+        prices = []
         subscriber_hashes = 0
         for _ in range(events):
-            price = max(
-                0,
-                min(range_size - 1, price + rng.randint(-walk_step, walk_step)),
-            )
+            if uniform:
+                price = rng.randrange(range_size)
+            else:
+                step = rng.randint(-walk_step, walk_step)
+                price = max(0, min(range_size - 1, price + step))
+            prices.append(price)
             sealed = publisher.publish(
                 _Event({"topic": "quotes", "price": price, "message": "q"}),
                 secret_attributes={"message"},
@@ -387,6 +397,19 @@ def measure_cache_effect(
             + costs.encrypt_256_s
             + costs.decrypt_256_s
         )
+
+        topic_key = publisher.topic_key("quotes")
+        namespace = cache_namespace("quotes", "price", topic_key)
+        root_key = space.root_key(topic_key)
+        targets = [value_path(space, price) for price in prices]
+
+        def replay() -> float:
+            cache = KeyCache(size_kb * 1024)
+            started = time.perf_counter()
+            for target in targets:
+                cached_walk(cache, namespace, (), root_key, target)
+            return (time.perf_counter() - started) / len(targets)
+
         rows.append(
             CacheEffectRow(
                 cache_kb=size_kb,
@@ -395,6 +418,7 @@ def measure_cache_effect(
                 publisher_hit_rate=publisher.cache.hit_rate,
                 subscriber_hit_rate=subscriber.cache.hit_rate,
                 crypto_per_event_s=crypto_s,
+                derive_s=min(replay() for _ in range(3)),
             )
         )
     return rows

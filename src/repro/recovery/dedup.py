@@ -34,6 +34,8 @@ class _SourceWindow:
     """Dedup state for one event source."""
 
     max_seq: int = -1
+    #: Sequences seen inside ``(max_seq - window, max_seq]``; what slides
+    #: out is dropped as ``max_seq`` advances, so at most ``window`` held.
     recent: set[int] = field(default_factory=set)
 
 
@@ -114,12 +116,17 @@ class DedupWindow:
             self._count_suppressed()
             return True
 
-        state.recent.add(seq)
         if seq > state.max_seq:
+            # Only (old horizon, new horizon] slid out of the window; a
+            # jump past the whole window leaves nothing to keep.
+            if seq - state.max_seq >= self.window:
+                state.recent.clear()
+            else:
+                state.recent.difference_update(
+                    range(horizon + 1, seq - self.window + 1)
+                )
             state.max_seq = seq
-            if len(state.recent) > self.window:
-                floor = state.max_seq - self.window
-                state.recent = {s for s in state.recent if s > floor}
+        state.recent.add(seq)
         self.accepted += 1
         return False
 

@@ -260,6 +260,44 @@ class TestEngineBookkeeping:
         publisher.publish(Event({"topic": "newsletters", "message": "m2"}))
         assert kdc.stats.publisher_keys_issued == 1
 
+    def test_topic_key_map_holds_two_epochs_per_topic(self, kdc, monkeypatch):
+        # Regression: one (topic, epoch) entry per epoch rolled, forever.
+        monkeypatch.setattr("os.urandom", lambda n: bytes(n))  # fixed IVs
+        kdc.register_topic(
+            "ticks",
+            CompositeKeySpace({"age": NumericKeySpace("age", 128)}),
+            epoch_length=10.0,
+        )
+        publisher = Publisher("P", kdc)
+        topics = ("ticks", "newsletters")
+        for epoch in range(50):
+            at_time = epoch * 10.0 + 1.0
+            for topic in topics:
+                event = Event(
+                    {"topic": topic, "age": epoch % 128, "message": "m"},
+                    publisher="P",
+                )
+                sealed = publisher.publish(event, {"message"}, at_time)
+                fresh = Publisher("P", kdc).publish(event, {"message"}, at_time)
+                assert sealed.ciphertext == fresh.ciphertext
+                assert sealed.elements == fresh.elements
+            assert all(
+                len(held) <= 2 for held in publisher._topic_keys.values()
+            )
+        assert set(publisher._topic_keys) == set(topics)
+
+    def test_older_epoch_re_asks_the_kdc_and_keeps_the_newer_keys(self, kdc):
+        kdc.register_topic("ticks", CompositeKeySpace({}), epoch_length=10.0)
+        publisher = Publisher("P", kdc)
+        newest = [publisher.topic_key("ticks", t) for t in (41.0, 51.0)]
+        issued = kdc.stats.publisher_keys_issued
+        old = publisher.topic_key("ticks", 1.0)
+        assert old == kdc.issue_publisher_key("ticks", "P", 1.0)
+        assert old not in newest
+        assert kdc.stats.publisher_keys_issued == issued + 2  # not memoized
+        assert [publisher.topic_key("ticks", t) for t in (41.0, 51.0)] == newest
+        assert kdc.stats.publisher_keys_issued == issued + 2  # still held
+
     def test_temporal_locality_reduces_hash_work(self, kdc):
         publisher = Publisher("P", kdc)
         publisher.publish(

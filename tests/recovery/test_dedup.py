@@ -50,7 +50,7 @@ def test_window_bounds_per_source_memory():
     window = DedupWindow(window=8)
     for seq in range(1000):
         window.seen("p", seq)
-    assert window.tracked("p") <= 8 + 1
+        assert window.tracked("p") <= 8
 
 
 def test_lru_source_eviction_is_bounded_and_counted():
