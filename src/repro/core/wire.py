@@ -15,7 +15,6 @@ whole point.
 from __future__ import annotations
 
 import struct
-from contextlib import contextmanager
 
 from repro.errors import FrameError
 from repro.core.composite import AuthorizationComponent
@@ -37,8 +36,7 @@ _ELEMENT_KTID = 0
 _ELEMENT_TEXT = 1
 
 
-@contextmanager
-def _decoding(what: str):
+class _decoding:
     """Normalize low-level decode failures into :class:`FrameError`.
 
     Framed network input must never crash a broker with an unexpected
@@ -49,15 +47,28 @@ def _decoding(what: str):
     "this buffer is not a valid <what>" -- so they all surface as
     :class:`~repro.errors.FrameError` (a :class:`ValueError` subclass,
     so handlers written before the hierarchy existed keep catching it).
+
+    A plain class rather than a ``contextlib`` generator: it wraps every
+    decode of every hop, and the generator protocol cost a microsecond
+    a time.
     """
-    try:
-        yield
-    except (struct.error, IndexError) as exc:
-        raise FrameError(f"truncated {what}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise FrameError(f"corrupt text in {what}: {exc}") from exc
-    except KeyError as exc:
-        raise FrameError(f"unknown name in {what}: {exc}") from exc
+
+    __slots__ = ("what",)
+
+    def __init__(self, what: str):
+        self.what = what
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, _kind, exc, _traceback) -> bool:
+        if isinstance(exc, (struct.error, IndexError)):
+            raise FrameError(f"truncated {self.what}: {exc}") from exc
+        if isinstance(exc, UnicodeDecodeError):
+            raise FrameError(f"corrupt text in {self.what}: {exc}") from exc
+        if isinstance(exc, KeyError):
+            raise FrameError(f"unknown name in {self.what}: {exc}") from exc
+        return False
 
 
 def _pack_bytes(data: bytes) -> bytes:
@@ -282,6 +293,11 @@ def decode_sealed_event(data: bytes) -> SealedEvent:
             origin, offset = _unpack_text(data, offset)
             (sequence,) = struct.unpack_from(">q", data, offset)
             offset += 8
+            if sequence < 0:
+                # Publishers count up from zero; the field is only signed
+                # on the wire, and a receiver's duplicate window is sized
+                # for sequences that advance.
+                raise FrameError(f"negative envelope sequence {sequence}")
         direct = bool(data[offset])
         offset += 1
         routable_raw, offset = _unpack_bytes(data, offset)

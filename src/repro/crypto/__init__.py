@@ -17,7 +17,15 @@ from repro.crypto.aes import AES
 from repro.crypto.cipher import decrypt, encrypt
 from repro.crypto.hashes import H, hash_function, KEY_BYTES
 from repro.crypto.modes import cbc_decrypt, cbc_encrypt, pkcs7_pad, pkcs7_unpad
-from repro.crypto.prf import F, KH, constant_time_equal, derive_key
+from repro.crypto.prf import (
+    F,
+    KH,
+    KeyedPRF,
+    constant_time_equal,
+    derive_key,
+    keyed_F,
+    keyed_KH,
+)
 
 __all__ = [
     "AES",
@@ -25,6 +33,7 @@ __all__ = [
     "H",
     "KEY_BYTES",
     "KH",
+    "KeyedPRF",
     "cbc_decrypt",
     "cbc_encrypt",
     "constant_time_equal",
@@ -32,6 +41,8 @@ __all__ = [
     "derive_key",
     "encrypt",
     "hash_function",
+    "keyed_F",
+    "keyed_KH",
     "pkcs7_pad",
     "pkcs7_unpad",
 ]

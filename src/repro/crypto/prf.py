@@ -10,27 +10,69 @@ The paper uses two keyed PRFs:
 
 Both are HMAC instances over different domain-separation labels so that a
 token can never collide with a key.
+
+More than half of one HMAC evaluation is key set-up, and a broker probes
+the same subscription token against every event it routes, so both PRFs
+come in a *keyed* form (:func:`keyed_F`, :func:`keyed_KH`) that does the
+set-up once; ``F`` and ``KH`` are that form used once.  A keyed PRF
+holds key-derived hash state: keep it on the object that already holds
+the key, so both are dropped together -- this module caches none.
 """
 
 from __future__ import annotations
 
 import hmac
 
-from repro.crypto.hashes import KEY_BYTES, SUPPORTED_ALGORITHMS
+from repro.crypto.hashes import KEY_BYTES, _constructor
 
 _KH_LABEL = b"psguard:kh:"
 _F_LABEL = b"psguard:f:"
 
+_IPAD = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD = bytes(byte ^ 0x5C for byte in range(256))
 
-def _keyed_hash(key: bytes, label: bytes, message: bytes, algorithm: str) -> bytes:
-    if algorithm not in SUPPORTED_ALGORITHMS:
-        raise ValueError(
-            f"unsupported hash algorithm {algorithm!r}; "
-            f"expected one of {SUPPORTED_ALGORITHMS}"
-        )
-    if not isinstance(key, (bytes, bytearray)):
-        raise TypeError(f"PRF key must be bytes, got {type(key).__name__}")
-    return hmac.new(bytes(key), label + message, algorithm).digest()[:KEY_BYTES]
+
+class KeyedPRF:
+    """``KH`` or ``F`` under one fixed key: ``prf(message) -> bytes``.
+
+    RFC 2104 HMAC with the inner and outer hash states built once (the
+    inner one already past the domain-separation label), so a call is
+    two state copies and two short updates; byte-identical to
+    ``hmac.new(key, label + message, algorithm).digest()[:KEY_BYTES]``.
+    """
+
+    __slots__ = ("_inner", "_outer")
+
+    def __init__(self, key: bytes, label: bytes, algorithm: str = "sha1"):
+        constructor = _constructor(algorithm)
+        if not isinstance(key, (bytes, bytearray)):
+            raise TypeError(f"PRF key must be bytes, got {type(key).__name__}")
+        inner = constructor()
+        block = inner.block_size
+        if len(key) > block:
+            key = constructor(key).digest()
+        padded = bytes(key).ljust(block, b"\x00")
+        inner.update(padded.translate(_IPAD))
+        inner.update(label)
+        self._inner = inner
+        self._outer = constructor(padded.translate(_OPAD))
+
+    def __call__(self, message: bytes) -> bytes:
+        inner = self._inner.copy()
+        inner.update(message)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()[:KEY_BYTES]
+
+
+def keyed_KH(key: bytes, algorithm: str = "sha1") -> KeyedPRF:
+    """``KH`` under *key*, for callers that evaluate it more than once."""
+    return KeyedPRF(key, _KH_LABEL, algorithm)
+
+
+def keyed_F(key: bytes, algorithm: str = "sha1") -> KeyedPRF:
+    """``F`` under *key*, for callers that evaluate it more than once."""
+    return KeyedPRF(key, _F_LABEL, algorithm)
 
 
 def KH(key: bytes, message: bytes, algorithm: str = "sha1") -> bytes:
@@ -39,7 +81,7 @@ def KH(key: bytes, message: bytes, algorithm: str = "sha1") -> bytes:
     Used to derive topic keys and key-tree roots, e.g.
     ``K_root(age) = KH_{K(cancerTrail)}("age")``.
     """
-    return _keyed_hash(key, _KH_LABEL, message, algorithm)
+    return KeyedPRF(key, _KH_LABEL, algorithm)(message)
 
 
 def F(key: bytes, message: bytes, algorithm: str = "sha1") -> bytes:
@@ -48,7 +90,7 @@ def F(key: bytes, message: bytes, algorithm: str = "sha1") -> bytes:
     Domain-separated from :func:`KH` so tokens and keys never coincide even
     for equal inputs.
     """
-    return _keyed_hash(key, _F_LABEL, message, algorithm)
+    return KeyedPRF(key, _F_LABEL, algorithm)(message)
 
 
 def derive_key(parent: bytes, branch: bytes, algorithm: str = "sha1") -> bytes:

@@ -93,7 +93,10 @@ class DedupWindow:
         return len(state.recent) if state is not None else 0
 
     def seen(self, source: Hashable, seq: int) -> bool:
-        """Whether (source, seq) is a duplicate; records it when fresh."""
+        """Whether (source, seq) is a duplicate; records it when fresh.
+
+        A negative *seq* is always stale: sources count up from zero.
+        """
         state = self._sources.get(source)
         if state is None:
             state = _SourceWindow()
@@ -107,7 +110,9 @@ class DedupWindow:
             self._sources.move_to_end(source)
 
         horizon = state.max_seq - self.window
-        if state.max_seq >= 0 and seq <= horizon:
+        # Tracking a negative sequence would never end: it cannot raise
+        # ``max_seq``, so nothing would ever slide it out of ``recent``.
+        if seq < 0 or (state.max_seq >= 0 and seq <= horizon):
             self.suppressed_stale += 1
             self._count_suppressed()
             return True

@@ -22,6 +22,7 @@ from repro.routing.observer import CoalitionObserver, NodeObserver
 from repro.routing.tokens import (
     RoutableToken,
     TokenAuthority,
+    TokenProbe,
     grant_routing_filters,
     tokenize_event,
     tokenized_match,
@@ -37,6 +38,7 @@ __all__ = [
     "RedundantRouter",
     "RoutableToken",
     "TokenAuthority",
+    "TokenProbe",
     "entropy_bits",
     "grant_routing_filters",
     "max_entropy_bits",

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from hmac import compare_digest
 from typing import TYPE_CHECKING, Callable
 
-from repro.crypto.prf import F, constant_time_equal
+from repro.crypto.prf import F, keyed_F
 from repro.core.ktid import KTID
 from repro.obs.lru import LRUCache
 from repro.siena.events import Event
@@ -53,10 +54,15 @@ class RoutableToken:
 
     @classmethod
     def decode(cls, text: str) -> "RoutableToken":
-        raw = bytes.fromhex(text)
-        if len(raw) < _NONCE_BYTES + 1:
-            raise ValueError("routable token too short")
-        return cls(raw[:_NONCE_BYTES], raw[_NONCE_BYTES:])
+        return cls(*_split_routable(text))
+
+
+def _split_routable(text: str) -> tuple[bytes, bytes]:
+    """``(nonce, proof)`` of a hex routable value; ValueError if malformed."""
+    raw = bytes.fromhex(text)
+    if len(raw) < _NONCE_BYTES + 1:
+        raise ValueError("routable token too short")
+    return raw[:_NONCE_BYTES], raw[_NONCE_BYTES:]
 
 
 def make_routable(token: bytes, nonce: bytes | None = None) -> RoutableToken:
@@ -66,9 +72,39 @@ def make_routable(token: bytes, nonce: bytes | None = None) -> RoutableToken:
     return RoutableToken(nonce, F(token, nonce))
 
 
+class TokenProbe:
+    """One label token with ``F`` keyed under it once.
+
+    The broker-side check ``F_{tok}(r) == match`` -- spelled here and
+    nowhere else -- then costs one PRF evaluation without the key
+    set-up.  The keyed state lives and dies with the probe; whoever
+    holds the token holds the probe.
+    """
+
+    __slots__ = ("token", "prf")
+
+    def __init__(self, token: bytes):
+        self.token = token
+        self.prf = keyed_F(token)
+
+    def matches(
+        self,
+        nonce: bytes,
+        proof: bytes,
+        cache: "TokenPRFCache | None" = None,
+    ) -> bool:
+        """Whether ``<nonce, proof>`` was built under this token, in
+        constant time; ``F_{tok}(r)`` comes out of *cache* when given."""
+        if cache is None:
+            expected = self.prf(nonce)
+        else:
+            expected = cache.proof(self.token, nonce, self.prf)
+        return compare_digest(expected, proof)
+
+
 def routable_matches(token: bytes, routable: RoutableToken) -> bool:
     """Broker side: check ``F_{tok}(r) == match`` in constant time."""
-    return constant_time_equal(F(token, routable.nonce), routable.proof)
+    return TokenProbe(token).matches(routable.nonce, routable.proof)
 
 
 class TokenAuthority:
@@ -80,10 +116,11 @@ class TokenAuthority:
 
     def __init__(self, master_key: bytes):
         self.master_key = master_key
+        self._prf = keyed_F(master_key)
 
     def topic_token(self, topic: str) -> bytes:
         """``T(w) = F_{rk}(w)``."""
-        return F(self.master_key, b"topic:" + topic.encode("utf-8"))
+        return self._prf(b"topic:" + topic.encode("utf-8"))
 
     def element_token(self, topic: str, attribute: str, element: object) -> bytes:
         """Token for one key-tree element of one attribute.
@@ -98,7 +135,7 @@ class TokenAuthority:
             raise TypeError(f"untokenizable element {element!r}")
         label = b"element:" + topic.encode("utf-8") + b"\x00"
         label += attribute.encode("utf-8") + b"\x00" + material
-        return F(self.master_key, label)
+        return self._prf(label)
 
     def ktid_prefix_tokens(
         self, topic: str, attribute: str, leaf: KTID
@@ -252,29 +289,86 @@ def grant_routing_filters(
     return filters
 
 
-def _tokenized_match(
-    subscription: Filter,
-    event: Event,
-    matches: Callable[[bytes, RoutableToken], bool],
-) -> bool:
+_TOKEN_PREFIXES = (TOPIC_TOKEN_ATTRIBUTE, ELEMENT_TOKEN_ATTRIBUTE)
+
+#: One compiled constraint: ``(name, probe, None)`` for a tokenized one
+#: (*probe* is None when its token is not hex: it can never match) or
+#: ``(name, None, constraint)`` for a plaintext one.
+_Step = tuple[str, "TokenProbe | None", "Constraint | None"]
+
+
+def _compile(subscription: Filter) -> tuple[_Step, ...]:
+    """Everything about matching *subscription* that no event changes."""
+    steps: list[_Step] = []
     for constraint in subscription:
-        if not constraint.name.startswith(
-            (TOPIC_TOKEN_ATTRIBUTE, ELEMENT_TOKEN_ATTRIBUTE)
-        ):
-            if not constraint.matches(event):
-                return False
+        name = constraint.name
+        if not name.startswith(_TOKEN_PREFIXES):
+            steps.append((name, None, constraint))
             continue
-        value = event.get(constraint.name)
-        if not isinstance(value, str):
-            return False
         try:
-            routable = RoutableToken.decode(value)
-            token = bytes.fromhex(str(constraint.value))
+            probe = TokenProbe(bytes.fromhex(str(constraint.value)))
         except ValueError:
-            return False
-        if not matches(token, routable):
-            return False
-    return True
+            probe = None
+        steps.append((name, probe, None))
+    return tuple(steps)
+
+
+def _token_matcher(
+    cache: "TokenPRFCache | None" = None,
+) -> Callable[[Filter, Event], bool]:
+    """A match predicate; ``F_{tok}(r)`` is looked up in *cache* when
+    one is given.
+
+    The predicate keeps what is constant out of the per-call path: a
+    filter's compiled steps ride on the filter (``Filter._token_steps``,
+    which only this module writes), and the ``(nonce, proof)`` split of
+    each routable attribute is kept for as long as calls keep naming the
+    same event -- a broker tests one event against many unit filters in
+    a row -- and dropped with the first call for another.
+    """
+    unset = object()
+    # (event, its parsed routables), swapped as one tuple: the module's
+    # own ``tokenized_match`` is shared by every broker of a process, so
+    # a dict must never be paired with another thread's event.
+    current: tuple[Event | None, dict] = (None, {})
+
+    def match(subscription: Filter, event: Event) -> bool:
+        nonlocal current
+        steps = subscription._token_steps
+        if steps is None:
+            steps = subscription._token_steps = _compile(subscription)
+        parsed_of, parsed = current
+        if parsed_of is not event:
+            parsed = {}
+            current = (event, parsed)
+        for name, probe, constraint in steps:
+            if constraint is not None:
+                if not constraint.matches(event):
+                    return False
+                continue
+            pair = parsed.get(name, unset)
+            if pair is unset:
+                value = event.get(name)
+                try:
+                    pair = (
+                        _split_routable(value)
+                        if isinstance(value, str)
+                        else None
+                    )
+                except ValueError:
+                    pair = None
+                parsed[name] = pair
+            if pair is None or probe is None:
+                return False
+            nonce, proof = pair
+            if not probe.matches(nonce, proof, cache):
+                return False
+        return True
+
+    return match
+
+
+_match = _token_matcher()
 
 
 def tokenized_match(subscription: Filter, event: Event) -> bool:
@@ -285,7 +379,7 @@ def tokenized_match(subscription: Filter, event: Event) -> bool:
     when ``F_{tok}(r) == match``.  Non-token constraints fall back to plain
     matching (mixed plaintext/tokenized deployments).
     """
-    return _tokenized_match(subscription, event, routable_matches)
+    return _match(subscription, event)
 
 
 class TokenPRFCache:
@@ -307,16 +401,19 @@ class TokenPRFCache:
     ):
         self.cache = LRUCache(capacity, "token_prf_cache", registry, **labels)
 
-    def proof(self, token: bytes, nonce: bytes) -> bytes:
-        """``F(token, nonce)``, served from cache when already computed."""
+    def proof(
+        self, token: bytes, nonce: bytes, prf: Callable | None = None
+    ) -> bytes:
+        """``F(token, nonce)``, served from cache when already computed;
+        *prf* is ``keyed_F(token)`` when the caller already holds it."""
         return self.cache.get_or_compute(
-            (token, nonce), lambda: F(token, nonce)
+            (token, nonce), lambda: (prf or keyed_F(token))(nonce)
         )
 
     def matches(self, token: bytes, routable: RoutableToken) -> bool:
         """Drop-in for :func:`routable_matches` backed by the memo."""
-        return constant_time_equal(
-            self.proof(token, routable.nonce), routable.proof
+        return TokenProbe(token).matches(
+            routable.nonce, routable.proof, self
         )
 
 
@@ -329,8 +426,4 @@ def cached_tokenized_match(
     pure), while amortizing proof recomputation across the brokers that
     share the cache.
     """
-
-    def match(subscription: Filter, event: Event) -> bool:
-        return _tokenized_match(subscription, event, cache.matches)
-
-    return match
+    return _token_matcher(cache)

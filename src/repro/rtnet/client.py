@@ -39,8 +39,8 @@ from repro.routing.tokens import (
     TOPIC_TOKEN_ATTRIBUTE,
     RoutableToken,
     TokenAuthority,
+    TokenProbe,
     grant_routing_filters,
-    routable_matches,
     tokenize_event,
 )
 from repro.rtnet.frames import (
@@ -403,8 +403,8 @@ class RtSubscriber(RtEndpoint):
         #: event, measured against the EVENT frame's sent_at stamp.
         self.latencies_s: list[float] = []
         self._filters: list[Filter] = []
-        #: topic-token material for topic resolution: (token, topic).
-        self._topic_tokens: list[tuple[bytes, str]] = []
+        #: topic-token material for topic resolution: (probe, topic).
+        self._topic_tokens: list[tuple[TokenProbe, str]] = []
 
     # -- subscriptions -------------------------------------------------------
 
@@ -503,7 +503,10 @@ class RtSubscriber(RtEndpoint):
     async def _register_grant(self, grant: AuthorizationGrant) -> None:
         if all(topic != grant.topic for _, topic in self._topic_tokens):
             self._topic_tokens.append(
-                (self.authority.topic_token(grant.topic), grant.topic)
+                (
+                    TokenProbe(self.authority.topic_token(grant.topic)),
+                    grant.topic,
+                )
             )
         for routing_filter in grant_routing_filters(self.authority, grant):
             await self.subscribe(routing_filter)
@@ -529,8 +532,8 @@ class RtSubscriber(RtEndpoint):
             token_pair = RoutableToken.decode(value)
         except ValueError:
             return None
-        for token, topic in self._topic_tokens:
-            if routable_matches(token, token_pair):
+        for probe, topic in self._topic_tokens:
+            if probe.matches(token_pair.nonce, token_pair.proof):
                 return topic
         return None
 

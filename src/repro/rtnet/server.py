@@ -13,8 +13,9 @@ network around it:
 - one **egress queue + pump task per peer**: the egress queue is a
   :class:`repro.flow.BoundedPriorityQueue` (control frames at a priority
   class above events, load shedding under overload per the configured
-  policy), and the pump writes frames and awaits ``drain()`` so a slow
-  peer backpressures its queue rather than the whole process.
+  policy), and the pump writes everything queued (up to
+  :data:`FLUSH_BYTES`) as one buffer and awaits ``drain()`` once, so a
+  slow peer backpressures its queue rather than the whole process.
 
 Events arriving on the wire are PSE2 payloads; the dispatcher decodes
 the routable part for matching but forwards the *original payload
@@ -58,6 +59,11 @@ from repro.core.wire import decode_sealed_event
 #: Priority class for control frames (SUBSCRIBE, ACK, ...): strictly
 #: better than every event class, so overload never sheds control state.
 CONTROL_PRIORITY = -1
+
+#: Encoded bytes after which a pump stops adding frames to one flush.
+#: Whatever a slow reader has not taken must wait in the egress queue,
+#: where the shed policy sees it, not in the transport's write buffer.
+FLUSH_BYTES = 64 * 1024
 
 
 @dataclass
@@ -453,6 +459,9 @@ class BrokerServer:
         # Shed frames are counted by the queue itself (flow_shed_total).
 
     async def _pump_loop(self, peer: _Peer) -> None:
+        """Write *peer*'s egress queue to its socket, one write and one
+        ``drain()`` per flush: every frame queued when the pump comes
+        round, in ``take()`` order, up to :data:`FLUSH_BYTES`."""
         try:
             while True:
                 entry = peer.egress.take()
@@ -460,14 +469,25 @@ class BrokerServer:
                     peer.wake.clear()
                     await peer.wake.wait()
                     continue
-                frame, _priority = entry
-                peer.writer.write(encode_frame(frame))
+                frames: list[Frame] = []
+                chunks: list[bytes] = []
+                size = 0
+                while entry is not None:
+                    frames.append(entry[0])
+                    chunks.append(encode_frame(entry[0]))
+                    size += len(chunks[-1])
+                    if size >= FLUSH_BYTES:
+                        break
+                    entry = peer.egress.take()
+                peer.writer.write(b"".join(chunks))
                 await peer.writer.drain()
-                self._count(
-                    "rtnet_frames_total",
-                    direction="out",
-                    type=frame.type.name.lower(),
-                )
+                if self.registry is not None:
+                    for frame in frames:
+                        self._count(
+                            "rtnet_frames_total",
+                            direction="out",
+                            type=frame.type.name.lower(),
+                        )
         except (OSError, asyncio.CancelledError):
             return
 

@@ -14,7 +14,7 @@ attribute as routable; PSGuard's envelope layer
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
 from repro.siena.operators import AttributeValue
@@ -60,6 +60,17 @@ def _decode_value(data: bytes, offset: int) -> tuple[AttributeValue, int]:
     raise ValueError(f"unknown wire tag {tag}")
 
 
+def _in_name_order(
+    attributes: dict[str, AttributeValue],
+) -> dict[str, AttributeValue]:
+    """*attributes* itself when its names already ascend, else a sorted copy."""
+    names = list(attributes)
+    ordered = sorted(names)
+    if ordered == names:
+        return attributes
+    return {name: attributes[name] for name in ordered}
+
+
 @dataclass(frozen=True)
 class Event:
     """An immutable pub-sub event.
@@ -69,17 +80,27 @@ class Event:
     Section 3.1 "Multiple Publishers").
     """
 
+    #: Held as a dict in name order, which makes it the sorted view that
+    #: iteration, hashing and the wire encoding go by: nothing else is
+    #: built or kept per event.
     attributes: Mapping[str, AttributeValue]
     publisher: str | None = None
 
-    _sorted_items: tuple[tuple[str, AttributeValue], ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
-
     def __post_init__(self) -> None:
-        items = tuple(sorted(dict(self.attributes).items()))
-        object.__setattr__(self, "attributes", dict(items))
-        object.__setattr__(self, "_sorted_items", items)
+        object.__setattr__(
+            self, "attributes", _in_name_order(dict(self.attributes))
+        )
+
+    @classmethod
+    def _owning(
+        cls, attributes: dict[str, AttributeValue], publisher: str | None
+    ) -> "Event":
+        """An event around *attributes* itself: a dict in name order that
+        the caller built and hands over (no defensive copy, no sort)."""
+        event = cls.__new__(cls)
+        object.__setattr__(event, "attributes", attributes)
+        object.__setattr__(event, "publisher", publisher)
+        return event
 
     def __contains__(self, name: str) -> bool:
         return name in self.attributes
@@ -88,19 +109,19 @@ class Event:
         return self.attributes[name]
 
     def __iter__(self) -> Iterator[tuple[str, AttributeValue]]:
-        return iter(self._sorted_items)
+        return iter(self.attributes.items())
 
     def __len__(self) -> int:
         return len(self.attributes)
 
     def __hash__(self) -> int:
-        return hash((self._sorted_items, self.publisher))
+        return hash((tuple(self.attributes.items()), self.publisher))
 
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, Event):
             return NotImplemented
         return (
-            self._sorted_items == other._sorted_items
+            self.attributes == other.attributes
             and self.publisher == other.publisher
         )
 
@@ -112,7 +133,7 @@ class Event:
         """A copy of this event with *extra* attributes merged in."""
         merged = dict(self.attributes)
         merged.update(extra)
-        return Event(merged, publisher=self.publisher)
+        return Event._owning(_in_name_order(merged), self.publisher)
 
     def without_attributes(self, *names: str) -> "Event":
         """A copy of this event with the given attributes removed."""
@@ -120,17 +141,17 @@ class Event:
             name: value for name, value in self.attributes.items()
             if name not in names
         }
-        return Event(remaining, publisher=self.publisher)
+        return Event._owning(remaining, self.publisher)
 
     # -- wire format -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
         """Deterministic wire encoding (used for sizing and encryption)."""
-        parts = [struct.pack(">H", len(self._sorted_items))]
+        parts = [struct.pack(">H", len(self.attributes))]
         publisher = (self.publisher or "").encode("utf-8")
         parts.append(struct.pack(">H", len(publisher)))
         parts.append(publisher)
-        for name, value in self._sorted_items:
+        for name, value in self.attributes.items():
             encoded_name = name.encode("utf-8")
             parts.append(struct.pack(">H", len(encoded_name)))
             parts.append(encoded_name)
@@ -145,13 +166,22 @@ class Event:
         offset = 4 + publisher_len
         publisher = data[4:offset].decode("utf-8") or None
         attributes: dict[str, AttributeValue] = {}
+        # to_bytes writes names in ascending order; anything else (a
+        # foreign encoder, a repeated name) goes through the sort.
+        ascending = True
+        previous = ""
         for _ in range(count):
             (name_len,) = struct.unpack_from(">H", data, offset)
             offset += 2
             name = data[offset: offset + name_len].decode("utf-8")
             offset += name_len
             value, offset = _decode_value(data, offset)
+            if attributes and name <= previous:
+                ascending = False
             attributes[name] = value
+            previous = name
+        if ascending:
+            return cls._owning(attributes, publisher)
         return cls(attributes, publisher=publisher)
 
     def wire_size(self) -> int:

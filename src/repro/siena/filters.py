@@ -60,6 +60,12 @@ class Filter:
     ``<age, >=, l> AND <age, <=, u>``).
     """
 
+    #: The constraints as :mod:`repro.routing.tokens` compiled them for
+    #: its match predicates (hex tokens parsed, ``F`` keyed).  Written by
+    #: that module only; never part of equality or the wire form, and
+    #: gone with the filter.
+    _token_steps: tuple | None = None
+
     def __init__(self, constraints: Iterable[Constraint]):
         self.constraints: tuple[Constraint, ...] = tuple(constraints)
         if not self.constraints:

@@ -1,5 +1,8 @@
 """Wire serialization of grants and sealed events."""
 
+import struct
+from dataclasses import replace
+
 import pytest
 
 from repro.core.composite import CompositeKeySpace
@@ -14,6 +17,7 @@ from repro.core.wire import (
     encode_grant,
     encode_sealed_event,
 )
+from repro.errors import FrameError
 from repro.siena.events import Event
 from repro.siena.filters import Constraint, Filter
 from repro.siena.operators import Op
@@ -136,3 +140,32 @@ def test_trailing_bytes_rejected(kdc):
     data = encode_sealed_event(sealed)
     with pytest.raises(ValueError, match="trailing"):
         decode_sealed_event(data + b"\x00")
+
+
+def test_every_truncation_is_a_frame_error(kdc):
+    sealed = Publisher("P", kdc).publish(
+        Event({"topic": "trial", "age": 10, "site": "us-9", "message": "m"}),
+        extra_lock_subsets=[("age",)],
+    )
+    data = encode_sealed_event(sealed)
+    for cut in range(len(data)):
+        with pytest.raises(FrameError):
+            decode_sealed_event(data[:cut])
+
+
+def test_negative_envelope_sequence_rejected(kdc):
+    """The wire field is a signed 64-bit integer; publishers count up
+    from zero, and a subscriber's duplicate window never ages out a
+    sequence below zero."""
+    sealed = Publisher("P", kdc).publish(
+        Event({"topic": "plain", "message": "m"})
+    )
+    data = encode_sealed_event(replace(sealed, origin="P", sequence=5))
+    at = 4 + 1 + 4 + len(b"P")
+    assert data[at: at + 8] == struct.pack(">q", 5)
+    for sequence in (-1, -2, -(2 ** 63)):
+        forged = data[:at] + struct.pack(">q", sequence) + data[at + 8:]
+        with pytest.raises(FrameError, match="negative"):
+            decode_sealed_event(forged)
+    zero = data[:at] + struct.pack(">q", 0) + data[at + 8:]
+    assert decode_sealed_event(zero).sequence == 0

@@ -79,3 +79,20 @@ def test_registry_counters_export_suppressions():
 def test_degenerate_bounds_rejected(kwargs):
     with pytest.raises(ValueError):
         DedupWindow(**kwargs)
+
+
+def test_negative_sequences_are_stale_and_never_tracked():
+    """Sources count up from zero.  A negative sequence never raises the
+    source's maximum, so nothing would ever slide it out again: 10 000
+    of them must not outgrow the window."""
+    window = DedupWindow(window=8)
+    for seq in range(-1, -10_001, -1):
+        assert window.seen("hostile", seq)
+    assert window.tracked("hostile") <= window.window
+    assert window.tracked("hostile") == 0
+    assert window.suppressed_stale == 10_000
+    assert window.accepted == 0
+    # The source is unharmed for the sequences it should be sending.
+    assert [window.seen("hostile", seq) for seq in (0, 1, 1, -1)] == [
+        False, False, True, True,
+    ]
