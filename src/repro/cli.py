@@ -14,34 +14,21 @@ new harness scenario only writes its own handler; ``build_parser`` and
 - ``topology``       -- generate a transit-stub topology and report its
                         overlay RTT statistics;
 - ``verify``         -- fast self-check of the headline claims;
-- ``chaos``          -- run pub-sub workloads under injected broker
-                        crashes and link loss, comparing fire-and-forget
-                        against reliable at-least-once delivery; the
-                        ``kdc`` scenario takes KDC replicas down across
-                        an epoch boundary and measures decrypt success;
-                        the ``recovery`` scenario kills brokers
-                        permanently and gates (``--check``) on tree
-                        repair plus exactly-once delivery; the ``rekey``
-                        scenario churns membership across live epoch
-                        rollovers on real sockets and gates on zero
-                        unauthorized opens plus survivor delivery;
+- ``chaos``          -- run the fault and equivalence scenarios
+                        (``--list`` describes them); ``recovery``,
+                        ``overload``, ``rekey`` and ``live`` carry
+                        acceptance gates that ``--check`` enforces --
+                        ``live`` holds a loopback TCP tree to the
+                        in-process reference delivery streams;
 - ``metrics``        -- run an instrumented workload and export the
                         metrics/tracing snapshot (JSON or Prometheus);
-- ``bench``          -- drive the same Zipf workload through the legacy
-                        per-event path and the batched ``repro.engine``,
-                        write ``BENCH_engine.json``, and optionally gate
-                        against a committed baseline (``--check``);
 - ``serve``          -- run one rtnet broker server on a TCP socket,
                         optionally dialing a parent broker (a cluster is
-                        N ``serve`` processes, or ``livebench`` in one);
-- ``livebench``      -- push a Zipf workload through a localhost TCP
-                        broker tree (:mod:`repro.rtnet`), write
-                        ``BENCH_rtnet.json``, and optionally gate
-                        against a committed baseline (``--check``).
+                        N ``serve`` processes).
 
 Randomized commands share one ``--seed`` option (:func:`add_seed_option`)
-so a single integer pins workload draws across ``bench``, ``chaos`` and
-``metrics`` runs.
+so a single integer pins workload draws across ``chaos`` and ``metrics``
+runs.  Speed is measured by ``benchmarks/e2e/run.py``, not here.
 """
 
 from __future__ import annotations
@@ -49,7 +36,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 
 @dataclass(frozen=True)
@@ -304,33 +291,146 @@ def _cmd_verify(_args: argparse.Namespace) -> int:
 
 # -- chaos --------------------------------------------------------------------
 
-#: The chaos scenario registry: name -> one-line description.  ``--list``
-#: prints it; ``--scenario`` choices derive from it, so adding a
-#: scenario means adding an entry here plus a branch in the handler.
-CHAOS_SCENARIOS: dict[str, str] = {
-    "overlay": "broker crashes + link loss: fire-and-forget vs the "
-    "reliable at-least-once stack",
-    "kdc": "key-service outage straddling an epoch boundary: replicated "
-    "KDC failover and decrypt success",
-    "recovery": "permanent broker kills + a partition: tree repair, "
-    "durable journals, exactly-once delivery",
-    "overload": "publisher storm at a multiple of sustainable rate: "
-    "bounded queues, priority protection, graceful degradation, "
-    "post-storm recovery",
-    "rekey": "live membership churn over real sockets: epoch rollovers, "
-    "in-band grant renewal, lazy revocation, mid-stream join/leave",
-}
+
+class ChaosPlan(NamedTuple):
+    """One scenario sized for a run: its config and its harness calls."""
+
+    config: Any
+    run: Callable[[Any], Any]
+    format: Callable[[Any, Any], str]  # (config, result) -> report text
+    #: ``(config, result) -> violated gates``; None = nothing to gate
+    check: Callable[[Any, Any], list[str]] | None = None
+    #: ``result -> metrics snapshot document``; None = none collected
+    snapshot: Callable[[Any], dict] | None = None
+
+
+class ChaosScenario(NamedTuple):
+    """A ``--scenario`` value: its ``--list`` line and flags -> plan step."""
+
+    description: str
+    plan: Callable[[argparse.Namespace], ChaosPlan]
+
+
+#: The chaos scenario registry: ``--list`` prints it, ``--scenario``
+#: choices derive from it and the handler loops over it, so adding a
+#: scenario means adding one decorated plan function.
+CHAOS_SCENARIOS: dict[str, ChaosScenario] = {}
+
+
+def chaos_scenario(name: str, description: str) -> Callable:
+    """Register the decorated ``flags -> ChaosPlan`` function.
+
+    Plan functions import their harness module when called, not before,
+    so building the parser loads no simulator and no sockets.
+    """
+
+    def decorate(plan: Callable[[argparse.Namespace], ChaosPlan]) -> Callable:
+        CHAOS_SCENARIOS[name] = ChaosScenario(description, plan)
+        return plan
+
+    return decorate
+
+
+@chaos_scenario("overlay", "broker crashes + link loss: fire-and-forget vs "
+                "the reliable at-least-once stack")
+def _overlay_plan(args: argparse.Namespace) -> ChaosPlan:
+    from repro.harness import chaos as harness
+
+    return ChaosPlan(
+        harness.ChaosConfig(
+            seed=args.seed, duration=args.duration, publish_rate=args.rate,
+            crash_probability=args.crash_prob,
+            crash_duration=args.crash_duration, link_loss=args.link_loss,
+            redundancy=args.redundancy, num_brokers=args.brokers,
+        ),
+        harness.run_chaos,
+        lambda _config, report: harness.format_chaos_report(report),
+    )
+
+
+@chaos_scenario("kdc", "key-service outage straddling an epoch boundary: "
+                "replicated KDC failover and decrypt success")
+def _kdc_plan(args: argparse.Namespace) -> ChaosPlan:
+    from repro.harness import kdcchaos as harness
+
+    return ChaosPlan(
+        harness.KdcChaosConfig(
+            seed=args.seed, duration=args.duration, publish_rate=args.rate,
+            epoch_length=args.epoch_length, replicas=args.kdc_replicas,
+            subscribers=args.subscribers, grace_period=args.grace,
+            outage_duration=args.outage,
+        ),
+        harness.run_kdc_chaos,
+        lambda _config, report: harness.format_kdc_chaos_report(report),
+    )
+
+
+@chaos_scenario("recovery", "permanent broker kills + a partition: tree "
+                "repair, durable journals, exactly-once delivery")
+def _recovery_plan(args: argparse.Namespace) -> ChaosPlan:
+    from repro.harness import recovery as harness
+
+    return ChaosPlan(
+        harness.RecoveryConfig(
+            seed=args.seed, duration=args.duration, publish_rate=args.rate,
+            num_brokers=args.brokers, link_loss=args.link_loss,
+        ),
+        harness.run_recovery, harness.format_recovery_report,
+        harness.check_recovery,
+    )
+
+
+@chaos_scenario("overload", "publisher storm at a multiple of sustainable "
+                "rate: bounded queues, priority protection, graceful "
+                "degradation, post-storm recovery")
+def _overload_plan(args: argparse.Namespace) -> ChaosPlan:
+    from repro.harness import overload as harness
+
+    return ChaosPlan(
+        harness.OverloadConfig(
+            seed=args.seed, storm_factor=args.storm_factor,
+            high_fraction=args.high_fraction,
+            queue_capacity=args.queue_capacity, shed_policy=args.shed_policy,
+        ),
+        harness.run_overload, harness.format_overload_report,
+        harness.check_overload, lambda result: result.obs.snapshot(),
+    )
+
+
+@chaos_scenario("rekey", "live membership churn over real sockets: epoch "
+                "rollovers, in-band grant renewal, lazy revocation, "
+                "mid-stream join/leave")
+def _rekey_plan(args: argparse.Namespace) -> ChaosPlan:
+    from repro.harness import rekey as harness
+
+    return ChaosPlan(
+        harness.RekeyChaosConfig(
+            seed=args.seed, rollovers=args.rollovers, grace=args.grace
+        ),
+        harness.run_rekey_chaos, harness.format_rekey_report,
+        harness.check_rekey, lambda result: result.registry.snapshot(),
+    )
+
+
+@chaos_scenario("live", "no faults, two transports: a loopback TCP tree "
+                "must deliver exactly the in-process reference streams, "
+                "with zero unauthorized opens")
+def _live_plan(args: argparse.Namespace) -> ChaosPlan:
+    from repro.harness import live as harness
+
+    return ChaosPlan(
+        harness.LiveConfig(
+            seed=args.seed, events=int(args.duration * args.rate),
+            num_brokers=args.brokers, num_subscribers=args.subscribers,
+        ),
+        harness.run_live, harness.format_live_report, harness.check_live,
+    )
 
 
 def _chaos_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scenario", choices=["all", *CHAOS_SCENARIOS], default="all",
-        help="overlay = broker-crash delivery experiments, "
-        "kdc = key-service outage across an epoch boundary, "
-        "recovery = permanent kills + partition with tree repair, "
-        "durable journals and exactly-once delivery, "
-        "overload = publisher storm against the flow-controlled overlay, "
-        "rekey = live epoch rollover and membership churn over TCP",
+        help="the scenario to run (--list describes them; default: all)",
     )
     parser.add_argument(
         "--list", action="store_true",
@@ -339,7 +439,8 @@ def _chaos_args(parser: argparse.ArgumentParser) -> None:
     add_seed_option(parser)
     parser.add_argument("--duration", type=float, default=5.0)
     parser.add_argument("--rate", type=float, default=40.0,
-                        help="publications per second")
+                        help="publications per second (the live scenario "
+                        "publishes duration x rate events, unpaced)")
     parser.add_argument("--crash-prob", type=float, default=0.2,
                         help="per-broker crash probability")
     parser.add_argument("--crash-duration", type=float, default=0.5,
@@ -355,7 +456,7 @@ def _chaos_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kdc-replicas", type=int, default=3,
                         help="kdc scenario: replicas in the replicated run")
     parser.add_argument("--subscribers", type=int, default=8,
-                        help="kdc scenario: subscriber count")
+                        help="kdc/live scenarios: subscriber count")
     parser.add_argument("--grace", type=float, default=1.0,
                         help="kdc scenario: post-expiry grace window")
     parser.add_argument("--outage", type=float, default=1.0,
@@ -380,13 +481,12 @@ def _chaos_args(parser: argparse.ArgumentParser) -> None:
                         "metrics snapshot (JSON) here")
     parser.add_argument(
         "--check", action="store_true",
-        help="recovery/overload/rekey scenarios: fail unless the "
-        "scenario's gates hold (recovery: delivery >= 99%%, zero "
-        "surfaced duplicates, every permanent kill repaired; overload: "
-        "bounded queues, >= 99%% high-priority delivery, graceful "
-        "degradation, full post-storm recovery; rekey: >= 3 live "
-        "rollovers, zero unauthorized post-revocation opens, >= 99%% "
-        "survivor delivery)",
+        help="recovery/overload/rekey/live scenarios: exit 1 unless the "
+        "scenario's acceptance gates hold (delivery, exactly-once and "
+        "repair; bounded queues and priority protection; zero "
+        "post-revocation opens; socket streams equal to the in-process "
+        "reference with zero unauthorized opens); an error when no "
+        "selected scenario has gates",
     )
 
 
@@ -398,156 +498,53 @@ def _chaos_args(parser: argparse.ArgumentParser) -> None:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.list:
         width = max(len(name) for name in CHAOS_SCENARIOS)
-        for name, description in CHAOS_SCENARIOS.items():
-            print(f"{name:<{width}}  {description}")
+        for name, scenario in CHAOS_SCENARIOS.items():
+            print(f"{name:<{width}}  {scenario.description}")
         return 0
+    names = (
+        list(CHAOS_SCENARIOS) if args.scenario == "all" else [args.scenario]
+    )
     sections = []
+    gated: list[str] = []
     gate_problems: list[str] = []
+    snapshot = None
     try:
-        if args.scenario in ("all", "overlay"):
-            from repro.harness.chaos import (
-                ChaosConfig,
-                format_chaos_report,
-                run_chaos,
+        plans = {name: CHAOS_SCENARIOS[name].plan(args) for name in names}
+        if args.check and all(plan.check is None for plan in plans.values()):
+            raise ValueError(
+                f"--check has nothing to gate: scenario {args.scenario!r} "
+                "defines no gates"
             )
-
-            config = ChaosConfig(
-                seed=args.seed,
-                duration=args.duration,
-                publish_rate=args.rate,
-                crash_probability=args.crash_prob,
-                crash_duration=args.crash_duration,
-                link_loss=args.link_loss,
-                redundancy=args.redundancy,
-                num_brokers=args.brokers,
-            )
-            sections.append(format_chaos_report(run_chaos(config)))
-        if args.scenario in ("all", "kdc"):
-            from repro.harness.kdcchaos import (
-                KdcChaosConfig,
-                format_kdc_chaos_report,
-                run_kdc_chaos,
-            )
-
-            kdc_config = KdcChaosConfig(
-                seed=args.seed,
-                duration=args.duration,
-                publish_rate=args.rate,
-                epoch_length=args.epoch_length,
-                replicas=args.kdc_replicas,
-                subscribers=args.subscribers,
-                grace_period=args.grace,
-                outage_duration=args.outage,
-            )
-            sections.append(
-                format_kdc_chaos_report(run_kdc_chaos(kdc_config))
-            )
-        if args.scenario in ("all", "recovery"):
-            from repro.harness.recovery import (
-                RecoveryConfig,
-                check_recovery,
-                format_recovery_report,
-                run_recovery,
-            )
-
-            recovery_config = RecoveryConfig(
-                seed=args.seed,
-                duration=args.duration,
-                publish_rate=args.rate,
-                num_brokers=args.brokers,
-                link_loss=args.link_loss,
-            )
-            recovery_result = run_recovery(recovery_config)
-            sections.append(
-                format_recovery_report(recovery_config, recovery_result)
-            )
-            if args.check:
+        for name, plan in plans.items():
+            result = plan.run(plan.config)
+            sections.append(plan.format(plan.config, result))
+            # --snapshot names one file: under "all" the first scenario
+            # that collects a snapshot (overload) supplies it.
+            if args.snapshot and snapshot is None and plan.snapshot:
+                snapshot = plan.snapshot(result)
+            if args.check and plan.check is not None:
+                gated.append(name)
                 gate_problems.extend(
-                    f"recovery gate violated: {problem}"
-                    for problem in check_recovery(
-                        recovery_config, recovery_result
-                    )
-                )
-        if args.scenario in ("all", "overload"):
-            import json
-
-            from repro.harness.overload import (
-                OverloadConfig,
-                check_overload,
-                format_overload_report,
-                run_overload,
-            )
-
-            overload_config = OverloadConfig(
-                seed=args.seed,
-                storm_factor=args.storm_factor,
-                high_fraction=args.high_fraction,
-                queue_capacity=args.queue_capacity,
-                shed_policy=args.shed_policy,
-            )
-            overload_result = run_overload(overload_config)
-            sections.append(
-                format_overload_report(overload_config, overload_result)
-            )
-            if args.snapshot:
-                with open(args.snapshot, "w", encoding="utf-8") as handle:
-                    json.dump(
-                        overload_result.obs.snapshot(), handle,
-                        indent=2, sort_keys=True,
-                    )
-                    handle.write("\n")
-                print(f"wrote metrics snapshot to {args.snapshot}",
-                      file=sys.stderr)
-            if args.check:
-                gate_problems.extend(
-                    f"overload gate violated: {problem}"
-                    for problem in check_overload(
-                        overload_config, overload_result
-                    )
-                )
-        if args.scenario in ("all", "rekey"):
-            import json
-
-            from repro.harness.rekey import (
-                RekeyChaosConfig,
-                check_rekey,
-                format_rekey_report,
-                run_rekey_chaos,
-            )
-
-            rekey_config = RekeyChaosConfig(
-                seed=args.seed,
-                rollovers=args.rollovers,
-                grace=args.grace,
-            )
-            rekey_result = run_rekey_chaos(rekey_config)
-            sections.append(
-                format_rekey_report(rekey_config, rekey_result)
-            )
-            if args.snapshot and args.scenario == "rekey":
-                with open(args.snapshot, "w", encoding="utf-8") as handle:
-                    json.dump(
-                        rekey_result.registry.snapshot(), handle,
-                        indent=2, sort_keys=True,
-                    )
-                    handle.write("\n")
-                print(f"wrote metrics snapshot to {args.snapshot}",
-                      file=sys.stderr)
-            if args.check:
-                gate_problems.extend(
-                    f"rekey gate violated: {problem}"
-                    for problem in check_rekey(rekey_config, rekey_result)
+                    f"{name} gate violated: {problem}"
+                    for problem in plan.check(plan.config, result)
                 )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print("\n\n".join(sections))
+    if snapshot is not None:
+        import json
+
+        with open(args.snapshot, "w", encoding="utf-8") as handle:
+            json.dump(snapshot, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"wrote metrics snapshot to {args.snapshot}", file=sys.stderr)
     for problem in gate_problems:
         print(problem, file=sys.stderr)
     if gate_problems:
         return 1
-    if args.check:
-        print("chaos gates passed", file=sys.stderr)
+    if gated:
+        print(f"chaos gates passed: {', '.join(gated)}", file=sys.stderr)
     return 0
 
 
@@ -640,215 +637,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- bench --------------------------------------------------------------------
-
-
-def _bench_args(parser: argparse.ArgumentParser) -> None:
-    add_seed_option(parser)
-    parser.add_argument(
-        "--suite", choices=["engine", "overload", "rekey"],
-        default="engine",
-        help="engine: batched-dissemination throughput (default); "
-        "overload: sustained-storm delivery/shedding sweep; "
-        "rekey: live membership-churn ladder over epoch rollovers",
-    )
-    parser.add_argument("--events", type=int, default=400,
-                        help="publications per measured path")
-    parser.add_argument("--brokers", type=int, default=15,
-                        help="tree overlay size")
-    parser.add_argument("--arity", type=int, default=2,
-                        help="broker tree arity")
-    parser.add_argument("--subscribers", type=int, default=16)
-    parser.add_argument("--topics", type=int, default=32,
-                        help="topic population (multiple of 4)")
-    parser.add_argument("--topics-per-subscriber", type=int, default=8)
-    parser.add_argument("--batch-size", type=int, default=32,
-                        help="engine batch size for the headline numbers")
-    parser.add_argument(
-        "--sweep", default="1,8,32,128", metavar="SIZES",
-        help="comma-separated batch sizes for the sweep section",
-    )
-    parser.add_argument(
-        "--rungs", default="1,3,6", metavar="SURVIVORS",
-        help="comma-separated survivor populations for --suite rekey",
-    )
-    parser.add_argument("--output", metavar="PATH", default=None,
-                        help="machine-readable report destination "
-                        "(default: BENCH_<suite>.json)")
-    parser.add_argument(
-        "--check", action="store_true",
-        help="gate this run against a committed baseline report",
-    )
-    parser.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="baseline report for --check "
-        "(default: benchmarks/baselines/BENCH_<suite>.json)",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=0.25,
-        help="allowed fractional regression before --check fails",
-    )
-
-
-def _cmd_bench_overload(args: argparse.Namespace) -> int:
-    """The ``--suite overload`` leg: sustained-storm delivery sweep."""
-    from repro.bench import (
-        OverloadBenchConfig,
-        check_overload_regression,
-        load_report,
-        render_overload_report,
-        run_overload_bench,
-        write_overload_report,
-    )
-
-    output = args.output or "BENCH_overload.json"
-    baseline_path = (
-        args.baseline or "benchmarks/baselines/BENCH_overload.json"
-    )
-    try:
-        report = run_overload_bench(OverloadBenchConfig(seed=args.seed))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    write_overload_report(report, output)
-    print(render_overload_report(report))
-    print(f"wrote report to {output}", file=sys.stderr)
-    if args.check:
-        try:
-            baseline = load_report(baseline_path)
-        except OSError as exc:
-            print(f"error: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        problems = check_overload_regression(
-            report, baseline, args.tolerance
-        )
-        for problem in problems:
-            print(f"regression: {problem}", file=sys.stderr)
-        if problems:
-            return 1
-        print("bench check passed: within tolerance of the baseline",
-              file=sys.stderr)
-    return 0
-
-
-def _cmd_bench_rekey(args: argparse.Namespace) -> int:
-    """The ``--suite rekey`` leg: membership-churn ladder."""
-    from repro.bench import (
-        RekeyBenchConfig,
-        check_rekey_regression,
-        load_report,
-        render_rekey_report,
-        run_rekey_bench,
-        write_report,
-    )
-
-    output = args.output or "BENCH_rekey.json"
-    baseline_path = (
-        args.baseline or "benchmarks/baselines/BENCH_rekey.json"
-    )
-    try:
-        rungs = tuple(
-            int(survivors)
-            for survivors in str(args.rungs).split(",")
-            if survivors.strip()
-        )
-        report = run_rekey_bench(
-            RekeyBenchConfig(seed=args.seed, rungs=rungs)
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    write_report(report, output)
-    print(render_rekey_report(report))
-    print(f"wrote report to {output}", file=sys.stderr)
-    failed = [
-        problem for rung in report["rungs"] for problem in rung["gates"]
-    ]
-    if failed:
-        for problem in failed:
-            print(f"error: churn gate violated: {problem}", file=sys.stderr)
-        return 1
-    if args.check:
-        try:
-            baseline = load_report(baseline_path)
-        except OSError as exc:
-            print(f"error: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        problems = check_rekey_regression(report, baseline, args.tolerance)
-        for problem in problems:
-            print(f"regression: {problem}", file=sys.stderr)
-        if problems:
-            return 1
-        print("bench check passed: within tolerance of the baseline",
-              file=sys.stderr)
-    return 0
-
-
-@command(
-    "bench",
-    "benchmark the batched engine against the per-event path",
-    configure=_bench_args,
-)
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        BenchConfig,
-        check_regression,
-        load_report,
-        render_report,
-        run_bench,
-        write_report,
-    )
-
-    if args.suite == "overload":
-        return _cmd_bench_overload(args)
-    if args.suite == "rekey":
-        return _cmd_bench_rekey(args)
-    output = args.output or "BENCH_engine.json"
-    baseline_path = (
-        args.baseline or "benchmarks/baselines/BENCH_engine.json"
-    )
-    try:
-        sweep = tuple(
-            int(size) for size in str(args.sweep).split(",") if size.strip()
-        )
-        config = BenchConfig(
-            seed=args.seed,
-            events=args.events,
-            num_brokers=args.brokers,
-            arity=args.arity,
-            num_subscribers=args.subscribers,
-            num_topics=args.topics,
-            topics_per_subscriber=args.topics_per_subscriber,
-            batch_size=args.batch_size,
-            batch_sweep=sweep,
-        )
-        report = run_bench(config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    write_report(report, output)
-    print(render_report(report))
-    print(f"wrote report to {output}", file=sys.stderr)
-    if not report["equivalence"]["holds"]:
-        print("error: engine deliveries diverge from the per-event path",
-              file=sys.stderr)
-        return 1
-    if args.check:
-        try:
-            baseline = load_report(baseline_path)
-        except OSError as exc:
-            print(f"error: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        problems = check_regression(report, baseline, args.tolerance)
-        for problem in problems:
-            print(f"regression: {problem}", file=sys.stderr)
-        if problems:
-            return 1
-        print("bench check passed: within tolerance of the baseline",
-              file=sys.stderr)
-    return 0
-
-
 # -- serve --------------------------------------------------------------------
 
 
@@ -897,90 +685,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(serve())
     except KeyboardInterrupt:
         print("shutting down", file=sys.stderr)
-    return 0
-
-
-# -- livebench ----------------------------------------------------------------
-
-
-def _livebench_args(parser: argparse.ArgumentParser) -> None:
-    add_seed_option(parser)
-    parser.add_argument("--events", type=int, default=200,
-                        help="publications pushed through the cluster")
-    parser.add_argument("--brokers", type=int, default=7,
-                        help="loopback TCP tree size")
-    parser.add_argument("--arity", type=int, default=2)
-    parser.add_argument("--subscribers", type=int, default=8)
-    parser.add_argument("--topics", type=int, default=16,
-                        help="topic population (multiple of 4)")
-    parser.add_argument("--topics-per-subscriber", type=int, default=4)
-    parser.add_argument("--output", metavar="PATH",
-                        default="BENCH_rtnet.json",
-                        help="machine-readable report destination")
-    parser.add_argument(
-        "--check", action="store_true",
-        help="gate this run against a committed baseline report",
-    )
-    parser.add_argument(
-        "--baseline", metavar="PATH",
-        default="benchmarks/baselines/BENCH_rtnet.json",
-        help="baseline report for --check",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=0.25,
-        help="allowed fractional regression before --check fails",
-    )
-
-
-@command(
-    "livebench",
-    "benchmark dissemination over a localhost TCP broker tree",
-    configure=_livebench_args,
-)
-def _cmd_livebench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        RtnetBenchConfig,
-        check_rtnet_regression,
-        load_report,
-        render_rtnet_report,
-        run_rtnet_bench,
-        write_report,
-    )
-
-    try:
-        config = RtnetBenchConfig(
-            seed=args.seed,
-            events=args.events,
-            num_brokers=args.brokers,
-            arity=args.arity,
-            num_subscribers=args.subscribers,
-            num_topics=args.topics,
-            topics_per_subscriber=args.topics_per_subscriber,
-        )
-        report = run_rtnet_bench(config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    write_report(report, args.output)
-    print(render_rtnet_report(report))
-    print(f"wrote report to {args.output}", file=sys.stderr)
-    if not report["equivalence"]["holds"]:
-        print("error: socket-path deliveries diverge from the in-process "
-              "reference", file=sys.stderr)
-        return 1
-    if args.check:
-        try:
-            baseline = load_report(args.baseline)
-        except OSError as exc:
-            print(f"error: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        problems = check_rtnet_regression(report, baseline, args.tolerance)
-        for problem in problems:
-            print(f"regression: {problem}", file=sys.stderr)
-        if problems:
-            return 1
-        print("livebench check passed: within tolerance of the baseline",
-              file=sys.stderr)
     return 0
 
 

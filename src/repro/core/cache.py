@@ -183,7 +183,7 @@ class KeyCache:
             self._g_bytes.set(0)
 
     def stats(self) -> dict:
-        """JSON-able summary used by ``repro bench`` reports."""
+        """JSON-able summary; ``benchmarks/e2e`` reads its hit ratios."""
         return {
             "entries": len(self._entries),
             "capacity_bytes": self.capacity_bytes,

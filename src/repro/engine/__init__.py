@@ -1,8 +1,8 @@
 """``repro.engine`` -- the batched high-throughput dissemination engine.
 
 See :mod:`repro.engine.engine` for the design overview and
-``DESIGN.md`` ("Engine & Benchmarking") for the rationale; the companion
-load driver lives in :mod:`repro.bench`.
+``DESIGN.md`` ("Engine & Benchmarking") for the rationale; its speed is
+measured by the ``inproc-match`` workload of ``benchmarks/e2e``.
 """
 
 from __future__ import annotations

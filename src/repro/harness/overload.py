@@ -90,7 +90,7 @@ class OverloadConfig:
     zipf_exponent: float = 1.0
     topics_per_subscriber: int = 4
     #: Storm factors for the graceful-degradation sweep.
-    sweep_factors: tuple = (1.0, 2.0, 3.0, 5.0)
+    sweep_factors: tuple = (1.0, 2.0, 3.0, 5.0, 6.0)
     sweep_duration: float = 0.4
     #: Interior-broker slowdown for the backpressure run.
     slowdown_factor: float = 6.0
@@ -171,6 +171,9 @@ class SweepPoint:
     #: The analytic best-effort floor (1 - h*f) / ((1 - h) * f).
     ideal_best_effort: float
     shed_events: int
+    #: Share of sheds that fell on best-effort, the lowest class the
+    #: storm carries: 1.0 = no better-priority event was sacrificed.
+    shed_fairness: float
 
 
 @dataclass
@@ -361,6 +364,8 @@ def _run_sweep(config: OverloadConfig, result: OverloadResult) -> None:
     """Graceful degradation: one storm per factor, fresh overlay each."""
     for factor in config.sweep_factors:
         load = _Workload(config, Observability())
+        sheds: Counter = Counter()  # by priority
+        load.net.on_shed(lambda priority, *_: sheds.update([priority]))
         load.schedule_phase("sweep", 0.0, config.sweep_duration, factor)
         load.sim.run(
             until=config.sweep_duration + config.drain
@@ -377,6 +382,7 @@ def _run_sweep(config: OverloadConfig, result: OverloadResult) -> None:
             best_effort_delivery=best,
             ideal_best_effort=ideal,
             shed_events=load.net.shed_events,
+            shed_fairness=_ratio(sheds[BEST_EFFORT], sum(sheds.values())),
         ))
 
 
@@ -522,6 +528,12 @@ def check_overload(
                 f"sweep factor {point.factor:g}: high-priority delivery "
                 f"{point.high_delivery:.4f} below the gate"
             )
+        if point.shed_fairness < 0.95:
+            problems.append(
+                f"sweep factor {point.factor:g}: shed fairness "
+                f"{point.shed_fairness:.4f} below 0.95 (better-priority "
+                "events are being sacrificed)"
+            )
         floor = config.degradation_floor * point.ideal_best_effort
         if point.best_effort_delivery < floor:
             problems.append(
@@ -575,9 +587,11 @@ def format_overload_report(
         f"arity {config.arity})",
     )
     sweep_table = format_table(
-        ["factor", "high del", "best-effort del", "ideal", "shed"],
+        ["factor", "high del", "best-effort del", "ideal", "shed",
+         "fairness"],
         [(s.factor, s.high_delivery, s.best_effort_delivery,
-          s.ideal_best_effort, s.shed_events) for s in result.sweep],
+          s.ideal_best_effort, s.shed_events, s.shed_fairness)
+         for s in result.sweep],
         title="Graceful degradation sweep",
     )
     backpressure = "\n".join([

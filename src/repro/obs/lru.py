@@ -4,9 +4,9 @@ The engine (PR 4) memoizes three expensive pure computations -- derived
 hierarchical keys, Song--Wagner--Perrig token PRFs, and per-broker
 filter-match results.  All three need the same substrate: a bounded
 mapping with LRU eviction whose hit/miss/eviction counts surface in the
-shared :class:`~repro.obs.metrics.MetricsRegistry` so ``repro bench`` and
-``repro metrics`` can report cache effectiveness without bespoke plumbing
-per layer.
+shared :class:`~repro.obs.metrics.MetricsRegistry` so ``repro metrics``
+and the ``benchmarks/e2e`` harness can report cache effectiveness without
+bespoke plumbing per layer.
 
 The class is deliberately dependency-free (it lives in ``repro.obs`` so
 that low layers such as ``repro.routing.tokens`` and ``repro.siena.index``
@@ -148,7 +148,7 @@ class LRUCache:
         return self.hits / total if total else 0.0
 
     def stats(self) -> dict:
-        """JSON-able summary used by ``repro bench`` reports."""
+        """JSON-able summary; ``benchmarks/e2e`` reads its hit ratios."""
         return {
             "name": self.name,
             "entries": len(self._entries),

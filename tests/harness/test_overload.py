@@ -90,6 +90,32 @@ def test_gates_pass_and_catch_violations(result):
     assert any("cliff" in problem for problem in problems)
 
 
+def test_six_x_rung_protects_high_priority_and_sheds_fairly(result):
+    worst = result.sweep[-1]
+    assert worst.factor == 6.0
+    assert worst.shed_events > 0
+    assert worst.high_delivery >= _CONFIG.min_high_delivery
+    # Every shed landed on best-effort, the lowest class present.
+    assert worst.shed_fairness == 1.0
+    # At sustainable load nothing is shed: vacuously fair.
+    assert result.sweep[0].shed_fairness == 1.0
+
+
+def test_gate_flags_sacrificed_high_priority_events(result):
+    storm = result.sweep[-1]
+    sacrificed = dataclasses.replace(
+        storm,
+        shed_fairness=(storm.shed_events - 40) / storm.shed_events,
+    )
+    unfair = dataclasses.replace(
+        result, sweep=[*result.sweep[:-1], sacrificed]
+    )
+    problems = check_overload(_CONFIG, unfair)
+    assert len(problems) == 1
+    assert "sweep factor 6: shed fairness" in problems[0]
+    assert "sacrificed" in problems[0]
+
+
 def test_seeded_runs_are_identical(result):
     again = run_overload(OverloadConfig(seed=7))
     assert dataclasses.asdict(again) == dataclasses.asdict(result)

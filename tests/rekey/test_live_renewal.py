@@ -8,6 +8,8 @@ two-epoch version of the full churn harness.
 import asyncio
 import random
 
+import pytest
+
 from repro.core import KDC, CompositeKeySpace, NumericKeySpace
 from repro.core.renewal import RenewalPolicy
 from repro.rekey import KdcChannel
@@ -117,16 +119,18 @@ def test_grant_expiring_mid_stream_renews_within_grace():
     )
 
 
-def test_full_churn_harness_passes_its_gates():
+@pytest.mark.parametrize("survivors", [1, 6])
+def test_full_churn_harness_passes_its_gates(survivors):
     from repro.harness.rekey import (
         RekeyChaosConfig,
         check_rekey,
         run_rekey_chaos,
     )
 
-    config = RekeyChaosConfig(survivors=1, events_per_epoch=4)
+    config = RekeyChaosConfig(survivors=survivors, events_per_epoch=4)
     result = run_rekey_chaos(config)
     assert check_rekey(config, result) == []
+    assert len(result.survivor_outcomes) == survivors
     assert result.rollovers_completed == 3
     assert result.unauthorized_opens() == 0
     assert result.survivor_delivery_ratio() == 1.0

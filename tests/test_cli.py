@@ -112,10 +112,13 @@ def test_chaos_list_enumerates_scenarios(capsys):
     output = capsys.readouterr().out
     from repro.cli import CHAOS_SCENARIOS
 
-    for name, description in CHAOS_SCENARIOS.items():
+    assert list(CHAOS_SCENARIOS) == [
+        "overlay", "kdc", "recovery", "overload", "rekey", "live",
+    ]
+    assert len(output.splitlines()) == 6
+    for name, scenario in CHAOS_SCENARIOS.items():
         assert name in output
-        assert description.split(":")[0] in output
-    assert "overload" in output
+        assert scenario.description in output
 
 
 def test_chaos_overload_scenario_gates(tmp_path, capsys):
@@ -133,6 +136,42 @@ def test_chaos_overload_scenario_gates(tmp_path, capsys):
 
     document = json.loads(snapshot.read_text())
     assert "counters" in document
+
+
+def test_chaos_live_scenario_gates(capsys):
+    assert main(["chaos", "--scenario", "live", "--check",
+                 "--seed", "7"]) == 0
+    captured = capsys.readouterr()
+    assert "Live run: seed 7, 200 events" in captured.out
+    assert "across 8 subscribers" in captured.out
+    assert "equivalence        ok" in captured.out
+    assert "unauthorized opens 0" in captured.out
+    assert "chaos gates passed: live" in captured.err
+    assert "Chaos run" not in captured.out  # overlay experiments not run
+
+
+def test_chaos_live_rejects_bad_config(capsys):
+    assert main(["chaos", "--scenario", "live", "--subscribers", "0"]) == 2
+    assert "error: need at least one subscriber" in capsys.readouterr().err
+
+
+def test_chaos_check_names_the_gated_scenarios(capsys):
+    assert main(["chaos", "--check", "--seed", "7", "--duration", "5",
+                 "--rate", "20"]) == 0
+    captured = capsys.readouterr()
+    assert "Chaos run: seed 7" in captured.out  # ungated ones still ran
+    assert captured.err.strip().endswith(
+        "chaos gates passed: recovery, overload, rekey, live"
+    )
+
+
+@pytest.mark.parametrize("scenario", ["overlay", "kdc"])
+def test_chaos_check_refuses_a_scenario_without_gates(scenario, capsys):
+    assert main(["chaos", "--scenario", scenario, "--check"]) == 2
+    captured = capsys.readouterr()
+    assert "gates passed" not in captured.err
+    assert f"scenario {scenario!r} defines no gates" in captured.err
+    assert captured.out == ""  # refused before running anything
 
 
 def test_chaos_overload_rejects_bad_config(capsys):
@@ -199,92 +238,23 @@ def test_command_required():
         main([])
 
 
-_BENCH_SMOKE = [
-    "--seed", "11", "--events", "30", "--brokers", "7",
-    "--subscribers", "4", "--topics", "8", "--topics-per-subscriber", "3",
-    "--batch-size", "8", "--sweep", "8",
-]
-
-
 def test_bench_registered_with_uniform_seed_option():
+    """Every randomized command takes the same ``--seed`` option."""
     from repro.cli import build_parser, commands
 
-    assert "bench" in {entry.name for entry in commands()}
+    assert {"chaos", "metrics"} <= {entry.name for entry in commands()}
     parser = build_parser()
-    for command in ("bench", "chaos", "metrics"):
+    for command in ("chaos", "metrics"):
         args = parser.parse_args([command, "--seed", "3"])
         assert args.seed == 3
 
 
-def test_bench_smoke_writes_report(tmp_path, capsys):
-    target = tmp_path / "BENCH_engine.json"
-    assert main(["bench", *_BENCH_SMOKE, "--output", str(target)]) == 0
-    captured = capsys.readouterr()
-    assert "equivalence: ok" in captured.out
-    assert "engine" in captured.out
-
-    import json
-
-    document = json.loads(target.read_text())
-    assert document["schema"] == "repro.bench/engine.v1"
-    assert document["equivalence"]["holds"] is True
-
-
-def test_bench_check_against_own_baseline(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    assert main(["bench", *_BENCH_SMOKE, "--output", str(baseline)]) == 0
-    capsys.readouterr()
-    fresh = tmp_path / "fresh.json"
-    assert main([
-        "bench", *_BENCH_SMOKE, "--output", str(fresh),
-        "--check", "--baseline", str(baseline), "--tolerance", "0.6",
-    ]) == 0
-    assert "bench check passed" in capsys.readouterr().err
-
-
-def test_bench_check_missing_baseline_is_config_error(tmp_path, capsys):
-    assert main([
-        "bench", *_BENCH_SMOKE, "--output", str(tmp_path / "out.json"),
-        "--check", "--baseline", str(tmp_path / "nope.json"),
-    ]) == 2
-    assert "cannot read baseline" in capsys.readouterr().err
-
-
-def test_bench_overload_suite_writes_report(tmp_path, capsys):
-    target = tmp_path / "BENCH_overload.json"
-    assert main(["bench", "--suite", "overload", "--seed", "7",
-                 "--output", str(target)]) == 0
-    captured = capsys.readouterr()
-    assert "sustained overload sweep" in captured.out
-    assert "headline" in captured.out
-
-    import json
-
-    document = json.loads(target.read_text())
-    assert document["schema"] == "repro.bench/overload.v1"
-    assert document["headline"]["high_delivery"] >= 0.99
-
-
-def test_bench_overload_check_against_committed_baseline(tmp_path, capsys):
-    assert main([
-        "bench", "--suite", "overload", "--seed", "7",
-        "--output", str(tmp_path / "fresh.json"),
-        "--check", "--tolerance", "0.05",
-    ]) == 0
-    assert "bench check passed" in capsys.readouterr().err
-
-
-def test_bench_rejects_bad_workload(tmp_path, capsys):
-    assert main(["bench", "--events", "0",
-                 "--output", str(tmp_path / "out.json")]) == 2
-    assert "error" in capsys.readouterr().err
-
-
-def test_bench_has_no_parallel_suite(capsys):
+@pytest.mark.parametrize("removed", ["bench", "livebench"])
+def test_removed_bench_commands_are_unknown(removed, capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "--suite", "parallel"])
+        main([removed])
     assert excinfo.value.code == 2
-    assert "invalid choice: 'parallel'" in capsys.readouterr().err
+    assert f"invalid choice: '{removed}'" in capsys.readouterr().err
 
 
 def test_version_flag_reports_the_package_version(capsys):
@@ -309,54 +279,3 @@ def test_serve_registered_with_parent_option():
     assert args.broker_id == "b3"
     assert args.port == 7001
     assert args.parent == "127.0.0.1:7000"
-
-
-_LIVEBENCH_SMOKE = [
-    "--seed", "11", "--events", "15", "--brokers", "3",
-    "--subscribers", "3", "--topics", "8", "--topics-per-subscriber", "2",
-]
-
-
-def test_livebench_smoke_writes_report(tmp_path, capsys):
-    target = tmp_path / "BENCH_rtnet.json"
-    assert main(["livebench", *_LIVEBENCH_SMOKE,
-                 "--output", str(target)]) == 0
-    captured = capsys.readouterr()
-    assert "equivalence: ok" in captured.out
-    assert "loopback TCP tree" in captured.out
-    assert "unauthorized opens: 0" in captured.out
-
-    import json
-
-    document = json.loads(target.read_text())
-    assert document["schema"] == "repro.bench/rtnet.v1"
-    assert document["equivalence"]["holds"] is True
-    assert document["security"]["unauthorized_opens"] == 0
-
-
-def test_livebench_check_against_own_baseline(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    assert main(["livebench", *_LIVEBENCH_SMOKE,
-                 "--output", str(baseline)]) == 0
-    capsys.readouterr()
-    assert main([
-        "livebench", *_LIVEBENCH_SMOKE,
-        "--output", str(tmp_path / "fresh.json"),
-        "--check", "--baseline", str(baseline), "--tolerance", "0.6",
-    ]) == 0
-    assert "livebench check passed" in capsys.readouterr().err
-
-
-def test_livebench_check_missing_baseline_is_config_error(tmp_path, capsys):
-    assert main([
-        "livebench", *_LIVEBENCH_SMOKE,
-        "--output", str(tmp_path / "out.json"),
-        "--check", "--baseline", str(tmp_path / "nope.json"),
-    ]) == 2
-    assert "cannot read baseline" in capsys.readouterr().err
-
-
-def test_livebench_rejects_bad_workload(tmp_path, capsys):
-    assert main(["livebench", "--events", "0",
-                 "--output", str(tmp_path / "out.json")]) == 2
-    assert "error" in capsys.readouterr().err
