@@ -79,14 +79,17 @@ def main() -> None:
     wrong_exp = offer(recruiter, 150, 20, "veteran-only role")
 
     print("AND subscriber (salary 100-200 AND experience 3-10):")
+    # Each offer is received once: a repeated (origin, sequence) is a
+    # duplicate to the subscriber and would come back as None.
+    opened = {}
     for name, sealed in [("fits", fits), ("wrong pay", wrong_pay),
                          ("wrong exp", wrong_exp)]:
-        result = mid_level.receive(sealed, lookup)
+        result = opened[name] = mid_level.receive(sealed, lookup)
         payload = result.event["details"] if result else "<locked>"
         print(f"  {name:<10} -> {payload}")
-    assert mid_level.receive(fits, lookup) is not None
-    assert mid_level.receive(wrong_pay, lookup) is None
-    assert mid_level.receive(wrong_exp, lookup) is None
+    assert opened["fits"] is not None
+    assert opened["wrong pay"] is None
+    assert opened["wrong exp"] is None
 
     # --- OR: a disjunctive grant over two clauses -----------------------
     barbell = Subscriber("barbell")
@@ -110,14 +113,15 @@ def main() -> None:
     middle = offer(recruiter, 150, 5, "mid role")
 
     print("\nOR subscriber (salary <= 90 OR salary >= 250):")
+    opened = {}
     for name, sealed in [("junior", junior), ("principal", principal),
                          ("middle", middle)]:
-        result = barbell.receive(sealed, lookup)
+        result = opened[name] = barbell.receive(sealed, lookup)
         payload = result.event["details"] if result else "<locked>"
         print(f"  {name:<10} -> {payload}")
-    assert barbell.receive(junior, lookup) is not None
-    assert barbell.receive(principal, lookup) is not None
-    assert barbell.receive(middle, lookup) is None
+    assert opened["junior"] is not None
+    assert opened["principal"] is not None
+    assert opened["middle"] is None
 
     # --- Extra locks: publisher-declared single-attribute access --------
     # The recruiter wants salary-band watchers (no experience constraint)

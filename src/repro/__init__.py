@@ -60,7 +60,7 @@ from repro.core import (
 from repro.obs import MetricsRegistry, Observability, Tracer
 from repro.siena import BrokerTree, Event, Filter
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "AdmissionController",

@@ -88,127 +88,6 @@ class SealedEvent:
             + envelope_bytes
         )
 
-    # -- wire format -------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Compact wire encoding, safe across process boundaries.
-
-        Complements :func:`repro.core.wire.encode_sealed`'s framed
-        transport form: this codec is self-contained (no frame header)
-        and round-trips every field, including elements (string labels
-        and :class:`~repro.core.ktid.KTID` s) and the delivery envelope.
-        """
-        parts = []
-        routable = self.routable.to_bytes()
-        parts.append(struct.pack(">I", len(routable)))
-        parts.append(routable)
-        parts.append(struct.pack(">H", len(self.elements)))
-        for name in sorted(self.elements):
-            element = self.elements[name]
-            encoded_name = name.encode("utf-8")
-            parts.append(struct.pack(">H", len(encoded_name)))
-            parts.append(encoded_name)
-            if isinstance(element, str):
-                payload = element.encode("utf-8")
-                parts.append(struct.pack(">BI", 0, len(payload)))
-            elif hasattr(element, "to_bytes") and hasattr(element, "digits"):
-                payload = element.to_bytes()
-                parts.append(struct.pack(">BI", 1, len(payload)))
-            else:
-                raise TypeError(f"unencodable element {element!r}")
-            parts.append(payload)
-        parts.append(struct.pack(">H", len(self.locks)))
-        for lock in self.locks:
-            parts.append(struct.pack(">H", len(lock.attributes)))
-            for attribute in lock.attributes:
-                encoded = attribute.encode("utf-8")
-                parts.append(struct.pack(">H", len(encoded)))
-                parts.append(encoded)
-            parts.append(struct.pack(">I", len(lock.wrapped)))
-            parts.append(lock.wrapped)
-        parts.append(struct.pack(">I", len(self.ciphertext)))
-        parts.append(self.ciphertext)
-        parts.append(struct.pack(">B", 1 if self.direct else 0))
-        if self.origin is None:
-            parts.append(b"\x00")
-        else:
-            origin = self.origin.encode("utf-8")
-            parts.append(struct.pack(">BH", 1, len(origin)))
-            parts.append(origin)
-        if self.sequence is None:
-            parts.append(b"\x00")
-        else:
-            parts.append(struct.pack(">Bq", 1, self.sequence))
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SealedEvent":
-        """Inverse of :meth:`to_bytes`."""
-        from repro.core.ktid import KTID
-
-        (routable_len,) = struct.unpack_from(">I", data, 0)
-        offset = 4
-        routable = Event.from_bytes(data[offset: offset + routable_len])
-        offset += routable_len
-        (element_count,) = struct.unpack_from(">H", data, offset)
-        offset += 2
-        elements: dict[str, object] = {}
-        for _ in range(element_count):
-            (name_len,) = struct.unpack_from(">H", data, offset)
-            offset += 2
-            name = data[offset: offset + name_len].decode("utf-8")
-            offset += name_len
-            tag, payload_len = struct.unpack_from(">BI", data, offset)
-            offset += 5
-            payload = data[offset: offset + payload_len]
-            offset += payload_len
-            if tag == 0:
-                elements[name] = payload.decode("utf-8")
-            elif tag == 1:
-                elements[name] = KTID.from_bytes(payload)
-            else:
-                raise ValueError(f"unknown element tag {tag}")
-        (lock_count,) = struct.unpack_from(">H", data, offset)
-        offset += 2
-        locks = []
-        for _ in range(lock_count):
-            (attr_count,) = struct.unpack_from(">H", data, offset)
-            offset += 2
-            attributes = []
-            for _ in range(attr_count):
-                (attr_len,) = struct.unpack_from(">H", data, offset)
-                offset += 2
-                attributes.append(
-                    data[offset: offset + attr_len].decode("utf-8")
-                )
-                offset += attr_len
-            (wrapped_len,) = struct.unpack_from(">I", data, offset)
-            offset += 4
-            wrapped = data[offset: offset + wrapped_len]
-            offset += wrapped_len
-            locks.append(Lock(tuple(attributes), wrapped))
-        (ciphertext_len,) = struct.unpack_from(">I", data, offset)
-        offset += 4
-        ciphertext = data[offset: offset + ciphertext_len]
-        offset += ciphertext_len
-        direct = bool(data[offset])
-        offset += 1
-        origin = None
-        if data[offset]:
-            (origin_len,) = struct.unpack_from(">H", data, offset + 1)
-            offset += 3
-            origin = data[offset: offset + origin_len].decode("utf-8")
-            offset += origin_len
-        else:
-            offset += 1
-        sequence = None
-        if data[offset]:
-            (sequence,) = struct.unpack_from(">q", data, offset + 1)
-        return cls(
-            routable, elements, tuple(locks), ciphertext, direct,
-            origin=origin, sequence=sequence,
-        )
-
 
 def _element_size(element: object) -> int:
     if isinstance(element, str):

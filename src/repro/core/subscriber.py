@@ -131,6 +131,12 @@ class Subscriber:
         :class:`~repro.core.composite.CompositeKeySpace` (usually
         ``kdc.config_for(topic).schema`` relayed out of band -- schemas are
         public configuration).
+
+        A repeated ``(origin, sequence)`` -- the same published event
+        received twice -- also returns ``None``: it is suppressed by the
+        duplicate window (*dedup_window*) before any grant is tried and
+        counts in ``stats.duplicates_suppressed``, not
+        ``events_unreadable``.
         """
         self.stats.events_received += 1
         if (

@@ -23,15 +23,6 @@ matching/ordering code with the single-event one), and every cache memoizes
 a pure function, so verdicts and tokens are bit-identical with caching
 disabled.  The engine trades *latency* for throughput: an event may wait
 up to ``flush_timeout`` (or until the batch fills) before it moves.
-
-The engine also participates in overload protection.  Hosts feed it
-explicit overload signals (:meth:`DisseminationEngine.signal_overload`,
-typically wired to a shed notification from the overlay); each signal
-multiplicatively backs off the optional
-:class:`~repro.flow.AIMDRateLimiter` and doubles the batch size (capped)
-so the same event rate costs fewer per-hop messages.  Successful
-dispatches additively recover both, and :meth:`publish_interval` exposes
-the current pacing so publishers can spread their offered load.
 """
 
 from __future__ import annotations
@@ -41,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from repro.engine.batch import BatchAccumulator, EventBatch
-from repro.flow import AIMDRateLimiter
 from repro.obs.metrics import MetricsRegistry
 from repro.routing.tokens import (
     CachingTokenAuthority,
@@ -54,7 +44,7 @@ from repro.siena.index import MatchResultCache
 
 
 class BatchTransport(Protocol):
-    """Anything that can disseminate a batch (BrokerTree, SimulatedPubSub)."""
+    """Anything that can disseminate a batch (a ``BrokerTree``, a ``Broker``)."""
 
     def publish(self, events: list[Event]) -> object: ...
 
@@ -67,8 +57,6 @@ class EngineConfig:
     #: Seconds the oldest pending event may wait before a timeout flush
     #: (None disables timeout flushes; close() still drains).
     flush_timeout: float | None = None
-    #: Ceiling for overload-driven batch growth (None: 8x batch_size).
-    max_batch_size: int | None = None
     token_authority_cache_entries: int = 4096
     token_prf_cache_entries: int = 65536
     match_cache_entries: int = 65536
@@ -76,18 +64,6 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least one event")
-        if (
-            self.max_batch_size is not None
-            and self.max_batch_size < self.batch_size
-        ):
-            raise ValueError("max_batch_size must be >= batch_size")
-
-    @property
-    def batch_size_ceiling(self) -> int:
-        """The effective cap for overload-driven batch growth."""
-        if self.max_batch_size is not None:
-            return self.max_batch_size
-        return self.batch_size * 8
 
 
 class EngineCaches:
@@ -157,7 +133,6 @@ class DisseminationEngine:
         config: EngineConfig = EngineConfig(),
         registry: MetricsRegistry | None = None,
         clock: Callable[[], float] = time.monotonic,
-        limiter: AIMDRateLimiter | None = None,
     ):
         self.transport = transport
         self.config = config
@@ -167,11 +142,6 @@ class DisseminationEngine:
             flush_timeout=config.flush_timeout,
             clock=clock,
         )
-        #: Optional AIMD pacing; fed by :meth:`signal_overload` and
-        #: recovered on every successful dispatch.
-        self.limiter = limiter
-        self.overload_signals = 0
-        self._clock = clock
         self._closed = False
         self._c_published = self.registry.counter("engine_events_total")
         self._c_batches = {
@@ -181,11 +151,6 @@ class DisseminationEngine:
             for reason in ("size", "timeout", "close")
         }
         self._h_batch_events = self.registry.histogram("engine_batch_events")
-        self._c_overloads = self.registry.counter(
-            "engine_overload_signals_total"
-        )
-        self._g_batch_size = self.registry.gauge("engine_batch_size")
-        self._g_batch_size.set(config.batch_size)
 
     def publish(self, event: Event) -> EventBatch | None:
         """Enqueue one event; dispatches (and returns) any flushed batch."""
@@ -215,30 +180,6 @@ class DisseminationEngine:
         """Events enqueued but not yet dispatched."""
         return len(self.accumulator)
 
-    # -- overload feedback ----------------------------------------------------
-
-    def signal_overload(self, now: float | None = None) -> None:
-        """React to an explicit overload signal from the transport.
-
-        Backs off the AIMD limiter multiplicatively (at most once per
-        its cooldown) and doubles the batch size up to the configured
-        ceiling, so the same offered event rate costs proportionally
-        fewer per-hop messages while the overlay is saturated.
-        """
-        self.overload_signals += 1
-        self._c_overloads.inc()
-        if self.limiter is not None:
-            self.limiter.on_overload(now if now is not None else self._clock())
-        grown = min(
-            self.config.batch_size_ceiling, self.accumulator.batch_size * 2
-        )
-        self.accumulator.batch_size = grown
-        self._g_batch_size.set(grown)
-
-    def publish_interval(self) -> float:
-        """Current pacing hint (seconds/event; 0.0 when unlimited)."""
-        return self.limiter.interval() if self.limiter is not None else 0.0
-
     def _dispatch(self, batch: EventBatch | None) -> EventBatch | None:
         if batch is None:
             return None
@@ -247,13 +188,4 @@ class DisseminationEngine:
             counter.inc()
         self._h_batch_events.observe(len(batch))
         self.transport.publish(list(batch.events))
-        # A dispatched batch is evidence of headroom: additively recover
-        # the rate and relax the batch size back toward its configured
-        # value one event at a time (slow-shrink avoids oscillation).
-        if self.limiter is not None:
-            self.limiter.on_success()
-        if self.accumulator.batch_size > self.config.batch_size:
-            shrunk = self.accumulator.batch_size - 1
-            self.accumulator.batch_size = shrunk
-            self._g_batch_size.set(shrunk)
         return batch

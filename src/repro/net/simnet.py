@@ -164,9 +164,6 @@ class ReliabilityStats(RegistryBackedStats):
 
     _int_fields = (
         "data_sends",
-        # Batched data transmissions (one wire message carrying a whole
-        # sub-batch on the fire-and-forget transport).
-        "batch_sends",
         "retries",
         "acks_sent",
         "dead_letters",
@@ -439,20 +436,6 @@ class SimulatedPubSub:
                 else:
                     self.brokers[to_id].unsubscribe(from_id, payload)
                 return
-            if kind == "publish_batch":
-                assert isinstance(payload, list)
-                if self.reliability is None:
-                    self._transmit_batch_once(from_id, to_id, payload)
-                else:
-                    # The ack/retry/dedup machinery is per-sequence-number;
-                    # a batch splits into per-event reliable transmissions
-                    # at the first hop so at-least-once semantics (and the
-                    # chaos scenarios built on them) are untouched.
-                    for event in payload:
-                        self._transmit_reliable(
-                            from_id, to_id, event.get(_SEQ_ATTRIBUTE), event, 0
-                        )
-                return
             assert isinstance(payload, Event)
             seq = payload.get(_SEQ_ATTRIBUTE)
             if self.reliability is None:
@@ -583,8 +566,6 @@ class SimulatedPubSub:
             kind = item[0]
             if kind == "ff":
                 self._transmit_once(from_id, to_id, item[1], item[2])
-            elif kind == "batch":
-                self._transmit_batch_once(from_id, to_id, item[1])
             else:
                 self._transmit_reliable(from_id, to_id, item[1], item[2], 0)
 
@@ -609,7 +590,7 @@ class SimulatedPubSub:
     ) -> None:
         self._notify_shed(priority, "ingress", broker_id)
         kind = item[0]
-        if kind in ("ff", "ffbatch", "rel"):
+        if kind in ("ff", "rel"):
             # The shed message occupied a credit-reserved slot; free it
             # so the upstream sender is not stalled by a dead event.
             self._credit_release(item[1])
@@ -657,17 +638,6 @@ class SimulatedPubSub:
                     broker.publish(event, arrived_from=None)
 
             return self._service_cost(broker_id, event), work
-        if kind == "pubbatch":
-            batch = item[1]
-
-            def work() -> None:
-                if broker.alive:
-                    broker.publish(batch, arrived_from=None)
-
-            cost = sum(
-                self._service_cost(broker_id, event) for event in batch
-            )
-            return cost, work
         if kind == "ff":
             key, payload, from_id = item[1], item[2], item[3]
             self._credit_release(key)
@@ -677,18 +647,6 @@ class SimulatedPubSub:
                     broker.publish(payload, arrived_from=from_id)
 
             return self._service_cost(broker_id, payload), work
-        if kind == "ffbatch":
-            key, batch, from_id = item[1], item[2], item[3]
-            self._credit_release(key)
-
-            def work() -> None:
-                if broker.alive:
-                    broker.publish(batch, arrived_from=from_id)
-
-            cost = sum(
-                self._service_cost(broker_id, event) for event in batch
-            )
-            return cost, work
         assert kind == "rel"
         key, payload = item[1], item[2]
         self._credit_release(key)
@@ -710,7 +668,7 @@ class SimulatedPubSub:
         if bf is None:
             return
         for item, _priority in bf.ingress.drain():
-            if item[0] in ("ff", "ffbatch", "rel"):
+            if item[0] in ("ff", "rel"):
                 self._credit_release(item[1])
                 if item[0] == "rel":
                     self._hop_queued.discard(item[1])
@@ -818,65 +776,6 @@ class SimulatedPubSub:
                     seq, "drop", to_id, sent_at,
                     link=f"{from_id}->{to_id}", attempt=0,
                 )
-
-    def _transmit_batch_once(
-        self, from_id: Hashable, to_id: Hashable, batch: list[Event]
-    ) -> None:
-        """One wire message carrying a whole sub-batch (fire-and-forget).
-
-        The amortization the engine is built around: one serialization
-        charge and one link transmission for the batch instead of one per
-        event.  Per-event broker processing costs still accrue at the
-        receiver (matching work is not amortized away), and the receiving
-        broker routes the batch with :meth:`Broker.publish`, so
-        per-subscriber delivery semantics equal the per-event path.
-        """
-        seqs = [event.get(_SEQ_ATTRIBUTE) for event in batch]
-        key = (from_id, to_id, ("b", seqs[0]))
-        batch_priority = min(priority_of(event) for event in batch)
-        if self.flow is not None and not self._acquire_or_queue(
-            from_id, to_id, key, batch_priority, ("batch", batch)
-        ):
-            return
-        self.rstats.data_sends += 1
-        self.rstats.batch_sends += 1
-        total_size = sum(self._inflight[seq].size for seq in seqs)
-        if self.per_send_s > 0:
-            self.nodes[from_id].submit(self.per_send_s, lambda: None)
-        sent_at = self.sim.now
-
-        def on_arrival() -> None:
-            if self._tracer is not None:
-                for seq in seqs:
-                    self._tracer.span(
-                        seq, "hop", to_id, sent_at, self.sim.now,
-                        link=f"{from_id}->{to_id}", attempt=0, batched=True,
-                    )
-            if not self.brokers[to_id].alive:
-                self._credit_release(key)
-                return
-            if self.flow is not None:
-                self._flow_enqueue(
-                    to_id, ("ffbatch", key, batch, from_id), batch_priority
-                )
-                return
-            cost = sum(self._service_cost(to_id, event) for event in batch)
-            self.nodes[to_id].submit(
-                cost,
-                lambda: self.brokers[to_id].publish(
-                    batch, arrived_from=from_id
-                ),
-            )
-
-        survived = self._hop_send(from_id, to_id, total_size, on_arrival)
-        if not survived:
-            self._credit_release(key)
-            if self._tracer is not None:
-                for seq in seqs:
-                    self._tracer.span(
-                        seq, "drop", to_id, sent_at,
-                        link=f"{from_id}->{to_id}", attempt=0, batched=True,
-                    )
 
     def _transmit_reliable(
         self,
@@ -1517,40 +1416,32 @@ class SimulatedPubSub:
 
     def publish(
         self,
-        events: "Event | list[Event]",
+        event: Event,
         carrier: object = None,
-        size: "int | list[int] | None" = None,
+        size: int | None = None,
         delay: float = 0.0,
         *,
         at_time: float | None = None,
-    ) -> "int | list[int]":
-        """Inject one event or a batch at the root -- unified surface.
+    ) -> int:
+        """Inject one event at the root after *delay*; returns its
+        sequence number.
 
-        A single :class:`Event` schedules one publication after *delay*
-        and returns its sequence number; a list schedules the whole batch
-        as ONE simulator event (root routes it as one batch call) and
-        returns the list of sequence numbers.  *carrier* rides along for
-        subscriber-side cost accounting (a parallel list for batches);
-        *size* overrides the wire size the same way.
-
-        *at_time* is an absolute simulator time equivalent of *delay*
+        *carrier* rides along for subscriber-side cost accounting;
+        *size* overrides the wire size.  *at_time* is an absolute
+        simulator time equivalent of *delay*
         (``max(0, at_time - sim.now)``); passing both is an error.
         """
+        if not isinstance(event, Event):
+            raise TypeError(
+                f"publish takes one Event, not {type(event).__name__}"
+            )
         if at_time is not None:
             if delay:
                 raise ValueError("pass either delay or at_time, not both")
             delay = max(0.0, at_time - self.sim.now)
-        if not isinstance(events, Event):
-            return self._publish_many(
-                list(events),
-                carriers=carrier,
-                sizes=size,
-                delay=delay,
-            )
-        routable = events
         seq = self._next_seq
         self._next_seq += 1
-        tagged = routable.with_attributes(**{_SEQ_ATTRIBUTE: seq})
+        tagged = event.with_attributes(**{_SEQ_ATTRIBUTE: seq})
         publication = _Publication(
             tagged,
             carrier,
@@ -1597,67 +1488,6 @@ class SimulatedPubSub:
             self._notify_shed(priority, "admission", 0)
             return False
         return self._flow_enqueue(0, item, priority)
-
-    def _publish_many(
-        self,
-        routables: list[Event],
-        carriers: list[object] | None = None,
-        sizes: list[int] | None = None,
-        delay: float = 0.0,
-    ) -> list[int]:
-        """Inject a whole batch at the root after *delay*; returns its seqs.
-
-        The batch is scheduled as ONE simulator event and processed by the
-        root as one batched :meth:`Broker.publish` call (per-event broker
-        costs still accrue); downstream hops carry batch messages on the
-        fire-and-forget transport and split per event when the reliable
-        stack is active.
-        """
-        if carriers is not None and len(carriers) != len(routables):
-            raise ValueError("carriers must parallel routables")
-        if sizes is not None and len(sizes) != len(routables):
-            raise ValueError("sizes must parallel routables")
-        tagged_batch: list[Event] = []
-        seqs: list[int] = []
-        published_at = self.sim.now + delay
-        for position, routable in enumerate(routables):
-            seq = self._next_seq
-            self._next_seq += 1
-            tagged = routable.with_attributes(**{_SEQ_ATTRIBUTE: seq})
-            publication = _Publication(
-                tagged,
-                carriers[position] if carriers is not None else None,
-                sizes[position] if sizes is not None else tagged.wire_size(),
-                published_at,
-            )
-            self._inflight[seq] = publication
-            tagged_batch.append(tagged)
-            seqs.append(seq)
-            if self._tracer is not None:
-                self._tracer.start_trace(
-                    seq, at=published_at, size=publication.size
-                )
-                self._tracer.span(
-                    seq, "publish", 0, published_at, published_at,
-                )
-
-        def inject() -> None:
-            if self.flow is not None:
-                priority = min(
-                    priority_of(event) for event in tagged_batch
-                )
-                self._admit(("pubbatch", tagged_batch), priority)
-                return
-            cost = sum(self._service_cost(0, event) for event in tagged_batch)
-            self.nodes[0].submit(
-                cost,
-                lambda: self.brokers[0].publish(
-                    tagged_batch, arrived_from=None
-                ),
-            )
-
-        self.sim.schedule(delay, inject)
-        return seqs
 
     def carrier_of(self, seq: int) -> object:
         """The carrier object attached to publication *seq*."""

@@ -413,7 +413,7 @@ class MetricsRegistry:
 
 
 class RegistryBackedStats:
-    """Base class for legacy ``*Stats`` views over registry counters.
+    """Base class for ``*Stats`` views over registry counters.
 
     Subclasses declare ``_int_fields`` (the counter-backed attributes)
     and ``_metric_prefix``; attribute reads return the counter's value

@@ -18,15 +18,12 @@ from repro.siena.events import Event
 from repro.siena.filters import Constraint, Filter
 from repro.siena.network import BrokerTree
 from repro.siena.operators import Op
-from repro.siena.p2p import AcyclicOverlay, PeerBroker
 
 __all__ = [
-    "AcyclicOverlay",
     "Broker",
     "BrokerTree",
     "Constraint",
     "Event",
     "Filter",
     "Op",
-    "PeerBroker",
 ]

@@ -160,7 +160,6 @@ class Broker:
         self,
         broker_id: Hashable,
         match: MatchPredicate = _plain_match,
-        indexed: bool = False,
         registry: MetricsRegistry | None = None,
         match_cache: "MatchResultCache | None" = None,
     ):
@@ -195,19 +194,6 @@ class Broker:
         #: :meth:`bind_flow`.
         self._admission: Callable[[Event], bool] | None = None
         self.stats = BrokerStats(registry, broker=str(broker_id))
-        # Optional counting-algorithm index (sublinear matching; only
-        # valid with the default plaintext match predicate).
-        self._index = None
-        self._index_ids: dict[Filter, int] = {}
-        if indexed:
-            if match is not _plain_match:
-                raise ValueError(
-                    "the match index implements plaintext semantics; "
-                    "custom match predicates require the linear scan"
-                )
-            from repro.siena.index import MatchIndex
-
-            self._index = MatchIndex()
 
     # -- wiring ------------------------------------------------------------
 
@@ -293,11 +279,6 @@ class Broker:
         self._buckets = {}
         self._unpinned = []
         self.forwarded_upstream = []
-        self._index_ids = {}
-        if self._index is not None:
-            from repro.siena.index import MatchIndex
-
-            self._index = MatchIndex()
 
     def restore(
         self,
@@ -407,10 +388,6 @@ class Broker:
         self._next_order += 1
         self.subscriptions[subscription_filter] = entry
         self._bucket_of(entry).append(entry)
-        if self._index is not None:
-            self._index_ids[subscription_filter] = self._index.add(
-                subscription_filter
-            )
 
     def _withdraw(self, interface: Interface, existing: _Subscription) -> bool:
         """Remove *interface* from *existing*; drops the entry with its
@@ -428,10 +405,6 @@ class Broker:
         for unit in (existing.pin, *existing.rest):
             if unit is not None:
                 self._release(unit)
-        if self._index is not None:
-            index_id = self._index_ids.pop(existing.filter, None)
-            if index_id is not None:
-                self._index.remove(index_id)
         return True
 
     def _bucket_of(self, entry: _Subscription) -> list[_Subscription]:
@@ -557,19 +530,9 @@ class Broker:
         apply identical matching, dedup, and ordering: table order, as a
         scan ``[s for s in table if match(s.filter, event)]`` would give.
         """
-        if self._index is not None:
-            hits = set(self._index.matching(event))
-            matching = [
-                subscription
-                for subscription in self.subscriptions.values()
-                if subscription.filter in hits
-            ]
-            self.stats.inc("match_tests", len(hits))
-        else:
-            matching = self._matching_entries(event)
         matched: list[Interface] = []
         seen: set[Interface] = set()
-        for subscription in matching:
+        for subscription in self._matching_entries(event):
             for interface in subscription.interfaces:
                 if interface == arrived_from or interface in seen:
                     continue

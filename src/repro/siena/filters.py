@@ -11,11 +11,10 @@ subscription forwarding.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
-from repro.siena.events import Event, _decode_value, _encode_value
+from repro.siena.events import Event
 from repro.siena.operators import Op, implies, matches, valid_operand
 
 
@@ -138,59 +137,3 @@ class Filter:
     def attribute_names(self) -> set[str]:
         """The set of attribute names this filter constrains."""
         return {constraint.name for constraint in self.constraints}
-
-    # -- wire format -------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Canonical wire encoding (compact, process-boundary safe).
-
-        Constraint frames are sorted byte-wise, so equal filters (set
-        equality over constraints) encode identically regardless of
-        construction order -- the property shard assignment and
-        cross-process caching rely on.
-        """
-        frames = sorted(
-            _encode_constraint(constraint) for constraint in self.constraints
-        )
-        return struct.pack(">H", len(frames)) + b"".join(frames)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Filter":
-        """Inverse of :meth:`to_bytes`."""
-        (count,) = struct.unpack_from(">H", data, 0)
-        offset = 2
-        constraints = []
-        for _ in range(count):
-            constraint, offset = _decode_constraint(data, offset)
-            constraints.append(constraint)
-        return cls(constraints)
-
-
-def _encode_constraint(constraint: Constraint) -> bytes:
-    name = constraint.name.encode("utf-8")
-    op = constraint.op.value.encode("ascii")
-    parts = [struct.pack(">H", len(name)), name,
-             struct.pack(">B", len(op)), op]
-    if constraint.value is None:
-        parts.append(b"\x00")
-    else:
-        parts.append(b"\x01")
-        parts.append(_encode_value(constraint.value))
-    return b"".join(parts)
-
-
-def _decode_constraint(data: bytes, offset: int) -> tuple[Constraint, int]:
-    (name_len,) = struct.unpack_from(">H", data, offset)
-    offset += 2
-    name = data[offset: offset + name_len].decode("utf-8")
-    offset += name_len
-    op_len = data[offset]
-    offset += 1
-    op = Op(data[offset: offset + op_len].decode("ascii"))
-    offset += op_len
-    has_value = data[offset]
-    offset += 1
-    value: Any = None
-    if has_value:
-        value, offset = _decode_value(data, offset)
-    return Constraint(name, op, value), offset

@@ -1,9 +1,8 @@
-"""Overload feedback above the overlay: engine, publisher, and facade.
+"""Overload feedback above the overlay: publisher and facade.
 
 The flow primitives bound *network* behaviour; these tests cover the
-producer side of the loop -- AIMD pacing in the publisher, adaptive
-batching in the dissemination engine, and edge admission control wired
-through the ``System`` facade.
+producer side of the loop -- AIMD pacing in the publisher and edge
+admission control wired through the ``System`` facade.
 """
 
 import pytest
@@ -12,7 +11,6 @@ from repro.api import System
 from repro.core.composite import CompositeKeySpace
 from repro.core.kdc import KDC
 from repro.core.publisher import Publisher
-from repro.engine import DisseminationEngine, EngineConfig
 from repro.flow import (
     BEST_EFFORT,
     HIGH,
@@ -23,69 +21,6 @@ from repro.flow import (
 )
 from repro.siena.events import Event
 from repro.siena.filters import Filter
-
-
-class _Transport:
-    def __init__(self):
-        self.batches = []
-
-    def publish(self, events):
-        self.batches.append(list(events))
-
-
-class TestEngineOverload:
-    def _engine(self, limiter=None, **config):
-        transport = _Transport()
-        engine = DisseminationEngine(
-            transport,
-            EngineConfig(batch_size=4, **config),
-            clock=lambda: 0.0,
-            limiter=limiter,
-        )
-        return engine, transport
-
-    def test_signal_doubles_batch_size_up_to_ceiling(self):
-        engine, _ = self._engine(max_batch_size=12)
-        engine.signal_overload(now=0.0)
-        assert engine.accumulator.batch_size == 8
-        engine.signal_overload(now=1.0)
-        assert engine.accumulator.batch_size == 12  # capped, not 16
-        assert engine.overload_signals == 2
-        assert engine.registry.get("engine_batch_size").value == 12
-
-    def test_signal_backs_off_limiter_once_per_cooldown(self):
-        limiter = AIMDRateLimiter(rate=100.0, cooldown=1.0)
-        engine, _ = self._engine(limiter=limiter)
-        engine.signal_overload(now=0.0)
-        engine.signal_overload(now=0.5)  # within cooldown: no double cut
-        assert limiter.rate == pytest.approx(50.0)
-        assert engine.publish_interval() == pytest.approx(1 / 50.0)
-
-    def test_dispatch_recovers_batch_size_and_rate(self):
-        limiter = AIMDRateLimiter(rate=100.0, cooldown=0.0)
-        engine, transport = self._engine(limiter=limiter)
-        engine.signal_overload(now=0.0)
-        assert engine.accumulator.batch_size == 8
-        rate_after_cut = limiter.rate
-        for k in range(8):
-            engine.publish(Event({"topic": "t", "k": k}))
-        assert len(transport.batches) == 1
-        assert engine.accumulator.batch_size == 7  # slow shrink
-        assert limiter.rate > rate_after_cut  # additive recovery
-
-    def test_batch_size_never_shrinks_below_configured(self):
-        engine, _ = self._engine()
-        for k in range(16):
-            engine.publish(Event({"topic": "t", "k": k}))
-        assert engine.accumulator.batch_size == 4
-
-    def test_publish_interval_zero_without_limiter(self):
-        engine, _ = self._engine()
-        assert engine.publish_interval() == 0.0
-
-    def test_max_batch_size_validated(self):
-        with pytest.raises(ValueError):
-            EngineConfig(batch_size=8, max_batch_size=4)
 
 
 class TestPublisherRateLimit:

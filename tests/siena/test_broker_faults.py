@@ -27,19 +27,11 @@ def test_restart_clears_volatile_state_and_bumps_incarnation():
     assert broker.incarnation == 1
     assert broker.subscription_count() == 0
     assert broker.forwarded_upstream == []
-
-
-def test_indexed_broker_restart_resets_index():
-    broker = Broker("b", indexed=True)
-    broker.subscribe("client", Filter.topic("t"))
-    broker.crash()
-    broker.restart()
+    # The pre-crash filter is gone from the rebuilt table: only a
+    # post-restart subscription matches.
     broker.subscribe("client", Filter.topic("u"))
-    # The pre-crash filter for "t" is gone from the rebuilt index ...
     assert broker.publish(Event({"topic": "t"})) == 0
-    # ... and only the post-restart subscription matches.
     assert broker.publish(Event({"topic": "u"})) == 1
-    assert broker.subscription_count() == 1
 
 
 def test_replay_upstream_reannounces_forwarded_filters():

@@ -18,7 +18,6 @@ import repro.flow.credit
 import repro.flow.queues
 import repro.recovery.dedup
 import repro.siena.network
-import repro.siena.p2p
 import repro.workloads.zipf
 
 MODULES = [
@@ -36,7 +35,6 @@ MODULES = [
     repro.flow.queues,
     repro.recovery.dedup,
     repro.siena.network,
-    repro.siena.p2p,
     repro.workloads.zipf,
 ]
 
