@@ -58,12 +58,20 @@ class EngineConfig:
     #: (None disables timeout flushes; close() still drains).
     flush_timeout: float | None = None
     token_authority_cache_entries: int = 4096
-    token_prf_cache_entries: int = 65536
-    match_cache_entries: int = 65536
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least one event")
+
+
+#: Broker-side memo entries budgeted per event of a batch.  On tokenized
+#: traffic both broker memos are keyed by a value holding the event's
+#: fresh nonce, so an entry can only hit while its event is still in the
+#: overlay -- that is, while its batch is being walked.  An event leaves
+#: one entry per unit filter tested on its path (a few dozen on the
+#: benchmark tables); 128 is several times that, and anything beyond it
+#: is memory holding entries that can never hit again.
+MEMO_ENTRIES_PER_EVENT = 128
 
 
 class EngineCaches:
@@ -71,6 +79,8 @@ class EngineCaches:
 
     Build one per trust domain: the authority cache holds master-key
     derived tokens, so it must not be shared with untrusted components.
+    The two broker-side memos are sized to what an in-flight batch can
+    hit: ``MEMO_ENTRIES_PER_EVENT * config.batch_size`` entries each.
     """
 
     def __init__(
@@ -78,12 +88,9 @@ class EngineCaches:
         config: EngineConfig = EngineConfig(),
         registry: MetricsRegistry | None = None,
     ):
-        self.token_prf = TokenPRFCache(
-            config.token_prf_cache_entries, registry
-        )
-        self.match_results = MatchResultCache(
-            config.match_cache_entries, registry
-        )
+        entries = MEMO_ENTRIES_PER_EVENT * config.batch_size
+        self.token_prf = TokenPRFCache(entries, registry)
+        self.match_results = MatchResultCache(entries, registry)
         self._config = config
         self._registry = registry
 

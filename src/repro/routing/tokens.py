@@ -390,12 +390,16 @@ class TokenPRFCache:
     tokenized matching.  The PRF is a pure function of its inputs, so the
     memo is exact and can be shared by every broker in a process.  The
     nonce is fresh per event, so entries stop hitting once an event leaves
-    the network; the LRU bound reclaims them.
+    the network; the LRU bound reclaims them.  Size it to what the events
+    in flight can hit, not to the traffic: the default is 128 entries for
+    each event of a 32-event batch (:class:`repro.engine.EngineCaches`
+    derives it from its batch size), and a larger memo only keeps entries
+    that can never hit again.
     """
 
     def __init__(
         self,
-        capacity: int = 65536,
+        capacity: int = 4096,
         registry: "MetricsRegistry | None" = None,
         **labels,
     ):

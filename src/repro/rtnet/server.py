@@ -272,8 +272,7 @@ class BrokerServer:
         if peer.role == "broker":
             self.broker.detach_child(peer.peer_id)
         elif peer.role == "subscriber":
-            self.broker.clients.pop(peer.peer_id, None)
-            self.broker.drop_interface(peer.peer_id)
+            self.broker.detach_client(peer.peer_id)
         self._count("rtnet_peer_disconnects_total", role=peer.role)
 
     # -- parent link -----------------------------------------------------------

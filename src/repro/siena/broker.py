@@ -186,7 +186,15 @@ class Broker:
         self._buckets: dict[str, list[_Subscription]] = {}
         #: Entries without a topic pin, in table order.
         self._unpinned: list[_Subscription] = []
-        self.forwarded_upstream: list[Filter] = []
+        #: The filters announced to the parent, as an ordered set: in
+        #: table order, except between a :meth:`restore` and the first
+        #: removal after it (see :attr:`forwarded_upstream`).
+        self._forwarded: dict[Filter, None] = {}
+        #: Set while the forwarded set is not known to be this table's
+        #: covering set (a journal handed it over, or the parent link
+        #: arrived after the entries did): the next removal re-derives it
+        #: from every entry.
+        self._forwarded_unverified = False
         #: Optional durable write-ahead log of the routing state; bound by
         #: the overlay via :meth:`bind_journal`.
         self.journal: "BrokerJournal | None" = None
@@ -203,6 +211,8 @@ class Broker:
         """Connect this broker to its parent via the *send* callable."""
         self.parent = parent_id
         self.send_parent = send
+        if self.subscriptions:
+            self._forwarded_unverified = True
 
     def attach_child(
         self, child_id: Hashable, send: Callable[[str, object], None]
@@ -215,6 +225,15 @@ class Broker:
     ) -> None:
         """Attach a local client (subscriber endpoint)."""
         self.clients[client_id] = deliver
+
+    def detach_client(self, client_id: Hashable) -> None:
+        """Forget a local client: withdraw every filter it still holds
+        (:meth:`drop_interface`), then drop its delivery callable.
+        Raises ``KeyError`` for a client that is not attached."""
+        if client_id not in self.clients:
+            raise KeyError(f"client {client_id!r} is not attached")
+        self.drop_interface(client_id)
+        del self.clients[client_id]
 
     def bind_journal(self, journal: "BrokerJournal") -> None:
         """Journal every routing-table mutation to a durable log."""
@@ -242,22 +261,23 @@ class Broker:
     ) -> int:
         """Re-parent this broker and replay its covering set to the new
         parent; returns the number of filters replayed (tree repair)."""
-        self.parent = parent_id
-        self.send_parent = send
+        self.attach_parent(parent_id, send)
         return self.replay_upstream()
 
     def drop_interface(self, interface: Interface) -> None:
         """Withdraw every filter registered for *interface* at once.
 
-        Like per-filter :meth:`unsubscribe`, the upstream covering set is
-        recomputed when the removals changed what this broker needs.
+        Like per-filter :meth:`unsubscribe`, the forwarded set is repaired
+        (once, for all of them) when entries left the table.
         """
-        changed = False
-        for existing in list(self.subscriptions.values()):
-            if interface in existing.interfaces:
-                changed |= self._withdraw(interface, existing)
-        if changed and self.send_parent is not None:
-            self._recompute_upstream()
+        departed = [
+            existing
+            for existing in list(self.subscriptions.values())
+            if interface in existing.interfaces
+            and self._withdraw(interface, existing)
+        ]
+        if departed and self.send_parent is not None:
+            self._uncover(departed)
 
     # -- failure lifecycle ---------------------------------------------------
 
@@ -278,7 +298,8 @@ class Broker:
         self._units = {}
         self._buckets = {}
         self._unpinned = []
-        self.forwarded_upstream = []
+        self._forwarded = {}
+        self._forwarded_unverified = False
 
     def restore(
         self,
@@ -292,10 +313,17 @@ class Broker:
         propagation (the parent's table survived this broker's crash) and
         without re-journaling (the journal already holds them).  Returns
         the number of registrations restored.
+
+        *forwarded_upstream* is taken as given, in the journal's order;
+        the rebuilt table may order its entries differently than the one
+        that crashed, so the first removal afterwards re-derives the
+        forwarded set from the whole table and withdraws upstream
+        whatever of this list the table no longer calls for.
         """
         for interface, subscription_filter in subscriptions:
             self._register(interface, subscription_filter)
-        self.forwarded_upstream = list(forwarded_upstream)
+        self._forwarded = dict.fromkeys(forwarded_upstream)
+        self._forwarded_unverified = True
         return len(subscriptions)
 
     def replay_upstream(self) -> int:
@@ -307,10 +335,10 @@ class Broker:
         """
         if self.send_parent is None:
             return 0
-        for forwarded in list(self.forwarded_upstream):
+        for forwarded in list(self._forwarded):
             self.stats.subscriptions_forwarded += 1
             self.send_parent("subscribe", forwarded)
-        return len(self.forwarded_upstream)
+        return len(self._forwarded)
 
     # -- subscription plane --------------------------------------------------
 
@@ -326,38 +354,27 @@ class Broker:
         self.stats.subscriptions_received += 1
         if self.journal is not None:
             self.journal.log_subscribe(interface, subscription_filter)
-        self._register(interface, subscription_filter)
+        entry = self._register(interface, subscription_filter)
 
         if self.send_parent is None:
             return
-        if any(
-            forwarded.covers(subscription_filter)
-            for forwarded in self.forwarded_upstream
-        ):
+        displaced = self._admit(entry)
+        if displaced is None:
             return
-        # Drop previously forwarded filters that the new one covers; Siena
-        # replaces them to keep the upstream table minimal.
-        kept = []
-        for forwarded in self.forwarded_upstream:
-            if subscription_filter.covers(forwarded):
-                if self.journal is not None:
-                    self.journal.log_unforwarded(forwarded)
-            else:
-                kept.append(forwarded)
-        self.forwarded_upstream = kept
-        self.forwarded_upstream.append(subscription_filter)
+        # Siena replaces the forwarded filters the new one covers without
+        # telling the parent: its table keeps them, the journal does not.
         if self.journal is not None:
-            self.journal.log_forwarded(subscription_filter)
-        self.stats.subscriptions_forwarded += 1
-        self.send_parent("subscribe", subscription_filter)
+            for forwarded in displaced:
+                self.journal.log_unforwarded(forwarded)
+        self._announce("subscribe", subscription_filter)
 
     def unsubscribe(self, interface: Interface, subscription_filter: Filter) -> None:
         """Remove *interface*'s registration of *subscription_filter*.
 
-        When the removal changes what this broker needs from upstream, the
-        upstream table is recomputed: obsolete forwarded filters are
-        withdrawn and filters that the departed one was covering are
-        announced (Siena's unsubscription semantics).
+        When the entry leaves the table and had been forwarded, it is
+        withdrawn upstream and the filters it was covering are announced
+        in its place (Siena's unsubscription semantics); the removal of
+        an entry that was not forwarded changes nothing upstream.
         """
         if not self.alive:
             self.stats.dropped_while_down += 1
@@ -368,15 +385,17 @@ class Broker:
             and self._withdraw(interface, existing)
             and self.send_parent is not None
         ):
-            self._recompute_upstream()
+            self._uncover([existing])
 
-    def _register(self, interface: Interface, subscription_filter: Filter) -> None:
+    def _register(
+        self, interface: Interface, subscription_filter: Filter
+    ) -> _Subscription:
         """Add *interface* to the table entry of *subscription_filter*,
         creating (and bucketing) the entry on first registration."""
         existing = self.subscriptions.get(subscription_filter)
         if existing is not None:
             existing.interfaces.add(interface)
-            return
+            return existing
         pin, rest = split_units(subscription_filter)
         entry = _Subscription(
             subscription_filter,
@@ -388,6 +407,7 @@ class Broker:
         self._next_order += 1
         self.subscriptions[subscription_filter] = entry
         self._bucket_of(entry).append(entry)
+        return entry
 
     def _withdraw(self, interface: Interface, existing: _Subscription) -> bool:
         """Remove *interface* from *existing*; drops the entry with its
@@ -426,31 +446,136 @@ class Broker:
             if self.match_cache is not None:
                 self.match_cache.invalidate_filter(unit.filter)
 
-    def _recompute_upstream(self) -> None:
-        """Re-derive the minimal covering set to forward upstream."""
-        required: list[Filter] = []
-        for candidate in self.subscriptions:
-            if any(chosen.covers(candidate) for chosen in required):
-                continue
-            required = [
-                chosen for chosen in required
-                if not candidate.covers(chosen)
-            ]
-            required.append(candidate)
+    # -- the forwarded set -----------------------------------------------------
+    #
+    # Invariant (given that ``covers`` is a preorder): the forwarded set
+    # is what a scan of the table in order would choose -- an entry is in
+    # it unless another entry covers it, the earliest-arrived standing
+    # for entries that cover each other -- and is kept in table order.
 
-        for obsolete in self.forwarded_upstream:
-            if obsolete not in required:
-                if self.journal is not None:
-                    self.journal.log_unforwarded(obsolete)
-                self.stats.subscriptions_forwarded += 1
-                self.send_parent("unsubscribe", obsolete)
-        for needed in required:
-            if needed not in self.forwarded_upstream:
-                if self.journal is not None:
-                    self.journal.log_forwarded(needed)
-                self.stats.subscriptions_forwarded += 1
-                self.send_parent("subscribe", needed)
-        self.forwarded_upstream = required
+    @property
+    def forwarded_upstream(self) -> list[Filter]:
+        """The filters announced to the parent, in table order.
+
+        Right after :meth:`restore` it is the restored list as given (the
+        journal's order); the first removal afterwards puts it back in
+        table order.
+        """
+        return list(self._forwarded)
+
+    def _comparable(self, entry: _Subscription):
+        """The entries whose filters can cover, or be covered by,
+        *entry*'s, in no particular order.
+
+        A topic pin is implied by an equal pin only, so a pinned filter
+        is comparable with its own bucket and with the unpinned entries
+        (which may name several pins) and with nothing else; an unpinned
+        one is comparable with the whole table.  *entry* may already
+        have left the table.
+        """
+        if entry.pin is None:
+            return self.subscriptions.values()
+        bucket = self._buckets.get(entry.pin_value, ())
+        return [*bucket, *self._unpinned] if self._unpinned else bucket
+
+    def _forwarded_comparable(self, entry: _Subscription) -> list[Filter]:
+        """The forwarded filters comparable with *entry*'s, in the
+        forwarded set's order; all of them while the set is unverified
+        (it may then hold filters the table does not)."""
+        forwarded = self._forwarded
+        if self._forwarded_unverified or entry.pin is None:
+            return list(forwarded)
+        comparable = [
+            other
+            for other in self._comparable(entry)
+            if other.filter in forwarded
+        ]
+        if self._unpinned:
+            comparable.sort(key=_TABLE_ORDER)
+        return [other.filter for other in comparable]
+
+    def _admit(self, entry: _Subscription) -> list[Filter] | None:
+        """Put *entry*'s filter in the forwarded set unless a forwarded
+        filter covers it (Section 2.1); returns the forwarded filters it
+        covers itself, which it displaces to keep the upstream table
+        minimal -- or None when it was covered and nothing changed."""
+        comparable = self._forwarded_comparable(entry)
+        if any(forwarded.covers(entry.filter) for forwarded in comparable):
+            return None
+        displaced = [
+            forwarded
+            for forwarded in comparable
+            if entry.filter.covers(forwarded)
+        ]
+        for forwarded in displaced:
+            del self._forwarded[forwarded]
+        self._forwarded[entry.filter] = None
+        return displaced
+
+    def _announce(self, kind: str, subscription_filter: Filter) -> None:
+        """Journal and send upstream that *subscription_filter* joined
+        (``"subscribe"``) or left (``"unsubscribe"``) the forwarded set."""
+        if self.journal is not None:
+            if kind == "subscribe":
+                self.journal.log_forwarded(subscription_filter)
+            else:
+                self.journal.log_unforwarded(subscription_filter)
+        self.stats.subscriptions_forwarded += 1
+        self.send_parent(kind, subscription_filter)
+
+    def _uncover(self, departed: list[_Subscription]) -> None:
+        """Repair the forwarded set after *departed* left the table.
+
+        A departure that was not forwarded changes nothing: what covered
+        it still stands.  A forwarded one is withdrawn, and only entries
+        it covered can need announcing in its place: each of them, in
+        table order, is admitted (:meth:`_admit`) as :meth:`subscribe`
+        admits an arrival.  When the set is
+        unverified every forwarded filter counts as withdrawn and every
+        entry as uncovered, which derives the set afresh.
+        """
+        forwarded = self._forwarded
+        if self._forwarded_unverified:
+            self._forwarded_unverified = False
+            withdrawn = list(forwarded)
+            forwarded.clear()
+            uncovered = list(self.subscriptions.values())
+        else:
+            gone = [entry for entry in departed if entry.filter in forwarded]
+            if not gone:
+                return
+            withdrawn = [entry.filter for entry in gone]
+            for obsolete in withdrawn:
+                del forwarded[obsolete]
+            uncovered = sorted(
+                {
+                    other
+                    for entry in gone
+                    for other in self._comparable(entry)
+                    if other.filter not in forwarded
+                    and entry.filter.covers(other.filter)
+                },
+                key=_TABLE_ORDER,
+            )
+
+        promoted = [
+            candidate.filter
+            for candidate in uncovered
+            if self._admit(candidate) is not None
+        ]
+        if promoted:
+            table = self.subscriptions
+            self._forwarded = forwarded = dict.fromkeys(
+                sorted(forwarded, key=lambda chosen: table[chosen].order)
+            )
+
+        for obsolete in withdrawn:
+            if obsolete not in forwarded:
+                self._announce("unsubscribe", obsolete)
+        announced = set(withdrawn)
+        for needed in promoted:
+            if needed in forwarded and needed not in announced:
+                self._announce("subscribe", needed)
 
     # -- event plane ---------------------------------------------------------
 

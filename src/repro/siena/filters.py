@@ -75,6 +75,9 @@ class Filter:
         # it once.
         self._key = frozenset(self.constraints)
         self._hash = hash(self._key)
+        # What covers() consults first: a filter can only cover one that
+        # constrains every attribute it does.
+        self._names = frozenset(c.name for c in self.constraints)
 
     @classmethod
     def of(cls, *constraints: Constraint) -> "Filter":
@@ -129,6 +132,8 @@ class Filter:
         ``False`` for an actually-covered pair) only costs extra forwarded
         subscriptions, never a missed event.
         """
+        if not self._names <= other._names:
+            return False
         return all(
             any(mine.implied_by(theirs) for theirs in other.constraints)
             for mine in self.constraints
@@ -136,4 +141,4 @@ class Filter:
 
     def attribute_names(self) -> set[str]:
         """The set of attribute names this filter constrains."""
-        return {constraint.name for constraint in self.constraints}
+        return set(self._names)

@@ -30,11 +30,19 @@ class MatchResultCache:
     Entries never go stale (purity), but :meth:`invalidate_filter` drops a
     departed filter's entries eagerly so unsubscription releases memory
     immediately instead of waiting for LRU pressure.
+
+    *capacity* bounds the verdict memo and the topic-group memo alike.
+    On tokenized traffic every key holds an event's fresh nonce, so an
+    entry can only hit while that event is still being routed: size the
+    memo to the events in flight -- the default is 128 entries for each
+    event of a 32-event batch, and :class:`repro.engine.EngineCaches`
+    derives it from its batch size -- because a larger one only keeps
+    entries that can never hit again.
     """
 
     def __init__(
         self,
-        capacity: int = 65536,
+        capacity: int = 4096,
         registry=None,
         **labels,
     ):

@@ -138,6 +138,23 @@ class BrokerTree:
         self.brokers[broker_id].attach_client(subscriber_id, deliver)
         self._subscriber_home[subscriber_id] = broker_id
 
+    def detach_subscriber(self, subscriber_id: Hashable) -> None:
+        """Detach a subscriber endpoint for good.
+
+        Whatever filters it still holds are withdrawn at its broker (and,
+        through covering, upstream), and the tree forgets the endpoint:
+        its delivery callable, its home and its filter list.  Leaving --
+        unsubscribing every filter -- does not detach: a subscriber with
+        no filters may subscribe again.  The id may be attached again
+        afterwards.
+        """
+        broker_id = self._subscriber_home.get(subscriber_id)
+        if broker_id is None:
+            raise KeyError(f"subscriber {subscriber_id!r} is not attached")
+        self.brokers[broker_id].detach_client(subscriber_id)
+        del self._subscriber_home[subscriber_id]
+        self._client_filters.pop(subscriber_id, None)
+
     def subscribe(self, subscriber_id: Hashable, subscription_filter: Filter) -> None:
         """Issue a subscription on behalf of an attached subscriber."""
         broker_id = self._subscriber_home.get(subscriber_id)
@@ -157,9 +174,11 @@ class BrokerTree:
         broker_id = self._subscriber_home.get(subscriber_id)
         if broker_id is None:
             raise KeyError(f"subscriber {subscriber_id!r} is not attached")
-        self._client_filters.get(subscriber_id, {}).pop(
-            subscription_filter, None
-        )
+        held = self._client_filters.get(subscriber_id)
+        if held is not None:
+            held.pop(subscription_filter, None)
+            if not held:
+                del self._client_filters[subscriber_id]
         self.brokers[broker_id].unsubscribe(subscriber_id, subscription_filter)
 
     def publish(

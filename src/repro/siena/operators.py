@@ -112,6 +112,12 @@ def implies(narrow_op: Op, narrow_value: Any, wide_op: Op, wide_value: Any) -> b
     operator pair -- exactly like Siena, an unrecognized pair conservatively
     returns ``False``, which only costs an extra forwarded subscription,
     never a missed event.
+
+    What it must be is *transitive*: a broker maintains its forwarded
+    set incrementally (:meth:`repro.siena.broker.Broker.unsubscribe`),
+    and that equals a scan of the whole table only when covering is a
+    preorder.  A pair recognised through an intermediate constraint
+    (``PREFIX p => GE a => NE c``) is therefore recognised directly too.
     """
     if wide_op is Op.ANY:
         return True
@@ -163,7 +169,14 @@ def implies(narrow_op: Op, narrow_value: Any, wide_op: Op, wide_value: Any) -> b
             return wide_value in narrow_value
         if narrow_op is Op.SUBSTRING and wide_op is Op.SUBSTRING:
             return wide_value in narrow_value
+        # Every string with prefix p is >= p, and p itself has the prefix:
+        # the three cases below are that fact carried through GE, so that
+        # PREFIX => GE => {GT, NE} chains compose (see the docstring).
         if narrow_op is Op.PREFIX and wide_op is Op.GE:
             return narrow_value >= wide_value
+        if narrow_op is Op.PREFIX and wide_op is Op.GT:
+            return narrow_value > wide_value
+        if narrow_op is Op.PREFIX and wide_op is Op.NE:
+            return not wide_value.startswith(narrow_value)
 
     return False

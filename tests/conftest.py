@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.composite import CompositeKeySpace
 from repro.core.kdc import KDC
 from repro.core.nakt import NumericKeySpace
+
+# CI's second, deeper pass over tests/siena/test_covering_incremental.py
+# (``--hypothesis-profile=covering-deep``).  Registered here because the
+# hypothesis plugin loads the named profile before any test module is
+# imported; it changes nothing unless selected.
+settings.register_profile("covering-deep", max_examples=1000, deadline=None)
 
 
 @pytest.fixture

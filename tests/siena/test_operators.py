@@ -1,5 +1,7 @@
 """Operator matching and constraint implication (the covering kernel)."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -173,3 +175,67 @@ def test_string_implication_is_sound(
     if implies(narrow_op, narrow_value, wide_op, wide_value):
         if matches(narrow_op, narrow_value, sample):
             assert matches(wide_op, wide_value, sample)
+
+
+# -- covering must be a preorder: implies() is transitive --------------------
+
+_NUMERIC_OPERANDS = [-1, 0, 1, 1.5, 2, 2.5, 3, 10]
+_STRING_OPERANDS = ["", "a", "b", "c", "aa", "ab", "ba", "bc", "abc", "abd"]
+_ALL_STRING_OPS = _NUMERIC_IMPLICATION_OPS + [Op.PREFIX, Op.SUFFIX, Op.SUBSTRING]
+_GRID = (
+    [(Op.ANY, None)]
+    + [(op, v) for op in _NUMERIC_IMPLICATION_OPS for v in _NUMERIC_OPERANDS]
+    + [(op, v) for op in _ALL_STRING_OPS for v in _STRING_OPERANDS]
+)
+
+
+def test_implication_is_transitive_over_the_operand_grid():
+    """``a => b`` and ``b => c`` give ``a => c`` for every constraint triple.
+
+    The broker's incremental forwarded set equals a full covering scan
+    only when ``covers`` is a preorder.  Before ``PREFIX p => {GT, NE} w``
+    was recognised, 330 triples of this grid failed, all of the shape
+    ``PREFIX => GE => {GT, NE}``.
+    """
+    violations = [
+        (a, b, c)
+        for a in _GRID
+        for b in _GRID
+        if implies(*a, *b)
+        for c in _GRID
+        if implies(*b, *c) and not implies(*a, *c)
+    ]
+    assert violations == []
+
+
+def test_string_implication_is_sound_exhaustively():
+    """Brute force over every string of length <= 3 on a 3-letter alphabet:
+    whatever ``implies`` accepts, no string satisfies the narrow
+    constraint and not the wide one."""
+    universe = [
+        "".join(letters)
+        for length in range(4)
+        for letters in itertools.product("abc", repeat=length)
+    ]
+    constraints = [(Op.ANY, None)] + [
+        (op, operand) for op in _ALL_STRING_OPS for operand in universe
+    ]
+    unsound = [
+        (narrow, wide, sample)
+        for narrow in constraints
+        for wide in constraints
+        if implies(*narrow, *wide)
+        for sample in universe
+        if matches(*narrow, sample) and not matches(*wide, sample)
+    ]
+    assert unsound == []
+
+
+def test_prefix_implies_gt_and_ne_exactly():
+    """The two closure cases are complete as well as sound."""
+    assert implies(Op.PREFIX, "b", Op.GT, "a")
+    assert not implies(Op.PREFIX, "a", Op.GT, "a")      # "a" itself
+    assert implies(Op.PREFIX, "ab", Op.NE, "a")
+    assert implies(Op.PREFIX, "ab", Op.NE, "b")
+    assert not implies(Op.PREFIX, "a", Op.NE, "ab")     # "ab" has the prefix
+    assert not implies(Op.PREFIX, "a", Op.NE, "a")
