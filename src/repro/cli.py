@@ -1,9 +1,8 @@
 """Command-line interface: ``python -m repro <command>``.
 
 Commands self-register through the :func:`command` decorator -- a
-declarative registry of (name, help, argument builder, handler) -- so a
-new harness scenario only writes its own handler; ``build_parser`` and
-``main`` never change.  Registered commands:
+declarative registry of (name, help, argument builder, handler) -- so
+``build_parser`` and ``main`` never change.  Registered commands:
 
 - ``demo``           -- the quickstart medical-records flow;
 - ``grant``          -- show the key material the KDC issues for a range
@@ -14,14 +13,16 @@ new harness scenario only writes its own handler; ``build_parser`` and
 - ``topology``       -- generate a transit-stub topology and report its
                         overlay RTT statistics;
 - ``verify``         -- fast self-check of the headline claims;
-- ``chaos``          -- run the fault and equivalence scenarios
-                        (``--list`` describes them); ``recovery``,
-                        ``overload``, ``rekey`` and ``live`` carry
-                        acceptance gates that ``--check`` enforces --
-                        ``live`` holds a loopback TCP tree to the
-                        in-process reference delivery streams;
-- ``metrics``        -- run an instrumented workload and export the
-                        metrics/tracing snapshot (JSON or Prometheus);
+- ``chaos``          -- run the fault and equivalence scenarios of
+                        :mod:`repro.harness.scenario`'s registry
+                        (``--list`` prints each with its gate names);
+                        every scenario carries named acceptance gates
+                        that ``--check`` enforces, and this command is
+                        only the loop over them: a new scenario is a
+                        ``Scenario`` value, not a handler;
+- ``metrics``        -- run the ``overlay`` scenario's reliable tree at
+                        a small size and export its metrics/tracing
+                        snapshot (JSON or Prometheus);
 - ``serve``          -- run one rtnet broker server on a TCP socket,
                         optionally dialing a parent broker (a cluster is
                         N ``serve`` processes).
@@ -36,7 +37,9 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
+
+from repro.harness.scenario import SCENARIOS, load
 
 
 @dataclass(frozen=True)
@@ -292,149 +295,14 @@ def _cmd_verify(_args: argparse.Namespace) -> int:
 # -- chaos --------------------------------------------------------------------
 
 
-class ChaosPlan(NamedTuple):
-    """One scenario sized for a run: its config and its harness calls."""
-
-    config: Any
-    run: Callable[[Any], Any]
-    format: Callable[[Any, Any], str]  # (config, result) -> report text
-    #: ``(config, result) -> violated gates``; None = nothing to gate
-    check: Callable[[Any, Any], list[str]] | None = None
-    #: ``result -> metrics snapshot document``; None = none collected
-    snapshot: Callable[[Any], dict] | None = None
-
-
-class ChaosScenario(NamedTuple):
-    """A ``--scenario`` value: its ``--list`` line and flags -> plan step."""
-
-    description: str
-    plan: Callable[[argparse.Namespace], ChaosPlan]
-
-
-#: The chaos scenario registry: ``--list`` prints it, ``--scenario``
-#: choices derive from it and the handler loops over it, so adding a
-#: scenario means adding one decorated plan function.
-CHAOS_SCENARIOS: dict[str, ChaosScenario] = {}
-
-
-def chaos_scenario(name: str, description: str) -> Callable:
-    """Register the decorated ``flags -> ChaosPlan`` function.
-
-    Plan functions import their harness module when called, not before,
-    so building the parser loads no simulator and no sockets.
-    """
-
-    def decorate(plan: Callable[[argparse.Namespace], ChaosPlan]) -> Callable:
-        CHAOS_SCENARIOS[name] = ChaosScenario(description, plan)
-        return plan
-
-    return decorate
-
-
-@chaos_scenario("overlay", "broker crashes + link loss: fire-and-forget vs "
-                "the reliable at-least-once stack")
-def _overlay_plan(args: argparse.Namespace) -> ChaosPlan:
-    from repro.harness import chaos as harness
-
-    return ChaosPlan(
-        harness.ChaosConfig(
-            seed=args.seed, duration=args.duration, publish_rate=args.rate,
-            crash_probability=args.crash_prob,
-            crash_duration=args.crash_duration, link_loss=args.link_loss,
-            redundancy=args.redundancy, num_brokers=args.brokers,
-        ),
-        harness.run_chaos,
-        lambda _config, report: harness.format_chaos_report(report),
-    )
-
-
-@chaos_scenario("kdc", "key-service outage straddling an epoch boundary: "
-                "replicated KDC failover and decrypt success")
-def _kdc_plan(args: argparse.Namespace) -> ChaosPlan:
-    from repro.harness import kdcchaos as harness
-
-    return ChaosPlan(
-        harness.KdcChaosConfig(
-            seed=args.seed, duration=args.duration, publish_rate=args.rate,
-            epoch_length=args.epoch_length, replicas=args.kdc_replicas,
-            subscribers=args.subscribers, grace_period=args.grace,
-            outage_duration=args.outage,
-        ),
-        harness.run_kdc_chaos,
-        lambda _config, report: harness.format_kdc_chaos_report(report),
-    )
-
-
-@chaos_scenario("recovery", "permanent broker kills + a partition: tree "
-                "repair, durable journals, exactly-once delivery")
-def _recovery_plan(args: argparse.Namespace) -> ChaosPlan:
-    from repro.harness import recovery as harness
-
-    return ChaosPlan(
-        harness.RecoveryConfig(
-            seed=args.seed, duration=args.duration, publish_rate=args.rate,
-            num_brokers=args.brokers, link_loss=args.link_loss,
-        ),
-        harness.run_recovery, harness.format_recovery_report,
-        harness.check_recovery,
-    )
-
-
-@chaos_scenario("overload", "publisher storm at a multiple of sustainable "
-                "rate: bounded queues, priority protection, graceful "
-                "degradation, post-storm recovery")
-def _overload_plan(args: argparse.Namespace) -> ChaosPlan:
-    from repro.harness import overload as harness
-
-    return ChaosPlan(
-        harness.OverloadConfig(
-            seed=args.seed, storm_factor=args.storm_factor,
-            high_fraction=args.high_fraction,
-            queue_capacity=args.queue_capacity, shed_policy=args.shed_policy,
-        ),
-        harness.run_overload, harness.format_overload_report,
-        harness.check_overload, lambda result: result.obs.snapshot(),
-    )
-
-
-@chaos_scenario("rekey", "live membership churn over real sockets: epoch "
-                "rollovers, in-band grant renewal, lazy revocation, "
-                "mid-stream join/leave")
-def _rekey_plan(args: argparse.Namespace) -> ChaosPlan:
-    from repro.harness import rekey as harness
-
-    return ChaosPlan(
-        harness.RekeyChaosConfig(
-            seed=args.seed, rollovers=args.rollovers, grace=args.grace
-        ),
-        harness.run_rekey_chaos, harness.format_rekey_report,
-        harness.check_rekey, lambda result: result.registry.snapshot(),
-    )
-
-
-@chaos_scenario("live", "no faults, two transports: a loopback TCP tree "
-                "must deliver exactly the in-process reference streams, "
-                "with zero unauthorized opens")
-def _live_plan(args: argparse.Namespace) -> ChaosPlan:
-    from repro.harness import live as harness
-
-    return ChaosPlan(
-        harness.LiveConfig(
-            seed=args.seed, events=int(args.duration * args.rate),
-            num_brokers=args.brokers, num_subscribers=args.subscribers,
-        ),
-        harness.run_live, harness.format_live_report, harness.check_live,
-    )
-
-
 def _chaos_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--scenario", choices=["all", *CHAOS_SCENARIOS], default="all",
+        "--scenario", choices=["all", *SCENARIOS], default="all",
         help="the scenario to run (--list describes them; default: all)",
     )
     parser.add_argument(
         "--list", action="store_true",
-        help="list the chaos scenarios with descriptions and exit",
+        help="list the scenarios with their gate names and exit",
     )
     add_seed_option(parser)
     parser.add_argument("--duration", type=float, default=5.0)
@@ -443,50 +311,31 @@ def _chaos_args(parser: argparse.ArgumentParser) -> None:
                         "publishes duration x rate events, unpaced)")
     parser.add_argument("--crash-prob", type=float, default=0.2,
                         help="per-broker crash probability")
-    parser.add_argument("--crash-duration", type=float, default=0.5,
-                        help="seconds a crashed broker stays down")
     parser.add_argument("--link-loss", type=float, default=0.05,
                         help="per-transmission link loss probability")
     parser.add_argument("--redundancy", type=int, default=2,
                         help="multipath redundancy k for the reliable run")
     parser.add_argument("--brokers", type=int, default=15,
                         help="tree overlay size")
-    parser.add_argument("--epoch-length", type=float, default=2.0,
-                        help="kdc scenario: topic epoch length in seconds")
     parser.add_argument("--kdc-replicas", type=int, default=3,
                         help="kdc scenario: replicas in the replicated run")
     parser.add_argument("--subscribers", type=int, default=8,
                         help="kdc/live scenarios: subscriber count")
     parser.add_argument("--grace", type=float, default=1.0,
-                        help="kdc scenario: post-expiry grace window")
+                        help="kdc/rekey scenarios: post-expiry grace "
+                        "window")
     parser.add_argument("--outage", type=float, default=1.0,
                         help="kdc scenario: outage straddling the boundary")
     parser.add_argument("--storm-factor", type=float, default=4.0,
                         help="overload scenario: offered rate as a "
                         "multiple of broker capacity")
-    parser.add_argument("--high-fraction", type=float, default=0.1,
-                        help="overload scenario: fraction of the storm "
-                        "published at high priority")
-    parser.add_argument("--queue-capacity", type=int, default=32,
-                        help="overload scenario: bounded queue depth")
-    parser.add_argument("--shed-policy", default="drop-oldest",
-                        choices=["drop-oldest", "drop-lowest-priority",
-                                 "reject-new"],
-                        help="overload scenario: load-shedding policy")
-    parser.add_argument("--rollovers", type=int, default=3,
-                        help="rekey scenario: live epoch boundaries to "
-                        "cross (minimum 3)")
     parser.add_argument("--snapshot", metavar="PATH",
-                        help="overload/rekey scenarios: write the run's "
-                        "metrics snapshot (JSON) here")
+                        help="write the one selected scenario's metrics "
+                        "snapshot (JSON) here; live collects none")
     parser.add_argument(
         "--check", action="store_true",
-        help="recovery/overload/rekey/live scenarios: exit 1 unless the "
-        "scenario's acceptance gates hold (delivery, exactly-once and "
-        "repair; bounded queues and priority protection; zero "
-        "post-revocation opens; socket streams equal to the in-process "
-        "reference with zero unauthorized opens); an error when no "
-        "selected scenario has gates",
+        help="exit 1 unless every selected scenario's acceptance gates "
+        "hold (--list names them); held gates are named on stderr",
     )
 
 
@@ -497,37 +346,43 @@ def _chaos_args(parser: argparse.ArgumentParser) -> None:
 )
 def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.list:
-        width = max(len(name) for name in CHAOS_SCENARIOS)
-        for name, scenario in CHAOS_SCENARIOS.items():
+        width = max(len(name) for name in SCENARIOS)
+        for name in SCENARIOS:
+            scenario = load(name)
+            gates = ", ".join(gate.name for gate in scenario.gates)
             print(f"{name:<{width}}  {scenario.description}")
+            print(f"{'':<{width}}  gates: {gates}")
         return 0
-    names = (
-        list(CHAOS_SCENARIOS) if args.scenario == "all" else [args.scenario]
-    )
+    names = list(SCENARIOS) if args.scenario == "all" else [args.scenario]
     sections = []
-    gated: list[str] = []
-    gate_problems: list[str] = []
+    held: dict[str, list[str]] = {}
+    violated: list[str] = []
     snapshot = None
     try:
-        plans = {name: CHAOS_SCENARIOS[name].plan(args) for name in names}
-        if args.check and all(plan.check is None for plan in plans.values()):
+        if args.snapshot and (
+            len(names) != 1 or load(names[0]).snapshot is None
+        ):
             raise ValueError(
-                f"--check has nothing to gate: scenario {args.scenario!r} "
-                "defines no gates"
+                "--snapshot names one file: pick one --scenario that "
+                "collects metrics (live does not)"
             )
-        for name, plan in plans.items():
-            result = plan.run(plan.config)
-            sections.append(plan.format(plan.config, result))
-            # --snapshot names one file: under "all" the first scenario
-            # that collects a snapshot (overload) supplies it.
-            if args.snapshot and snapshot is None and plan.snapshot:
-                snapshot = plan.snapshot(result)
-            if args.check and plan.check is not None:
-                gated.append(name)
-                gate_problems.extend(
-                    f"{name} gate violated: {problem}"
-                    for problem in plan.check(plan.config, result)
+        for name in names:
+            scenario = load(name)
+            config = scenario.configure(args)
+            result = scenario.run(config)
+            sections.append(scenario.format(config, result))
+            if args.snapshot:
+                snapshot = scenario.snapshot(result)
+            if args.check:
+                problems = dict(scenario.violations(config, result))
+                violated.extend(
+                    f"{name} gate {gate} violated: {problem}"
+                    for gate, problem in problems.items()
                 )
+                held[name] = [
+                    gate.name for gate in scenario.gates
+                    if gate.name not in problems
+                ]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -535,16 +390,21 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if snapshot is not None:
         import json
 
+        from repro.obs.export import json_safe
+
         with open(args.snapshot, "w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle, indent=2, sort_keys=True)
+            json.dump(json_safe(snapshot), handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote metrics snapshot to {args.snapshot}", file=sys.stderr)
-    for problem in gate_problems:
+    for name, gates in held.items():
+        print(f"{name} gates held: {', '.join(gates) or 'none'}",
+              file=sys.stderr)
+    for problem in violated:
         print(problem, file=sys.stderr)
-    if gate_problems:
+    if violated:
         return 1
-    if gated:
-        print(f"chaos gates passed: {', '.join(gated)}", file=sys.stderr)
+    if held:
+        print(f"chaos gates passed: {', '.join(held)}", file=sys.stderr)
     return 0
 
 
@@ -580,36 +440,38 @@ def _metrics_args(parser: argparse.ArgumentParser) -> None:
 )
 def _cmd_metrics(args: argparse.Namespace) -> int:
     import json
-    import math
 
-    from repro.harness.metricsrun import (
-        MetricsRunConfig,
+    from repro.harness.chaos import (
+        ChaosConfig,
         check_invariants,
-        run_metrics_workload,
+        run_tree_chaos,
     )
+    from repro.obs.export import json_safe
 
-    config = MetricsRunConfig(
-        seed=args.seed,
-        duration=args.duration,
-        publish_rate=args.rate,
-        num_brokers=args.brokers,
+    # The overlay scenario's reliable tree, at a size and fault load
+    # that keep the snapshot small enough to read.
+    config = ChaosConfig(
+        seed=args.seed, duration=args.duration, drain=2.0,
+        publish_rate=args.rate, num_brokers=args.brokers,
+        crash_probability=0.15, crash_duration=0.4,
         link_loss=args.link_loss,
     )
-    result = run_metrics_workload(config)
+    try:
+        result = run_tree_chaos(config, reliable=True)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.format == "prometheus":
         rendered = result.obs.to_prometheus()
     else:
-        def scrub(value):
-            if isinstance(value, float) and not math.isfinite(value):
-                return None
-            if isinstance(value, dict):
-                return {key: scrub(item) for key, item in value.items()}
-            if isinstance(value, list):
-                return [scrub(item) for item in value]
-            return value
-
+        document = result.obs.snapshot()
+        document["workload"] = {
+            "published": config.events,
+            "expected": result.expected,
+            "delivered": result.delivered,
+        }
         rendered = json.dumps(
-            scrub(result.snapshot()), indent=2, sort_keys=True
+            json_safe(document), indent=2, sort_keys=True
         )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -619,7 +481,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         print(rendered)
     summary = result.obs.tracer.summary()
     print(
-        f"published {result.published} events, delivered "
+        f"published {config.events} events, delivered "
         f"{result.delivered}/{result.expected}; "
         f"{summary['spans_recorded']} spans across "
         f"{summary['traces_started']} traces "
@@ -628,7 +490,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     if args.check:
-        problems = check_invariants(result)
+        problems = check_invariants(config, result)
         for problem in problems:
             print(f"invariant violated: {problem}", file=sys.stderr)
         if problems:

@@ -1,45 +1,16 @@
-"""Experiment harness: regenerates every table and figure of Section 5.
+"""Experiment harness.  Import the module you need: the package itself
+imports nothing, so :mod:`repro.harness.reporting` loads no simulator.
 
-- :mod:`repro.harness.timing` -- microsecond-scale calibration of the
-  crypto primitives on local hardware (feeds Tables 1-2 and the
-  simulator's service-time model);
-- :mod:`repro.harness.keymgmt` -- the key-management comparison
-  (Figures 3-5);
-- :mod:`repro.harness.endtoend` -- throughput/latency on the simulated
-  testbed (Figures 9-11);
-- :mod:`repro.harness.chaos` -- workloads under injected broker crashes
-  and link loss (fault tolerance beyond the static dropper adversary);
-- :mod:`repro.harness.reporting` -- paper-style table formatting.
+Section 5's tables and figures: :mod:`~repro.harness.timing` (crypto
+calibration, Tables 1-2), :mod:`~repro.harness.keymgmt` (Figures 3-5),
+:mod:`~repro.harness.endtoend` (Figures 9-11),
+:mod:`~repro.harness.verification` (``repro verify``) and
+:mod:`~repro.harness.reporting` (table and metric formatting).
+
+``repro chaos`` scenarios, each a :class:`~repro.harness.scenario.Scenario`
+(a config, a run and named gates): :mod:`~repro.harness.chaos`
+(``overlay``, and the tree workload behind ``repro metrics``),
+:mod:`~repro.harness.kdcchaos` (``kdc``), :mod:`~repro.harness.recovery`,
+:mod:`~repro.harness.overload`, :mod:`~repro.harness.rekey` and
+:mod:`~repro.harness.live`.
 """
-
-from repro.harness.chaos import (
-    ChaosConfig,
-    ChaosReport,
-    format_chaos_report,
-    run_chaos,
-)
-from repro.harness.kdcchaos import (
-    KdcChaosConfig,
-    KdcChaosReport,
-    format_kdc_chaos_report,
-    run_kdc_chaos,
-)
-from repro.harness.keymgmt import KeyManagementRow, run_key_management
-from repro.harness.reporting import format_table
-from repro.harness.timing import CryptoCosts, measure_crypto_costs
-
-__all__ = [
-    "ChaosConfig",
-    "ChaosReport",
-    "CryptoCosts",
-    "KdcChaosConfig",
-    "KdcChaosReport",
-    "KeyManagementRow",
-    "format_chaos_report",
-    "format_kdc_chaos_report",
-    "format_table",
-    "measure_crypto_costs",
-    "run_chaos",
-    "run_kdc_chaos",
-    "run_key_management",
-]

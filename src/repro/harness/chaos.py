@@ -20,15 +20,21 @@ seed, validate the fault-tolerance story of Section 4.2.1 against
   fire-and-forget rate is compared against the paper's
   ``1 - (1 - (1-f)^d)^k`` loss model evaluated at the plan's effective
   per-hop failure probability.
+
+:func:`run_timed_tree` is the one timed-tree workload: tree chaos, the
+recovery harness and ``repro metrics`` (the reliable tree at a smaller
+size, audited by :func:`check_invariants`) all drive it.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import Hashable
 
-from repro.harness.reporting import format_table
+from repro.harness.reporting import format_quantiles, format_table
+from repro.harness.scenario import Gate, Scenario, all_of
 from repro.net.faults import FaultInjector, FaultPlan
 from repro.net.sim import Simulator
 from repro.net.simnet import RetryPolicy, SimulatedPubSub
@@ -82,10 +88,8 @@ class ChaosConfig:
 class TreeChaosResult:
     """Outcome of one tree-overlay chaos run.
 
-    The run's :class:`~repro.obs.Observability` bundle rides along as a
-    plain ``obs`` attribute (deliberately not a dataclass field, so
-    ``dataclasses.asdict`` equality between seeded runs keeps comparing
-    only the measured numbers).
+    ``obs`` is the run's metrics/tracing bundle; it takes no part in
+    ``==``, so two runs of one seed compare equal on what they measured.
     """
 
     mode: str
@@ -100,8 +104,11 @@ class TreeChaosResult:
     failures_detected: int
     recoveries_detected: int
     subscriptions_replayed: int
-    mean_detection_latency: float
-    mean_recovery_latency: float
+    #: The failure detector's crash-to-suspect and restart-to-clear
+    #: times; empty on the fire-and-forget transport.
+    detection_latencies: list[float]
+    recovery_latencies: list[float]
+    obs: Observability = field(compare=False, repr=False)
 
     @property
     def delivery_rate(self) -> float:
@@ -120,11 +127,8 @@ class TreeChaosResult:
 
 @dataclass
 class MultipathChaosResult:
-    """Outcome of one multipath chaos run.
-
-    Carries its :class:`~repro.obs.Observability` bundle as a plain
-    ``obs`` attribute, exactly like :class:`TreeChaosResult`.
-    """
+    """Outcome of one multipath chaos run (``obs`` as in
+    :class:`TreeChaosResult`)."""
 
     mode: str
     redundancy: int
@@ -138,6 +142,7 @@ class MultipathChaosResult:
     #: The paper's loss model at the plan's effective per-hop failure
     #: probability (fire-and-forget prediction for this redundancy).
     analytic_rate: float
+    obs: Observability = field(compare=False, repr=False)
 
     @property
     def delivery_rate(self) -> float:
@@ -166,27 +171,40 @@ def _tree_fault_plan(config: ChaosConfig) -> FaultPlan:
     )
 
 
-def run_tree_chaos(
-    config: ChaosConfig,
-    reliable: bool,
-    obs: Observability | None = None,
-) -> TreeChaosResult:
-    """One tree-overlay workload under the config's fault plan."""
-    obs = obs if obs is not None else Observability()
+def run_timed_tree(
+    config,
+    plan: FaultPlan,
+    obs: Observability,
+    *,
+    topic: str,
+    reliability: RetryPolicy | None,
+    **overlay,
+) -> tuple[SimulatedPubSub, int]:
+    """The timed-tree workload every tree scenario drives.
+
+    *plan* behind a fault injector, a ``num_brokers`` tree (*overlay*
+    passes the recovery extras to :class:`SimulatedPubSub`), one *topic*
+    subscriber per leaf, ``config.events`` publications paced at
+    ``publish_rate``, run until ``duration + drain``.  Returns the
+    finished overlay and the deliveries a fault-free run would make.
+    """
+    if config.duration <= 0 or config.publish_rate <= 0:
+        raise ValueError("duration and publish rate must be positive")
     sim = Simulator()
-    injector = FaultInjector(sim, _tree_fault_plan(config), seed=config.seed + 1)
+    injector = FaultInjector(sim, plan, seed=config.seed + 1)
     net = SimulatedPubSub(
         sim,
         config.num_brokers,
         arity=config.arity,
         link_latency=config.hop_latency,
-        reliability=replace(config.retry) if reliable else None,
+        reliability=reliability,
         faults=injector,
         seed=config.seed + 2,
         obs=obs,
+        **overlay,
     )
     injector.install()
-    subscription = Filter.topic("chaos")
+    subscription = Filter.topic(topic)
     leaves = net.leaf_ids()
     for index, leaf in enumerate(leaves):
         subscriber_id = f"sub{index}"
@@ -194,14 +212,27 @@ def run_tree_chaos(
         net.subscribe(subscriber_id, subscription)
     for k in range(config.events):
         net.publish(
-            Event({"topic": "chaos", "k": k}),
+            Event({"topic": topic, "k": k}),
             delay=k / config.publish_rate,
         )
     sim.run(until=config.duration + config.drain)
+    return net, config.events * len(leaves)
+
+
+def run_tree_chaos(config: ChaosConfig, reliable: bool) -> TreeChaosResult:
+    """One tree-overlay workload under the config's fault plan."""
+    obs = Observability()
+    net, expected = run_timed_tree(
+        config,
+        _tree_fault_plan(config),
+        obs,
+        topic="chaos",
+        reliability=replace(config.retry) if reliable else None,
+    )
     stats = net.rstats
-    result = TreeChaosResult(
+    return TreeChaosResult(
         mode="reliable" if reliable else "fire-and-forget",
-        expected=config.events * len(leaves),
+        expected=expected,
         delivered=len(net.deliveries),
         duplicates=stats.duplicates_suppressed + stats.duplicate_deliveries,
         data_sends=stats.data_sends,
@@ -212,18 +243,52 @@ def run_tree_chaos(
         failures_detected=stats.failures_detected,
         recoveries_detected=stats.recoveries_detected,
         subscriptions_replayed=stats.subscriptions_replayed,
-        mean_detection_latency=stats.mean_detection_latency(),
-        mean_recovery_latency=stats.mean_recovery_latency(),
+        detection_latencies=list(stats.detection_latencies),
+        recovery_latencies=list(stats.recovery_latencies),
+        obs=obs,
     )
-    result.obs = obs
-    return result
+
+
+def check_invariants(
+    config: ChaosConfig, result: TreeChaosResult
+) -> list[str]:
+    """Accounting identities the instrumentation must keep; [] == pass.
+
+    ``repro metrics --check``: one trace per published event, no span
+    against an unknown or evicted trace, traced deliveries equal to the
+    overlay's delivery log, broker counters that moved.
+    """
+    problems: list[str] = []
+    tracer = result.obs.tracer
+    if tracer.traces_started != config.events:
+        problems.append(
+            f"events published ({config.events}) != traces started "
+            f"({tracer.traces_started})"
+        )
+    if tracer.dropped_spans:
+        problems.append(
+            f"{tracer.dropped_spans} spans recorded against unknown "
+            "trace ids"
+        )
+    if tracer.late_spans:
+        problems.append(
+            f"{tracer.late_spans} spans arrived after trace eviction"
+        )
+    traced_deliveries = sum(
+        trace.fan_out for trace in tracer.traces()
+    )
+    if traced_deliveries != result.delivered:
+        problems.append(
+            f"traced deliveries ({traced_deliveries}) != recorded "
+            f"deliveries ({result.delivered})"
+        )
+    if result.obs.registry.total("broker_events_received_total") <= 0:
+        problems.append("broker counters never moved")
+    return problems
 
 
 def run_multipath_chaos(
-    config: ChaosConfig,
-    reliable: bool,
-    redundancy: int,
-    obs: Observability | None = None,
+    config: ChaosConfig, reliable: bool, redundancy: int
 ) -> MultipathChaosResult:
     """Redundant multi-path dissemination under dynamic faults.
 
@@ -239,7 +304,7 @@ def run_multipath_chaos(
     event's multipath fan-out and retransmissions reconstruct from the
     tracer alone.
     """
-    obs = obs if obs is not None else Observability()
+    obs = Observability()
     tracer = obs.tracer
     c_hop_retries = obs.registry.counter("multipath_hop_retries_total")
     h_e2e = obs.registry.histogram("multipath_e2e_latency_seconds")
@@ -355,7 +420,7 @@ def run_multipath_chaos(
     per_hop_failure = (
         config.link_loss + down_fraction - config.link_loss * down_fraction
     )
-    result = MultipathChaosResult(
+    return MultipathChaosResult(
         mode="reliable" if reliable else "fire-and-forget",
         redundancy=redundancy,
         attempted=config.events,
@@ -368,27 +433,23 @@ def run_multipath_chaos(
         analytic_rate=analytic_delivery_rate(
             per_hop_failure, config.depth, redundancy
         ),
+        obs=obs,
     )
-    result.obs = obs
-    return result
 
 
 @dataclass
 class ChaosReport:
-    """Everything one ``repro chaos`` invocation measured."""
+    """Everything one ``repro chaos --scenario overlay`` run measured."""
 
-    config: ChaosConfig
     tree_baseline: TreeChaosResult
     tree_reliable: TreeChaosResult
     multipath_baseline: MultipathChaosResult
     multipath_reliable: MultipathChaosResult
 
 
-def run_chaos(config: ChaosConfig | None = None) -> ChaosReport:
-    """Run all four chaos experiments for *config* (default seeds)."""
-    config = config if config is not None else ChaosConfig()
+def run_chaos(config: ChaosConfig) -> ChaosReport:
+    """Run all four chaos experiments for *config*."""
     return ChaosReport(
-        config=config,
         tree_baseline=run_tree_chaos(config, reliable=False),
         tree_reliable=run_tree_chaos(config, reliable=True),
         multipath_baseline=run_multipath_chaos(
@@ -400,14 +461,8 @@ def run_chaos(config: ChaosConfig | None = None) -> ChaosReport:
     )
 
 
-def _format_latency(histogram) -> str:
-    if histogram is None or not histogram.count:
-        return "no observations"
-    quantiles = " ".join(
-        f"p{int(q * 100)}={histogram.quantile(q) * 1e3:.1f}ms"
-        for q in histogram.tracked_quantiles
-    )
-    return f"{quantiles} (n={histogram.count})"
+def _mean(samples: list[float]) -> float:
+    return sum(samples) / len(samples) if samples else math.nan
 
 
 def _format_hop_retries(registry, name: str, limit: int = 6) -> str:
@@ -426,13 +481,11 @@ def _format_hop_retries(registry, name: str, limit: int = 6) -> str:
     return shown + (f" (+{hidden} more links)" if hidden > 0 else "")
 
 
-def _metrics_section(title: str, obs: Observability | None,
+def _metrics_section(title: str, obs: Observability,
                      latency_metric: str, retry_metric: str) -> str:
-    if obs is None:
-        return f"Metrics snapshot ({title}): not collected"
     summary = obs.tracer.summary()
     histograms = obs.registry.series(latency_metric)
-    latency = _format_latency(histograms[0] if histograms else None)
+    latency = format_quantiles(histograms[0] if histograms else None)
     lines = [
         f"Metrics snapshot ({title})",
         f"  e2e latency   : {latency}",
@@ -447,9 +500,8 @@ def _metrics_section(title: str, obs: Observability | None,
     return "\n".join(lines)
 
 
-def format_chaos_report(report: ChaosReport) -> str:
+def format_chaos_report(config: ChaosConfig, report: ChaosReport) -> str:
     """Render the chaos report as paper-style tables."""
-    config = report.config
     header = (
         f"Chaos run: seed {config.seed}, {config.duration:.0f}s x "
         f"{config.publish_rate:.0f} ev/s, crash p={config.crash_probability}"
@@ -464,8 +516,8 @@ def format_chaos_report(report: ChaosReport) -> str:
             result.dead_letters,
             result.retry_overhead,
             result.failures_detected,
-            result.mean_detection_latency,
-            result.mean_recovery_latency,
+            _mean(result.detection_latencies),
+            _mean(result.recovery_latencies),
         )
         for result in (report.tree_baseline, report.tree_reliable)
     ]
@@ -499,13 +551,13 @@ def format_chaos_report(report: ChaosReport) -> str:
     )
     tree_metrics = _metrics_section(
         "reliable tree",
-        getattr(report.tree_reliable, "obs", None),
+        report.tree_reliable.obs,
         "net_delivery_latency_seconds",
         "net_hop_retries_total",
     )
     multipath_metrics = _metrics_section(
         f"reliable multipath k={report.multipath_reliable.redundancy}",
-        getattr(report.multipath_reliable, "obs", None),
+        report.multipath_reliable.obs,
         "multipath_e2e_latency_seconds",
         "multipath_hop_retries_total",
     )
@@ -513,3 +565,57 @@ def format_chaos_report(report: ChaosReport) -> str:
         header, tree_table, multipath_table, tree_metrics,
         multipath_metrics,
     ])
+
+
+#: The reliable stack's delivery floor under the scenario's fault load
+#: (Section 4.2.1's claim; what ``tests/harness/test_chaos.py`` held).
+MIN_RELIABLE_DELIVERY = 0.99
+
+
+def _overlays(report: ChaosReport):
+    return (
+        ("tree", report.tree_baseline, report.tree_reliable),
+        ("multipath", report.multipath_baseline, report.multipath_reliable),
+    )
+
+
+def _reliable_delivery(_config, report: ChaosReport) -> str | None:
+    return all_of(
+        f"reliable {which} delivery {reliable.delivery_rate:.4f} below "
+        f"the {MIN_RELIABLE_DELIVERY:.2f} gate"
+        for which, _baseline, reliable in _overlays(report)
+        if reliable.delivery_rate < MIN_RELIABLE_DELIVERY
+    )
+
+
+def _baseline_degrades(_config, report: ChaosReport) -> str | None:
+    """Fire-and-forget strictly below reliable on both overlays: the
+    faults bit, so the reliable rows prove something."""
+    return all_of(
+        f"fire-and-forget {which} delivery {baseline.delivery_rate:.4f} "
+        f"is not below the reliable {reliable.delivery_rate:.4f}"
+        for which, baseline, reliable in _overlays(report)
+        if baseline.delivery_rate >= reliable.delivery_rate
+    )
+
+
+SCENARIO = Scenario(
+    name="overlay",
+    description="broker crashes + link loss: fire-and-forget vs the "
+    "reliable at-least-once stack",
+    configure=lambda args: ChaosConfig(
+        seed=args.seed, duration=args.duration, publish_rate=args.rate,
+        crash_probability=args.crash_prob, link_loss=args.link_loss,
+        redundancy=args.redundancy, num_brokers=args.brokers,
+    ),
+    run=run_chaos,
+    format=format_chaos_report,
+    gates=(
+        Gate("reliable-delivery", _reliable_delivery),
+        Gate("baseline-degrades", _baseline_degrades),
+    ),
+    snapshot=lambda report: {
+        "tree": report.tree_reliable.obs.snapshot(),
+        "multipath": report.multipath_reliable.obs.snapshot(),
+    },
+)

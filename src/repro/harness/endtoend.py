@@ -422,28 +422,3 @@ def measure_cache_effect(
             )
         )
     return rows
-
-
-def cache_size_sweep(
-    cache_sizes_kb: tuple[int, ...] = (0, 4, 16, 32, 64),
-    routing_nodes: int = 30,
-    mode: str = "numeric",
-    seed: int = 29,
-    events: int = 400,
-) -> list[tuple[int, EndToEndResult]]:
-    """Figure 11's end-to-end variant: throughput/latency per cache size.
-
-    Slow (one full throughput search per cache size); the benches use
-    :func:`measure_cache_effect` for the mechanism and a two-point version
-    of this sweep for the end-to-end confirmation.
-    """
-    rows = []
-    for size_kb in cache_sizes_kb:
-        pipeline = sample_pipeline_costs(
-            mode, cache_bytes=size_kb * 1024, seed=seed
-        )
-        rows.append(
-            (size_kb, max_throughput(mode, routing_nodes, pipeline,
-                                     seed=seed, events=events))
-        )
-    return rows

@@ -31,7 +31,7 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.composite import CompositeKeySpace
 from repro.core.kdc import KDC
@@ -40,7 +40,8 @@ from repro.core.kdcservice import KDCCluster
 from repro.core.publisher import Publisher
 from repro.core.renewal import RenewalManager
 from repro.core.subscriber import Subscriber
-from repro.harness.reporting import format_table
+from repro.harness.reporting import counter_total, format_table
+from repro.harness.scenario import Gate, Scenario
 from repro.net.faults import ANY, BrokerCrash, FaultInjector, FaultPlan, LinkFault
 from repro.net.service import ServiceNetwork
 from repro.net.sim import Simulator
@@ -100,7 +101,12 @@ class KdcChaosConfig:
 
 @dataclass
 class KdcChaosResult:
-    """Outcome of one KDC-outage run (one KDC deployment mode)."""
+    """Outcome of one KDC-outage run (one KDC deployment mode).
+
+    ``obs`` holds the run's control-plane metrics (client request
+    latency, failovers, breaker state, view changes); it takes no part
+    in ``==``, so two runs of one seed compare equal.
+    """
 
     mode: str
     replicas: int
@@ -121,6 +127,7 @@ class KdcChaosResult:
     messages_lost: int
     #: Whether every alive replica ended with the same registry log.
     converged: bool
+    obs: Observability = field(compare=False, repr=False)
 
     @property
     def decrypt_rate(self) -> float:
@@ -162,20 +169,14 @@ def _fault_plan(config: KdcChaosConfig, replicas: int) -> FaultPlan:
 
 
 def run_kdc_chaos_mode(
-    config: KdcChaosConfig,
-    replicas: int,
-    grace_period: float,
-    mode: str,
-    obs: Observability | None = None,
+    config: KdcChaosConfig, replicas: int, grace_period: float, mode: str
 ) -> KdcChaosResult:
-    """One full workload against a *replicas*-node KDC deployment.
-
-    The run's control-plane metrics (client request latency, failovers,
-    breaker state, view changes) land in *obs*, which rides along on the
-    result as a plain ``obs`` attribute (not a dataclass field, so
-    seeded-run ``asdict`` comparisons keep working).
-    """
-    obs = obs if obs is not None else Observability()
+    """One full workload against a *replicas*-node KDC deployment."""
+    if config.duration <= 0 or config.publish_rate <= 0:
+        raise ValueError("duration and publish rate must be positive")
+    if config.subscribers < 1:
+        raise ValueError("need at least one subscriber")
+    obs = Observability()
     sim = Simulator()
     injector = FaultInjector(
         sim, _fault_plan(config, replicas), seed=config.seed + 1
@@ -253,7 +254,7 @@ def run_kdc_chaos_mode(
     sim.schedule(config.tick_interval, tick)
     sim.run(until=config.duration + config.drain)
 
-    result = KdcChaosResult(
+    return KdcChaosResult(
         mode=mode,
         replicas=replicas,
         grace_period=grace_period,
@@ -270,28 +271,21 @@ def run_kdc_chaos_mode(
         view_changes=cluster.stats.view_changes,
         messages_lost=network.stats.lost,
         converged=cluster.converged(),
+        obs=obs,
     )
-    result.obs = obs
-    return result
 
 
 @dataclass
 class KdcChaosReport:
     """Everything one ``repro chaos --scenario kdc`` invocation measured."""
 
-    config: KdcChaosConfig
-    #: The epoch boundary the outage straddles.
-    boundary: float
     baseline: KdcChaosResult
     replicated: KdcChaosResult
 
 
-def run_kdc_chaos(config: KdcChaosConfig | None = None) -> KdcChaosReport:
+def run_kdc_chaos(config: KdcChaosConfig) -> KdcChaosReport:
     """Baseline (1 replica, no grace) vs replicated (N replicas + grace)."""
-    config = config if config is not None else KdcChaosConfig()
     return KdcChaosReport(
-        config=config,
-        boundary=config.boundary(),
         baseline=run_kdc_chaos_mode(
             config, replicas=1, grace_period=0.0, mode="single-kdc"
         ),
@@ -305,10 +299,7 @@ def run_kdc_chaos(config: KdcChaosConfig | None = None) -> KdcChaosReport:
 
 
 def _kdc_metrics_section(result: KdcChaosResult) -> str:
-    obs = getattr(result, "obs", None)
-    if obs is None:
-        return f"Metrics snapshot ({result.mode}): not collected"
-    registry = obs.registry
+    registry = result.obs.registry
     latencies = [
         h for h in registry.series("kdc_client_request_latency_seconds")
         if h.count
@@ -327,28 +318,30 @@ def _kdc_metrics_section(result: KdcChaosResult) -> str:
         f"Metrics snapshot ({result.mode})",
         f"  renewal latency : {latency}",
         f"  control plane   : "
-        f"{int(registry.total('kdc_client_requests_total'))} requests, "
-        f"{int(registry.total('kdc_client_retries_total'))} retries, "
-        f"{int(registry.total('kdc_client_failovers_total'))} failovers, "
-        f"{int(registry.total('kdc_client_timeouts_total'))} timeouts, "
-        f"{int(registry.total('kdc_client_breaker_opens_total'))} "
+        f"{counter_total(registry, 'kdc_client_requests_total')} requests, "
+        f"{counter_total(registry, 'kdc_client_retries_total')} retries, "
+        f"{counter_total(registry, 'kdc_client_failovers_total')} "
+        f"failovers, "
+        f"{counter_total(registry, 'kdc_client_timeouts_total')} timeouts, "
+        f"{counter_total(registry, 'kdc_client_breaker_opens_total')} "
         f"breaker opens",
         f"  cluster         : "
-        f"{int(registry.total('kdc_view_changes_total'))} view changes, "
+        f"{counter_total(registry, 'kdc_view_changes_total')} view changes, "
         f"final view {int(view.value) if view is not None else 0}",
     ]
     return "\n".join(lines)
 
 
-def format_kdc_chaos_report(report: KdcChaosReport) -> str:
+def format_kdc_chaos_report(
+    config: KdcChaosConfig, report: KdcChaosReport
+) -> str:
     """Render the KDC chaos report as a paper-style table."""
-    config = report.config
     header = (
         f"KDC chaos run: seed {config.seed}, {config.duration:.0f}s x "
         f"{config.publish_rate:.0f} ev/s to {config.subscribers} "
         f"subscribers, epoch {config.epoch_length:.1f}s, "
         f"{config.outage_duration:.1f}s outage straddling the boundary at "
-        f"t={report.boundary:.2f}s"
+        f"t={config.boundary():.2f}s"
     )
     rows = [
         (
@@ -373,3 +366,55 @@ def format_kdc_chaos_report(report: KdcChaosReport) -> str:
     return "\n\n".join(
         [header, table, _kdc_metrics_section(report.replicated)]
     )
+
+
+#: The replicated deployment's decrypt floor through the outage (what
+#: ``tests/harness/test_kdc_chaos.py`` held).
+MIN_REPLICATED_DECRYPT = 0.99
+
+
+def _replicated_decrypt(_config, report: KdcChaosReport) -> str | None:
+    rate = report.replicated.decrypt_rate
+    if rate < MIN_REPLICATED_DECRYPT:
+        return (
+            f"replicated decrypt rate {rate:.4f} below the "
+            f"{MIN_REPLICATED_DECRYPT:.2f} gate"
+        )
+    return None
+
+
+def _replication_helps(_config, report: KdcChaosReport) -> str | None:
+    single = report.baseline.decrypt_rate
+    replicated = report.replicated.decrypt_rate
+    if replicated <= single:
+        return (
+            f"replicated decrypt rate {replicated:.4f} is not above the "
+            f"single-KDC {single:.4f}: the outage never bit"
+        )
+    return None
+
+
+def _converged(_config, report: KdcChaosReport) -> str | None:
+    if not report.replicated.converged:
+        return "alive replicas ended with different registry logs"
+    return None
+
+
+SCENARIO = Scenario(
+    name="kdc",
+    description="key-service outage straddling an epoch boundary: "
+    "replicated KDC failover and decrypt success",
+    configure=lambda args: KdcChaosConfig(
+        seed=args.seed, duration=args.duration, publish_rate=args.rate,
+        replicas=args.kdc_replicas, subscribers=args.subscribers,
+        grace_period=args.grace, outage_duration=args.outage,
+    ),
+    run=run_kdc_chaos,
+    format=format_kdc_chaos_report,
+    gates=(
+        Gate("replicated-decrypt", _replicated_decrypt),
+        Gate("replication-helps", _replication_helps),
+        Gate("converged", _converged),
+    ),
+    snapshot=lambda report: report.replicated.obs.snapshot(),
+)

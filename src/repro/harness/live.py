@@ -10,15 +10,15 @@ in-process :class:`~repro.siena.network.BrokerTree` as the
 **reference**, and each subscriber's delivery stream -- the set of
 ``(publisher sequence, "open" | "unreadable")`` pairs -- is compared.
 
-``check_live`` encodes the acceptance gates, all absolute:
+``SCENARIO.gates`` are the acceptance gates, all absolute:
 
-- **completeness** -- every subscriber's live stream equals its
+- ``equivalence`` -- every subscriber's live stream equals its
   reference stream (nothing lost, duplicated or invented on the
   sockets);
-- **confidentiality** -- zero unauthorized opens: nobody opens an event
+- ``confidentiality`` -- zero unauthorized opens: nobody opens an event
   the reference run says they could not;
-- **zero unacked publications** -- the home broker acknowledged every
-  publish.
+- ``acked`` -- zero unacked publications: the home broker acknowledged
+  every publish.
 
 The workload derives from the config seed, so the streams are exactly
 reproducible; only wall-clock time varies between runs, and nothing
@@ -34,6 +34,7 @@ from repro.core.kdc import AuthorizationGrant
 from repro.core.ktid import KTID
 from repro.core.publisher import Publisher
 from repro.core.subscriber import Subscriber
+from repro.harness.scenario import Gate, Scenario, all_of
 from repro.routing.tokens import (
     TokenAuthority,
     grant_routing_filters,
@@ -258,9 +259,8 @@ async def _run_live(fixture: _Fixture, result: LiveResult) -> None:
     }
 
 
-def run_live(config: LiveConfig | None = None) -> LiveResult:
+def run_live(config: LiveConfig) -> LiveResult:
     """One workload through the reference tree and the socket tree."""
-    config = config if config is not None else LiveConfig()
     config.validate()
     fixture = _Fixture(config)
     result = LiveResult(reference=_run_reference(fixture))
@@ -268,27 +268,32 @@ def run_live(config: LiveConfig | None = None) -> LiveResult:
     return result
 
 
-def check_live(config: LiveConfig, result: LiveResult) -> list[str]:
-    """The acceptance gates; returns the list of violated ones."""
-    problems = []
-    for subscriber_id, (missing, extra) in result.diverged().items():
-        problems.append(
-            f"{subscriber_id}: socket-path stream diverges from the "
-            f"in-process reference ({missing} deliveries missing, "
-            f"{extra} extra)"
-        )
+def _equivalence(_config, result: LiveResult) -> str | None:
+    return all_of(
+        f"{subscriber_id}: socket-path stream diverges from the "
+        f"in-process reference ({missing} deliveries missing, "
+        f"{extra} extra)"
+        for subscriber_id, (missing, extra) in result.diverged().items()
+    )
+
+
+def _confidentiality(_config, result: LiveResult) -> str | None:
     unauthorized = result.unauthorized_opens()
     if unauthorized:
-        problems.append(
+        return (
             f"{unauthorized} events opened by subscribers the reference "
             "run says were unauthorized"
         )
+    return None
+
+
+def _acked(config: LiveConfig, result: LiveResult) -> str | None:
     if result.publisher_unacked:
-        problems.append(
+        return (
             f"{result.publisher_unacked} of {config.events} publications "
             "never acked by the home broker"
         )
-    return problems
+    return None
 
 
 def format_live_report(config: LiveConfig, result: LiveResult) -> str:
@@ -315,3 +320,22 @@ def format_live_report(config: LiveConfig, result: LiveResult) -> str:
         f"  unauthorized opens {result.unauthorized_opens()}",
         f"  unacked publishes  {result.publisher_unacked}",
     ])
+
+
+SCENARIO = Scenario(
+    name="live",
+    description="no faults, two transports: a loopback TCP tree must "
+    "deliver exactly the in-process reference streams, with zero "
+    "unauthorized opens",
+    configure=lambda args: LiveConfig(
+        seed=args.seed, events=int(args.duration * args.rate),
+        num_brokers=args.brokers, num_subscribers=args.subscribers,
+    ),
+    run=run_live,
+    format=format_live_report,
+    gates=(
+        Gate("equivalence", _equivalence),
+        Gate("confidentiality", _confidentiality),
+        Gate("acked", _acked),
+    ),
+)

@@ -25,7 +25,7 @@ overload stack promises:
 - **adaptation** -- an AIMD-paced publisher fed by shed signals sheds a
   smaller fraction of its storm than a fixed-rate one.
 
-``check_overload`` encodes those six gates; everything derives from the
+``SCENARIO.gates`` are those six, by name; everything derives from the
 config seed, so a run is exactly reproducible.
 """
 
@@ -43,7 +43,8 @@ from repro.flow import (
     priority_of,
     with_priority,
 )
-from repro.harness.reporting import format_table
+from repro.harness.reporting import counter_total, format_table
+from repro.harness.scenario import Gate, Scenario, all_of
 from repro.net.faults import BrokerSlowdown, FaultInjector, FaultPlan
 from repro.net.sim import Simulator
 from repro.net.simnet import SimulatedPubSub
@@ -180,13 +181,12 @@ class SweepPoint:
 class OverloadResult:
     """Outcome of one overload run (storm, sweep, slowdown, adaptive).
 
-    The headline run's :class:`~repro.obs.Observability` bundle rides
-    along as a plain ``obs`` attribute.
+    ``obs`` is the headline storm's metrics/tracing bundle; it takes no
+    part in ``==``, so two runs of one seed compare equal.
     """
 
     phases: list[PhaseStats] = field(default_factory=list)
     sweep: list[SweepPoint] = field(default_factory=list)
-    queue_capacity: int = 0
     peak_ingress_depth: int = 0
     peak_egress_depth: int = 0
     max_node_backlog: int = 0
@@ -204,6 +204,9 @@ class OverloadResult:
     adaptive_offered: int = 0
     adaptive_shed_fraction: float = 0.0
     adaptive_final_rate: float = 0.0
+    obs: Observability = field(
+        default_factory=Observability, compare=False, repr=False
+    )
 
     @property
     def storm_phase(self) -> PhaseStats:
@@ -312,10 +315,10 @@ def _ratio(delivered: int, expected: int) -> float:
     return delivered / expected if expected else 1.0
 
 
-def _run_storm_timeline(config: OverloadConfig, obs: Observability,
+def _run_storm_timeline(config: OverloadConfig,
                         result: OverloadResult) -> None:
     """Steady -> storm -> recover: the headline phase timeline."""
-    load = _Workload(config, obs)
+    load = _Workload(config, result.obs)
     timeline = [
         ("steady", config.steady_factor, config.steady_duration, 0.0),
         ("storm", config.storm_factor, config.storm_duration, 0.0),
@@ -344,7 +347,6 @@ def _run_storm_timeline(config: OverloadConfig, obs: Observability,
             overall_delivery=overall,
         ))
     net = load.net
-    result.queue_capacity = config.queue_capacity
     depths = net.flow_peak_depths().values()
     result.peak_ingress_depth = max(depths, default=0)
     result.peak_egress_depth = max(
@@ -461,27 +463,20 @@ def _run_adaptive_comparison(config: OverloadConfig,
     result.adaptive_final_rate = final_rate
 
 
-def run_overload(
-    config: OverloadConfig | None = None,
-    obs: Observability | None = None,
-) -> OverloadResult:
+def run_overload(config: OverloadConfig) -> OverloadResult:
     """One overload workload: storm timeline, sweep, slowdown, adaptive."""
-    config = config if config is not None else OverloadConfig()
     config.validate()
-    obs = obs if obs is not None else Observability()
     result = OverloadResult()
-    _run_storm_timeline(config, obs, result)
+    _run_storm_timeline(config, result)
     _run_sweep(config, result)
     _run_slowdown(config, result)
     _run_adaptive_comparison(config, result)
-    result.obs = obs
     return result
 
 
-def check_overload(
+def _bounded_queues(
     config: OverloadConfig, result: OverloadResult
-) -> list[str]:
-    """The acceptance gates; returns the list of violated ones."""
+) -> str | None:
     problems = []
     if result.peak_ingress_depth > config.queue_capacity:
         problems.append(
@@ -498,6 +493,15 @@ def check_overload(
             f"a broker CPU backlog reached {result.max_node_backlog}; "
             "the service pump must keep it O(1)"
         )
+    return all_of(problems)
+
+
+def _priority_protection(
+    config: OverloadConfig, result: OverloadResult
+) -> str | None:
+    """High-priority events ride out the storm and every sweep rung, and
+    the sheds that make room land on best-effort."""
+    problems = []
     storm = result.storm_phase
     if storm.high_delivery < config.min_high_delivery:
         problems.append(
@@ -509,19 +513,6 @@ def check_overload(
             "the storm shed nothing: offered load never exceeded "
             "capacity, so the run proves nothing"
         )
-    recovery = result.recovery_phase
-    if recovery.overall_delivery < config.min_recovery_delivery:
-        problems.append(
-            f"post-storm delivery {recovery.overall_delivery:.4f} below "
-            f"the {config.min_recovery_delivery:.2f} recovery gate"
-        )
-    if not result.queues_drained:
-        problems.append("queues still hold events after the drain window")
-    if result.breaker_final != "closed":
-        problems.append(
-            f"root breaker finished {result.breaker_final!r}, not closed"
-        )
-    previous = math.inf
     for point in result.sweep:
         if point.high_delivery < config.min_high_delivery:
             problems.append(
@@ -534,6 +525,15 @@ def check_overload(
                 f"{point.shed_fairness:.4f} below 0.95 (better-priority "
                 "events are being sacrificed)"
             )
+    return all_of(problems)
+
+
+def _graceful_degradation(
+    config: OverloadConfig, result: OverloadResult
+) -> str | None:
+    problems = []
+    previous = math.inf
+    for point in result.sweep:
         floor = config.degradation_floor * point.ideal_best_effort
         if point.best_effort_delivery < floor:
             problems.append(
@@ -547,6 +547,30 @@ def check_overload(
                 "is not degrading monotonically"
             )
         previous = point.best_effort_delivery
+    return all_of(problems)
+
+
+def _recovery(config: OverloadConfig, result: OverloadResult) -> str | None:
+    problems = []
+    recovery = result.recovery_phase
+    if recovery.overall_delivery < config.min_recovery_delivery:
+        problems.append(
+            f"post-storm delivery {recovery.overall_delivery:.4f} below "
+            f"the {config.min_recovery_delivery:.2f} recovery gate"
+        )
+    if not result.queues_drained:
+        problems.append("queues still hold events after the drain window")
+    if result.breaker_final != "closed":
+        problems.append(
+            f"root breaker finished {result.breaker_final!r}, not closed"
+        )
+    return all_of(problems)
+
+
+def _backpressure(
+    config: OverloadConfig, result: OverloadResult
+) -> str | None:
+    problems = []
     if result.credit_stalls == 0:
         problems.append(
             "the slowed-down broker never stalled its parent on credits"
@@ -555,15 +579,19 @@ def check_overload(
         problems.append(
             "the slow-broker run overflowed a bounded queue"
         )
+    return all_of(problems)
+
+
+def _adaptation(_config, result: OverloadResult) -> str | None:
     if result.static_shed_fraction > 0 and (
         result.adaptive_shed_fraction >= result.static_shed_fraction
     ):
-        problems.append(
+        return (
             f"AIMD pacing shed {result.adaptive_shed_fraction:.3f} of its "
             f"storm, not less than the fixed-rate "
             f"{result.static_shed_fraction:.3f}"
         )
-    return problems
+    return None
 
 
 def format_overload_report(
@@ -607,25 +635,43 @@ def format_overload_report(
         f"{result.adaptive_shed_fraction:.1%} shed, final rate "
         f"{result.adaptive_final_rate:.0f} ev/s",
     ])
-    obs = getattr(result, "obs", None)
-    if obs is None:
-        metrics = "Metrics snapshot (overload): not collected"
-    else:
-        registry = obs.registry
-        metrics = "\n".join([
-            "Metrics snapshot (overload)",
-            f"  sheds         : "
-            f"{int(registry.total('flow_shed_total'))} total "
-            f"(queues + admission)",
-            f"  queue peaks   : ingress {result.peak_ingress_depth}, "
-            f"egress {result.peak_egress_depth} "
-            f"(bound {result.queue_capacity})",
-            f"  breaker       : "
-            f"{int(registry.total('flow_breaker_transitions_total'))} "
-            f"transitions, finished {result.breaker_final}",
-            f"  cpu backlog   : peak {result.max_node_backlog} "
-            "(service pump)",
-        ])
+    registry = result.obs.registry
+    metrics = "\n".join([
+        "Metrics snapshot (overload)",
+        f"  sheds         : "
+        f"{counter_total(registry, 'flow_shed_total')} total "
+        f"(queues + admission)",
+        f"  queue peaks   : ingress {result.peak_ingress_depth}, "
+        f"egress {result.peak_egress_depth} "
+        f"(bound {config.queue_capacity})",
+        f"  breaker       : "
+        f"{counter_total(registry, 'flow_breaker_transitions_total')} "
+        f"transitions, finished {result.breaker_final}",
+        f"  cpu backlog   : peak {result.max_node_backlog} "
+        "(service pump)",
+    ])
     return "\n\n".join(
         [header, phase_table, sweep_table, backpressure, metrics]
     )
+
+
+SCENARIO = Scenario(
+    name="overload",
+    description="publisher storm at a multiple of sustainable rate: "
+    "bounded queues, priority protection, graceful degradation, "
+    "post-storm recovery",
+    configure=lambda args: OverloadConfig(
+        seed=args.seed, storm_factor=args.storm_factor
+    ),
+    run=run_overload,
+    format=format_overload_report,
+    gates=(
+        Gate("bounded-queues", _bounded_queues),
+        Gate("priority-protection", _priority_protection),
+        Gate("graceful-degradation", _graceful_degradation),
+        Gate("recovery", _recovery),
+        Gate("backpressure", _backpressure),
+        Gate("adaptation", _adaptation),
+    ),
+    snapshot=lambda result: result.obs.snapshot(),
+)

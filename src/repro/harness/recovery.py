@@ -21,10 +21,10 @@ the self-healing story end to end:
   surfaced deliveries while the suppression counters show the machinery
   actually worked.
 
-``check_recovery`` encodes the acceptance gates: delivery ratio at
-least ``min_delivery_rate`` (default 99%), zero surfaced duplicates at
-any subscriber, and every permanent kill repaired (finite convergence
-time reported through the ``recovery_convergence_seconds`` histogram).
+``SCENARIO.gates`` are the acceptance gates: delivery ratio at least
+``min_delivery_rate`` (default 99%), zero surfaced duplicates at any
+subscriber, and every permanent kill repaired (finite convergence time
+reported through the ``recovery_convergence_seconds`` histogram).
 Everything derives from the config seed, so a run is exactly
 reproducible.
 """
@@ -35,20 +35,23 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from repro.harness.reporting import format_table
+from repro.harness.chaos import run_timed_tree
+from repro.harness.reporting import (
+    counter_total,
+    format_quantiles,
+    format_table,
+)
+from repro.harness.scenario import Gate, Scenario, all_of
 from repro.net.faults import (
     BrokerCrash,
-    FaultInjector,
     FaultPlan,
     LinkFault,
     PartitionFault,
 )
-from repro.net.sim import Simulator
-from repro.net.simnet import RetryPolicy, SimulatedPubSub
+from repro.net.simnet import RetryPolicy
 from repro.obs import Observability
 from repro.recovery import JournalStore, RepairPolicy
-from repro.siena.events import Event
-from repro.siena.filters import Filter
+from repro.recovery.repair import RepairRecord
 
 
 @dataclass
@@ -90,7 +93,7 @@ class RecoveryConfig:
     # Journal shape.
     snapshot_every: int = 64
     inflight_capacity: int = 512
-    #: The delivery-ratio gate for ``check_recovery``.
+    #: The floor of the ``delivery`` gate.
     min_delivery_rate: float = 0.99
     # Fast heartbeats (as in the chaos harness) so detection completes
     # well inside the repair timer; jittered so post-partition flushes
@@ -128,11 +131,8 @@ class RecoveryConfig:
 class RecoveryResult:
     """Outcome of one recovery run.
 
-    The run's :class:`~repro.obs.Observability` bundle and the
-    coordinator's :class:`~repro.recovery.repair.RepairRecord` list ride
-    along as plain ``obs``/``records`` attributes (not dataclass fields,
-    so ``dataclasses.asdict`` equality between seeded runs compares only
-    the measured numbers).
+    ``obs`` is the run's metrics/tracing bundle; it takes no part in
+    ``==``, so two runs of one seed compare equal on what they measured.
     """
 
     expected: int
@@ -157,8 +157,12 @@ class RecoveryResult:
     false_alarms: int
     failures_detected: int
     recoveries_detected: int
-    #: Slowest crash-to-repaired time; NaN when nothing was repaired.
+    #: Slowest crash-to-repaired time; NaN (which makes a result unequal
+    #: to itself) only when nothing was repaired.
     max_convergence: float
+    #: The coordinator's repair log, one record per attempt.
+    records: list[RepairRecord]
+    obs: Observability = field(compare=False, repr=False)
 
     @property
     def delivery_rate(self) -> float:
@@ -189,50 +193,25 @@ def _recovery_fault_plan(config: RecoveryConfig) -> FaultPlan:
     )
 
 
-def run_recovery(
-    config: RecoveryConfig | None = None,
-    obs: Observability | None = None,
-) -> RecoveryResult:
+def run_recovery(config: RecoveryConfig) -> RecoveryResult:
     """One self-healing workload: permanent kills + partition + repair."""
-    config = config if config is not None else RecoveryConfig()
     config.validate()
-    obs = obs if obs is not None else Observability()
-    sim = Simulator()
-    injector = FaultInjector(
-        sim, _recovery_fault_plan(config), seed=config.seed + 1
-    )
+    obs = Observability()
     journals = JournalStore(
         snapshot_every=config.snapshot_every,
         inflight_capacity=config.inflight_capacity,
         registry=obs.registry,
     )
-    net = SimulatedPubSub(
-        sim,
-        config.num_brokers,
-        arity=config.arity,
-        link_latency=config.hop_latency,
+    net, expected = run_timed_tree(
+        config,
+        _recovery_fault_plan(config),
+        obs,
+        topic="recovery",
         reliability=replace(config.retry),
-        faults=injector,
-        seed=config.seed + 2,
-        obs=obs,
         journals=journals,
         repair=RepairPolicy(repair_after=config.repair_after),
         dedup_window=config.dedup_window,
     )
-    injector.install()
-    subscription = Filter.topic("recovery")
-    leaves = net.leaf_ids()
-    for index, leaf in enumerate(leaves):
-        subscriber_id = f"sub{index}"
-        net.attach_subscriber(subscriber_id, leaf)
-        net.subscribe(subscriber_id, subscription)
-    for k in range(config.events):
-        net.publish(
-            Event({"topic": "recovery", "k": k}),
-            delay=k / config.publish_rate,
-        )
-    sim.run(until=config.duration + config.drain)
-
     collisions = sum(
         count - 1
         for count in Counter(
@@ -241,11 +220,11 @@ def run_recovery(
         if count > 1
     )
     coordinator = net.repair
-    records = coordinator.records if coordinator is not None else []
+    records = list(coordinator.records)
     converged = [record for record in records if record.converged]
     stats = net.rstats
-    result = RecoveryResult(
-        expected=config.events * len(leaves),
+    return RecoveryResult(
+        expected=expected,
         delivered=len(net.deliveries),
         duplicate_collisions=collisions,
         duplicates_suppressed=stats.duplicate_deliveries,
@@ -263,38 +242,37 @@ def run_recovery(
         inflight_replayed=sum(
             record.inflight_replayed for record in converged
         ),
-        false_alarms=(
-            coordinator.false_alarms if coordinator is not None else 0
-        ),
+        false_alarms=coordinator.false_alarms,
         failures_detected=stats.failures_detected,
         recoveries_detected=stats.recoveries_detected,
-        max_convergence=(
-            coordinator.max_convergence_time()
-            if coordinator is not None
-            else float("nan")
-        ),
+        max_convergence=coordinator.max_convergence_time(),
+        records=records,
+        obs=obs,
     )
-    result.obs = obs
-    result.records = list(records)
-    return result
 
 
-def check_recovery(
-    config: RecoveryConfig, result: RecoveryResult
-) -> list[str]:
-    """The acceptance gates; returns the list of violated ones."""
-    problems = []
+def _delivery(config: RecoveryConfig, result: RecoveryResult) -> str | None:
     if result.delivery_rate < config.min_delivery_rate:
-        problems.append(
+        return (
             f"delivery rate {result.delivery_rate:.4f} below the "
             f"{config.min_delivery_rate:.2f} gate "
             f"({result.delivered}/{result.expected})"
         )
+    return None
+
+
+def _exactly_once(_config, result: RecoveryResult) -> str | None:
     if result.duplicate_collisions != 0:
-        problems.append(
+        return (
             f"{result.duplicate_collisions} duplicate deliveries surfaced "
             "at subscribers (exactly-once gate demands zero)"
         )
+    return None
+
+
+def _repair(config: RecoveryConfig, result: RecoveryResult) -> str | None:
+    """Every permanent kill repaired, by a live adopter, in finite time."""
+    problems = []
     if result.repairs_converged != len(config.kill_brokers):
         problems.append(
             f"{result.repairs_converged} repairs converged for "
@@ -308,27 +286,11 @@ def check_recovery(
         result.max_convergence
     ):
         problems.append("repair convergence time was not recorded")
-    return problems
+    return all_of(problems)
 
 
 def _format_seconds(value: float) -> str:
     return f"{value:.3f}s" if math.isfinite(value) else "n/a"
-
-
-def _counter_total(registry, name: str) -> int:
-    return int(registry.total(name))
-
-
-def _format_convergence(registry) -> str:
-    series = registry.series("recovery_convergence_seconds")
-    histogram = series[0] if series else None
-    if histogram is None or not histogram.count:
-        return "no observations"
-    quantiles = " ".join(
-        f"p{int(q * 100)}={histogram.quantile(q):.3f}s"
-        for q in histogram.tracked_quantiles
-    )
-    return f"{quantiles} (n={histogram.count})"
 
 
 def format_recovery_report(
@@ -368,7 +330,7 @@ def format_recovery_report(
             record.inflight_replayed,
             _format_seconds(record.convergence_time),
         )
-        for record in getattr(result, "records", [])
+        for record in result.records
     ] or [("-", "-", 0, 0, 0, "n/a")]
     repair_table = format_table(
         ["dead", "adopter", "orphans", "rehomed", "replayed",
@@ -377,28 +339,45 @@ def format_recovery_report(
         title=f"Tree repairs ({result.repairs_converged} converged, "
         f"{result.false_alarms} partition false alarms)",
     )
-    obs = getattr(result, "obs", None)
-    if obs is None:
-        metrics = "Metrics snapshot (recovery): not collected"
-    else:
-        registry = obs.registry
-        metrics = "\n".join([
-            "Metrics snapshot (recovery)",
-            f"  convergence   : {_format_convergence(registry)}",
-            f"  repairs       : "
-            f"{_counter_total(registry, 'recovery_repairs_total')} total, "
-            f"{_counter_total(registry, 'recovery_reparent_total')} "
-            f"reparented, "
-            f"{_counter_total(registry, 'recovery_false_alarms_total')} "
-            f"false alarms",
-            f"  journal       : "
-            f"{_counter_total(registry, 'journal_records_total')} records, "
-            f"{_counter_total(registry, 'journal_replays_total')} replays, "
-            f"{result.journal_restores} restarts restored",
-            f"  dedup         : "
-            f"{_counter_total(registry, 'dedup_suppressed_total')} "
-            f"suppressed, "
-            f"{_counter_total(registry, 'net_retx_evicted_total')} parked "
-            f"evictions",
-        ])
+    registry = result.obs.registry
+    convergence = registry.series("recovery_convergence_seconds")
+    metrics = "\n".join([
+        "Metrics snapshot (recovery)",
+        f"  convergence   : "
+        f"{format_quantiles(convergence[0] if convergence else None, 's')}",
+        f"  repairs       : "
+        f"{counter_total(registry, 'recovery_repairs_total')} total, "
+        f"{counter_total(registry, 'recovery_reparent_total')} "
+        f"reparented, "
+        f"{counter_total(registry, 'recovery_false_alarms_total')} "
+        f"false alarms",
+        f"  journal       : "
+        f"{counter_total(registry, 'journal_records_total')} records, "
+        f"{counter_total(registry, 'journal_replays_total')} replays, "
+        f"{result.journal_restores} restarts restored",
+        f"  dedup         : "
+        f"{counter_total(registry, 'dedup_suppressed_total')} "
+        f"suppressed, "
+        f"{counter_total(registry, 'net_retx_evicted_total')} parked "
+        f"evictions",
+    ])
     return "\n\n".join([header, delivery_table, repair_table, metrics])
+
+
+SCENARIO = Scenario(
+    name="recovery",
+    description="permanent broker kills + a partition: tree repair, "
+    "durable journals, exactly-once delivery",
+    configure=lambda args: RecoveryConfig(
+        seed=args.seed, duration=args.duration, publish_rate=args.rate,
+        num_brokers=args.brokers, link_loss=args.link_loss,
+    ),
+    run=run_recovery,
+    format=format_recovery_report,
+    gates=(
+        Gate("delivery", _delivery),
+        Gate("exactly-once", _exactly_once),
+        Gate("repair", _repair),
+    ),
+    snapshot=lambda result: result.obs.snapshot(),
+)

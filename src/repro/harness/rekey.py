@@ -18,16 +18,19 @@ drives membership churn while events are flowing:
   survivors' pre-expiry lead window), after which the grant plane is
   settle-barrier flushed -- no sleeps anywhere.
 
-Gates (``repro chaos --scenario rekey --check``):
+Gates (``SCENARIO.gates``; ``repro chaos --scenario rekey --check``):
 
-- **zero unauthorized opens**: the victim never opens an event sealed
-  in an epoch after its revocation;
-- **no delivery gap**: every survivor opens >= 99% of all tranches
-  (in this deterministic choreography that ratio is exactly 1.0 unless
-  something is broken);
-- **>= 3 live rollovers** actually crossed;
-- the joiner sees exactly the post-join tranches, the leaver exactly
-  the pre-leave tranches, and no survivor renewal ever failed.
+- ``rollovers``: >= 3 live rollovers actually crossed;
+- ``lazy-revocation``: zero unauthorized opens -- the victim never opens
+  an event sealed in an epoch after its revocation -- and its boundary
+  renewal is denied exactly once;
+- ``survivor-delivery``: no delivery gap -- every survivor opens >= 99%
+  of all tranches (in this deterministic choreography that ratio is
+  exactly 1.0 unless something is broken) and no survivor renewal ever
+  failed or was denied;
+- ``join-leave``: the joiner sees exactly the post-join tranches, the
+  leaver exactly the pre-leave tranches;
+- ``acked``: every publication was acknowledged.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from repro.core.composite import CompositeKeySpace
 from repro.core.kdc import KDC
 from repro.core.nakt import NumericKeySpace
 from repro.core.renewal import RenewalPolicy
+from repro.harness.scenario import Gate, Scenario, all_of
 from repro.obs.metrics import MetricsRegistry
 from repro.rekey.client import KdcChannel
 from repro.routing.tokens import TokenAuthority
@@ -107,7 +111,10 @@ class RekeyChaosResult:
     #: Wall-clock request->install seconds per granted renewal.
     grant_latencies_s: list[float] = field(default_factory=list)
     unacked_publications: int = 0
-    registry: MetricsRegistry | None = None
+    #: The cluster's ``rekey_*``/``rtnet_*`` metrics; no part of ``==``.
+    registry: MetricsRegistry = field(
+        default_factory=MetricsRegistry, compare=False, repr=False
+    )
 
     # -- derived gates -------------------------------------------------------
 
@@ -137,7 +144,6 @@ class RekeyChaosResult:
 def run_rekey_chaos(config: RekeyChaosConfig) -> RekeyChaosResult:
     """Execute the churn choreography on a live loopback cluster."""
     rng = random.Random(config.seed)
-    registry = MetricsRegistry()
     kdc = KDC(master_key=bytes(range(16)))
     kdc.register_topic(
         TOPIC,
@@ -146,8 +152,8 @@ def run_rekey_chaos(config: RekeyChaosConfig) -> RekeyChaosResult:
     )
     authority = TokenAuthority(kdc.master_key)
     policy = RenewalPolicy(lead=config.renew_lead, grace=config.grace)
-    result = RekeyChaosResult(registry=registry)
-    result.events_per_tranche = config.events_per_epoch
+    result = RekeyChaosResult(events_per_tranche=config.events_per_epoch)
+    registry = result.registry
 
     def schema_lookup(topic: str):
         return kdc.config_for(topic).schema
@@ -305,21 +311,30 @@ def run_rekey_chaos(config: RekeyChaosConfig) -> RekeyChaosResult:
     return result
 
 
-def check_rekey(
-    config: RekeyChaosConfig, result: RekeyChaosResult
-) -> list[str]:
-    """The churn acceptance gates; empty means the run passed."""
-    problems: list[str] = []
+def _rollovers(_config, result: RekeyChaosResult) -> str | None:
     if result.rollovers_completed < 3:
-        problems.append(
-            f"only {result.rollovers_completed} live rollovers (need >= 3)"
-        )
+        return f"only {result.rollovers_completed} live rollovers (need >= 3)"
+    return None
+
+
+def _lazy_revocation(_config, result: RekeyChaosResult) -> str | None:
+    problems = []
     unauthorized = result.unauthorized_opens()
     if unauthorized:
         problems.append(
             f"revoked subscriber opened {unauthorized} post-revocation "
             "events (lazy revocation must deny the next epoch)"
         )
+    if result.victim is not None and result.victim.renewals_denied != 1:
+        problems.append(
+            "victim's boundary renewal was not denied exactly once "
+            f"(got {result.victim.renewals_denied})"
+        )
+    return all_of(problems)
+
+
+def _survivor_delivery(_config, result: RekeyChaosResult) -> str | None:
+    problems = []
     ratio = result.survivor_delivery_ratio()
     if ratio < 0.99:
         problems.append(
@@ -335,11 +350,11 @@ def check_rekey(
             problems.append(
                 f"{tally.subscriber_id}: renewal denied without revocation"
             )
-    if result.victim is not None and result.victim.renewals_denied != 1:
-        problems.append(
-            "victim's boundary renewal was not denied exactly once "
-            f"(got {result.victim.renewals_denied})"
-        )
+    return all_of(problems)
+
+
+def _join_leave(_config, result: RekeyChaosResult) -> str | None:
+    problems = []
     if result.joiner is not None:
         early = sum(
             count
@@ -365,11 +380,13 @@ def check_rekey(
         )
         if late:
             problems.append(f"leaver received {late} post-leave events")
+    return all_of(problems)
+
+
+def _acked(_config, result: RekeyChaosResult) -> str | None:
     if result.unacked_publications:
-        problems.append(
-            f"{result.unacked_publications} publications never acked"
-        )
-    return problems
+        return f"{result.unacked_publications} publications never acked"
+    return None
 
 
 def format_rekey_report(
@@ -420,3 +437,22 @@ def format_rekey_report(
             f"{len(ordered)} grants"
         )
     return "\n".join(lines)
+
+
+SCENARIO = Scenario(
+    name="rekey",
+    description="live membership churn over real sockets: epoch "
+    "rollovers, in-band grant renewal, lazy revocation, mid-stream "
+    "join/leave",
+    configure=lambda args: RekeyChaosConfig(seed=args.seed, grace=args.grace),
+    run=run_rekey_chaos,
+    format=format_rekey_report,
+    gates=(
+        Gate("rollovers", _rollovers),
+        Gate("lazy-revocation", _lazy_revocation),
+        Gate("survivor-delivery", _survivor_delivery),
+        Gate("join-leave", _join_leave),
+        Gate("acked", _acked),
+    ),
+    snapshot=lambda result: result.registry.snapshot(),
+)

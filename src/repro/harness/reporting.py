@@ -1,4 +1,4 @@
-"""Paper-style table formatting for benchmark output."""
+"""Paper-style tables and the metric fragments harness reports share."""
 
 from __future__ import annotations
 
@@ -46,3 +46,24 @@ def format_table(
     parts.append(line(["-" * width for width in widths]))
     parts.extend(line(row) for row in rendered_rows)
     return "\n".join(parts)
+
+
+def format_quantiles(histogram, unit: str = "ms") -> str:
+    """``p50=... p95=... p99=... (n=...)`` of one histogram of seconds.
+
+    *histogram* may be ``None`` (the series was never created); *unit*
+    is ``"ms"`` (one decimal) or ``"s"`` (three).
+    """
+    if histogram is None or not histogram.count:
+        return "no observations"
+    scale, digits = (1e3, 1) if unit == "ms" else (1.0, 3)
+    quantiles = " ".join(
+        f"p{int(q * 100)}={histogram.quantile(q) * scale:.{digits}f}{unit}"
+        for q in histogram.tracked_quantiles
+    )
+    return f"{quantiles} (n={histogram.count})"
+
+
+def counter_total(registry, name: str) -> int:
+    """The sum over every label set of counter *name*, as an integer."""
+    return int(registry.total(name))

@@ -193,16 +193,6 @@ class ReliabilityStats(RegistryBackedStats):
         self.detection_latencies: list[float] = []
         self.recovery_latencies: list[float] = []
 
-    def mean_detection_latency(self) -> float:
-        if not self.detection_latencies:
-            return float("nan")
-        return sum(self.detection_latencies) / len(self.detection_latencies)
-
-    def mean_recovery_latency(self) -> float:
-        if not self.recovery_latencies:
-            return float("nan")
-        return sum(self.recovery_latencies) / len(self.recovery_latencies)
-
     def __eq__(self, other) -> bool:
         base = super().__eq__(other)
         if base is not True:

@@ -27,26 +27,25 @@ def snapshot(
     return document
 
 
+def json_safe(value):
+    """*value* with every non-finite float replaced by ``None``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: json_safe(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [json_safe(item) for item in value]
+    return value
+
+
 def to_json(
     registry: MetricsRegistry,
     tracer: Tracer | None = None,
     indent: int | None = 2,
 ) -> str:
     """The snapshot as a JSON string (NaN-free: NaN renders as null)."""
-
-    def scrub(value):
-        if isinstance(value, float) and (
-            math.isnan(value) or math.isinf(value)
-        ):
-            return None
-        if isinstance(value, dict):
-            return {key: scrub(item) for key, item in value.items()}
-        if isinstance(value, list):
-            return [scrub(item) for item in value]
-        return value
-
     return json.dumps(
-        scrub(snapshot(registry, tracer)), indent=indent, sort_keys=True
+        json_safe(snapshot(registry, tracer)), indent=indent, sort_keys=True
     )
 
 

@@ -226,18 +226,35 @@ class Histogram:
     def tracked_quantiles(self) -> tuple[float, ...]:
         return tuple(self._quantiles)
 
+    def _estimates(self) -> dict[float, float]:
+        """Tracked quantile -> estimate, made consistent on the read side.
+
+        The quantiles are tracked by independent estimators, which at
+        small counts can cross (p99 under p95) or overshoot an extreme;
+        each is reported as no less than the next-lower tracked one and
+        within ``[min, max]``.  ``observe`` stays untouched.
+        """
+        estimates = {}
+        floor = self.min
+        for q in sorted(self._quantiles):
+            value = self._quantiles[q].value
+            if self.count:
+                floor = value = min(max(value, floor), self.max)
+            estimates[q] = value
+        return estimates
+
     def quantile(self, q: float) -> float:
         """The streaming estimate for tracked quantile *q*."""
-        estimator = self._quantiles.get(q)
-        if estimator is None:
+        if q not in self._quantiles:
             raise KeyError(
                 f"quantile {q} is not tracked by {self.name} "
                 f"(tracked: {sorted(self._quantiles)})"
             )
-        return estimator.value
+        return self._estimates()[q]
 
     def snapshot(self) -> dict:
         """A JSON-able summary of the distribution."""
+        estimates = self._estimates()
         return {
             "count": self.count,
             "sum": self.sum,
@@ -245,8 +262,7 @@ class Histogram:
             "max": self.max if self.count else None,
             "mean": self.mean if self.count else None,
             "quantiles": {
-                f"p{int(q * 100)}": estimator.value
-                for q, estimator in self._quantiles.items()
+                f"p{int(q * 100)}": estimates[q] for q in self._quantiles
             },
         }
 

@@ -12,6 +12,7 @@ import dataclasses
 import pytest
 
 from repro.harness.chaos import (
+    SCENARIO,
     ChaosConfig,
     format_chaos_report,
     run_chaos,
@@ -73,10 +74,11 @@ def test_chaos_run_is_deterministic():
     small = ChaosConfig(seed=11, duration=1.0, drain=1.5)
     first = run_tree_chaos(small, reliable=True)
     second = run_tree_chaos(small, reliable=True)
-    assert dataclasses.asdict(first) == dataclasses.asdict(second)
+    assert first == second
+    assert first.obs is not second.obs
     multi_a = run_multipath_chaos(small, reliable=True, redundancy=2)
     multi_b = run_multipath_chaos(small, reliable=True, redundancy=2)
-    assert dataclasses.asdict(multi_a) == dataclasses.asdict(multi_b)
+    assert multi_a == multi_b
 
 
 def test_different_seeds_inject_different_faults():
@@ -84,13 +86,25 @@ def test_different_seeds_inject_different_faults():
                        reliable=False)
     b = run_tree_chaos(ChaosConfig(seed=2, duration=1.0, drain=1.5),
                        reliable=False)
-    assert dataclasses.asdict(a) != dataclasses.asdict(b)
+    assert a != b
 
 
 def test_report_formatting_prints_both_rates(report):
-    text = format_chaos_report(report)
+    text = format_chaos_report(_CONFIG, report)
     assert "delivery" in text
     assert "fire-and-forget" in text
     assert "reliable" in text
     assert f"{report.multipath_reliable.delivery_rate:.2f}" in text
     assert f"{report.multipath_baseline.delivery_rate:.2f}" in text
+
+
+def test_gates_pass_and_catch_violations(report):
+    assert SCENARIO.violations(_CONFIG, report) == []
+    # A "reliable" run no better than fire-and-forget trips both gates.
+    unreliable = dataclasses.replace(
+        report, tree_reliable=report.tree_baseline
+    )
+    problems = dict(SCENARIO.violations(_CONFIG, unreliable))
+    assert set(problems) == {"reliable-delivery", "baseline-degrades"}
+    assert "reliable tree delivery" in problems["reliable-delivery"]
+    assert "multipath" not in problems["baseline-degrades"]

@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 from repro.harness.kdcchaos import (
+    SCENARIO,
     KdcChaosConfig,
     format_kdc_chaos_report,
     run_kdc_chaos,
@@ -20,6 +21,13 @@ def test_replicated_meets_sla_while_baseline_degrades():
     assert report.replicated.decrypt_rate >= 0.99
     assert report.baseline.decrypt_rate < 0.97  # measurably degraded
     assert report.replicated.decrypt_rate > report.baseline.decrypt_rate
+    assert SCENARIO.violations(CONFIG, report) == []
+    # Swapped, the same numbers trip the decrypt floor and the comparison.
+    swapped = replace(
+        report, baseline=report.replicated, replicated=report.baseline
+    )
+    assert [gate for gate, _problem in SCENARIO.violations(CONFIG, swapped)] \
+        == ["replicated-decrypt", "replication-helps"]
 
 
 def test_outage_straddles_an_epoch_boundary():
@@ -54,8 +62,7 @@ def test_baseline_without_grace_misses_boundary_traffic():
 def test_same_seed_reproduces_every_counter():
     first = run_kdc_chaos(CONFIG)
     second = run_kdc_chaos(CONFIG)
-    assert first.baseline == second.baseline
-    assert first.replicated == second.replicated
+    assert first == second
 
 
 def test_different_seed_changes_jitter_but_not_the_sla():
@@ -65,7 +72,7 @@ def test_different_seed_changes_jitter_but_not_the_sla():
 
 def test_report_formatting():
     report = run_kdc_chaos(CONFIG)
-    text = format_kdc_chaos_report(report)
+    text = format_kdc_chaos_report(CONFIG, report)
     assert "KDC chaos run" in text
     assert "single-kdc" in text
     assert "replicated" in text

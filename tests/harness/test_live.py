@@ -12,8 +12,8 @@ import copy
 import pytest
 
 from repro.harness.live import (
+    SCENARIO,
     LiveConfig,
-    check_live,
     format_live_report,
     run_live,
 )
@@ -45,7 +45,7 @@ def test_small_run_is_equivalent_with_zero_unauthorized_opens(result):
     assert result.diverged() == {}
     assert result.unauthorized_opens() == 0
     assert result.publisher_unacked == 0
-    assert check_live(_CONFIG, result) == []
+    assert SCENARIO.violations(_CONFIG, result) == []
     # The run proves something: events were opened, and token routing
     # also delivered events the receiver's grant could not open.
     verdicts = {
@@ -58,11 +58,11 @@ def test_gate_flags_a_delivery_missing_from_the_live_stream(result):
     subscriber_id, entry = _some_delivery(result, "open")
     lossy = copy.deepcopy(result)
     lossy.live[subscriber_id].remove(entry)
-    problems = check_live(_CONFIG, lossy)
-    assert problems == [
+    assert SCENARIO.violations(_CONFIG, lossy) == [(
+        "equivalence",
         f"{subscriber_id}: socket-path stream diverges from the "
-        "in-process reference (1 deliveries missing, 0 extra)"
-    ]
+        "in-process reference (1 deliveries missing, 0 extra)",
+    )]
 
 
 def test_gate_flags_an_open_the_reference_lacks(result):
@@ -73,23 +73,25 @@ def test_gate_flags_an_open_the_reference_lacks(result):
     leaky.live[subscriber_id].remove((sequence, "unreadable"))
     leaky.live[subscriber_id].add((sequence, "open"))
     assert leaky.unauthorized_opens() == 1
-    problems = check_live(_CONFIG, leaky)
-    assert len(problems) == 2
-    assert "1 deliveries missing, 1 extra" in problems[0]
-    assert problems[1].startswith("1 events opened by subscribers")
+    problems = dict(SCENARIO.violations(_CONFIG, leaky))
+    assert set(problems) == {"equivalence", "confidentiality"}
+    assert "1 deliveries missing, 1 extra" in problems["equivalence"]
+    assert problems["confidentiality"].startswith(
+        "1 events opened by subscribers"
+    )
     assert "DIVERGED at 1 subscribers" in format_live_report(_CONFIG, leaky)
 
 
 def test_gate_flags_unacked_publications(result):
     stuck = copy.deepcopy(result)
     stuck.publisher_unacked = 2
-    assert check_live(_CONFIG, stuck) == [
-        "2 of 30 publications never acked by the home broker"
+    assert SCENARIO.violations(_CONFIG, stuck) == [
+        ("acked", "2 of 30 publications never acked by the home broker")
     ]
 
 
 def test_seeded_streams_are_identical_across_runs(result):
-    assert run_live(_CONFIG).reference == result.reference
+    assert run_live(_CONFIG) == result
 
 
 def test_report_renders_the_gated_numbers(result):

@@ -14,8 +14,8 @@ import dataclasses
 import pytest
 
 from repro.harness.overload import (
+    SCENARIO,
     OverloadConfig,
-    check_overload,
     format_overload_report,
     run_overload,
 )
@@ -81,13 +81,13 @@ def test_aimd_pacing_sheds_less_than_fixed_rate(result):
 
 
 def test_gates_pass_and_catch_violations(result):
-    assert check_overload(_CONFIG, result) == []
+    assert SCENARIO.violations(_CONFIG, result) == []
     broken = dataclasses.replace(_CONFIG, min_high_delivery=1.01)
-    problems = check_overload(broken, result)
-    assert any("high-priority" in problem for problem in problems)
+    (gate, problem), = SCENARIO.violations(broken, result)
+    assert gate == "priority-protection" and "high-priority" in problem
     strict = dataclasses.replace(_CONFIG, degradation_floor=2.0)
-    problems = check_overload(strict, result)
-    assert any("cliff" in problem for problem in problems)
+    (gate, problem), = SCENARIO.violations(strict, result)
+    assert gate == "graceful-degradation" and "cliff" in problem
 
 
 def test_six_x_rung_protects_high_priority_and_sheds_fairly(result):
@@ -110,15 +110,15 @@ def test_gate_flags_sacrificed_high_priority_events(result):
     unfair = dataclasses.replace(
         result, sweep=[*result.sweep[:-1], sacrificed]
     )
-    problems = check_overload(_CONFIG, unfair)
-    assert len(problems) == 1
-    assert "sweep factor 6: shed fairness" in problems[0]
-    assert "sacrificed" in problems[0]
+    (gate, problem), = SCENARIO.violations(_CONFIG, unfair)
+    assert gate == "priority-protection"
+    assert problem.startswith("sweep factor 6: shed fairness")
+    assert "sacrificed" in problem and ";" not in problem
 
 
 def test_seeded_runs_are_identical(result):
     again = run_overload(OverloadConfig(seed=7))
-    assert dataclasses.asdict(again) == dataclasses.asdict(result)
+    assert again == result
 
 
 def test_report_renders_the_gated_numbers(result):

@@ -14,8 +14,8 @@ import math
 import pytest
 
 from repro.harness.recovery import (
+    SCENARIO,
     RecoveryConfig,
-    check_recovery,
     format_recovery_report,
     run_recovery,
 )
@@ -64,24 +64,21 @@ def test_journals_were_exercised(result):
 
 
 def test_gates_pass_and_catch_violations(result):
-    assert check_recovery(_CONFIG, result) == []
+    assert SCENARIO.violations(_CONFIG, result) == []
     strict = dataclasses.replace(_CONFIG, min_delivery_rate=1.01)
-    assert any(
-        "delivery rate" in problem
-        for problem in check_recovery(strict, result)
-    )
+    (gate, problem), = SCENARIO.violations(strict, result)
+    assert gate == "delivery" and "delivery rate" in problem
     three_kills = dataclasses.replace(
         _CONFIG, kill_brokers=(1, 6, 5), kill_times=(0.1, 0.2, 0.3)
     )
-    assert any(
-        "repairs converged" in problem
-        for problem in check_recovery(three_kills, result)
-    )
+    (gate, problem), = SCENARIO.violations(three_kills, result)
+    assert gate == "repair" and "repairs converged" in problem
 
 
 def test_seeded_runs_are_identical(result):
     again = run_recovery(RecoveryConfig(seed=7))
-    assert dataclasses.asdict(again) == dataclasses.asdict(result)
+    assert again == result
+    assert again.records == result.records and again.obs is not result.obs
 
 
 def test_report_renders_the_gated_numbers(result):

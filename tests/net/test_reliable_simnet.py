@@ -114,8 +114,8 @@ def test_crash_detection_parking_and_recovery():
     assert stats.parked > 0
     assert stats.parked_flushes > 0
     assert stats.subscriptions_replayed > 0
-    assert stats.mean_detection_latency() > 0
-    assert stats.mean_recovery_latency() >= 0
+    assert min(stats.detection_latencies) > 0
+    assert min(stats.recovery_latencies) >= 0
     # At-least-once across the outage: everything is delivered exactly
     # once in the end, including events published while broker 1 was down.
     expected = 60 * len(net.leaf_ids())

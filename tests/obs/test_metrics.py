@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     DEFAULT_QUANTILES,
@@ -113,6 +115,22 @@ class TestHistogramQuantiles:
         assert snap["min"] == 0.0
         assert snap["max"] == 9.0
         assert set(snap["quantiles"]) == {"p50", "p95", "p99"}
+
+    @given(st.lists(
+        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+        min_size=1, max_size=200,
+    ))
+    # The per-quantile P-squared estimators are independent and cross at
+    # small counts: on this sample the raw p95 is 2.531 and p99 2.525.
+    @example([1.0] * 18 + [5.0, 1.0, 5.0, 1.0, 1.0])
+    def test_tracked_quantiles_are_monotone_and_within_range(self, sample):
+        histogram = Histogram("h")
+        for value in sample:
+            histogram.observe(value)
+        reads = [histogram.quantile(q) for q in sorted(DEFAULT_QUANTILES)]
+        assert reads == sorted(reads)
+        assert min(sample) <= reads[0] and reads[-1] <= max(sample)
+        assert list(histogram.snapshot()["quantiles"].values()) == reads
 
 
 class TestTimer:

@@ -121,15 +121,23 @@ def test_grant_expiring_mid_stream_renews_within_grace():
 
 @pytest.mark.parametrize("survivors", [1, 6])
 def test_full_churn_harness_passes_its_gates(survivors):
+    from dataclasses import replace
+
     from repro.harness.rekey import (
+        SCENARIO,
         RekeyChaosConfig,
-        check_rekey,
         run_rekey_chaos,
     )
 
     config = RekeyChaosConfig(survivors=survivors, events_per_epoch=4)
     result = run_rekey_chaos(config)
-    assert check_rekey(config, result) == []
+    assert SCENARIO.violations(config, result) == []
+    assert SCENARIO.violations(
+        config, replace(result, rollovers_completed=2, unacked_publications=1)
+    ) == [
+        ("rollovers", "only 2 live rollovers (need >= 3)"),
+        ("acked", "1 publications never acked"),
+    ]
     assert len(result.survivor_outcomes) == survivors
     assert result.rollovers_completed == 3
     assert result.unauthorized_opens() == 0

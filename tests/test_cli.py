@@ -109,16 +109,21 @@ def test_chaos_recovery_scenario_rejects_bad_config(capsys):
 
 def test_chaos_list_enumerates_scenarios(capsys):
     assert main(["chaos", "--list"]) == 0
-    output = capsys.readouterr().out
-    from repro.cli import CHAOS_SCENARIOS
+    lines = capsys.readouterr().out.splitlines()
+    from repro.harness.scenario import SCENARIOS, load
 
-    assert list(CHAOS_SCENARIOS) == [
+    assert list(SCENARIOS) == [
         "overlay", "kdc", "recovery", "overload", "rekey", "live",
     ]
-    assert len(output.splitlines()) == 6
-    for name, scenario in CHAOS_SCENARIOS.items():
-        assert name in output
-        assert scenario.description in output
+    assert len(lines) == 12  # a description line and a gates line each
+    for index, name in enumerate(SCENARIOS):
+        scenario = load(name)
+        assert lines[2 * index].split() == [
+            name, *scenario.description.split()
+        ]
+        assert lines[2 * index + 1].strip() == "gates: " + ", ".join(
+            gate.name for gate in scenario.gates
+        )
 
 
 def test_chaos_overload_scenario_gates(tmp_path, capsys):
@@ -136,6 +141,7 @@ def test_chaos_overload_scenario_gates(tmp_path, capsys):
 
     document = json.loads(snapshot.read_text())
     assert "counters" in document
+    assert "NaN" not in snapshot.read_text()  # empty histograms read null
 
 
 def test_chaos_live_scenario_gates(capsys):
@@ -159,19 +165,78 @@ def test_chaos_check_names_the_gated_scenarios(capsys):
     assert main(["chaos", "--check", "--seed", "7", "--duration", "5",
                  "--rate", "20"]) == 0
     captured = capsys.readouterr()
-    assert "Chaos run: seed 7" in captured.out  # ungated ones still ran
-    assert captured.err.strip().endswith(
-        "chaos gates passed: recovery, overload, rekey, live"
+    assert "Chaos run: seed 7" in captured.out
+    err = captured.err.strip().splitlines()
+    assert err[-1] == (
+        "chaos gates passed: overlay, kdc, recovery, overload, rekey, live"
     )
+    # Above it, one line per scenario names the gates that held.
+    assert err[0] == (
+        "overlay gates held: reliable-delivery, baseline-degrades"
+    )
+    assert "live gates held: equivalence, confidentiality, acked" in err
 
 
-@pytest.mark.parametrize("scenario", ["overlay", "kdc"])
-def test_chaos_check_refuses_a_scenario_without_gates(scenario, capsys):
-    assert main(["chaos", "--scenario", scenario, "--check"]) == 2
+@pytest.mark.parametrize("argv, message", [
+    (["chaos", "--scenario", "overlay", "--rate", "0"],
+     "duration and publish rate must be positive"),
+    (["chaos", "--scenario", "recovery", "--rate", "0"],
+     "duration and publish rate must be positive"),
+    (["chaos", "--scenario", "kdc", "--rate", "0"],
+     "duration and publish rate must be positive"),
+    (["chaos", "--scenario", "kdc", "--subscribers", "0"],
+     "need at least one subscriber"),
+    (["chaos", "--scenario", "overlay", "--duration", "0"],
+     "horizon must be positive"),
+    (["metrics", "--rate", "0"],
+     "duration and publish rate must be positive"),
+    (["metrics", "--duration", "-1"], "horizon must be positive"),
+])
+def test_bad_sizes_are_config_errors_not_tracebacks(argv, message, capsys):
+    assert main(argv) == 2
     captured = capsys.readouterr()
-    assert "gates passed" not in captured.err
-    assert f"scenario {scenario!r} defines no gates" in captured.err
+    assert captured.err.strip() == f"error: {message}"
+    assert captured.out == ""
+
+
+def test_chaos_snapshot_is_written_by_every_simulator_scenario(
+    tmp_path, capsys
+):
+    import json
+
+    target = tmp_path / "recovery.json"
+    assert main(["chaos", "--scenario", "recovery", "--seed", "7",
+                 "--snapshot", str(target)]) == 0
+    assert f"wrote metrics snapshot to {target}" in capsys.readouterr().err
+    document = json.loads(target.read_text())
+    assert document["histograms"]["recovery_convergence_seconds"]["count"] == 2
+
+
+@pytest.mark.parametrize("scenario", ["all", "live"])
+def test_chaos_snapshot_says_why_it_writes_nothing(
+    scenario, tmp_path, capsys
+):
+    target = tmp_path / "snapshot.json"
+    assert main(["chaos", "--scenario", scenario,
+                 "--snapshot", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == (
+        "error: --snapshot names one file: pick one --scenario that "
+        "collects metrics (live does not)"
+    )
     assert captured.out == ""  # refused before running anything
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("removed", [
+    "--crash-duration", "--epoch-length", "--high-fraction",
+    "--queue-capacity", "--shed-policy", "--rollovers",
+])
+def test_chaos_flags_nobody_set_are_gone(removed, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["chaos", removed, "1"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_chaos_overload_rejects_bad_config(capsys):
