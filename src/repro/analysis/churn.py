@@ -46,12 +46,6 @@ class ChurnResult:
     group_epoch_messages: int = 0
 
     @property
-    def mean_active(self) -> float:
-        if not self.active_samples:
-            return 0.0
-        return sum(self.active_samples) / len(self.active_samples)
-
-    @property
     def join_rate(self) -> float:
         return self.joins / self.duration if self.duration else 0.0
 

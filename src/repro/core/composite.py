@@ -22,10 +22,9 @@ from typing import Mapping, Union
 
 from repro.crypto.prf import KH
 from repro.core.category import CategoryKeySpace
-from repro.core.ktid import KTID
 from repro.core.nakt import NumericKeySpace
 from repro.core.strings import StringKeySpace
-from repro.siena.filters import Constraint, Filter
+from repro.siena.filters import Filter
 from repro.siena.operators import Op
 
 AttributeKeySpace = Union[NumericKeySpace, CategoryKeySpace, StringKeySpace]
@@ -215,37 +214,6 @@ class CompositeKeySpace:
                 )
         return components, hash_ops
 
-    # -- subscriber side -------------------------------------------------------
-
-    def derive_component_key(
-        self,
-        component: AuthorizationComponent,
-        event_element: object,
-    ) -> tuple[bytes, int]:
-        """Derive an event's component key from one granted component.
-
-        Raises :class:`ValueError` when the grant does not cover the
-        event's element (no match).  Returns ``(key, hash_ops)``.
-        """
-        space = self.space_for(component.attribute)
-        if isinstance(space, NumericKeySpace):
-            if not isinstance(component.element, KTID) or not isinstance(
-                event_element, KTID
-            ):
-                raise TypeError("numeric components are identified by KTIDs")
-            return NumericKeySpace.derive_encryption_key(
-                (component.element, component.key), event_element
-            )
-        if isinstance(space, CategoryKeySpace):
-            return space.derive_encryption_key(
-                (str(component.element), component.key), str(event_element)
-            )
-        if isinstance(space, StringKeySpace):
-            return space.derive_encryption_key(
-                (str(component.element), component.key), str(event_element)
-            )
-        raise TypeError(f"unknown key space type {type(space).__name__}")
-
 
 def filter_as_clauses(filters: Filter | list[Filter]) -> list[Filter]:
     """Normalize a filter (or explicit DNF list of filters) to clause form.
@@ -262,7 +230,3 @@ def filter_as_clauses(filters: Filter | list[Filter]) -> list[Filter]:
         raise TypeError("every clause must be a Filter")
     return clauses
 
-
-def clause_constraint(clause: Filter, attribute: str) -> list[Constraint]:
-    """All of *clause*'s constraints on *attribute*."""
-    return [c for c in clause if c.name == attribute]

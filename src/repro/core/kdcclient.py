@@ -230,25 +230,6 @@ class KDCClient:
             on_error,
         )
 
-    def publisher_key(
-        self,
-        topic: str,
-        publisher: str,
-        at_time: float = 0.0,
-        on_key: Callable[[bytes], None] = lambda key: None,
-        on_error: Callable[[Exception], None] = lambda error: None,
-    ) -> None:
-        """Fetch the epoch's (per-)publisher topic key."""
-        self._call(
-            KDCRequest(
-                "publisher_key",
-                self._next_request_id(),
-                {"topic": topic, "publisher": publisher, "at_time": at_time},
-            ),
-            on_key,
-            on_error,
-        )
-
     def admin(
         self,
         op: str,

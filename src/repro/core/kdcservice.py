@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 from repro.core.composite import CompositeKeySpace
-from repro.core.kdc import KDC, TopicConfig
+from repro.core.kdc import KDC
 from repro.errors import GrantDenied
 from repro.net.faults import FaultInjector
 from repro.net.service import ServiceNetwork
@@ -539,10 +539,6 @@ class KDCCluster:
         return response
 
     # -- introspection ---------------------------------------------------------
-
-    def registry_of(self, replica_id: Hashable) -> dict[str, TopicConfig]:
-        """A replica's current (private) registry view."""
-        return self.replicas[replica_id].kdc.registry
 
     def converged(self) -> bool:
         """Whether every alive replica has applied the same log."""

@@ -185,8 +185,3 @@ class NumericKeySpace:
         if self.depth == 0:
             return 1
         return max(1, 2 * (self.arity - 1) * self.depth - 2)
-
-    def average_cover_size(self, subscription_span: float) -> float:
-        """Paper estimate for uniform random ranges: ``log_2(span/lc)``."""
-        blocks = max(2.0, subscription_span / self.least_count)
-        return math.log2(blocks)

@@ -116,11 +116,6 @@ class BoundedPriorityQueue:
     def __bool__(self) -> bool:
         return self._depth > 0
 
-    def depth_of(self, priority: int) -> int:
-        """Number of queued events in class *priority*."""
-        queue = self._classes.get(priority)
-        return len(queue) if queue else 0
-
     def priorities(self) -> Iterator[int]:
         """Priority classes currently present, best first."""
         return iter(sorted(p for p, q in self._classes.items() if q))

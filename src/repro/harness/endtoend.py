@@ -294,23 +294,6 @@ def max_throughput(
     return EndToEndResult(mode, routing_nodes, low, latency)
 
 
-def throughput_latency_sweep(
-    modes: tuple[str, ...] = MODES,
-    node_counts: tuple[int, ...] = (2, 6, 14, 30),
-    seed: int = 29,
-    events: int = 400,
-) -> list[EndToEndResult]:
-    """Figures 9 and 10: every (mode, node-count) point."""
-    results = []
-    for mode in modes:
-        pipeline = sample_pipeline_costs(mode, seed=seed)
-        for nodes in node_counts:
-            results.append(
-                max_throughput(mode, nodes, pipeline, seed=seed, events=events)
-            )
-    return results
-
-
 @dataclass(frozen=True)
 class CacheEffectRow:
     """Measured key-cache effect for one cache size (Fig 11's mechanism)."""

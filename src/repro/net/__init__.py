@@ -34,7 +34,6 @@ from repro.net.simnet import (
     ReliabilityStats,
     RetryPolicy,
     SimulatedPubSub,
-    TimedBrokerTree,
 )
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "ServiceStats",
     "SimulatedPubSub",
     "Simulator",
-    "TimedBrokerTree",
 ]

@@ -82,6 +82,8 @@ SubscriberCostFn = Callable[[Hashable, Event], float]
 _SEQ_ATTRIBUTE = "_seq"
 _ACK_SIZE = 16
 _HEARTBEAT_SIZE = 24
+#: Events parked per down peer before the oldest is evicted.
+_PARK_LIMIT = 4096
 
 
 @dataclass
@@ -193,15 +195,6 @@ class ReliabilityStats(RegistryBackedStats):
         self.detection_latencies: list[float] = []
         self.recovery_latencies: list[float] = []
 
-    def __eq__(self, other) -> bool:
-        base = super().__eq__(other)
-        if base is not True:
-            return base
-        return (
-            self.detection_latencies == other.detection_latencies
-            and self.recovery_latencies == other.recovery_latencies
-        )
-
 
 def _zero_cost(_node: Hashable, _event: Event) -> float:
     return 0.0
@@ -263,14 +256,11 @@ class SimulatedPubSub:
         obs: Observability | None = None,
         journals: JournalStore | None = None,
         repair: RepairPolicy | None = None,
-        park_limit: int = 4096,
         dedup_window: int | None = None,
         flow: FlowControlPolicy | None = None,
     ):
         if num_brokers < 1:
             raise ValueError("need at least the root broker")
-        if park_limit < 1:
-            raise ValueError("parked-event buffer needs room for one event")
         if repair is not None and reliability is None:
             raise ValueError(
                 "tree repair rides the failure detector; it requires the "
@@ -299,7 +289,6 @@ class SimulatedPubSub:
         self.reliability = reliability
         self.faults = faults
         self.journals = journals
-        self._park_limit = park_limit
         self._rng = random.Random(seed)
         # Heartbeat jitter draws from its own stream so that enabling it
         # leaves the retry-jitter sequence (and every seeded test pinned
@@ -427,13 +416,20 @@ class SimulatedPubSub:
                     self.brokers[to_id].unsubscribe(from_id, payload)
                 return
             assert isinstance(payload, Event)
-            seq = payload.get(_SEQ_ATTRIBUTE)
-            if self.reliability is None:
-                self._transmit_once(from_id, to_id, seq, payload)
-            else:
-                self._transmit_reliable(from_id, to_id, seq, payload, 0)
+            self._forward(
+                from_id, to_id, payload.get(_SEQ_ATTRIBUTE), payload
+            )
 
         return send
+
+    def _forward(
+        self, from_id: Hashable, to_id: Hashable, seq: int, payload: Event
+    ) -> None:
+        """Put one hop message on the overlay's transport, first attempt."""
+        if self.reliability is None:
+            self._transmit_once(from_id, to_id, seq, payload)
+        else:
+            self._transmit_reliable(from_id, to_id, seq, payload, 0)
 
     # -- flow control --------------------------------------------------------
 
@@ -503,15 +499,8 @@ class SimulatedPubSub:
         for listener in self._shed_listeners:
             listener(priority, stage, broker_id)
 
-    def _acquire_or_queue(
-        self,
-        from_id: Hashable,
-        to_id: Hashable,
-        key: tuple,
-        priority: int,
-        item: tuple,
-    ) -> bool:
-        """Hold a hop credit for *key*, or buffer *item* at egress.
+    def _acquire_or_queue(self, key: tuple, payload: Event) -> bool:
+        """Hold a hop credit for *key*, or buffer the send at egress.
 
         True means the caller owns a credit (retries already do) and may
         put the message on the wire; False means the send was deferred
@@ -521,20 +510,21 @@ class SimulatedPubSub:
             return True
         if key in self._credit_held:
             return True
+        from_id, to_id, _seq = key
         lf = self._link_flow_for(from_id, to_id)
         if lf.gate.try_acquire():
             self._credit_held.add(key)
             return True
-        result = lf.egress.offer(item, priority)
+        result = lf.egress.offer((key, payload), priority_of(payload))
         if result.shed is not None:
-            shed_item, shed_priority = result.shed
+            (shed_key, _payload), shed_priority = result.shed
             self._notify_shed(shed_priority, "egress", from_id)
-            if shed_item[0] == "rel":
+            if self.reliability is not None:
                 # The hop send never happened and never will: that is
                 # this hop's delivery giving up, so it books as a dead
                 # letter exactly like an exhausted retry budget.
                 self.rstats.dead_letters += 1
-                self.dead_letters.append((shed_item[1], from_id, to_id))
+                self.dead_letters.append((shed_key[2], from_id, to_id))
         return False
 
     def _credit_release(self, key: tuple) -> None:
@@ -552,12 +542,8 @@ class SimulatedPubSub:
     def _pump_egress(self, from_id: Hashable, to_id: Hashable) -> None:
         lf = self._link_flow[(from_id, to_id)]
         while len(lf.egress) and lf.gate.available > 0:
-            item, _priority = lf.egress.take()
-            kind = item[0]
-            if kind == "ff":
-                self._transmit_once(from_id, to_id, item[1], item[2])
-            else:
-                self._transmit_reliable(from_id, to_id, item[1], item[2], 0)
+            (key, payload), _priority = lf.egress.take()
+            self._forward(from_id, to_id, key[2], payload)
 
     def _flow_enqueue(
         self, broker_id: Hashable, item: tuple, priority: int
@@ -579,15 +565,8 @@ class SimulatedPubSub:
         self, broker_id: Hashable, item: tuple, priority: int
     ) -> None:
         self._notify_shed(priority, "ingress", broker_id)
-        kind = item[0]
-        if kind in ("ff", "rel"):
-            # The shed message occupied a credit-reserved slot; free it
-            # so the upstream sender is not stalled by a dead event.
-            self._credit_release(item[1])
-            if kind == "rel":
-                # No ack will come; un-mark it so the sender's retry is
-                # not suppressed as an already-queued duplicate.
-                self._hop_queued.discard(item[1])
+        if item[0] == "hop":
+            self._forget_queued_hop(item[1])
 
     def _pump_broker(self, broker_id: Hashable) -> None:
         """Feed the broker CPU one ingress item at a time."""
@@ -618,38 +597,31 @@ class SimulatedPubSub:
         so the upstream sender can pipeline its next event while this
         one occupies the CPU, without ever overrunning the ingress bound.
         """
-        kind = item[0]
-        broker = self.brokers[broker_id]
-        if kind == "pub":
+        if item[0] == "pub":
             event = item[1]
+            broker = self.brokers[broker_id]
 
             def work() -> None:
                 if broker.alive:
                     broker.publish(event, arrived_from=None)
 
             return self._service_cost(broker_id, event), work
-        if kind == "ff":
-            key, payload, from_id = item[1], item[2], item[3]
-            self._credit_release(key)
-
-            def work() -> None:
-                if broker.alive:
-                    broker.publish(payload, arrived_from=from_id)
-
-            return self._service_cost(broker_id, payload), work
-        assert kind == "rel"
-        key, payload = item[1], item[2]
+        _kind, key, payload = item
         self._credit_release(key)
+        return (
+            self._service_cost(broker_id, payload),
+            lambda: self._process_hop(broker_id, key, payload),
+        )
 
-        def work() -> None:
-            self._hop_queued.discard(key)
-            if not broker.alive:
-                return  # crashed while queued: sender retries
-            broker.publish(payload, arrived_from=key[0])
-            self._hop_seen.add(key)
-            self._send_ack(broker_id, key[0], key)
-
-        return self._service_cost(broker_id, payload), work
+    def _forget_queued_hop(self, key: tuple) -> None:
+        """A hop message left the ingress queue unserved (shed, or lost
+        with a crashed broker's volatile state)."""
+        # It occupied a credit-reserved slot; free it so the upstream
+        # sender is not stalled by a dead event.
+        self._credit_release(key)
+        # No ack will come; un-mark it so a reliable sender's retry is
+        # not suppressed as an already-queued duplicate.
+        self._hop_queued.discard(key)
 
     def _drop_broker_flow_state(self, broker_id: Hashable) -> None:
         """A crashed broker loses its volatile ingress queue; free the
@@ -658,10 +630,8 @@ class SimulatedPubSub:
         if bf is None:
             return
         for item, _priority in bf.ingress.drain():
-            if item[0] in ("ff", "rel"):
-                self._credit_release(item[1])
-                if item[0] == "rel":
-                    self._hop_queued.discard(item[1])
+            if item[0] == "hop":
+                self._forget_queued_hop(item[1])
         bf.busy = False
 
     def _service_cost(self, broker_id: Hashable, event: Event) -> float:
@@ -718,14 +688,44 @@ class SimulatedPubSub:
         link.send(size, on_arrival, extra_delay=extra)
         return True
 
+    def _serve_hop(self, to_id: Hashable, key: tuple, payload: Event) -> None:
+        """Queue an arrived hop message for *to_id*'s CPU.
+
+        Under a flow policy that is the bounded ingress queue (a shed
+        there frees the credit and ``_hop_queued``, so the sender's retry
+        or dead-letter accounting takes over); without one, the raw CPU
+        queue.
+        """
+        if self.flow is not None:
+            self._flow_enqueue(
+                to_id, ("hop", key, payload), priority_of(payload)
+            )
+            return
+        self.nodes[to_id].submit(
+            self._service_cost(to_id, payload),
+            lambda: self._process_hop(to_id, key, payload),
+        )
+
+    def _process_hop(
+        self, to_id: Hashable, key: tuple, payload: Event
+    ) -> None:
+        """The CPU reached a hop message: match and forward it, then --
+        on the reliable transport only -- mark it seen and ack."""
+        self._hop_queued.discard(key)
+        broker = self.brokers[to_id]
+        if not broker.alive:
+            return  # crashed while queued: a reliable sender retries
+        broker.publish(payload, arrived_from=key[0])
+        if self.reliability is not None:
+            self._hop_seen.add(key)
+            self._send_ack(to_id, key[0], key)
+
     def _transmit_once(
         self, from_id: Hashable, to_id: Hashable, seq: int, payload: Event
     ) -> None:
         """Fire-and-forget forwarding (the pre-fault-tolerance transport)."""
         key = (from_id, to_id, seq)
-        if self.flow is not None and not self._acquire_or_queue(
-            from_id, to_id, key, priority_of(payload), ("ff", seq, payload)
-        ):
+        if not self._acquire_or_queue(key, payload):
             return
         self.rstats.data_sends += 1
         publication = self._inflight[seq]
@@ -745,18 +745,7 @@ class SimulatedPubSub:
             if not self.brokers[to_id].alive:
                 self._credit_release(key)
                 return
-            if self.flow is not None:
-                self._flow_enqueue(
-                    to_id, ("ff", key, payload, from_id), priority_of(payload)
-                )
-                return
-            cost = self._service_cost(to_id, payload)
-            self.nodes[to_id].submit(
-                cost,
-                lambda: self.brokers[to_id].publish(
-                    payload, arrived_from=from_id
-                ),
-            )
+            self._serve_hop(to_id, key, payload)
 
         survived = self._hop_send(from_id, to_id, publication.size, on_arrival)
         if not survived:
@@ -786,17 +775,8 @@ class SimulatedPubSub:
             # burning the retry budget; flushed on detected recovery.
             self._park(from_id, to_id, seq, payload)
             return
-        if (
-            self.flow is not None
-            and attempt == 0
-            and not self._acquire_or_queue(
-                from_id,
-                to_id,
-                (from_id, to_id, seq),
-                priority_of(payload),
-                ("rel", seq, payload),
-            )
-        ):
+        key = (from_id, to_id, seq)
+        if attempt == 0 and not self._acquire_or_queue(key, payload):
             return
         if self.journals is not None and attempt == 0:
             # Durable accept: the event hits the sender's WAL before the
@@ -812,16 +792,7 @@ class SimulatedPubSub:
         if self.per_send_s > 0:
             self.nodes[from_id].submit(self.per_send_s, lambda: None)
         publication = self._inflight[seq]
-        key = (from_id, to_id, seq)
         sent_at = self.sim.now
-
-        def on_processed() -> None:
-            self._hop_queued.discard(key)
-            if not self.brokers[to_id].alive:
-                return  # crashed while queued: drop silently, sender retries
-            self.brokers[to_id].publish(payload, arrived_from=from_id)
-            self._hop_seen.add(key)
-            self._send_ack(to_id, from_id, key)
 
         def on_arrival() -> None:
             if self._tracer is not None:
@@ -856,22 +827,12 @@ class SimulatedPubSub:
                 self.rstats.duplicates_suppressed += 1
                 return
             # The ack is deferred until the broker has actually matched
-            # and forwarded the event: a crash between arrival and
-            # processing must NOT look like a successful handoff, or the
-            # event dies in the wiped CPU queue with the retry already
-            # cancelled.
+            # and forwarded the event (_process_hop): a crash between
+            # arrival and processing must NOT look like a successful
+            # handoff, or the event dies in the wiped CPU queue with the
+            # retry already cancelled.
             self._hop_queued.add(key)
-            if self.flow is not None:
-                # Bounded ingress instead of the raw CPU queue; a shed
-                # here clears _hop_queued and the credit so the sender's
-                # retry (or dead-letter) accounting takes over.
-                self._flow_enqueue(
-                    to_id, ("rel", key, payload), priority_of(payload)
-                )
-                return
-            self.nodes[to_id].submit(
-                self._service_cost(to_id, payload), on_processed
-            )
+            self._serve_hop(to_id, key, payload)
 
         survived = self._hop_send(from_id, to_id, publication.size, on_arrival)
         if not survived and self._tracer is not None:
@@ -954,7 +915,7 @@ class SimulatedPubSub:
         queue = self._parked.setdefault((from_id, to_id), deque())
         queue.append((seq, payload))
         self.rstats.parked += 1
-        if len(queue) > self._park_limit:
+        if len(queue) > _PARK_LIMIT:
             # A long-parked peer cannot grow memory without limit: shed
             # the oldest event.  With journals it survives on the WAL.
             queue.popleft()
@@ -1410,25 +1371,17 @@ class SimulatedPubSub:
         carrier: object = None,
         size: int | None = None,
         delay: float = 0.0,
-        *,
-        at_time: float | None = None,
     ) -> int:
         """Inject one event at the root after *delay*; returns its
         sequence number.
 
         *carrier* rides along for subscriber-side cost accounting;
-        *size* overrides the wire size.  *at_time* is an absolute
-        simulator time equivalent of *delay*
-        (``max(0, at_time - sim.now)``); passing both is an error.
+        *size* overrides the wire size.
         """
         if not isinstance(event, Event):
             raise TypeError(
                 f"publish takes one Event, not {type(event).__name__}"
             )
-        if at_time is not None:
-            if delay:
-                raise ValueError("pass either delay or at_time, not both")
-            delay = max(0.0, at_time - self.sim.now)
         seq = self._next_seq
         self._next_seq += 1
         tagged = event.with_attributes(**{_SEQ_ATTRIBUTE: seq})
@@ -1549,8 +1502,3 @@ class SimulatedPubSub:
             return float("nan")
         return sum(d.latency for d in self.deliveries) / len(self.deliveries)
 
-
-#: The timed broker tree, under the name the public API docs use for it:
-#: the overlay above IS the tree topology of :class:`BrokerTree` with a
-#: clock, links, and (optionally) the reliable/flow-controlled stacks.
-TimedBrokerTree = SimulatedPubSub

@@ -1,7 +1,7 @@
 """``repro.obs`` -- unified observability for the reproduction.
 
 One :class:`MetricsRegistry` (counters, gauges, streaming-quantile
-histograms, timers) plus one :class:`Tracer` (per-event spans across
+histograms) plus one :class:`Tracer` (per-event spans across
 publisher, brokers, and subscribers) shared by every runtime layer.
 :class:`Observability` bundles the pair so harnesses and the
 :mod:`repro.api` facade can thread a single object through the stack.
@@ -21,8 +21,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     RegistryBackedStats,
-    Timer,
-    TimerHandle,
     series_name,
 )
 from repro.obs.tracing import Span, Trace, Tracer
@@ -37,8 +35,6 @@ __all__ = [
     "Observability",
     "RegistryBackedStats",
     "Span",
-    "Timer",
-    "TimerHandle",
     "Trace",
     "Tracer",
     "series_name",

@@ -12,10 +12,7 @@ instruments:
 - :class:`Histogram` -- count/sum/min/max plus **streaming quantiles**
   (p50/p95/p99 by default) computed with the P2 (P-squared) algorithm
   (Jain & Chlamtac, CACM 1985), so latency distributions cost O(1)
-  memory per tracked quantile instead of storing samples;
-- :class:`Timer` -- a context manager observing elapsed time into a
-  histogram, driven by any clock (wall clock by default, ``sim.now``
-  inside the discrete-event simulator).
+  memory per tracked quantile instead of storing samples.
 
 Instruments are identified by ``(name, labels)``; ``registry.counter()``
 et al. are get-or-create, so independent layers sharing a registry
@@ -27,8 +24,7 @@ adapter that lets the legacy ``stats.field`` attribute API (reads *and*
 from __future__ import annotations
 
 import math
-import time
-from typing import Callable, ClassVar, Iterator
+from typing import ClassVar, Iterator
 
 #: The default quantiles a histogram tracks.
 DEFAULT_QUANTILES = (0.5, 0.95, 0.99)
@@ -273,71 +269,11 @@ class Histogram:
         )
 
 
-class Timer:
-    """Observe elapsed time into a histogram; any clock, re-entrant.
-
-    >>> registry = MetricsRegistry()
-    >>> timer = registry.timer("work_seconds")
-    >>> with timer:
-    ...     pass
-    >>> registry.histogram("work_seconds").count
-    1
-    """
-
-    __slots__ = ("histogram", "clock", "_starts")
-
-    def __init__(
-        self,
-        histogram: Histogram,
-        clock: Callable[[], float] | None = None,
-    ):
-        self.histogram = histogram
-        self.clock = clock if clock is not None else time.perf_counter
-        self._starts: list[float] = []
-
-    def __enter__(self) -> "Timer":
-        self._starts.append(self.clock())
-        return self
-
-    def __exit__(self, *_exc_info) -> None:
-        self.histogram.observe(self.clock() - self._starts.pop())
-
-    def start(self) -> "TimerHandle":
-        """An explicit handle for spans crossing callbacks (async code)."""
-        return TimerHandle(self)
-
-    def observe_since(self, start: float) -> float:
-        """Observe ``clock() - start``; returns the elapsed time."""
-        elapsed = self.clock() - start
-        self.histogram.observe(elapsed)
-        return elapsed
-
-
-class TimerHandle:
-    """One in-flight timed span started via :meth:`Timer.start`."""
-
-    __slots__ = ("timer", "started_at", "_done")
-
-    def __init__(self, timer: Timer):
-        self.timer = timer
-        self.started_at = timer.clock()
-        self._done = False
-
-    def stop(self) -> float:
-        """Observe and return the elapsed time (idempotent)."""
-        elapsed = self.timer.clock() - self.started_at
-        if not self._done:
-            self._done = True
-            self.timer.histogram.observe(elapsed)
-        return elapsed
-
-
 class MetricsRegistry:
     """Get-or-create registry of named, labelled instruments."""
 
     def __init__(self):
         self._metrics: dict[tuple[str, LabelKey], object] = {}
-        self._timers: dict[tuple[str, LabelKey], Timer] = {}
 
     def _get_or_create(self, cls, name: str, labels: dict, **kwargs):
         key = (name, _label_key(labels))
@@ -367,23 +303,6 @@ class MetricsRegistry:
         return self._get_or_create(
             Histogram, name, labels, quantiles=quantiles
         )
-
-    def timer(
-        self,
-        name: str,
-        clock: Callable[[], float] | None = None,
-        quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
-        **labels,
-    ) -> Timer:
-        """A timer observing into ``histogram(name, **labels)``."""
-        key = (name, _label_key(labels))
-        timer = self._timers.get(key)
-        if timer is None:
-            timer = Timer(
-                self.histogram(name, quantiles=quantiles, **labels), clock
-            )
-            self._timers[key] = timer
-        return timer
 
     # -- queries --------------------------------------------------------------
 

@@ -111,10 +111,6 @@ class KdcServer:
     def address(self) -> tuple[str, int]:
         return self.host, self.port
 
-    @property
-    def connections(self) -> int:
-        return len(self._sessions)
-
     # -- connections ---------------------------------------------------------
 
     async def _on_connection(

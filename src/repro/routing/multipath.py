@@ -77,9 +77,6 @@ class ProbabilisticRouter:
         self.network = network
         self.registry = registry if registry is not None else MetricsRegistry()
         self._c_routes = self.registry.counter("multipath_routes_total")
-        self._c_batch_routes = self.registry.counter(
-            "multipath_batch_routes_total"
-        )
         self._h_path_hops = self.registry.histogram("multipath_path_hops")
         self.frequencies = dict(frequencies)
         self.ind_max = ind_max if ind_max is not None else network.ind
@@ -105,48 +102,6 @@ class ProbabilisticRouter:
         self._c_routes.inc()
         self._h_path_hops.observe(len(chosen))
         return chosen
-
-    def route_batch(
-        self, token: Hashable, subscriber: SubscriberId, count: int
-    ) -> list[Hashable]:
-        """One path carrying a whole batch of *count* same-token events.
-
-        Amortizes path selection and setup: the batch makes one uniform
-        draw instead of *count* draws.  The apparent-frequency guarantee
-        degrades gracefully -- an on-path node now sees batch arrivals at
-        ``lambda_t / (ind_t * B)`` with burst size ``B`` -- so batching
-        trades a bounded amount of traffic-shape entropy for throughput;
-        callers that need per-event unlinkability route batches of one.
-        """
-        if count < 1:
-            raise ValueError("a batch routes at least one event")
-        available = self.paths_per_token.get(token, 1)
-        paths = self.network.independent_paths(subscriber, available)
-        chosen = self.rng.choice(paths)
-        self._c_routes.inc(count)
-        self._c_batch_routes.inc()
-        self._h_path_hops.observe(len(chosen))
-        return chosen
-
-    def publish(
-        self,
-        events: object | list[object],
-        token: Hashable,
-        subscriber: SubscriberId,
-        *,
-        at_time: float = 0.0,
-    ) -> list[Hashable]:
-        """Unified publish surface: route one event or a batch of them.
-
-        A single event delegates to :meth:`route`; a list makes one
-        uniform path draw for the whole batch via :meth:`route_batch`.
-        *at_time* is accepted for signature uniformity with the broker
-        surfaces and ignored -- path selection is timeless.
-        """
-        del at_time
-        if isinstance(events, list):
-            return self.route_batch(token, subscriber, len(events))
-        return self.route(token, subscriber)
 
     def expected_apparent_frequency(self, token: Hashable) -> float:
         """``lambda_t / ind_t`` -- a single on-path node's expectation."""

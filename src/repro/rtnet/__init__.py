@@ -28,7 +28,7 @@ from repro.rtnet.client import (
     RtPublisher,
     RtSubscriber,
 )
-from repro.rtnet.cluster import ClusterLauncher, settle_cluster
+from repro.rtnet.cluster import ClusterLauncher
 from repro.rtnet.frames import (
     FRAME_MAX,
     GRANT_DENIED,
@@ -96,5 +96,4 @@ __all__ = [
     "decode_payload",
     "encode_frame",
     "read_frame",
-    "settle_cluster",
 ]

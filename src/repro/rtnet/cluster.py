@@ -14,8 +14,6 @@ attach round-robin across the leaves.
 
 from __future__ import annotations
 
-import asyncio
-
 from repro.obs.metrics import MetricsRegistry
 from repro.routing.tokens import tokenized_match
 from repro.rtnet.server import BrokerServer
@@ -139,9 +137,3 @@ class ClusterLauncher:
             for server in self.servers
         }
 
-
-async def settle_cluster(clients, timeout: float = 10.0) -> None:
-    """Settle every endpoint in *clients* (a flush barrier for each)."""
-    await asyncio.gather(
-        *(client.settle(timeout=timeout) for client in clients)
-    )

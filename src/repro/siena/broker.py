@@ -103,9 +103,6 @@ class BrokerStats(RegistryBackedStats):
         "dropped_while_down",
         "batches_received",
         "batches_forwarded",
-        # Locally injected events refused by the admission gate
-        # (:meth:`Broker.bind_flow`): overload protection, not failure.
-        "events_shed",
     )
     _metric_prefix = "broker_"
 
@@ -198,9 +195,6 @@ class Broker:
         #: Optional durable write-ahead log of the routing state; bound by
         #: the overlay via :meth:`bind_journal`.
         self.journal: "BrokerJournal | None" = None
-        #: Optional admission gate for locally injected events; bound via
-        #: :meth:`bind_flow`.
-        self._admission: Callable[[Event], bool] | None = None
         self.stats = BrokerStats(registry, broker=str(broker_id))
 
     # -- wiring ------------------------------------------------------------
@@ -238,18 +232,6 @@ class Broker:
     def bind_journal(self, journal: "BrokerJournal") -> None:
         """Journal every routing-table mutation to a durable log."""
         self.journal = journal
-
-    def bind_flow(self, admission: Callable[[Event], bool]) -> None:
-        """Gate *locally injected* publications through *admission*.
-
-        The synchronous tree has no queues to bound, so its overload
-        protection is admission control at the edge: events arriving
-        with ``arrived_from=None`` (publisher injections) that the gate
-        refuses are shed (``events_shed``) instead of fanning out.
-        Broker-to-broker forwarding is never gated -- an event admitted
-        once must not be dropped halfway down the tree.
-        """
-        self._admission = admission
 
     def detach_child(self, child_id: Hashable) -> None:
         """Remove a (dead) child link and every filter registered on it."""
@@ -669,19 +651,14 @@ class Broker:
         self,
         events: "Event | list[Event]",
         arrived_from: Interface | None = None,
-        *,
-        at_time: float = 0.0,
     ) -> int:
-        """Route one event or a whole batch -- the unified publish surface.
+        """Route one event or a whole batch.
 
         A single :class:`Event` routes up to the parent and down every
         matching interface, returning the broker's fan-out.  A list
         routes as a batch -- identical per-subscriber semantics, one
         message per outgoing interface -- returning the number of
         distinct interfaces the batch went out on.
-
-        *at_time* is accepted for signature uniformity with the timed
-        overlay and ignored here (the synchronous tree has no clock).
         """
         if isinstance(events, Event):
             return self._publish_one(events, arrived_from)
@@ -692,13 +669,6 @@ class Broker:
     ) -> int:
         if not self.alive:
             self.stats.dropped_while_down += 1
-            return 0
-        if (
-            self._admission is not None
-            and arrived_from is None
-            and not self._admission(event)
-        ):
-            self.stats.events_shed += 1
             return 0
         self.stats.inc("events_received")
         forwarded_to: set[Interface] = set()
@@ -735,14 +705,6 @@ class Broker:
         if not self.alive:
             self.stats.dropped_while_down += len(events)
             return 0
-        if self._admission is not None and arrived_from is None:
-            admitted = [
-                event for event in events if self._admission(event)
-            ]
-            self.stats.events_shed += len(events) - len(admitted)
-            events = admitted
-            if not events:
-                return 0
         self.stats.inc("batches_received")
         self.stats.inc("events_received", len(events))
         sub_batches: dict[Interface, list[Event]] = {}

@@ -181,20 +181,13 @@ class BrokerTree:
                 del self._client_filters[subscriber_id]
         self.brokers[broker_id].unsubscribe(subscriber_id, subscription_filter)
 
-    def publish(
-        self,
-        events: "Event | list[Event]",
-        *,
-        at_time: float = 0.0,
-    ) -> int:
+    def publish(self, events: "Event | list[Event]") -> int:
         """Inject one event or a batch at the root; returns root fan-out.
 
         Batch deliveries are identical to publishing each event in order;
         broker-to-broker hops carry one batch message per interface.
-        *at_time* is accepted for signature uniformity and ignored (the
-        tree is synchronous).
         """
-        return self.root.publish(events, arrived_from=None, at_time=at_time)
+        return self.root.publish(events, arrived_from=None)
 
     # -- failure lifecycle ---------------------------------------------------
 

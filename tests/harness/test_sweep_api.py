@@ -1,15 +1,21 @@
-"""The public sweep APIs behind Figures 9-10 (reduced scale)."""
+"""The (mode, node-count) sweep behind Figures 9-10, at reduced scale."""
 
 import pytest
 
-from repro.harness.endtoend import throughput_latency_sweep
+from repro.harness.endtoend import max_throughput, sample_pipeline_costs
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    return throughput_latency_sweep(
-        modes=("siena", "topic"), node_counts=(0, 6), events=100
-    )
+    # What ``benchmarks/conftest.py::endtoend_sweep`` runs, smaller.
+    results = []
+    for mode in ("siena", "topic"):
+        pipeline = sample_pipeline_costs(mode, seed=29)
+        for nodes in (0, 6):
+            results.append(
+                max_throughput(mode, nodes, pipeline, seed=29, events=100)
+            )
+    return results
 
 
 def test_one_result_per_cell(sweep):

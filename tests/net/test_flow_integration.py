@@ -15,7 +15,12 @@ from repro.flow import (
     FlowControlPolicy,
     with_priority,
 )
-from repro.net.faults import BrokerSlowdown, FaultInjector, FaultPlan
+from repro.net.faults import (
+    BrokerCrash,
+    BrokerSlowdown,
+    FaultInjector,
+    FaultPlan,
+)
 from repro.net.sim import Simulator
 from repro.net.simnet import RetryPolicy, SimulatedPubSub
 from repro.siena.events import Event
@@ -181,6 +186,49 @@ def test_reliable_stack_composes_with_flow():
     assert len(keys) == len(set(keys))
 
 
+def test_reliable_stack_with_flow_survives_a_mid_storm_crash():
+    """The hop bookkeeping both transports share, entered under
+    reliability: a slowed leaf crashes with hop messages queued at its
+    ingress, and after the restart the retries of what it lost (sent
+    without a fresh credit) overflow that ingress on top of new sends."""
+    sim = Simulator()
+    policy = FlowControlPolicy(queue_capacity=8, credit_window=8)
+    plan = FaultPlan(
+        crashes=[BrokerCrash(1, at=0.02, duration=0.05)],
+        slowdowns=[BrokerSlowdown(1, factor=8.0)],
+    )
+    injector = FaultInjector(sim, plan, seed=1)
+    net = _overlay(sim, policy, reliable=True, faults=injector)
+    injector.install()
+    sheds, forgotten = [], []
+    net.on_shed(lambda _priority, stage, broker: sheds.append((stage, broker)))
+    forget = net._forget_queued_hop
+    net._forget_queued_hop = lambda key: (forgotten.append(key), forget(key))
+    high_seqs, _low_seqs = _storm(net, events=200, interval=0.0005)
+    sim.run(until=8.0)
+    # Both ways a queued hop message goes unserved happened at broker 1:
+    # shed at ingress, and dropped with the crashed broker's queue.
+    ingress_sheds = sheds.count(("ingress", 1))
+    assert ingress_sheds > 0
+    assert len(forgotten) > ingress_sheds
+    assert all(key[1] == 1 for key in forgotten)
+    # Nothing leaked: every credit returned, no hop still marked queued.
+    assert not net._credit_held
+    assert not net._hop_queued
+    assert all(
+        lf.gate.available == policy.credit_window
+        for lf in net._link_flow.values()
+    )
+    assert max(net.flow_peak_depths().values()) <= policy.queue_capacity
+    # The healthy leaf was never starved, and no retry surfaced twice.
+    delivered_to_s1 = {
+        r.seq for r in net.deliveries if r.subscriber_id == "s1"
+    }
+    assert all(seq in delivered_to_s1 for seq in high_seqs)
+    keys = [(r.seq, r.subscriber_id) for r in net.deliveries]
+    assert len(keys) == len(set(keys))
+
+
 def test_shed_listener_sees_admission_overload():
     sim = Simulator()
     policy = FlowControlPolicy(queue_capacity=4, credit_window=2)
@@ -209,17 +257,19 @@ def test_per_priority_delivery_histograms_emitted():
     assert best is not None and best.count > 0
 
 
-def test_parked_buffer_is_deque_with_oldest_first_eviction():
+def test_parked_buffer_is_deque_with_oldest_first_eviction(monkeypatch):
     """Satellite: the bounded retransmit parking buffer must evict its
     oldest entry in O(1) (a deque, not a list with pop(0))."""
     from collections import deque
 
+    from repro.net import simnet
+
+    monkeypatch.setattr(simnet, "_PARK_LIMIT", 5)
     sim = Simulator()
     net = SimulatedPubSub(
         sim,
         num_brokers=3,
         reliability=RetryPolicy(),
-        park_limit=5,
         seed=0,
     )
     net._neighbor_down.add((0, 1))

@@ -20,12 +20,6 @@ def _subscribed_network():
     return sim, net
 
 
-def test_timed_broker_tree_is_the_simulated_pubsub():
-    from repro.net import TimedBrokerTree
-
-    assert TimedBrokerTree is SimulatedPubSub
-
-
 def test_single_event_publish_returns_its_seq():
     sim, net = _subscribed_network()
     seq = net.publish(Event({"topic": "t"}))
@@ -40,17 +34,3 @@ def test_publish_refuses_a_list_of_events():
     with pytest.raises(TypeError):
         net.publish([Event({"topic": "t"}), Event({"topic": "t"})])
     assert net.deliveries == []
-
-
-def test_at_time_schedules_at_an_absolute_instant():
-    sim, net = _subscribed_network()
-    net.publish(Event({"topic": "t"}), at_time=1.5)
-    sim.run(until=3.0)
-    assert len(net.deliveries) == 1
-    assert net.deliveries[0].published_at >= 1.5
-
-
-def test_delay_and_at_time_conflict():
-    _, net = _subscribed_network()
-    with pytest.raises(ValueError):
-        net.publish(Event({"topic": "t"}), delay=1.0, at_time=2.0)

@@ -133,50 +133,6 @@ class TestHistogramQuantiles:
         assert list(histogram.snapshot()["quantiles"].values()) == reads
 
 
-class TestTimer:
-    def test_sim_clock_timer(self):
-        # The timer must follow an injected (simulated) clock exactly --
-        # no wall-clock contamination.
-        now = {"t": 10.0}
-        registry = MetricsRegistry()
-        timer = registry.timer("span_seconds", clock=lambda: now["t"])
-        with timer:
-            now["t"] = 12.5
-        histogram = registry.histogram("span_seconds")
-        assert histogram.count == 1
-        assert histogram.sum == pytest.approx(2.5)
-
-    def test_reentrant_nesting(self):
-        now = {"t": 0.0}
-        registry = MetricsRegistry()
-        timer = registry.timer("nest_seconds", clock=lambda: now["t"])
-        with timer:
-            now["t"] = 1.0
-            with timer:
-                now["t"] = 3.0
-            # inner observed 2.0; outer still running
-        histogram = registry.histogram("nest_seconds")
-        assert histogram.count == 2
-        assert histogram.max == pytest.approx(3.0)   # outer: 0.0 -> 3.0
-        assert histogram.min == pytest.approx(2.0)   # inner: 1.0 -> 3.0
-
-    def test_handle_is_idempotent(self):
-        now = {"t": 0.0}
-        registry = MetricsRegistry()
-        timer = registry.timer("h_seconds", clock=lambda: now["t"])
-        handle = timer.start()
-        now["t"] = 4.0
-        assert handle.stop() == pytest.approx(4.0)
-        handle.stop()
-        assert registry.histogram("h_seconds").count == 1
-
-    def test_observe_since(self):
-        now = {"t": 5.0}
-        registry = MetricsRegistry()
-        timer = registry.timer("o_seconds", clock=lambda: now["t"])
-        assert timer.observe_since(3.0) == pytest.approx(2.0)
-
-
 class _DemoStats(RegistryBackedStats):
     _int_fields = ("hits", "misses")
     _metric_prefix = "demo_"

@@ -11,7 +11,13 @@ import math
 
 import pytest
 
-from repro.net.faults import BrokerCrash, FaultInjector, FaultPlan, PartitionFault
+from repro.net.faults import (
+    BrokerCrash,
+    FaultInjector,
+    FaultPlan,
+    LinkFault,
+    PartitionFault,
+)
 from repro.net.sim import Simulator
 from repro.net.simnet import RetryPolicy, SimulatedPubSub
 from repro.obs import Observability
@@ -167,6 +173,47 @@ def test_salvage_replays_journaled_inflight_through_the_adopter():
     # dedup layers kept the replays invisible end to end.
     assert record.inflight_replayed == net.rstats.events_salvaged
     assert len(net.deliveries) == 120 * len(subscribers)
+    keys = [(d.seq, d.subscriber_id) for d in net.deliveries]
+    assert len(keys) == len(set(keys))
+
+
+def _routing_state(broker):
+    table = {
+        entry.filter: set(entry.interfaces)
+        for entry in broker.subscriptions.values()
+    }
+    return table, list(broker.forwarded_upstream)
+
+
+@pytest.mark.parametrize("link_faults, salvages", [
+    ([], False),
+    # Broker 1's link to child 3 is cut just before the crash, so what it
+    # had accepted for 3 is still unacked in its WAL when it goes down.
+    ([LinkFault(1, 3, start=1.0, duration=0.1, partitioned=True)], True),
+])
+def test_restarted_broker_restores_routing_from_its_journal(
+    link_faults, salvages
+):
+    # A transient crash, shorter than the repair timer: the broker comes
+    # back on its own disk (crash -> restart -> JournalStore.replay() ->
+    # Broker.restore() -> _replay_inflight) and nobody excises it.
+    plan = FaultPlan(
+        crashes=[BrokerCrash(1, at=1.05, duration=0.2)],
+        link_faults=link_faults,
+    )
+    sim, net = _overlay(plan)
+    subscribers = _subscribe_leaves(net)
+    before = []
+    sim.schedule(0.9, lambda: before.append(_routing_state(net.brokers[1])))
+    _publish(net, 100, rate=40.0)  # 2.5s of publishing across the outage
+    sim.run(until=6.0)
+    assert net.rstats.journal_restores == 1
+    assert net.brokers[1].incarnation == 1
+    assert _routing_state(net.brokers[1]) == before[0]
+    assert net.repair.records == []
+    assert (net.rstats.events_salvaged > 0) == salvages
+    # Every event reached every leaf exactly once.
+    assert len(net.deliveries) == 100 * len(subscribers)
     keys = [(d.seq, d.subscriber_id) for d in net.deliveries]
     assert len(keys) == len(set(keys))
 

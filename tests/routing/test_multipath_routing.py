@@ -2,14 +2,12 @@
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
 from repro.routing.multipath import (
     ProbabilisticRouter,
     ideal_ind_max,
     paths_for_frequency,
     tau_for,
 )
-from repro.siena.events import Event
 from repro.topology.multipath import MultipathNetwork
 from repro.workloads.zipf import zipf_weights
 
@@ -113,66 +111,6 @@ def test_construction_cost_and_histogram():
     histogram = router.path_usage_histogram()
     assert sum(histogram.values()) == 64
     assert router.construction_cost() > 0
-
-
-def test_route_batch_draws_one_path_for_the_whole_batch():
-    network = MultipathNetwork(depth=2, arity=5, ind=5)
-    registry = MetricsRegistry()
-    router = ProbabilisticRouter(
-        network, _frequencies(), ind_max=5, seed=3, registry=registry
-    )
-    subscriber = network.subscribers()[0]
-    path = router.route_batch("t0", subscriber, count=8)
-    assert path[0] == ()
-    assert path[-1] == subscriber
-    assert network.path_edges_exist(path)
-    counters = registry.snapshot()["counters"]
-    # Eight events routed, but only one batch draw (one route setup).
-    assert counters["multipath_routes_total"] == 8
-    assert counters["multipath_batch_routes_total"] == 1
-
-
-def test_route_batch_of_one_equals_route_statistics():
-    """A batch of one is the per-event path: same RNG consumption, so
-    identical path sequences for identical seeds."""
-    network = MultipathNetwork(depth=2, arity=5, ind=5)
-    subscriber = network.subscribers()[0]
-    single = ProbabilisticRouter(network, _frequencies(), ind_max=5, seed=9)
-    batched = ProbabilisticRouter(network, _frequencies(), ind_max=5, seed=9)
-    for _ in range(20):
-        assert single.route("t0", subscriber) == batched.route_batch(
-            "t0", subscriber, count=1
-        )
-
-
-def test_route_batch_rejects_empty_batch():
-    network = MultipathNetwork(depth=2, arity=5, ind=5)
-    router = ProbabilisticRouter(network, _frequencies(), ind_max=5)
-    with pytest.raises(ValueError):
-        router.route_batch("t0", network.subscribers()[0], count=0)
-
-
-def _publishing_router():
-    network = MultipathNetwork(depth=3, arity=2, ind=2)
-    return network, ProbabilisticRouter(network, {"t": 2.0}, seed=3)
-
-
-def test_publish_of_one_event_routes_one_path():
-    network, router = _publishing_router()
-    path = router.publish(
-        Event({"topic": "t"}), "t", network.subscribers()[0], at_time=9.0
-    )
-    assert path
-    assert router.registry.get("multipath_routes_total").value == 1
-
-
-def test_publish_of_a_batch_routes_once_and_counts_every_event():
-    network, router = _publishing_router()
-    events = [Event({"topic": "t", "n": n}) for n in range(4)]
-    path = router.publish(events, "t", network.subscribers()[0])
-    assert path
-    assert router.registry.get("multipath_routes_total").value == 4
-    assert router.registry.get("multipath_batch_routes_total").value == 1
 
 
 def test_ideal_ind_max():

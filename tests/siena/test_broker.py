@@ -158,45 +158,3 @@ def test_custom_match_predicate():
     broker.subscribe("c", Filter.topic("never-published"))
     broker.publish(Event({"topic": "anything"}))
     assert len(received) == 1
-
-
-def test_admission_gate_sheds_local_publications():
-    broker = Broker("b")
-    received = []
-    broker.attach_client("c", received.append)
-    broker.subscribe("c", Filter.topic("news"))
-    broker.bind_flow(lambda event: event.get("vip") is not None)
-    assert broker.publish(Event({"topic": "news"})) == 0
-    assert broker.publish(Event({"topic": "news", "vip": 1})) == 1
-    assert len(received) == 1
-    assert broker.stats.events_shed == 1
-    assert broker.stats.events_received == 1
-
-
-def test_admission_gate_ignores_broker_to_broker_traffic():
-    broker = Broker("b")
-    received = []
-    broker.attach_client("c", received.append)
-    broker.subscribe("c", Filter.topic("news"))
-    broker.bind_flow(lambda _event: False)
-    # Forwarded traffic already paid admission at its origin broker.
-    assert broker.publish(Event({"topic": "news"}), arrived_from="peer") == 1
-    assert broker.stats.events_shed == 0
-    assert len(received) == 1
-
-
-def test_admission_gate_filters_local_batches():
-    broker = Broker("b")
-    received = []
-    broker.attach_client("c", received.append)
-    broker.subscribe("c", Filter.topic("news"))
-    broker.bind_flow(lambda event: event.get("k", 0) % 2 == 0)
-    events = [Event({"topic": "news", "k": k}) for k in range(4)]
-    broker.publish(events)
-    assert broker.stats.events_shed == 2
-    assert broker.stats.events_received == 2
-    assert len(received) == 2
-    # A fully refused batch is not counted as received at all.
-    before = broker.stats.batches_received
-    assert broker.publish([Event({"topic": "news", "k": 1})]) == 0
-    assert broker.stats.batches_received == before

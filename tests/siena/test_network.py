@@ -89,12 +89,6 @@ def test_publish_takes_one_event_or_a_batch():
     assert [e.get("n") for e in received["s"]] == [0, 1, 2]
 
 
-def test_publish_accepts_at_time_for_signature_uniformity():
-    tree, received = _tree_with_subscribers(3, {"s": ["news"]})
-    tree.publish(Event({"topic": "news"}), at_time=5.0)
-    assert len(received["s"]) == 1
-
-
 def test_range_subscriptions_route_correctly():
     tree = BrokerTree(num_brokers=7)
     received = []
