@@ -877,9 +877,12 @@ class SimulatedPubSub:
             return  # acked in the meantime
         del self._pending[key]
         self._c_ack_timeouts.inc()
-        if self._durable() and not self.brokers[from_id].alive:
-            # A crashed sender retransmits nothing; its journal replays
-            # this event on restart (or the repair salvage does).
+        if not self.brokers[from_id].alive:
+            # A crashed sender retransmits nothing.  With journals its
+            # WAL replays this event on restart (or the repair salvage
+            # does); without, the event is lost with the broker.  Either
+            # way the dead process no longer holds the hop's credit.
+            self._credit_release(key)
             return
         if to_id in self._reroute:
             self._redirect(from_id, to_id, seq, payload)
@@ -894,18 +897,6 @@ class SimulatedPubSub:
             self._credit_release(key)
             return
         self._transmit_reliable(from_id, to_id, seq, payload, attempt + 1)
-
-    def _durable(self) -> bool:
-        """Whether brokers journal state (and crashed senders go silent).
-
-        Without journals the overlay keeps PR 1's lenient model -- a
-        crashed broker's already-armed retransmit timers still fire --
-        because existing chaos baselines pin that behaviour.  With
-        journals the realistic rule applies: a dead process sends
-        nothing, and its WAL replay (or the repair salvage) re-publishes
-        whatever it had accepted.
-        """
-        return self.journals is not None
 
     def _park(
         self, from_id: Hashable, to_id: Hashable, seq: int, payload: Event

@@ -20,6 +20,7 @@ from repro.net.faults import (
     BrokerSlowdown,
     FaultInjector,
     FaultPlan,
+    LinkFault,
 )
 from repro.net.sim import Simulator
 from repro.net.simnet import RetryPolicy, SimulatedPubSub
@@ -27,10 +28,11 @@ from repro.siena.events import Event
 from repro.siena.filters import Filter
 
 
-def _overlay(sim, flow, reliable=False, faults=None, broker_cost=0.001):
+def _overlay(sim, flow, reliable=False, faults=None, broker_cost=0.001,
+             num_brokers=3):
     net = SimulatedPubSub(
         sim,
-        num_brokers=3,
+        num_brokers=num_brokers,
         arity=2,
         link_latency=0.002,
         client_latency=0.0005,
@@ -227,6 +229,29 @@ def test_reliable_stack_with_flow_survives_a_mid_storm_crash():
     assert all(seq in delivered_to_s1 for seq in high_seqs)
     keys = [(r.seq, r.subscriber_id) for r in net.deliveries]
     assert len(keys) == len(set(keys))
+
+
+def test_crashed_sender_gives_back_the_credits_of_its_unacked_hops():
+    """A crashed broker retransmits nothing, so a hop message the lossy
+    link swallowed is never acked: the credit it held must come back with
+    the sender's death, or the link's window shrinks for good."""
+    sim = Simulator()
+    policy = FlowControlPolicy(queue_capacity=8, credit_window=8)
+    plan = FaultPlan(
+        crashes=[BrokerCrash(1, at=0.02, duration=0.3)],
+        link_faults=[LinkFault(loss=0.3)],
+    )
+    injector = FaultInjector(sim, plan, seed=1)
+    net = _overlay(sim, policy, reliable=True, faults=injector, num_brokers=7)
+    injector.install()
+    _storm(net, events=100, interval=0.001)
+    sim.run(until=10.0)
+    assert net.registry.total("net_link_drops_total") > 0
+    assert not net._credit_held
+    assert all(
+        lf.gate.available == policy.credit_window
+        for lf in net._link_flow.values()
+    )
 
 
 def test_shed_listener_sees_admission_overload():
