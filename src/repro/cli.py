@@ -1,8 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands self-register through the :func:`command` decorator -- a
-declarative registry of (name, help, argument builder, handler) -- so
-``build_parser`` and ``main`` never change.  Registered commands:
+:data:`COMMANDS` is the table ``build_parser`` loops:
 
 - ``demo``           -- the quickstart medical-records flow;
 - ``grant``          -- show the key material the KDC issues for a range
@@ -20,71 +18,24 @@ declarative registry of (name, help, argument builder, handler) -- so
                         that ``--check`` enforces, and this command is
                         only the loop over them: a new scenario is a
                         ``Scenario`` value, not a handler;
-- ``metrics``        -- run the ``overlay`` scenario's reliable tree at
-                        a small size and export its metrics/tracing
-                        snapshot (JSON or Prometheus);
 - ``serve``          -- run one rtnet broker server on a TCP socket,
                         optionally dialing a parent broker (a cluster is
                         N ``serve`` processes).
 
-Randomized commands share one ``--seed`` option (:func:`add_seed_option`)
-so a single integer pins workload draws across ``chaos`` and ``metrics``
-runs.  Speed is measured by ``benchmarks/e2e/run.py``, not here.
+Randomized commands share one ``--seed`` option (:func:`add_seed_option`).
+Speed is measured by ``benchmarks/e2e/run.py``, not here.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.harness.scenario import SCENARIOS, load
 
 
-@dataclass(frozen=True)
-class Command:
-    """One CLI subcommand: its name, help line, args, and handler."""
-
-    name: str
-    help: str
-    handler: Callable[[argparse.Namespace], int]
-    configure: Callable[[argparse.ArgumentParser], None] | None = None
-
-
-_REGISTRY: dict[str, Command] = {}
-
-
-def register(entry: Command) -> Command:
-    """Add *entry* to the subcommand registry (last writer wins)."""
-    _REGISTRY[entry.name] = entry
-    return entry
-
-
-def command(
-    name: str,
-    help: str,  # noqa: A002 - mirrors argparse's keyword
-    configure: Callable[[argparse.ArgumentParser], None] | None = None,
-) -> Callable[[Callable[[argparse.Namespace], int]], Callable]:
-    """Decorator form of :func:`register` for handler functions."""
-
-    def decorate(
-        handler: Callable[[argparse.Namespace], int]
-    ) -> Callable[[argparse.Namespace], int]:
-        register(Command(name, help, handler, configure))
-        return handler
-
-    return decorate
-
-
-def commands() -> tuple[Command, ...]:
-    """The registered subcommands, in registration order."""
-    return tuple(_REGISTRY.values())
-
-
-def add_seed_option(
-    parser: argparse.ArgumentParser, default: int = 7
-) -> None:
+def add_seed_option(parser: argparse.ArgumentParser) -> None:
     """The uniform ``--seed`` option for randomized subcommands.
 
     Every command that draws randomness (workload sampling, fault
@@ -92,15 +43,14 @@ def add_seed_option(
     same integer reproduces the same run everywhere.
     """
     parser.add_argument(
-        "--seed", type=int, default=default,
-        help=f"PRNG seed pinning every random draw (default: {default})",
+        "--seed", type=int, default=7,
+        help="PRNG seed pinning every random draw (default: 7)",
     )
 
 
 # -- demo ---------------------------------------------------------------------
 
 
-@command("demo", "run the quickstart flow")
 def _cmd_demo(_args: argparse.Namespace) -> int:
     from repro.api import connect
     from repro.siena import Event, Filter
@@ -137,11 +87,6 @@ def _grant_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("high", type=int)
 
 
-@command(
-    "grant",
-    "show the key material for a range subscription",
-    configure=_grant_args,
-)
 def _cmd_grant(args: argparse.Namespace) -> int:
     from repro.core import KDC, CompositeKeySpace, NumericKeySpace
     from repro.siena import Filter
@@ -172,7 +117,6 @@ def _cmd_grant(args: argparse.Namespace) -> int:
 # -- calibrate ----------------------------------------------------------------
 
 
-@command("calibrate", "measure crypto primitive costs on this host")
 def _cmd_calibrate(_args: argparse.Namespace) -> int:
     from repro.harness.timing import measure_crypto_costs
 
@@ -192,11 +136,6 @@ def _experiment_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--events", type=int, default=4000)
 
 
-@command(
-    "experiment",
-    "regenerate one experiment series",
-    configure=_experiment_args,
-)
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.harness.reporting import format_table
 
@@ -254,14 +193,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _topology_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nodes", type=int, default=63)
-    parser.add_argument("--seed", type=int, default=7)
+    add_seed_option(parser)
 
 
-@command(
-    "topology",
-    "generate a topology and report RTT statistics",
-    configure=_topology_args,
-)
 def _cmd_topology(args: argparse.Namespace) -> int:
     from repro.topology import TransitStubTopology
 
@@ -280,7 +214,6 @@ def _cmd_topology(args: argparse.Namespace) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-@command("verify", "fast self-check of the reproduction's headline claims")
 def _cmd_verify(_args: argparse.Namespace) -> int:
     from repro.harness.verification import (
         format_verification,
@@ -339,11 +272,6 @@ def _chaos_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-@command(
-    "chaos",
-    "measure delivery under injected broker crashes and link loss",
-    configure=_chaos_args,
-)
 def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.list:
         width = max(len(name) for name in SCENARIOS)
@@ -408,97 +336,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- metrics ------------------------------------------------------------------
-
-
-def _metrics_args(parser: argparse.ArgumentParser) -> None:
-    add_seed_option(parser)
-    parser.add_argument("--duration", type=float, default=3.0)
-    parser.add_argument("--rate", type=float, default=30.0,
-                        help="publications per second")
-    parser.add_argument("--brokers", type=int, default=7,
-                        help="tree overlay size")
-    parser.add_argument("--link-loss", type=float, default=0.05,
-                        help="per-transmission link loss probability")
-    parser.add_argument(
-        "--format", choices=["json", "prometheus"], default="json",
-        help="snapshot rendering (default: json)",
-    )
-    parser.add_argument("--output", metavar="PATH",
-                        help="write the snapshot here instead of stdout")
-    parser.add_argument(
-        "--check", action="store_true",
-        help="fail unless the tracing invariants hold "
-        "(published == traced, zero dropped spans)",
-    )
-
-
-@command(
-    "metrics",
-    "run an instrumented workload and export a metrics snapshot",
-    configure=_metrics_args,
-)
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.harness.chaos import (
-        ChaosConfig,
-        check_invariants,
-        run_tree_chaos,
-    )
-    from repro.obs.export import json_safe
-
-    # The overlay scenario's reliable tree, at a size and fault load
-    # that keep the snapshot small enough to read.
-    config = ChaosConfig(
-        seed=args.seed, duration=args.duration, drain=2.0,
-        publish_rate=args.rate, num_brokers=args.brokers,
-        crash_probability=0.15, crash_duration=0.4,
-        link_loss=args.link_loss,
-    )
-    try:
-        result = run_tree_chaos(config, reliable=True)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "prometheus":
-        rendered = result.obs.to_prometheus()
-    else:
-        document = result.obs.snapshot()
-        document["workload"] = {
-            "published": config.events,
-            "expected": result.expected,
-            "delivered": result.delivered,
-        }
-        rendered = json.dumps(
-            json_safe(document), indent=2, sort_keys=True
-        )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote {args.format} snapshot to {args.output}")
-    else:
-        print(rendered)
-    summary = result.obs.tracer.summary()
-    print(
-        f"published {config.events} events, delivered "
-        f"{result.delivered}/{result.expected}; "
-        f"{summary['spans_recorded']} spans across "
-        f"{summary['traces_started']} traces "
-        f"({summary['total_retransmits']} retransmits, "
-        f"{summary['total_drops']} drops)",
-        file=sys.stderr,
-    )
-    if args.check:
-        problems = check_invariants(config, result)
-        for problem in problems:
-            print(f"invariant violated: {problem}", file=sys.stderr)
-        if problems:
-            return 1
-        print("all tracing invariants hold", file=sys.stderr)
-    return 0
-
-
 # -- serve --------------------------------------------------------------------
 
 
@@ -514,11 +351,6 @@ def _serve_args(parser: argparse.ArgumentParser) -> None:
                         help="per-peer bounded egress queue depth")
 
 
-@command(
-    "serve",
-    "run one rtnet broker server on a TCP socket",
-    configure=_serve_args,
-)
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -567,8 +399,28 @@ def _distribution_version() -> str:
         return getattr(repro, "__version__", "0.0.0+unknown")
 
 
+#: (name, help line, handler, argument builder or None) per subcommand.
+COMMANDS = (
+    ("demo", "run the quickstart flow", _cmd_demo, None),
+    ("grant", "show the key material for a range subscription",
+     _cmd_grant, _grant_args),
+    ("calibrate", "measure crypto primitive costs on this host",
+     _cmd_calibrate, None),
+    ("experiment", "regenerate one experiment series",
+     _cmd_experiment, _experiment_args),
+    ("topology", "generate a topology and report RTT statistics",
+     _cmd_topology, _topology_args),
+    ("verify", "fast self-check of the reproduction's headline claims",
+     _cmd_verify, None),
+    ("chaos", "measure delivery under injected broker crashes and link loss",
+     _cmd_chaos, _chaos_args),
+    ("serve", "run one rtnet broker server on a TCP socket",
+     _cmd_serve, _serve_args),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser, built from the command registry."""
+    """The CLI argument parser, built from :data:`COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="PSGuard: secure event dissemination in pub-sub "
@@ -579,11 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
         version=f"%(prog)s {_distribution_version()}",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for entry in commands():
-        subparser = subparsers.add_parser(entry.name, help=entry.help)
-        if entry.configure is not None:
-            entry.configure(subparser)
-        subparser.set_defaults(handler=entry.handler)
+    for name, help_line, handler, configure in COMMANDS:
+        subparser = subparsers.add_parser(name, help=help_line)
+        if configure is not None:
+            configure(subparser)
+        subparser.set_defaults(handler=handler)
     return parser
 
 

@@ -21,9 +21,9 @@ seed, validate the fault-tolerance story of Section 4.2.1 against
   ``1 - (1 - (1-f)^d)^k`` loss model evaluated at the plan's effective
   per-hop failure probability.
 
-:func:`run_timed_tree` is the one timed-tree workload: tree chaos, the
-recovery harness and ``repro metrics`` (the reliable tree at a smaller
-size, audited by :func:`check_invariants`) all drive it.
+:func:`run_timed_tree` is the one timed-tree workload: tree chaos and
+the recovery harness drive it.  :func:`check_invariants` audits the
+instrumentation of both tree runs (the ``instrumentation`` gate).
 """
 
 from __future__ import annotations
@@ -93,6 +93,7 @@ class TreeChaosResult:
     """
 
     mode: str
+    published: int
     expected: int
     delivered: int
     duplicates: int
@@ -232,6 +233,7 @@ def run_tree_chaos(config: ChaosConfig, reliable: bool) -> TreeChaosResult:
     stats = net.rstats
     return TreeChaosResult(
         mode="reliable" if reliable else "fire-and-forget",
+        published=config.events,
         expected=expected,
         delivered=len(net.deliveries),
         duplicates=stats.duplicates_suppressed + stats.duplicate_deliveries,
@@ -254,9 +256,9 @@ def check_invariants(
 ) -> list[str]:
     """Accounting identities the instrumentation must keep; [] == pass.
 
-    ``repro metrics --check``: one trace per published event, no span
-    against an unknown or evicted trace, traced deliveries equal to the
-    overlay's delivery log, broker counters that moved.
+    One trace per published event, no span against an unknown or
+    evicted trace, traced deliveries equal to the overlay's delivery
+    log, broker counters that moved.
     """
     problems: list[str] = []
     tracer = result.obs.tracer
@@ -599,6 +601,14 @@ def _baseline_degrades(_config, report: ChaosReport) -> str | None:
     )
 
 
+def _instrumentation(config, report: ChaosReport) -> str | None:
+    return all_of(
+        f"{result.mode} tree: {problem}"
+        for result in (report.tree_baseline, report.tree_reliable)
+        for problem in check_invariants(config, result)
+    )
+
+
 SCENARIO = Scenario(
     name="overlay",
     description="broker crashes + link loss: fire-and-forget vs the "
@@ -613,9 +623,15 @@ SCENARIO = Scenario(
     gates=(
         Gate("reliable-delivery", _reliable_delivery),
         Gate("baseline-degrades", _baseline_degrades),
+        Gate("instrumentation", _instrumentation),
     ),
     snapshot=lambda report: {
         "tree": report.tree_reliable.obs.snapshot(),
         "multipath": report.multipath_reliable.obs.snapshot(),
+        "workload": {
+            "published": report.tree_reliable.published,
+            "expected": report.tree_reliable.expected,
+            "delivered": report.tree_reliable.delivered,
+        },
     },
 )

@@ -543,7 +543,7 @@ class SimulatedPubSub:
         lf = self._link_flow[(from_id, to_id)]
         while len(lf.egress) and lf.gate.available > 0:
             (key, payload), _priority = lf.egress.take()
-            self._forward(from_id, to_id, key[2], payload)
+            self._forward(*key, payload)
 
     def _flow_enqueue(
         self, broker_id: Hashable, item: tuple, priority: int
@@ -555,18 +555,13 @@ class SimulatedPubSub:
         if result.shed is not None:
             shed_item, shed_priority = result.shed
             bf.breaker.record_shed(now)
-            self._on_ingress_shed(broker_id, shed_item, shed_priority)
+            self._notify_shed(shed_priority, "ingress", broker_id)
+            if shed_item[0] == "hop":
+                self._forget_queued_hop(shed_item[1])
         bf.breaker.observe_depth(len(bf.ingress), now)
         if result.accepted:
             self._pump_broker(broker_id)
         return result.accepted
-
-    def _on_ingress_shed(
-        self, broker_id: Hashable, item: tuple, priority: int
-    ) -> None:
-        self._notify_shed(priority, "ingress", broker_id)
-        if item[0] == "hop":
-            self._forget_queued_hop(item[1])
 
     def _pump_broker(self, broker_id: Hashable) -> None:
         """Feed the broker CPU one ingress item at a time."""

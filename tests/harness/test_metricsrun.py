@@ -1,12 +1,18 @@
-"""The ``repro metrics`` workload -- the overlay scenario's reliable
-tree at a small size -- and its tracing invariants."""
+"""The overlay scenario's ``instrumentation`` gate: the tracing and
+metrics invariants of its tree runs, and the snapshot's workload section."""
 
 import json
 
-from repro.cli import main
-from repro.harness.chaos import ChaosConfig, check_invariants, run_tree_chaos
+from repro.harness.chaos import (
+    SCENARIO,
+    ChaosConfig,
+    check_invariants,
+    run_chaos,
+    run_tree_chaos,
+)
+from repro.obs.export import json_safe
 
-# What ``repro metrics --seed 7 --duration 1 --rate 20`` runs.
+# The overlay scenario's tree at a size that keeps the snapshot readable.
 _CONFIG = ChaosConfig(seed=7, duration=1.0, drain=2.0, publish_rate=20.0,
                       num_brokers=7, crash_probability=0.15,
                       crash_duration=0.4)
@@ -23,6 +29,14 @@ def test_invariants_hold_on_seeded_run():
     )
 
 
+def test_gate_audits_both_tree_runs():
+    report = run_chaos(_CONFIG)
+    assert "instrumentation" not in dict(SCENARIO.violations(_CONFIG, report))
+    report.tree_baseline.obs.tracer.start_trace("stray", at=0.0)
+    problem = dict(SCENARIO.violations(_CONFIG, report))["instrumentation"]
+    assert problem.startswith("fire-and-forget tree: events published (20)")
+
+
 def test_workload_exercises_faults_and_retries():
     result = run_tree_chaos(_CONFIG, reliable=True)
     summary = result.obs.tracer.summary()
@@ -32,19 +46,20 @@ def test_workload_exercises_faults_and_retries():
     assert delivery is not None and delivery.count == result.delivered
 
 
-def test_snapshot_carries_workload_section(capsys):
-    """The CLI exports exactly the library run, plus a workload section."""
-    assert main(["metrics", "--seed", "7", "--duration", "1",
-                 "--rate", "20"]) == 0
-    document = json.loads(capsys.readouterr().out)
-    result = run_tree_chaos(_CONFIG, reliable=True)
-    assert document.pop("workload") == {
+def test_snapshot_carries_workload_section():
+    """``--snapshot`` exports the reliable tree's bundle, plus what the
+    workload published and delivered (CI's sanity step reads both)."""
+    report = run_chaos(_CONFIG)
+    document = SCENARIO.snapshot(report)
+    result = report.tree_reliable
+    assert document["workload"] == {
         "published": _CONFIG.events,
         "expected": result.expected,
         "delivered": result.delivered,
     }
-    assert "tracing" in document and document["counters"]
-    assert document == json.loads(result.obs.to_json())
+    assert document["tree"]["tracing"]["traces_started"] == _CONFIG.events
+    assert document["tree"]["counters"]
+    assert json_safe(document["tree"]) == json.loads(result.obs.to_json())
 
 
 def test_run_is_deterministic():

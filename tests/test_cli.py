@@ -172,7 +172,8 @@ def test_chaos_check_names_the_gated_scenarios(capsys):
     )
     # Above it, one line per scenario names the gates that held.
     assert err[0] == (
-        "overlay gates held: reliable-delivery, baseline-degrades"
+        "overlay gates held: reliable-delivery, baseline-degrades, "
+        "instrumentation"
     )
     assert "live gates held: equivalence, confidentiality, acked" in err
 
@@ -188,9 +189,6 @@ def test_chaos_check_names_the_gated_scenarios(capsys):
      "need at least one subscriber"),
     (["chaos", "--scenario", "overlay", "--duration", "0"],
      "horizon must be positive"),
-    (["metrics", "--rate", "0"],
-     "duration and publish rate must be positive"),
-    (["metrics", "--duration", "-1"], "horizon must be positive"),
 ])
 def test_bad_sizes_are_config_errors_not_tracebacks(argv, message, capsys):
     assert main(argv) == 2
@@ -245,35 +243,6 @@ def test_chaos_overload_rejects_bad_config(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_metrics_check_passes(capsys):
-    assert main(["metrics", "--duration", "1", "--rate", "20",
-                 "--check"]) == 0
-    captured = capsys.readouterr()
-    assert '"counters"' in captured.out
-    assert "broker_events_received_total" in captured.out
-    assert "all tracing invariants hold" in captured.err
-
-
-def test_metrics_writes_snapshot_file(tmp_path, capsys):
-    target = tmp_path / "snapshot.json"
-    assert main(["metrics", "--duration", "1", "--rate", "20",
-                 "--output", str(target)]) == 0
-    import json
-
-    document = json.loads(target.read_text())
-    assert document["tracing"]["dropped_spans"] == 0
-    assert document["workload"]["published"] == 20
-    assert "spans across" in capsys.readouterr().err
-
-
-def test_metrics_prometheus_format(capsys):
-    assert main(["metrics", "--duration", "1", "--rate", "20",
-                 "--format", "prometheus"]) == 0
-    output = capsys.readouterr().out
-    assert "# TYPE net_delivery_latency_seconds summary" in output
-    assert "broker_events_received_total" in output
-
-
 def test_chaos_reports_include_metrics_snapshot(capsys):
     assert main(["chaos", "--seed", "7", "--duration", "1",
                  "--rate", "20"]) == 0
@@ -284,12 +253,12 @@ def test_chaos_reports_include_metrics_snapshot(capsys):
 
 
 def test_command_registry_drives_parser():
-    from repro.cli import build_parser, commands
+    from repro.cli import COMMANDS, build_parser
 
-    names = {entry.name for entry in commands()}
-    assert {"demo", "grant", "chaos", "metrics", "verify"} <= names
+    names = {name for name, *_ in COMMANDS}
+    assert {"demo", "grant", "chaos", "verify"} <= names
     parser = build_parser()
-    args = parser.parse_args(["metrics", "--check"])
+    args = parser.parse_args(["chaos", "--check"])
     assert args.check is True
 
 
@@ -305,16 +274,16 @@ def test_command_required():
 
 def test_bench_registered_with_uniform_seed_option():
     """Every randomized command takes the same ``--seed`` option."""
-    from repro.cli import build_parser, commands
+    from repro.cli import COMMANDS, build_parser
 
-    assert {"chaos", "metrics"} <= {entry.name for entry in commands()}
+    assert {"chaos", "topology"} <= {name for name, *_ in COMMANDS}
     parser = build_parser()
-    for command in ("chaos", "metrics"):
+    for command in ("chaos", "topology"):
         args = parser.parse_args([command, "--seed", "3"])
         assert args.seed == 3
 
 
-@pytest.mark.parametrize("removed", ["bench", "livebench"])
+@pytest.mark.parametrize("removed", ["bench", "livebench", "metrics"])
 def test_removed_bench_commands_are_unknown(removed, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([removed])
@@ -334,9 +303,9 @@ def test_version_flag_reports_the_package_version(capsys):
 
 
 def test_serve_registered_with_parent_option():
-    from repro.cli import build_parser, commands
+    from repro.cli import COMMANDS, build_parser
 
-    assert "serve" in {entry.name for entry in commands()}
+    assert "serve" in {name for name, *_ in COMMANDS}
     args = build_parser().parse_args(
         ["serve", "--broker-id", "b3", "--port", "7001",
          "--parent", "127.0.0.1:7000"]
