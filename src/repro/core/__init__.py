@@ -31,7 +31,7 @@ from repro.core.composite import CompositeKeySpace
 from repro.core.envelope import SealedEvent, open_event, seal_event
 from repro.core.epochs import AdaptiveEpochPolicy, StaticEpochPolicy
 from repro.core.kdc import KDC, AuthorizationGrant
-from repro.core.kdcclient import ClientRetryPolicy, KDCClient
+from repro.core.kdcclient import KDCClient
 from repro.core.kdcservice import KDCCluster, KDCReplica
 from repro.core.ktid import KTID
 from repro.core.nakt import NumericKeySpace
@@ -54,7 +54,6 @@ __all__ = [
     "AuthorizationGrant",
     "CategoryKeySpace",
     "CategoryTree",
-    "ClientRetryPolicy",
     "CompositeKeySpace",
     "KDCClient",
     "KDCCluster",

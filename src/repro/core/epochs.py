@@ -22,6 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+#: EMA weight of the newest subscription inter-arrival gap.
+_SMOOTHING = 0.2
+#: Adaptive epochs stay within ``[base / _MAX_SCALE, base * _MAX_SCALE]``.
+_MAX_SCALE = 8
+
 
 class StaticEpochPolicy:
     """The fixed epoch length of Section 2.1."""
@@ -46,14 +51,12 @@ class AdaptiveEpochPolicy:
     ``target_renewals`` is how many subscription renewals the topic
     should see per epoch: the epoch length tracks
     ``target_renewals * mean_interarrival``, clamped to
-    ``[base/max_scale, base*max_scale]`` and quantized to powers of two
+    ``[base/8, base*8]`` and quantized to powers of two
     times the base so the schedule stays deterministic.
     """
 
     base_length: float = 3600.0
     target_renewals: float = 16.0
-    smoothing: float = 0.2
-    max_scale: int = 8
     _mean_interarrival: float | None = field(default=None, init=False)
     _last_subscription: float | None = field(default=None, init=False)
 
@@ -62,10 +65,6 @@ class AdaptiveEpochPolicy:
             raise ValueError("base length must be positive")
         if self.target_renewals <= 0:
             raise ValueError("target renewals must be positive")
-        if not 0 < self.smoothing <= 1:
-            raise ValueError("smoothing must be in (0, 1]")
-        if self.max_scale < 1:
-            raise ValueError("max scale must be >= 1")
 
     def observe_subscription(self, at_time: float) -> None:
         """Feed one subscription arrival into the history."""
@@ -74,7 +73,7 @@ class AdaptiveEpochPolicy:
             if self._mean_interarrival is None:
                 self._mean_interarrival = gap
             else:
-                self._mean_interarrival += self.smoothing * (
+                self._mean_interarrival += _SMOOTHING * (
                     gap - self._mean_interarrival
                 )
         self._last_subscription = at_time
@@ -85,6 +84,6 @@ class AdaptiveEpochPolicy:
             return self.base_length
         desired = self.target_renewals * self._mean_interarrival
         scale = desired / self.base_length
-        clamped = min(float(self.max_scale), max(1.0 / self.max_scale, scale))
+        clamped = min(float(_MAX_SCALE), max(1.0 / _MAX_SCALE, scale))
         quantized = 2.0 ** round(math.log2(clamped))
         return self.base_length * quantized

@@ -10,14 +10,14 @@ the availability story:
   sticking to the last replica that answered (and following a primary
   redirect for mutations);
 - **retry with exponential backoff + jitter** -- each attempt's timeout
-  grows by ``backoff`` and is jittered to desynchronize renewal storms
+  grows by ``_BACKOFF`` and is jittered to desynchronize renewal storms
   at epoch boundaries;
 - **request deduplication** -- every logical request carries one request
   id across all its attempts, so a replica that already served it (the
   *reply* was lost, not the request) answers from its dedup cache and a
   grant is never double-issued or double-billed;
-- **circuit breaker** -- a replica that times out ``breaker_threshold``
-  times in a row is skipped for ``breaker_cooldown`` seconds instead of
+- **circuit breaker** -- a replica that times out ``_BREAKER_THRESHOLD``
+  times in a row is skipped for ``_BREAKER_COOLDOWN`` seconds instead of
   eating a full timeout on every renewal (half-open probing resumes
   after the cooldown).
 
@@ -34,7 +34,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
 from repro.core.kdc import AuthorizationGrant
@@ -45,43 +44,24 @@ from repro.obs.metrics import MetricsRegistry, RegistryBackedStats
 from repro.siena.filters import Filter
 
 
-@dataclass
-class ClientRetryPolicy:
-    """Retry/failover knobs for one :class:`KDCClient`."""
+#: Reply timeout for the first attempt; must exceed one RPC round trip.
+_TIMEOUT = 0.03
+#: Total attempts per logical request, across all replicas.
+_MAX_ATTEMPTS = 8
+#: Multiplier applied to the timeout after every failed attempt.
+_BACKOFF = 1.5
+#: Uniform +-fraction perturbing each timeout.
+_JITTER = 0.2
+#: Consecutive timeouts before a replica's breaker opens.
+_BREAKER_THRESHOLD = 3
+#: Seconds an open breaker skips its replica before half-open probing.
+_BREAKER_COOLDOWN = 0.5
 
-    #: Reply timeout for the first attempt; must exceed one RPC round trip.
-    timeout: float = 0.03
-    #: Total attempts per logical request, across all replicas.
-    max_attempts: int = 8
-    #: Multiplier applied to the timeout after every failed attempt.
-    backoff: float = 1.5
-    #: Uniform +-fraction perturbing each timeout.
-    jitter: float = 0.2
-    #: Consecutive timeouts before a replica's breaker opens.
-    breaker_threshold: int = 3
-    #: Seconds an open breaker skips its replica before half-open probing.
-    breaker_cooldown: float = 0.5
 
-    def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if self.max_attempts < 1:
-            raise ValueError("need at least one attempt")
-        if self.backoff < 1.0:
-            raise ValueError("backoff multiplier must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter fraction must be within [0, 1)")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker threshold must be at least one")
-        if self.breaker_cooldown < 0:
-            raise ValueError("breaker cooldown must be non-negative")
-
-    def timeout_for(self, attempt: int, rng: random.Random) -> float:
-        """The reply timeout for (0-based) *attempt*, with jitter."""
-        timeout = self.timeout * (self.backoff ** attempt)
-        if self.jitter:
-            timeout *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return timeout
+def _timeout_for(attempt: int, rng: random.Random) -> float:
+    """The reply timeout for (0-based) *attempt*, with jitter."""
+    timeout = _TIMEOUT * (_BACKOFF ** attempt)
+    return timeout * (1.0 + _JITTER * (2.0 * rng.random() - 1.0))
 
 
 class KDCClientStats(RegistryBackedStats):
@@ -129,11 +109,11 @@ class _Breaker:
         self.consecutive_failures = 0
         self.open_until = -math.inf
 
-    def record_failure(self, now: float, policy: ClientRetryPolicy) -> bool:
+    def record_failure(self, now: float) -> bool:
         """Count one failure; returns True when this opens the breaker."""
         self.consecutive_failures += 1
-        if self.consecutive_failures >= policy.breaker_threshold:
-            self.open_until = now + policy.breaker_cooldown
+        if self.consecutive_failures >= _BREAKER_THRESHOLD:
+            self.open_until = now + _BREAKER_COOLDOWN
             self.consecutive_failures = 0
             return True
         return False
@@ -165,7 +145,6 @@ class KDCClient:
         network: ServiceNetwork,
         client_id: Hashable,
         replica_ids: Iterable[Hashable],
-        policy: ClientRetryPolicy | None = None,
         seed: int = 0,
         registry: MetricsRegistry | None = None,
     ):
@@ -174,7 +153,6 @@ class KDCClient:
         self.replica_ids = list(replica_ids)
         if not self.replica_ids:
             raise ValueError("need at least one replica address")
-        self.policy = policy if policy is not None else ClientRetryPolicy()
         # Share the control-plane network's registry unless told otherwise.
         self.registry = (
             registry if registry is not None else network.registry
@@ -283,13 +261,13 @@ class KDCClient:
     def _attempt(self, call: _Call) -> None:
         if call.done:
             return
-        if call.attempt >= self.policy.max_attempts:
+        if call.attempt >= _MAX_ATTEMPTS:
             call.done = True
             self.stats.failures += 1
             call.on_error(
                 KDCUnavailable(
                     f"request {call.request.request_id} exhausted "
-                    f"{self.policy.max_attempts} attempts"
+                    f"{_MAX_ATTEMPTS} attempts"
                 )
             )
             return
@@ -309,7 +287,7 @@ class KDCClient:
         self.network.request(
             self.client_id, replica, call.request, on_reply=on_reply
         )
-        timeout = self.policy.timeout_for(attempt, self._rng)
+        timeout = _timeout_for(attempt, self._rng)
         call.timer = self.network.sim.schedule(
             timeout, lambda: self._on_timeout(call, replica, attempt)
         )
@@ -363,7 +341,7 @@ class KDCClient:
         if call.done or attempt != call.attempt - 1:
             return
         self.stats.timeouts += 1
-        if self._breakers[replica].record_failure(self.now(), self.policy):
+        if self._breakers[replica].record_failure(self.now()):
             self.stats.breaker_opens += 1
             self._g_breaker[replica].set(1)
         self._attempt(call)

@@ -43,6 +43,10 @@ from repro.obs.metrics import MetricsRegistry, RegistryBackedStats
 
 #: How many memoized responses a replica keeps for request dedup.
 DEDUP_CAPACITY = 4096
+#: Seconds between a backup's anti-entropy pulls of the primary's log.
+_SYNC_INTERVAL = 0.25
+#: Seconds between a recovering replica's catch-up pulls.
+_CATCHUP_RETRY = 0.1
 
 
 @dataclass(frozen=True)
@@ -270,8 +274,6 @@ class KDCCluster:
         replica_ids: Iterable[Hashable],
         master_key: bytes,
         faults: FaultInjector | None = None,
-        sync_interval: float | None = 0.25,
-        catchup_retry: float = 0.1,
         registry: MetricsRegistry | None = None,
     ):
         self.network = network
@@ -291,7 +293,6 @@ class KDCCluster:
         self.primary_id: Hashable | None = self.replica_ids[0]
         self.stats = ClusterStats(self.registry)
         self._g_view = self.registry.gauge("kdc_view")
-        self.catchup_retry = catchup_retry
         for replica_id in self.replica_ids:
             network.register(
                 replica_id,
@@ -299,8 +300,7 @@ class KDCCluster:
             )
         if faults is not None:
             faults.on_transition(self._on_transition)
-        if sync_interval is not None:
-            self._start_anti_entropy(sync_interval)
+        self._start_anti_entropy()
 
     # -- bootstrap -------------------------------------------------------------
 
@@ -388,7 +388,7 @@ class KDCCluster:
                 KDCRequest("replicate", None, {"command": command}),
             )
 
-    def _start_anti_entropy(self, interval: float) -> None:
+    def _start_anti_entropy(self) -> None:
         """Backups periodically pull the log suffix they are missing.
 
         This bounds staleness when a ``replicate`` message is lost on a
@@ -404,9 +404,9 @@ class KDCCluster:
                     and not replica.recovering
                 ):
                     self._sync_once(replica)
-            self.sim.schedule(interval, pull)
+            self.sim.schedule(_SYNC_INTERVAL, pull)
 
-        self.sim.schedule(interval, pull)
+        self.sim.schedule(_SYNC_INTERVAL, pull)
 
     def _sync_once(self, replica: KDCReplica) -> None:
         primary_id = self.primary_id
@@ -453,7 +453,7 @@ class KDCCluster:
         )
         # The reply may be lost on a faulty link: keep pulling until the
         # catch-up completes (each attempt is idempotent).
-        self.sim.schedule(self.catchup_retry, lambda: self._catch_up(replica))
+        self.sim.schedule(_CATCHUP_RETRY, lambda: self._catch_up(replica))
 
     # -- request dispatch ------------------------------------------------------
 

@@ -12,17 +12,12 @@ format ``iv || ciphertext``:
 Backend selection is *verified-then-preferred*: the first call resolves
 the backend lazily, and before the fast backend is adopted it must
 reproduce the pure-Python implementation bit-for-bit on a fixed
-known-answer vector (encrypt and decrypt round trip).  A mismatching or
-broken wheel silently falls back to the pure implementation rather than
-corrupting ciphertexts.  The ``REPRO_AES_BACKEND`` environment variable
-overrides the choice:
-
-- ``auto`` (default): prefer ``cryptography`` when importable and
-  self-check passes, else ``pure``;
-- ``cryptography``: require the fast backend (raise if unavailable or the
-  self-check fails);
-- ``pure``: force the reference implementation (useful for benchmarking
-  the paper's cost model and for differential testing).
+known-answer vector (encrypt and decrypt round trip).  A missing,
+mismatching or broken wheel falls back to the pure implementation rather
+than corrupting ciphertexts; :func:`fallback_reason` says why.  The pure
+path is also the only one on an install without the wheel
+(``dependencies = []``), and :mod:`repro.crypto.modes` stays callable
+directly as the reference.
 """
 
 from __future__ import annotations
@@ -41,13 +36,9 @@ try:  # pragma: no cover - exercised indirectly depending on environment
 except ImportError:  # pragma: no cover
     _HAVE_CRYPTOGRAPHY = False
 
-#: Environment variable selecting the AES backend.
-BACKEND_ENV = "REPRO_AES_BACKEND"
-_VALID_CHOICES = ("auto", "cryptography", "pure")
-
 #: Resolved backend name, or None while still unresolved.
 _active_backend: str | None = None
-#: Why the fast backend was rejected under ``auto`` (diagnostics only).
+#: Why the fast backend was rejected (diagnostics only).
 _fallback_reason: str | None = None
 
 
@@ -92,27 +83,13 @@ def _resolve_backend() -> str:
     global _active_backend, _fallback_reason
     if _active_backend is not None:
         return _active_backend
-    requested = os.environ.get(BACKEND_ENV, "auto").strip().lower() or "auto"
-    if requested not in _VALID_CHOICES:
-        raise ValueError(
-            f"{BACKEND_ENV}={requested!r} is not one of {_VALID_CHOICES}"
-        )
-    if requested == "pure":
-        _active_backend = "pure"
-        return _active_backend
     if not _HAVE_CRYPTOGRAPHY:
-        if requested == "cryptography":
-            raise RuntimeError(
-                f"{BACKEND_ENV}=cryptography but the wheel is not importable"
-            )
         _active_backend = "pure"
         _fallback_reason = "cryptography wheel not importable"
         return _active_backend
     failure = _self_check()
     if failure is None:
         _active_backend = "cryptography"
-    elif requested == "cryptography":
-        raise RuntimeError(f"cryptography AES backend failed self-check: {failure}")
     else:
         _active_backend = "pure"
         _fallback_reason = f"self-check failed: {failure}"
@@ -120,9 +97,9 @@ def _resolve_backend() -> str:
 
 
 def reset_backend() -> None:
-    """Forget the resolved backend so the next call re-reads the environment.
+    """Forget the resolved backend so the next call resolves it again.
 
-    Intended for tests that flip ``REPRO_AES_BACKEND``.
+    Intended for tests that swap the fast backend out.
     """
     global _active_backend, _fallback_reason
     _active_backend = None
@@ -139,7 +116,7 @@ def backend_name() -> str:
 
 
 def fallback_reason() -> str | None:
-    """Why ``auto`` rejected the fast backend, or None if it did not."""
+    """Why the fast backend was rejected, or None if it was not."""
     _resolve_backend()
     return _fallback_reason
 

@@ -57,7 +57,6 @@ class EngineConfig:
     #: Seconds the oldest pending event may wait before a timeout flush
     #: (None disables timeout flushes; close() still drains).
     flush_timeout: float | None = None
-    token_authority_cache_entries: int = 4096
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -72,6 +71,9 @@ class EngineConfig:
 #: benchmark tables); 128 is several times that, and anything beyond it
 #: is memory holding entries that can never hit again.
 MEMO_ENTRIES_PER_EVENT = 128
+
+#: Master-key derived tokens a caching token authority keeps.
+_TOKEN_AUTHORITY_CACHE_ENTRIES = 4096
 
 
 class EngineCaches:
@@ -91,15 +93,12 @@ class EngineCaches:
         entries = MEMO_ENTRIES_PER_EVENT * config.batch_size
         self.token_prf = TokenPRFCache(entries, registry)
         self.match_results = MatchResultCache(entries, registry)
-        self._config = config
         self._registry = registry
 
     def token_authority(self, master_key: bytes) -> CachingTokenAuthority:
         """A memoizing token authority for *master_key*."""
         return CachingTokenAuthority(
-            master_key,
-            self._config.token_authority_cache_entries,
-            self._registry,
+            master_key, _TOKEN_AUTHORITY_CACHE_ENTRIES, self._registry
         )
 
     def tokenized_match(self) -> Callable[[Filter, Event], bool]:

@@ -11,11 +11,10 @@ of the dissemination stack:
 - :data:`NORMAL` (1) -- the default for unstamped events;
 - :data:`BEST_EFFORT` (2) -- bulk traffic, first to be shed.
 
-:class:`FlowControlPolicy` is the single knob bundle a transport needs
-to run the overload-protection stack: bounded priority-classed queues
-(capacity + shed policy), credit-based hop-to-hop flow control, and the
-watermark-driven circuit breaker that sheds best-effort traffic while a
-broker is degraded.
+:class:`FlowControlPolicy` sizes the overload-protection stack of a
+transport: bounded priority-classed queues and credit-based hop-to-hop
+flow control (the watermark-driven circuit breaker that sheds
+best-effort traffic while a broker is degraded scales with the queue).
 """
 
 from __future__ import annotations
@@ -60,26 +59,15 @@ class FlowControlPolicy:
     per-link egress queue; ``credit_window`` is the number of
     unacknowledged in-flight-or-queued events a sender may have toward
     one downstream broker (it must not exceed ``queue_capacity`` or
-    credits could overrun the ingress bound).
+    credits could overrun the ingress bound).  Overflows shed the oldest
+    event of the worst priority class present (see
+    :class:`~repro.flow.queues.BoundedPriorityQueue`).
     """
 
     #: Events one bounded queue may hold (ingress and per-link egress).
     queue_capacity: int = 64
-    #: What overflows do: ``"drop-oldest"``, ``"drop-lowest-priority"``,
-    #: or ``"reject-new"`` (all three shed only from the worst priority
-    #: class present; see :class:`~repro.flow.queues.BoundedPriorityQueue`).
-    shed_policy: str = "drop-oldest"
     #: Per-link sender credit window (<= queue_capacity).
     credit_window: int = 32
-    #: Queue-depth fraction that trips the overload breaker open.
-    high_watermark: float = 0.85
-    #: Queue-depth fraction below which the breaker may close again.
-    low_watermark: float = 0.25
-    #: Seconds the breaker stays open before probing (half-open).
-    breaker_cooldown: float = 0.25
-    #: Priority classes strictly greater than this are shed while the
-    #: breaker is open (``NORMAL`` keeps high+normal, sheds best-effort).
-    degrade_floor: int = NORMAL
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
@@ -89,18 +77,4 @@ class FlowControlPolicy:
                 "credit_window must be within [1, queue_capacity]: credits "
                 "reserve ingress slots, so a larger window could overrun "
                 "the bounded queue"
-            )
-        if not 0.0 < self.low_watermark < self.high_watermark <= 1.0:
-            raise ValueError(
-                "watermarks must satisfy 0 < low < high <= 1"
-            )
-        if self.breaker_cooldown < 0:
-            raise ValueError("breaker cooldown must be non-negative")
-        # Fail fast on typo'd shed policies (validated again by the queue).
-        from repro.flow.queues import SHED_POLICIES
-
-        if self.shed_policy not in SHED_POLICIES:
-            raise ValueError(
-                f"unknown shed policy {self.shed_policy!r} "
-                f"(choose from {sorted(SHED_POLICIES)})"
             )

@@ -30,14 +30,19 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Hashable
 
 from repro.harness.reporting import format_quantiles, format_table
 from repro.harness.scenario import Gate, Scenario, all_of
 from repro.net.faults import FaultInjector, FaultPlan
 from repro.net.sim import Simulator
-from repro.net.simnet import RetryPolicy, SimulatedPubSub
+from repro.net.simnet import (
+    RETRY_ATTEMPTS,
+    RetryPolicy,
+    SimulatedPubSub,
+    retry_timeout,
+)
 from repro.obs import Observability
 from repro.routing.faulttolerance import (
     RedundantRouter,
@@ -49,6 +54,24 @@ from repro.topology.multipath import MultipathNetwork
 from repro.workloads.zipf import zipf_weights
 
 
+#: The tree overlay every timed-tree scenario runs: its arity, per-hop
+#: latency, and failure-detector cadence -- faster heartbeats than the
+#: library default, because the outages last ~0.5s, so detection must
+#: complete within ~0.3s for the detector (and its parking/recovery
+#: path) to participate.
+TREE_ARITY = 2
+HOP_LATENCY = 0.010
+HEARTBEAT_INTERVAL = 0.1
+#: Seconds each random broker crash lasts before its restart.
+_CRASH_DURATION = 0.5
+#: Extra simulated seconds for in-flight retries/replays to settle.
+_DRAIN = 3.0
+# Multipath overlay shape (``G_ind``) and its token population.
+_DEPTH = 3
+_IND = 4
+_TOKENS = 16
+
+
 @dataclass
 class ChaosConfig:
     """One chaos run's knobs; every randomness source derives from *seed*."""
@@ -56,28 +79,12 @@ class ChaosConfig:
     seed: int = 7
     #: Seconds of publishing; faults are scheduled within this horizon.
     duration: float = 5.0
-    #: Extra simulated seconds for in-flight retries/replays to settle.
-    drain: float = 3.0
     publish_rate: float = 40.0
     crash_probability: float = 0.2
-    crash_duration: float = 0.5
     link_loss: float = 0.05
     #: Path redundancy ``k`` for the reliable multipath run.
     redundancy: int = 2
-    # Tree overlay shape.
     num_brokers: int = 15
-    arity: int = 2
-    # Multipath overlay shape (``G_ind``).
-    depth: int = 3
-    ind: int = 4
-    tokens: int = 16
-    hop_latency: float = 0.010
-    # Faster heartbeats than the library default: the demo's outages
-    # last ~0.5s, so detection must complete within ~0.3s for the
-    # failure detector (and its parking/recovery path) to participate.
-    retry: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(heartbeat_interval=0.1)
-    )
 
     @property
     def events(self) -> int:
@@ -167,7 +174,7 @@ def _tree_fault_plan(config: ChaosConfig) -> FaultPlan:
         config.duration,
         seed=config.seed,
         crash_probability=config.crash_probability,
-        crash_duration=config.crash_duration,
+        crash_duration=_CRASH_DURATION,
         link_loss=config.link_loss,
     )
 
@@ -179,6 +186,7 @@ def run_timed_tree(
     *,
     topic: str,
     reliability: RetryPolicy | None,
+    drain: float = _DRAIN,
     **overlay,
 ) -> tuple[SimulatedPubSub, int]:
     """The timed-tree workload every tree scenario drives.
@@ -196,8 +204,8 @@ def run_timed_tree(
     net = SimulatedPubSub(
         sim,
         config.num_brokers,
-        arity=config.arity,
-        link_latency=config.hop_latency,
+        arity=TREE_ARITY,
+        link_latency=HOP_LATENCY,
         reliability=reliability,
         faults=injector,
         seed=config.seed + 2,
@@ -216,7 +224,7 @@ def run_timed_tree(
             Event({"topic": topic, "k": k}),
             delay=k / config.publish_rate,
         )
-    sim.run(until=config.duration + config.drain)
+    sim.run(until=config.duration + drain)
     return net, config.events * len(leaves)
 
 
@@ -228,7 +236,10 @@ def run_tree_chaos(config: ChaosConfig, reliable: bool) -> TreeChaosResult:
         _tree_fault_plan(config),
         obs,
         topic="chaos",
-        reliability=replace(config.retry) if reliable else None,
+        reliability=(
+            RetryPolicy(heartbeat_interval=HEARTBEAT_INTERVAL)
+            if reliable else None
+        ),
     )
     stats = net.rstats
     return TreeChaosResult(
@@ -298,7 +309,7 @@ def run_multipath_chaos(
     :class:`RedundantRouter`; every hop is subject to the fault state at
     traversal time (link loss sampled per transmission, crashed brokers
     swallow copies).  With *reliable*, a hop that fails is retried with
-    the config's backoff policy up to the retry budget.
+    the overlay's retry timeout up to its retry budget.
 
     Every event is traced: one trace per publication, a ``hop``/``drop``
     span per transmission attempt (tagged with its path index and
@@ -312,7 +323,7 @@ def run_multipath_chaos(
     h_e2e = obs.registry.histogram("multipath_e2e_latency_seconds")
     sim = Simulator()
     network = MultipathNetwork(
-        depth=config.depth, arity=max(config.ind, 2), ind=config.ind
+        depth=_DEPTH, arity=max(_IND, 2), ind=_IND
     )
     interior = [node for node in network.brokers() if len(node) >= 1]
     plan = FaultPlan.random(
@@ -320,23 +331,22 @@ def run_multipath_chaos(
         config.duration,
         seed=config.seed,
         crash_probability=config.crash_probability,
-        crash_duration=config.crash_duration,
+        crash_duration=_CRASH_DURATION,
         link_loss=config.link_loss,
     )
     injector = FaultInjector(sim, plan, seed=config.seed + 1)
     injector.install()
-    tokens = [f"t{i}" for i in range(config.tokens)]
-    weights = zipf_weights(config.tokens)
+    tokens = [f"t{i}" for i in range(_TOKENS)]
+    weights = zipf_weights(_TOKENS)
     router = RedundantRouter(
         network,
         dict(zip(tokens, weights)),
         redundancy=redundancy,
-        ind_max=config.ind,
+        ind_max=_IND,
         seed=config.seed + 2,
         registry=obs.registry,
     )
     rng = random.Random(config.seed + 3)
-    policy = config.retry
     subscribers = network.subscribers()
 
     counters = {
@@ -360,7 +370,7 @@ def run_multipath_chaos(
             counters["retries"] += 1
             c_hop_retries.inc()
         survives = injector.deliverable(source, target)
-        delay = config.hop_latency + injector.extra_latency(source, target)
+        delay = HOP_LATENCY + injector.extra_latency(source, target)
         sent_at = sim.now
 
         def arrive() -> None:
@@ -391,9 +401,9 @@ def run_multipath_chaos(
                 link=f"{source}->{target}",
             )
             # No ack will come back for this copy.
-            if reliable and attempt + 1 < policy.max_attempts:
+            if reliable and attempt + 1 < RETRY_ATTEMPTS:
                 sim.schedule(
-                    policy.timeout_for(attempt, rng),
+                    retry_timeout(attempt, rng),
                     lambda: hop_attempt(seq, path, index, attempt + 1,
                                         path_id),
                 )
@@ -433,7 +443,7 @@ def run_multipath_chaos(
         retries=counters["retries"],
         dead_copies=counters["dead_copies"],
         analytic_rate=analytic_delivery_rate(
-            per_hop_failure, config.depth, redundancy
+            per_hop_failure, _DEPTH, redundancy
         ),
         obs=obs,
     )
@@ -507,7 +517,7 @@ def format_chaos_report(config: ChaosConfig, report: ChaosReport) -> str:
     header = (
         f"Chaos run: seed {config.seed}, {config.duration:.0f}s x "
         f"{config.publish_rate:.0f} ev/s, crash p={config.crash_probability}"
-        f" ({config.crash_duration:.1f}s outages), link loss "
+        f" ({_CRASH_DURATION:.1f}s outages), link loss "
         f"{config.link_loss:.0%}"
     )
     tree_rows = [
@@ -528,7 +538,7 @@ def format_chaos_report(config: ChaosConfig, report: ChaosReport) -> str:
          "detects", "t_detect", "t_recover"],
         tree_rows,
         title=f"Tree overlay ({config.num_brokers} brokers, "
-        f"arity {config.arity})",
+        f"arity {TREE_ARITY})",
     )
     multipath_rows = [
         (
@@ -549,7 +559,7 @@ def format_chaos_report(config: ChaosConfig, report: ChaosReport) -> str:
         ["transport", "k", "delivery", "analytic", "dup rate",
          "retry ovh", "dead copies"],
         multipath_rows,
-        title=f"Multipath G_ind (depth {config.depth}, ind {config.ind})",
+        title=f"Multipath G_ind (depth {_DEPTH}, ind {_IND})",
     )
     tree_metrics = _metrics_section(
         "reliable tree",

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 from repro.core.composite import CompositeKeySpace
 from repro.core.kdc import KDC
-from repro.core.kdcclient import ClientRetryPolicy, KDCClient
+from repro.core.kdcclient import KDCClient
 from repro.core.kdcservice import KDCCluster
 from repro.core.publisher import Publisher
 from repro.core.renewal import RenewalManager
@@ -54,6 +54,24 @@ from repro.siena.filters import Filter
 MASTER_KEY = bytes(range(16))
 
 
+_TOPIC = "chaos"
+_EPOCH_LENGTH = 2.0
+#: Extra simulated seconds for late renewals/ticks to settle.
+_DRAIN = 2.0
+#: One-way latency of the dissemination path (publisher to subscriber);
+#: old-epoch events in flight for this long after the boundary are what
+#: the grace window saves.
+_DELIVERY_LATENCY = 0.05
+#: One-way control-plane latency (client to KDC replica).
+_RPC_LATENCY = 0.005
+_TICK_INTERVAL = 0.1
+#: How long before expiry subscribers start renewing.
+_RENEW_LEAD_TIME = 0.3
+#: An earlier client-side partition from the first replica.
+_PARTITION_START = 0.6
+_PARTITION_DURATION = 0.5
+
+
 @dataclass
 class KdcChaosConfig:
     """One KDC-outage run's knobs; all randomness derives from *seed*."""
@@ -62,29 +80,13 @@ class KdcChaosConfig:
     #: Seconds of publishing (the outage is centered on the epoch
     #: boundary nearest half of this horizon).
     duration: float = 8.0
-    #: Extra simulated seconds for late renewals/ticks to settle.
-    drain: float = 2.0
-    topic: str = "chaos"
-    epoch_length: float = 2.0
     replicas: int = 3
     subscribers: int = 8
     publish_rate: float = 40.0
-    #: One-way latency of the dissemination path (publisher to
-    #: subscriber); old-epoch events in flight for this long after the
-    #: boundary are what the grace window saves.
-    delivery_latency: float = 0.05
-    #: One-way control-plane latency (client to KDC replica).
-    rpc_latency: float = 0.005
-    tick_interval: float = 0.1
-    #: How long before expiry subscribers start renewing.
-    renew_lead_time: float = 0.3
     #: Post-expiry grace window in the replicated run (baseline gets 0).
     grace_period: float = 1.0
     #: Length of the primary's crash window straddling the boundary.
     outage_duration: float = 1.0
-    #: Earlier client-side partition from the first replica.
-    partition_start: float = 0.6
-    partition_duration: float = 0.5
 
     @property
     def events(self) -> int:
@@ -94,9 +96,9 @@ class KdcChaosConfig:
         """The epoch boundary the outage straddles (topic-staggered)."""
         reference = KDC(master_key=MASTER_KEY)
         reference.register_topic(
-            self.topic, CompositeKeySpace({}), self.epoch_length
+            _TOPIC, CompositeKeySpace({}), _EPOCH_LENGTH
         )
-        return reference.epoch_end(self.topic, self.duration / 2.0)
+        return reference.epoch_end(_TOPIC, self.duration / 2.0)
 
 
 @dataclass
@@ -160,8 +162,8 @@ def _fault_plan(config: KdcChaosConfig, replicas: int) -> FaultPlan:
         LinkFault(
             ANY,
             "kdc0",
-            start=config.partition_start,
-            duration=config.partition_duration,
+            start=_PARTITION_START,
+            duration=_PARTITION_DURATION,
             partitioned=True,
         )
     ]
@@ -182,12 +184,12 @@ def run_kdc_chaos_mode(
         sim, _fault_plan(config, replicas), seed=config.seed + 1
     )
     network = ServiceNetwork(
-        sim, injector, latency=config.rpc_latency, registry=obs.registry
+        sim, injector, latency=_RPC_LATENCY, registry=obs.registry
     )
     replica_ids = [f"kdc{i}" for i in range(replicas)]
     cluster = KDCCluster(network, replica_ids, MASTER_KEY, faults=injector)
     cluster.register_topic(
-        config.topic, CompositeKeySpace({}), config.epoch_length
+        _TOPIC, CompositeKeySpace({}), _EPOCH_LENGTH
     )
     injector.install()
 
@@ -196,7 +198,7 @@ def run_kdc_chaos_mode(
     # renewal path, which is where the outage bites.
     publisher_kdc = KDC(master_key=MASTER_KEY)
     publisher_kdc.register_topic(
-        config.topic, CompositeKeySpace({}), config.epoch_length
+        _TOPIC, CompositeKeySpace({}), _EPOCH_LENGTH
     )
     publisher = Publisher("pub", publisher_kdc)
     schema_lookup = lambda t: publisher_kdc.config_for(t).schema  # noqa: E731
@@ -204,18 +206,17 @@ def run_kdc_chaos_mode(
     subscribers: list[Subscriber] = []
     clients: list[KDCClient] = []
     managers: list[RenewalManager] = []
-    subscription = Filter.topic(config.topic)
+    subscription = Filter.topic(_TOPIC)
     for index in range(config.subscribers):
         subscriber = Subscriber(f"sub{index}", grace_period=grace_period)
         client = KDCClient(
             network,
             f"sub{index}",
             replica_ids,
-            policy=ClientRetryPolicy(),
             seed=config.seed + 10 + index,
         )
         manager = RenewalManager(
-            subscriber, client, renew_lead_time=config.renew_lead_time
+            subscriber, client, renew_lead_time=_RENEW_LEAD_TIME
         )
         manager.add_subscription(subscription, at_time=0.0)
         subscribers.append(subscriber)
@@ -234,13 +235,13 @@ def run_kdc_chaos_mode(
     def publish(k: int) -> None:
         sealed = publisher.publish(
             Event(
-                {"topic": config.topic, "k": k, "payload": f"m{k}"},
+                {"topic": _TOPIC, "k": k, "payload": f"m{k}"},
                 publisher="pub",
             ),
             secret_attributes={"payload"},
             at_time=sim.now,
         )
-        sim.schedule(config.delivery_latency, lambda: deliver(sealed))
+        sim.schedule(_DELIVERY_LATENCY, lambda: deliver(sealed))
 
     for k in range(config.events):
         sim.schedule_at(k / config.publish_rate, lambda k=k: publish(k))
@@ -248,11 +249,11 @@ def run_kdc_chaos_mode(
     def tick() -> None:
         for manager in managers:
             manager.tick(sim.now)
-        if sim.now < config.duration + config.drain:
-            sim.schedule(config.tick_interval, tick)
+        if sim.now < config.duration + _DRAIN:
+            sim.schedule(_TICK_INTERVAL, tick)
 
-    sim.schedule(config.tick_interval, tick)
-    sim.run(until=config.duration + config.drain)
+    sim.schedule(_TICK_INTERVAL, tick)
+    sim.run(until=config.duration + _DRAIN)
 
     return KdcChaosResult(
         mode=mode,
@@ -339,7 +340,7 @@ def format_kdc_chaos_report(
     header = (
         f"KDC chaos run: seed {config.seed}, {config.duration:.0f}s x "
         f"{config.publish_rate:.0f} ev/s to {config.subscribers} "
-        f"subscribers, epoch {config.epoch_length:.1f}s, "
+        f"subscribers, epoch {_EPOCH_LENGTH:.1f}s, "
         f"{config.outage_duration:.1f}s outage straddling the boundary at "
         f"t={config.boundary():.2f}s"
     )

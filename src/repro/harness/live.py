@@ -55,6 +55,9 @@ from repro.workloads.generator import (
 _SEQ = "_seq"
 _PUBLISHER = "P"
 _MESSAGE_BYTES = 64
+_ARITY = 2
+_NUM_TOPICS = 16
+_TOPICS_PER_SUBSCRIBER = 4
 #: Wall-clock seconds any one settle barrier may take.
 _SETTLE_TIMEOUT = 30.0
 
@@ -69,10 +72,7 @@ class LiveConfig:
     seed: int = 7
     events: int = 200
     num_brokers: int = 7
-    arity: int = 2
     num_subscribers: int = 8
-    num_topics: int = 16
-    topics_per_subscriber: int = 4
 
     def validate(self) -> None:
         if self.events < 1:
@@ -124,8 +124,8 @@ class _Fixture:
         self.config = config
         self.workload = PaperWorkload(
             WorkloadConfig(
-                num_topics=config.num_topics,
-                topics_per_subscriber=config.topics_per_subscriber,
+                num_topics=_NUM_TOPICS,
+                topics_per_subscriber=_TOPICS_PER_SUBSCRIBER,
                 message_bytes=_MESSAGE_BYTES,
                 seed=config.seed,
             )
@@ -162,7 +162,7 @@ def _run_reference(fixture: _Fixture) -> Streams:
     authority = TokenAuthority(fixture.master_key)
     tree = BrokerTree(
         num_brokers=config.num_brokers,
-        arity=config.arity,
+        arity=_ARITY,
         match=tokenized_match,
     )
     streams: Streams = {}
@@ -220,7 +220,7 @@ async def _run_live(fixture: _Fixture, result: LiveResult) -> None:
     authority = TokenAuthority(fixture.master_key)
     subscribers: dict[str, RtSubscriber] = {}
     async with ClusterLauncher(
-        num_brokers=config.num_brokers, arity=config.arity
+        num_brokers=config.num_brokers, arity=_ARITY
     ) as cluster:
         publisher = RtPublisher(
             _PUBLISHER, *cluster.publisher_address(), fixture.kdc,
@@ -309,7 +309,7 @@ def format_live_report(config: LiveConfig, result: LiveResult) -> str:
     return "\n".join([
         f"Live run: seed {config.seed}, {config.events} events through a "
         f"{config.num_brokers}-broker loopback TCP tree (arity "
-        f"{config.arity}) vs the in-process reference",
+        f"{_ARITY}) vs the in-process reference",
         f"  reference          {tally(result.reference, 'open')} opened, "
         f"{tally(result.reference, 'unreadable')} unreadable across "
         f"{len(result.reference)} subscribers",

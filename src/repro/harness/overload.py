@@ -54,98 +54,57 @@ from repro.siena.filters import Filter
 from repro.workloads.zipf import ZipfSampler
 
 
+#: Seconds of root-broker CPU per event: the sustainable rate is
+#: ``CAPACITY = 1 / BROKER_COST``, and every offered rate below is a
+#: multiple (*factor*) of it.
+BROKER_COST = 0.004
+CAPACITY = 1.0 / BROKER_COST
+_NUM_BROKERS = 7
+_ARITY = 2
+_LINK_LATENCY = 0.002
+_CLIENT_LATENCY = 0.0005
+#: The bounded-queue / credit policy under test.
+QUEUE_CAPACITY = 32
+_FLOW = FlowControlPolicy(queue_capacity=QUEUE_CAPACITY, credit_window=16)
+#: Fraction of the storm published at HIGH priority: every n-th event.
+HIGH_FRACTION = 0.1
+_HIGH_EVERY = round(1.0 / HIGH_FRACTION)
+#: Steady-state offered rate before/after the storm.
+STEADY_FACTOR = 0.8
+_STEADY_DURATION = 0.4
+_STORM_DURATION = 0.5
+#: Quiet seconds between storm end and the recovery phase.
+_RECOVERY_GAP = 0.4
+#: Simulated seconds after the last publish for deliveries to settle.
+_DRAIN = 1.5
+# Zipf topic popularity (the paper's Gnutella-style workload).
+_NUM_TOPICS = 16
+_ZIPF_EXPONENT = 1.0
+_TOPICS_PER_SUBSCRIBER = 4
+#: Storm factors for the graceful-degradation sweep.
+SWEEP_FACTORS = (1.0, 2.0, 3.0, 5.0, 6.0)
+_SWEEP_DURATION = 0.4
+#: Interior-broker slowdown for the backpressure run.
+_SLOWDOWN_FACTOR = 6.0
+_SLOWDOWN_DURATION = 0.5
+
+
 @dataclass
 class OverloadConfig:
-    """One overload run's knobs; every randomness source derives from *seed*.
-
-    The root broker serves one event per ``broker_cost`` seconds, so the
-    sustainable rate is ``1 / broker_cost``; all offered rates are
-    expressed as multiples (*factors*) of it.
-    """
+    """One overload run's knobs; every randomness source derives from *seed*."""
 
     seed: int = 7
-    num_brokers: int = 7
-    arity: int = 2
-    #: Seconds of broker CPU per event: capacity = 1 / broker_cost.
-    broker_cost: float = 0.004
-    link_latency: float = 0.002
-    client_latency: float = 0.0005
-    #: The bounded-queue / credit policy under test.
-    queue_capacity: int = 32
-    credit_window: int = 16
-    shed_policy: str = "drop-oldest"
-    #: Fraction of the storm published at HIGH priority.
-    high_fraction: float = 0.1
-    #: The headline storm's offered rate, as a multiple of capacity.
+    #: The headline storm's offered rate, as a multiple of ``CAPACITY``.
     storm_factor: float = 4.0
-    #: Steady-state offered rate before/after the storm.
-    steady_factor: float = 0.8
-    steady_duration: float = 0.4
-    storm_duration: float = 0.5
-    #: Quiet seconds between storm end and the recovery phase.
-    recovery_gap: float = 0.4
-    #: Simulated seconds after the last publish for deliveries to settle.
-    drain: float = 1.5
-    # Zipf topic popularity (the paper's Gnutella-style workload).
-    num_topics: int = 16
-    zipf_exponent: float = 1.0
-    topics_per_subscriber: int = 4
-    #: Storm factors for the graceful-degradation sweep.
-    sweep_factors: tuple = (1.0, 2.0, 3.0, 5.0, 6.0)
-    sweep_duration: float = 0.4
-    #: Interior-broker slowdown for the backpressure run.
-    slowdown_factor: float = 6.0
-    slowdown_duration: float = 0.5
-    # Acceptance gates.
-    min_high_delivery: float = 0.99
-    min_recovery_delivery: float = 0.99
-    #: Measured best-effort ratio must stay above this fraction of the
-    #: analytic ideal at every sweep point (the non-cliff gate).
-    degradation_floor: float = 0.5
-    #: Tolerance when requiring the sweep to degrade monotonically.
-    monotone_tolerance: float = 0.05
-
-    @property
-    def capacity(self) -> float:
-        """Sustainable event rate of one broker (events/second)."""
-        return 1.0 / self.broker_cost
-
-    @property
-    def high_every(self) -> int:
-        """Publish every n-th event at HIGH priority."""
-        return max(1, round(1.0 / self.high_fraction))
-
-    def flow_policy(self) -> FlowControlPolicy:
-        return FlowControlPolicy(
-            queue_capacity=self.queue_capacity,
-            credit_window=self.credit_window,
-            shed_policy=self.shed_policy,
-        )
 
     def validate(self) -> None:
-        if self.broker_cost <= 0:
-            raise ValueError("broker_cost must be positive")
-        if not 0.0 < self.high_fraction < 1.0:
-            raise ValueError("high_fraction must be a fraction in (0, 1)")
-        if self.storm_factor * self.high_fraction >= 1.0:
+        if self.storm_factor * HIGH_FRACTION >= 1.0:
             raise ValueError(
                 "storm_factor x high_fraction must stay below 1: the "
                 "high-priority slice alone may not exceed capacity"
             )
-        for factor in self.sweep_factors:
-            if factor * self.high_fraction >= 1.0:
-                raise ValueError(
-                    f"sweep factor {factor} puts the high-priority slice "
-                    "over capacity"
-                )
-        if self.storm_factor <= self.steady_factor:
+        if self.storm_factor <= STEADY_FACTOR:
             raise ValueError("storm_factor must exceed steady_factor")
-        if self.steady_factor >= 1.0:
-            raise ValueError("steady_factor must be below 1 (sustainable)")
-        if self.num_brokers < 3:
-            raise ValueError("need at least three brokers (root + leaves)")
-        if self.topics_per_subscriber > self.num_topics:
-            raise ValueError("topics_per_subscriber exceeds num_topics")
 
 
 @dataclass
@@ -226,24 +185,23 @@ class _Workload:
         obs: Observability,
         faults: FaultInjector | None = None,
     ):
-        self.config = config
         self.sim = faults.sim if faults is not None else Simulator()
         self.obs = obs
         self.net = SimulatedPubSub(
             self.sim,
-            num_brokers=config.num_brokers,
-            arity=config.arity,
-            link_latency=config.link_latency,
-            client_latency=config.client_latency,
-            broker_cost=lambda _b, _e: config.broker_cost,
+            num_brokers=_NUM_BROKERS,
+            arity=_ARITY,
+            link_latency=_LINK_LATENCY,
+            client_latency=_CLIENT_LATENCY,
+            broker_cost=lambda _b, _e: BROKER_COST,
             faults=faults,
-            flow=config.flow_policy(),
+            flow=_FLOW,
             seed=config.seed,
             obs=obs,
         )
-        self.topics = [f"t{rank:02d}" for rank in range(config.num_topics)]
+        self.topics = [f"t{rank:02d}" for rank in range(_NUM_TOPICS)]
         self.publisher_sampler = ZipfSampler(
-            self.topics, config.zipf_exponent, seed=config.seed
+            self.topics, _ZIPF_EXPONENT, seed=config.seed
         )
         #: topic -> number of subscribers (= expected deliveries/event).
         self.audience: Counter = Counter()
@@ -252,9 +210,9 @@ class _Workload:
             self.net.attach_subscriber(subscriber_id, leaf)
             chosen = ZipfSampler(
                 self.topics,
-                config.zipf_exponent,
+                _ZIPF_EXPONENT,
                 seed=config.seed * 1000 + index + 1,
-            ).sample_distinct(config.topics_per_subscriber)
+            ).sample_distinct(_TOPICS_PER_SUBSCRIBER)
             for topic in chosen:
                 self.net.subscribe(subscriber_id, Filter.topic(topic))
                 self.audience[topic] += 1
@@ -267,7 +225,7 @@ class _Workload:
         k = self._published
         self._published += 1
         priority = (
-            HIGH if k % self.config.high_every == 0 else BEST_EFFORT
+            HIGH if k % _HIGH_EVERY == 0 else BEST_EFFORT
         )
         topic = self.publisher_sampler.sample()
         event = with_priority(
@@ -280,7 +238,7 @@ class _Workload:
     def schedule_phase(self, tag: str, start: float, duration: float,
                        factor: float) -> int:
         """Pre-schedule a constant-rate phase; returns its event count."""
-        rate = factor * self.config.capacity
+        rate = factor * CAPACITY
         count = max(1, int(rate * duration))
         for k in range(count):
             self.publish_one(tag, delay=start + k / rate)
@@ -320,10 +278,9 @@ def _run_storm_timeline(config: OverloadConfig,
     """Steady -> storm -> recover: the headline phase timeline."""
     load = _Workload(config, result.obs)
     timeline = [
-        ("steady", config.steady_factor, config.steady_duration, 0.0),
-        ("storm", config.storm_factor, config.storm_duration, 0.0),
-        ("recovery", config.steady_factor, config.steady_duration,
-         config.recovery_gap),
+        ("steady", STEADY_FACTOR, _STEADY_DURATION, 0.0),
+        ("storm", config.storm_factor, _STORM_DURATION, 0.0),
+        ("recovery", STEADY_FACTOR, _STEADY_DURATION, _RECOVERY_GAP),
     ]
     clock = 0.0
     spans = []
@@ -332,7 +289,7 @@ def _run_storm_timeline(config: OverloadConfig,
         load.schedule_phase(name, clock, duration, factor)
         spans.append((name, factor))
         clock += duration
-    load.sim.run(until=clock + config.drain)
+    load.sim.run(until=clock + _DRAIN)
 
     for name, factor in spans:
         offered, high_offered = load.offered(name)
@@ -364,19 +321,17 @@ def _run_storm_timeline(config: OverloadConfig,
 
 def _run_sweep(config: OverloadConfig, result: OverloadResult) -> None:
     """Graceful degradation: one storm per factor, fresh overlay each."""
-    for factor in config.sweep_factors:
+    for factor in SWEEP_FACTORS:
         load = _Workload(config, Observability())
         sheds: Counter = Counter()  # by priority
         load.net.on_shed(lambda priority, *_: sheds.update([priority]))
-        load.schedule_phase("sweep", 0.0, config.sweep_duration, factor)
-        load.sim.run(
-            until=config.sweep_duration + config.drain
-        )
+        load.schedule_phase("sweep", 0.0, _SWEEP_DURATION, factor)
+        load.sim.run(until=_SWEEP_DURATION + _DRAIN)
         high, best, _overall = load.delivery_ratios("sweep")
         ideal = min(
             1.0,
-            (1.0 - config.high_fraction * factor)
-            / ((1.0 - config.high_fraction) * factor),
+            (1.0 - HIGH_FRACTION * factor)
+            / ((1.0 - HIGH_FRACTION) * factor),
         )
         result.sweep.append(SweepPoint(
             factor=factor,
@@ -395,17 +350,15 @@ def _run_slowdown(config: OverloadConfig, result: OverloadResult) -> None:
         BrokerSlowdown(
             broker=1,
             start=0.0,
-            duration=config.slowdown_duration,
-            factor=config.slowdown_factor,
+            duration=_SLOWDOWN_DURATION,
+            factor=_SLOWDOWN_FACTOR,
         )
     ])
     injector = FaultInjector(sim, plan, seed=config.seed + 1)
     load = _Workload(config, Observability(), faults=injector)
     injector.install()
-    load.schedule_phase(
-        "slow", 0.0, config.slowdown_duration, config.steady_factor
-    )
-    load.sim.run(until=config.slowdown_duration + config.drain)
+    load.schedule_phase("slow", 0.0, _SLOWDOWN_DURATION, STEADY_FACTOR)
+    load.sim.run(until=_SLOWDOWN_DURATION + _DRAIN)
     stalls, seconds = load.net.flow_credit_stalls()
     result.credit_stalls = stalls
     result.credit_stall_seconds = seconds
@@ -419,15 +372,15 @@ def _run_slowdown(config: OverloadConfig, result: OverloadResult) -> None:
 def _run_adaptive_comparison(config: OverloadConfig,
                              result: OverloadResult) -> None:
     """The same storm, fixed-rate vs AIMD-paced; compare shed fractions."""
-    duration = config.storm_duration
+    duration = _STORM_DURATION
 
     def run(adaptive: bool) -> tuple[int, int, float]:
         load = _Workload(config, Observability())
-        offered_interval = 1.0 / (config.storm_factor * config.capacity)
+        offered_interval = 1.0 / (config.storm_factor * CAPACITY)
         limiter = AIMDRateLimiter(
-            rate=config.storm_factor * config.capacity,
-            min_rate=config.capacity * 0.1,
-            cooldown=4 * config.broker_cost,
+            rate=config.storm_factor * CAPACITY,
+            min_rate=CAPACITY * 0.1,
+            cooldown=4 * BROKER_COST,
         )
         if adaptive:
             load.net.on_shed(
@@ -446,7 +399,7 @@ def _run_adaptive_comparison(config: OverloadConfig,
             load.sim.schedule(interval, pump)
 
         load.sim.schedule(0.0, pump)
-        load.sim.run(until=duration + config.drain)
+        load.sim.run(until=duration + _DRAIN)
         offered, _high = load.offered("pump")
         return offered, load.net.shed_events, limiter.rate
 
@@ -474,19 +427,17 @@ def run_overload(config: OverloadConfig) -> OverloadResult:
     return result
 
 
-def _bounded_queues(
-    config: OverloadConfig, result: OverloadResult
-) -> str | None:
+def _bounded_queues(_config, result: OverloadResult) -> str | None:
     problems = []
-    if result.peak_ingress_depth > config.queue_capacity:
+    if result.peak_ingress_depth > QUEUE_CAPACITY:
         problems.append(
             f"ingress queue peaked at {result.peak_ingress_depth}, over "
-            f"the {config.queue_capacity} bound"
+            f"the {QUEUE_CAPACITY} bound"
         )
-    if result.peak_egress_depth > config.queue_capacity:
+    if result.peak_egress_depth > QUEUE_CAPACITY:
         problems.append(
             f"egress queue peaked at {result.peak_egress_depth}, over "
-            f"the {config.queue_capacity} bound"
+            f"the {QUEUE_CAPACITY} bound"
         )
     if result.max_node_backlog > 4:
         problems.append(
@@ -496,17 +447,19 @@ def _bounded_queues(
     return all_of(problems)
 
 
-def _priority_protection(
-    config: OverloadConfig, result: OverloadResult
-) -> str | None:
+#: High-priority delivery the storm and every sweep rung must reach.
+MIN_HIGH_DELIVERY = 0.99
+
+
+def _priority_protection(_config, result: OverloadResult) -> str | None:
     """High-priority events ride out the storm and every sweep rung, and
     the sheds that make room land on best-effort."""
     problems = []
     storm = result.storm_phase
-    if storm.high_delivery < config.min_high_delivery:
+    if storm.high_delivery < MIN_HIGH_DELIVERY:
         problems.append(
             f"high-priority delivery {storm.high_delivery:.4f} during the "
-            f"storm below the {config.min_high_delivery:.2f} gate"
+            f"storm below the {MIN_HIGH_DELIVERY:.2f} gate"
         )
     if result.shed_events == 0:
         problems.append(
@@ -514,7 +467,7 @@ def _priority_protection(
             "capacity, so the run proves nothing"
         )
     for point in result.sweep:
-        if point.high_delivery < config.min_high_delivery:
+        if point.high_delivery < MIN_HIGH_DELIVERY:
             problems.append(
                 f"sweep factor {point.factor:g}: high-priority delivery "
                 f"{point.high_delivery:.4f} below the gate"
@@ -528,20 +481,25 @@ def _priority_protection(
     return all_of(problems)
 
 
-def _graceful_degradation(
-    config: OverloadConfig, result: OverloadResult
-) -> str | None:
+#: Measured best-effort ratio must stay above this fraction of the
+#: analytic ideal at every sweep point (the non-cliff gate).
+DEGRADATION_FLOOR = 0.5
+#: Tolerance when requiring the sweep to degrade monotonically.
+_MONOTONE_TOLERANCE = 0.05
+
+
+def _graceful_degradation(_config, result: OverloadResult) -> str | None:
     problems = []
     previous = math.inf
     for point in result.sweep:
-        floor = config.degradation_floor * point.ideal_best_effort
+        floor = DEGRADATION_FLOOR * point.ideal_best_effort
         if point.best_effort_delivery < floor:
             problems.append(
                 f"sweep factor {point.factor:g}: best-effort delivery "
                 f"{point.best_effort_delivery:.4f} fell off a cliff "
                 f"(floor {floor:.4f})"
             )
-        if point.best_effort_delivery > previous + config.monotone_tolerance:
+        if point.best_effort_delivery > previous + _MONOTONE_TOLERANCE:
             problems.append(
                 f"sweep factor {point.factor:g}: best-effort delivery "
                 "is not degrading monotonically"
@@ -550,13 +508,17 @@ def _graceful_degradation(
     return all_of(problems)
 
 
-def _recovery(config: OverloadConfig, result: OverloadResult) -> str | None:
+#: Overall delivery the post-storm phase must reach.
+MIN_RECOVERY_DELIVERY = 0.99
+
+
+def _recovery(_config, result: OverloadResult) -> str | None:
     problems = []
     recovery = result.recovery_phase
-    if recovery.overall_delivery < config.min_recovery_delivery:
+    if recovery.overall_delivery < MIN_RECOVERY_DELIVERY:
         problems.append(
             f"post-storm delivery {recovery.overall_delivery:.4f} below "
-            f"the {config.min_recovery_delivery:.2f} recovery gate"
+            f"the {MIN_RECOVERY_DELIVERY:.2f} recovery gate"
         )
     if not result.queues_drained:
         problems.append("queues still hold events after the drain window")
@@ -567,15 +529,13 @@ def _recovery(config: OverloadConfig, result: OverloadResult) -> str | None:
     return all_of(problems)
 
 
-def _backpressure(
-    config: OverloadConfig, result: OverloadResult
-) -> str | None:
+def _backpressure(_config, result: OverloadResult) -> str | None:
     problems = []
     if result.credit_stalls == 0:
         problems.append(
             "the slowed-down broker never stalled its parent on credits"
         )
-    if result.slowdown_peak_depth > config.queue_capacity:
+    if result.slowdown_peak_depth > QUEUE_CAPACITY:
         problems.append(
             "the slow-broker run overflowed a bounded queue"
         )
@@ -600,10 +560,10 @@ def format_overload_report(
     """Render the overload run as paper-style tables."""
     header = (
         f"Overload run: seed {config.seed}, capacity "
-        f"{config.capacity:.0f} ev/s, storm {config.storm_factor:g}x for "
-        f"{config.storm_duration:.1f}s, {config.high_fraction:.0%} "
-        f"high-priority, queues {config.queue_capacity} deep "
-        f"({config.shed_policy}), credits {config.credit_window}/link"
+        f"{CAPACITY:.0f} ev/s, storm {config.storm_factor:g}x for "
+        f"{_STORM_DURATION:.1f}s, {HIGH_FRACTION:.0%} "
+        f"high-priority, queues {QUEUE_CAPACITY} deep "
+        f"(drop-oldest), credits {_FLOW.credit_window}/link"
     )
     phase_table = format_table(
         ["phase", "factor", "offered", "high del", "best-effort del",
@@ -611,8 +571,7 @@ def format_overload_report(
         [(p.name, p.factor, p.offered, p.high_delivery,
           p.best_effort_delivery, p.overall_delivery)
          for p in result.phases],
-        title=f"Storm timeline ({config.num_brokers} brokers, "
-        f"arity {config.arity})",
+        title=f"Storm timeline ({_NUM_BROKERS} brokers, arity {_ARITY})",
     )
     sweep_table = format_table(
         ["factor", "high del", "best-effort del", "ideal", "shed",
@@ -624,10 +583,10 @@ def format_overload_report(
     )
     backpressure = "\n".join([
         "Backpressure and adaptation",
-        f"  slow broker   : {config.slowdown_factor:g}x slowdown -> "
+        f"  slow broker   : {_SLOWDOWN_FACTOR:g}x slowdown -> "
         f"{result.credit_stalls} credit stalls "
         f"({result.credit_stall_seconds:.3f}s), peak depth "
-        f"{result.slowdown_peak_depth}/{config.queue_capacity}, "
+        f"{result.slowdown_peak_depth}/{QUEUE_CAPACITY}, "
         f"high-priority delivery {result.slowdown_high_delivery:.4f}",
         f"  fixed-rate    : {result.static_offered} offered, "
         f"{result.static_shed_fraction:.1%} shed",
@@ -643,7 +602,7 @@ def format_overload_report(
         f"(queues + admission)",
         f"  queue peaks   : ingress {result.peak_ingress_depth}, "
         f"egress {result.peak_egress_depth} "
-        f"(bound {config.queue_capacity})",
+        f"(bound {QUEUE_CAPACITY})",
         f"  breaker       : "
         f"{counter_total(registry, 'flow_breaker_transitions_total')} "
         f"transitions, finished {result.breaker_final}",

@@ -22,7 +22,7 @@ the self-healing story end to end:
   actually worked.
 
 ``SCENARIO.gates`` are the acceptance gates: delivery ratio at least
-``min_delivery_rate`` (default 99%), zero surfaced duplicates at any
+``MIN_DELIVERY_RATE`` (99%), zero surfaced duplicates at any
 subscriber, and every permanent kill repaired (finite convergence time
 reported through the ``recovery_convergence_seconds`` histogram).
 Everything derives from the config seed, so a run is exactly
@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from repro.harness.chaos import run_timed_tree
+from repro.harness.chaos import HEARTBEAT_INTERVAL, TREE_ARITY, run_timed_tree
 from repro.harness.reporting import (
     counter_total,
     format_quantiles,
@@ -54,77 +54,61 @@ from repro.recovery import JournalStore, RepairPolicy
 from repro.recovery.repair import RepairRecord
 
 
+#: Brokers killed permanently (never restarted), with their kill times
+#: as fractions of the duration.  Interior brokers with live ancestors,
+#: so every repair has an adopter.
+KILL_BROKERS = (1, 6)
+_KILL_TIMES = (0.18, 0.35)
+#: A live subtree isolated by a partition (both sides stay up), from and
+#: for fractions of the duration; the repair coordinator must refuse to
+#: excise it.
+PARTITION_GROUP = (5, 11, 12)
+_PARTITION_START = 0.55
+_PARTITION_LENGTH = 0.17
+#: Extra simulated seconds for repairs, replays and flushes to settle.
+_DRAIN = 4.0
+#: Continuous down-time past detection before tree surgery.
+_REPAIR_AFTER = 0.5
+#: Overlay-level end-to-end dedup window (events per subscriber).
+_DEDUP_WINDOW = 4096
+# Journal shape.
+_SNAPSHOT_EVERY = 64
+_INFLIGHT_CAPACITY = 512
+#: Heartbeats jittered so post-partition flushes do not stampede in
+#: lock-step (fast ones, as in the chaos harness, so detection completes
+#: well inside the repair timer).
+_HEARTBEAT_JITTER = 0.05
+
+
 @dataclass
 class RecoveryConfig:
     """One recovery run's knobs; every randomness source derives from *seed*.
 
     Fault timing is expressed as fractions of *duration* so shortening
     or stretching the run rescales the whole failure timeline.  The
-    default scenario (two permanent kills plus one partition) assumes
-    the default 15-broker binary tree; overriding ``num_brokers`` below
-    15 requires also overriding ``kill_brokers``/``partition_group``.
+    scenario (two permanent kills plus one partition) needs the default
+    15-broker binary tree.
     """
 
     seed: int = 7
     #: Seconds of publishing; faults land inside this horizon.
     duration: float = 6.0
-    #: Extra simulated seconds for repairs, replays and flushes to settle.
-    drain: float = 4.0
     publish_rate: float = 40.0
     num_brokers: int = 15
-    arity: int = 2
-    hop_latency: float = 0.010
     #: Background per-transmission loss, so retries stay in play.
     link_loss: float = 0.02
-    #: Brokers killed permanently (never restarted), with their kill
-    #: times as fractions of the duration.  Interior brokers with live
-    #: ancestors, so every repair has an adopter.
-    kill_brokers: tuple = (1, 6)
-    kill_times: tuple = (0.18, 0.35)
-    #: A live subtree isolated by a partition (both sides stay up); the
-    #: repair coordinator must refuse to excise it.
-    partition_group: tuple = (5, 11, 12)
-    partition_start: float = 0.55
-    partition_length: float = 0.17
-    #: Continuous down-time past detection before tree surgery.
-    repair_after: float = 0.5
-    #: Overlay-level end-to-end dedup window (events per subscriber).
-    dedup_window: int = 4096
-    # Journal shape.
-    snapshot_every: int = 64
-    inflight_capacity: int = 512
-    #: The floor of the ``delivery`` gate.
-    min_delivery_rate: float = 0.99
-    # Fast heartbeats (as in the chaos harness) so detection completes
-    # well inside the repair timer; jittered so post-partition flushes
-    # do not stampede in lock-step.
-    retry: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(
-            heartbeat_interval=0.1, heartbeat_jitter=0.05
-        )
-    )
 
     @property
     def events(self) -> int:
         return max(1, int(self.publish_rate * self.duration))
 
     def validate(self) -> None:
-        if len(self.kill_brokers) != len(self.kill_times):
-            raise ValueError("kill_brokers and kill_times must parallel")
-        participants = set(self.kill_brokers) | set(self.partition_group)
-        if 0 in self.kill_brokers:
-            raise ValueError("broker 0 hosts the publisher; cannot kill it")
-        for broker in participants:
+        for broker in (*KILL_BROKERS, *PARTITION_GROUP):
             if not 0 <= broker < self.num_brokers:
                 raise ValueError(
                     f"scenario broker {broker} outside the "
-                    f"{self.num_brokers}-broker overlay; override "
-                    "kill_brokers/partition_group for small trees"
+                    f"{self.num_brokers}-broker overlay"
                 )
-        if set(self.kill_brokers) & set(self.partition_group):
-            raise ValueError(
-                "partition_group must hold live brokers, not kill targets"
-            )
 
 
 @dataclass
@@ -176,13 +160,13 @@ class RecoveryResult:
 def _recovery_fault_plan(config: RecoveryConfig) -> FaultPlan:
     crashes = [
         BrokerCrash(broker, at=fraction * config.duration)  # permanent
-        for broker, fraction in zip(config.kill_brokers, config.kill_times)
+        for broker, fraction in zip(KILL_BROKERS, _KILL_TIMES)
     ]
     partitions = [
         PartitionFault(
-            group=tuple(config.partition_group),
-            start=config.partition_start * config.duration,
-            duration=config.partition_length * config.duration,
+            group=PARTITION_GROUP,
+            start=_PARTITION_START * config.duration,
+            duration=_PARTITION_LENGTH * config.duration,
         )
     ]
     link_faults = (
@@ -198,8 +182,8 @@ def run_recovery(config: RecoveryConfig) -> RecoveryResult:
     config.validate()
     obs = Observability()
     journals = JournalStore(
-        snapshot_every=config.snapshot_every,
-        inflight_capacity=config.inflight_capacity,
+        snapshot_every=_SNAPSHOT_EVERY,
+        inflight_capacity=_INFLIGHT_CAPACITY,
         registry=obs.registry,
     )
     net, expected = run_timed_tree(
@@ -207,10 +191,14 @@ def run_recovery(config: RecoveryConfig) -> RecoveryResult:
         _recovery_fault_plan(config),
         obs,
         topic="recovery",
-        reliability=replace(config.retry),
+        reliability=RetryPolicy(
+            heartbeat_interval=HEARTBEAT_INTERVAL,
+            heartbeat_jitter=_HEARTBEAT_JITTER,
+        ),
+        drain=_DRAIN,
         journals=journals,
-        repair=RepairPolicy(repair_after=config.repair_after),
-        dedup_window=config.dedup_window,
+        repair=RepairPolicy(repair_after=_REPAIR_AFTER),
+        dedup_window=_DEDUP_WINDOW,
     )
     collisions = sum(
         count - 1
@@ -251,11 +239,15 @@ def run_recovery(config: RecoveryConfig) -> RecoveryResult:
     )
 
 
-def _delivery(config: RecoveryConfig, result: RecoveryResult) -> str | None:
-    if result.delivery_rate < config.min_delivery_rate:
+#: The floor of the ``delivery`` gate.
+MIN_DELIVERY_RATE = 0.99
+
+
+def _delivery(_config, result: RecoveryResult) -> str | None:
+    if result.delivery_rate < MIN_DELIVERY_RATE:
         return (
             f"delivery rate {result.delivery_rate:.4f} below the "
-            f"{config.min_delivery_rate:.2f} gate "
+            f"{MIN_DELIVERY_RATE:.2f} gate "
             f"({result.delivered}/{result.expected})"
         )
     return None
@@ -270,13 +262,13 @@ def _exactly_once(_config, result: RecoveryResult) -> str | None:
     return None
 
 
-def _repair(config: RecoveryConfig, result: RecoveryResult) -> str | None:
+def _repair(_config, result: RecoveryResult) -> str | None:
     """Every permanent kill repaired, by a live adopter, in finite time."""
     problems = []
-    if result.repairs_converged != len(config.kill_brokers):
+    if result.repairs_converged != len(KILL_BROKERS):
         problems.append(
             f"{result.repairs_converged} repairs converged for "
-            f"{len(config.kill_brokers)} permanent kills"
+            f"{len(KILL_BROKERS)} permanent kills"
         )
     if result.failed_repairs:
         problems.append(
@@ -300,9 +292,9 @@ def format_recovery_report(
     header = (
         f"Recovery run: seed {config.seed}, {config.duration:.0f}s x "
         f"{config.publish_rate:.0f} ev/s, permanent kills "
-        f"{list(config.kill_brokers)}, partition "
-        f"{list(config.partition_group)} for "
-        f"{config.partition_length * config.duration:.1f}s, link loss "
+        f"{list(KILL_BROKERS)}, partition "
+        f"{list(PARTITION_GROUP)} for "
+        f"{_PARTITION_LENGTH * config.duration:.1f}s, link loss "
         f"{config.link_loss:.0%}"
     )
     delivery_table = format_table(
@@ -319,7 +311,7 @@ def format_recovery_report(
             result.clients_rehomed,
         )],
         title=f"Self-healing overlay ({config.num_brokers} brokers, "
-        f"arity {config.arity})",
+        f"arity {TREE_ARITY})",
     )
     repair_rows = [
         (

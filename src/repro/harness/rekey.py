@@ -56,20 +56,22 @@ from repro.siena.filters import Filter
 TOPIC = "cancerTrail"
 
 
+_NUM_BROKERS = 3
+_ARITY = 2
+_EPOCH_LENGTH = 10.0
+#: Live epoch boundaries to cross (the acceptance floor is 3).
+_ROLLOVERS = 3
+_EVENTS_PER_EPOCH = 8
+_RENEW_LEAD = 2.0
+
+
 @dataclass(frozen=True)
 class RekeyChaosConfig:
     """Knobs for one churn run."""
 
     seed: int = 7
-    num_brokers: int = 3
-    arity: int = 2
-    epoch_length: float = 10.0
-    #: Live epoch boundaries to cross (the acceptance floor is 3).
-    rollovers: int = 3
-    events_per_epoch: int = 8
     #: Subscribers that stay for the whole run.
     survivors: int = 3
-    renew_lead: float = 2.0
     grace: float = 1.0
 
 
@@ -148,11 +150,11 @@ def run_rekey_chaos(config: RekeyChaosConfig) -> RekeyChaosResult:
     kdc.register_topic(
         TOPIC,
         CompositeKeySpace({"age": NumericKeySpace("age", 128)}),
-        epoch_length=config.epoch_length,
+        epoch_length=_EPOCH_LENGTH,
     )
     authority = TokenAuthority(kdc.master_key)
-    policy = RenewalPolicy(lead=config.renew_lead, grace=config.grace)
-    result = RekeyChaosResult(events_per_tranche=config.events_per_epoch)
+    policy = RenewalPolicy(lead=_RENEW_LEAD, grace=config.grace)
+    result = RekeyChaosResult(events_per_tranche=_EVENTS_PER_EPOCH)
     registry = result.registry
 
     def schema_lookup(topic: str):
@@ -193,15 +195,15 @@ def run_rekey_chaos(config: RekeyChaosConfig) -> RekeyChaosResult:
 
     async def scenario() -> None:
         async with ClusterLauncher(
-            num_brokers=config.num_brokers,
-            arity=config.arity,
+            num_brokers=_NUM_BROKERS,
+            arity=_ARITY,
             registry=registry,
             kdc=kdc,
         ) as cluster:
             # Epochs are staggered per topic; anchor the choreography on
             # the first full epoch after t=0.
             base = kdc.epoch_of(TOPIC, 0.0) + 1
-            length = config.epoch_length
+            length = _EPOCH_LENGTH
 
             def mid(index: int) -> float:
                 return kdc.epoch_start(TOPIC, base + index) + length / 2
@@ -229,7 +231,7 @@ def run_rekey_chaos(config: RekeyChaosConfig) -> RekeyChaosResult:
                 at_time = mid(index)
                 for subscriber in active:
                     subscriber.kdc_channel.advance(at_time)
-                for _ in range(config.events_per_epoch):
+                for _ in range(_EVENTS_PER_EPOCH):
                     # The tranche tag rides inside the encrypted payload
                     # (routable attributes are tokenized away), so every
                     # successful open proves which epoch's keys worked.
@@ -259,7 +261,7 @@ def run_rekey_chaos(config: RekeyChaosConfig) -> RekeyChaosResult:
             kdc.revoke(victim.peer_id, TOPIC)
             result.victim_last_authorized_tranche = 0
 
-            for rollover in range(1, config.rollovers + 1):
+            for rollover in range(1, _ROLLOVERS + 1):
                 boundary = kdc.epoch_start(TOPIC, base + rollover)
                 announce_at = boundary - policy.lead / 2
                 started = time.perf_counter()
@@ -395,7 +397,7 @@ def format_rekey_report(
     """Human-readable run summary for the chaos CLI."""
     lines = [
         "rekey churn: live rollover, renewal, and lazy revocation",
-        f"  cluster            {config.num_brokers} brokers, KDC endpoint "
+        f"  cluster            {_NUM_BROKERS} brokers, KDC endpoint "
         "hosted beside the tree",
         f"  epochs crossed     {result.rollovers_completed} "
         f"(announced: {result.epochs_announced})",

@@ -2,7 +2,7 @@
 
 The experiments replay one-way delays derived from a transit-stub topology
 (RTTs of 24-184 ms, Section 5.2).  A link delivers a payload after its
-one-way latency plus an optional serialization delay ``size / bandwidth``.
+one-way latency, whatever its size.
 """
 
 from __future__ import annotations
@@ -24,27 +24,12 @@ class LinkStats:
 class Link:
     """A unidirectional link with fixed one-way latency."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        latency: float,
-        bandwidth_bytes_per_s: float | None = None,
-    ):
+    def __init__(self, sim: Simulator, latency: float):
         if latency < 0:
             raise ValueError(f"negative link latency {latency}")
-        if bandwidth_bytes_per_s is not None and bandwidth_bytes_per_s <= 0:
-            raise ValueError("bandwidth must be positive when given")
         self.sim = sim
         self.latency = latency
-        self.bandwidth = bandwidth_bytes_per_s
         self.stats = LinkStats()
-
-    def transfer_time(self, size_bytes: int) -> float:
-        """Total delay for a message of *size_bytes*."""
-        serialization = (
-            size_bytes / self.bandwidth if self.bandwidth is not None else 0.0
-        )
-        return self.latency + serialization
 
     def send(
         self,
@@ -55,12 +40,10 @@ class Link:
         """Deliver a message of *size_bytes*; *on_arrival* fires at the far end.
 
         *extra_delay* adds transient one-way latency (fault injection's
-        latency spikes) on top of the link's own transfer time.
+        latency spikes) on top of the link's own latency.
         """
         if extra_delay < 0:
             raise ValueError(f"negative extra delay {extra_delay}")
         self.stats.messages += 1
         self.stats.bytes += size_bytes
-        self.sim.schedule(
-            self.transfer_time(size_bytes) + extra_delay, on_arrival
-        )
+        self.sim.schedule(self.latency + extra_delay, on_arrival)

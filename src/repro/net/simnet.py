@@ -42,8 +42,8 @@ Passing a :class:`~repro.flow.FlowControlPolicy` activates the
   (credit grants ride the instantaneous control plane, like
   subscriptions), and senders without credits queue -- or shed -- at
   egress instead of overrunning a slow peer;
-- overflow sheds follow the policy's shed discipline and always hit
-  the worst priority class present; every shed feeds the per-broker
+- an overflow sheds the oldest event of the worst priority class
+  present; every shed feeds the per-broker
   :class:`~repro.flow.OverloadBreaker`, which degrades best-effort
   admission at the root while open;
 - sheds are surfaced to publishers via :meth:`SimulatedPubSub.on_shed`
@@ -60,7 +60,7 @@ from typing import Callable, Hashable
 
 from repro.flow.breaker import OverloadBreaker
 from repro.flow.credit import CreditGate
-from repro.flow.policy import FlowControlPolicy, priority_name, priority_of
+from repro.flow.policy import NORMAL, FlowControlPolicy, priority_name, priority_of
 from repro.flow.queues import BoundedPriorityQueue
 from repro.net.faults import FaultInjector
 from repro.net.links import Link
@@ -71,7 +71,7 @@ from repro.obs.metrics import Counter, MetricsRegistry, RegistryBackedStats
 from repro.recovery.dedup import DedupWindow
 from repro.recovery.journal import JournalStore
 from repro.recovery.repair import RepairCoordinator, RepairPolicy
-from repro.siena.broker import Broker, MatchPredicate, _plain_match
+from repro.siena.broker import Broker
 from repro.siena.events import Event
 from repro.siena.filters import Filter
 
@@ -84,6 +84,13 @@ _ACK_SIZE = 16
 _HEARTBEAT_SIZE = 24
 #: Events parked per down peer before the oldest is evicted.
 _PARK_LIMIT = 4096
+#: Ingress-depth fractions that trip a broker's overload breaker open
+#: and let it close again: the hysteresis that keeps it from flapping.
+_HIGH_WATERMARK = 0.85
+_LOW_WATERMARK = 0.25
+#: Seconds an open breaker sheds best-effort before probing (half-open);
+#: while open it admits classes up to ``NORMAL`` (high and normal).
+_BREAKER_COOLDOWN = 0.25
 
 
 @dataclass
@@ -109,22 +116,32 @@ class _Publication:
     deliveries: int = 0
 
 
+#: Total transmission attempts per hop (first try included) before a
+#: reliable hop message is dead-lettered.
+RETRY_ATTEMPTS = 6
+#: Ack timeout for the first attempt (must exceed one round trip); it
+#: grows by ``_RETRY_BACKOFF`` per failed attempt and is perturbed by a
+#: uniform +-``_RETRY_JITTER`` fraction (desynchronizes storms).
+_ACK_TIMEOUT = 0.05
+_RETRY_BACKOFF = 2.0
+_RETRY_JITTER = 0.1
+#: Consecutive missed heartbeats before a neighbour is marked down.
+_MISS_THRESHOLD = 3
+
+
+def retry_timeout(attempt: int, rng: random.Random) -> float:
+    """The ack timeout for (0-based) *attempt*, with jitter applied."""
+    timeout = _ACK_TIMEOUT * (_RETRY_BACKOFF ** attempt)
+    return timeout * (1.0 + _RETRY_JITTER * (2.0 * rng.random() - 1.0))
+
+
 @dataclass
 class RetryPolicy:
-    """At-least-once delivery knobs for the reliable overlay."""
+    """The failure detector's cadence for the reliable overlay (retries
+    themselves follow :data:`RETRY_ATTEMPTS` and :func:`retry_timeout`)."""
 
-    #: Total transmission attempts per hop (first try included).
-    max_attempts: int = 6
-    #: Ack timeout for the first attempt; must exceed one round trip.
-    ack_timeout: float = 0.05
-    #: Multiplier applied to the timeout after every failed attempt.
-    backoff: float = 2.0
-    #: Uniform +-fraction perturbing each timeout (desynchronizes storms).
-    jitter: float = 0.1
     #: Heartbeat cadence of the failure detector.
     heartbeat_interval: float = 0.2
-    #: Consecutive missed heartbeats before a neighbour is marked down.
-    miss_threshold: int = 3
     #: Uniform +-fraction perturbing every heartbeat period, so beat
     #: loops (and the parked-traffic flushes they trigger) desynchronize
     #: after a partition heals instead of stampeding in lock-step.  Drawn
@@ -133,27 +150,10 @@ class RetryPolicy:
     heartbeat_jitter: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("need at least one transmission attempt")
-        if self.ack_timeout <= 0:
-            raise ValueError("ack timeout must be positive")
-        if self.backoff < 1.0:
-            raise ValueError("backoff multiplier must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter fraction must be within [0, 1)")
         if self.heartbeat_interval <= 0:
             raise ValueError("heartbeat interval must be positive")
-        if self.miss_threshold < 1:
-            raise ValueError("miss threshold must be at least one beat")
         if not 0.0 <= self.heartbeat_jitter < 1.0:
             raise ValueError("heartbeat jitter fraction must be within [0, 1)")
-
-    def timeout_for(self, attempt: int, rng: random.Random) -> float:
-        """The ack timeout for (0-based) *attempt*, with jitter applied."""
-        timeout = self.ack_timeout * (self.backoff ** attempt)
-        if self.jitter:
-            timeout *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return timeout
 
 
 class ReliabilityStats(RegistryBackedStats):
@@ -246,7 +246,6 @@ class SimulatedPubSub:
         arity: int = 2,
         link_latency: Callable[[Hashable, Hashable], float] | float = 0.010,
         client_latency: float = 0.002,
-        match: MatchPredicate = _plain_match,
         broker_cost: BrokerCostFn = _zero_cost,
         subscriber_cost: SubscriberCostFn = _zero_cost,
         per_send_s: float = 0.0,
@@ -276,7 +275,6 @@ class SimulatedPubSub:
         self.registry = obs.registry if obs is not None else MetricsRegistry()
         self._tracer = obs.tracer if obs is not None else None
         self.arity = arity
-        self.match = match
         self.broker_cost = broker_cost
         self.subscriber_cost = subscriber_cost
         self.per_send_s = per_send_s
@@ -364,9 +362,7 @@ class SimulatedPubSub:
         self._h_delivery_prio: dict[int, object] = {}
 
         for index in range(num_brokers):
-            self.brokers[index] = Broker(
-                index, match=match, registry=self.registry
-            )
+            self.brokers[index] = Broker(index, registry=self.registry)
             if self.journals is not None:
                 self.brokers[index].bind_journal(
                     self.journals.journal_for(index)
@@ -434,13 +430,11 @@ class SimulatedPubSub:
     # -- flow control --------------------------------------------------------
 
     def _make_broker_flow(self, broker_id: Hashable) -> _BrokerFlow:
-        policy = self.flow
-        capacity = policy.queue_capacity
-        high = max(1, round(policy.high_watermark * capacity))
-        low = max(0, min(high - 1, int(policy.low_watermark * capacity)))
+        capacity = self.flow.queue_capacity
+        high = max(1, round(_HIGH_WATERMARK * capacity))
+        low = max(0, min(high - 1, int(_LOW_WATERMARK * capacity)))
         ingress = BoundedPriorityQueue(
             capacity,
-            policy.shed_policy,
             registry=self.registry,
             broker=str(broker_id),
             queue="ingress",
@@ -448,8 +442,8 @@ class SimulatedPubSub:
         breaker = OverloadBreaker(
             high_depth=high,
             low_depth=low,
-            cooldown=policy.breaker_cooldown,
-            degrade_floor=policy.degrade_floor,
+            cooldown=_BREAKER_COOLDOWN,
+            degrade_floor=NORMAL,
             registry=self.registry,
             broker=str(broker_id),
         )
@@ -472,7 +466,6 @@ class SimulatedPubSub:
             )
             egress = BoundedPriorityQueue(
                 policy.queue_capacity,
-                policy.shed_policy,
                 registry=self.registry,
                 link=link,
                 queue="egress",
@@ -619,8 +612,12 @@ class SimulatedPubSub:
         self._hop_queued.discard(key)
 
     def _drop_broker_flow_state(self, broker_id: Hashable) -> None:
-        """A crashed broker loses its volatile ingress queue; free the
-        credits its queued events were holding."""
+        """A crashed broker loses its volatile ingress queue and egress
+        buffers.  Free the credits its queued arrivals were holding, and
+        forget the sends it was still waiting to make: a credit returned
+        later must not put a dead broker's hops on the wire.  (A buffered
+        send holds no credit -- it is waiting for one -- so dropping it
+        frees none.)"""
         bf = self._broker_flow.get(broker_id)
         if bf is None:
             return
@@ -628,6 +625,9 @@ class SimulatedPubSub:
             if item[0] == "hop":
                 self._forget_queued_hop(item[1])
         bf.busy = False
+        for (from_id, _to_id), lf in self._link_flow.items():
+            if from_id == broker_id:
+                lf.egress.drain()
 
     def _service_cost(self, broker_id: Hashable, event: Event) -> float:
         """Broker matching cost, scaled by any active slowdown fault."""
@@ -835,7 +835,7 @@ class SimulatedPubSub:
                 seq, "drop", to_id, sent_at,
                 link=f"{from_id}->{to_id}", attempt=attempt,
             )
-        timeout = self.reliability.timeout_for(attempt, self._rng)
+        timeout = retry_timeout(attempt, self._rng)
         handle = self.sim.schedule(
             timeout,
             lambda: self._on_ack_timeout(from_id, to_id, seq, payload, attempt),
@@ -885,7 +885,7 @@ class SimulatedPubSub:
         if (from_id, to_id) in self._neighbor_down:
             self._park(from_id, to_id, seq, payload)
             return
-        if attempt + 1 >= self.reliability.max_attempts:
+        if attempt + 1 >= RETRY_ATTEMPTS:
             self.rstats.dead_letters += 1
             self.dead_letters.append((seq, from_id, to_id))
             self._note_hop_settled(key)
@@ -1010,7 +1010,7 @@ class SimulatedPubSub:
             return
         policy = self.reliability
         last = self._last_heard.get((observer, neighbor), 0.0)
-        if now - last <= policy.miss_threshold * policy.heartbeat_interval:
+        if now - last <= _MISS_THRESHOLD * policy.heartbeat_interval:
             return
         self._neighbor_down.add((observer, neighbor))
         self.rstats.failures_detected += 1

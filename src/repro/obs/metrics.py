@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import ClassVar, Iterator
 
-#: The default quantiles a histogram tracks.
+#: The quantiles every histogram tracks.
 DEFAULT_QUANTILES = (0.5, 0.95, 0.99)
 
 LabelKey = tuple[tuple[str, str], ...]
@@ -190,19 +190,14 @@ class Histogram:
     kind = "histogram"
     __slots__ = ("name", "labels", "count", "sum", "min", "max", "_quantiles")
 
-    def __init__(
-        self,
-        name: str,
-        labels: LabelKey = (),
-        quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
-    ):
+    def __init__(self, name: str, labels: LabelKey = ()):
         self.name = name
         self.labels = labels
         self.count = 0
         self.sum = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self._quantiles = {q: _P2Quantile(q) for q in quantiles}
+        self._quantiles = {q: _P2Quantile(q) for q in DEFAULT_QUANTILES}
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -275,11 +270,11 @@ class MetricsRegistry:
     def __init__(self):
         self._metrics: dict[tuple[str, LabelKey], object] = {}
 
-    def _get_or_create(self, cls, name: str, labels: dict, **kwargs):
+    def _get_or_create(self, cls, name: str, labels: dict):
         key = (name, _label_key(labels))
         metric = self._metrics.get(key)
         if metric is None:
-            metric = cls(name, key[1], **kwargs)
+            metric = cls(name, key[1])
             self._metrics[key] = metric
         elif not isinstance(metric, cls):
             raise ValueError(
@@ -294,15 +289,8 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels) -> Gauge:
         return self._get_or_create(Gauge, name, labels)
 
-    def histogram(
-        self,
-        name: str,
-        quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
-        **labels,
-    ) -> Histogram:
-        return self._get_or_create(
-            Histogram, name, labels, quantiles=quantiles
-        )
+    def histogram(self, name: str, **labels) -> Histogram:
+        return self._get_or_create(Histogram, name, labels)
 
     # -- queries --------------------------------------------------------------
 

@@ -57,6 +57,10 @@ from repro.rtnet.frames import (
 )
 
 
+#: The peer id the endpoint answers HELLO with, and its metrics label.
+_SERVER_ID = "kdc"
+
+
 class _Session:
     """One connected client of the KDC endpoint."""
 
@@ -79,13 +83,11 @@ class KdcServer:
         kdc: KDC,
         host: str = "127.0.0.1",
         port: int = 0,
-        server_id: str = "kdc",
         registry: MetricsRegistry | None = None,
     ):
         self.kdc = kdc
         self.host = host
         self.port = port
-        self.server_id = server_id
         self.registry = registry
         self._server: asyncio.AbstractServer | None = None
         self._sessions: dict[str, _Session] = {}
@@ -131,7 +133,7 @@ class KdcServer:
             return
         if not isinstance(hello, Hello) or hello.version != PROTOCOL_VERSION:
             try:
-                writer.write(encode_frame(HelloAck(self.server_id, 0)))
+                writer.write(encode_frame(HelloAck(_SERVER_ID, 0)))
                 await writer.drain()
             except OSError:
                 pass
@@ -143,7 +145,7 @@ class KdcServer:
         if stale is not None:
             stale.writer.close()
         self._sessions[hello.peer_id] = session
-        await session.send(HelloAck(self.server_id, PROTOCOL_VERSION))
+        await session.send(HelloAck(_SERVER_ID, PROTOCOL_VERSION))
         try:
             while not self._closed:
                 try:
@@ -202,7 +204,7 @@ class KdcServer:
         self._count("rekey_grants_issued_total")
         if self.registry is not None:
             self.registry.histogram(
-                "rekey_authorize_seconds", server=self.server_id
+                "rekey_authorize_seconds", server=_SERVER_ID
             ).observe(time.perf_counter() - started)
         return GrantAck(frame.request_id, GRANT_OK, grant=grant)
 
@@ -231,5 +233,5 @@ class KdcServer:
     def _count(self, name: str, **labels: str) -> None:
         if self.registry is not None:
             self.registry.counter(
-                name, server=self.server_id, **labels
+                name, server=_SERVER_ID, **labels
             ).inc()

@@ -24,15 +24,18 @@ from repro.topology.multipath import MultipathNetwork
 from repro.workloads.zipf import ZipfSampler, zipf_weights
 
 
+#: The paper's overlay (depth 2, arity 5) and token popularity.
+_DEPTH = 2
+_ARITY = 5
+_ZIPF_EXPONENT = 1.0
+
+
 @dataclass
 class RoutingExperimentConfig:
     """Parameters shared by the Fig 6-8 experiments (paper defaults)."""
 
     num_tokens: int = 128
     tokens_per_subscriber: int = 32
-    zipf_exponent: float = 1.0
-    depth: int = 2
-    arity: int = 5
     events: int = 20000
     seed: int = 23
 
@@ -53,22 +56,22 @@ class RoutingExperimentResult:
 def _setup(
     config: RoutingExperimentConfig, ind_max: int
 ) -> tuple[MultipathNetwork, ProbabilisticRouter, list, dict, random.Random]:
-    if ind_max > config.arity:
+    if ind_max > _ARITY:
         raise ValueError(
-            f"ind_max={ind_max} needs arity >= ind_max (got {config.arity})"
+            f"ind_max={ind_max} needs arity >= ind_max (got {_ARITY})"
         )
     rng = random.Random(config.seed)
     network = MultipathNetwork(
-        config.depth, config.arity, ind=max(2, ind_max)
+        _DEPTH, _ARITY, ind=max(2, ind_max)
     )
     tokens = [f"token-{i}" for i in range(config.num_tokens)]
     frequencies = dict(
-        zip(tokens, zipf_weights(config.num_tokens, config.zipf_exponent))
+        zip(tokens, zipf_weights(config.num_tokens, _ZIPF_EXPONENT))
     )
     router = ProbabilisticRouter(
         network, frequencies, ind_max=ind_max, seed=config.seed + 1
     )
-    sampler = ZipfSampler(tokens, config.zipf_exponent, rng)
+    sampler = ZipfSampler(tokens, _ZIPF_EXPONENT, rng)
     interest: dict[object, list[object]] = {}
     for subscriber in network.subscribers():
         interest[subscriber] = sampler.sample_distinct(
@@ -86,7 +89,7 @@ def run_dissemination(
 ) -> RoutingExperimentResult:
     """Publish ``config.events`` events and record node observations."""
     network, router, tokens, subscribers_of, rng = _setup(config, ind_max)
-    sampler = ZipfSampler(tokens, config.zipf_exponent, rng)
+    sampler = ZipfSampler(tokens, _ZIPF_EXPONENT, rng)
     observer = NodeObserver()
     actual_counts: dict[object, int] = {token: 0 for token in tokens}
 
@@ -168,13 +171,13 @@ def construction_cost_curve(
     ind_values = ind_values or list(range(1, 11))
     tokens = [f"token-{i}" for i in range(config.num_tokens)]
     frequencies = dict(
-        zip(tokens, zipf_weights(config.num_tokens, config.zipf_exponent))
+        zip(tokens, zipf_weights(config.num_tokens, _ZIPF_EXPONENT))
     )
     rows = []
     baseline = None
     for ind_max in ind_values:
-        arity = max(config.arity, ind_max)
-        network = MultipathNetwork(config.depth, arity, ind=max(2, ind_max))
+        arity = max(_ARITY, ind_max)
+        network = MultipathNetwork(_DEPTH, arity, ind=max(2, ind_max))
         router = ProbabilisticRouter(network, frequencies, ind_max=ind_max)
         cost = router.construction_cost()
         if baseline is None:

@@ -37,12 +37,11 @@ class RedundantRouter(ProbabilisticRouter):
         frequencies: Mapping[Hashable, float],
         redundancy: int = 2,
         ind_max: int | None = None,
-        tau: float | None = None,
         seed: int = 11,
         registry: MetricsRegistry | None = None,
     ):
-        super().__init__(network, frequencies, ind_max=ind_max, tau=tau,
-                         seed=seed, registry=registry)
+        super().__init__(network, frequencies, ind_max=ind_max, seed=seed,
+                         registry=registry)
         if redundancy < 1:
             raise ValueError("redundancy must be at least one path")
         if redundancy > network.ind:

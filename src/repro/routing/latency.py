@@ -29,19 +29,16 @@ class LatencyStats:
     samples: int
 
 
+#: Seconds of broker processing added at every overlay hop.
+_PER_HOP_PROCESSING = 0.0002
+
+
 class EmbeddedMultipathNetwork:
     """``G_ind`` with every overlay node placed on an Internet topology."""
 
-    def __init__(
-        self,
-        network: MultipathNetwork,
-        topology: TransitStubTopology | None = None,
-        per_hop_processing: float = 0.0002,
-        seed: int = 7,
-    ):
+    def __init__(self, network: MultipathNetwork, seed: int = 7):
         self.network = network
-        self.topology = topology or TransitStubTopology(seed=seed)
-        self.per_hop_processing = per_hop_processing
+        self.topology = TransitStubTopology(seed=seed)
         nodes = list(network.brokers()) + list(network.subscribers())
         placement_points = self.topology.sample_overlay(len(nodes))
         self.placement: dict[Hashable, int] = dict(
@@ -55,7 +52,7 @@ class EmbeddedMultipathNetwork:
             total += self.topology.one_way_delay(
                 self.placement[source], self.placement[target]
             )
-            total += self.per_hop_processing
+            total += _PER_HOP_PROCESSING
         return total
 
     def measure(

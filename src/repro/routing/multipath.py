@@ -70,7 +70,6 @@ class ProbabilisticRouter:
         network: MultipathNetwork,
         frequencies: Mapping[Hashable, float],
         ind_max: int | None = None,
-        tau: float | None = None,
         seed: int = 11,
         registry: MetricsRegistry | None = None,
     ):
@@ -85,7 +84,7 @@ class ProbabilisticRouter:
                 f"ind_max={self.ind_max} exceeds the network's ind="
                 f"{network.ind}"
             )
-        self.tau = tau if tau is not None else tau_for(self.frequencies)
+        self.tau = tau_for(self.frequencies)
         self.rng = random.Random(seed)
         self.paths_per_token = {
             token: paths_for_frequency(freq, self.tau, self.ind_max)

@@ -22,7 +22,6 @@ bounded priority queues -- deployed over a real transport:
 """
 
 from repro.rtnet.client import (
-    BackoffPolicy,
     HandshakeError,
     RtEndpoint,
     RtPublisher,
@@ -61,7 +60,6 @@ from repro.rtnet.server import CONTROL_PRIORITY, BrokerServer
 
 __all__ = [
     "Ack",
-    "BackoffPolicy",
     "BrokerServer",
     "CONTROL_PRIORITY",
     "ClusterLauncher",

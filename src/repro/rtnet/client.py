@@ -69,24 +69,20 @@ class HandshakeError(ConnectionError):
     """The server rejected our HELLO (version mismatch); do not retry."""
 
 
-@dataclass(frozen=True)
-class BackoffPolicy:
-    """Exponential backoff with jitter for reconnection attempts.
+#: Redial backoff: attempt ``n`` (0-based) waits ``_REDIAL_BASE *
+#: _REDIAL_FACTOR**n`` seconds, capped at ``_REDIAL_MAX_DELAY`` and scaled
+#: down by up to ``_REDIAL_JITTER`` at random, so a herd of clients does
+#: not redial in lockstep.
+_REDIAL_BASE = 0.05
+_REDIAL_FACTOR = 2.0
+_REDIAL_MAX_DELAY = 2.0
+_REDIAL_JITTER = 0.5
 
-    Delay for attempt ``n`` (0-based) is ``base * factor**n`` capped at
-    *max_delay*, scaled down by up to *jitter* uniformly at random so a
-    herd of clients does not redial in lockstep.
-    """
 
-    base: float = 0.05
-    factor: float = 2.0
-    max_delay: float = 2.0
-    jitter: float = 0.5
-    max_attempts: int | None = None
-
-    def delay(self, attempt: int, rng: random.Random) -> float:
-        raw = min(self.max_delay, self.base * self.factor ** attempt)
-        return raw * (1.0 - self.jitter * rng.random())
+def _redial_delay(attempt: int, rng: random.Random) -> float:
+    """Seconds to wait before redial *attempt* (exponential, jittered)."""
+    raw = min(_REDIAL_MAX_DELAY, _REDIAL_BASE * _REDIAL_FACTOR ** attempt)
+    return raw * (1.0 - _REDIAL_JITTER * rng.random())
 
 
 @dataclass
@@ -109,14 +105,12 @@ class RtEndpoint:
         peer_id: str,
         host: str,
         port: int,
-        backoff: BackoffPolicy | None = None,
         registry: MetricsRegistry | None = None,
         rng: random.Random | None = None,
     ):
         self.peer_id = peer_id
         self.host = host
         self.port = port
-        self.backoff = backoff if backoff is not None else BackoffPolicy()
         self.registry = registry
         self.rng = rng if rng is not None else random.Random()
         self.broker_id: str | None = None
@@ -147,12 +141,7 @@ class RtEndpoint:
                 )
                 break
             except OSError:
-                if (
-                    self.backoff.max_attempts is not None
-                    and attempt + 1 >= self.backoff.max_attempts
-                ):
-                    raise
-                await asyncio.sleep(self.backoff.delay(attempt, self.rng))
+                await asyncio.sleep(_redial_delay(attempt, self.rng))
                 attempt += 1
         writer.write(
             encode_frame(Hello(self.peer_id, self.role, PROTOCOL_VERSION))

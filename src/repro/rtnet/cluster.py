@@ -30,7 +30,6 @@ class ClusterLauncher:
         host: str = "127.0.0.1",
         match: MatchPredicate = tokenized_match,
         registry: MetricsRegistry | None = None,
-        egress_capacity: int = 512,
         kdc=None,
     ):
         if num_brokers < 1:
@@ -47,7 +46,6 @@ class ClusterLauncher:
                 host=host,
                 match=match,
                 registry=registry,
-                egress_capacity=egress_capacity,
             )
             for index in range(num_brokers)
         ]

@@ -12,8 +12,8 @@ network around it:
   preserved;
 - one **egress queue + pump task per peer**: the egress queue is a
   :class:`repro.flow.BoundedPriorityQueue` (control frames at a priority
-  class above events, load shedding under overload per the configured
-  policy), and the pump writes everything queued (up to
+  class above events, the oldest event of the worst class shed under
+  overload), and the pump writes everything queued (up to
   :data:`FLUSH_BYTES`) as one buffer and awaits ``drain()`` once, so a
   slow peer backpressures its queue rather than the whole process.
 
@@ -34,10 +34,10 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from repro.flow.policy import NORMAL, priority_of
-from repro.flow.queues import DROP_OLDEST, BoundedPriorityQueue
+from repro.flow.queues import BoundedPriorityQueue
 from repro.obs.metrics import MetricsRegistry
 from repro.routing.tokens import tokenized_match
-from repro.rtnet.client import BackoffPolicy
+from repro.rtnet.client import _redial_delay
 from repro.rtnet.frames import (
     PROTOCOL_VERSION,
     Ack,
@@ -64,6 +64,10 @@ CONTROL_PRIORITY = -1
 #: Whatever a slow reader has not taken must wait in the egress queue,
 #: where the shed policy sees it, not in the transport's write buffer.
 FLUSH_BYTES = 64 * 1024
+
+#: Frames the readers may queue for the dispatcher before they stop
+#: reading (and TCP's receive window starts pushing back).
+INGRESS_CAPACITY = 1024
 
 
 @dataclass
@@ -99,9 +103,6 @@ class BrokerServer:
         match: MatchPredicate = tokenized_match,
         registry: MetricsRegistry | None = None,
         egress_capacity: int = 512,
-        ingress_capacity: int = 1024,
-        shed_policy: str = DROP_OLDEST,
-        backoff: BackoffPolicy | None = None,
     ):
         self.broker_id = str(broker_id)
         self.host = host
@@ -109,10 +110,8 @@ class BrokerServer:
         self.registry = registry
         self.broker = Broker(broker_id, match=match, registry=registry)
         self.egress_capacity = egress_capacity
-        self.shed_policy = shed_policy
-        self.backoff = backoff if backoff is not None else BackoffPolicy()
         self._server: asyncio.AbstractServer | None = None
-        self._ingress: asyncio.Queue = asyncio.Queue(maxsize=ingress_capacity)
+        self._ingress: asyncio.Queue = asyncio.Queue(maxsize=INGRESS_CAPACITY)
         self._dispatcher: asyncio.Task | None = None
         self._peers: dict[str, _Peer] = {}
         self._parent: _Peer | None = None
@@ -229,7 +228,6 @@ class BrokerServer:
             writer,
             BoundedPriorityQueue(
                 self.egress_capacity,
-                shed_policy=self.shed_policy,
                 registry=self.registry,
                 broker=self.broker_id,
                 queue=f"egress:{peer_id}",
@@ -298,7 +296,7 @@ class BrokerServer:
                 await writer.drain()
                 ack = await read_frame(reader)
             except (OSError, ValueError):
-                await asyncio.sleep(self.backoff.delay(attempt, self.backoff_rng))
+                await asyncio.sleep(_redial_delay(attempt, self.backoff_rng))
                 attempt += 1
                 continue
             if not isinstance(ack, HelloAck) or ack.version != PROTOCOL_VERSION:
@@ -312,8 +310,7 @@ class BrokerServer:
                 writer,
                 BoundedPriorityQueue(
                     self.egress_capacity,
-                    shed_policy=self.shed_policy,
-                    registry=self.registry,
+                        registry=self.registry,
                     broker=self.broker_id,
                     queue="egress:parent",
                 ),

@@ -17,7 +17,6 @@ pair ``("S", leaf_digits)`` hanging below its leaf broker.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Hashable, Iterator
 
@@ -205,10 +204,3 @@ class MultipathNetwork:
                 for paths in paths_per_token.values()
             )
         )
-
-
-def required_ind(max_frequency: float, min_frequency: float) -> int:
-    """Ideal ``ind_max = max_t lambda_t / min_t lambda_t`` (Section 5.2.2)."""
-    if min_frequency <= 0:
-        raise ValueError("frequencies must be positive")
-    return max(1, math.ceil(max_frequency / min_frequency))

@@ -31,6 +31,13 @@ _TRANSIT_STUB_DELAY = (0.006, 0.010)
 _INTRA_TRANSIT_DELAY = (0.002, 0.005)
 _INTRA_STUB_DELAY = (0.004, 0.007)
 
+# The hierarchy: transit domains of transit routers, each router anchoring
+# stub domains of stub routers: 16 transit and 256 stub routers.
+_TRANSIT_DOMAINS = 4
+_TRANSIT_NODES_PER_DOMAIN = 4
+_STUB_DOMAINS_PER_TRANSIT_NODE = 4
+_STUB_NODES_PER_DOMAIN = 4
+
 
 @dataclass(frozen=True)
 class TopologyStats:
@@ -45,49 +52,24 @@ class TopologyStats:
 class TransitStubTopology:
     """A random transit-stub graph with per-edge one-way delays."""
 
-    def __init__(
-        self,
-        transit_domains: int = 4,
-        transit_nodes_per_domain: int = 4,
-        stub_domains_per_transit_node: int = 4,
-        stub_nodes_per_domain: int = 4,
-        seed: int = 7,
-    ):
-        if min(
-            transit_domains,
-            transit_nodes_per_domain,
-            stub_domains_per_transit_node,
-            stub_nodes_per_domain,
-        ) < 1:
-            raise ValueError("all topology dimensions must be positive")
+    def __init__(self, seed: int = 7):
         self.rng = random.Random(seed)
         self.graph = nx.Graph()
         self.transit_nodes: list[int] = []
         self.stub_nodes: list[int] = []
         self.stub_domains: list[list[int]] = []
-        self._build(
-            transit_domains,
-            transit_nodes_per_domain,
-            stub_domains_per_transit_node,
-            stub_nodes_per_domain,
-        )
+        self._build()
         self._delays: dict[int, dict[int, float]] | None = None
 
     def _add_edge(self, a: int, b: int, delay_range: tuple[float, float]) -> None:
         self.graph.add_edge(a, b, delay=self.rng.uniform(*delay_range))
 
-    def _build(
-        self,
-        transit_domains: int,
-        transit_nodes_per_domain: int,
-        stub_domains: int,
-        stub_nodes: int,
-    ) -> None:
+    def _build(self) -> None:
         next_id = 0
         domain_nodes: list[list[int]] = []
-        for _ in range(transit_domains):
-            nodes = list(range(next_id, next_id + transit_nodes_per_domain))
-            next_id += transit_nodes_per_domain
+        for _ in range(_TRANSIT_DOMAINS):
+            nodes = list(range(next_id, next_id + _TRANSIT_NODES_PER_DOMAIN))
+            next_id += _TRANSIT_NODES_PER_DOMAIN
             domain_nodes.append(nodes)
             self.transit_nodes.extend(nodes)
             # Ring plus a chord keeps each transit domain 2-connected.
@@ -102,8 +84,8 @@ class TransitStubTopology:
         # Fully mesh domain gateways; delay scales with the inter-domain
         # distance (domains laid out on a line), producing both nearby and
         # far continental pairs.
-        for i in range(transit_domains):
-            for j in range(i + 1, transit_domains):
+        for i in range(_TRANSIT_DOMAINS):
+            for j in range(i + 1, _TRANSIT_DOMAINS):
                 distance = j - i
                 self.graph.add_edge(
                     domain_nodes[i][0],
@@ -112,9 +94,9 @@ class TransitStubTopology:
                 )
 
         for transit_node in list(self.transit_nodes):
-            for _ in range(stub_domains):
-                nodes = list(range(next_id, next_id + stub_nodes))
-                next_id += stub_nodes
+            for _ in range(_STUB_DOMAINS_PER_TRANSIT_NODE):
+                nodes = list(range(next_id, next_id + _STUB_NODES_PER_DOMAIN))
+                next_id += _STUB_NODES_PER_DOMAIN
                 self.stub_nodes.extend(nodes)
                 self.stub_domains.append(nodes)
                 for i, node in enumerate(nodes):

@@ -33,15 +33,14 @@ class DisseminationTree:
     def __init__(
         self,
         num_brokers: int,
-        topology: TransitStubTopology | None = None,
+        topology: TransitStubTopology,
         arity: int = 2,
-        seed: int = 7,
     ):
         if num_brokers < 1:
             raise ValueError("a tree needs at least the root broker")
         self.num_brokers = num_brokers
         self.arity = arity
-        self.topology = topology or TransitStubTopology(seed=seed)
+        self.topology = topology
         self.placement = dict(
             enumerate(self.topology.sample_overlay(num_brokers))
         )

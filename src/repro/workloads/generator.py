@@ -35,6 +35,11 @@ from repro.workloads.zipf import ZipfSampler
 
 _ATTRIBUTE_KINDS = ("numeric", "category", "string", "plain")
 _STRING_ALPHABET = string_module.ascii_lowercase[:6]
+_ZIPF_EXPONENT = 1.0
+#: Category trees: this many levels, each node with 2-4 children.
+_CATEGORY_HEIGHT = 4
+_CATEGORY_FANOUT = (2, 4)
+_STRING_MAX_LENGTH = 8
 
 
 @dataclass
@@ -43,14 +48,10 @@ class WorkloadConfig:
 
     num_topics: int = 128
     topics_per_subscriber: int = 32
-    zipf_exponent: float = 1.0
     numeric_range: int = 256
     numeric_least_count: int = 4
     subscription_mean: float = 128.0
     subscription_std: float = 32.0
-    category_height: int = 4
-    category_fanout: tuple[int, int] = (2, 4)
-    string_max_length: int = 8
     message_bytes: int = 256
     seed: int = 17
 
@@ -95,7 +96,7 @@ class PaperWorkload:
         self.rng = random.Random(self.config.seed)
         self.topics: list[TopicSpec] = self._build_topics()
         self.topic_sampler = ZipfSampler(
-            self.topics, self.config.zipf_exponent, self.rng
+            self.topics, _ZIPF_EXPONENT, self.rng
         )
 
     # -- topics ----------------------------------------------------------------
@@ -129,7 +130,7 @@ class PaperWorkload:
             )
         if kind == "string":
             space = StringKeySpace(
-                "text", max_length=self.config.string_max_length
+                "text", max_length=_STRING_MAX_LENGTH
             )
             return TopicSpec(name, kind, rank, CompositeKeySpace({"text": space}))
         return TopicSpec(name, kind, rank, CompositeKeySpace({}))
@@ -138,10 +139,10 @@ class PaperWorkload:
         tree = CategoryTree.from_spec(f"{topic_name}.root", {})
         counter = 0
         frontier = [f"{topic_name}.root"]
-        for _ in range(self.config.category_height):
+        for _ in range(_CATEGORY_HEIGHT):
             next_frontier = []
             for parent in frontier:
-                fanout = self.rng.randint(*self.config.category_fanout)
+                fanout = self.rng.randint(*_CATEGORY_FANOUT)
                 for _ in range(fanout):
                     label = f"{topic_name}.c{counter}"
                     counter += 1
@@ -221,9 +222,9 @@ class PaperWorkload:
 
     def _random_string(self) -> str:
         weights = [1.0 / length for length in
-                   range(1, self.config.string_max_length + 1)]
+                   range(1, _STRING_MAX_LENGTH + 1)]
         length = self.rng.choices(
-            range(1, self.config.string_max_length + 1), weights
+            range(1, _STRING_MAX_LENGTH + 1), weights
         )[0]
         return "".join(
             self.rng.choice(_STRING_ALPHABET) for _ in range(length)

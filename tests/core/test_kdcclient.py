@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.composite import CompositeKeySpace
 from repro.errors import GrantDenied, KDCUnavailable
-from repro.core.kdcclient import ClientRetryPolicy, KDCClient
+from repro.core.kdcclient import _MAX_ATTEMPTS, KDCClient, _timeout_for
 from repro.core.kdcservice import KDCCluster
 from repro.net.faults import (
     ANY,
@@ -20,7 +20,7 @@ from repro.siena.filters import Filter
 MASTER = bytes(range(16))
 
 
-def _setup(plan=None, replicas=3, policy=None, seed=2):
+def _setup(plan=None, replicas=3, seed=2):
     sim = Simulator()
     faults = FaultInjector(sim, plan, seed=seed) if plan is not None else None
     net = ServiceNetwork(sim, faults, latency=0.005)
@@ -29,10 +29,7 @@ def _setup(plan=None, replicas=3, policy=None, seed=2):
     cluster.register_topic("t", CompositeKeySpace({}), epoch_length=10.0)
     if faults is not None:
         faults.install()
-    client = KDCClient(
-        net, "client", replica_ids,
-        policy=policy or ClientRetryPolicy(), seed=seed,
-    )
+    client = KDCClient(net, "client", replica_ids, seed=seed)
     return sim, net, cluster, client
 
 
@@ -79,22 +76,16 @@ def test_all_replicas_down_exhausts_and_fails():
     assert len(errors) == 1
     assert isinstance(errors[0], KDCUnavailable)
     assert client.stats.failures == 1
-    assert client.stats.attempts == client.policy.max_attempts
+    assert client.stats.attempts == _MAX_ATTEMPTS
 
 
 def test_breaker_opens_and_skips_dead_replica():
-    policy = ClientRetryPolicy(
-        max_attempts=30, breaker_threshold=2, breaker_cooldown=10.0
-    )
     plan = FaultPlan(crashes=[BrokerCrash("kdc0", at=0.0, duration=60.0)])
-    sim, net, cluster, client = _setup(plan=plan, policy=policy)
+    sim, net, cluster, client = _setup(plan=plan)
     _authorize(sim, client, at_time=0.0)
     assert client.stats.breaker_opens == 0  # failed over before threshold
     # Hammer kdc0 alone by shrinking the view to just the dead replica.
-    lone_policy = ClientRetryPolicy(
-        max_attempts=6, breaker_threshold=2, breaker_cooldown=10.0
-    )
-    lone = KDCClient(net, "client2", ["kdc0"], policy=lone_policy, seed=9)
+    lone = KDCClient(net, "client2", ["kdc0"], seed=9)
     grants, errors = _authorize(sim, lone, horizon=30.0, at_time=0.0)
     assert not grants and errors
     assert lone.stats.breaker_opens >= 1
@@ -126,9 +117,8 @@ def test_admin_redirects_to_primary():
 def test_retransmit_hits_dedup_not_double_issue():
     """Losing replies (not requests) forces retransmits; the replica's
     dedup cache answers them without re-serving."""
-    policy = ClientRetryPolicy(timeout=0.05, max_attempts=10, jitter=0.0)
-    plan = FaultPlan(link_faults=[LinkFault(loss=0.4)])
-    sim, net, cluster, client = _setup(plan=plan, policy=policy, seed=11)
+    plan = FaultPlan(link_faults=[LinkFault(loss=0.25)])
+    sim, net, cluster, client = _setup(plan=plan, seed=11)
     for k in range(10):
         sim.schedule(k * 0.5, lambda: client.authorize(
             "S", Filter.topic("t"), at_time=sim.now
@@ -175,24 +165,18 @@ def test_stale_backup_is_retried_not_terminal():
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        ClientRetryPolicy(timeout=0.0)
-    with pytest.raises(ValueError):
-        ClientRetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError):
-        ClientRetryPolicy(backoff=0.5)
-    with pytest.raises(ValueError):
-        ClientRetryPolicy(jitter=1.0)
-    with pytest.raises(ValueError):
         KDCClient(ServiceNetwork(Simulator()), "c", [])
 
 
 def test_timeouts_escalate_with_backoff():
     import random
 
-    policy = ClientRetryPolicy(timeout=0.1, backoff=2.0, jitter=0.0)
-    rng = random.Random(0)
-    assert policy.timeout_for(0, rng) == pytest.approx(0.1)
-    assert policy.timeout_for(3, rng) == pytest.approx(0.8)
+    class Midpoint(random.Random):
+        def random(self):
+            return 0.5  # the jitter's zero point
+
+    assert _timeout_for(0, Midpoint()) == pytest.approx(0.03)
+    assert _timeout_for(3, Midpoint()) == pytest.approx(0.03 * 1.5 ** 3)
 
 
 def test_deterministic_replay():

@@ -17,7 +17,7 @@ from repro.siena.filters import Filter
 MASTER = bytes(range(16))
 
 
-def _cluster(replicas=3, plan=None, seed=1, sync_interval=0.25):
+def _cluster(replicas=3, plan=None, seed=1):
     sim = Simulator()
     faults = None
     if plan is not None:
@@ -28,7 +28,6 @@ def _cluster(replicas=3, plan=None, seed=1, sync_interval=0.25):
         [f"kdc{i}" for i in range(replicas)],
         MASTER,
         faults=faults,
-        sync_interval=sync_interval,
     )
     cluster.register_topic("t", CompositeKeySpace({}), epoch_length=10.0)
     if faults is not None:

@@ -1,18 +1,17 @@
-"""AES backend selection: env override, self-check fallback, reset."""
+"""AES backend selection: verified fast backend, pure fallback, reset."""
 
 import pytest
 
 from repro.crypto import cipher
-from repro.crypto.modes import cbc_encrypt
+from repro.crypto.modes import cbc_decrypt, cbc_encrypt
 
 KEY = bytes(range(16))
 IV = bytes(range(16, 32))
 
 
 @pytest.fixture(autouse=True)
-def _fresh_backend(monkeypatch):
-    """Each test resolves the backend from its own environment."""
-    monkeypatch.delenv(cipher.BACKEND_ENV, raising=False)
+def _fresh_backend():
+    """Each test resolves the backend from what its own patches leave."""
     cipher.reset_backend()
     yield
     cipher.reset_backend()
@@ -23,59 +22,27 @@ def test_auto_resolves_to_a_valid_backend():
 
 
 def test_pure_override_forces_reference_implementation(monkeypatch):
-    monkeypatch.setenv(cipher.BACKEND_ENV, "pure")
+    monkeypatch.setattr(cipher, "_HAVE_CRYPTOGRAPHY", False)
     assert cipher.backend_name() == "pure"
-    assert cipher.fallback_reason() is None
+    assert cipher.fallback_reason() == "cryptography wheel not importable"
     assert cipher.encrypt(KEY, b"hello", IV) == cbc_encrypt(KEY, b"hello", IV)
 
 
-def test_backends_produce_interoperable_wire_format(monkeypatch):
-    monkeypatch.setenv(cipher.BACKEND_ENV, "pure")
-    sealed_pure = cipher.encrypt(KEY, b"cross-backend payload", IV)
-
-    cipher.reset_backend()
-    monkeypatch.setenv(cipher.BACKEND_ENV, "auto")
+def test_backends_produce_interoperable_wire_format():
+    sealed_pure = cbc_encrypt(KEY, b"cross-backend payload", IV)
     assert cipher.decrypt(KEY, sealed_pure) == b"cross-backend payload"
-    sealed_auto = cipher.encrypt(KEY, b"cross-backend payload", IV)
-
-    cipher.reset_backend()
-    monkeypatch.setenv(cipher.BACKEND_ENV, "pure")
-    assert cipher.decrypt(KEY, sealed_auto) == b"cross-backend payload"
-
-
-def test_invalid_choice_rejected(monkeypatch):
-    monkeypatch.setenv(cipher.BACKEND_ENV, "openssl")
-    with pytest.raises(ValueError):
-        cipher.backend_name()
-
-
-def test_choice_is_case_insensitive_and_stripped(monkeypatch):
-    monkeypatch.setenv(cipher.BACKEND_ENV, "  PURE ")
-    assert cipher.backend_name() == "pure"
-
-
-def test_empty_choice_means_auto(monkeypatch):
-    monkeypatch.setenv(cipher.BACKEND_ENV, "")
-    assert cipher.backend_name() in ("cryptography", "pure")
+    sealed_active = cipher.encrypt(KEY, b"cross-backend payload", IV)
+    assert sealed_active == sealed_pure
+    assert cbc_decrypt(KEY, sealed_active) == b"cross-backend payload"
 
 
 def test_reset_backend_rereads_environment(monkeypatch):
     first = cipher.backend_name()
-    monkeypatch.setenv(cipher.BACKEND_ENV, "pure")
-    # Resolution is sticky until reset: the env change alone is ignored.
+    monkeypatch.setattr(cipher, "_HAVE_CRYPTOGRAPHY", False)
+    # Resolution is sticky until reset: losing the wheel alone is ignored.
     assert cipher.backend_name() == first
     cipher.reset_backend()
     assert cipher.backend_name() == "pure"
-
-
-def test_explicit_cryptography_raises_when_unavailable(monkeypatch):
-    monkeypatch.setenv(cipher.BACKEND_ENV, "cryptography")
-    if cipher._HAVE_CRYPTOGRAPHY:
-        assert cipher.backend_name() == "cryptography"
-        assert cipher.fallback_reason() is None
-    else:
-        with pytest.raises(RuntimeError):
-            cipher.backend_name()
 
 
 def test_failing_self_check_falls_back_under_auto(monkeypatch):
@@ -92,8 +59,3 @@ def test_failing_self_check_falls_back_under_auto(monkeypatch):
     monkeypatch.setattr(cipher, "_fast_encrypt", corrupted)
     assert cipher.backend_name() == "pure"
     assert "mismatch" in cipher.fallback_reason()
-    # The override that *requires* the fast backend refuses instead.
-    cipher.reset_backend()
-    monkeypatch.setenv(cipher.BACKEND_ENV, "cryptography")
-    with pytest.raises(RuntimeError):
-        cipher.backend_name()

@@ -30,10 +30,6 @@ class TestPolicy:
         FlowControlPolicy()  # defaults are coherent
         with pytest.raises(ValueError, match="credit_window"):
             FlowControlPolicy(queue_capacity=8, credit_window=9)
-        with pytest.raises(ValueError, match="watermarks"):
-            FlowControlPolicy(low_watermark=0.9, high_watermark=0.5)
-        with pytest.raises(ValueError, match="shed policy"):
-            FlowControlPolicy(shed_policy="nope")
 
 
 class TestCreditGate:

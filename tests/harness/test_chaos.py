@@ -71,7 +71,7 @@ def test_analytic_loss_model_tracks_measurement(report):
 
 
 def test_chaos_run_is_deterministic():
-    small = ChaosConfig(seed=11, duration=1.0, drain=1.5)
+    small = ChaosConfig(seed=11, duration=1.0)
     first = run_tree_chaos(small, reliable=True)
     second = run_tree_chaos(small, reliable=True)
     assert first == second
@@ -82,10 +82,8 @@ def test_chaos_run_is_deterministic():
 
 
 def test_different_seeds_inject_different_faults():
-    a = run_tree_chaos(ChaosConfig(seed=1, duration=1.0, drain=1.5),
-                       reliable=False)
-    b = run_tree_chaos(ChaosConfig(seed=2, duration=1.0, drain=1.5),
-                       reliable=False)
+    a = run_tree_chaos(ChaosConfig(seed=1, duration=1.0), reliable=False)
+    b = run_tree_chaos(ChaosConfig(seed=2, duration=1.0), reliable=False)
     assert a != b
 
 

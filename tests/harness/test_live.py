@@ -20,7 +20,6 @@ from repro.harness.live import (
 
 _CONFIG = LiveConfig(
     seed=11, events=30, num_brokers=3, num_subscribers=3,
-    num_topics=8, topics_per_subscriber=2,
 )
 
 

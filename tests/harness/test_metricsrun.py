@@ -13,9 +13,8 @@ from repro.harness.chaos import (
 from repro.obs.export import json_safe
 
 # The overlay scenario's tree at a size that keeps the snapshot readable.
-_CONFIG = ChaosConfig(seed=7, duration=1.0, drain=2.0, publish_rate=20.0,
-                      num_brokers=7, crash_probability=0.15,
-                      crash_duration=0.4)
+_CONFIG = ChaosConfig(seed=7, duration=1.0, publish_rate=20.0,
+                      num_brokers=7, crash_probability=0.15)
 
 
 def test_invariants_hold_on_seeded_run():

@@ -14,6 +14,11 @@ import dataclasses
 import pytest
 
 from repro.harness.overload import (
+    CAPACITY,
+    DEGRADATION_FLOOR,
+    MIN_HIGH_DELIVERY,
+    MIN_RECOVERY_DELIVERY,
+    QUEUE_CAPACITY,
     SCENARIO,
     OverloadConfig,
     format_overload_report,
@@ -29,8 +34,8 @@ def result():
 
 
 def test_queues_stayed_bounded(result):
-    assert 0 < result.peak_ingress_depth <= _CONFIG.queue_capacity
-    assert result.peak_egress_depth <= _CONFIG.queue_capacity
+    assert 0 < result.peak_ingress_depth <= QUEUE_CAPACITY
+    assert result.peak_egress_depth <= QUEUE_CAPACITY
     # The service pump keeps the raw CPU backlog O(1) -- the unbounded
     # hop queue is gone from the flow-controlled path.
     assert result.max_node_backlog <= 4
@@ -38,7 +43,7 @@ def test_queues_stayed_bounded(result):
 
 def test_high_priority_rides_out_the_storm(result):
     storm = result.storm_phase
-    assert storm.high_delivery >= _CONFIG.min_high_delivery
+    assert storm.high_delivery >= MIN_HIGH_DELIVERY
     # The storm genuinely overloaded the overlay.
     assert result.shed_events > 0
     assert storm.best_effort_delivery < 0.5
@@ -48,16 +53,16 @@ def test_degradation_is_graceful_not_a_cliff(result):
     ratios = [point.best_effort_delivery for point in result.sweep]
     assert ratios == sorted(ratios, reverse=True)
     for point in result.sweep:
-        floor = _CONFIG.degradation_floor * point.ideal_best_effort
+        floor = DEGRADATION_FLOOR * point.ideal_best_effort
         assert point.best_effort_delivery >= floor
-        assert point.high_delivery >= _CONFIG.min_high_delivery
+        assert point.high_delivery >= MIN_HIGH_DELIVERY
     # At sustainable load nothing is shed at all.
     assert result.sweep[0].shed_events == 0
 
 
 def test_post_storm_recovery_is_complete(result):
     recovery = result.recovery_phase
-    assert recovery.overall_delivery >= _CONFIG.min_recovery_delivery
+    assert recovery.overall_delivery >= MIN_RECOVERY_DELIVERY
     assert result.queues_drained
     assert result.breaker_final == "closed"
 
@@ -65,8 +70,8 @@ def test_post_storm_recovery_is_complete(result):
 def test_slow_broker_backpressures_on_credits(result):
     assert result.credit_stalls > 0
     assert result.credit_stall_seconds > 0.0
-    assert result.slowdown_peak_depth <= _CONFIG.queue_capacity
-    assert result.slowdown_high_delivery >= _CONFIG.min_high_delivery
+    assert result.slowdown_peak_depth <= QUEUE_CAPACITY
+    assert result.slowdown_high_delivery >= MIN_HIGH_DELIVERY
 
 
 def test_aimd_pacing_sheds_less_than_fixed_rate(result):
@@ -76,17 +81,22 @@ def test_aimd_pacing_sheds_less_than_fixed_rate(result):
     # The limiter converged below the storm rate.
     assert (
         result.adaptive_final_rate
-        < _CONFIG.storm_factor * _CONFIG.capacity
+        < _CONFIG.storm_factor * CAPACITY
     )
 
 
 def test_gates_pass_and_catch_violations(result):
     assert SCENARIO.violations(_CONFIG, result) == []
-    broken = dataclasses.replace(_CONFIG, min_high_delivery=1.01)
-    (gate, problem), = SCENARIO.violations(broken, result)
+    dropped = dataclasses.replace(result.storm_phase, high_delivery=0.9)
+    broken = dataclasses.replace(result, phases=[
+        dropped if phase.name == "storm" else phase
+        for phase in result.phases
+    ])
+    (gate, problem), = SCENARIO.violations(_CONFIG, broken)
     assert gate == "priority-protection" and "high-priority" in problem
-    strict = dataclasses.replace(_CONFIG, degradation_floor=2.0)
-    (gate, problem), = SCENARIO.violations(strict, result)
+    cliff = dataclasses.replace(result.sweep[-1], best_effort_delivery=0.0)
+    strict = dataclasses.replace(result, sweep=[*result.sweep[:-1], cliff])
+    (gate, problem), = SCENARIO.violations(_CONFIG, strict)
     assert gate == "graceful-degradation" and "cliff" in problem
 
 
@@ -94,7 +104,7 @@ def test_six_x_rung_protects_high_priority_and_sheds_fairly(result):
     worst = result.sweep[-1]
     assert worst.factor == 6.0
     assert worst.shed_events > 0
-    assert worst.high_delivery >= _CONFIG.min_high_delivery
+    assert worst.high_delivery >= MIN_HIGH_DELIVERY
     # Every shed landed on best-effort, the lowest class present.
     assert worst.shed_fairness == 1.0
     # At sustainable load nothing is shed: vacuously fair.
@@ -135,11 +145,3 @@ def test_config_validation_rejects_broken_scenarios():
         OverloadConfig(storm_factor=20.0).validate()  # high slice > capacity
     with pytest.raises(ValueError):
         OverloadConfig(storm_factor=0.5).validate()  # not a storm
-    with pytest.raises(ValueError):
-        OverloadConfig(high_fraction=0.0).validate()
-    with pytest.raises(ValueError):
-        OverloadConfig(steady_factor=1.2, storm_factor=4.0).validate()
-    with pytest.raises(ValueError):
-        OverloadConfig(
-            num_topics=4, topics_per_subscriber=8
-        ).validate()

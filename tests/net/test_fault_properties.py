@@ -26,7 +26,7 @@ def _run_once(seed, reliable, events=12, num_brokers=7, horizon=2.0):
         link_loss=0.1,
     )
     injector = FaultInjector(sim, plan, seed=seed + 1)
-    policy = RetryPolicy(max_attempts=4, heartbeat_interval=0.1)
+    policy = RetryPolicy(heartbeat_interval=0.1)
     net = SimulatedPubSub(
         sim,
         num_brokers,

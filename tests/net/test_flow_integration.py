@@ -254,6 +254,37 @@ def test_crashed_sender_gives_back_the_credits_of_its_unacked_hops():
     )
 
 
+def test_crashed_sender_puts_nothing_on_the_wire():
+    """A broker that crashes with sends still waiting for credits at its
+    egress must not make them when the credits come back."""
+    sim = Simulator()
+    policy = FlowControlPolicy(queue_capacity=8, credit_window=2)
+    crash_at = 0.05
+    plan = FaultPlan(
+        crashes=[BrokerCrash(1, at=crash_at, duration=1.0)],
+        # Slow leaves below broker 1 keep its egress backed up.
+        slowdowns=[
+            BrokerSlowdown(broker=leaf, start=0.0, duration=1.0, factor=8.0)
+            for leaf in (3, 4)
+        ],
+    )
+    injector = FaultInjector(sim, plan, seed=1)
+    net = _overlay(sim, policy, faults=injector, num_brokers=7)
+    injector.install()
+    _storm(net, events=60, interval=0.0005)
+    outgoing = [net.links[(1, leaf)] for leaf in (3, 4)]
+    at_crash = []
+    sim.schedule(
+        crash_at,
+        lambda: at_crash.extend(link.stats.messages for link in outgoing),
+    )
+    sim.run(until=0.9)  # the dead broker's children drain meanwhile
+    assert sum(at_crash) > 0
+    assert [link.stats.messages for link in outgoing] == at_crash
+    assert all(len(lf.egress) == 0 for (sender, _), lf
+               in net._link_flow.items() if sender == 1)
+
+
 def test_shed_listener_sees_admission_overload():
     sim = Simulator()
     policy = FlowControlPolicy(queue_capacity=4, credit_window=2)

@@ -15,18 +15,13 @@ def test_delivery_after_latency():
     assert arrivals == [0.075]
 
 
-def test_bandwidth_adds_serialization_delay():
-    sim = Simulator()
-    link = Link(sim, latency=0.010, bandwidth_bytes_per_s=1000.0)
-    arrivals = []
-    link.send(500, lambda: arrivals.append(sim.now))
-    sim.run()
-    assert arrivals == [pytest.approx(0.510)]
-
-
 def test_transfer_time_without_bandwidth():
-    link = Link(Simulator(), latency=0.02)
-    assert link.transfer_time(10_000) == 0.02
+    sim = Simulator()
+    link = Link(sim, latency=0.02)
+    arrivals = []
+    link.send(10_000, lambda: arrivals.append(sim.now))
+    sim.run()
+    assert arrivals == [0.02]
 
 
 def test_stats_accumulate():
@@ -52,5 +47,3 @@ def test_messages_can_overlap_in_flight():
 def test_invalid_parameters():
     with pytest.raises(ValueError):
         Link(Simulator(), latency=-1.0)
-    with pytest.raises(ValueError):
-        Link(Simulator(), latency=0.1, bandwidth_bytes_per_s=0.0)

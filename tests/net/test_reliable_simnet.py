@@ -38,15 +38,9 @@ def _publish_window(net, events, rate=50.0):
 
 def test_retry_policy_validation():
     with pytest.raises(ValueError):
-        RetryPolicy(max_attempts=0)
+        RetryPolicy(heartbeat_interval=0.0)
     with pytest.raises(ValueError):
-        RetryPolicy(ack_timeout=0.0)
-    with pytest.raises(ValueError):
-        RetryPolicy(backoff=0.5)
-    with pytest.raises(ValueError):
-        RetryPolicy(jitter=1.0)
-    with pytest.raises(ValueError):
-        RetryPolicy(miss_threshold=0)
+        RetryPolicy(heartbeat_jitter=1.0)
 
 
 def test_reliable_without_faults_matches_fire_and_forget():
@@ -73,7 +67,7 @@ def test_link_loss_drops_fire_and_forget_but_not_reliable():
     assert len(plain.deliveries) < expected
 
     sim_b, reliable = _overlay(
-        reliability=RetryPolicy(max_attempts=10), plan=plan, seed=5
+        reliability=RetryPolicy(), plan=plan, seed=5
     )
     _publish_window(reliable, 40)
     sim_b.run(until=8.0)
@@ -87,14 +81,15 @@ def test_link_loss_drops_fire_and_forget_but_not_reliable():
 
 def test_retry_budget_dead_letters_on_partition():
     # Broker 6 is a leaf; its uplink (2 -- 6) partitions forever, so every
-    # attempt is lost and the budget runs out.
+    # attempt is lost and the budget runs out -- before a slow failure
+    # detector would mark 6 down and park the traffic instead.
     plan = FaultPlan(link_faults=[LinkFault(2, 6, partitioned=True)])
-    policy = RetryPolicy(max_attempts=3, ack_timeout=0.02)
+    policy = RetryPolicy(heartbeat_interval=5.0)
     sim, net = _overlay(reliability=policy, plan=plan)
     _publish_window(net, 5)
-    sim.run(until=3.0)
+    sim.run(until=8.0)
     assert net.rstats.dead_letters == 5
-    assert [seq for seq, _, _ in net.dead_letters] == list(range(5))
+    assert sorted(seq for seq, _, _ in net.dead_letters) == list(range(5))
     assert all(
         (source, target) == (2, 6) for _, source, target in net.dead_letters
     )
@@ -104,7 +99,7 @@ def test_crash_detection_parking_and_recovery():
     # A long mid-run outage of broker 1 (an interior broker): the
     # detector must notice, park traffic, and flush after the restart.
     plan = FaultPlan(crashes=[BrokerCrash(1, at=0.5, duration=1.5)])
-    policy = RetryPolicy(max_attempts=4, heartbeat_interval=0.1)
+    policy = RetryPolicy(heartbeat_interval=0.1)
     sim, net = _overlay(reliability=policy, plan=plan)
     _publish_window(net, 60, rate=30.0)
     sim.run(until=6.0)

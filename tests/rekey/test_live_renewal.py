@@ -129,7 +129,7 @@ def test_full_churn_harness_passes_its_gates(survivors):
         run_rekey_chaos,
     )
 
-    config = RekeyChaosConfig(survivors=survivors, events_per_epoch=4)
+    config = RekeyChaosConfig(survivors=survivors)
     result = run_rekey_chaos(config)
     assert SCENARIO.violations(config, result) == []
     assert SCENARIO.violations(

@@ -14,8 +14,7 @@ from repro.routing.experiment import (
 @pytest.fixture(scope="module")
 def small_config() -> RoutingExperimentConfig:
     return RoutingExperimentConfig(
-        num_tokens=32, tokens_per_subscriber=8, events=1500, depth=2,
-        arity=5,
+        num_tokens=32, tokens_per_subscriber=8, events=1500
     )
 
 
@@ -69,4 +68,4 @@ def test_construction_cost_normalized_and_saturating(small_config):
 
 def test_invalid_ind_rejected(small_config):
     with pytest.raises(ValueError):
-        run_dissemination(small_config, ind_max=small_config.arity + 1)
+        run_dissemination(small_config, ind_max=6)  # the overlay has arity 5

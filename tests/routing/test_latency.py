@@ -17,9 +17,7 @@ def _frequencies(count=32):
 
 def test_path_latency_sums_hops():
     network = MultipathNetwork(depth=2, arity=2, ind=2)
-    embedded = EmbeddedMultipathNetwork(
-        network, per_hop_processing=0.001
-    )
+    embedded = EmbeddedMultipathNetwork(network)
     subscriber = network.subscribers()[0]
     path = network.tree_path(subscriber)
     latency = embedded.path_latency(path)
@@ -29,7 +27,7 @@ def test_path_latency_sums_hops():
         )
         for a, b in zip(path, path[1:])
     )
-    assert latency == pytest.approx(hop_sum + 0.001 * (len(path) - 1))
+    assert latency == pytest.approx(hop_sum + 0.0002 * (len(path) - 1))
 
 
 def test_measure_collects_samples():

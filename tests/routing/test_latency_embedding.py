@@ -16,7 +16,7 @@ def test_every_overlay_node_gets_a_distinct_placement():
 
 def test_latency_positive_and_symmetric_inputs():
     network = MultipathNetwork(depth=2, arity=2, ind=2)
-    embedded = EmbeddedMultipathNetwork(network, per_hop_processing=0.0)
+    embedded = EmbeddedMultipathNetwork(network)
     subscriber = network.subscribers()[0]
     forward = embedded.path_latency(network.tree_path(subscriber))
     assert forward > 0
@@ -43,13 +43,10 @@ def test_shifted_paths_have_comparable_latency():
 
 def test_processing_cost_scales_with_hops():
     network = MultipathNetwork(depth=3, arity=2, ind=2)
-    base = EmbeddedMultipathNetwork(network, per_hop_processing=0.0, seed=3)
-    costly = EmbeddedMultipathNetwork(
-        network, per_hop_processing=0.010, seed=3
-    )
-    subscriber = network.subscribers()[0]
-    path = network.tree_path(subscriber)
-    hops = len(path) - 1
-    assert costly.path_latency(path) == pytest.approx(
-        base.path_latency(path) + 0.010 * hops
-    )
+    embedded = EmbeddedMultipathNetwork(network, seed=3)
+    path = network.tree_path(network.subscribers()[0])
+    # Links and per-hop processing both add up hop by hop.
+    assert embedded.path_latency(path) == pytest.approx(sum(
+        embedded.path_latency([source, target])
+        for source, target in zip(path, path[1:])
+    ))

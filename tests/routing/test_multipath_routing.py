@@ -115,5 +115,6 @@ def test_construction_cost_and_histogram():
 
 def test_ideal_ind_max():
     assert ideal_ind_max({"a": 128.0, "b": 1.0}) == 128
+    assert ideal_ind_max({"a": 1.0, "b": 1.0}) == 1
     with pytest.raises(ValueError):
         ideal_ind_max({"a": 0.0})

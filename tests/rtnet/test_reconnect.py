@@ -4,22 +4,14 @@ import asyncio
 import random
 import time
 
-import pytest
-
 from repro.core.composite import CompositeKeySpace
 from repro.core.kdc import KDC
 from repro.core.nakt import NumericKeySpace
 from repro.routing.tokens import TokenAuthority
-from repro.rtnet import (
-    BackoffPolicy,
-    BrokerServer,
-    RtPublisher,
-    RtSubscriber,
-)
+from repro.rtnet import BrokerServer, RtPublisher, RtSubscriber
+from repro.rtnet.client import _redial_delay
 from repro.siena.events import Event
 from repro.siena.filters import Filter
-
-_FAST = BackoffPolicy(base=0.01, max_delay=0.05)
 
 
 def _make_kdc() -> KDC:
@@ -38,34 +30,22 @@ async def _wait_for(predicate, timeout: float = 5.0) -> None:
         await asyncio.sleep(0.01)
 
 
+class _NoJitter(random.Random):
+    def random(self) -> float:
+        return 0.0
+
+
 def test_backoff_policy_grows_and_caps():
-    policy = BackoffPolicy(base=0.1, factor=2.0, max_delay=1.0, jitter=0.0)
-    rng = random.Random(7)
-    delays = [policy.delay(attempt, rng) for attempt in range(6)]
-    assert delays[:4] == [0.1, 0.2, 0.4, 0.8]
-    assert delays[4] == delays[5] == 1.0  # capped
+    delays = [_redial_delay(attempt, _NoJitter()) for attempt in range(8)]
+    assert delays[:6] == [0.05, 0.1, 0.2, 0.4, 0.8, 1.6]
+    assert delays[6] == delays[7] == 2.0  # capped
 
 
 def test_backoff_jitter_only_shrinks_the_delay():
-    policy = BackoffPolicy(base=0.1, factor=1.0, max_delay=0.1, jitter=0.5)
     rng = random.Random(3)
     for attempt in range(20):
-        delay = policy.delay(attempt, rng)
-        assert 0.05 <= delay <= 0.1
-
-
-def test_connect_gives_up_after_max_attempts():
-    async def scenario():
-        subscriber = RtSubscriber(
-            "s", "127.0.0.1", 1,  # nothing listens on port 1
-            schema_lookup=lambda topic: None,
-            authority=TokenAuthority(bytes(16)),
-            backoff=BackoffPolicy(base=0.001, max_delay=0.01, max_attempts=3),
-        )
-        with pytest.raises(OSError):
-            await subscriber.connect()
-
-    asyncio.run(scenario())
+        raw = min(2.0, 0.05 * 2 ** attempt)
+        assert raw / 2 <= _redial_delay(attempt, rng) <= raw
 
 
 def test_subscriber_resubscribes_after_broker_restart():
@@ -80,7 +60,7 @@ def test_subscriber_resubscribes_after_broker_restart():
         subscriber = RtSubscriber(
             "s", server.host, port,
             schema_lookup=lambda topic: kdc.config_for(topic).schema,
-            authority=authority, backoff=_FAST,
+            authority=authority,
         )
         await subscriber.connect()
         await subscriber.add_grant(
@@ -99,7 +79,7 @@ def test_subscriber_resubscribes_after_broker_restart():
         assert subscriber.broker_id == "b0-prime"
 
         publisher = RtPublisher(
-            "p", server.host, port, kdc, authority=authority, backoff=_FAST
+            "p", server.host, port, kdc, authority=authority
         )
         await publisher.connect()
         await publisher.publish(Event({"topic": "t", "v": 10}, publisher="p"))
@@ -128,7 +108,7 @@ def test_publisher_resends_unacked_tail_after_restart():
         port = server.port
 
         publisher = RtPublisher(
-            "p", server.host, port, kdc, authority=authority, backoff=_FAST
+            "p", server.host, port, kdc, authority=authority
         )
         await publisher.connect()
         await publisher.publish(Event({"topic": "t", "v": 5}, publisher="p"))

@@ -165,7 +165,7 @@ def _granted_routing_filters() -> list[Filter]:
         WorkloadConfig(
             num_topics=4, topics_per_subscriber=4, numeric_range=32,
             numeric_least_count=1, subscription_mean=16.0,
-            subscription_std=6.0, category_height=2,
+            subscription_std=6.0,
         )
     )
     kdc = workload.build_kdc(master_key=bytes(range(16)))

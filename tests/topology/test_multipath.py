@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.topology.multipath import MultipathNetwork, required_ind
+from repro.topology.multipath import MultipathNetwork
 
 
 def test_parameter_validation():
@@ -126,8 +126,3 @@ def test_edge_count_includes_both_kinds():
     assert net.edge_count() == len(net.tree_edges()) + len(net.extra_edges())
 
 
-def test_required_ind():
-    assert required_ind(128.0, 1.0) == 128
-    assert required_ind(1.0, 1.0) == 1
-    with pytest.raises(ValueError):
-        required_ind(1.0, 0.0)

@@ -91,7 +91,3 @@ def test_different_seeds_differ():
         20
     ) != TransitStubTopology(seed=2).sample_overlay(20)
 
-
-def test_dimension_validation():
-    with pytest.raises(ValueError):
-        TransitStubTopology(transit_domains=0)
