@@ -5,17 +5,19 @@ overlay.  Instead of pushing every event through the tree one at a time,
 it accumulates publishes into :class:`~repro.engine.batch.EventBatch` es
 and dispatches each batch as a single ``publish(events)`` call -- one
 message per tree hop per batch instead of one per event -- while the
-shared memoization layers (:class:`EngineCaches`) strip repeated PRF and
-match work out of the per-event cost:
+shared memoization layers (:class:`EngineCaches`) strip repeated work
+out of the per-event cost:
 
 - ``token_authority`` memoizes Song--Wagner--Perrig token pre-computation
   on the publish side (:class:`~repro.routing.tokens.CachingTokenAuthority`);
-- ``token_prf`` memoizes broker-side proof recomputation ``F_{tok}(r)``
-  across the brokers of a process
-  (:class:`~repro.routing.tokens.TokenPRFCache`);
-- ``match_results`` memoizes the unit-filter verdicts of the broker
-  walk, keyed on the constraint and the event's constrained value
+- ``match_results`` remembers the topic pin each event verified under, so
+  only the first broker on an event's path probes pins
   (:class:`~repro.siena.index.MatchResultCache`).
+
+Brokers check every other token constraint directly: ``F_{tok}(r)`` is
+one pre-keyed PRF evaluation, and ``r`` is fresh per event, so a memo of
+it or of a verdict could only hit while one event was being walked, and
+cost more than it saved.
 
 Batching is semantics-preserving: per-subscriber delivery streams are
 identical to the per-event path (a batch ``Broker.publish`` shares the
@@ -36,7 +38,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.routing.tokens import (
     CachingTokenAuthority,
     TokenPRFCache,
-    cached_tokenized_match,
+    tokenized_match,
 )
 from repro.siena.events import Event
 from repro.siena.filters import Filter
@@ -63,13 +65,13 @@ class EngineConfig:
             raise ValueError("batch_size must be at least one event")
 
 
-#: Broker-side memo entries budgeted per event of a batch.  On tokenized
-#: traffic both broker memos are keyed by a value holding the event's
-#: fresh nonce, so an entry can only hit while its event is still in the
-#: overlay -- that is, while its batch is being walked.  An event leaves
-#: one entry per unit filter tested on its path (a few dozen on the
-#: benchmark tables); 128 is several times that, and anything beyond it
-#: is memory holding entries that can never hit again.
+#: Pin-memo entries budgeted per event of a batch.  On tokenized traffic
+#: the memo is keyed by the event's routable, which holds a fresh nonce,
+#: so an entry can only hit while its event is still in the overlay --
+#: that is, while its batch is being walked.  An event leaves one entry
+#: (the pin it verified under), so 128 is far more than a batch can use;
+#: anything beyond what is in flight holds entries that can never hit
+#: again.
 MEMO_ENTRIES_PER_EVENT = 128
 
 #: Master-key derived tokens a caching token authority keeps.
@@ -81,8 +83,10 @@ class EngineCaches:
 
     Build one per trust domain: the authority cache holds master-key
     derived tokens, so it must not be shared with untrusted components.
-    The two broker-side memos are sized to what an in-flight batch can
-    hit: ``MEMO_ENTRIES_PER_EVENT * config.batch_size`` entries each.
+    The pin memo is sized to what an in-flight batch can hit:
+    ``MEMO_ENTRIES_PER_EVENT * config.batch_size`` entries.
+    ``token_prf`` is an empty stub (see
+    :class:`~repro.routing.tokens.TokenPRFCache`).
     """
 
     def __init__(
@@ -90,9 +94,10 @@ class EngineCaches:
         config: EngineConfig = EngineConfig(),
         registry: MetricsRegistry | None = None,
     ):
-        entries = MEMO_ENTRIES_PER_EVENT * config.batch_size
-        self.token_prf = TokenPRFCache(entries, registry)
-        self.match_results = MatchResultCache(entries, registry)
+        self.token_prf = TokenPRFCache()
+        self.match_results = MatchResultCache(
+            MEMO_ENTRIES_PER_EVENT * config.batch_size, registry
+        )
         self._registry = registry
 
     def token_authority(self, master_key: bytes) -> CachingTokenAuthority:
@@ -102,15 +107,12 @@ class EngineCaches:
         )
 
     def tokenized_match(self) -> Callable[[Filter, Event], bool]:
-        """The PRF-memoized tokenized match predicate for broker trees."""
-        return cached_tokenized_match(self.token_prf)
+        """The tokenized match predicate for broker trees."""
+        return tokenized_match
 
     def stats(self) -> dict:
-        """JSON-able hit/miss/eviction summary of every layer."""
-        return {
-            "token_prf": self.token_prf.cache.stats(),
-            "match_results": self.match_results.stats(),
-        }
+        """JSON-able hit/miss/eviction summary of the broker-side memo."""
+        return {"match_results": self.match_results.stats()}
 
 
 class DisseminationEngine:

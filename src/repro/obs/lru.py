@@ -1,8 +1,8 @@
 """Instrumented bounded LRU maps for the hot-path memoization layers.
 
-The engine (PR 4) memoizes three expensive pure computations -- derived
-hierarchical keys, Song--Wagner--Perrig token PRFs, and per-broker
-filter-match results.  All three need the same substrate: a bounded
+The engine memoizes two pure computations -- Song--Wagner--Perrig label
+tokens, and the topic pin an event verified under at the brokers.  Both
+need the same substrate: a bounded
 mapping with LRU eviction whose hit/miss/eviction counts surface in the
 shared :class:`~repro.obs.metrics.MetricsRegistry` so ``repro metrics``
 and the ``benchmarks/e2e`` harness can report cache effectiveness without
@@ -123,17 +123,6 @@ class LRUCache:
                 self._g_entries.set(len(self._entries))
             return True
         return False
-
-    def invalidate_where(
-        self, predicate: Callable[[Hashable], bool]
-    ) -> int:
-        """Drop every entry whose key satisfies *predicate*; returns count."""
-        doomed = [key for key in self._entries if predicate(key)]
-        for key in doomed:
-            del self._entries[key]
-        if doomed and self._g_entries is not None:
-            self._g_entries.set(len(self._entries))
-        return len(doomed)
 
     def clear(self) -> None:
         """Drop all entries (counters keep their lifetime totals)."""

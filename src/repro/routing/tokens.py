@@ -87,19 +87,10 @@ class TokenProbe:
         self.token = token
         self.prf = keyed_F(token)
 
-    def matches(
-        self,
-        nonce: bytes,
-        proof: bytes,
-        cache: "TokenPRFCache | None" = None,
-    ) -> bool:
+    def matches(self, nonce: bytes, proof: bytes) -> bool:
         """Whether ``<nonce, proof>`` was built under this token, in
-        constant time; ``F_{tok}(r)`` comes out of *cache* when given."""
-        if cache is None:
-            expected = self.prf(nonce)
-        else:
-            expected = cache.proof(self.token, nonce, self.prf)
-        return compare_digest(expected, proof)
+        constant time."""
+        return compare_digest(self.prf(nonce), proof)
 
 
 def routable_matches(token: bytes, routable: RoutableToken) -> bool:
@@ -313,11 +304,8 @@ def _compile(subscription: Filter) -> tuple[_Step, ...]:
     return tuple(steps)
 
 
-def _token_matcher(
-    cache: "TokenPRFCache | None" = None,
-) -> Callable[[Filter, Event], bool]:
-    """A match predicate; ``F_{tok}(r)`` is looked up in *cache* when
-    one is given.
+def _token_matcher() -> Callable[[Filter, Event], bool]:
+    """Build :func:`tokenized_match`, with the per-event memo it closes over.
 
     The predicate keeps what is constant out of the per-call path: a
     filter's compiled steps ride on the filter (``Filter._token_steps``,
@@ -327,12 +315,20 @@ def _token_matcher(
     a row -- and dropped with the first call for another.
     """
     unset = object()
-    # (event, its parsed routables), swapped as one tuple: the module's
-    # own ``tokenized_match`` is shared by every broker of a process, so
-    # a dict must never be paired with another thread's event.
+    # (event, its parsed routables), swapped as one tuple: the predicate
+    # is shared by every broker of a process, so a dict must never be
+    # paired with another thread's event.
     current: tuple[Event | None, dict] = (None, {})
 
-    def match(subscription: Filter, event: Event) -> bool:
+    def tokenized_match(subscription: Filter, event: Event) -> bool:
+        """Broker match predicate for tokenized subscriptions and events.
+
+        Subscription constraint values are hex label tokens; event
+        attribute values are hex-encoded ``<r, F_T(r)>`` pairs.  A
+        constraint matches when ``F_{tok}(r) == match``, checked with the
+        constraint's :class:`TokenProbe`.  Non-token constraints fall back
+        to plain matching (mixed plaintext/tokenized deployments).
+        """
         nonlocal current
         steps = subscription._token_steps
         if steps is None:
@@ -361,73 +357,25 @@ def _token_matcher(
             if pair is None or probe is None:
                 return False
             nonce, proof = pair
-            if not probe.matches(nonce, proof, cache):
+            if not probe.matches(nonce, proof):
                 return False
         return True
 
-    return match
+    return tokenized_match
 
 
-_match = _token_matcher()
-
-
-def tokenized_match(subscription: Filter, event: Event) -> bool:
-    """Broker match predicate for tokenized subscriptions and events.
-
-    Subscription constraint values are hex label tokens; event attribute
-    values are hex-encoded ``<r, F_T(r)>`` pairs.  A constraint matches
-    when ``F_{tok}(r) == match``.  Non-token constraints fall back to plain
-    matching (mixed plaintext/tokenized deployments).
-    """
-    return _match(subscription, event)
+tokenized_match = _token_matcher()
 
 
 class TokenPRFCache:
-    """Memoizes broker-side proof recomputation ``F_{tok}(r)``.
+    """What is left of a deleted memo of ``F_{tok}(r)``: an empty cache.
 
-    Every broker on an event's path recomputes the same PRF for the same
-    ``(token, nonce)`` pair -- the dominant per-hop crypto cost of
-    tokenized matching.  The PRF is a pure function of its inputs, so the
-    memo is exact and can be shared by every broker in a process.  The
-    nonce is fresh per event, so entries stop hitting once an event leaves
-    the network; the LRU bound reclaims them.  Size it to what the events
-    in flight can hit, not to the traffic: the default is 128 entries for
-    each event of a 32-event batch (:class:`repro.engine.EngineCaches`
-    derives it from its batch size), and a larger memo only keeps entries
-    that can never hit again.
+    The nonce ``r`` is fresh per event, so the memo could only hit while
+    one event was being walked, and it cost more than the keyed PRF it
+    saved; brokers now check every proof directly.  ``benchmarks/e2e``
+    still reports ``cache.stats()`` as ``routing.prf_cache_hit_ratio``
+    (always 0).  ROADMAP item 1 drops that read, and then this class.
     """
 
-    def __init__(
-        self,
-        capacity: int = 4096,
-        registry: "MetricsRegistry | None" = None,
-        **labels,
-    ):
-        self.cache = LRUCache(capacity, "token_prf_cache", registry, **labels)
-
-    def proof(
-        self, token: bytes, nonce: bytes, prf: Callable | None = None
-    ) -> bytes:
-        """``F(token, nonce)``, served from cache when already computed;
-        *prf* is ``keyed_F(token)`` when the caller already holds it."""
-        return self.cache.get_or_compute(
-            (token, nonce), lambda: (prf or keyed_F(token))(nonce)
-        )
-
-    def matches(self, token: bytes, routable: RoutableToken) -> bool:
-        """Drop-in for :func:`routable_matches` backed by the memo."""
-        return TokenProbe(token).matches(
-            routable.nonce, routable.proof, self
-        )
-
-
-def cached_tokenized_match(
-    cache: TokenPRFCache,
-) -> Callable[[Filter, Event], bool]:
-    """A :func:`tokenized_match`-equivalent predicate backed by *cache*.
-
-    Returns the exact same verdicts as :func:`tokenized_match` (the PRF is
-    pure), while amortizing proof recomputation across the brokers that
-    share the cache.
-    """
-    return _token_matcher(cache)
+    def __init__(self):
+        self.cache = LRUCache(1, "token_prf_cache")

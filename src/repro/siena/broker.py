@@ -41,8 +41,8 @@ _TOPIC_TOKEN_ATTRIBUTE = "_ttok"
 #: :mod:`repro.routing.tokens`):
 #:
 #: - **pure** -- a verdict depends only on the filter and the event's
-#:   values for the attributes the filter constrains, so it can be
-#:   memoized and shared between brokers;
+#:   values for the attributes the filter constrains, so a verified pin
+#:   can be shared between brokers;
 #: - **conjunctive over constraints** -- ``match(f, e)`` equals
 #:   ``all(match(Filter.of(c), e) for c in f)``, so a broker may hand the
 #:   predicate single-constraint *unit filters* and test each distinct
@@ -113,8 +113,8 @@ _TABLE_ORDER = attrgetter("order")
 class _Unit:
     """One single-constraint filter of the table, interned per broker.
 
-    ``holders`` counts the table entries built on the unit, so it (and
-    its memoized verdicts) is released with the last of them.
+    ``holders`` counts the table entries built on the unit, so it is
+    released with the last of them.
     """
 
     __slots__ = ("filter", "holders")
@@ -162,8 +162,8 @@ class Broker:
     ):
         self.broker_id = broker_id
         self.match = match
-        # Optional shared (unit filter, value) -> verdict memo; sound
-        # because match predicates are pure (see MatchPredicate).
+        # Optional shared memo of the pin each event verified under;
+        # sound because match predicates are pure (see MatchPredicate).
         self.match_cache = match_cache
         self.alive = True
         #: Bumped on every restart; neighbours use it to detect that a
@@ -425,8 +425,6 @@ class Broker:
         unit.holders -= 1
         if not unit.holders:
             del self._units[unit.filter]
-            if self.match_cache is not None:
-                self.match_cache.invalidate_filter(unit.filter)
 
     # -- the forwarded set -----------------------------------------------------
     #
@@ -564,18 +562,11 @@ class Broker:
     def _verdict(
         self, unit: _Unit, event: Event, verdicts: dict[_Unit, bool]
     ) -> bool:
-        """*unit*'s verdict on *event*: decided at most once per event
-        (*verdicts*), through the shared memo when one is configured."""
+        """*unit*'s verdict on *event*, decided at most once per event
+        (*verdicts*)."""
         verdict = verdicts.get(unit)
         if verdict is None:
-            cache = self.match_cache
-            if cache is not None:
-                verdict = cache.lookup(unit.filter, event)
-            if verdict is None:
-                verdict = self.match(unit.filter, event)
-                if cache is not None:
-                    cache.store(unit.filter, event, verdict)
-            verdicts[unit] = verdict
+            verdict = verdicts[unit] = self.match(unit.filter, event)
         return verdict
 
     def _verified_bucket(

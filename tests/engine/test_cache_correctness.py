@@ -3,7 +3,7 @@
 Every memoization layer must be bit-identical to uncached computation --
 including across epoch rollover (envelope keys change; cached key
 material must not resurrect expired access) and across unsubscription
-(stale match verdicts must not route events for departed filters).
+(a warm pin memo must not route events for departed filters).
 """
 
 from repro.core.composite import CompositeKeySpace
@@ -16,16 +16,11 @@ from repro.engine import EngineCaches, EngineConfig
 from repro.routing.tokens import (
     CachingTokenAuthority,
     TokenAuthority,
-    TokenPRFCache,
-    cached_tokenized_match,
-    make_routable,
     tokenize_event,
-    tokenized_match,
     tokenized_subscription,
 )
 from repro.siena.events import Event
 from repro.siena.filters import Filter
-from repro.siena.index import MatchResultCache
 from repro.siena.network import BrokerTree
 
 MASTER = bytes(range(16))
@@ -57,38 +52,7 @@ def test_caching_authority_correct_under_eviction():
     assert tiny.cache.stats()["evictions"] > 0
 
 
-def test_prf_cache_and_cached_match_equal_uncached():
-    authority = TokenAuthority(MASTER)
-    prf_cache = TokenPRFCache()
-    cached = cached_tokenized_match(prf_cache)
-    subscription = tokenized_subscription(authority, "alpha", {"v": KTID((0,))})
-    other = tokenized_subscription(authority, "beta")
-    for value_element in (KTID((0, 0)), KTID((1,)), KTID()):
-        event = tokenize_event(
-            authority,
-            Event({"x": 1}),
-            {"v": value_element},
-            "alpha",
-        )
-        for filter_ in (subscription, other):
-            assert cached(filter_, event) == tokenized_match(filter_, event)
-            # repeat: served from cache, same verdict
-            assert cached(filter_, event) == tokenized_match(filter_, event)
-
-
-def test_prf_cache_proof_is_exact():
-    from repro.crypto.prf import F
-
-    cache = TokenPRFCache()
-    token, nonce = b"t" * 32, b"n" * 16
-    assert cache.proof(token, nonce) == F(token, nonce)
-    assert cache.proof(token, nonce) == F(token, nonce)
-    routable = make_routable(token)
-    assert cache.matches(token, routable)
-    assert not cache.matches(b"u" * 32, routable)
-
-
-# -- match cache across unsubscription ----------------------------------------
+# -- pin memo across unsubscription -------------------------------------------
 
 
 def _tokenized_tree(caches: EngineCaches, num_brokers=7):
@@ -116,11 +80,11 @@ def test_unsubscribed_filter_stops_matching_despite_warm_cache():
     tree.subscribe("s", news)
 
     tree.publish(_tokenized_event(authority, "news", 0))
-    assert len(received) == 1  # cache now holds positive verdicts
+    assert len(received) == 1  # the memo now holds the event's pin
 
     tree.unsubscribe("s", news)
     tree.publish(_tokenized_event(authority, "news", 1))
-    assert len(received) == 1  # stale verdicts must not route
+    assert len(received) == 1  # a departed filter must not route
 
 
 def test_partial_unsubscribe_keeps_other_interface_served():
@@ -140,28 +104,6 @@ def test_partial_unsubscribe_keeps_other_interface_served():
     tree.publish(_tokenized_event(authority, "news", 1))
     assert len(got_a) == 1
     assert len(got_b) == 2  # the shared filter stays live for b
-
-
-def test_invalidate_filter_drops_entries():
-    cache = MatchResultCache()
-    filter_ = Filter.topic("news")
-    event = Event({"topic": "news"})
-    cache.store(filter_, event, True)
-    assert cache.lookup(filter_, event) is True
-    removed = cache.invalidate_filter(filter_)
-    assert removed == 1
-    assert cache.lookup(filter_, event) is None
-    assert cache.invalidate_filter(filter_) == 0  # idempotent
-
-
-def test_match_cache_value_vector_ignores_seq():
-    """Verdicts key on the filter's constrained values only, so the
-    per-event ``_seq`` tag must not defeat the memo."""
-    cache = MatchResultCache()
-    filter_ = Filter.topic("news")
-    cache.store(filter_, Event({"topic": "news", "_seq": 1}), True)
-    assert cache.lookup(filter_, Event({"topic": "news", "_seq": 2})) is True
-    assert cache.lookup(filter_, Event({"topic": "other", "_seq": 1})) is None
 
 
 # -- key caches across epoch rollover -----------------------------------------

@@ -119,5 +119,5 @@ def test_engine_caches_bundle():
     token = authority.topic_token("w")
     assert authority.topic_token("w") == token  # memoized, same value
     stats = caches.stats()
-    assert set(stats) == {"token_prf", "match_results"}
+    assert set(stats) == {"match_results"}
     assert all("hit_rate" in section for section in stats.values())

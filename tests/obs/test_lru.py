@@ -79,15 +79,6 @@ def test_invalidate_single_key():
     assert "a" not in cache
 
 
-def test_invalidate_where_predicate():
-    cache = LRUCache(8)
-    for n in range(6):
-        cache.put(("f", n), n)
-    removed = cache.invalidate_where(lambda key: key[1] % 2 == 0)
-    assert removed == 3
-    assert sorted(cache) == [("f", 1), ("f", 3), ("f", 5)]
-
-
 def test_clear_keeps_lifetime_counters():
     cache = LRUCache(2)
     cache.put("a", 1)

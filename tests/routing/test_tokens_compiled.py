@@ -11,17 +11,19 @@ change a verdict, whatever the inputs and whatever order the same
 
 import hmac
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.core.ktid import KTID
 from repro.routing.tokens import (
     ELEMENT_TOKEN_ATTRIBUTE,
     TOPIC_TOKEN_ATTRIBUTE,
     TokenAuthority,
-    TokenPRFCache,
     TokenProbe,
-    cached_tokenized_match,
+    _token_matcher,
     make_routable,
+    tokenize_event,
     tokenized_match,
+    tokenized_subscription,
 )
 from repro.siena.events import Event
 from repro.siena.filters import Constraint, Filter
@@ -126,6 +128,17 @@ events = st.fixed_dictionaries(
     },
 ).map(Event)
 
+#: What a grant and a publisher really produce: a KTID cover element
+#: beside the topic pin, and events tokenizing every prefix of a leaf.
+GRANTED_FILTERS = [
+    tokenized_subscription(AUTHORITY, "alpha", {"v": KTID((0,))}),
+    tokenized_subscription(AUTHORITY, "beta"),
+]
+TOKENIZED_EVENTS = [
+    tokenize_event(AUTHORITY, Event({"x": 1}), {"v": leaf}, "alpha")
+    for leaf in (KTID((0, 0)), KTID((1,)), KTID())
+]
+
 
 @settings(max_examples=300, deadline=None)
 @given(
@@ -137,28 +150,34 @@ events = st.fixed_dictionaries(
         max_size=40,
     ),
 )
+@example(
+    pool_filters=GRANTED_FILTERS,
+    pool_events=TOKENIZED_EVENTS,
+    calls=[(f, e) for e in range(3) for f in (0, 1, 0, 1)],
+)
 def test_compiled_predicates_equal_the_per_call_reference(
     pool_filters, pool_events, calls
 ):
     """Any interleaving of a few ``Filter`` and ``Event`` objects: the
     memo must never hand one event's routable, or one filter's verdict,
     to another."""
-    cached = cached_tokenized_match(TokenPRFCache(capacity=8))
+    other = _token_matcher()
     for filter_index, event_index in calls:
         subscription = pool_filters[filter_index % len(pool_filters)]
         event = pool_events[event_index % len(pool_events)]
         expected = reference_match(subscription, event)
         assert tokenized_match(subscription, event) is expected
-        assert cached(subscription, event) is expected
+        assert other(subscription, event) is expected
 
 
 def test_one_filter_object_serves_both_predicates_and_fresh_copies_agree():
     token = TOKENS[0]
     subscription = Filter.of(Constraint(TOPIC_TOKEN_ATTRIBUTE, Op.EQ, token.hex()))
-    cached = cached_tokenized_match(TokenPRFCache())
+    # A second predicate: its own per-event memo, the filter's steps shared.
+    other = _token_matcher()
     hit = Event({TOPIC_TOKEN_ATTRIBUTE: make_routable(token).encode()})
     miss = Event({TOPIC_TOKEN_ATTRIBUTE: make_routable(TOKENS[1]).encode()})
-    for match in (tokenized_match, cached, tokenized_match, cached):
+    for match in (tokenized_match, other, tokenized_match, other):
         assert match(subscription, hit)
         assert not match(subscription, miss)
     # The compiled steps are derived from the constraints alone.
@@ -188,15 +207,3 @@ def test_token_probe_is_the_broker_side_check():
     assert not TokenProbe(TOKENS[1]).matches(routable.nonce, routable.proof)
     assert not TokenProbe(token).matches(routable.nonce, routable.proof[:-1])
 
-
-def test_cached_predicate_counts_hits_and_misses_as_before():
-    """One miss per distinct (token, nonce), hits after: the memo of the
-    PRF is still consulted once per probe."""
-    cache = TokenPRFCache()
-    cached = cached_tokenized_match(cache)
-    token = TOKENS[0]
-    subscription = Filter.of(Constraint(TOPIC_TOKEN_ATTRIBUTE, Op.EQ, token.hex()))
-    event = Event({TOPIC_TOKEN_ATTRIBUTE: make_routable(token).encode()})
-    for _ in range(3):
-        assert cached(subscription, event)
-    assert (cache.cache.misses, cache.cache.hits) == (1, 2)

@@ -2,6 +2,7 @@
 
 from repro.obs.metrics import MetricsRegistry
 from repro.routing.tokens import (
+    TOPIC_TOKEN_ATTRIBUTE,
     TokenAuthority,
     tokenize_event,
     tokenized_match,
@@ -183,7 +184,7 @@ def test_batch_stats_counters():
     assert child.stats.deliveries == 4
 
 
-def test_unsubscribe_invalidates_match_cache_in_tree():
+def test_unsubscribed_filter_stops_matching_in_a_tree_with_a_match_cache():
     cache = MatchResultCache()
     tree = BrokerTree(num_brokers=3, match_cache=cache)
     leaf = tree.leaf_ids()[0]
@@ -195,3 +196,77 @@ def test_unsubscribe_invalidates_match_cache_in_tree():
     tree.unsubscribe("s", news)
     tree.publish(Event({"topic": "news"}))
     assert len(got) == 1
+
+
+def _pinned_tree(cache):
+    """7 brokers, each leaf's subscriber on one topic with a cover
+    element, so every broker above a leaf carries several pins."""
+    authority = TokenAuthority(MASTER)
+    tree = BrokerTree(num_brokers=7, match=tokenized_match, match_cache=cache)
+    streams = {}
+    for index, (leaf, topic) in enumerate(
+        zip(tree.leaf_ids(), ("alpha", "beta", "gamma", "beta"))
+    ):
+        streams[index] = []
+        tree.attach_subscriber(f"s{index}", leaf, streams[index].append)
+        tree.subscribe(
+            f"s{index}",
+            tokenized_subscription(authority, topic, {"kind": f"k{index}"}),
+        )
+    return authority, tree, streams
+
+
+def _count_pin_probes(tree):
+    """Wrap every broker's predicate; returns broker id -> pin probes."""
+    probes = dict.fromkeys(tree.brokers, 0)
+    for broker_id, broker in tree.brokers.items():
+        def counting(unit, event, broker_id=broker_id, match=broker.match):
+            if unit.constraints[0].name == TOPIC_TOKEN_ATTRIBUTE:
+                probes[broker_id] += 1
+            return match(unit, event)
+
+        broker.match = counting
+    return probes
+
+
+def test_brokers_below_the_root_probe_no_pin_the_root_verified():
+    probes_by_run = []
+    for cache in (None, MatchResultCache()):
+        authority, tree, streams = _pinned_tree(cache)
+        probes = _count_pin_probes(tree)
+        tree.publish(
+            tokenize_event(
+                authority, Event({"_seq": 0}), {"kind": "k3"}, "beta"
+            )
+        )
+        assert [len(stream) for stream in streams.values()] == [0, 0, 0, 1]
+        probes_by_run.append(probes)
+    without, with_memo = probes_by_run
+    root = 0
+    assert with_memo[root] == without[root] > 0
+    assert sum(without.values()) > without[root]  # the memo has work to do
+    assert sum(with_memo.values()) == with_memo[root]
+
+
+def test_a_broker_that_verified_nothing_leaves_the_pin_to_the_next():
+    """Only positive pairings are remembered: a restarted root with an
+    empty table verifies no pin for an event, and a leaf that carries
+    the pin must still verify it and deliver."""
+    cache = MatchResultCache()
+    authority, tree, streams = _pinned_tree(cache)
+    tree.crash_broker(0)
+    tree.restart_broker(0, replay=False)
+    root = tree.root
+    assert root.subscription_count() == 0
+
+    event = tokenize_event(
+        authority, Event({"_seq": 0}), {"kind": "k1"}, "beta"
+    )
+    tree.publish(event)  # routed by the root alone: nowhere
+    assert root.stats.match_tests == 0
+    assert len(cache.cache) == 0
+    assert not any(streams.values())
+
+    tree.brokers[tree.leaf_ids()[1]].publish(event)
+    assert [len(stream) for stream in streams.values()] == [0, 1, 0, 0]
+    assert len(cache.cache) == 1

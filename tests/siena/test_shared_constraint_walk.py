@@ -13,8 +13,6 @@ from repro.routing.tokens import (
     ELEMENT_TOKEN_ATTRIBUTE,
     TOPIC_TOKEN_ATTRIBUTE,
     TokenAuthority,
-    TokenPRFCache,
-    cached_tokenized_match,
     make_routable,
     tokenized_match,
 )
@@ -40,7 +38,6 @@ MALFORMED = ("not-hex", "abcd", make_routable(bytes(16)).encode())
 PREDICATES = {
     "plain": _plain_match,
     "tokenized": tokenized_match,
-    "cached": cached_tokenized_match(TokenPRFCache()),
 }
 
 
@@ -205,22 +202,3 @@ def test_unsubscription_releases_units_and_buckets():
     broker.unsubscribe("j", Filter.of(pin))
     assert not broker._units and not broker._buckets
 
-
-def test_match_cache_never_reuses_a_live_filters_id():
-    """Subscribe A, B; unsubscribe A; subscribe C: C must not inherit
-    B's memoized verdicts (ids were ``len()`` of a dict that shrinks)."""
-    cache = MatchResultCache()
-    broker = Broker("b", match_cache=cache)
-    got = {name: [] for name in "abc"}
-    for name in got:
-        broker.attach_client(name, got[name].append)
-    broker.subscribe("a", Filter.topic("A"))
-    broker.subscribe("b", Filter.topic("B"))
-    broker.publish(Event({"topic": "A"}))  # interns A and B in the cache
-    broker.unsubscribe("a", Filter.topic("A"))
-    broker.subscribe("c", Filter.topic("C"))
-    only_b = Event({"topic": "B"})
-    broker.publish(only_b)
-    broker.publish(only_b)
-    assert got["b"] == [only_b, only_b]
-    assert got["c"] == []
