@@ -15,7 +15,9 @@ from repro.core.subscriber import Subscriber
 from repro.engine import EngineCaches, EngineConfig
 from repro.routing.tokens import (
     CachingTokenAuthority,
+    RoutableToken,
     TokenAuthority,
+    routable_matches,
     tokenize_event,
     tokenized_subscription,
 )
@@ -50,6 +52,42 @@ def test_caching_authority_correct_under_eviction():
         for topic in topics:
             assert tiny.topic_token(topic) == plain.topic_token(topic)
     assert tiny.cache.stats()["evictions"] > 0
+
+
+def _uncached_match(subscription, event):
+    """Each constraint checked from scratch: no compiled steps, no parse."""
+    for constraint in subscription:
+        value = event.get(constraint.name)
+        if not isinstance(value, str):
+            return False
+        token = bytes.fromhex(str(constraint.value))
+        if not routable_matches(token, RoutableToken.decode(value)):
+            return False
+    return True
+
+
+def test_prf_cache_and_cached_match_equal_uncached():
+    """The engine's predicate compiles each filter once and parses each
+    event once; neither may change a verdict, on first call or repeat."""
+    authority = TokenAuthority(MASTER)
+    match = EngineCaches(EngineConfig()).tokenized_match()
+    subscription = tokenized_subscription(authority, "alpha", {"v": KTID((0,))})
+    other = tokenized_subscription(authority, "beta")
+    verdicts = []
+    for value_element in (KTID((0, 0)), KTID((1,)), KTID()):
+        event = tokenize_event(
+            authority,
+            Event({"x": 1}),
+            {"v": value_element},
+            "alpha",
+        )
+        for filter_ in (subscription, other):
+            expected = _uncached_match(filter_, event)
+            assert match(filter_, event) is expected
+            # repeat: compiled steps and parsed routables warm, same verdict
+            assert match(filter_, event) is expected
+        verdicts.append(match(subscription, event))
+    assert verdicts == [True, False, False]  # only (0, 0) lies under (0,)
 
 
 # -- pin memo across unsubscription -------------------------------------------
