@@ -12,8 +12,8 @@ replicated KDC), :mod:`repro.siena` (content-based routing),
 :mod:`repro.routing` (probabilistic multi-path), :mod:`repro.net`
 (the timed fault-injected overlay), :mod:`repro.flow` (overload
 protection: bounded queues, credits, admission control -- its headline
-names are re-exported here too), :mod:`repro.rekey` (the live
-key-lifecycle plane: GRANT/REKEY over sockets; its
+names are re-exported here too), :mod:`repro.rtnet` (sockets: the
+broker tree and the replicated KDC over TCP; the renewal
 :class:`~repro.core.renewal.RenewalPolicy` knob is re-exported here),
 :mod:`repro.obs`
 (instruments and exporters); ``docs/API.md`` holds a one-page tour and

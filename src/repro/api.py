@@ -67,8 +67,8 @@ class SystemOptions:
     - ``renewal``: a :class:`~repro.core.renewal.RenewalPolicy`; when
       set, subscribers hold *standing* subscriptions whose grants renew
       across epoch boundaries (inproc: driven by
-      :meth:`System.advance`; tcp: driven in-band by REKEY broadcasts
-      through the hosted KDC endpoint).
+      :meth:`System.advance`; tcp: driven in-band by REKEY pushes from
+      the hosted KDC replicas).
     """
 
     transport: str = "inproc"
@@ -440,9 +440,9 @@ class SystemBuilder:
         a grant's epoch expires) and *grace* (keep an expired grant
         usable this long after the boundary).  On the inproc transport
         renewals run from :meth:`System.advance`; on tcp the built
-        :class:`~repro.rtnet.LiveSystem` hosts a KDC endpoint beside the
-        broker tree and subscribers renew in-band over GRANT/GRANT_ACK,
-        driven by REKEY broadcasts.
+        :class:`~repro.rtnet.LiveSystem` hosts 3 KDC replicas beside the
+        broker tree and subscribers renew in-band through a failover
+        client, driven by REKEY pushes.
         """
         if policy is None:
             policy = RenewalPolicy(lead=lead, grace=grace)

@@ -193,10 +193,6 @@ class KDC:
         """Deny future grants for *(subscriber, topic)* (lazy revocation)."""
         self.revocations.add((subscriber, topic))
 
-    def reinstate(self, subscriber: str, topic: str) -> None:
-        """Lift a revocation."""
-        self.revocations.discard((subscriber, topic))
-
     def replicate(self) -> "KDC":
         """Spin up a replica: shares only ``rk(KDC)`` and the public registry."""
         return KDC(

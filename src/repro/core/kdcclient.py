@@ -3,8 +3,8 @@
 ``KDCClient`` is what a subscriber's :class:`~repro.core.renewal.RenewalManager`
 (or a publisher) binds instead of an in-process :class:`~repro.core.kdc.KDC`
 when the key service runs as :class:`~repro.core.kdcservice.KDCCluster`
-replicas on the fault-injectable network.  It supplies the client half of
-the availability story:
+replicas on a service network -- the simulated one or asyncio TCP.  It
+supplies the client half of the availability story:
 
 - **replica failover** -- attempts rotate through the replica list,
   sticking to the last replica that answered (and following a primary
@@ -21,12 +21,16 @@ the availability story:
   eating a full timeout on every renewal (half-open probing resumes
   after the cooldown).
 
-The API is callback-based because the client lives on the simulator
-clock: ``authorize`` *initiates* a request and returns; ``on_grant`` /
-``on_error`` fire when it resolves, possibly several failovers later.
-``on_error`` receives :class:`~repro.errors.KDCUnavailable` once
-retries are exhausted (retryable) or
-:class:`~repro.errors.GrantDenied` on revocation (terminal).
+The API is callback-based because the client lives on its host's clock
+(simulated time, or the event loop's): ``authorize`` *initiates* a
+request and returns; ``on_grant`` / ``on_error`` fire when it resolves,
+possibly several failovers later, with
+:class:`~repro.errors.KDCUnavailable` once retries are exhausted
+(retryable), :class:`~repro.errors.GrantDenied` on revocation (terminal)
+or :class:`~repro.errors.GrantExpired` for a grant that lapsed in flight.
+:meth:`KDCClient.now`, the time renewals stamp grants with, follows the
+host clock until a REKEY push or :meth:`KDCClient.advance` starts a
+logical one.
 """
 
 from __future__ import annotations
@@ -38,8 +42,7 @@ from typing import Callable, Hashable, Iterable
 
 from repro.core.kdc import AuthorizationGrant
 from repro.core.kdcservice import KDCRequest, KDCResponse
-from repro.errors import GrantDenied, KDCUnavailable
-from repro.net.service import ServiceNetwork
+from repro.errors import GrantDenied, GrantExpired, KDCUnavailable
 from repro.obs.metrics import MetricsRegistry, RegistryBackedStats
 from repro.siena.filters import Filter
 
@@ -91,6 +94,10 @@ class KDCClientStats(RegistryBackedStats):
         # Replies that arrived after their attempt had already timed out
         # (accepted anyway -- request ids make them safe).
         "late_replies",
+        # Grants arriving past expiry + grace (installed nothing).
+        "grants_expired",
+        # REKEY announcements acted on (repeats from other replicas not).
+        "rekeys",
     )
     _metric_prefix = "kdc_client_"
 
@@ -142,13 +149,14 @@ class KDCClient:
 
     def __init__(
         self,
-        network: ServiceNetwork,
+        network,
         client_id: Hashable,
         replica_ids: Iterable[Hashable],
         seed: int = 0,
         registry: MetricsRegistry | None = None,
     ):
         self.network = network
+        self.clock = network.clock
         self.client_id = client_id
         self.replica_ids = list(replica_ids)
         if not self.replica_ids:
@@ -174,10 +182,47 @@ class KDCClient:
         self._breakers = {rid: _Breaker() for rid in self.replica_ids}
         #: Sticky preference: the last replica that answered successfully.
         self._preferred = self.replica_ids[0]
+        #: Post-expiry slack a late grant is still worth installing for
+        #: (the subscriber's grace window).
+        self.grace_period = 0.0
+        #: Called with each fresh REKEY announcement, clock advanced.
+        self.on_rekey: list[Callable[[object], None]] = []
+        #: Called with each installed grant, after its ``on_grant``.
+        self.on_install: list[Callable[[AuthorizationGrant], None]] = []
+        self._logical: float | None = None
+        self._announced: set[tuple[str, int]] = set()
+        self._open = 0
+        self._idle: list[Callable[[], None]] = []
+
+    # -- the grant-stamping clock ------------------------------------------
 
     def now(self) -> float:
-        """The client's clock (the simulator's virtual time)."""
-        return self.network.sim.now
+        """Grant-stamping time: the host clock until a logical one starts."""
+        return self.clock.now if self._logical is None else self._logical
+
+    def advance(self, at_time: float) -> None:
+        """Start or move the logical clock; it never moves backwards."""
+        if self._logical is None or at_time > self._logical:
+            self._logical = at_time
+
+    def rekey(self, announcement) -> None:
+        """A REKEY push: advance the logical clock and run :attr:`on_rekey`,
+        once per (topic, epoch) however many replicas announce it."""
+        key = (announcement.topic, announcement.epoch)
+        if key in self._announced:
+            return
+        self._announced.add(key)
+        self.stats.rekeys += 1
+        self.advance(announcement.at_time)
+        for hook in list(self.on_rekey):
+            hook(announcement)
+
+    def when_idle(self, callback: Callable[[], None]) -> None:
+        """Call *callback* once no request is open (now, if none is)."""
+        if self._open:
+            self._idle.append(callback)
+        else:
+            callback()
 
     # -- public operations -----------------------------------------------------
 
@@ -192,6 +237,20 @@ class KDCClient:
         on_error: Callable[[Exception], None] = lambda error: None,
     ) -> None:
         """Request an authorization grant (idempotent across retries)."""
+
+        def install(grant: AuthorizationGrant) -> None:
+            if self.now() >= grant.expires_at + self.grace_period:
+                # Too late to be worth anything: its epoch (+ grace) lapsed.
+                self.stats.grants_expired += 1
+                on_error(GrantExpired(
+                    f"grant for {grant.topic!r} epoch {grant.epoch} "
+                    f"expired at {grant.expires_at}, now {self.now()}"
+                ))
+                return
+            on_grant(grant)
+            for hook in list(self.on_install):
+                hook(grant)
+
         self._call(
             KDCRequest(
                 "authorize",
@@ -204,7 +263,7 @@ class KDCClient:
                     "min_epoch": min_epoch,
                 },
             ),
-            on_grant,
+            install,
             on_error,
         )
 
@@ -234,7 +293,7 @@ class KDCClient:
     def _pick_replica(self, call: _Call) -> Hashable:
         """Next candidate: redirect hint, then ring order, skipping open
         breakers (unless every breaker is open)."""
-        now = self.now()
+        now = self.clock.now
         hint = call.primary_hint
         call.primary_hint = None
         if hint in self._breakers and self._breakers[hint].available(now):
@@ -254,22 +313,30 @@ class KDCClient:
 
     def _call(self, request: KDCRequest, on_ok, on_error) -> None:
         self.stats.requests += 1
+        self._open += 1
         call = _Call(request, on_ok, on_error)
-        call.started_at = self.now()
+        call.started_at = self.clock.now
         self._attempt(call)
+
+    def _close(self, call: _Call, callback, value: object) -> None:
+        """Resolve *call* with ``callback(value)``; wake idle waiters."""
+        call.done = True
+        callback(value)
+        self._open -= 1
+        if not self._open:
+            waiters, self._idle = self._idle, []
+            for waiter in waiters:
+                waiter()
 
     def _attempt(self, call: _Call) -> None:
         if call.done:
             return
         if call.attempt >= _MAX_ATTEMPTS:
-            call.done = True
             self.stats.failures += 1
-            call.on_error(
-                KDCUnavailable(
-                    f"request {call.request.request_id} exhausted "
-                    f"{_MAX_ATTEMPTS} attempts"
-                )
-            )
+            self._close(call, call.on_error, KDCUnavailable(
+                f"request {call.request.request_id} exhausted "
+                f"{_MAX_ATTEMPTS} attempts"
+            ))
             return
         replica = self._pick_replica(call)
         if call.attempt > 0:
@@ -288,7 +355,7 @@ class KDCClient:
             self.client_id, replica, call.request, on_reply=on_reply
         )
         timeout = _timeout_for(attempt, self._rng)
-        call.timer = self.network.sim.schedule(
+        call.timer = self.clock.schedule(
             timeout, lambda: self._on_timeout(call, replica, attempt)
         )
 
@@ -304,13 +371,12 @@ class KDCClient:
         if call.timer is not None:
             call.timer.cancel()
         if reply.ok:
-            call.done = True
             self._breakers[replica].record_success()
             self._g_breaker[replica].set(0)
             self._preferred = replica
             self.stats.successes += 1
-            self._h_latency.observe(self.now() - call.started_at)
-            call.on_ok(reply.value)
+            self._h_latency.observe(self.clock.now - call.started_at)
+            self._close(call, call.on_ok, reply.value)
             return
         if reply.retryable:
             # The replica is alive but cannot serve (recovering, or not
@@ -319,21 +385,18 @@ class KDCClient:
             if reply.error == "not_primary" and reply.primary is not None:
                 call.primary_hint = reply.primary
                 self.stats.redirects += 1
-            self.network.sim.schedule(0.0, lambda: self._attempt(call))
+            self.clock.schedule(0.0, lambda: self._attempt(call))
             return
-        call.done = True
         if reply.error == "denied":
             self.stats.denied += 1
-            call.on_error(
-                GrantDenied(
-                    f"request {call.request.request_id} denied"
-                )
-            )
+            self._close(call, call.on_error, GrantDenied(
+                f"request {call.request.request_id} denied"
+            ))
             return
         self.stats.failures += 1
-        call.on_error(
-            ValueError(f"request {call.request.request_id}: {reply.error}")
-        )
+        self._close(call, call.on_error, ValueError(
+            f"request {call.request.request_id}: {reply.error}"
+        ))
 
     def _on_timeout(
         self, call: _Call, replica: Hashable, attempt: int
@@ -341,7 +404,7 @@ class KDCClient:
         if call.done or attempt != call.attempt - 1:
             return
         self.stats.timeouts += 1
-        if self._breakers[replica].record_failure(self.now()):
+        if self._breakers[replica].record_failure(self.clock.now):
             self.stats.breaker_opens += 1
             self._g_breaker[replica].set(1)
         self._attempt(call)

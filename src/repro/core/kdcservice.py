@@ -1,10 +1,10 @@
-"""A highly-available KDC: replicas as nodes on the simulated network.
+"""A highly-available KDC: replicas as nodes on a service network.
 
 Section 3.2.1 makes the KDC *stateless*: every key is re-derivable from
 ``rk(KDC)``, so it "can be replicated on demand with no consistency
 protocol".  What that sentence glosses over is the small **mutable
-registry** every replica still needs -- topic configurations, epoch
-retunes, and revocations.  This module supplies the missing piece:
+registry** every replica still needs -- topic configurations and
+revocations.  This module supplies the missing piece:
 
 - :class:`KDCReplica` -- one service node wrapping a stateless
   :class:`~repro.core.kdc.KDC` that shares the cluster master key but
@@ -21,11 +21,18 @@ retunes, and revocations.  This module supplies the missing piece:
   cache instead of being re-issued -- making the client's at-least-once
   retry loop observably idempotent.
 
-Key derivations (``authorize``, ``publisher_key``) are served by *any*
-alive, caught-up replica -- that is the paper's availability argument.
-Only registry mutations need the primary.  A replica that is down, or
-recovering until its catch-up completes, simply refuses -- the
+Key derivations (``authorize``) are served by *any* alive, caught-up
+replica -- that is the paper's availability argument.  Only registry
+mutations need the primary.  A replica that is down, or recovering
+until its catch-up completes, simply refuses -- the
 :class:`~repro.core.kdcclient.KDCClient` fails over to the next one.
+
+Cluster and clients run on either *service network* -- the simulated
+:class:`repro.net.service.ServiceNetwork` or the asyncio TCP
+:class:`repro.rtnet.service.TcpServiceNetwork` -- through ``register``,
+``request``, ``node_up``, ``on_transition``, a ``clock`` (``now``,
+``schedule``) and a metrics ``registry``.  Topic provisioning crosses
+no wire: schemas are public configuration.
 """
 
 from __future__ import annotations
@@ -37,8 +44,6 @@ from typing import Hashable, Iterable
 from repro.core.composite import CompositeKeySpace
 from repro.core.kdc import KDC
 from repro.errors import GrantDenied
-from repro.net.faults import FaultInjector
-from repro.net.service import ServiceNetwork
 from repro.obs.metrics import MetricsRegistry, RegistryBackedStats
 
 #: How many memoized responses a replica keeps for request dedup.
@@ -54,7 +59,7 @@ class RegistryCommand:
     """One replicated registry mutation (1-based *seq* in the log)."""
 
     seq: int
-    op: str  # "register_topic" | "set_epoch_length" | "revoke" | "reinstate"
+    op: str  # "register_topic" | "revoke"
     args: tuple
 
 
@@ -62,7 +67,7 @@ class RegistryCommand:
 class KDCRequest:
     """One control-plane message to a replica."""
 
-    kind: str  # "authorize" | "publisher_key" | "admin" | "sync" | "replicate"
+    kind: str  # "authorize" | "admin" | "sync" | "replicate"
     request_id: tuple | None
     payload: dict
 
@@ -94,7 +99,6 @@ class ReplicaStats(RegistryBackedStats):
     _int_fields = (
         "requests_served",
         "authorizations",
-        "publisher_keys",
         "dedup_hits",
         "commands_applied",
         "syncs_served",
@@ -162,15 +166,8 @@ class KDCReplica:
             self.kdc.register_topic(
                 topic, schema, epoch_length, per_publisher
             )
-        elif command.op == "set_epoch_length":
-            topic, length = command.args
-            if length <= 0:
-                raise ValueError("epoch length must be positive")
-            self.kdc.config_for(topic).epoch_length = length
         elif command.op == "revoke":
             self.kdc.revoke(*command.args)
-        elif command.op == "reinstate":
-            self.kdc.reinstate(*command.args)
         else:  # pragma: no cover - commands are constructed internally
             raise ValueError(f"unknown registry op {command.op!r}")
 
@@ -187,19 +184,22 @@ class KDCReplica:
 
     # -- serving --------------------------------------------------------------
 
-    def serve(self, request: KDCRequest, view: int, primary: Hashable) -> KDCResponse:
-        """Answer one read/derive request (authorize / publisher_key)."""
+    def cached(self, request: KDCRequest) -> KDCResponse | None:
+        """Count *request*; its memoized response, if it was served."""
         self.stats.requests_served += 1
-        if request.request_id is not None:
-            cached = self._dedup.get(request.request_id)
-            if cached is not None:
-                self.stats.dedup_hits += 1
-                return cached
+        cached = self._dedup.get(request.request_id)
+        if cached is not None:
+            self.stats.dedup_hits += 1
+        return cached
+
+    def serve(self, request: KDCRequest, view: int, primary: Hashable) -> KDCResponse:
+        """Answer one derive request (``authorize``)."""
+        cached = self.cached(request)
+        if cached is not None:
+            return cached
         if self.recovering:
             self.stats.rejected_recovering += 1
-            return KDCResponse(
-                ok=False, error="recovering", view=view, primary=primary
-            )
+            return KDCResponse(False, None, "recovering", view, primary)
         response = self._serve_fresh(request, view, primary)
         # Retryable outcomes are transient by definition -- memoizing one
         # would keep answering "stale" after the replica caught up.
@@ -212,72 +212,49 @@ class KDCReplica:
     ) -> KDCResponse:
         payload = request.payload
         try:
-            if request.kind == "authorize":
-                grant = self.kdc.authorize(
-                    payload["subscriber"],
-                    payload["filters"],
-                    at_time=payload.get("at_time", 0.0),
-                    publisher=payload.get("publisher"),
-                    min_epoch=payload.get("min_epoch"),
-                )
-                self.stats.authorizations += 1
-                return KDCResponse(
-                    ok=True, value=grant, view=view, primary=primary
-                )
-            if request.kind == "publisher_key":
-                key = self.kdc.issue_publisher_key(
-                    payload["topic"],
-                    payload["publisher"],
-                    at_time=payload.get("at_time", 0.0),
-                )
-                self.stats.publisher_keys += 1
-                return KDCResponse(
-                    ok=True, value=key, view=view, primary=primary
-                )
+            grant = self.kdc.authorize(
+                payload["subscriber"],
+                payload["filters"],
+                at_time=payload.get("at_time", 0.0),
+                publisher=payload.get("publisher"),
+                min_epoch=payload.get("min_epoch"),
+            )
         except GrantDenied:
             self.stats.denials += 1
-            return KDCResponse(
-                ok=False, error="denied", view=view, primary=primary
-            )
+            return KDCResponse(False, None, "denied", view, primary)
         except KeyError:
             # An unknown topic on a backup is indistinguishable from a
             # not-yet-replicated registration; only the primary -- the
             # log authority -- may declare it terminally unregistered.
             error = "bad_request" if self.replica_id == primary else "stale"
-            return KDCResponse(
-                ok=False, error=error, view=view, primary=primary
-            )
+            return KDCResponse(False, None, error, view, primary)
         except (ValueError, TypeError):
-            return KDCResponse(
-                ok=False, error="bad_request", view=view, primary=primary
-            )
-        return KDCResponse(
-            ok=False, error="bad_request", view=view, primary=primary
-        )
+            return KDCResponse(False, None, "bad_request", view, primary)
+        self.stats.authorizations += 1
+        return KDCResponse(True, grant, None, view, primary)
 
 
 class KDCCluster:
     """N KDC replicas with view-numbered leadership on a service network.
 
-    Replica crash/restart windows come from the *faults* injector (the
-    same one that breaks links), so one seeded
-    :class:`~repro.net.faults.FaultPlan` drives the whole failure
-    timeline.  Leadership is deterministic: the primary changes only
-    when the current primary crashes (or the first replica rejoins an
-    empty cluster), moving to the next alive replica in ring order and
+    Replica crash/restart windows come from the *network*'s transition
+    hook -- the fault injector's in simulation, ``crash``/``restart``
+    on TCP -- so the host that breaks links also kills replicas.
+    Leadership is deterministic: the primary changes only when the
+    current primary crashes (or the first replica rejoins an empty
+    cluster), moving to the next alive replica in ring order and
     bumping the view number.
     """
 
     def __init__(
         self,
-        network: ServiceNetwork,
+        network,
         replica_ids: Iterable[Hashable],
         master_key: bytes,
-        faults: FaultInjector | None = None,
         registry: MetricsRegistry | None = None,
     ):
         self.network = network
-        self.sim = network.sim
+        self.clock = network.clock
         # Share the control-plane network's registry unless told otherwise.
         self.registry = (
             registry if registry is not None else network.registry
@@ -298,8 +275,7 @@ class KDCCluster:
                 replica_id,
                 lambda src, req, rid=replica_id: self._handle(rid, src, req),
             )
-        if faults is not None:
-            faults.on_transition(self._on_transition)
+        network.on_transition(self._on_transition)
         self._start_anti_entropy()
 
     # -- bootstrap -------------------------------------------------------------
@@ -311,29 +287,20 @@ class KDCCluster:
         epoch_length: float = 3600.0,
         per_publisher: bool = False,
     ) -> None:
-        """Provision a topic on every replica (pre-run bootstrap path)."""
-        self._append_everywhere(
-            "register_topic", (topic, schema, epoch_length, per_publisher)
-        )
+        """Provision a topic on every replica (pre-run bootstrap path).
 
-    def revoke(self, subscriber: str, topic: str) -> None:
-        """Provisioning-path revocation (tests drive the RPC path too)."""
-        self._append_everywhere("revoke", (subscriber, topic))
-
-    def _append_everywhere(self, op: str, args: tuple) -> None:
-        primary = self._primary_replica()
-        if primary is None:
-            raise RuntimeError("no alive replica to accept the mutation")
-        command = RegistryCommand(primary.applied_seq + 1, op, args)
-        primary.append(command)
-        self._replicate(command)
+        Crosses no wire: the schema is public configuration, so each
+        replica's log takes the command directly, alive or not.  (A
+        replica behind the others refuses the gap: provisioning belongs
+        before the first revocation.)
+        """
+        args = (topic, schema, epoch_length, per_publisher)
+        seq = max(replica.applied_seq for replica in self.replicas.values())
+        command = RegistryCommand(seq + 1, "register_topic", args)
+        for replica in self.replicas.values():
+            replica.append(command)
 
     # -- leadership ------------------------------------------------------------
-
-    def _primary_replica(self) -> KDCReplica | None:
-        if self.primary_id is None:
-            return None
-        return self.replicas[self.primary_id]
 
     def _alive(self, replica_id: Hashable) -> bool:
         return self.network.node_up(replica_id)
@@ -353,7 +320,7 @@ class KDCCluster:
         self.stats.view_changes += 1
         self._g_view.set(self.view)
         self.stats.leadership_log.append(
-            (self.sim.now, self.view, self.primary_id)
+            (self.clock.now, self.view, self.primary_id)
         )
 
     def _on_transition(self, kind: str, node: Hashable) -> None:
@@ -404,46 +371,23 @@ class KDCCluster:
                     and not replica.recovering
                 ):
                     self._sync_once(replica)
-            self.sim.schedule(_SYNC_INTERVAL, pull)
+            self.clock.schedule(_SYNC_INTERVAL, pull)
 
-        self.sim.schedule(_SYNC_INTERVAL, pull)
+        self.clock.schedule(_SYNC_INTERVAL, pull)
 
-    def _sync_once(self, replica: KDCReplica) -> None:
+    def _sync_once(self, replica: KDCReplica, on_synced=None) -> None:
+        """Pull the log suffix *replica* misses from the primary; call
+        *on_synced* once a reply applied it."""
         primary_id = self.primary_id
         if primary_id is None or primary_id == replica.replica_id:
-            return
-        self.network.request(
-            replica.replica_id,
-            primary_id,
-            KDCRequest("sync", None, {"from_seq": replica.applied_seq}),
-            on_reply=lambda reply: self._absorb_sync(replica, reply),
-        )
-
-    def _absorb_sync(self, replica: KDCReplica, reply: object) -> None:
-        if not isinstance(reply, KDCResponse) or not reply.ok:
-            return
-        for command in reply.value:
-            replica.append(command)
-
-    # -- restart catch-up ------------------------------------------------------
-
-    def _catch_up(self, replica: KDCReplica) -> None:
-        """Pull the missed log suffix; retry until it lands."""
-        if not replica.recovering or not self._alive(replica.replica_id):
-            return
-        primary_id = self.primary_id
-        if primary_id is None or primary_id == replica.replica_id:
-            replica.recovering = False
             return
 
         def absorb(reply: object) -> None:
-            if not replica.recovering:
-                return
             if isinstance(reply, KDCResponse) and reply.ok:
                 for command in reply.value:
                     replica.append(command)
-                replica.recovering = False
-                replica.stats.catchups_completed += 1
+                if on_synced is not None:
+                    on_synced()
 
         self.network.request(
             replica.replica_id,
@@ -451,9 +395,26 @@ class KDCCluster:
             KDCRequest("sync", None, {"from_seq": replica.applied_seq}),
             on_reply=absorb,
         )
+
+    # -- restart catch-up ------------------------------------------------------
+
+    def _catch_up(self, replica: KDCReplica) -> None:
+        """Pull the missed log suffix; retry until it lands."""
+        if not replica.recovering or not self._alive(replica.replica_id):
+            return
+        if self.primary_id in (None, replica.replica_id):
+            replica.recovering = False
+            return
+
+        def caught_up() -> None:
+            if replica.recovering:
+                replica.recovering = False
+                replica.stats.catchups_completed += 1
+
+        self._sync_once(replica, caught_up)
         # The reply may be lost on a faulty link: keep pulling until the
         # catch-up completes (each attempt is idempotent).
-        self.sim.schedule(_CATCHUP_RETRY, lambda: self._catch_up(replica))
+        self.clock.schedule(_CATCHUP_RETRY, lambda: self._catch_up(replica))
 
     # -- request dispatch ------------------------------------------------------
 
@@ -463,78 +424,50 @@ class KDCCluster:
         if not isinstance(request, KDCRequest):
             return None
         replica = self.replicas[replica_id]
-        if request.kind in ("authorize", "publisher_key"):
+        if request.kind == "authorize":
             return replica.serve(request, self.view, self.primary_id)
         if request.kind == "admin":
             return self._handle_admin(replica, request)
         if request.kind == "sync":
             replica.stats.syncs_served += 1
             from_seq = request.payload.get("from_seq", 0)
-            return KDCResponse(
-                ok=True,
-                value=list(replica.log[from_seq:]),
-                view=self.view,
-                primary=self.primary_id,
-            )
+            return self._answer(value=list(replica.log[from_seq:]))
         if request.kind == "replicate":
             command = request.payload["command"]
             if not replica.append(command) and command.seq > replica.applied_seq:
                 # A gap: an earlier replicate was lost; pull the suffix.
                 self._sync_once(replica)
             return None
-        return KDCResponse(
-            ok=False,
-            error="bad_request",
-            view=self.view,
-            primary=self.primary_id,
-        )
+        return self._answer("bad_request")
+
+    def _answer(self, error: str | None = None, value=None) -> KDCResponse:
+        """A response carrying this cluster's view of the leadership."""
+        view, primary = self.view, self.primary_id
+        return KDCResponse(error is None, value, error, view, primary)
 
     def _handle_admin(
         self, replica: KDCReplica, request: KDCRequest
     ) -> KDCResponse:
-        replica.stats.requests_served += 1
-        if request.request_id is not None:
-            cached = replica._dedup.get(request.request_id)
-            if cached is not None:
-                replica.stats.dedup_hits += 1
-                return cached
+        cached = replica.cached(request)
+        if cached is not None:
+            return cached
         if replica.replica_id != self.primary_id:
             replica.stats.rejected_not_primary += 1
-            return KDCResponse(
-                ok=False,
-                error="not_primary",
-                view=self.view,
-                primary=self.primary_id,
-            )
+            return self._answer("not_primary")
         if replica.recovering:
             replica.stats.rejected_recovering += 1
-            return KDCResponse(
-                ok=False,
-                error="recovering",
-                view=self.view,
-                primary=self.primary_id,
-            )
-        op = request.payload["op"]
-        args = tuple(request.payload["args"])
+            return self._answer("recovering")
+        payload = request.payload
         try:
-            command = RegistryCommand(replica.applied_seq + 1, op, args)
+            command = RegistryCommand(
+                replica.applied_seq + 1, payload["op"], tuple(payload["args"])
+            )
             replica.append(command)
         except (KeyError, ValueError, TypeError):
-            response = KDCResponse(
-                ok=False,
-                error="bad_request",
-                view=self.view,
-                primary=self.primary_id,
-            )
-            replica._remember(request.request_id, response)
-            return response
-        self._replicate(command)
-        response = KDCResponse(
-            ok=True,
-            value=command.seq,
-            view=self.view,
-            primary=self.primary_id,
-        )
+            response = self._answer("bad_request")
+        else:
+            self._replicate(command)
+            response = self._answer(value=command.seq)
         replica._remember(request.request_id, response)
         return response
 

@@ -64,7 +64,7 @@ class GrantDenied(ReproError, PermissionError):
 class GrantExpired(ReproError):
     """A grant arrived or was used after its epoch (plus grace) lapsed.
 
-    Raised by the rekey plane when a renewal completes so late that the
+    Raised by the KDC client when a renewal completes so late that the
     returned grant is already past ``expires_at`` plus the subscriber's
     grace window at install time -- the subscription crossed an epoch
     boundary unprotected and the caller should treat the interval as a

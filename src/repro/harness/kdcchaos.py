@@ -187,7 +187,7 @@ def run_kdc_chaos_mode(
         sim, injector, latency=_RPC_LATENCY, registry=obs.registry
     )
     replica_ids = [f"kdc{i}" for i in range(replicas)]
-    cluster = KDCCluster(network, replica_ids, MASTER_KEY, faults=injector)
+    cluster = KDCCluster(network, replica_ids, MASTER_KEY)
     cluster.register_topic(
         _TOPIC, CompositeKeySpace({}), _EPOCH_LENGTH
     )

@@ -1,22 +1,27 @@
-"""Churn chaos: live epoch rollover, renewal, and lazy revocation.
+"""Churn chaos: live epoch rollover, renewal, lazy revocation, failover.
 
-The scenario stands up a real loopback TCP cluster with the KDC hosted
-beside the broker tree (:class:`~repro.rekey.service.KdcServer`) and
-drives membership churn while events are flowing:
+The scenario stands up a real loopback TCP cluster with a 3-replica KDC
+(:class:`~repro.core.kdcservice.KDCCluster` on a
+:class:`~repro.rtnet.service.TcpServiceNetwork`) beside the broker tree
+and drives membership churn while events are flowing:
 
 - a population of *survivor* subscribers joins in-band (grants fetched
-  over GRANT/GRANT_ACK, renewed by REKEY-driven ticks);
-- a *victim* is revoked after the first tranche -- lazy revocation
-  means its current-epoch grant keeps opening that epoch's traffic, but
-  its renewal at the next boundary is denied and every later epoch is
-  unreadable to it;
+  through a :class:`~repro.core.kdcclient.KDCClient`, renewed by
+  REKEY-driven ticks);
+- a *victim* is revoked at the primary before the second tranche --
+  lazy revocation means its current-epoch grant keeps opening that
+  epoch's traffic, but its renewal at the next boundary is denied and
+  every later epoch is unreadable to it;
 - a *joiner* joins mid-stream after the first rollover and a *leaver*
   leaves mid-stream after the second, exercising admission and
   withdrawal under load;
-- the clock then crosses ``rollovers`` live epoch boundaries.  Each
-  rollover is one REKEY broadcast at ``boundary - lead/2`` (inside the
+- the primary ``kdc0`` dies right behind the second rollover's REKEY,
+  so every renewal fails over to a backup -- which must already hold
+  the victim's replicated revocation -- and restarts before the third;
+- the clock crosses ``_ROLLOVERS`` live epoch boundaries.  Each
+  rollover is one REKEY push at ``boundary - lead/2`` (inside the
   survivors' pre-expiry lead window), after which the grant plane is
-  settle-barrier flushed -- no sleeps anywhere.
+  settle-barrier flushed.
 
 Gates (``SCENARIO.gates``; ``repro chaos --scenario rekey --check``):
 
@@ -30,7 +35,10 @@ Gates (``SCENARIO.gates``; ``repro chaos --scenario rekey --check``):
   failed or was denied;
 - ``join-leave``: the joiner sees exactly the post-join tranches, the
   leaver exactly the pre-leave tranches;
-- ``acked``: every publication was acknowledged.
+- ``acked``: every publication was acknowledged;
+- ``failover``: the primary changed hands (>= 1 view change), KDC
+  clients failed over, a backup -- not ``kdc0`` -- denied the victim,
+  and the alive replicas' logs agree at the end.
 """
 
 from __future__ import annotations
@@ -46,7 +54,6 @@ from repro.core.nakt import NumericKeySpace
 from repro.core.renewal import RenewalPolicy
 from repro.harness.scenario import Gate, Scenario, all_of
 from repro.obs.metrics import MetricsRegistry
-from repro.rekey.client import KdcChannel
 from repro.routing.tokens import TokenAuthority
 from repro.rtnet.client import RtPublisher, RtSubscriber
 from repro.rtnet.cluster import ClusterLauncher
@@ -63,6 +70,8 @@ _EPOCH_LENGTH = 10.0
 _ROLLOVERS = 3
 _EVENTS_PER_EPOCH = 8
 _RENEW_LEAD = 2.0
+#: The replica killed mid-rollover: the first primary.
+_PRIMARY = "kdc0"
 
 
 @dataclass(frozen=True)
@@ -107,13 +116,17 @@ class RekeyChaosResult:
     victim_last_authorized_tranche: int = 0
     joiner_first_tranche: int = 0
     leaver_last_tranche: int = 0
-    #: Wall-clock seconds per rollover: REKEY broadcast -> every
+    #: Wall-clock seconds per rollover: REKEY push -> every
     #: survivor's grant plane settled (renewed + re-registered).
     rollover_latencies_s: list[float] = field(default_factory=list)
-    #: Wall-clock request->install seconds per granted renewal.
-    grant_latencies_s: list[float] = field(default_factory=list)
     unacked_publications: int = 0
-    #: The cluster's ``rekey_*``/``rtnet_*`` metrics; no part of ``==``.
+    #: The hosted KDC after the failover: view changes, subscriber-client
+    #: failovers, denials per replica, whether the alive logs agree.
+    view_changes: int = 0
+    client_failovers: int = 0
+    denials_by_replica: dict[str, int] = field(default_factory=dict)
+    converged: bool = False
+    #: The cluster's ``kdc_*``/``rtnet_*`` metrics; no part of ``==``.
     registry: MetricsRegistry = field(
         default_factory=MetricsRegistry, compare=False, repr=False
     )
@@ -163,17 +176,13 @@ def run_rekey_chaos(config: RekeyChaosConfig) -> RekeyChaosResult:
     full_range = Filter.numeric_range(TOPIC, "age", 0, 127)
 
     async def attach(cluster: ClusterLauncher, subscriber_id: str):
-        channel = KdcChannel(
-            f"{subscriber_id}-kdc", *cluster.kdc_address(), registry=registry
-        )
-        await channel.connect()
         subscriber = RtSubscriber(
             subscriber_id,
             *cluster.subscriber_address(),
             schema_lookup=schema_lookup,
             authority=authority,
             registry=registry,
-            kdc_channel=channel,
+            kdc_client=await cluster.kdc_client(subscriber_id),
             renewal=policy,
         )
         await subscriber.connect()
@@ -216,7 +225,7 @@ def run_rekey_chaos(config: RekeyChaosConfig) -> RekeyChaosResult:
             leaver = await attach(cluster, "leaver")
             start = mid(0)
             for subscriber in survivors + [victim, leaver]:
-                subscriber.kdc_channel.advance(start)
+                subscriber.kdc_client.advance(start)
                 await subscriber.join(full_range, at_time=start)
             joiner = await attach(cluster, "joiner")
 
@@ -230,7 +239,7 @@ def run_rekey_chaos(config: RekeyChaosConfig) -> RekeyChaosResult:
             async def tranche(index: int) -> None:
                 at_time = mid(index)
                 for subscriber in active:
-                    subscriber.kdc_channel.advance(at_time)
+                    subscriber.kdc_client.advance(at_time)
                 for _ in range(_EVENTS_PER_EPOCH):
                     # The tranche tag rides inside the encrypted payload
                     # (routable attributes are tokenized away), so every
@@ -255,19 +264,17 @@ def run_rekey_chaos(config: RekeyChaosConfig) -> RekeyChaosResult:
                     await subscriber.settle()
                 result.tranches += 1
 
-            # Tranche 0 flows to everyone; then the victim is revoked --
-            # lazily, so nothing changes until its epoch lapses.
             await tranche(0)
-            kdc.revoke(victim.peer_id, TOPIC)
-            result.victim_last_authorized_tranche = 0
-
             for rollover in range(1, _ROLLOVERS + 1):
                 boundary = kdc.epoch_start(TOPIC, base + rollover)
                 announce_at = boundary - policy.lead / 2
                 started = time.perf_counter()
-                epoch = await cluster.kdc_server.roll_epoch(
-                    TOPIC, announce_at
-                )
+                epoch = await cluster.roll_epoch(TOPIC, announce_at)
+                if rollover == 2:
+                    # The primary dies with the REKEY on the wire and
+                    # every renewal still to come: each one times out on
+                    # it and fails over to a backup.
+                    cluster.kdc_network.crash(_PRIMARY)
                 for subscriber in active:
                     await subscriber.settle_rekey()
                 result.rollover_latencies_s.append(
@@ -280,7 +287,7 @@ def run_rekey_chaos(config: RekeyChaosConfig) -> RekeyChaosResult:
                     # Mid-stream admission: the joiner arrives with the
                     # new epoch already in force, so its first grant is
                     # anchored at the announced boundary.
-                    joiner.kdc_channel.advance(announce_at)
+                    joiner.kdc_client.advance(announce_at)
                     await joiner.join(full_range, at_time=boundary)
                     active.append(joiner)
                     result.joiner_first_tranche = result.tranches
@@ -290,7 +297,16 @@ def run_rekey_chaos(config: RekeyChaosConfig) -> RekeyChaosResult:
                     await leaver.leave()
                     active.remove(leaver)
 
+                if rollover == 1:
+                    # Revoked at the primary -- lazily, so nothing changes
+                    # until the victim's epoch lapses at the next
+                    # rollover.  The tranche's traffic lets the primary's
+                    # replicate land on the backups before it dies.
+                    await cluster.revoke(victim.peer_id, TOPIC)
+                    result.victim_last_authorized_tranche = rollover
                 await tranche(rollover)
+                if rollover == 2:
+                    await cluster.kdc_network.restart(_PRIMARY)
 
             result.unacked_publications = publisher.unacked
             result.survivor_outcomes = [
@@ -299,13 +315,17 @@ def run_rekey_chaos(config: RekeyChaosConfig) -> RekeyChaosResult:
             result.victim = outcome(victim)
             result.joiner = outcome(joiner)
             result.leaver = outcome(leaver)
-            for subscriber in (
-                survivors + [victim, leaver, joiner]
-            ):
-                result.grant_latencies_s.extend(
-                    subscriber.kdc_channel.grant_latencies_s
+            kdc_cluster = cluster.kdc_cluster
+            result.view_changes = kdc_cluster.stats.view_changes
+            result.denials_by_replica = {
+                replica_id: replica.stats.denials
+                for replica_id, replica in kdc_cluster.replicas.items()
+            }
+            result.converged = kdc_cluster.converged()
+            for subscriber in survivors + [victim, leaver, joiner]:
+                result.client_failovers += (
+                    subscriber.kdc_client.stats.failovers
                 )
-                await subscriber.kdc_channel.close()
                 await subscriber.close()
             await publisher.close()
 
@@ -391,13 +411,30 @@ def _acked(_config, result: RekeyChaosResult) -> str | None:
     return None
 
 
+def _failover(_config, result: RekeyChaosResult) -> str | None:
+    problems = []
+    if result.view_changes < 1:
+        problems.append("the KDC primary never changed hands")
+    if result.client_failovers < 1:
+        problems.append("no KDC client failed over")
+    denials = result.denials_by_replica
+    if denials.get(_PRIMARY) or not any(denials.values()):
+        problems.append(
+            f"the victim's denial did not come from a backup holding "
+            f"the replicated revocation (denials: {denials})"
+        )
+    if not result.converged:
+        problems.append("alive KDC replicas ended with different logs")
+    return all_of(problems)
+
+
 def format_rekey_report(
     config: RekeyChaosConfig, result: RekeyChaosResult
 ) -> str:
     """Human-readable run summary for the chaos CLI."""
     lines = [
-        "rekey churn: live rollover, renewal, and lazy revocation",
-        f"  cluster            {_NUM_BROKERS} brokers, KDC endpoint "
+        "rekey churn: live rollover, renewal, lazy revocation, KDC failover",
+        f"  cluster            {_NUM_BROKERS} brokers, 3 KDC replicas "
         "hosted beside the tree",
         f"  epochs crossed     {result.rollovers_completed} "
         f"(announced: {result.epochs_announced})",
@@ -409,11 +446,17 @@ def format_rekey_report(
         "(victim, post-revocation)",
     ]
     if result.victim is not None:
+        denied_by = ", ".join(
+            replica for replica, count in sorted(
+                result.denials_by_replica.items()
+            ) if count
+        )
         lines.append(
             f"  victim             opened {result.victim.opened_total()} "
             f"(all in tranche <= {result.victim_last_authorized_tranche}), "
             f"{result.victim.unreadable} unreadable, "
-            f"{result.victim.renewals_denied} renewal denied"
+            f"{result.victim.renewals_denied} renewal denied "
+            f"(by {denied_by or 'none'})"
         )
     if result.joiner is not None:
         lines.append(
@@ -425,18 +468,17 @@ def format_rekey_report(
             f"  leaver             opened {result.leaver.opened_total()} "
             f"through tranche {result.leaver_last_tranche}"
         )
+    lines.append(
+        f"  kdc failover       {_PRIMARY} killed behind rollover 2's "
+        f"REKEY: {result.view_changes} view change(s), "
+        f"{result.client_failovers} client failovers, logs "
+        f"{'converged' if result.converged else 'DIVERGED'}"
+    )
     if result.rollover_latencies_s:
         worst = max(result.rollover_latencies_s)
         lines.append(
             f"  rollover latency   max {worst * 1000.0:.1f} ms "
             "(REKEY -> grant plane settled)"
-        )
-    if result.grant_latencies_s:
-        ordered = sorted(result.grant_latencies_s)
-        p50 = ordered[len(ordered) // 2]
-        lines.append(
-            f"  grant latency      p50 {p50 * 1000.0:.1f} ms over "
-            f"{len(ordered)} grants"
         )
     return "\n".join(lines)
 
@@ -445,7 +487,7 @@ SCENARIO = Scenario(
     name="rekey",
     description="live membership churn over real sockets: epoch "
     "rollovers, in-band grant renewal, lazy revocation, mid-stream "
-    "join/leave",
+    "join/leave, KDC primary failover",
     configure=lambda args: RekeyChaosConfig(seed=args.seed, grace=args.grace),
     run=run_rekey_chaos,
     format=format_rekey_report,
@@ -455,6 +497,7 @@ SCENARIO = Scenario(
         Gate("survivor-delivery", _survivor_delivery),
         Gate("join-leave", _join_leave),
         Gate("acked", _acked),
+        Gate("failover", _failover),
     ),
     snapshot=lambda result: result.registry.snapshot(),
 )

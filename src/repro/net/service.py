@@ -17,6 +17,10 @@ Semantics are deliberately minimal and failure-realistic:
   :mod:`repro.core.kdcservice`);
 - every loss decision comes from the injector's seeded RNG, so runs are
   exactly reproducible.
+
+:class:`repro.rtnet.service.TcpServiceNetwork` offers the same interface
+with the same semantics over asyncio TCP, so one
+:class:`~repro.core.kdcservice.KDCCluster` runs on either.
 """
 
 from __future__ import annotations
@@ -68,7 +72,9 @@ class ServiceNetwork:
         latency: Callable[[Hashable, Hashable], float] | float = 0.005,
         registry: MetricsRegistry | None = None,
     ):
-        self.sim = sim
+        #: The virtual clock (``now``/``schedule``) replicas and clients
+        #: time out on.
+        self.clock = sim
         self.faults = faults
         self.registry = registry if registry is not None else MetricsRegistry()
         self._latency_of = (
@@ -90,6 +96,12 @@ class ServiceNetwork:
     def node_up(self, node_id: Hashable) -> bool:
         """Whether *node_id* is currently alive per the fault injector."""
         return self.faults is None or self.faults.broker_up(node_id)
+
+    def on_transition(self, listener: Callable[[str, Hashable], None]) -> None:
+        """Call ``listener(kind, node)`` on every crash/restart the fault
+        injector plays; without one, nodes never fail."""
+        if self.faults is not None:
+            self.faults.on_transition(listener)
 
     # -- messaging -----------------------------------------------------------
 
@@ -115,7 +127,7 @@ class ServiceNetwork:
                 return
             on_arrival()
 
-        self.sim.schedule(delay, arrive)
+        self.clock.schedule(delay, arrive)
 
     def request(
         self,

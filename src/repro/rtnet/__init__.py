@@ -6,17 +6,20 @@ bounded priority queues -- deployed over a real transport:
 
 - :mod:`repro.rtnet.frames` -- the length-prefixed frame protocol
   (HELLO version negotiation, SUBSCRIBE/UNSUBSCRIBE, EVENT, ACK,
-  HEARTBEAT, the PING/PONG settle barrier, and the
-  GRANT/GRANT_ACK/REKEY/REVOKE key-lifecycle plane of
-  :mod:`repro.rekey`);
+  HEARTBEAT, the PING/PONG settle barrier, and the KDC_CALL/KDC_REPLY
+  pair and REKEY push of the KDC service links);
 - :mod:`repro.rtnet.server` -- :class:`BrokerServer`, one broker behind
   an asyncio TCP listener with per-peer egress queues and hop-by-hop
   backpressure;
 - :mod:`repro.rtnet.client` -- :class:`RtPublisher` /
   :class:`RtSubscriber` endpoints with reconnect + exponential backoff,
   resubscribe-on-reconnect and exactly-once delivery across reconnects;
+- :mod:`repro.rtnet.service` -- :class:`TcpServiceNetwork`, the asyncio
+  TCP host of the replicated KDC: the same ``KDCCluster`` and
+  ``KDCClient`` classes the simulated
+  :class:`~repro.net.service.ServiceNetwork` hosts;
 - :mod:`repro.rtnet.cluster` -- :class:`ClusterLauncher`, a broker tree
-  as a localhost TCP cluster;
+  as a localhost TCP cluster, with a 3-replica KDC beside it on request;
 - :mod:`repro.rtnet.live` -- :class:`LiveSystem`, the synchronous facade
   ``System.builder().transport("tcp").build()`` returns.
 """
@@ -30,25 +33,21 @@ from repro.rtnet.client import (
 from repro.rtnet.cluster import ClusterLauncher
 from repro.rtnet.frames import (
     FRAME_MAX,
-    GRANT_DENIED,
-    GRANT_DONE,
-    GRANT_OK,
-    GRANT_UNAVAILABLE,
     PROTOCOL_VERSION,
     Ack,
     EventFrame,
     Frame,
     FrameDecoder,
     FrameType,
-    GrantAck,
-    GrantRequest,
     Heartbeat,
     Hello,
     HelloAck,
+    KdcCall,
+    KdcReply,
+    MalformedCall,
     Ping,
     Pong,
     Rekey,
-    Revoke,
     Subscribe,
     Unsubscribe,
     decode_payload,
@@ -57,6 +56,7 @@ from repro.rtnet.frames import (
 )
 from repro.rtnet.live import LivePublisher, LiveSubscriber, LiveSystem
 from repro.rtnet.server import CONTROL_PRIORITY, BrokerServer
+from repro.rtnet.service import TcpServiceNetwork
 
 __all__ = [
     "Ack",
@@ -68,28 +68,25 @@ __all__ = [
     "Frame",
     "FrameDecoder",
     "FrameType",
-    "GRANT_DENIED",
-    "GRANT_DONE",
-    "GRANT_OK",
-    "GRANT_UNAVAILABLE",
-    "GrantAck",
-    "GrantRequest",
     "HandshakeError",
     "Heartbeat",
     "Hello",
     "HelloAck",
+    "KdcCall",
+    "KdcReply",
     "LivePublisher",
     "LiveSubscriber",
     "LiveSystem",
+    "MalformedCall",
     "PROTOCOL_VERSION",
     "Ping",
     "Pong",
     "Rekey",
-    "Revoke",
     "RtEndpoint",
     "RtPublisher",
     "RtSubscriber",
     "Subscribe",
+    "TcpServiceNetwork",
     "Unsubscribe",
     "decode_payload",
     "encode_frame",

@@ -344,12 +344,12 @@ class RtSubscriber(RtEndpoint):
         dedup_window: int = 1024,
         on_open: Callable[[OpenResult], None] | None = None,
         clock: Callable[[], float] | None = None,
-        kdc_channel=None,
+        kdc_client=None,
         renewal: "RenewalPolicy | None" = None,
         **kwargs,
     ):
-        if renewal is not None and kdc_channel is None:
-            raise ValueError("a renewal policy needs a kdc_channel")
+        if renewal is not None and kdc_client is None:
+            raise ValueError("a renewal policy needs a kdc_client")
         if renewal is not None:
             grace_period = renewal.grace
         super().__init__(subscriber_id, host, port, **kwargs)
@@ -361,24 +361,25 @@ class RtSubscriber(RtEndpoint):
         self.schema_lookup = schema_lookup
         self.authority = authority
         self.on_open = on_open
-        #: Events are opened at this logical time; with a KDC channel
-        #: attached it defaults to the channel's REKEY-advanced clock.
+        #: Events are opened at this logical time; with a KDC client
+        #: attached it defaults to the client's REKEY-advanced clock.
         if clock is None:
-            clock = kdc_channel.now if kdc_channel is not None else lambda: 0.0
+            clock = kdc_client.now if kdc_client is not None else lambda: 0.0
         self.clock = clock
-        #: The live key-lifecycle plane, when attached (see repro.rekey).
-        self.kdc_channel = kdc_channel
+        #: The :class:`~repro.core.kdcclient.KDCClient` grants renew
+        #: through, when attached (``ClusterLauncher.kdc_client``).
+        self.kdc_client = kdc_client
         self.renewal: RenewalManager | None = None
-        if kdc_channel is not None:
+        if kdc_client is not None:
             policy = renewal if renewal is not None else RenewalPolicy()
-            kdc_channel.grace_period = max(
-                kdc_channel.grace_period, policy.grace
+            kdc_client.grace_period = max(
+                kdc_client.grace_period, policy.grace
             )
             self.renewal = RenewalManager(
-                self.engine, kdc_channel, renew_lead_time=policy.lead
+                self.engine, kdc_client, renew_lead_time=policy.lead
             )
-            kdc_channel.on_rekey.append(self._on_rekey)
-            kdc_channel.on_install.append(self._on_grant_installed)
+            kdc_client.on_rekey.append(self._on_rekey)
+            kdc_client.on_install.append(self._on_grant_installed)
         self._grant_tasks: set[asyncio.Task] = set()
         self.opened: list[OpenResult] = []
         self.unreadable = 0
@@ -415,7 +416,7 @@ class RtSubscriber(RtEndpoint):
             self._filters.remove(routing_filter)
             await self.send(Unsubscribe(routing_filter))
 
-    # -- live key lifecycle (requires a kdc_channel) -------------------------
+    # -- live key lifecycle (requires a kdc_client) --------------------------
 
     async def join(
         self,
@@ -427,15 +428,15 @@ class RtSubscriber(RtEndpoint):
         """Fetch a grant for *filters* in-band and keep it renewed.
 
         Registers a standing subscription with the renewal manager (the
-        first grant is requested immediately over the KDC channel) and
+        first grant is requested immediately through the KDC client) and
         returns once the grant round trip and the resulting routing-
         filter registrations have settled -- after ``join`` returns, the
         next matching publication will be delivered and opened.
         """
         if self.renewal is None:
-            raise ValueError("join() needs a kdc_channel")
+            raise ValueError("join() needs a kdc_client")
         if at_time is None:
-            at_time = self.kdc_channel.now()
+            at_time = self.kdc_client.now()
         self.renewal.add_subscription(
             filters, at_time=at_time, publisher=publisher
         )
@@ -450,18 +451,22 @@ class RtSubscriber(RtEndpoint):
         """
         if self.renewal is not None:
             if at_time is None:
-                at_time = self.kdc_channel.now()
+                at_time = self.kdc_client.now()
             self.renewal.cancel_all(at_time)
         for routing_filter in list(self._filters):
             await self.unsubscribe(routing_filter)
         await self.settle()
 
     async def settle_rekey(self, timeout: float = 10.0) -> None:
-        """Flush the grant plane: every initiated grant request has been
-        answered, every resulting routing registration has been sent,
-        and the home-broker path has settled behind them."""
-        if self.kdc_channel is not None:
-            await self.kdc_channel.settle_grants(timeout=timeout)
+        """Flush the grant plane: the KDC client has no open call, every
+        resulting routing registration has been sent, and the home-broker
+        path has settled behind them."""
+        if self.kdc_client is not None:
+            idle = asyncio.get_running_loop().create_future()
+            self.kdc_client.when_idle(
+                lambda: idle.done() or idle.set_result(None)
+            )
+            await asyncio.wait_for(idle, timeout)
         while self._grant_tasks:
             await asyncio.gather(
                 *list(self._grant_tasks), return_exceptions=True
@@ -471,7 +476,7 @@ class RtSubscriber(RtEndpoint):
     def _on_rekey(self, frame) -> None:
         """REKEY broadcast: tick the renewal engine at the new time.
 
-        The channel has already advanced the logical clock; due grants
+        The client has already advanced the logical clock; due grants
         (inside their pre-expiry lead of the announced time) start
         renewing here, pinned to ``min_epoch = old + 1``.
         """

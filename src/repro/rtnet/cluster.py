@@ -10,14 +10,28 @@ breadth-first wave of real TCP handshakes.
 Publishers attach at the root (events fan down, matching Siena's
 publish-at-root convention of the synchronous facade); subscribers
 attach round-robin across the leaves.
+
+Handed a provisioning :class:`~repro.core.kdc.KDC`, the launcher also
+runs a 3-replica :class:`~repro.core.kdcservice.KDCCluster` beside the
+tree on a :class:`~repro.rtnet.service.TcpServiceNetwork`, seeded with
+the KDC's master key and topics.
 """
 
 from __future__ import annotations
 
+import asyncio
+
+from repro.core.kdcclient import KDCClient
+from repro.core.kdcservice import KDCCluster
 from repro.obs.metrics import MetricsRegistry
 from repro.routing.tokens import tokenized_match
+from repro.rtnet.frames import Rekey
 from repro.rtnet.server import BrokerServer
+from repro.rtnet.service import TcpServiceNetwork
 from repro.siena.broker import MatchPredicate
+
+#: The hosted KDC's replicas; ``kdc0`` is the first primary.
+KDC_REPLICAS = ("kdc0", "kdc1", "kdc2")
 
 
 class ClusterLauncher:
@@ -49,22 +63,34 @@ class ClusterLauncher:
             )
             for index in range(num_brokers)
         ]
-        #: The KDC endpoint hosted beside the tree, when a
-        #: :class:`~repro.core.kdc.KDC` is handed in.
-        self.kdc_server = None
-        if kdc is not None:
-            # Local import: repro.rekey sits on top of rtnet.client.
-            from repro.rekey.service import KdcServer
-
-            self.kdc_server = KdcServer(kdc, host=host, registry=registry)
+        #: The provisioning KDC: its master key and public topic registry
+        #: seed the replicated cluster :meth:`start` launches.
+        self.kdc = kdc
+        #: The hosted KDC's network and cluster, once started.
+        self.kdc_network: TcpServiceNetwork | None = None
+        self.kdc_cluster: KDCCluster | None = None
+        self._admin: KDCClient | None = None
         self._subscriber_cursor = 0
 
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
         """Bind every listener, then wire children to parents."""
-        if self.kdc_server is not None:
-            await self.kdc_server.start()
+        if self.kdc is not None:
+            # Built on the running loop: the cluster's timers live there.
+            self.kdc_network = TcpServiceNetwork(
+                self.host, registry=self.registry
+            )
+            self.kdc_cluster = KDCCluster(
+                self.kdc_network, KDC_REPLICAS, self.kdc.master_key
+            )
+            for config in self.kdc.registry.values():
+                self.kdc_cluster.register_topic(
+                    config.name, config.schema,
+                    config.epoch_length, config.per_publisher,
+                )
+            await self.kdc_network.start()
+            self._admin = KDCClient(self.kdc_network, "admin", KDC_REPLICAS)
         for server in self.servers:
             await server.start()
         for index in range(1, self.num_brokers):
@@ -77,8 +103,8 @@ class ClusterLauncher:
         # Children first, so parents never see mid-shutdown redials.
         for server in reversed(self.servers):
             await server.stop()
-        if self.kdc_server is not None:
-            await self.kdc_server.stop()
+        if self.kdc_network is not None:
+            await self.kdc_network.stop()
 
     async def __aenter__(self) -> "ClusterLauncher":
         await self.start()
@@ -113,11 +139,34 @@ class ClusterLauncher:
         self._subscriber_cursor += 1
         return self.servers[index].address
 
-    def kdc_address(self) -> tuple[str, int]:
-        """Where :class:`~repro.rekey.KdcChannel` clients dial in."""
-        if self.kdc_server is None:
+    # -- the hosted KDC -------------------------------------------------------
+
+    async def kdc_client(self, client_id: str) -> KDCClient:
+        """A :class:`KDCClient` on the hosted cluster, attached to every
+        replica's REKEY push, on a logical clock that starts at 0."""
+        if self.kdc_network is None:
             raise ValueError("cluster launched without a kdc")
-        return self.kdc_server.address
+        client = KDCClient(self.kdc_network, client_id, KDC_REPLICAS)
+        client.advance(0.0)
+        await self.kdc_network.attach(client_id, client.rekey)
+        return client
+
+    async def roll_epoch(self, topic: str, at_time: float) -> int:
+        """Push REKEY for *topic*'s epoch at *at_time* from every live
+        replica (clients advance and tick); returns the epoch."""
+        epoch = self.kdc.epoch_of(topic, at_time)
+        self.kdc_network.push(Rekey(topic, epoch, at_time))
+        return epoch
+
+    async def revoke(self, subscriber: str, topic: str) -> None:
+        """Revoke *(subscriber, topic)* lazily at the primary, which
+        replicates it; returns once the primary applied it."""
+        applied = asyncio.get_running_loop().create_future()
+        self._admin.admin(
+            "revoke", (subscriber, topic),
+            on_ok=applied.set_result, on_error=applied.set_exception,
+        )
+        await applied
 
     # -- introspection -------------------------------------------------------
 

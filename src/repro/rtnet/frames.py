@@ -12,7 +12,7 @@ The length covers the type byte plus the body and must lie in
 unexpected exception type).  Bodies reuse the existing PSGuard codecs:
 EVENT carries :func:`repro.core.wire.encode_sealed_event` bytes
 verbatim, SUBSCRIBE/UNSUBSCRIBE carry
-:func:`repro.core.wire.encode_filter` bytes, and GRANT_ACK carries
+:func:`repro.core.wire.encode_filter` bytes, and KDC_REPLY carries
 :func:`repro.core.wire.encode_grant` bytes, so the framing layer adds
 no second serialization of the security-bearing payloads.
 
@@ -20,8 +20,10 @@ Connections open with a HELLO / HELLO_ACK exchange negotiating the
 protocol version (a ``HELLO_ACK`` with version 0 is a rejection); PING /
 PONG implement the source-routed settle barrier brokers and clients use
 to flush in-flight control traffic (see :mod:`repro.rtnet.server`).
-The key-lifecycle plane (see :mod:`repro.rekey`) speaks GRANT /
-GRANT_ACK request-reply plus the REKEY and REVOKE control broadcasts.
+The KDC service links of :mod:`repro.rtnet.service` speak one
+request/reply pair, KDC_CALL / KDC_REPLY, carrying the replicated KDC's
+``KDCRequest`` / ``KDCResponse``, plus REKEY, the one frame a replica
+pushes unasked.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 
 from repro.errors import FrameError
 from repro.core.kdc import AuthorizationGrant
+from repro.core.kdcservice import KDCRequest, KDCResponse, RegistryCommand
 from repro.core.wire import (
     decode_filter,
     decode_grant,
@@ -42,7 +45,7 @@ from repro.core.wire import (
 from repro.siena.filters import Filter
 
 #: Version carried in HELLO; bumped on incompatible frame changes.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 #: Hard cap on one frame's (type + body) size: 4 MiB.
 FRAME_MAX = 1 << 22
 
@@ -61,10 +64,9 @@ class FrameType(enum.IntEnum):
     HEARTBEAT = 7
     PING = 8
     PONG = 9
-    GRANT = 10
-    GRANT_ACK = 11
+    KDC_CALL = 10
+    KDC_REPLY = 11
     REKEY = 12
-    REVOKE = 13
 
 
 def _pack_text(text: str) -> bytes:
@@ -232,89 +234,53 @@ class Pong:
 
 
 @dataclass(frozen=True)
-class GrantRequest:
-    """Ask the KDC endpoint to authorize *filters* for *subscriber*.
+class KdcCall:
+    """One :class:`~repro.core.kdcservice.KDCRequest` on a KDC service
+    link; *tag* pairs it with its :class:`KdcReply`.  The body is the
+    kind, the request id, then per kind: ``authorize``'s fields with
+    :func:`repro.core.wire.encode_filter` blobs, ``admin``'s and
+    ``replicate``'s revoke command, or ``sync``'s ``from_seq``."""
 
-    *request_id* correlates the GRANT_ACK reply on the same connection.
-    *at_time* anchors the grant's epoch; *min_epoch* (optional) asks for
-    a grant no older than that epoch -- the renewal path's way of
-    requesting next-epoch keys before the boundary.  Filters travel as
-    :func:`repro.core.wire.encode_filter` blobs.
-    """
+    tag: int
+    request: KDCRequest
 
-    request_id: int
-    subscriber: str
-    filters: tuple[Filter, ...]
-    at_time: float = 0.0
-    publisher: str | None = None
-    min_epoch: int | None = None
-
-    type = FrameType.GRANT
+    type = FrameType.KDC_CALL
 
     def encode_body(self) -> bytes:
-        parts = [
-            struct.pack(">q", self.request_id),
-            _pack_text(self.subscriber),
-            _pack_text(self.publisher or ""),
-            struct.pack(">d", self.at_time),
-        ]
-        if self.min_epoch is None:
-            parts.append(bytes([0]))
-        else:
-            parts.append(bytes([1]) + struct.pack(">q", self.min_epoch))
-        parts.append(struct.pack(">H", len(self.filters)))
-        for subscription in self.filters:
-            raw = encode_filter(subscription)
-            parts.append(struct.pack(">I", len(raw)) + raw)
-        return b"".join(parts)
-
-
-#: GRANT_ACK statuses: OK carries a grant; DENIED is terminal (revoked);
-#: UNAVAILABLE is retryable; DONE acknowledges a grant-less operation
-#: (e.g. a REVOKE) that completed.
-GRANT_OK = 0
-GRANT_DENIED = 1
-GRANT_UNAVAILABLE = 2
-GRANT_DONE = 3
+        return struct.pack(">q", self.tag) + _pack_request(self.request)
 
 
 @dataclass(frozen=True)
-class GrantAck:
-    """The KDC endpoint's reply to a GRANT or REVOKE request.
+class KdcReply:
+    """A replica's :class:`~repro.core.kdcservice.KDCResponse` to the
+    :class:`KdcCall` tagged *tag*: the outcome, the replica's view and
+    primary, and a value -- an :func:`repro.core.wire.encode_grant`
+    blob, a log sequence number, or a ``sync``'s revoke commands."""
 
-    *status* is one of ``GRANT_OK`` (the body carries an
-    :func:`repro.core.wire.encode_grant` blob), ``GRANT_DENIED``
-    (authorization refused -- terminal), ``GRANT_UNAVAILABLE`` (the KDC
-    could not serve the request -- retryable), or ``GRANT_DONE`` (a
-    grant-less operation completed).  *detail* is a human-readable
-    reason for non-OK statuses.
-    """
+    tag: int
+    response: KDCResponse
 
-    request_id: int
-    status: int
-    detail: str = ""
-    grant: AuthorizationGrant | None = None
-
-    type = FrameType.GRANT_ACK
+    type = FrameType.KDC_REPLY
 
     def encode_body(self) -> bytes:
-        raw = b"" if self.grant is None else encode_grant(self.grant)
-        return (
-            struct.pack(">qB", self.request_id, self.status)
-            + _pack_text(self.detail)
-            + struct.pack(">I", len(raw))
-            + raw
-        )
+        return struct.pack(">q", self.tag) + _pack_response(self.response)
+
+
+class MalformedCall(FrameError):
+    """A KDC_CALL whose tag (``args[0]``) decoded but whose request did
+    not; the frame's length kept the stream in step, so the receiver
+    answers ``bad_request`` under the tag and reads on."""
 
 
 @dataclass(frozen=True)
 class Rekey:
     """Epoch-rollover broadcast: *topic* is now in *epoch* as of *at_time*.
 
-    The KDC endpoint pushes this to every connected client when an epoch
-    boundary is crossed; subscribers treat it as a logical-clock
-    advancement and run their renewal tick against the new time, which
-    fetches next-epoch grants inside the pre-expiry lead window.
+    Every live KDC replica pushes this on every client session when an
+    epoch boundary is crossed; a client acts on each (topic, epoch) once,
+    treating it as a logical-clock advancement and running its renewal
+    tick against the new time, which fetches next-epoch grants inside
+    the pre-expiry lead window.
     """
 
     topic: str
@@ -329,33 +295,10 @@ class Rekey:
         )
 
 
-@dataclass(frozen=True)
-class Revoke:
-    """Administrative request: revoke *subscriber* on *topic* at the KDC.
-
-    Lazy revocation -- the subscriber's current-epoch grant keeps
-    working until its epoch lapses, but every later renewal is denied.
-    Acknowledged with a ``GRANT_DONE`` GrantAck carrying *request_id*.
-    """
-
-    request_id: int
-    subscriber: str
-    topic: str
-
-    type = FrameType.REVOKE
-
-    def encode_body(self) -> bytes:
-        return (
-            struct.pack(">q", self.request_id)
-            + _pack_text(self.subscriber)
-            + _pack_text(self.topic)
-        )
-
-
 Frame = (
     Hello | HelloAck | Subscribe | Unsubscribe
     | EventFrame | Ack | Heartbeat | Ping | Pong
-    | GrantRequest | GrantAck | Rekey | Revoke
+    | KdcCall | KdcReply | Rekey
 )
 
 
@@ -376,6 +319,10 @@ def _decode_token_path(body: bytes) -> tuple[bytes, tuple[str, ...], int]:
     return token, path, offset
 
 
+def _pack_length_prefixed(raw: bytes) -> bytes:
+    return struct.pack(">I", len(raw)) + raw
+
+
 def _unpack_length_prefixed(data: bytes, offset: int) -> tuple[bytes, int]:
     (length,) = struct.unpack_from(">I", data, offset)
     offset += 4
@@ -383,6 +330,152 @@ def _unpack_length_prefixed(data: bytes, offset: int) -> tuple[bytes, int]:
     if len(raw) != length:
         raise FrameError("truncated length-prefixed field")
     return raw, offset + length
+
+
+# -- KDC service bodies -------------------------------------------------------
+
+
+def _pack_command(seq: int, op: str, args: tuple) -> bytes:
+    """A revocation: the one registry op that crosses a wire (topics are
+    provisioned on every replica, never sent)."""
+    if op != "revoke":
+        raise FrameError(f"registry op {op!r} does not cross the wire")
+    subscriber, topic = args
+    return struct.pack(">q", seq) + _pack_text(subscriber) + _pack_text(topic)
+
+
+def _unpack_command(data: bytes, offset: int) -> tuple[RegistryCommand, int]:
+    (seq,) = struct.unpack_from(">q", data, offset)
+    subscriber, offset = _unpack_text(data, offset + 8)
+    topic, offset = _unpack_text(data, offset)
+    return RegistryCommand(seq, "revoke", (subscriber, topic)), offset
+
+
+def _pack_request(request: KDCRequest) -> bytes:
+    payload = request.payload
+    parts = [_pack_text(request.kind)]
+    if request.request_id is None:
+        parts.append(b"\0")
+    else:
+        client, counter = request.request_id
+        parts.append(b"\1" + _pack_text(client) + struct.pack(">q", counter))
+    if request.kind == "authorize":
+        filters = payload["filters"]
+        filters = [filters] if isinstance(filters, Filter) else list(filters)
+        min_epoch = payload.get("min_epoch")
+        parts += [
+            _pack_text(payload["subscriber"]),
+            _pack_text(payload.get("publisher") or ""),
+            struct.pack(
+                ">d?q", payload.get("at_time", 0.0),
+                min_epoch is not None, min_epoch or 0,
+            ),
+            struct.pack(">H", len(filters)),
+            *(_pack_length_prefixed(encode_filter(f)) for f in filters),
+        ]
+    elif request.kind == "admin":
+        parts.append(_pack_command(0, payload["op"], payload["args"]))
+    elif request.kind == "sync":
+        parts.append(struct.pack(">q", payload["from_seq"]))
+    elif request.kind == "replicate":
+        command = payload["command"]
+        parts.append(_pack_command(command.seq, command.op, command.args))
+    else:
+        raise FrameError(f"KDC request kind {request.kind!r} has no wire form")
+    return b"".join(parts)
+
+
+def _unpack_request(body: bytes, offset: int) -> tuple[KDCRequest, int]:
+    kind, offset = _unpack_text(body, offset)
+    request_id = None
+    flag = body[offset]
+    offset += 1
+    if flag:
+        client, offset = _unpack_text(body, offset)
+        request_id = (client, struct.unpack_from(">q", body, offset)[0])
+        offset += 8
+    if kind == "authorize":
+        subscriber, offset = _unpack_text(body, offset)
+        publisher, offset = _unpack_text(body, offset)
+        at_time, pinned, min_epoch = struct.unpack_from(">d?q", body, offset)
+        offset += 17
+        (count,) = struct.unpack_from(">H", body, offset)
+        offset += 2
+        filters = []
+        for _ in range(count):
+            raw, offset = _unpack_length_prefixed(body, offset)
+            filters.append(decode_filter(raw))
+        payload = {
+            "subscriber": subscriber,
+            "filters": filters[0] if len(filters) == 1 else filters,
+            "at_time": at_time,
+            "publisher": publisher or None,
+            "min_epoch": min_epoch if pinned else None,
+        }
+    elif kind == "admin":
+        command, offset = _unpack_command(body, offset)
+        payload = {"op": "revoke", "args": command.args}
+    elif kind == "sync":
+        (from_seq,) = struct.unpack_from(">q", body, offset)
+        offset += 8
+        payload = {"from_seq": from_seq}
+    elif kind == "replicate":
+        command, offset = _unpack_command(body, offset)
+        payload = {"command": command}
+    else:
+        raise FrameError(f"unknown KDC request kind {kind!r}")
+    return KDCRequest(kind, request_id, payload), offset
+
+
+#: What a KDC_REPLY's value is: nothing, a grant, a log sequence number,
+#: or the revoke commands a ``sync`` answers with.
+_NO_VALUE, _GRANT_VALUE, _SEQ_VALUE, _COMMANDS_VALUE = range(4)
+
+
+def _pack_response(response: KDCResponse) -> bytes:
+    value = response.value
+    if value is None:
+        packed = bytes([_NO_VALUE])
+    elif isinstance(value, AuthorizationGrant):
+        packed = bytes([_GRANT_VALUE]) + _pack_length_prefixed(
+            encode_grant(value)
+        )
+    elif isinstance(value, int):
+        packed = bytes([_SEQ_VALUE]) + struct.pack(">q", value)
+    else:
+        packed = bytes([_COMMANDS_VALUE]) + struct.pack(">I", len(value))
+        packed += b"".join(_pack_command(c.seq, c.op, c.args) for c in value)
+    return (
+        struct.pack(">?q", response.ok, response.view)
+        + _pack_text(response.error or "")
+        + _pack_text(response.primary or "")
+        + packed
+    )
+
+
+def _unpack_response(body: bytes, offset: int) -> tuple[KDCResponse, int]:
+    ok, view = struct.unpack_from(">?q", body, offset)
+    error, offset = _unpack_text(body, offset + 9)
+    primary, offset = _unpack_text(body, offset)
+    kind = body[offset]
+    offset += 1
+    value: object = None
+    if kind == _GRANT_VALUE:
+        raw, offset = _unpack_length_prefixed(body, offset)
+        value = decode_grant(raw)
+    elif kind == _SEQ_VALUE:
+        (value,) = struct.unpack_from(">q", body, offset)
+        offset += 8
+    elif kind == _COMMANDS_VALUE:
+        (count,) = struct.unpack_from(">I", body, offset)
+        offset += 4
+        value = []
+        for _ in range(count):
+            command, offset = _unpack_command(body, offset)
+            value.append(command)
+    elif kind != _NO_VALUE:
+        raise FrameError(f"unknown KDC_REPLY value kind {kind}")
+    return KDCResponse(ok, value, error or None, view, primary or None), offset
 
 
 def decode_payload(payload: bytes) -> Frame:
@@ -425,44 +518,24 @@ def decode_payload(payload: bytes) -> Frame:
         elif frame_type is FrameType.PONG:
             token, path, offset = _decode_token_path(body)
             frame = Pong(token, path)
-        elif frame_type is FrameType.GRANT:
-            (request_id,) = struct.unpack_from(">q", body, 0)
-            subscriber, offset = _unpack_text(body, 8)
-            publisher, offset = _unpack_text(body, offset)
-            (at_time,) = struct.unpack_from(">d", body, offset)
-            offset += 8
-            min_epoch: int | None = None
-            flag = body[offset]
-            offset += 1
-            if flag:
-                (min_epoch,) = struct.unpack_from(">q", body, offset)
-                offset += 8
-            (count,) = struct.unpack_from(">H", body, offset)
-            offset += 2
-            filters = []
-            for _ in range(count):
-                raw, offset = _unpack_length_prefixed(body, offset)
-                filters.append(decode_filter(raw))
-            frame = GrantRequest(
-                request_id, subscriber, tuple(filters), at_time,
-                publisher or None, min_epoch,
-            )
-        elif frame_type is FrameType.GRANT_ACK:
-            request_id, status = struct.unpack_from(">qB", body, 0)
-            detail, offset = _unpack_text(body, 9)
-            raw, offset = _unpack_length_prefixed(body, offset)
-            grant = decode_grant(raw) if raw else None
-            frame = GrantAck(request_id, status, detail, grant)
-        elif frame_type is FrameType.REKEY:
+        elif frame_type is FrameType.KDC_CALL:
+            (tag,) = struct.unpack_from(">q", body, 0)
+            try:
+                request, offset = _unpack_request(body, 8)
+                if offset != len(body):
+                    raise FrameError("trailing bytes")
+            except (struct.error, IndexError, ValueError) as exc:
+                raise MalformedCall(tag, f"malformed KDC_CALL: {exc}") from exc
+            frame = KdcCall(tag, request)
+        elif frame_type is FrameType.KDC_REPLY:
+            (tag,) = struct.unpack_from(">q", body, 0)
+            response, offset = _unpack_response(body, 8)
+            frame = KdcReply(tag, response)
+        else:
             topic, offset = _unpack_text(body, 0)
             epoch, at_time = struct.unpack_from(">qd", body, offset)
             offset += 16
             frame = Rekey(topic, epoch, at_time)
-        else:
-            (request_id,) = struct.unpack_from(">q", body, 0)
-            subscriber, offset = _unpack_text(body, 8)
-            topic, offset = _unpack_text(body, offset)
-            frame = Revoke(request_id, subscriber, topic)
     except struct.error as exc:
         raise FrameError(f"truncated {frame_type.name} frame: {exc}") from exc
     except IndexError as exc:

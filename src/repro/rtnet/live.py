@@ -106,7 +106,7 @@ class LiveSystem:
         self.authority = TokenAuthority(kdc.master_key)
         #: Default key-lifecycle policy for live subscribers; when set,
         #: ``subscribe()`` provisions grants in-band through the hosted
-        #: KDC endpoint and keeps them renewed across epoch rollovers.
+        #: KDC cluster and keeps them renewed across epoch rollovers.
         self.renewal = renewal
         self.cluster = ClusterLauncher(
             num_brokers=num_brokers,
@@ -167,22 +167,14 @@ class LiveSystem:
         Without a renewal policy this provisions grants out-of-band
         (directly against the KDC object, anchored at time 0).  With one
         (``builder().renewal(...)`` or the ``LiveSystem(renewal=...)``
-        knob), the subscriber *joins*: it dials the hosted KDC endpoint,
-        fetches its grants in-band over GRANT/GRANT_ACK, and keeps them
-        renewed across every epoch rollover.
+        knob), the subscriber *joins*: a KDC client attached to the
+        hosted replicas fetches its grants in-band and keeps them renewed
+        across every epoch rollover, failing over between replicas.
         """
         if subscriber_id in self.subscribers:
             raise ValueError(f"subscriber {subscriber_id!r} already attached")
         host, port = self.cluster.subscriber_address()
         if self.renewal is not None:
-            from repro.rekey.client import KdcChannel
-
-            channel = KdcChannel(
-                f"{subscriber_id}-kdc",
-                *self.cluster.kdc_address(),
-                registry=self.registry,
-            )
-            self._call(channel.connect())
             endpoint = RtSubscriber(
                 subscriber_id,
                 host,
@@ -190,7 +182,7 @@ class LiveSystem:
                 schema_lookup=self.schema_lookup,
                 authority=self.authority,
                 registry=self.registry,
-                kdc_channel=channel,
+                kdc_client=self._call(self.cluster.kdc_client(subscriber_id)),
                 renewal=self.renewal,
             )
             self._call(endpoint.connect())
@@ -222,29 +214,28 @@ class LiveSystem:
 
     def leave(self, subscriber_id: str) -> LiveSubscriber:
         """Detach *subscriber_id* mid-stream: stop renewing, withdraw
-        its routing filters, and close its endpoints."""
+        its routing filters, and close its endpoint."""
         session = self.subscribers.pop(subscriber_id)
         self._call(session.endpoint.leave())
-        if session.endpoint.kdc_channel is not None:
-            self._call(session.endpoint.kdc_channel.close())
         self._call(session.endpoint.close())
         return session
 
     def revoke(self, subscriber_id: str, topic: str) -> None:
-        """Revoke (subscriber, topic) at the KDC -- lazily: the victim's
-        current-epoch grant keeps working until the epoch lapses, and
-        its next renewal is denied."""
-        self.kdc.revoke(subscriber_id, topic)
+        """Revoke (subscriber, topic) lazily -- the current grant lapses
+        with its epoch, the next renewal is denied -- at the hosted
+        cluster's primary, or at the in-process KDC without renewals."""
+        if self.cluster.kdc_cluster is None:
+            self.kdc.revoke(subscriber_id, topic)
+        else:
+            self._call(self.cluster.revoke(subscriber_id, topic))
 
     def roll_epoch(self, topic: str, at_time: float) -> int:
-        """Advance *topic* to its epoch at *at_time* and broadcast REKEY
-        to every joined subscriber; requires a renewal policy (the KDC
-        endpoint carries the broadcast)."""
-        if self.cluster.kdc_server is None:
+        """Advance *topic* to its epoch at *at_time* and push REKEY to
+        every joined subscriber; requires a renewal policy (the hosted
+        KDC replicas carry the push)."""
+        if self.cluster.kdc_cluster is None:
             raise ValueError("roll_epoch() needs a renewal policy")
-        epoch = self._call(
-            self.cluster.kdc_server.roll_epoch(topic, at_time)
-        )
+        epoch = self._call(self.cluster.roll_epoch(topic, at_time))
         for session in self.subscribers.values():
             self._call(session.endpoint.settle_rekey())
         return epoch
@@ -273,8 +264,6 @@ class LiveSystem:
     def close(self) -> None:
         """Disconnect every endpoint and stop the cluster and loop."""
         for session in list(self.subscribers.values()):
-            if session.endpoint.kdc_channel is not None:
-                self._call(session.endpoint.kdc_channel.close())
             self._call(session.endpoint.close())
         for session in list(self.publishers.values()):
             self._call(session.endpoint.close())

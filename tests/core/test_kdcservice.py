@@ -23,12 +23,7 @@ def _cluster(replicas=3, plan=None, seed=1):
     if plan is not None:
         faults = FaultInjector(sim, plan, seed=seed)
     net = ServiceNetwork(sim, faults, latency=0.005)
-    cluster = KDCCluster(
-        net,
-        [f"kdc{i}" for i in range(replicas)],
-        MASTER,
-        faults=faults,
-    )
+    cluster = KDCCluster(net, [f"kdc{i}" for i in range(replicas)], MASTER)
     cluster.register_topic("t", CompositeKeySpace({}), epoch_length=10.0)
     if faults is not None:
         faults.install()
@@ -180,7 +175,9 @@ def test_invalid_command_leaves_log_untouched():
     sim, net, cluster = _cluster()
     replica = cluster.replicas["kdc0"]
     applied = replica.applied_seq
-    bad = RegistryCommand(applied + 1, "set_epoch_length", ("t", -1.0))
+    bad = RegistryCommand(
+        applied + 1, "register_topic", ("u", CompositeKeySpace({}), -1.0, False)
+    )
     with pytest.raises(ValueError):
         replica.append(bad)
     assert replica.applied_seq == applied

@@ -1,1 +1,1 @@
-"""Tests for the live key-lifecycle plane (:mod:`repro.rekey`)."""
+"""Tests for the live key lifecycle: the replicated KDC on the TCP host."""

@@ -12,7 +12,6 @@ import pytest
 
 from repro.core import KDC, CompositeKeySpace, NumericKeySpace
 from repro.core.renewal import RenewalPolicy
-from repro.rekey import KdcChannel
 from repro.routing.tokens import TokenAuthority
 from repro.rtnet.client import RtPublisher, RtSubscriber
 from repro.rtnet.cluster import ClusterLauncher
@@ -44,14 +43,13 @@ def test_grant_expiring_mid_stream_renews_within_grace():
         async with ClusterLauncher(
             num_brokers=3, arity=2, kdc=kdc
         ) as cluster:
-            channel = KdcChannel("alice-kdc", *cluster.kdc_address())
-            await channel.connect()
+            client = await cluster.kdc_client("alice")
             subscriber = RtSubscriber(
                 "alice",
                 *cluster.subscriber_address(),
                 schema_lookup=lambda t: kdc.config_for(t).schema,
                 authority=authority,
-                kdc_channel=channel,
+                kdc_client=client,
                 renewal=policy,
             )
             await subscriber.connect()
@@ -63,7 +61,7 @@ def test_grant_expiring_mid_stream_renews_within_grace():
 
             base = kdc.epoch_of(TOPIC, 0.0) + 1
             start = kdc.epoch_start(TOPIC, base) + EPOCH / 2
-            channel.advance(start)
+            client.advance(start)
             await subscriber.join(
                 Filter.numeric_range(TOPIC, "v", 0, 15), at_time=start
             )
@@ -89,9 +87,7 @@ def test_grant_expiring_mid_stream_renews_within_grace():
             # rollover inside the lead window -- the renewal tick runs
             # from the REKEY handler and fetches next-epoch keys.
             boundary = kdc.epoch_start(TOPIC, base + 1)
-            await cluster.kdc_server.roll_epoch(
-                TOPIC, boundary - policy.lead / 2
-            )
+            await cluster.roll_epoch(TOPIC, boundary - policy.lead / 2)
             await subscriber.settle_rekey()
 
             # New-epoch traffic flows without a delivery gap.
@@ -109,7 +105,6 @@ def test_grant_expiring_mid_stream_renews_within_grace():
             assert stats.renewals_denied == 0
             assert subscriber.unreadable == 0  # nothing dropped as noise
             assert publisher.unacked == 0
-            await channel.close()
             await subscriber.close()
             await publisher.close()
 

@@ -6,24 +6,24 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import KDC, CompositeKeySpace, NumericKeySpace
+from repro.core.kdcservice import KDCRequest, KDCResponse, RegistryCommand
 from repro.rtnet.frames import (
     FRAME_MAX,
-    GRANT_DENIED,
-    GRANT_OK,
     PROTOCOL_VERSION,
     Ack,
     EventFrame,
     FrameDecoder,
     FrameType,
-    GrantAck,
-    GrantRequest,
     Heartbeat,
     Hello,
     HelloAck,
+    KdcCall,
+    KdcReply,
+    MalformedCall,
     Ping,
     Pong,
     Rekey,
-    Revoke,
     Subscribe,
     Unsubscribe,
     decode_payload,
@@ -95,46 +95,70 @@ def test_subscribe_unsubscribe_roundtrip():
     assert _roundtrip(Unsubscribe(subscription)).filter == subscription
 
 
+def _authorize(request_id, subscriber="alice", at_time=12.5,
+               publisher="pub", min_epoch=3, filters=None):
+    return KDCRequest("authorize", request_id, {
+        "subscriber": subscriber,
+        "filters": filters if filters is not None else Filter.topic("t"),
+        "at_time": at_time,
+        "publisher": publisher,
+        "min_epoch": min_epoch,
+    })
+
+
 @settings(max_examples=50, deadline=None)
 @given(
-    request_id=_INT64,
+    tag=_INT64,
+    request_id=st.none() | st.tuples(_TEXT, _INT64),
     subscriber=_TEXT,
     at_time=_FLOATS,
     min_epoch=st.none() | st.integers(0, 2 ** 62),
     publisher=st.none() | _TEXT.filter(bool),
 )
-def test_grant_request_roundtrip(
-    request_id, subscriber, at_time, min_epoch, publisher
+def test_kdc_call_roundtrip(
+    tag, request_id, subscriber, at_time, min_epoch, publisher
 ):
-    frame = GrantRequest(
-        request_id,
-        subscriber,
-        (Filter.topic("t"), Filter.numeric_range("t", "v", 1, 9)),
-        at_time,
-        publisher,
-        min_epoch,
-    )
+    frame = KdcCall(tag, _authorize(
+        request_id, subscriber, at_time, publisher, min_epoch,
+        [Filter.topic("t"), Filter.numeric_range("t", "v", 1, 9)],
+    ))
     assert _roundtrip(frame) == frame
 
 
 @settings(max_examples=50, deadline=None)
-@given(request_id=_INT64, status=st.integers(0, 255), detail=_TEXT)
-def test_grant_ack_roundtrip(request_id, status, detail):
-    frame = GrantAck(request_id, status, detail)
+@given(
+    tag=_INT64,
+    ok=st.booleans(),
+    error=st.none() | _TEXT.filter(bool),
+    view=_INT64,
+    primary=st.none() | _TEXT.filter(bool),
+    seq=st.none() | _INT64,
+)
+def test_kdc_reply_roundtrip(tag, ok, error, view, primary, seq):
+    frame = KdcReply(tag, KDCResponse(ok, seq, error, view, primary))
     assert _roundtrip(frame) == frame
 
 
-def test_grant_ack_carries_a_real_grant():
-    from repro.core import KDC, CompositeKeySpace, NumericKeySpace
-
+def test_kdc_reply_carries_a_real_grant():
     kdc = KDC(master_key=bytes(range(16)))
     kdc.register_topic(
         "t", CompositeKeySpace({"v": NumericKeySpace("v", 16)})
     )
     grant = kdc.authorize("alice", Filter.numeric_range("t", "v", 0, 15))
-    decoded = _roundtrip(GrantAck(3, GRANT_OK, grant=grant))
-    assert decoded.status == GRANT_OK
-    assert decoded.grant == grant
+    decoded = _roundtrip(KdcReply(3, KDCResponse(True, grant)))
+    assert decoded.response.ok
+    assert decoded.response.value == grant
+
+
+def test_registry_ops_other_than_revoke_do_not_cross_the_wire():
+    schema = CompositeKeySpace({})
+    provisioning = RegistryCommand(1, "register_topic", ("t", schema, 1.0, False))
+    with pytest.raises(ValueError, match="does not cross the wire"):
+        encode_frame(KdcReply(1, KDCResponse(True, [provisioning])))
+    with pytest.raises(ValueError, match="does not cross the wire"):
+        encode_frame(KdcCall(1, KDCRequest(
+            "replicate", None, {"command": provisioning}
+        )))
 
 
 @settings(max_examples=50, deadline=None)
@@ -145,10 +169,21 @@ def test_rekey_roundtrip(topic, epoch, at_time):
 
 
 @settings(max_examples=50, deadline=None)
-@given(request_id=_INT64, subscriber=_TEXT, topic=_TEXT)
-def test_revoke_roundtrip(request_id, subscriber, topic):
-    frame = Revoke(request_id, subscriber, topic)
-    assert _roundtrip(frame) == frame
+@given(tag=_INT64, seq=_INT64, subscriber=_TEXT, topic=_TEXT)
+def test_revoke_roundtrip(tag, seq, subscriber, topic):
+    """A revocation rides the call pair three ways: as the admin request,
+    replicated, and in a sync answer."""
+    args = (subscriber, topic)
+    command = RegistryCommand(seq, "revoke", args)
+    for frame in (
+        KdcCall(tag, KDCRequest(
+            "admin", ("admin", seq), {"op": "revoke", "args": args}
+        )),
+        KdcCall(tag, KDCRequest("replicate", None, {"command": command})),
+        KdcCall(tag, KDCRequest("sync", None, {"from_seq": seq})),
+        KdcReply(tag, KDCResponse(True, [command, command], view=1)),
+    ):
+        assert _roundtrip(frame) == frame
 
 
 # -- corruption never hangs, always ValueError ---------------------------------
@@ -164,16 +199,24 @@ def _frame_corpus():
         Heartbeat(2.0),
         Ping(b"\x01\x02", ("b3", "b1")),
         Pong(b"\x01\x02", ("b3",)),
-        GrantRequest(5, "alice", (Filter.topic("t"),), 12.5, "pub", 3),
-        GrantAck(5, GRANT_DENIED, "revoked"),
+        KdcCall(5, _authorize(("alice", 5))),
+        KdcCall(6, KDCRequest(
+            "admin", ("admin", 0), {"op": "revoke", "args": ("eve", "t")}
+        )),
+        KdcReply(5, KDCResponse(False, error="denied", view=2, primary="kdc1")),
+        KdcReply(6, KDCResponse(
+            True, [RegistryCommand(2, "revoke", ("eve", "t"))]
+        )),
         Rekey("t", 4, 99.0),
-        Revoke(9, "alice", "t"),
     ]
+
+
+_CORPUS_INDEX = st.integers(0, len(_frame_corpus()) - 1)
 
 
 @settings(max_examples=120, deadline=None)
 @given(
-    index=st.integers(0, 11),
+    index=_CORPUS_INDEX,
     cut=st.integers(min_value=1, max_value=30),
 )
 def test_truncated_payloads_rejected(index, cut):
@@ -194,7 +237,7 @@ def test_truncated_payloads_rejected(index, cut):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    index=st.integers(0, 11),
+    index=_CORPUS_INDEX,
     position=st.integers(min_value=0, max_value=10 ** 6),
     bit=st.integers(0, 7),
 )
@@ -249,6 +292,27 @@ def test_trailing_bytes_after_hello_rejected():
 def test_encode_rejects_frames_over_frame_max():
     with pytest.raises(ValueError, match="exceeds FRAME_MAX"):
         encode_frame(EventFrame(0, 0.0, b"\0" * FRAME_MAX))
+
+
+def test_kdc_reply_over_frame_max_rejected():
+    command = RegistryCommand(1, "revoke", ("s" * 200, "t" * 200))
+    commands = [command] * (FRAME_MAX // 400 + 1)
+    with pytest.raises(ValueError, match="exceeds FRAME_MAX"):
+        encode_frame(KdcReply(1, KDCResponse(True, commands)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cut=st.integers(min_value=1, max_value=40), extra=st.binary(min_size=1))
+def test_malformed_kdc_call_keeps_its_tag(cut, extra):
+    """A truncated or overlong call body fails loudly but still names
+    its tag, so the receiver can answer ``bad_request`` under it."""
+    payload = encode_frame(KdcCall(77, _authorize(("alice", 1))))[4:]
+    for broken in (payload[: max(9, len(payload) - cut)], payload + extra):
+        if broken == payload:
+            continue
+        with pytest.raises(MalformedCall) as failure:
+            decode_payload(broken)
+        assert failure.value.args[0] == 77
 
 
 # -- incremental parsing -------------------------------------------------------
