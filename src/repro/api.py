@@ -23,6 +23,16 @@ flow through the in-process :class:`~repro.siena.network.BrokerTree`;
 the timed/fault-injected variants stay with the harnesses
 (:mod:`repro.harness.chaos`, :mod:`repro.harness.kdcchaos`), which share
 the same observability substrate.
+
+Both transports route the same way (Section 4.1): a session publishes
+the sealed event with its routable part tokenized
+(:func:`~repro.routing.tokens.tokenize_sealed`), the brokers match with
+:func:`~repro.routing.tokens.tokenized_match` on the filters each grant
+implies, and subscribers open through
+:class:`~repro.routing.tokens.TokenOpener`.  No broker sees a plaintext
+attribute value; ``repro demo`` prints the routable part::
+
+    event routable part : ['_etok:age:0', ..., '_etok:age:7', '_ttok']
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Hashable, Iterable
 
 from repro.core.composite import CompositeKeySpace
-from repro.core.envelope import OpenResult, SealedEvent
+from repro.core.envelope import SealedEvent
 from repro.core.kdc import KDC
 from repro.core.nakt import NumericKeySpace
 from repro.core.publisher import Publisher
@@ -39,6 +49,12 @@ from repro.core.renewal import RenewalManager, RenewalPolicy
 from repro.core.subscriber import Subscriber
 from repro.flow import AdmissionController, priority_of
 from repro.obs import Observability
+from repro.routing.tokens import (
+    TokenAuthority,
+    TokenOpener,
+    tokenize_sealed,
+    tokenized_match,
+)
 from repro.siena.events import Event
 from repro.siena.filters import Filter
 from repro.siena.network import BrokerTree
@@ -90,6 +106,10 @@ class SystemOptions:
 class SessionPublisher:
     """A publishing principal bound to one :class:`System`."""
 
+    #: Publications the home broker has not acknowledged: in process a
+    #: publish returns delivered (:attr:`LivePublisher.unacked` counts).
+    unacked = 0
+
     def __init__(self, system: "System", publisher_id: str):
         self.system = system
         self.engine = Publisher(publisher_id, system.kdc)
@@ -106,14 +126,18 @@ class SessionPublisher:
         secret_attributes: set[str] | None = None,
         at_time: float = 0.0,
     ) -> SealedEvent:
-        """Seal *event* and disseminate it through the broker tree.
+        """Seal and tokenize *event*, then disseminate it through the
+        broker tree; returns what the brokers saw.
 
         With admission control configured on the system, a shed
         publication still returns its sealed form (the caller may retry)
         but reaches no subscriber; :attr:`shed` counts them.
         """
-        sealed = self.engine.publish(
-            event, secret_attributes=secret_attributes, at_time=at_time
+        sealed = tokenize_sealed(
+            self.system.authority,
+            self.engine.publish(
+                event, secret_attributes=secret_attributes, at_time=at_time
+            ),
         )
         _fanout, shed = self.system._disseminate(sealed, at_time)
         if shed:
@@ -121,12 +145,13 @@ class SessionPublisher:
         return sealed
 
 
-class SessionSubscriber:
+class SessionSubscriber(TokenOpener):
     """A subscribing principal attached to one leaf broker.
 
-    Collects every event the broker tree hands it: decryptable ones land
-    in :attr:`opened` (as :class:`~repro.core.envelope.OpenResult`),
-    cryptographically unreadable ones only bump :attr:`unreadable`.
+    Registers the tokenized routing filters of each grant and opens what
+    the broker tree hands it through :class:`TokenOpener`: decryptable
+    events land in :attr:`opened`, cryptographically unreadable ones only
+    bump :attr:`unreadable`, and :attr:`log` records every verdict.
     """
 
     def __init__(
@@ -141,7 +166,11 @@ class SessionSubscriber:
         policy = system.renewal
         if policy is not None:
             grace_period = max(grace_period, policy.grace)
-        self.engine = Subscriber(subscriber_id, grace_period=grace_period)
+        super().__init__(
+            Subscriber(subscriber_id, grace_period=grace_period),
+            system.schema_lookup,
+            system.authority,
+        )
         #: Standing-subscription manager, or None without a renewal
         #: policy (grants are then one-shot, anchored at *at_time*).
         self.renewal: RenewalManager | None = None
@@ -149,22 +178,21 @@ class SessionSubscriber:
             self.renewal = RenewalManager(
                 self.engine, system.kdc, renew_lead_time=policy.lead
             )
-        self.opened: list[OpenResult] = []
-        self.unreadable = 0
         self.home = system._next_leaf()
         system.tree.attach_subscriber(subscriber_id, self.home, self._deliver)
         for subscription_filter in filters:
             if self.renewal is not None:
-                self.renewal.add_subscription(
+                grant = self.renewal.add_subscription(
                     subscription_filter, at_time=at_time
                 )
             else:
-                self.engine.add_grant(
-                    system.kdc.authorize(
-                        subscriber_id, subscription_filter, at_time=at_time
-                    )
+                grant = system.kdc.authorize(
+                    subscriber_id, subscription_filter, at_time=at_time
                 )
-            system.tree.subscribe(subscriber_id, subscription_filter)
+                self.engine.add_grant(grant)
+            if grant is not None:
+                for routing_filter in self.routing_filters(grant):
+                    system.tree.subscribe(subscriber_id, routing_filter)
 
     @property
     def renewal_stats(self):
@@ -177,19 +205,13 @@ class SessionSubscriber:
         return self.engine.subscriber_id
 
     def _deliver(self, _routable: Event) -> None:
-        sealed = self.system._current_sealed
-        result = self.engine.receive(
-            sealed, self.system.schema_lookup, at_time=self.system._current_time
-        )
-        if result is not None:
-            self.opened.append(result)
-        else:
-            self.unreadable += 1
-        self.system.tracer.span(
-            self.system._current_seq,
+        system = self.system
+        result = self.receive(system._current_sealed, system._current_time)
+        system.tracer.span(
+            system._current_seq,
             "deliver" if result is not None else "decrypt",
             self.engine.subscriber_id,
-            self.system._current_time,
+            system._current_time,
             decrypted=result is not None,
         )
 
@@ -208,6 +230,7 @@ class System:
         self.kdc = kdc
         self.tree = tree
         self.obs = obs
+        self.authority = TokenAuthority(kdc.master_key)
         #: Default key-lifecycle policy for subscribers; when set,
         #: ``subscribe()`` opens standing subscriptions and
         #: :meth:`advance` renews them across epoch boundaries.
@@ -295,6 +318,14 @@ class System:
         """Publications refused by the facade's admission gate."""
         return self._shed_events
 
+    def settle(self) -> None:
+        """Nothing to flush: in process a publish returns delivered (the
+        synchronous half of :meth:`LiveSystem.settle`)."""
+
+    def close(self) -> None:
+        """Nothing to release (the synchronous half of
+        :meth:`LiveSystem.close`)."""
+
     # -- dissemination --------------------------------------------------------
 
     def _next_leaf(self) -> Hashable:
@@ -331,17 +362,6 @@ class System:
         finally:
             self._current_sealed = None
             self._current_seq = None
-
-    # -- observability --------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        return self.obs.snapshot()
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return self.obs.to_json(indent=indent)
-
-    def to_prometheus(self) -> str:
-        return self.obs.to_prometheus()
 
 
 class SystemBuilder:
@@ -421,8 +441,8 @@ class SystemBuilder:
         """Choose how events move: ``"inproc"`` (default) keeps the
         synchronous in-process :class:`~repro.siena.network.BrokerTree`;
         ``"tcp"`` deploys the same broker tree as a localhost TCP
-        cluster (:class:`repro.rtnet.LiveSystem`) -- real sockets,
-        framed PSE2 events, tokenized in-network matching."""
+        cluster (:class:`repro.rtnet.LiveSystem`) -- real sockets and
+        framed PSE2 events over the same tokenized matching."""
         self._options = replace(self._options, transport=kind)
         return self
 
@@ -498,6 +518,7 @@ class SystemBuilder:
         tree = BrokerTree(
             num_brokers=options.num_brokers,
             arity=options.arity,
+            match=tokenized_match,
             registry=obs.registry,
         )
         admission = options.admission

@@ -69,7 +69,9 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
         ),
         secret_attributes={"patientRecord"},
     )
-    print(f"event routable part : {dict(sealed.routable.attributes)}")
+    # Brokers route on <r, F_T(r)> pairs alone; their values are fresh
+    # nonces and proofs, so the names are what stays the same per run.
+    print(f"event routable part : {sorted(sealed.routable.attributes)}")
     print(f"doctor (age>20)     : {doctor.opened[0].event['patientRecord']!r}")
     print(f"outsider (age>30)   : "
           f"{outsider.opened[0] if outsider.opened else None}")

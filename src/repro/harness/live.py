@@ -1,13 +1,16 @@
-"""Live harness: a loopback TCP tree against the in-process reference.
+"""Live harness: one workload through both transports of the facade.
 
 The other chaos scenarios break something and measure what survives;
-this one breaks nothing and proves the two transports agree.  A
-fixed-seed Zipf workload is sealed and tokenized at the publisher,
-framed as PSE2 bytes, routed hop by hop through ``num_brokers`` asyncio
-broker servers (:mod:`repro.rtnet`) with token matching, and decrypted
-at the subscribing edges.  The same workload also runs through the
-in-process :class:`~repro.siena.network.BrokerTree` as the
-**reference**, and each subscriber's delivery stream -- the set of
+this one breaks nothing and proves the two transports agree.  One
+driver builds ``System.builder().kdc(...).brokers(n, 2).transport(t)``
+for ``t`` in ``"inproc"`` and ``"tcp"``, subscribes every subscriber's
+filters, publishes a fixed-seed Zipf workload as ``"P"`` and reads each
+session's ``(origin, sequence, verdict)`` log.  Both sides seal and
+tokenize at the publisher, match tokens at every broker and open at the
+edge through the same code; only the carrier differs -- the in-process
+:class:`~repro.siena.network.BrokerTree`, the **reference**, or PSE2
+frames routed hop by hop through ``num_brokers`` asyncio broker servers
+(:mod:`repro.rtnet`).  Each subscriber's delivery stream -- the set of
 ``(publisher sequence, "open" | "unreadable")`` pairs -- is compared.
 
 ``SCENARIO.gates`` are the acceptance gates, all absolute:
@@ -27,39 +30,19 @@ here reads it.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field
 
-from repro.core.kdc import AuthorizationGrant
-from repro.core.ktid import KTID
-from repro.core.publisher import Publisher
-from repro.core.subscriber import Subscriber
+from repro.api import System
 from repro.harness.scenario import Gate, Scenario, all_of
-from repro.routing.tokens import (
-    TokenAuthority,
-    grant_routing_filters,
-    tokenize_event,
-    tokenized_match,
-)
-from repro.rtnet.client import RtPublisher, RtSubscriber
-from repro.rtnet.cluster import ClusterLauncher
 from repro.siena.events import Event
 from repro.siena.filters import Filter
-from repro.siena.network import BrokerTree
-from repro.workloads.generator import (
-    PaperWorkload,
-    TopicSpec,
-    WorkloadConfig,
-)
+from repro.workloads.generator import PaperWorkload, WorkloadConfig
 
-_SEQ = "_seq"
 _PUBLISHER = "P"
 _MESSAGE_BYTES = 64
 _ARITY = 2
 _NUM_TOPICS = 16
 _TOPICS_PER_SUBSCRIBER = 4
-#: Wall-clock seconds any one settle barrier may take.
-_SETTLE_TIMEOUT = 30.0
 
 #: subscriber id -> {(publisher sequence, verdict)}
 Streams = dict[str, set[tuple]]
@@ -118,11 +101,11 @@ class LiveResult:
 
 
 class _Fixture:
-    """Workload, KDC, grants and the event sequence both paths share."""
+    """Workload, KDC, subscriptions and the events both runs share."""
 
     def __init__(self, config: LiveConfig):
         self.config = config
-        self.workload = PaperWorkload(
+        workload = PaperWorkload(
             WorkloadConfig(
                 num_topics=_NUM_TOPICS,
                 topics_per_subscriber=_TOPICS_PER_SUBSCRIBER,
@@ -130,142 +113,63 @@ class _Fixture:
                 seed=config.seed,
             )
         )
-        self.master_key = bytes(
-            (config.seed + index) % 256 for index in range(16)
+        self.kdc = workload.build_kdc(
+            master_key=bytes((config.seed + index) % 256 for index in range(16))
         )
-        self.kdc = self.workload.build_kdc(master_key=self.master_key)
-        self.grants: list[tuple[str, AuthorizationGrant]] = []
+        self.subscriptions: dict[str, list[Filter]] = {}
         for index in range(config.num_subscribers):
             subscriber_id = f"S{index}"
-            for subscription in self.workload.subscriptions_for(subscriber_id):
-                self.grants.append(
-                    (
-                        subscriber_id,
-                        self.kdc.authorize(subscriber_id, subscription.filter),
-                    )
-                )
-        self.events: list[tuple[TopicSpec, Event]] = []
-        for _ in range(config.events):
-            topic = self.workload.topic_sampler.sample()
-            self.events.append(
-                (topic, self.workload.random_event(topic,
-                                                   publisher=_PUBLISHER))
+            self.subscriptions[subscriber_id] = [
+                subscription.filter
+                for subscription in workload.subscriptions_for(subscriber_id)
+            ]
+        self.events: list[Event] = [
+            workload.random_event(
+                workload.topic_sampler.sample(), publisher=_PUBLISHER
             )
+            for _ in range(config.events)
+        ]
 
-    def schema_lookup(self, topic: str):
-        return self.kdc.config_for(topic).schema
 
-
-def _run_reference(fixture: _Fixture) -> Streams:
-    """The in-process ground truth: per-subscriber delivery streams."""
-    config = fixture.config
-    authority = TokenAuthority(fixture.master_key)
-    tree = BrokerTree(
-        num_brokers=config.num_brokers,
-        arity=_ARITY,
-        match=tokenized_match,
+def _run(fixture: _Fixture, transport: str) -> tuple[Streams, int]:
+    """The fixture through one transport of the facade: each
+    subscriber's stream, and the publications left unacked."""
+    system = (
+        System.builder()
+        .kdc(fixture.kdc)
+        .brokers(fixture.config.num_brokers, _ARITY)
+        .transport(transport)
+        .build()
     )
-    streams: Streams = {}
-    engines: dict[str, Subscriber] = {}
-    sealed_by_seq: dict[int, object] = {}
-    leaves = tree.leaf_ids()
-
-    def deliverer(subscriber_id: str):
-        def deliver(routable: Event) -> None:
-            seq = routable.get(_SEQ)
-            opened = engines[subscriber_id].receive(
-                sealed_by_seq[seq], fixture.schema_lookup
-            )
-            streams[subscriber_id].add(
-                (seq, "open" if opened is not None else "unreadable")
-            )
-
-        return deliver
-
-    registered: dict[str, set[Filter]] = {}
-    for subscriber_id, grant in fixture.grants:
-        if subscriber_id not in engines:
-            engines[subscriber_id] = Subscriber(subscriber_id)
-            streams[subscriber_id] = set()
-            home = leaves[len(engines) % len(leaves)]
-            tree.attach_subscriber(
-                subscriber_id, home, deliverer(subscriber_id)
-            )
-        engines[subscriber_id].add_grant(grant)
-        issued = registered.setdefault(subscriber_id, set())
-        for routing_filter in grant_routing_filters(authority, grant):
-            if routing_filter not in issued:
-                issued.add(routing_filter)
-                tree.subscribe(subscriber_id, routing_filter)
-
-    publisher = Publisher(_PUBLISHER, fixture.kdc)
-    for seq, (topic, event) in enumerate(fixture.events):
-        sealed = publisher.publish(event)
-        sealed_by_seq[seq] = sealed
-        elements = {
-            attribute: element
-            for attribute, element in sealed.elements.items()
-            if isinstance(element, KTID)
+    try:
+        sessions = [
+            system.subscribe(subscriber_id, *filters)
+            for subscriber_id, filters in fixture.subscriptions.items()
+        ]
+        # Flush the subscription plane before the first publication.
+        system.settle()
+        publisher = system.publisher(_PUBLISHER)
+        for event in fixture.events:
+            publisher.publish(event)
+        system.settle()
+        streams = {
+            session.subscriber_id: {
+                (sequence, verdict) for _origin, sequence, verdict in session.log
+            }
+            for session in sessions
         }
-        routable = sealed.routable.with_attributes(**{_SEQ: seq})
-        tree.publish(
-            tokenize_event(authority, routable, elements, topic.name)
-        )
-    return streams
-
-
-async def _run_live(fixture: _Fixture, result: LiveResult) -> None:
-    """The socket path: same workload over a localhost TCP tree."""
-    config = fixture.config
-    authority = TokenAuthority(fixture.master_key)
-    subscribers: dict[str, RtSubscriber] = {}
-    async with ClusterLauncher(
-        num_brokers=config.num_brokers, arity=_ARITY
-    ) as cluster:
-        publisher = RtPublisher(
-            _PUBLISHER, *cluster.publisher_address(), fixture.kdc,
-            authority=authority,
-        )
-        try:
-            for subscriber_id, grant in fixture.grants:
-                endpoint = subscribers.get(subscriber_id)
-                if endpoint is None:
-                    endpoint = subscribers[subscriber_id] = RtSubscriber(
-                        subscriber_id, *cluster.subscriber_address(),
-                        schema_lookup=fixture.schema_lookup,
-                        authority=authority,
-                    )
-                    await endpoint.connect()
-                await endpoint.add_grant(grant)
-            # Flush the subscription plane before the first publication.
-            for endpoint in subscribers.values():
-                await endpoint.settle(timeout=_SETTLE_TIMEOUT)
-            await publisher.connect()
-            for _topic, event in fixture.events:
-                await publisher.publish(event)
-            await publisher.settle(timeout=_SETTLE_TIMEOUT)
-            for endpoint in subscribers.values():
-                await endpoint.settle(timeout=_SETTLE_TIMEOUT)
-        finally:
-            await publisher.close()
-            for endpoint in subscribers.values():
-                await endpoint.close()
-    result.publisher_unacked = publisher.unacked
-    result.live = {
-        subscriber_id: {
-            (sequence, verdict) for _origin, sequence, verdict in endpoint.log
-        }
-        for subscriber_id, endpoint in subscribers.items()
-    }
+        return streams, publisher.unacked
+    finally:
+        system.close()
 
 
 def run_live(config: LiveConfig) -> LiveResult:
     """One workload through the reference tree and the socket tree."""
     config.validate()
     fixture = _Fixture(config)
-    result = LiveResult(reference=_run_reference(fixture))
-    asyncio.run(_run_live(fixture, result))
-    return result
+    reference, _unacked = _run(fixture, "inproc")
+    live, unacked = _run(fixture, "tcp")
+    return LiveResult(reference=reference, live=live, publisher_unacked=unacked)
 
 
 def _equivalence(_config, result: LiveResult) -> str | None:

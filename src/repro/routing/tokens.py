@@ -23,19 +23,22 @@ prefix containment becomes token equality at the right level.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from hmac import compare_digest
 from typing import TYPE_CHECKING, Callable
 
 from repro.crypto.prf import F, keyed_F
 from repro.core.ktid import KTID
+from repro.flow.policy import PRIORITY_ATTRIBUTE
 from repro.obs.lru import LRUCache
 from repro.siena.events import Event
 from repro.siena.filters import Constraint, Filter
 from repro.siena.operators import Op
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.envelope import OpenResult, SealedEvent
     from repro.core.kdc import AuthorizationGrant
+    from repro.core.subscriber import Subscriber
     from repro.obs.metrics import MetricsRegistry
 
 _NONCE_BYTES = 16
@@ -186,6 +189,10 @@ class CachingTokenAuthority(TokenAuthority):
 TOPIC_TOKEN_ATTRIBUTE = "_ttok"
 #: Attribute prefix carrying tokenized element labels, one per level.
 ELEMENT_TOKEN_ATTRIBUTE = "_etok"
+#: Routable attributes tokenization keeps as they are: the sequence stamp
+#: and the priority class name no attribute value, and every flow
+#: decision on the way reads the class.
+_KEPT_ATTRIBUTES = ("_seq", PRIORITY_ATTRIBUTE)
 
 
 def tokenize_event(
@@ -196,10 +203,11 @@ def tokenize_event(
 ) -> Event:
     """Replace plaintext routing attributes with tokenized ones.
 
-    The returned event carries only the nonce/proof pairs; brokers with the
+    The returned event carries only the nonce/proof pairs, plus ``_seq``
+    and the priority class when *routable* has them; brokers with the
     right subscription tokens can match it, and nothing else.
     """
-    token_attributes: dict[str, str] = {
+    token_attributes: dict[str, object] = {
         TOPIC_TOKEN_ATTRIBUTE: make_routable(
             authority.topic_token(topic)
         ).encode()
@@ -215,10 +223,30 @@ def tokenize_event(
             token = authority.element_token(topic, attribute, element)
             name = f"{ELEMENT_TOKEN_ATTRIBUTE}:{attribute}"
             token_attributes[name] = make_routable(token).encode()
-    stripped = routable.without_attributes(
-        *(set(routable.attributes) - {"_seq"})
+    for name in _KEPT_ATTRIBUTES:
+        if name in routable:
+            token_attributes[name] = routable[name]
+    return Event(token_attributes, publisher=routable.publisher)
+
+
+def tokenize_sealed(
+    authority: TokenAuthority, sealed: "SealedEvent"
+) -> "SealedEvent":
+    """*sealed* as every transport hands it to the brokers: its routable
+    part tokenized under its topic and the KTID elements the seal
+    computed.  Ciphertext, locks and stamps are untouched."""
+    elements = {
+        attribute: element
+        for attribute, element in sealed.elements.items()
+        if isinstance(element, KTID)
+    }
+    routable = sealed.routable
+    return replace(
+        sealed,
+        routable=tokenize_event(
+            authority, routable, elements, routable["topic"]
+        ),
     )
-    return stripped.with_attributes(**token_attributes)
 
 
 def tokenized_subscription(
@@ -281,6 +309,99 @@ def grant_routing_filters(
 
 
 _TOKEN_PREFIXES = (TOPIC_TOKEN_ATTRIBUTE, ELEMENT_TOKEN_ATTRIBUTE)
+
+
+class TokenOpener:
+    """The subscriber edge of the routing plane, on every transport.
+
+    Holds one topic-token probe per granted topic.  An arriving event
+    carries only token pairs, so :meth:`receive` first resolves its topic
+    by matching the topic token against those probes, then opens it with
+    the standard *engine* on what the publisher sealed: the routable with
+    ``topic`` back and the spent ``_ttok``/``_etok:*`` pairs gone.  An
+    unauthorized subscriber resolves nothing (no token held) or fails
+    cryptographically (no matching grant keys), and only
+    :attr:`unreadable` moves.
+    """
+
+    def __init__(
+        self,
+        engine: "Subscriber",
+        schema_lookup: Callable,
+        authority: TokenAuthority,
+    ):
+        self.engine = engine
+        self.schema_lookup = schema_lookup
+        self.authority = authority
+        self.opened: list[OpenResult] = []
+        self.unreadable = 0
+        self.duplicates = 0
+        #: Delivery log: one ``(origin, sequence, verdict)`` triple per
+        #: arriving event, with verdict ``open``/``unreadable``/
+        #: ``duplicate`` -- what the live equivalence gate compares
+        #: across transports.
+        self.log: list[tuple[object, object, str]] = []
+        self._topic_probes: list[tuple[TokenProbe, str]] = []
+
+    def routing_filters(self, grant: "AuthorizationGrant") -> list[Filter]:
+        """Hold *grant*'s topic probe; the filters to register for it."""
+        if all(topic != grant.topic for _, topic in self._topic_probes):
+            self._topic_probes.append(
+                (TokenProbe(self.authority.topic_token(grant.topic)),
+                 grant.topic)
+            )
+        return grant_routing_filters(self.authority, grant)
+
+    def _resolve_topic(self, routable: Event) -> str | None:
+        """The granted topic whose token *routable* carries, if any."""
+        value = routable.get(TOPIC_TOKEN_ATTRIBUTE)
+        try:
+            pair = RoutableToken.decode(value)
+        except (TypeError, ValueError):
+            return None
+        for probe, topic in self._topic_probes:
+            if probe.matches(pair.nonce, pair.proof):
+                return topic
+        return None
+
+    def receive(
+        self, sealed: "SealedEvent", at_time: float = 0.0
+    ) -> "OpenResult | None":
+        """Open one arriving tokenized event and log its verdict."""
+        routable = sealed.routable
+        topic = self._resolve_topic(routable)
+        result = None
+        if topic is not None:
+            attributes = {
+                name: value
+                for name, value in routable.attributes.items()
+                if not name.startswith(_TOKEN_PREFIXES)
+            }
+            attributes["topic"] = topic
+            sealed = replace(
+                sealed, routable=Event(attributes, publisher=routable.publisher)
+            )
+            duplicates_before = self.engine.stats.duplicates_suppressed
+            result = self.engine.receive(
+                sealed, self.schema_lookup, at_time=at_time
+            )
+            if self.engine.stats.duplicates_suppressed > duplicates_before:
+                self.duplicates += 1
+                self.log.append((sealed.origin, sealed.sequence, "duplicate"))
+                return None
+        self.log.append(
+            (
+                sealed.origin,
+                sealed.sequence,
+                "open" if result is not None else "unreadable",
+            )
+        )
+        if result is not None:
+            self.opened.append(result)
+        else:
+            self.unreadable += 1
+        return result
+
 
 #: One compiled constraint: ``(name, probe, None)`` for a tokenized one
 #: (*probe* is None when its token is not hex: it can never match) or

@@ -9,12 +9,11 @@ What differs is what rides on top:
   network never sees plaintext routing attributes), numbers each EVENT
   frame, and keeps the unacked tail for resend after a reconnect --
   at-least-once to its home broker;
-- :class:`RtSubscriber` re-registers every filter after a reconnect,
-  resolves each arriving event's topic from its held topic tokens, and
-  opens events through the standard :class:`~repro.core.subscriber.
-  Subscriber` engine, whose
-  :class:`~repro.recovery.dedup.DedupWindow` turns the publisher's
-  at-least-once resends into exactly-once processing.
+- :class:`RtSubscriber` re-registers every filter after a reconnect and
+  opens arriving events through :class:`~repro.routing.tokens.
+  TokenOpener`, the subscriber edge the in-process facade shares, whose
+  engine's :class:`~repro.recovery.dedup.DedupWindow` turns the
+  publisher's at-least-once resends into exactly-once processing.
 """
 
 from __future__ import annotations
@@ -23,26 +22,17 @@ import asyncio
 import os
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.envelope import OpenResult
 from repro.core.kdc import KDC, AuthorizationGrant
-from repro.core.ktid import KTID
 from repro.core.publisher import Publisher
 from repro.core.renewal import RenewalManager, RenewalPolicy
 from repro.core.subscriber import Subscriber
 from repro.core.wire import decode_sealed_event, encode_sealed_event
 from repro.obs.metrics import MetricsRegistry
-from repro.routing.tokens import (
-    ELEMENT_TOKEN_ATTRIBUTE,
-    TOPIC_TOKEN_ATTRIBUTE,
-    RoutableToken,
-    TokenAuthority,
-    TokenProbe,
-    grant_routing_filters,
-    tokenize_event,
-)
+from repro.routing.tokens import TokenAuthority, TokenOpener, tokenize_sealed
 from repro.rtnet.frames import (
     PROTOCOL_VERSION,
     Ack,
@@ -60,9 +50,6 @@ from repro.rtnet.frames import (
 )
 from repro.siena.events import Event
 from repro.siena.filters import Filter
-
-
-_TOKEN_ATTRIBUTES = (TOPIC_TOKEN_ATTRIBUTE, ELEMENT_TOKEN_ATTRIBUTE)
 
 
 class HandshakeError(ConnectionError):
@@ -279,20 +266,15 @@ class RtPublisher(RtEndpoint):
         at_time: float = 0.0,
     ) -> None:
         """Seal, tokenize, frame and send one publication."""
-        topic = event.get("topic")
-        sealed = self.engine.publish(
-            event, secret_attributes=secret_attributes, at_time=at_time
+        sealed = tokenize_sealed(
+            self.authority,
+            self.engine.publish(
+                event, secret_attributes=secret_attributes, at_time=at_time
+            ),
         )
-        elements = {
-            attribute: element
-            for attribute, element in sealed.elements.items()
-            if isinstance(element, KTID)
-        }
-        tokenized = tokenize_event(
-            self.authority, sealed.routable, elements, topic
+        frame = EventFrame(
+            self._next_seq, time.time(), encode_sealed_event(sealed)
         )
-        payload = encode_sealed_event(replace(sealed, routable=tokenized))
-        frame = EventFrame(self._next_seq, time.time(), payload)
         self._next_seq += 1
         self._unacked[frame.seq] = frame
         await self.send(frame)
@@ -318,17 +300,14 @@ class RtPublisher(RtEndpoint):
         await super()._handle(frame)
 
 
-class RtSubscriber(RtEndpoint):
+class RtSubscriber(RtEndpoint, TokenOpener):
     """A subscribing principal speaking rtnet to its home broker.
 
     Holds KDC grants; each grant is turned into its tokenized routing
-    filters (:func:`~repro.routing.tokens.grant_routing_filters`) and
-    registered with the broker.  Arriving events carry only token pairs,
-    so the subscriber first resolves the topic by matching the event's
-    topic token against the tokens of its granted topics, then opens the
-    event with the standard engine -- an unauthorized subscriber resolves
-    nothing (no token held) or fails cryptographically (no matching
-    grant keys), and only :attr:`unreadable` moves.
+    filters (:meth:`~repro.routing.tokens.TokenOpener.routing_filters`)
+    and registered with the broker.  Arriving EVENT frames are decoded
+    and opened by :meth:`~repro.routing.tokens.TokenOpener.receive`;
+    a body that does not decode logs ``corrupt``.
     """
 
     role = "subscriber"
@@ -353,13 +332,16 @@ class RtSubscriber(RtEndpoint):
         if renewal is not None:
             grace_period = renewal.grace
         super().__init__(subscriber_id, host, port, **kwargs)
-        self.engine = Subscriber(
-            subscriber_id,
-            grace_period=grace_period,
-            dedup_window=dedup_window,
+        TokenOpener.__init__(
+            self,
+            Subscriber(
+                subscriber_id,
+                grace_period=grace_period,
+                dedup_window=dedup_window,
+            ),
+            schema_lookup,
+            authority,
         )
-        self.schema_lookup = schema_lookup
-        self.authority = authority
         self.on_open = on_open
         #: Events are opened at this logical time; with a KDC client
         #: attached it defaults to the client's REKEY-advanced clock.
@@ -381,20 +363,10 @@ class RtSubscriber(RtEndpoint):
             kdc_client.on_rekey.append(self._on_rekey)
             kdc_client.on_install.append(self._on_grant_installed)
         self._grant_tasks: set[asyncio.Task] = set()
-        self.opened: list[OpenResult] = []
-        self.unreadable = 0
-        self.duplicates = 0
-        #: Delivery log: one ``(origin, sequence, verdict)`` triple per
-        #: arriving event, with verdict ``open``/``unreadable``/
-        #: ``duplicate`` -- the benchmark compares this stream against an
-        #: in-process reference run for end-to-end equivalence.
-        self.log: list[tuple[object, object, str]] = []
         #: end-to-end publish->open latencies (seconds), one per opened
         #: event, measured against the EVENT frame's sent_at stamp.
         self.latencies_s: list[float] = []
         self._filters: list[Filter] = []
-        #: topic-token material for topic resolution: (probe, topic).
-        self._topic_tokens: list[tuple[TokenProbe, str]] = []
 
     # -- subscriptions -------------------------------------------------------
 
@@ -495,14 +467,7 @@ class RtSubscriber(RtEndpoint):
         task.add_done_callback(self._grant_tasks.discard)
 
     async def _register_grant(self, grant: AuthorizationGrant) -> None:
-        if all(topic != grant.topic for _, topic in self._topic_tokens):
-            self._topic_tokens.append(
-                (
-                    TokenProbe(self.authority.topic_token(grant.topic)),
-                    grant.topic,
-                )
-            )
-        for routing_filter in grant_routing_filters(self.authority, grant):
+        for routing_filter in self.routing_filters(grant):
             await self.subscribe(routing_filter)
 
     async def _on_connected(self) -> None:
@@ -515,22 +480,6 @@ class RtSubscriber(RtEndpoint):
 
     # -- delivery ------------------------------------------------------------
 
-    def _resolve_topic(self, routable: Event) -> str | None:
-        """Recover the topic from the event's topic token, if granted."""
-        value = routable.get(TOPIC_TOKEN_ATTRIBUTE)
-        if not isinstance(value, str):
-            # Mixed deployments may route plaintext events.
-            topic = routable.get("topic")
-            return topic if isinstance(topic, str) else None
-        try:
-            token_pair = RoutableToken.decode(value)
-        except ValueError:
-            return None
-        for probe, topic in self._topic_tokens:
-            if probe.matches(token_pair.nonce, token_pair.proof):
-                return topic
-        return None
-
     async def _handle(self, frame: Frame) -> None:
         if not isinstance(frame, EventFrame):
             await super()._handle(frame)
@@ -541,42 +490,8 @@ class RtSubscriber(RtEndpoint):
             self.unreadable += 1
             self.log.append((None, None, "corrupt"))
             return
-        topic = self._resolve_topic(sealed.routable)
-        if topic is not None and sealed.routable.get("topic") is None:
-            # Open on what the publisher sealed -- the routable with its
-            # topic back and the routing tokens, spent once the event
-            # arrived, gone: every opened event is retained.
-            routable = sealed.routable
-            attributes = {
-                name: value
-                for name, value in routable.attributes.items()
-                if not name.startswith(_TOKEN_ATTRIBUTES)
-            }
-            attributes["topic"] = topic
-            sealed = replace(
-                sealed, routable=Event(attributes, publisher=routable.publisher)
-            )
-        duplicates_before = self.engine.stats.duplicates_suppressed
-        result = (
-            self.engine.receive(
-                sealed, self.schema_lookup, at_time=self.clock()
-            )
-            if topic is not None
-            else None
-        )
-        if self.engine.stats.duplicates_suppressed > duplicates_before:
-            self.duplicates += 1
-            self.log.append((sealed.origin, sealed.sequence, "duplicate"))
-            return
-        self.log.append(
-            (
-                sealed.origin,
-                sealed.sequence,
-                "open" if result is not None else "unreadable",
-            )
-        )
+        result = self.receive(sealed, self.clock())
         if result is not None:
-            self.opened.append(result)
             self.latencies_s.append(time.time() - frame.sent_at)
             if self.registry is not None:
                 self.registry.histogram(
@@ -584,5 +499,3 @@ class RtSubscriber(RtEndpoint):
                 ).observe(self.latencies_s[-1])
             if self.on_open is not None:
                 self.on_open(result)
-        else:
-            self.unreadable += 1

@@ -1,12 +1,12 @@
 """A synchronous facade over a live TCP cluster.
 
 :class:`LiveSystem` mirrors the :class:`repro.api.System` surface --
-``publisher()``, ``subscribe()``, ``snapshot()`` -- but the events flow
-over real sockets: an asyncio loop runs in a daemon thread hosting a
-:class:`~repro.rtnet.cluster.ClusterLauncher`, and every facade call is
-submitted to it with ``run_coroutine_threadsafe``.  It is what
-``System.builder().transport("tcp").build()`` returns, so switching a
-session from the in-process tree to a localhost TCP deployment is a
+``publisher()``, ``subscribe()``, ``settle()``, ``close()`` -- but the
+events flow over real sockets: an asyncio loop runs in a daemon thread
+hosting a :class:`~repro.rtnet.cluster.ClusterLauncher`, and every
+facade call is submitted to it with ``run_coroutine_threadsafe``.  It is
+what ``System.builder().transport("tcp").build()`` returns, so switching
+a session from the in-process tree to a localhost TCP deployment is a
 one-line change.
 """
 
@@ -38,6 +38,10 @@ class LivePublisher:
     @property
     def publisher_id(self) -> str:
         return self.endpoint.peer_id
+
+    @property
+    def unacked(self) -> int:
+        return self.endpoint.unacked
 
     def publish(
         self,
@@ -74,6 +78,10 @@ class LiveSubscriber:
     @property
     def unreadable(self) -> int:
         return self.endpoint.unreadable
+
+    @property
+    def log(self) -> list[tuple[object, object, str]]:
+        return self.endpoint.log
 
     @property
     def renewal_stats(self):
@@ -247,17 +255,6 @@ class LiveSystem:
             publisher.settle(timeout=timeout)
         for subscriber in self.subscribers.values():
             subscriber.settle(timeout=timeout)
-
-    # -- observability --------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        return self.obs.snapshot()
-
-    def to_prometheus(self) -> str:
-        return self.obs.to_prometheus()
-
-    def broker_stats(self) -> dict:
-        return self.cluster.stats()
 
     # -- teardown -------------------------------------------------------------
 

@@ -11,6 +11,7 @@ import copy
 
 import pytest
 
+from repro.api import SystemBuilder
 from repro.harness.live import (
     SCENARIO,
     LiveConfig,
@@ -100,6 +101,22 @@ def test_report_renders_the_gated_numbers(result):
     assert "equivalence        ok" in report
     assert "unauthorized opens 0" in report
     assert "unacked publishes  0" in report
+
+
+def test_both_sides_are_built_through_the_facade(monkeypatch):
+    built = []
+    build = SystemBuilder.build
+
+    def recording_build(builder):
+        built.append(builder._options.transport)
+        return build(builder)
+
+    monkeypatch.setattr(SystemBuilder, "build", recording_build)
+    result = run_live(LiveConfig(
+        seed=1, events=5, num_brokers=1, num_subscribers=1,
+    ))
+    assert built == ["inproc", "tcp"]
+    assert result.live == result.reference
 
 
 def test_config_validation_rejects_empty_runs():

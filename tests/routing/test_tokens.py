@@ -3,18 +3,26 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.composite import CompositeKeySpace
+from repro.core.kdc import KDC
 from repro.core.ktid import KTID
 from repro.core.nakt import NumericKeySpace
+from repro.core.publisher import Publisher
+from repro.core.subscriber import Subscriber
+from repro.flow import HIGH, priority_of, with_priority
 from repro.routing.tokens import (
     RoutableToken,
     TokenAuthority,
+    TokenOpener,
     make_routable,
     routable_matches,
     tokenize_event,
+    tokenize_sealed,
     tokenized_match,
     tokenized_subscription,
 )
 from repro.siena.events import Event
+from repro.siena.filters import Filter
 
 MASTER = bytes(range(16))
 
@@ -158,6 +166,80 @@ class TestEventTokenization:
         event = Event({"topic": "w", "_seq": 42})
         tokenized = tokenize_event(authority, event, {}, "w")
         assert tokenized["_seq"] == 42
+
+    def test_priority_class_survives_tokenization(self, authority):
+        """Every flow decision after the publisher reads the class off
+        the tokenized routable, so tokenizing must not reset it."""
+        event = with_priority(Event({"topic": "t", "age": 3}), HIGH)
+        tokenized = tokenize_event(authority, event, {}, "t")
+        assert priority_of(tokenized) == HIGH
+        assert "age" not in tokenized
+
+
+class TestTokenOpener:
+    """The subscriber edge both transports open through."""
+
+    @pytest.fixture
+    def kdc(self):
+        kdc = KDC(master_key=MASTER)
+        kdc.register_topic(
+            "trial", CompositeKeySpace({"age": NumericKeySpace("age", 128)})
+        )
+        kdc.register_topic("other", CompositeKeySpace({}))
+        return kdc
+
+    def _opener(self, kdc, authority, *filters):
+        opener = TokenOpener(
+            Subscriber("s"),
+            lambda topic: kdc.config_for(topic).schema,
+            authority,
+        )
+        registered = []
+        for subscription_filter in filters:
+            grant = kdc.authorize("s", subscription_filter)
+            opener.engine.add_grant(grant)
+            registered += opener.routing_filters(grant)
+        return opener, registered
+
+    def test_opens_on_the_sealed_routable_with_topic_back(
+        self, kdc, authority
+    ):
+        opener, registered = self._opener(
+            kdc, authority, Filter.numeric_range("trial", "age", 16, 31)
+        )
+        sealed = tokenize_sealed(authority, Publisher("p", kdc).publish(
+            Event({"topic": "trial", "age": 25, "body": "b", "_seq": 1},
+                  publisher="p")
+        ))
+        assert any(tokenized_match(f, sealed.routable) for f in registered)
+        result = opener.receive(sealed)
+        assert dict(result.event.attributes) == {
+            "topic": "trial", "body": "b", "_seq": 1,
+        }
+        assert opener.opened == [result]
+        assert opener.log == [("p", 0, "open")]
+        # The same publication again is a duplicate, not unreadable.
+        assert opener.receive(sealed) is None
+        assert opener.log[-1] == ("p", 0, "duplicate")
+        assert (opener.duplicates, opener.unreadable) == (1, 0)
+
+    def test_an_ungranted_topic_resolves_to_nothing(self, kdc, authority):
+        opener, _ = self._opener(kdc, authority, Filter.topic("trial"))
+        sealed = tokenize_sealed(authority, Publisher("p", kdc).publish(
+            Event({"topic": "other", "body": "b"}, publisher="p")
+        ))
+        assert opener.receive(sealed) is None
+        assert opener.log == [("p", 0, "unreadable")]
+        assert opener.engine.stats.events_received == 0
+        assert opener.unreadable == 1
+
+    def test_a_plaintext_routable_is_not_opened(self, kdc, authority):
+        opener, _ = self._opener(kdc, authority, Filter.topic("trial"))
+        sealed = Publisher("p", kdc).publish(
+            Event({"topic": "trial", "body": "b"}, publisher="p")
+        )
+        assert opener.receive(sealed) is None
+        assert opener.unreadable == 1
 
 
 @given(topic=st.text(min_size=1, max_size=12))

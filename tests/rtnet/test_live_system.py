@@ -54,14 +54,17 @@ def test_tcp_transport_disseminates_over_real_sockets():
         assert outsider.opened == []
         assert outsider.unreadable == 0
 
-        # The live facade exposes the same observability surface.
-        snapshot = system.snapshot()
+        assert [verdict for *_, verdict in doctor.log] == ["open"]
+        assert system.publisher("hospital").unacked == 0
+
+        # The wired layers are reachable, as in process.
+        snapshot = system.obs.snapshot()
         assert any(
             name.startswith("rtnet_") for name in snapshot["counters"]
         )
-        stats = system.broker_stats()
+        stats = system.cluster.stats()
         assert stats["b0"]["events_received"] == 1
-        assert "rtnet_frames_total" in system.to_prometheus()
+        assert "rtnet_frames_total" in system.obs.to_prometheus()
 
 
 def test_live_publishers_cached_and_duplicate_subscribers_rejected():

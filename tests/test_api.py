@@ -4,8 +4,11 @@ import pytest
 
 from repro.api import System, SystemBuilder, connect
 from repro.core.kdc import KDC
+from repro.core.renewal import RenewalPolicy
 from repro.flow import AdmissionController
+from repro.flow import HIGH, PRIORITY_ATTRIBUTE, with_priority
 from repro.obs import Observability
+from repro.routing.tokens import tokenize_sealed, tokenized_subscription
 from repro.siena.events import Event
 from repro.siena.filters import Filter
 
@@ -45,7 +48,9 @@ def test_unauthorized_range_is_unreadable(medical_system):
     nosy = system.subscribe(
         "nosy", Filter.numeric_range("cancerTrail", "age", 31, 127)
     )
-    system.tree.subscribe("nosy", Filter.topic("cancerTrail"))
+    system.tree.subscribe(
+        "nosy", tokenized_subscription(system.authority, "cancerTrail")
+    )
     system.publisher("hospital").publish(
         Event(
             {"topic": "cancerTrail", "age": 25, "secret": "s"},
@@ -55,6 +60,71 @@ def test_unauthorized_range_is_unreadable(medical_system):
     )
     assert nosy.opened == []
     assert nosy.unreadable == 1
+
+
+def test_no_plaintext_routing_value_reaches_an_inprocess_broker(
+    monkeypatch,
+):
+    """Every broker of the in-process tree sees token pairs, the
+    sequence stamp and the priority class -- no attribute value."""
+    system = connect("cancerTrail", numeric={"age": 128}, brokers=7)
+    doctor = system.subscribe(
+        "doctor", Filter.numeric_range("cancerTrail", "age", 21, 127)
+    )
+    seen = []
+    for broker in system.tree.brokers.values():
+        def tapped(events, arrived_from=None, _publish=broker.publish):
+            seen.extend(events if isinstance(events, list) else [events])
+            return _publish(events, arrived_from=arrived_from)
+
+        monkeypatch.setattr(broker, "publish", tapped)
+    system.publisher("hospital").publish(
+        with_priority(
+            Event(
+                {"topic": "cancerTrail", "age": 25, "patientRecord": "r",
+                 "_seq": 9},
+                publisher="hospital",
+            ),
+            HIGH,
+        ),
+        secret_attributes={"patientRecord"},
+    )
+    assert [r.event["patientRecord"] for r in doctor.opened] == ["r"]
+    assert len(seen) >= 3  # the root, an inner broker and the leaf
+    for event in seen:
+        assert {
+            name for name in event.attributes if not name.startswith("_etok:")
+        } == {"_ttok", "_seq", PRIORITY_ATTRIBUTE}
+        assert event[PRIORITY_ATTRIBUTE] == HIGH
+
+
+def test_standing_subscription_renews_and_revocation_lapses():
+    system = connect(
+        "t", numeric={"v": 16}, epoch_length=100.0,
+        renewal=RenewalPolicy(lead=10.0, grace=0.0),
+    )
+    reader = system.subscribe("r", Filter.numeric_range("t", "v", 0, 7))
+    feed = system.publisher("f")
+
+    def publish(body, at_time):
+        feed.publish(
+            Event({"topic": "t", "v": 3, "body": body}, publisher="f"),
+            at_time=at_time,
+        )
+
+    publish("a", 5.0)
+    assert system.advance(95.0) == 1  # inside the lead of epoch 0's end
+    publish("b", 150.0)
+    assert [r.event["body"] for r in reader.opened] == ["a", "b"]
+    system.kdc.revoke("r", "t")
+    assert system.advance(195.0) == 0
+    assert reader.renewal_stats.renewals_denied == 1
+    # Routing tokens outlive the epoch; the keys do not.
+    publish("c", 250.0)
+    assert reader.unreadable == 1
+    assert [verdict for *_, verdict in reader.log] == [
+        "open", "open", "unreadable",
+    ]
 
 
 def test_publisher_sessions_are_cached(medical_system):
@@ -104,8 +174,8 @@ def test_facade_traces_and_metrics():
     assert summary["traces_delivered"] == 1
     assert summary["dropped_spans"] == 0
     assert system.registry.total("broker_deliveries_total") == 1
-    assert "broker_deliveries_total" in system.to_prometheus()
-    assert system.snapshot()["tracing"]["traces_started"] == 1
+    assert "broker_deliveries_total" in system.obs.to_prometheus()
+    assert system.obs.snapshot()["tracing"]["traces_started"] == 1
 
 
 def test_package_reexports_blessed_surface():
@@ -134,9 +204,9 @@ class TestExplicitShedVerdict:
         system = _news_system(rate=10.0, burst=1.0, reserve=0.0)
         system.subscribe("w", Filter.numeric_range("news", "price", 0, 127))
         feed = system.publisher("feed")
-        sealed = feed.engine.publish(
+        sealed = tokenize_sealed(system.authority, feed.engine.publish(
             Event({"topic": "news", "price": 1, "b": "x"}, publisher="feed")
-        )
+        ))
         fanout, shed = system._disseminate(sealed, 0.0)
         assert fanout >= 1 and shed is False
         fanout, shed = system._disseminate(sealed, 0.0)  # bucket drained

@@ -11,6 +11,13 @@ def test_demo(capsys):
     assert "doctor" in output
     assert "rec-17" in output
     assert "None" in output  # the outsider is denied
+    # Brokers route on tokens: the routable part names no plaintext value.
+    (routable,) = [
+        line for line in output.splitlines()
+        if line.startswith("event routable part")
+    ]
+    assert "'age'" not in routable and "'topic'" not in routable
+    assert "'_ttok'" in routable
 
 
 def test_grant(capsys):
