@@ -178,8 +178,9 @@ class SessionSubscriber(TokenOpener):
             self.renewal = RenewalManager(
                 self.engine, system.kdc, renew_lead_time=policy.lead
             )
-        self.home = system._next_leaf()
-        system.tree.attach_subscriber(subscriber_id, self.home, self._deliver)
+        # Every grant first: a refused filter raises before the tree or
+        # the system holds anything of this session.
+        routing_filters: list[Filter] = []
         for subscription_filter in filters:
             if self.renewal is not None:
                 grant = self.renewal.add_subscription(
@@ -191,8 +192,11 @@ class SessionSubscriber(TokenOpener):
                 )
                 self.engine.add_grant(grant)
             if grant is not None:
-                for routing_filter in self.routing_filters(grant):
-                    system.tree.subscribe(subscriber_id, routing_filter)
+                routing_filters += self.routing_filters(grant)
+        self.home = system._next_leaf()
+        system.tree.attach_subscriber(subscriber_id, self.home, self._deliver)
+        for routing_filter in routing_filters:
+            system.tree.subscribe(subscriber_id, routing_filter)
 
     @property
     def renewal_stats(self):

@@ -1,16 +1,16 @@
 """Instrumented bounded LRU maps for the hot-path memoization layers.
 
 The engine memoizes two pure computations -- Song--Wagner--Perrig label
-tokens, and the topic pin an event verified under at the brokers.  Both
-need the same substrate: a bounded
-mapping with LRU eviction whose hit/miss/eviction counts surface in the
-shared :class:`~repro.obs.metrics.MetricsRegistry` so ``repro metrics``
-and the ``benchmarks/e2e`` harness can report cache effectiveness without
-bespoke plumbing per layer.
+tokens, and the topic pin an event verified under at the brokers (the
+``Broker.match_cache`` memo is a bare :class:`LRUCache`).  Both need the
+same substrate: a bounded mapping with LRU eviction whose
+hit/miss/eviction counts can surface in a shared
+:class:`~repro.obs.metrics.MetricsRegistry`, and whose ``stats()`` the
+``benchmarks/e2e`` harness reads, without bespoke plumbing per layer.
 
 The class is deliberately dependency-free (it lives in ``repro.obs`` so
-that low layers such as ``repro.routing.tokens`` and ``repro.siena.index``
-can use it without import cycles through ``repro.core``).
+that low layers such as ``repro.routing.tokens`` and ``repro.siena`` can
+use it without import cycles through ``repro.core``).
 """
 
 from __future__ import annotations

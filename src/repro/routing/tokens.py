@@ -39,7 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.envelope import OpenResult, SealedEvent
     from repro.core.kdc import AuthorizationGrant
     from repro.core.subscriber import Subscriber
-    from repro.obs.metrics import MetricsRegistry
 
 _NONCE_BYTES = 16
 
@@ -151,21 +150,12 @@ class CachingTokenAuthority(TokenAuthority):
     Label tokens are deterministic PRFs of the master key, so memoization
     is exact: ``T(w)`` and element tokens never change for a fixed KDC.
     The LRU bound keeps hostile topic churn from growing the map without
-    limit.  Hit/miss/eviction counters register in *registry* under
-    ``token_authority_cache_*`` when one is supplied.
+    limit; ``cache.stats()`` reports hits, misses and evictions.
     """
 
-    def __init__(
-        self,
-        master_key: bytes,
-        capacity: int = 4096,
-        registry: "MetricsRegistry | None" = None,
-        **labels,
-    ):
+    def __init__(self, master_key: bytes, capacity: int = 4096):
         super().__init__(master_key)
-        self.cache = LRUCache(
-            capacity, "token_authority_cache", registry, **labels
-        )
+        self.cache = LRUCache(capacity, "token_authority_cache")
 
     def topic_token(self, topic: str) -> bytes:
         return self.cache.get_or_compute(

@@ -429,7 +429,7 @@ class BrokerServer:
                 self._enqueue(peer, Unsubscribe(payload), CONTROL_PRIORITY)
             elif kind == "publish":
                 self._forward_event(peer, payload)
-            else:  # pragma: no cover - rtnet never batches on the wire
+            else:  # pragma: no cover - the broker sends no other kind
                 raise ValueError(f"unroutable message kind {kind!r}")
 
         return send

@@ -22,8 +22,8 @@ from repro.siena.operators import Op
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.lru import LRUCache
     from repro.recovery.journal import BrokerJournal
-    from repro.siena.index import MatchResultCache
 
 #: An interface identifier: a neighbouring broker id or a local client id.
 Interface = Hashable
@@ -101,8 +101,6 @@ class BrokerStats(RegistryBackedStats):
         "match_tests",
         "deliveries",
         "dropped_while_down",
-        "batches_received",
-        "batches_forwarded",
     )
     _metric_prefix = "broker_"
 
@@ -158,12 +156,23 @@ class Broker:
         broker_id: Hashable,
         match: MatchPredicate = _plain_match,
         registry: MetricsRegistry | None = None,
-        match_cache: "MatchResultCache | None" = None,
+        match_cache: "LRUCache | None" = None,
     ):
         self.broker_id = broker_id
         self.match = match
-        # Optional shared memo of the pin each event verified under;
-        # sound because match predicates are pure (see MatchPredicate).
+        #: Optional memo of the topic pin each event verified under
+        #: (event ``_ttok`` value -> pin value), shared by every broker
+        #: of an overlay so a pin one hop verified is not probed again at
+        #: the next.  Sound because whether a routable verifies under a
+        #: token is a fact about the two alone, and an event verifies
+        #: under at most one pin (see :data:`MatchPredicate`): a pairing
+        #: recorded at one broker holds at every other.  Only positives
+        #: are stored (:meth:`_verified_bucket`): "no pin matched here"
+        #: depends on which pins the testing broker carried.  Every key
+        #: holds an event's fresh nonce, so an entry can only hit while
+        #: its event is being walked: size the memo to the events in
+        #: flight, since a larger one only keeps entries that can never
+        #: hit again.
         self.match_cache = match_cache
         self.alive = True
         #: Bumped on every restart; neighbours use it to detect that a
@@ -584,13 +593,13 @@ class Broker:
         if cache is not None:
             event_token = event.get(_TOPIC_TOKEN_ATTRIBUTE)
             if isinstance(event_token, str):
-                known = cache.topic_group(event_token)
+                known = cache.get(event_token)
                 if known is not None:
                     return self._buckets.get(known, ())
         for pin_value, bucket in self._buckets.items():
             if self._verdict(bucket[0].pin, event, verdicts):
                 if isinstance(event_token, str):
-                    cache.remember_topic_group(event_token, pin_value)
+                    cache.put(event_token, pin_value)
                 return bucket
         return ()
 
@@ -622,12 +631,9 @@ class Broker:
     def _matched_interfaces(
         self, event: Event, arrived_from: Interface | None
     ) -> list[Interface]:
-        """Interfaces *event* must go out on, in stable delivery order.
-
-        Shared by single-event and batch :meth:`publish` so both paths
-        apply identical matching, dedup, and ordering: table order, as a
-        scan ``[s for s in table if match(s.filter, event)]`` would give.
-        """
+        """Interfaces *event* must go out on, in stable delivery order:
+        table order, as a scan ``[s for s in table if match(s.filter,
+        event)]`` would give, each interface once."""
         matched: list[Interface] = []
         seen: set[Interface] = set()
         for subscription in self._matching_entries(event):
@@ -639,25 +645,10 @@ class Broker:
         return matched
 
     def publish(
-        self,
-        events: "Event | list[Event]",
-        arrived_from: Interface | None = None,
+        self, event: Event, arrived_from: Interface | None = None
     ) -> int:
-        """Route one event or a whole batch.
-
-        A single :class:`Event` routes up to the parent and down every
-        matching interface, returning the broker's fan-out.  A list
-        routes as a batch -- identical per-subscriber semantics, one
-        message per outgoing interface -- returning the number of
-        distinct interfaces the batch went out on.
-        """
-        if isinstance(events, Event):
-            return self._publish_one(events, arrived_from)
-        return self._publish_many(list(events), arrived_from)
-
-    def _publish_one(
-        self, event: Event, arrived_from: Interface | None
-    ) -> int:
+        """Route *event* up to the parent and down every matching
+        interface; returns the broker's fan-out."""
         if not self.alive:
             self.stats.dropped_while_down += 1
             return 0
@@ -678,56 +669,6 @@ class Broker:
         ):
             self.stats.inc("events_forwarded")
             self.send_parent("publish", event)
-            forwarded_to.add(self.parent)
-        return len(forwarded_to)
-
-    def _publish_many(
-        self, events: list[Event], arrived_from: Interface | None
-    ) -> int:
-        """Route a whole batch with one message per outgoing interface.
-
-        Per-subscriber semantics are identical to publishing each event of
-        *events* in order (same matching, same delivery order); only the
-        transport framing changes -- each child interface receives a
-        single ``publish_batch`` message carrying its sub-batch, and the
-        parent receives the full batch once.  Returns the number of
-        distinct interfaces the batch went out on.
-        """
-        if not self.alive:
-            self.stats.dropped_while_down += len(events)
-            return 0
-        self.stats.inc("batches_received")
-        self.stats.inc("events_received", len(events))
-        sub_batches: dict[Interface, list[Event]] = {}
-        interface_order: list[Interface] = []
-        for event in events:
-            for interface in self._matched_interfaces(event, arrived_from):
-                bucket = sub_batches.get(interface)
-                if bucket is None:
-                    bucket = sub_batches[interface] = []
-                    interface_order.append(interface)
-                bucket.append(event)
-
-        forwarded_to: set[Interface] = set(interface_order)
-        for interface in interface_order:
-            sub_batch = sub_batches[interface]
-            if interface in self.clients:
-                deliver = self.clients[interface]
-                self.stats.inc("deliveries", len(sub_batch))
-                for event in sub_batch:
-                    deliver(event)
-            elif interface in self.children:
-                self.stats.inc("events_forwarded", len(sub_batch))
-                self.stats.inc("batches_forwarded")
-                self.children[interface]("publish_batch", sub_batch)
-
-        if (
-            self.send_parent is not None
-            and arrived_from != self.parent
-        ):
-            self.stats.inc("events_forwarded", len(events))
-            self.stats.inc("batches_forwarded")
-            self.send_parent("publish_batch", list(events))
             forwarded_to.add(self.parent)
         return len(forwarded_to)
 

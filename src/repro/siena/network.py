@@ -14,8 +14,8 @@ from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 from repro.siena.broker import Broker, MatchPredicate, _plain_match
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.lru import LRUCache
     from repro.obs.metrics import MetricsRegistry
-    from repro.siena.index import MatchResultCache
 from repro.siena.events import Event
 from repro.siena.filters import Filter
 
@@ -39,7 +39,7 @@ class BrokerTree:
         arity: int = 2,
         match: MatchPredicate = _plain_match,
         registry: "MetricsRegistry | None" = None,
-        match_cache: "MatchResultCache | None" = None,
+        match_cache: "LRUCache | None" = None,
     ):
         if num_brokers < 1:
             raise ValueError("a broker tree needs at least one broker (the root)")
@@ -84,9 +84,6 @@ class BrokerTree:
                 target.unsubscribe(from_id, payload)
             elif kind == "publish":
                 assert isinstance(payload, Event)
-                target.publish(payload, arrived_from=from_id)
-            elif kind == "publish_batch":
-                assert isinstance(payload, list)
                 target.publish(payload, arrived_from=from_id)
             else:  # pragma: no cover - defensive
                 raise ValueError(f"unknown message kind {kind!r}")
@@ -181,13 +178,9 @@ class BrokerTree:
                 del self._client_filters[subscriber_id]
         self.brokers[broker_id].unsubscribe(subscriber_id, subscription_filter)
 
-    def publish(self, events: "Event | list[Event]") -> int:
-        """Inject one event or a batch at the root; returns root fan-out.
-
-        Batch deliveries are identical to publishing each event in order;
-        broker-to-broker hops carry one batch message per interface.
-        """
-        return self.root.publish(events, arrived_from=None)
+    def publish(self, event: Event) -> int:
+        """Inject *event* at the root; returns the root's fan-out."""
+        return self.root.publish(event)
 
     # -- failure lifecycle ---------------------------------------------------
 

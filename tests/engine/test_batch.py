@@ -1,113 +1,37 @@
-"""Batch lifecycle: size, timeout, and close flushes."""
+"""The engine's batch lifecycle: a size flush and an explicit flush."""
 
 import pytest
 
-from repro.engine.batch import BatchAccumulator, EventBatch
+from repro.engine import DisseminationEngine, EngineConfig
 from repro.siena.events import Event
-
-
-class FakeClock:
-    def __init__(self, now: float = 0.0):
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 def _event(n: int) -> Event:
     return Event({"topic": "t", "n": n})
 
 
-def test_size_flush_includes_triggering_event():
-    accumulator = BatchAccumulator(batch_size=3)
-    assert accumulator.add(_event(0)) is None
-    assert accumulator.add(_event(1)) is None
-    batch = accumulator.add(_event(2))
-    assert batch is not None
-    assert batch.reason == "size"
+def test_size_flush_includes_triggering_event(tree):
+    engine = DisseminationEngine(tree, EngineConfig(batch_size=3))
+    assert engine.publish(_event(0)) is None
+    assert engine.publish(_event(1)) is None
+    assert tree.published == []
+    batch = engine.publish(_event(2))
     assert [event.get("n") for event in batch] == [0, 1, 2]
-    assert len(accumulator) == 0
+    assert tree.published == batch
+    assert engine.flush() is None  # nothing left pending
 
 
-def test_batch_ids_are_sequential():
-    accumulator = BatchAccumulator(batch_size=1)
-    first = accumulator.add(_event(0))
-    second = accumulator.add(_event(1))
-    assert (first.batch_id, second.batch_id) == (0, 1)
-
-
-def test_timeout_flush_excludes_late_event():
-    clock = FakeClock()
-    accumulator = BatchAccumulator(
-        batch_size=10, flush_timeout=1.0, clock=clock
-    )
-    accumulator.add(_event(0))
-    clock.advance(2.0)
-    # The stale batch flushes before the new event enqueues: the late
-    # event opens the next batch instead of absorbing into the old one.
-    batch = accumulator.add(_event(1))
-    assert batch.reason == "timeout"
-    assert [event.get("n") for event in batch] == [0]
-    assert len(accumulator) == 1
-
-
-def test_poll_flushes_on_timeout_without_enqueue():
-    clock = FakeClock()
-    accumulator = BatchAccumulator(
-        batch_size=10, flush_timeout=0.5, clock=clock
-    )
-    assert accumulator.poll() is None
-    accumulator.add(_event(0))
-    assert accumulator.poll() is None
-    clock.advance(0.5)
-    batch = accumulator.poll()
-    assert batch is not None and batch.reason == "timeout"
-    assert accumulator.poll() is None
-
-
-def test_flush_drains_partial_batch():
-    accumulator = BatchAccumulator(batch_size=10)
-    accumulator.add(_event(0))
-    accumulator.add(_event(1))
-    batch = accumulator.flush()
-    assert batch.reason == "close"
-    assert len(batch) == 2
-    assert accumulator.flush() is None
-
-
-def test_timestamps_recorded():
-    clock = FakeClock(100.0)
-    accumulator = BatchAccumulator(batch_size=2, clock=clock)
-    accumulator.add(_event(0))
-    clock.advance(3.0)
-    batch = accumulator.add(_event(1))
-    assert batch.opened_at == 100.0
-    assert batch.flushed_at == 103.0
-
-
-def test_no_timeout_when_disabled():
-    clock = FakeClock()
-    accumulator = BatchAccumulator(batch_size=10, clock=clock)
-    accumulator.add(_event(0))
-    clock.advance(1e9)
-    assert accumulator.poll() is None
-    assert accumulator.add(_event(1)) is None
-
-
-def test_wire_size_sums_events():
-    batch = EventBatch((_event(0), _event(1)), batch_id=0)
-    assert batch.wire_size() == _event(0).wire_size() + _event(1).wire_size()
+def test_flush_drains_partial_batch(tree):
+    engine = DisseminationEngine(tree, EngineConfig(batch_size=10))
+    engine.publish(_event(0))
+    engine.publish(_event(1))
+    batch = engine.flush()
+    assert [event.get("n") for event in batch] == [0, 1]
+    assert tree.published == batch
+    assert engine.flush() is None
 
 
 @pytest.mark.parametrize("bad", [0, -1])
 def test_rejects_bad_batch_size(bad):
     with pytest.raises(ValueError):
-        BatchAccumulator(batch_size=bad)
-
-
-def test_rejects_negative_timeout():
-    with pytest.raises(ValueError):
-        BatchAccumulator(flush_timeout=-0.1)
+        EngineConfig(batch_size=bad)

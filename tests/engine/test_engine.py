@@ -1,98 +1,56 @@
-"""DisseminationEngine: dispatch, metrics, lifecycle."""
+"""DisseminationEngine: dispatch, metrics, caches."""
 
 import pytest
 
 from repro.engine import DisseminationEngine, EngineCaches, EngineConfig
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.lru import LRUCache
 from repro.siena.events import Event
 from repro.siena.filters import Filter
 from repro.siena.network import BrokerTree
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-
-class RecordingTransport:
-    def __init__(self):
-        self.batches: list[list[Event]] = []
-
-    def publish(self, events):
-        self.batches.append(list(events))
 
 
 def _event(n: int) -> Event:
     return Event({"topic": "t", "n": n})
 
 
-def test_size_flush_dispatches_to_transport():
-    transport = RecordingTransport()
-    engine = DisseminationEngine(transport, EngineConfig(batch_size=2))
+def test_size_flush_dispatches_to_transport(tree):
+    engine = DisseminationEngine(tree, EngineConfig(batch_size=2))
     engine.publish(_event(0))
-    assert transport.batches == []
-    assert engine.pending == 1
+    assert tree.published == []
     engine.publish(_event(1))
-    assert [[e.get("n") for e in b] for b in transport.batches] == [[0, 1]]
-    assert engine.pending == 0
+    assert [event.get("n") for event in tree.published] == [0, 1]
 
 
-def test_dispatch_is_one_publish_call_per_batch():
-    class Transport(RecordingTransport):
-        def publish_batch(self, events):  # pragma: no cover
-            raise AssertionError("the engine only knows publish()")
+def test_dispatch_is_one_tree_publish_per_event():
+    calls = []
 
-    transport = Transport()
-    engine = DisseminationEngine(transport, EngineConfig(batch_size=2))
-    engine.publish(_event(0))
-    engine.publish(_event(1))
-    assert len(transport.batches) == 1 and len(transport.batches[0]) == 2
+    class Tree:
+        def publish(self, event):
+            assert isinstance(event, Event)
+            calls.append(event.get("n"))
 
-
-def test_close_drains_partial_and_refuses_publish():
-    transport = RecordingTransport()
-    engine = DisseminationEngine(transport, EngineConfig(batch_size=10))
-    engine.publish(_event(0))
-    final = engine.close()
-    assert final is not None and final.reason == "close"
-    assert len(transport.batches) == 1
-    with pytest.raises(RuntimeError):
-        engine.publish(_event(1))
-    assert engine.close() is None  # idempotent
+    engine = DisseminationEngine(Tree(), EngineConfig(batch_size=3))
+    for n in range(4):
+        engine.publish(_event(n))
+    assert calls == [0, 1, 2]
+    engine.flush()
+    assert calls == [0, 1, 2, 3]
 
 
-def test_timeout_flush_via_poll():
-    transport = RecordingTransport()
-    clock = FakeClock()
-    engine = DisseminationEngine(
-        transport,
-        EngineConfig(batch_size=10, flush_timeout=1.0),
-        clock=clock,
-    )
-    engine.publish(_event(0))
-    assert engine.poll() is None
-    clock.now = 1.5
-    batch = engine.poll()
-    assert batch is not None and batch.reason == "timeout"
-    assert len(transport.batches) == 1
-
-
-def test_metrics_registered():
-    registry = MetricsRegistry()
-    engine = DisseminationEngine(
-        RecordingTransport(), EngineConfig(batch_size=2), registry
-    )
+def test_metrics_registered(tree):
+    engine = DisseminationEngine(tree, EngineConfig(batch_size=2))
     for n in range(5):
         engine.publish(_event(n))
-    engine.close()
-    snapshot = registry.snapshot()
-    assert snapshot["counters"]["engine_events_total"] == 5
-    assert snapshot["counters"]['engine_batches_total{reason="size"}'] == 2
-    assert snapshot["counters"]['engine_batches_total{reason="close"}'] == 1
-    assert snapshot["histograms"]["engine_batch_events"]["count"] == 3
+    engine.flush()
+    counters = engine.registry.snapshot()["counters"]
+    assert counters['engine_batches_total{reason="size"}'] == 2
+    assert counters['engine_batches_total{reason="flush"}'] == 1
+    assert engine.registry.total("engine_batches_total") == 3
+
+
+def test_rejects_bad_config():
+    with pytest.raises(ValueError):
+        EngineConfig(batch_size=0)
 
 
 def test_engine_over_broker_tree_delivers_everything():
@@ -103,21 +61,49 @@ def test_engine_over_broker_tree_delivers_everything():
     engine = DisseminationEngine(tree, EngineConfig(batch_size=3))
     for n in range(7):
         engine.publish(Event({"topic": "news", "n": n}))
-    engine.close()
+    engine.flush()
     assert [event.get("n") for event in received] == list(range(7))
 
 
-def test_rejects_bad_config():
-    with pytest.raises(ValueError):
-        EngineConfig(batch_size=0)
+def test_engine_walks_the_tree_like_per_event_publishes():
+    """The accumulator only delays: every hop carries one event, as when
+    each event is published with ``tree.publish``."""
+    walks = []
+    for through_engine in (False, True):
+        tree = BrokerTree(num_brokers=7)
+        for index, leaf in enumerate(tree.leaf_ids()):
+            topic = ("news", "other")[index % 2]
+            tree.attach_subscriber(f"s{index}", leaf, lambda _event: None)
+            tree.subscribe(f"s{index}", Filter.topic(topic))
+        events = [
+            Event({"topic": ("news", "other", "none")[n % 3], "n": n})
+            for n in range(10)
+        ]
+        if through_engine:
+            engine = DisseminationEngine(tree, EngineConfig(batch_size=4))
+            for event in events:
+                engine.publish(event)
+            engine.flush()
+        else:
+            for event in events:
+                tree.publish(event)
+        walks.append((
+            tree.message_count,
+            {
+                broker_id: broker.stats.events_received
+                for broker_id, broker in tree.brokers.items()
+            },
+        ))
+    assert walks[0] == walks[1]
 
 
 def test_engine_caches_bundle():
-    registry = MetricsRegistry()
-    caches = EngineCaches(EngineConfig(), registry)
+    caches = EngineCaches(EngineConfig(batch_size=4))
     authority = caches.token_authority(bytes(16))
     token = authority.topic_token("w")
     assert authority.topic_token("w") == token  # memoized, same value
-    stats = caches.stats()
-    assert set(stats) == {"match_results"}
-    assert all("hit_rate" in section for section in stats.values())
+    assert authority.cache.stats()["hits"] == 1
+    assert isinstance(caches.match_results, LRUCache)
+    stats = caches.match_results.stats()
+    assert (stats["name"], stats["capacity"]) == ("topic_group_memo", 512)
+    assert caches.token_prf.cache.stats()["hits"] == 0

@@ -6,7 +6,7 @@ ciphertexts, tokenized once) are disseminated through two identical
 broker trees -- one via ``publish`` per event, one via the
 ``DisseminationEngine`` with its caches enabled -- and every subscriber
 must receive exactly the same events in exactly the same order,
-including under timeout flushes and partial final batches.
+including under mid-stream flushes and partial final batches.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -30,14 +30,6 @@ from repro.siena.network import BrokerTree
 
 MASTER = bytes(range(16))
 TOPICS = ("alpha", "beta", "gamma")
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
 
 
 def _attach_all(tree, subscriptions, streams):
@@ -83,20 +75,15 @@ def _run_both_paths(
             for event in events:
                 tree.publish(event)
         else:
-            clock = FakeClock()
             engine = DisseminationEngine(
-                tree,
-                EngineConfig(batch_size=batch_size, flush_timeout=5.0),
-                clock=clock,
+                tree, EngineConfig(batch_size=batch_size)
             )
             for index, event in enumerate(events):
                 engine.publish(event)
                 if index in flush_points:
-                    # Simulate the flush timer firing mid-stream: the
-                    # pending (partial) batch goes out as a timeout flush.
-                    clock.now += 10.0
-                    engine.poll()
-            engine.close()
+                    # A mid-stream flush sends the partial batch early.
+                    engine.flush()
+            engine.flush()
         results.append(streams)
     return results
 

@@ -158,3 +158,12 @@ def test_custom_match_predicate():
     broker.subscribe("c", Filter.topic("never-published"))
     broker.publish(Event({"topic": "anything"}))
     assert len(received) == 1
+
+
+def test_publish_of_one_event_returns_the_fanout():
+    broker = Broker("b")
+    got = []
+    broker.attach_client("s", got.append)
+    broker.subscribe("s", Filter.topic("news"))
+    assert broker.publish(Event({"topic": "news"})) == 1
+    assert len(got) == 1

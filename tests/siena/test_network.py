@@ -82,13 +82,6 @@ def test_unsubscribe_stops_delivery():
     assert received["s"] == []
 
 
-def test_publish_takes_one_event_or_a_batch():
-    tree, received = _tree_with_subscribers(3, {"s": ["news"]})
-    tree.publish(Event({"topic": "news", "n": 0}))
-    tree.publish([Event({"topic": "news", "n": n}) for n in (1, 2)])
-    assert [e.get("n") for e in received["s"]] == [0, 1, 2]
-
-
 def test_range_subscriptions_route_correctly():
     tree = BrokerTree(num_brokers=7)
     received = []

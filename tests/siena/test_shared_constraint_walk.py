@@ -9,6 +9,7 @@ the scan it replaced: same interfaces, same order.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.obs.lru import LRUCache
 from repro.routing.tokens import (
     ELEMENT_TOKEN_ATTRIBUTE,
     TOPIC_TOKEN_ATTRIBUTE,
@@ -19,7 +20,6 @@ from repro.routing.tokens import (
 from repro.siena.broker import Broker, _plain_match
 from repro.siena.events import Event
 from repro.siena.filters import Constraint, Filter
-from repro.siena.index import MatchResultCache
 from repro.siena.operators import Op
 
 AUTHORITY = TokenAuthority(bytes(range(16)))
@@ -129,7 +129,7 @@ def test_walk_routes_like_the_reference_scan(
     match = PREDICATES[predicate]
     broker = Broker(
         "b", match=match,
-        match_cache=MatchResultCache() if with_cache else None,
+        match_cache=LRUCache(4096) if with_cache else None,
     )
     # filter -> the broker's own interface set, in table order: the walk
     # must reproduce the scan's order down to set iteration.

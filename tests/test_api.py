@@ -73,9 +73,9 @@ def test_no_plaintext_routing_value_reaches_an_inprocess_broker(
     )
     seen = []
     for broker in system.tree.brokers.values():
-        def tapped(events, arrived_from=None, _publish=broker.publish):
-            seen.extend(events if isinstance(events, list) else [events])
-            return _publish(events, arrived_from=arrived_from)
+        def tapped(event, arrived_from=None, _publish=broker.publish):
+            seen.append(event)
+            return _publish(event, arrived_from=arrived_from)
 
         monkeypatch.setattr(broker, "publish", tapped)
     system.publisher("hospital").publish(
@@ -135,6 +135,34 @@ def test_duplicate_subscriber_rejected(medical_system):
     medical_system.subscribe("s", Filter.topic("cancerTrail"))
     with pytest.raises(ValueError, match="already attached"):
         medical_system.subscribe("s", Filter.topic("cancerTrail"))
+
+
+def test_refused_subscribe_leaves_no_trace(medical_system):
+    system = medical_system
+
+    def tables():
+        return {
+            broker_id: broker.subscription_count()
+            for broker_id, broker in system.tree.brokers.items()
+        }
+
+    before = tables()
+    with pytest.raises(KeyError):
+        system.subscribe("bob", Filter.topic("typo"))
+    # A grant refused after an accepted one registers neither.
+    with pytest.raises(KeyError):
+        system.subscribe(
+            "bob", Filter.topic("cancerTrail"), Filter.topic("typo")
+        )
+    assert "bob" not in system.subscribers
+    assert tables() == before
+    bob = system.subscribe("bob", Filter.topic("cancerTrail"))
+    system.publisher("hospital").publish(
+        Event({"topic": "cancerTrail", "age": 40, "note": "n"},
+              publisher="hospital"),
+        secret_attributes={"note"},
+    )
+    assert [r.event["note"] for r in bob.opened] == ["n"]
 
 
 def test_builder_wires_custom_pieces():

@@ -10,7 +10,7 @@ import repro.core.nakt
 import repro.core.publisher
 import repro.crypto.aes
 import repro.crypto.hashes
-import repro.engine.engine
+import repro.engine
 import repro.flow.admission
 import repro.flow.aimd
 import repro.flow.breaker
@@ -27,7 +27,7 @@ MODULES = [
     repro.core.publisher,
     repro.crypto.aes,
     repro.crypto.hashes,
-    repro.engine.engine,
+    repro.engine,
     repro.flow.admission,
     repro.flow.aimd,
     repro.flow.breaker,
