@@ -1,8 +1,9 @@
 """PSGuard: secure event dissemination in publish-subscribe networks.
 
 A from-scratch reproduction of Srivatsa & Liu, ICDCS 2007.  The blessed
-surface is re-exported here: :func:`connect` / :class:`System` stand up
-a fully wired instance in one call, :class:`Event` / :class:`Filter`
+surface is re-exported here: ``System.builder()...build()`` stands up
+a fully wired instance (in process, or over localhost TCP with
+``.transport("tcp")``), :class:`Event` / :class:`Filter`
 express publications and subscriptions, :class:`KDC` /
 :class:`Publisher` / :class:`Subscriber` are the key-management
 principals, and :class:`Observability` / :class:`MetricsRegistry` /
@@ -27,7 +28,7 @@ where one replaced a stdlib type, still from the original:
 raises deliberately.
 """
 
-from repro.api import System, SystemBuilder, SystemOptions, connect
+from repro.api import System, SystemBuilder
 from repro.core.renewal import RenewalPolicy
 from repro.errors import (
     FrameError,
@@ -91,9 +92,7 @@ __all__ = [
     "Subscriber",
     "System",
     "SystemBuilder",
-    "SystemOptions",
     "Tracer",
-    "connect",
     "priority_of",
     "with_priority",
     "__version__",

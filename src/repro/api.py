@@ -37,8 +37,8 @@ attribute value; ``repro demo`` prints the routable part::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Hashable, Iterable
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
 from repro.core.composite import CompositeKeySpace
 from repro.core.envelope import SealedEvent
@@ -61,46 +61,6 @@ from repro.siena.network import BrokerTree
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rtnet.live import LiveSystem
-
-
-@dataclass(frozen=True)
-class SystemOptions:
-    """Every construction knob, as one value.
-
-    Both entry points -- the fluent :meth:`System.builder` and the
-    one-call :func:`connect` -- resolve to a ``SystemOptions`` before
-    building, so the two surfaces can never drift apart: a knob exists
-    here or it does not exist.  An options value can also be built
-    directly and handed to either entry point
-    (``connect(options=...)`` / ``builder().options(...)``).
-
-    - ``transport``: ``"inproc"`` (synchronous broker tree) or ``"tcp"``
-      (a localhost cluster, :class:`repro.rtnet.LiveSystem`);
-    - ``num_brokers`` / ``arity``: dissemination tree shape;
-    - ``master_key``: fix ``rk(KDC)`` for reproducible key material;
-    - ``admission``: an :class:`~repro.flow.AdmissionController` or a
-      ``{"rate", "burst", "reserve"}`` spec for the edge gate;
-    - ``renewal``: a :class:`~repro.core.renewal.RenewalPolicy`; when
-      set, subscribers hold *standing* subscriptions whose grants renew
-      across epoch boundaries (inproc: driven by
-      :meth:`System.advance`; tcp: driven in-band by REKEY pushes from
-      the hosted KDC replicas).
-    """
-
-    transport: str = "inproc"
-    num_brokers: int = 3
-    arity: int = 2
-    master_key: bytes | None = None
-    admission: "AdmissionController | dict | None" = None
-    renewal: RenewalPolicy | None = None
-
-    def __post_init__(self) -> None:
-        if self.transport not in ("inproc", "tcp"):
-            raise ValueError(f"unknown transport {self.transport!r}")
-        if self.num_brokers < 1:
-            raise ValueError("a system needs at least one broker")
-        if self.arity < 1:
-            raise ValueError("arity must be positive")
 
 
 class SessionPublisher:
@@ -159,15 +119,15 @@ class SessionSubscriber(TokenOpener):
         system: "System",
         subscriber_id: str,
         filters: Iterable[Filter],
-        grace_period: float = 0.0,
         at_time: float = 0.0,
     ):
         self.system = system
         policy = system.renewal
-        if policy is not None:
-            grace_period = max(grace_period, policy.grace)
         super().__init__(
-            Subscriber(subscriber_id, grace_period=grace_period),
+            Subscriber(
+                subscriber_id,
+                grace_period=policy.grace if policy is not None else 0.0,
+            ),
             system.schema_lookup,
             system.authority,
         )
@@ -277,7 +237,6 @@ class System:
         self,
         subscriber_id: str,
         *filters: Filter,
-        grace_period: float = 0.0,
         at_time: float | None = None,
     ) -> SessionSubscriber:
         """Authorize and attach a subscriber in one call.
@@ -287,7 +246,9 @@ class System:
         :class:`~repro.core.renewal.RenewalManager` and
         :meth:`advance` keeps its grants fresh across epoch
         boundaries.  Without one, grants are one-shot, anchored at
-        *at_time* (default: the system clock).
+        *at_time* (default: the system clock).  An expired grant stays
+        usable for the policy's ``grace`` (none without a policy), as on
+        the tcp transport.
         """
         if subscriber_id in self.subscribers:
             raise ValueError(f"subscriber {subscriber_id!r} already attached")
@@ -295,7 +256,6 @@ class System:
             self,
             subscriber_id,
             filters,
-            grace_period=grace_period,
             at_time=at_time if at_time is not None else self.clock,
         )
         self.subscribers[subscriber_id] = session
@@ -369,36 +329,36 @@ class System:
 
 
 class SystemBuilder:
-    """Fluent construction of a :class:`System`.
+    """Fluent construction of a :class:`System` or a
+    :class:`~repro.rtnet.LiveSystem` -- the one way to build either.
 
     Defaults give a working three-broker tree with an in-process KDC;
-    every knob is optional.  The knobs accumulate into one
-    :class:`SystemOptions` value (``self._options``), the same dataclass
-    :func:`connect` resolves its keyword arguments into.
+    every setting is optional and has one spelling.  Values are checked
+    by what they configure (the tree shape by ``BrokerTree`` and
+    ``ClusterLauncher``) when :meth:`build` runs.
     """
 
     def __init__(self):
-        self._options = SystemOptions()
+        self._transport = "inproc"
+        self._num_brokers = 3
+        self._arity = 2
+        self._master_key: bytes | None = None
+        #: Makes the admission gate on the built system's registry.
+        self._admission: Callable[..., AdmissionController] | None = None
+        self._renewal: RenewalPolicy | None = None
         self._kdc: KDC | None = None
         self._obs: Observability | None = None
         self._topics: list[tuple[str, CompositeKeySpace, float, bool]] = []
 
-    def options(self, options: SystemOptions) -> "SystemBuilder":
-        """Replace every construction knob at once with *options*
-        (live objects -- the KDC, observability, topics -- persist)."""
-        self._options = options
-        return self
-
     def brokers(self, num_brokers: int, arity: int = 2) -> "SystemBuilder":
         """Size the dissemination tree."""
-        self._options = replace(
-            self._options, num_brokers=num_brokers, arity=arity
-        )
+        self._num_brokers = num_brokers
+        self._arity = arity
         return self
 
     def master_key(self, key: bytes) -> "SystemBuilder":
         """Fix ``rk(KDC)`` (reproducible key material)."""
-        self._options = replace(self._options, master_key=key)
+        self._master_key = key
         return self
 
     def kdc(self, kdc: KDC) -> "SystemBuilder":
@@ -422,22 +382,21 @@ class SystemBuilder:
         """Gate locally injected publications at the root broker.
 
         Pass a ready :class:`~repro.flow.AdmissionController`, or let
-        the builder make one: *rate* events/s sustained, bursts up to
-        *burst* (default ``2 x rate``), the last *reserve* fraction of
-        the bucket held for high-priority events.  Shed publications
-        reach no subscriber and count in ``System.shed_events`` (and in
+        :meth:`build` make one on the system's registry: *rate* events/s
+        sustained, bursts up to *burst* (default ``2 x rate``), the last
+        *reserve* fraction of the bucket held for high-priority events.
+        Shed publications reach no subscriber and count in
+        ``System.shed_events`` (and in
         ``flow_shed_total{stage="admission"}``).
         """
         if controller is not None:
-            self._options = replace(self._options, admission=controller)
+            self._admission = lambda registry: controller
         else:
-            self._options = replace(
-                self._options,
-                admission={
-                    "rate": rate,
-                    "burst": burst if burst is not None else 2.0 * rate,
-                    "reserve": reserve,
-                },
+            self._admission = partial(
+                AdmissionController,
+                rate=rate,
+                burst=burst if burst is not None else 2.0 * rate,
+                reserve=reserve,
             )
         return self
 
@@ -447,9 +406,10 @@ class SystemBuilder:
         ``"tcp"`` deploys the same broker tree as a localhost TCP
         cluster (:class:`repro.rtnet.LiveSystem`) -- real sockets and
         framed PSE2 events over the same tokenized matching."""
-        self._options = replace(self._options, transport=kind)
+        if kind not in ("inproc", "tcp"):
+            raise ValueError(f"unknown transport {kind!r}")
+        self._transport = kind
         return self
-
     def renewal(
         self,
         policy: RenewalPolicy | None = None,
@@ -470,7 +430,7 @@ class SystemBuilder:
         """
         if policy is None:
             policy = RenewalPolicy(lead=lead, grace=grace)
-        self._options = replace(self._options, renewal=policy)
+        self._renewal = policy
         return self
 
     def topic(
@@ -493,19 +453,14 @@ class SystemBuilder:
         return self
 
     def build(self) -> "System | LiveSystem":
-        options = self._options
         obs = self._obs if self._obs is not None else Observability()
         kdc = self._kdc
         if kdc is None:
-            kdc = (
-                KDC(master_key=options.master_key)
-                if options.master_key is not None
-                else KDC()
-            )
+            kdc = KDC(master_key=self._master_key)
         for name, schema, epoch_length, per_publisher in self._topics:
             kdc.register_topic(name, schema, epoch_length, per_publisher)
-        if options.transport == "tcp":
-            if options.admission is not None:
+        if self._transport == "tcp":
+            if self._admission is not None:
                 raise ValueError(
                     "admission control is not yet wired through the tcp "
                     "transport"
@@ -515,68 +470,19 @@ class SystemBuilder:
             return LiveSystem(
                 kdc,
                 obs,
-                num_brokers=options.num_brokers,
-                arity=options.arity,
-                renewal=options.renewal,
+                num_brokers=self._num_brokers,
+                arity=self._arity,
+                renewal=self._renewal,
             )
         tree = BrokerTree(
-            num_brokers=options.num_brokers,
-            arity=options.arity,
+            num_brokers=self._num_brokers,
+            arity=self._arity,
             match=tokenized_match,
             registry=obs.registry,
         )
-        admission = options.admission
-        if isinstance(admission, dict):
-            admission = AdmissionController(
-                registry=obs.registry, **admission
-            )
+        admission = None
+        if self._admission is not None:
+            admission = self._admission(registry=obs.registry)
         return System(
-            kdc,
-            tree,
-            obs,
-            admission=admission,
-            renewal=options.renewal,
+            kdc, tree, obs, admission=admission, renewal=self._renewal
         )
-
-
-def connect(
-    topic: str | None = None,
-    numeric: dict[str, int] | None = None,
-    brokers: int | None = None,
-    *,
-    arity: int | None = None,
-    transport: str | None = None,
-    admission: "AdmissionController | dict | None" = None,
-    renewal: RenewalPolicy | None = None,
-    master_key: bytes | None = None,
-    options: SystemOptions | None = None,
-    **topic_kwargs,
-) -> "System | LiveSystem":
-    """One-call convenience: ``connect(topic="news", numeric={...})``.
-
-    Every builder knob is reachable here too -- both surfaces resolve
-    to the same :class:`SystemOptions` before building.  Pass a ready
-    *options* value as the base; explicit keyword arguments override
-    its fields.  *admission* accepts a ready controller or a
-    ``{"rate", "burst", "reserve"}`` spec.
-    """
-    resolved = options if options is not None else SystemOptions()
-    overrides: dict = {}
-    if brokers is not None:
-        overrides["num_brokers"] = brokers
-    if arity is not None:
-        overrides["arity"] = arity
-    if transport is not None:
-        overrides["transport"] = transport
-    if admission is not None:
-        overrides["admission"] = admission
-    if renewal is not None:
-        overrides["renewal"] = renewal
-    if master_key is not None:
-        overrides["master_key"] = master_key
-    if overrides:
-        resolved = replace(resolved, **overrides)
-    builder = System.builder().options(resolved)
-    if topic is not None:
-        builder.topic(topic, numeric=numeric, **topic_kwargs)
-    return builder.build()

@@ -52,10 +52,12 @@ def add_seed_option(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_demo(_args: argparse.Namespace) -> int:
-    from repro.api import connect
+    from repro.api import System
     from repro.siena import Event, Filter
 
-    system = connect("cancerTrail", numeric={"age": 128})
+    system = (
+        System.builder().topic("cancerTrail", numeric={"age": 128}).build()
+    )
     doctor = system.subscribe(
         "doctor", Filter.numeric_range("cancerTrail", "age", 21, 127)
     )

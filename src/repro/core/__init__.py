@@ -29,7 +29,7 @@ from repro.core.cache import KeyCache
 from repro.core.category import CategoryKeySpace, CategoryTree
 from repro.core.composite import CompositeKeySpace
 from repro.core.envelope import SealedEvent, open_event, seal_event
-from repro.core.epochs import AdaptiveEpochPolicy, StaticEpochPolicy
+from repro.core.epochs import AdaptiveEpochPolicy
 from repro.core.kdc import KDC, AuthorizationGrant
 from repro.core.kdcclient import KDCClient
 from repro.core.kdcservice import KDCCluster, KDCReplica
@@ -63,7 +63,6 @@ __all__ = [
     "Publisher",
     "RenewalManager",
     "SealedEvent",
-    "StaticEpochPolicy",
     "StringKeySpace",
     "Subscriber",
     "TopicKeySpace",

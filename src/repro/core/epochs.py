@@ -1,16 +1,15 @@
-"""Epoch policies: static and adaptive subscription epochs.
+"""The adaptive subscription-epoch policy.
 
 Section 3.1 ("Unsubscription by Rekeying"): authorizations are valid for
 one time epoch; the KDC staggers epoch boundaries per topic to avoid
 flash crowds and may "adaptively vary the length of the epoch on a
 per-topic basis using the subscription history" (the paper defers the
-policy's details).  This module supplies a concrete such policy:
-
-- :class:`StaticEpochPolicy` -- the fixed epoch length of the base paper;
-- :class:`AdaptiveEpochPolicy` -- exponential-moving-average of observed
-  subscription inter-arrival times, targeting a configured number of
-  renewals per epoch.  Hot topics get short epochs (tighter revocation,
-  both bounded); cold topics get long epochs (less renewal traffic).
+policy's details).  A topic registered without a policy keeps the fixed
+``epoch_length`` of Section 2.1; :class:`AdaptiveEpochPolicy` is a
+concrete adaptive one -- exponential-moving-average of observed
+subscription inter-arrival times, targeting a configured number of
+renewals per epoch.  Hot topics get short epochs (tighter revocation,
+both bounded); cold topics get long epochs (less renewal traffic).
 
 Epoch lengths are always quantized to a power-of-two multiple of the
 base length so that a replica observing the same history computes the
@@ -26,22 +25,6 @@ from dataclasses import dataclass, field
 _SMOOTHING = 0.2
 #: Adaptive epochs stay within ``[base / _MAX_SCALE, base * _MAX_SCALE]``.
 _MAX_SCALE = 8
-
-
-class StaticEpochPolicy:
-    """The fixed epoch length of Section 2.1."""
-
-    def __init__(self, epoch_length: float = 3600.0):
-        if epoch_length <= 0:
-            raise ValueError("epoch length must be positive")
-        self.epoch_length = epoch_length
-
-    def observe_subscription(self, at_time: float) -> None:
-        """Static policy ignores history."""
-
-    def current_length(self) -> float:
-        """The (constant) epoch length."""
-        return self.epoch_length
 
 
 @dataclass

@@ -311,7 +311,7 @@ class KDC:
         when float division puts *at_time* a hair inside the ending one.
         """
         clauses = filter_as_clauses(filters)
-        topic = self._clause_topic(clauses[0])
+        topic = self.clause_topic(clauses[0])
         if (subscriber, topic) in self.revocations:
             raise GrantDenied(
                 f"subscriber {subscriber!r} is revoked on topic {topic!r}"
@@ -329,7 +329,7 @@ class KDC:
         clause_grants: list[ClauseGrant] = []
         total_hash_ops = 1  # the topic-key KH
         for clause in clauses:
-            if self._clause_topic(clause) != topic:
+            if self.clause_topic(clause) != topic:
                 raise ValueError(
                     "all clauses of one grant must target the same topic"
                 )
@@ -368,7 +368,8 @@ class KDC:
         return grant
 
     @staticmethod
-    def _clause_topic(clause: Filter) -> str:
+    def clause_topic(clause: Filter) -> str:
+        """The topic *clause* pins with ``<topic, EQ, w>``."""
         for constraint in clause:
             if constraint.name == "topic" and constraint.op is Op.EQ:
                 return str(constraint.value)

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from typing import Iterable
 
 from repro.core.envelope import OpenResult
-from repro.core.kdc import KDC
+from repro.core.kdc import KDC, AuthorizationGrant
 from repro.core.renewal import RenewalPolicy
 from repro.obs import Observability
 from repro.routing.tokens import TokenAuthority
@@ -26,6 +27,28 @@ from repro.siena.events import Event
 from repro.siena.filters import Filter
 
 _CALL_TIMEOUT = 30.0
+
+
+async def _attach(
+    endpoint: RtSubscriber,
+    grants: list[AuthorizationGrant] | None,
+    filters: Iterable[Filter],
+    at_time: float | None,
+) -> None:
+    """Dial *endpoint*, then install *grants*, or join *filters* in-band
+    when *grants* is None; an endpoint that fails on the way is closed,
+    so none of its tasks outlives it."""
+    try:
+        await endpoint.connect()
+        if grants is not None:
+            for grant in grants:
+                await endpoint.add_grant(grant)
+        else:
+            for subscription_filter in filters:
+                await endpoint.join(subscription_filter, at_time=at_time)
+    except BaseException:
+        await endpoint.close()
+        raise
 
 
 class LivePublisher:
@@ -103,10 +126,10 @@ class LiveSystem:
         self,
         kdc: KDC,
         obs: Observability,
-        num_brokers: int = 7,
-        arity: int = 2,
+        num_brokers: int,
+        arity: int,
+        renewal: RenewalPolicy | None,
         host: str = "127.0.0.1",
-        renewal: RenewalPolicy | None = None,
     ):
         self.kdc = kdc
         self.obs = obs
@@ -167,53 +190,47 @@ class LiveSystem:
         self,
         subscriber_id: str,
         *filters: Filter,
-        grace_period: float = 0.0,
         at_time: float | None = None,
     ) -> LiveSubscriber:
         """Authorize *filters* and attach a live subscriber.
 
         Without a renewal policy this provisions grants out-of-band
         (directly against the KDC object, anchored at time 0).  With one
-        (``builder().renewal(...)`` or the ``LiveSystem(renewal=...)``
-        knob), the subscriber *joins*: a KDC client attached to the
-        hosted replicas fetches its grants in-band and keeps them renewed
-        across every epoch rollover, failing over between replicas.
+        (``builder().renewal(...)``), the subscriber *joins*: a KDC
+        client attached to the hosted replicas fetches its grants
+        in-band and keeps them renewed across every epoch rollover,
+        failing over between replicas.  Grace comes from the policy
+        (none without one).  As in process, a refused filter raises
+        before anything is dialled or attached.
         """
         if subscriber_id in self.subscribers:
             raise ValueError(f"subscriber {subscriber_id!r} already attached")
-        host, port = self.cluster.subscriber_address()
+        for subscription_filter in filters:
+            self.kdc.config_for(KDC.clause_topic(subscription_filter))
+        kdc_client = grants = None
         if self.renewal is not None:
-            endpoint = RtSubscriber(
-                subscriber_id,
-                host,
-                port,
-                schema_lookup=self.schema_lookup,
-                authority=self.authority,
-                registry=self.registry,
-                kdc_client=self._call(self.cluster.kdc_client(subscriber_id)),
-                renewal=self.renewal,
-            )
-            self._call(endpoint.connect())
-            for subscription_filter in filters:
-                self._call(endpoint.join(subscription_filter, at_time=at_time))
+            kdc_client = self._call(self.cluster.kdc_client(subscriber_id))
         else:
-            endpoint = RtSubscriber(
-                subscriber_id,
-                host,
-                port,
-                schema_lookup=self.schema_lookup,
-                authority=self.authority,
-                grace_period=grace_period,
-                registry=self.registry,
-            )
-            self._call(endpoint.connect())
-            for subscription_filter in filters:
-                grant = self.kdc.authorize(
+            grants = [
+                self.kdc.authorize(
                     subscriber_id,
                     subscription_filter,
                     at_time=at_time if at_time is not None else 0.0,
                 )
-                self._call(endpoint.add_grant(grant))
+                for subscription_filter in filters
+            ]
+        host, port = self.cluster.subscriber_address()
+        endpoint = RtSubscriber(
+            subscriber_id,
+            host,
+            port,
+            schema_lookup=self.schema_lookup,
+            authority=self.authority,
+            registry=self.registry,
+            kdc_client=kdc_client,
+            renewal=self.renewal,
+        )
+        self._call(_attach(endpoint, grants, filters, at_time))
         session = LiveSubscriber(self, endpoint)
         self.subscribers[subscriber_id] = session
         return session
@@ -259,7 +276,10 @@ class LiveSystem:
     # -- teardown -------------------------------------------------------------
 
     def close(self) -> None:
-        """Disconnect every endpoint and stop the cluster and loop."""
+        """Disconnect every endpoint, stop the cluster, and stop and
+        close the loop; a second call returns at once."""
+        if self._loop.is_closed():
+            return
         for session in list(self.subscribers.values()):
             self._call(session.endpoint.close())
         for session in list(self.publishers.values()):
@@ -267,6 +287,7 @@ class LiveSystem:
         self._call(self.cluster.stop())
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=5.0)
+        self._loop.close()
 
     def __enter__(self) -> "LiveSystem":
         return self

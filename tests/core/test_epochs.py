@@ -1,23 +1,11 @@
-"""Epoch policies: static and adaptive (Section 3.1's deferred policy)."""
+"""The adaptive epoch policy (Section 3.1's deferred policy)."""
 
 import pytest
 
 from repro.core.composite import CompositeKeySpace
-from repro.core.epochs import AdaptiveEpochPolicy, StaticEpochPolicy
+from repro.core.epochs import AdaptiveEpochPolicy
 from repro.core.kdc import KDC
 from repro.siena.filters import Filter
-
-
-class TestStaticPolicy:
-    def test_constant_length(self):
-        policy = StaticEpochPolicy(600.0)
-        policy.observe_subscription(1.0)
-        policy.observe_subscription(2.0)
-        assert policy.current_length() == 600.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StaticEpochPolicy(0.0)
 
 
 class TestAdaptivePolicy:

@@ -108,7 +108,7 @@ def test_both_sides_are_built_through_the_facade(monkeypatch):
     build = SystemBuilder.build
 
     def recording_build(builder):
-        built.append(builder._options.transport)
+        built.append(builder._transport)
         return build(builder)
 
     monkeypatch.setattr(SystemBuilder, "build", recording_build)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import System, SystemBuilder, connect
+from repro.api import System, SystemBuilder
 from repro.core.kdc import KDC
 from repro.core.renewal import RenewalPolicy
 from repro.flow import AdmissionController
@@ -15,7 +15,7 @@ from repro.siena.filters import Filter
 
 @pytest.fixture
 def medical_system():
-    return connect("cancerTrail", numeric={"age": 128})
+    return System.builder().topic("cancerTrail", numeric={"age": 128}).build()
 
 
 def test_quickstart_flow(medical_system):
@@ -67,7 +67,12 @@ def test_no_plaintext_routing_value_reaches_an_inprocess_broker(
 ):
     """Every broker of the in-process tree sees token pairs, the
     sequence stamp and the priority class -- no attribute value."""
-    system = connect("cancerTrail", numeric={"age": 128}, brokers=7)
+    system = (
+        System.builder()
+        .brokers(7)
+        .topic("cancerTrail", numeric={"age": 128})
+        .build()
+    )
     doctor = system.subscribe(
         "doctor", Filter.numeric_range("cancerTrail", "age", 21, 127)
     )
@@ -99,9 +104,11 @@ def test_no_plaintext_routing_value_reaches_an_inprocess_broker(
 
 
 def test_standing_subscription_renews_and_revocation_lapses():
-    system = connect(
-        "t", numeric={"v": 16}, epoch_length=100.0,
-        renewal=RenewalPolicy(lead=10.0, grace=0.0),
+    system = (
+        System.builder()
+        .topic("t", numeric={"v": 16}, epoch_length=100.0)
+        .renewal(RenewalPolicy(lead=10.0, grace=0.0))
+        .build()
     )
     reader = system.subscribe("r", Filter.numeric_range("t", "v", 0, 7))
     feed = system.publisher("f")
@@ -183,7 +190,7 @@ def test_builder_wires_custom_pieces():
 
 
 def test_subscribers_spread_across_leaves():
-    system = connect("t", numeric={"v": 8}, brokers=7)
+    system = System.builder().brokers(7).topic("t", numeric={"v": 8}).build()
     for index in range(4):
         system.subscribe(f"s{index}", Filter.topic("t"))
     homes = {session.home for session in system.subscribers.values()}
@@ -191,7 +198,7 @@ def test_subscribers_spread_across_leaves():
 
 
 def test_facade_traces_and_metrics():
-    system = connect("t", numeric={"v": 8})
+    system = System.builder().topic("t", numeric={"v": 8}).build()
     system.subscribe("s", Filter.numeric_range("t", "v", 0, 7))
     system.publisher("p").publish(
         Event({"topic": "t", "v": 3, "body": "x"}, publisher="p"),
@@ -210,7 +217,7 @@ def test_package_reexports_blessed_surface():
     import repro
 
     assert set(repro.__all__) >= {
-        "System", "SystemBuilder", "connect", "Event", "Filter",
+        "System", "SystemBuilder", "Event", "Filter",
         "KDC", "Publisher", "Subscriber", "Observability",
         "MetricsRegistry", "Tracer",
     }
