@@ -12,8 +12,8 @@ its modules -- :mod:`repro.core` (key derivation, epochs, the
 replicated KDC), :mod:`repro.siena` (content-based routing),
 :mod:`repro.routing` (probabilistic multi-path), :mod:`repro.net`
 (the timed fault-injected overlay), :mod:`repro.flow` (overload
-protection: bounded queues, credits, admission control -- its headline
-names are re-exported here too), :mod:`repro.rtnet` (sockets: the
+protection: bounded queues, credits, breakers -- its headline names are
+re-exported here too), :mod:`repro.rtnet` (sockets: the
 broker tree and the replicated KDC over TCP; the renewal
 :class:`~repro.core.renewal.RenewalPolicy` knob is re-exported here),
 :mod:`repro.obs`
@@ -41,10 +41,8 @@ from repro.flow import (
     BEST_EFFORT,
     HIGH,
     NORMAL,
-    AdmissionController,
     AIMDRateLimiter,
     FlowControlPolicy,
-    RateLimited,
     priority_of,
     with_priority,
 )
@@ -64,7 +62,6 @@ from repro.siena import BrokerTree, Event, Filter
 __version__ = "3.0.0"
 
 __all__ = [
-    "AdmissionController",
     "AIMDRateLimiter",
     "AuthorizationGrant",
     "BEST_EFFORT",
@@ -84,7 +81,6 @@ __all__ = [
     "NumericKeySpace",
     "Observability",
     "Publisher",
-    "RateLimited",
     "RenewalPolicy",
     "ReproError",
     "SealedEvent",

@@ -37,8 +37,7 @@ attribute value; ``repro demo`` prints the routable part::
 
 from __future__ import annotations
 
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable
+from typing import TYPE_CHECKING, Hashable, Iterable
 
 from repro.core.composite import CompositeKeySpace
 from repro.core.envelope import SealedEvent
@@ -47,7 +46,6 @@ from repro.core.nakt import NumericKeySpace
 from repro.core.publisher import Publisher
 from repro.core.renewal import RenewalManager, RenewalPolicy
 from repro.core.subscriber import Subscriber
-from repro.flow import AdmissionController, priority_of
 from repro.obs import Observability
 from repro.routing.tokens import (
     TokenAuthority,
@@ -73,8 +71,6 @@ class SessionPublisher:
     def __init__(self, system: "System", publisher_id: str):
         self.system = system
         self.engine = Publisher(publisher_id, system.kdc)
-        #: Publications this session sealed but the admission gate shed.
-        self.shed = 0
 
     @property
     def publisher_id(self) -> str:
@@ -87,21 +83,14 @@ class SessionPublisher:
         at_time: float = 0.0,
     ) -> SealedEvent:
         """Seal and tokenize *event*, then disseminate it through the
-        broker tree; returns what the brokers saw.
-
-        With admission control configured on the system, a shed
-        publication still returns its sealed form (the caller may retry)
-        but reaches no subscriber; :attr:`shed` counts them.
-        """
+        broker tree; returns what the brokers saw."""
         sealed = tokenize_sealed(
             self.system.authority,
             self.engine.publish(
                 event, secret_attributes=secret_attributes, at_time=at_time
             ),
         )
-        _fanout, shed = self.system._disseminate(sealed, at_time)
-        if shed:
-            self.shed += 1
+        self.system._disseminate(sealed, at_time)
         return sealed
 
 
@@ -188,7 +177,6 @@ class System:
         kdc: KDC,
         tree: BrokerTree,
         obs: Observability,
-        admission: AdmissionController | None = None,
         renewal: RenewalPolicy | None = None,
     ):
         self.kdc = kdc
@@ -199,16 +187,10 @@ class System:
         #: ``subscribe()`` opens standing subscriptions and
         #: :meth:`advance` renews them across epoch boundaries.
         self.renewal = renewal
-        #: The publication timeline's current instant (the facade is
-        #: synchronous; time only moves via publishes and `advance`).
+        #: The publication timeline's current instant: only
+        #: :meth:`advance` moves it, and :meth:`subscribe` anchors
+        #: one-shot grants at it by default.
         self.clock = 0.0
-        #: Edge admission controller, or None when unconfigured.
-        #: Checked by the facade itself before an event enters the tree
-        #: (:meth:`_disseminate` reports the verdict explicitly), so
-        #: publisher sessions never have to infer sheds from counter
-        #: diffs.
-        self.admission = admission
-        self._shed_events = 0
         self.registry = obs.registry
         self.tracer = obs.tracer
         self.publishers: dict[str, SessionPublisher] = {}
@@ -277,11 +259,6 @@ class System:
         """Topic schema resolver (schemas are public configuration)."""
         return self.kdc.config_for(topic).schema
 
-    @property
-    def shed_events(self) -> int:
-        """Publications refused by the facade's admission gate."""
-        return self._shed_events
-
     def settle(self) -> None:
         """Nothing to flush: in process a publish returns delivered (the
         synchronous half of :meth:`LiveSystem.settle`)."""
@@ -298,23 +275,9 @@ class System:
         self._leaf_cursor += 1
         return leaf
 
-    def _disseminate(
-        self, sealed: SealedEvent, at_time: float
-    ) -> tuple[int, bool]:
-        """Push one sealed publication into the tree.
-
-        Returns ``(fanout, shed)``: *shed* is True when the admission
-        gate refused the event (it then reached no subscriber), so
-        callers learn the verdict directly instead of diffing counters.
-        The facade is synchronous -- the bucket's clock is the
-        publication timeline (the ``at_time`` each publish carries).
-        """
+    def _disseminate(self, sealed: SealedEvent, at_time: float) -> int:
+        """Push one sealed publication into the tree; returns the fan-out."""
         self._current_time = at_time
-        if self.admission is not None and not self.admission.admit(
-            priority_of(sealed.routable), at_time
-        ):
-            self._shed_events += 1
-            return 0, True
         seq = self._next_seq
         self._next_seq += 1
         self.tracer.start_trace(("api", seq), at=at_time)
@@ -322,7 +285,7 @@ class System:
         self._current_sealed = sealed
         self._current_seq = ("api", seq)
         try:
-            return self.tree.publish(sealed.routable), False
+            return self.tree.publish(sealed.routable)
         finally:
             self._current_sealed = None
             self._current_seq = None
@@ -343,12 +306,10 @@ class SystemBuilder:
         self._num_brokers = 3
         self._arity = 2
         self._master_key: bytes | None = None
-        #: Makes the admission gate on the built system's registry.
-        self._admission: Callable[..., AdmissionController] | None = None
         self._renewal: RenewalPolicy | None = None
         self._kdc: KDC | None = None
         self._obs: Observability | None = None
-        self._topics: list[tuple[str, CompositeKeySpace, float, bool]] = []
+        self._topics: list[tuple[str, CompositeKeySpace, float]] = []
 
     def brokers(self, num_brokers: int, arity: int = 2) -> "SystemBuilder":
         """Size the dissemination tree."""
@@ -371,35 +332,6 @@ class SystemBuilder:
         self._obs = obs
         return self
 
-    def admission(
-        self,
-        controller: AdmissionController | None = None,
-        *,
-        rate: float = 100.0,
-        burst: float | None = None,
-        reserve: float = 0.2,
-    ) -> "SystemBuilder":
-        """Gate locally injected publications at the root broker.
-
-        Pass a ready :class:`~repro.flow.AdmissionController`, or let
-        :meth:`build` make one on the system's registry: *rate* events/s
-        sustained, bursts up to *burst* (default ``2 x rate``), the last
-        *reserve* fraction of the bucket held for high-priority events.
-        Shed publications reach no subscriber and count in
-        ``System.shed_events`` (and in
-        ``flow_shed_total{stage="admission"}``).
-        """
-        if controller is not None:
-            self._admission = lambda registry: controller
-        else:
-            self._admission = partial(
-                AdmissionController,
-                rate=rate,
-                burst=burst if burst is not None else 2.0 * rate,
-                reserve=reserve,
-            )
-        return self
-
     def transport(self, kind: str) -> "SystemBuilder":
         """Choose how events move: ``"inproc"`` (default) keeps the
         synchronous in-process :class:`~repro.siena.network.BrokerTree`;
@@ -410,6 +342,7 @@ class SystemBuilder:
             raise ValueError(f"unknown transport {kind!r}")
         self._transport = kind
         return self
+
     def renewal(
         self,
         policy: RenewalPolicy | None = None,
@@ -439,7 +372,6 @@ class SystemBuilder:
         schema: CompositeKeySpace | None = None,
         numeric: dict[str, int] | None = None,
         epoch_length: float = 3600.0,
-        per_publisher: bool = False,
     ) -> "SystemBuilder":
         """Register a topic; *numeric* maps attribute name -> range size."""
         if schema is None:
@@ -449,7 +381,7 @@ class SystemBuilder:
                     for attribute, size in (numeric or {}).items()
                 }
             )
-        self._topics.append((name, schema, epoch_length, per_publisher))
+        self._topics.append((name, schema, epoch_length))
         return self
 
     def build(self) -> "System | LiveSystem":
@@ -457,14 +389,9 @@ class SystemBuilder:
         kdc = self._kdc
         if kdc is None:
             kdc = KDC(master_key=self._master_key)
-        for name, schema, epoch_length, per_publisher in self._topics:
-            kdc.register_topic(name, schema, epoch_length, per_publisher)
+        for name, schema, epoch_length in self._topics:
+            kdc.register_topic(name, schema, epoch_length)
         if self._transport == "tcp":
-            if self._admission is not None:
-                raise ValueError(
-                    "admission control is not yet wired through the tcp "
-                    "transport"
-                )
             from repro.rtnet.live import LiveSystem
 
             return LiveSystem(
@@ -480,9 +407,4 @@ class SystemBuilder:
             match=tokenized_match,
             registry=obs.registry,
         )
-        admission = None
-        if self._admission is not None:
-            admission = self._admission(registry=obs.registry)
-        return System(
-            kdc, tree, obs, admission=admission, renewal=self._renewal
-        )
+        return System(kdc, tree, obs, renewal=self._renewal)

@@ -12,13 +12,13 @@ Key spaces (one per matching type, Section 3 and technical report [1]):
 - :mod:`repro.core.nakt` -- numeric attribute key tree (range matching);
 - :mod:`repro.core.category` -- category/ontology subsumption matching;
 - :mod:`repro.core.strings` -- string prefix/suffix matching;
-- :mod:`repro.core.topics` -- plain topic (keyword) matching;
 - :mod:`repro.core.composite` -- ``AND``/``OR`` combinations.
 
 Services:
 
 - :mod:`repro.core.kdc` -- the stateless key distribution center with
-  epoch-based rekeying and per-publisher topic keys;
+  epoch-based rekeying and the topic keys ``K(w)`` / ``K_P(w)`` (plain
+  topic matching; per-publisher keys isolate publishers);
 - :mod:`repro.core.envelope` -- event sealing/opening (AES-128-CBC);
 - :mod:`repro.core.publisher` / :mod:`repro.core.subscriber` -- client
   engines;
@@ -39,7 +39,6 @@ from repro.core.publisher import Publisher
 from repro.core.renewal import RenewalManager
 from repro.core.strings import StringKeySpace
 from repro.core.subscriber import Subscriber
-from repro.core.topics import TopicKeySpace
 from repro.core.wire import (
     decode_grant,
     decode_sealed_event,
@@ -65,7 +64,6 @@ __all__ = [
     "SealedEvent",
     "StringKeySpace",
     "Subscriber",
-    "TopicKeySpace",
     "decode_grant",
     "decode_sealed_event",
     "encode_grant",

@@ -4,12 +4,6 @@ A publisher obtains its (per-epoch, possibly per-publisher) topic keys from
 the KDC and seals every outgoing event.  Component leaf keys are derived
 through the key cache of Section 3.2.3 so that publications with temporal
 locality (e.g. consecutive stock quotes) reuse most of the derivation path.
-
-A publisher may carry an :class:`~repro.flow.AIMDRateLimiter`; publishes
-beyond the adapted rate then raise :class:`~repro.flow.RateLimited`
-*before* any sealing work is spent, and the caller decides whether to
-retry later or shed.  Overload signals from downstream
-(:meth:`Publisher.on_overload`) back the rate off multiplicatively.
 """
 
 from __future__ import annotations
@@ -22,7 +16,6 @@ from repro.core.envelope import SealedEvent, seal_event
 from repro.core.kdc import KDC
 from repro.core.nakt import NumericKeySpace
 from repro.core.strings import StringKeySpace
-from repro.flow import AIMDRateLimiter, RateLimited
 from repro.siena.events import Event
 
 
@@ -31,7 +24,6 @@ class PublisherStats:
     """Cost counters for the throughput/latency experiments."""
 
     events_sealed: int = 0
-    events_rate_limited: int = 0
     hash_operations: int = 0
     encrypt_operations: int = 0
     cache_hits: int = 0
@@ -77,14 +69,10 @@ class Publisher:
         publisher_id: str,
         kdc: KDC,
         cache_bytes: int = 64 * 1024,
-        limiter: AIMDRateLimiter | None = None,
     ):
         self.publisher_id = publisher_id
         self.kdc = kdc
         self.cache = KeyCache(cache_bytes)
-        #: Optional AIMD pacing; enforced at :meth:`publish`, adapted via
-        #: :meth:`on_overload`.
-        self.limiter = limiter
         self.stats = PublisherStats()
         #: topic -> {epoch: topic key}, the current and previous epoch only.
         self._topic_keys: dict[str, dict[int, bytes]] = {}
@@ -127,17 +115,7 @@ class Publisher:
         When *secret_attributes* is ``None``, every attribute named
         ``message``/``payload``/``body`` is treated as secret -- the
         conventional payload attributes of the paper's examples.
-
-        With a bound limiter, publishes over the adapted rate raise
-        :class:`~repro.flow.RateLimited` before any sealing work.
         """
-        if self.limiter is not None and not self.limiter.try_acquire(at_time):
-            self.stats.events_rate_limited += 1
-            raise RateLimited(
-                f"publisher {self.publisher_id!r} over its adapted rate "
-                f"({self.limiter.rate:.1f} events/s); retry at "
-                f"t={self.limiter.next_slot():.6f}"
-            )
         topic = event.get("topic")
         if not isinstance(topic, str):
             raise ValueError("every publication must carry a string topic")
@@ -161,8 +139,6 @@ class Publisher:
         self.stats.encrypt_operations += 1 if sealed.direct else 1 + len(
             sealed.locks
         )
-        if self.limiter is not None:
-            self.limiter.on_success()
         # Envelope metadata rides OUTSIDE the sealing step, so the
         # ciphertext is byte-identical to an unstamped publication.
         sequence = self._next_sequence
@@ -170,11 +146,6 @@ class Publisher:
         return replace(
             sealed, origin=self.publisher_id, sequence=sequence
         )
-
-    def on_overload(self, at_time: float = 0.0) -> None:
-        """Feed a downstream overload signal into the rate limiter."""
-        if self.limiter is not None:
-            self.limiter.on_overload(at_time)
 
     def _caching_schema(self, topic, schema):
         """Wrap *schema* so component derivations go through the key cache.

@@ -7,9 +7,6 @@ each one historically was, so code written against earlier releases
 (``except ValueError`` around a frame decode, ``except PermissionError``
 around a grant request) keeps working unchanged:
 
-- :class:`RateLimited` -- a publish refused by rate limiting or edge
-  admission (raised by :class:`~repro.flow.AdmissionController` users
-  such as :class:`~repro.core.publisher.Publisher`);
 - :class:`GrantDenied` -- the KDC refuses to authorize a revoked
   ``(subscriber, topic)`` pair; terminal, do not retry (lazy
   revocation: the denial bites at the next renewal);
@@ -34,21 +31,12 @@ __all__ = [
     "GrantDenied",
     "GrantExpired",
     "KDCUnavailable",
-    "RateLimited",
     "ReproError",
 ]
 
 
 class ReproError(Exception):
     """Base class for every error the PSGuard API raises."""
-
-
-class RateLimited(ReproError):
-    """A publish was refused by rate limiting or edge admission.
-
-    The overload signal AIMD publisher pacing feeds on: back off and
-    retry, or drop the publication if it has lost its value.
-    """
 
 
 class GrantDenied(ReproError, PermissionError):

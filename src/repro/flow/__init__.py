@@ -1,25 +1,23 @@
-"""Backpressure, admission control, and graceful degradation.
+"""Backpressure and graceful degradation.
 
 ``repro.flow`` holds the transport-agnostic overload-protection
 primitives threaded through the dissemination path:
 
 - :mod:`repro.flow.policy` -- priority classes and the
   :class:`FlowControlPolicy` knob bundle;
-- :mod:`repro.flow.queues` -- bounded priority-classed queues with
-  configurable load shedding;
+- :mod:`repro.flow.queues` -- bounded priority-classed queues that
+  shed the oldest event of the worst class present;
 - :mod:`repro.flow.credit` -- credit-based hop-to-hop flow control;
-- :mod:`repro.flow.aimd` -- AIMD adaptive publisher rate limiting;
-- :mod:`repro.flow.breaker` -- broker-level overload circuit breaking;
-- :mod:`repro.flow.admission` -- edge admission (token bucket with a
-  high-priority reserve) and the :class:`RateLimited` signal.
+- :mod:`repro.flow.aimd` -- AIMD rate adaptation (the overload
+  scenario's publish pump paces by it);
+- :mod:`repro.flow.breaker` -- broker-level overload circuit breaking.
 
-The timed overlay (:mod:`repro.net.simnet`) and the synchronous broker
-tree (:mod:`repro.api`) compose these pieces; everything here is plain
-data-structure code that unit tests and property tests can drive
-directly.
+The timed overlay (:mod:`repro.net.simnet`) composes these pieces, and
+the rtnet broker's egress is a :class:`BoundedPriorityQueue`;
+everything here is plain data-structure code that unit tests and
+property tests can drive directly.
 """
 
-from repro.flow.admission import AdmissionController, RateLimited, TokenBucket
 from repro.flow.aimd import AIMDRateLimiter
 from repro.flow.breaker import CLOSED, HALF_OPEN, OPEN, OverloadBreaker
 from repro.flow.credit import CreditGate
@@ -33,24 +31,14 @@ from repro.flow.policy import (
     priority_of,
     with_priority,
 )
-from repro.flow.queues import (
-    DROP_LOWEST_PRIORITY,
-    DROP_OLDEST,
-    REJECT_NEW,
-    SHED_POLICIES,
-    BoundedPriorityQueue,
-    Offer,
-)
+from repro.flow.queues import BoundedPriorityQueue, Offer
 
 __all__ = [
-    "AdmissionController",
     "AIMDRateLimiter",
     "BEST_EFFORT",
     "BoundedPriorityQueue",
     "CLOSED",
     "CreditGate",
-    "DROP_LOWEST_PRIORITY",
-    "DROP_OLDEST",
     "FlowControlPolicy",
     "HALF_OPEN",
     "HIGH",
@@ -61,9 +49,5 @@ __all__ = [
     "PRIORITY_ATTRIBUTE",
     "priority_name",
     "priority_of",
-    "RateLimited",
-    "REJECT_NEW",
-    "SHED_POLICIES",
-    "TokenBucket",
     "with_priority",
 ]

@@ -1,15 +1,17 @@
-"""AIMD adaptive publish-rate limiting.
+"""AIMD adaptive publish-rate pacing.
 
 Publishers cannot see broker queue depths directly; they see explicit
-overload signals (shed notifications, breaker rejections,
-``RateLimited``).  :class:`AIMDRateLimiter` converts those signals into
-a publish pace with TCP's additive-increase / multiplicative-decrease
-dynamics: each overload signal halves the target rate (at most once per
+overload signals (shed notifications, breaker rejections).
+:class:`AIMDRateLimiter` converts those signals into a publish pace
+with TCP's additive-increase / multiplicative-decrease dynamics: each overload signal halves the target rate (at most once per
 ``cooldown`` so a burst of shed notifications from one congestion event
 is a single decrease), and each successful send additively recovers
 toward ``max_rate``.  The AIMD shape is what makes degradation graceful
 instead of cliff-shaped -- offered load oscillates just above the
 sustainable rate rather than thrashing the queues at the storm rate.
+The overload scenario's publish pump (:mod:`repro.harness.overload`)
+schedules its next send :meth:`~AIMDRateLimiter.interval` seconds out
+and feeds every shed into :meth:`~AIMDRateLimiter.on_overload`.
 """
 
 from __future__ import annotations
@@ -19,20 +21,21 @@ from dataclasses import dataclass, field
 
 @dataclass
 class AIMDRateLimiter:
-    """Token-paced rate limiter with AIMD adaptation.
+    """A send rate with AIMD adaptation.
 
-    ``try_acquire(now)`` paces sends at the current ``rate``;
+    ``interval()`` is the gap between sends at the current ``rate``;
     ``on_overload(now)`` multiplies the rate by ``decrease`` and
     ``on_success()`` adds ``increase / rate`` (so recovery is roughly
     ``increase`` events/second per second of successful sending,
     independent of the current pace).
 
     >>> limiter = AIMDRateLimiter(rate=100.0)
-    >>> limiter.try_acquire(now=0.0)
-    True
-    >>> limiter.try_acquire(now=0.0)        # paced: next slot at +10ms
-    False
+    >>> limiter.interval()                  # one send every 10ms
+    0.01
     >>> limiter.on_overload(now=0.0)
+    >>> limiter.rate, limiter.interval()
+    (50.0, 0.02)
+    >>> limiter.on_overload(now=0.05)       # inside the cooldown: ignored
     >>> limiter.rate
     50.0
     """
@@ -44,7 +47,6 @@ class AIMDRateLimiter:
     decrease: float = 0.5
     cooldown: float = 0.1
     overloads: int = field(default=0, init=False)
-    _next_slot: float = field(default=0.0, init=False, repr=False)
     _last_decrease: float | None = field(
         default=None, init=False, repr=False
     )
@@ -64,17 +66,6 @@ class AIMDRateLimiter:
     def interval(self) -> float:
         """Seconds between sends at the current rate."""
         return 1.0 / self.rate
-
-    def try_acquire(self, now: float) -> bool:
-        """True if a send may happen at *now*; books the next slot."""
-        if now < self._next_slot:
-            return False
-        self._next_slot = max(self._next_slot, now) + self.interval()
-        return True
-
-    def next_slot(self) -> float:
-        """Earliest time the next ``try_acquire`` can succeed."""
-        return self._next_slot
 
     def on_overload(self, now: float) -> None:
         """Multiplicative decrease (at most once per ``cooldown``)."""

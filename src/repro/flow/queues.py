@@ -1,34 +1,19 @@
-"""Bounded priority-classed queues with configurable load shedding.
+"""Bounded priority-classed queues with load shedding.
 
 The unbounded hop queues that overload can grow without limit are
 replaced by :class:`BoundedPriorityQueue`: a strict-priority queue
 (lower class number served first, FIFO within a class) whose depth never
-exceeds its capacity.  When an offer would overflow, one event is *shed*
-according to the configured policy -- and regardless of policy the shed
-victim always belongs to the **worst priority class present** among the
-queued events plus the incoming one.  That yields two invariants the
-property tests pin down for every policy and arrival pattern:
+exceeds its capacity.  When an offer would overflow, one event is
+*shed*: the **oldest** queued event of the **worst priority class
+present** (favoring freshness), unless the incoming event is strictly
+worse than everything queued -- then it is refused outright, since
+shedding anything else would violate the priority invariant.  The
+property tests pin down, for every arrival pattern:
 
 - ``len(queue) <= capacity`` at all times;
 - a higher-priority event is never shed while a lower-priority event
-  remains queued.
-
-The three policies differ only in *which* member of the worst class is
-sacrificed:
-
-``drop-oldest``
-    Evict the oldest worst-class event (favors freshness).
-``drop-lowest-priority``
-    Evict the newest *queued* worst-class event (favors the backlog;
-    the incoming event is admitted whenever anything equally bad or
-    worse is queued).
-``reject-new``
-    Refuse the incoming event when it belongs to the worst class;
-    otherwise evict the newest queued worst-class event to admit it.
-
-Under every policy an incoming event strictly worse than everything
-queued is rejected outright -- shedding anything else would violate the
-priority invariant.
+  remains queued;
+- a shed from the queue is always its oldest worst-class event.
 """
 
 from __future__ import annotations
@@ -39,14 +24,6 @@ from typing import Any, Iterator
 
 from repro.flow.policy import priority_name
 from repro.obs.metrics import MetricsRegistry
-
-DROP_OLDEST = "drop-oldest"
-DROP_LOWEST_PRIORITY = "drop-lowest-priority"
-REJECT_NEW = "reject-new"
-
-#: The recognized shed policies.
-SHED_POLICIES = frozenset({DROP_OLDEST, DROP_LOWEST_PRIORITY, REJECT_NEW})
-
 
 @dataclass(frozen=True)
 class Offer:
@@ -83,19 +60,12 @@ class BoundedPriorityQueue:
     def __init__(
         self,
         capacity: int,
-        shed_policy: str = DROP_OLDEST,
         registry: MetricsRegistry | None = None,
         **labels: str,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must hold at least one event")
-        if shed_policy not in SHED_POLICIES:
-            raise ValueError(
-                f"unknown shed policy {shed_policy!r} "
-                f"(choose from {sorted(SHED_POLICIES)})"
-            )
         self.capacity = capacity
-        self.shed_policy = shed_policy
         self._classes: dict[int, deque[Any]] = {}
         self._depth = 0
         self.peak_depth = 0
@@ -151,9 +121,8 @@ class BoundedPriorityQueue:
         self._classes.setdefault(priority, deque()).append(item)
         self._set_depth(self._depth + 1)
 
-    def _evict(self, priority: int, newest: bool) -> Any:
-        queue = self._classes[priority]
-        victim = queue.pop() if newest else queue.popleft()
+    def _evict(self, priority: int) -> Any:
+        victim = self._classes[priority].popleft()
         self._set_depth(self._depth - 1)
         self._count_shed(priority)
         return victim
@@ -161,21 +130,18 @@ class BoundedPriorityQueue:
     # -- the public protocol -----------------------------------------------
 
     def offer(self, item: Any, priority: int) -> Offer:
-        """Enqueue *item*, shedding per policy if the queue is full."""
+        """Enqueue *item*, shedding the oldest worst-class event if the
+        queue is full."""
         if self._depth < self.capacity:
             self._append(item, priority)
             return Offer(accepted=True)
         worst = self._worst_queued()
         if worst is None or priority > worst:
             # The incoming event is the sole member of the worst class:
-            # every policy rejects it rather than shed something better.
+            # reject it rather than shed something better.
             self._count_shed(priority)
             return Offer(accepted=False, shed=(item, priority))
-        if self.shed_policy == REJECT_NEW and priority == worst:
-            self._count_shed(priority)
-            return Offer(accepted=False, shed=(item, priority))
-        newest = self.shed_policy != DROP_OLDEST
-        victim = self._evict(worst, newest=newest)
+        victim = self._evict(worst)
         self._append(item, priority)
         return Offer(accepted=True, shed=(victim, worst))
 

@@ -1,47 +1,55 @@
-"""Topic key space, including per-publisher isolation."""
+"""Topic keys K(w) and K_P(w) as the KDC derives them (section 3.1)."""
 
 import pytest
 
-from repro.core.topics import TopicKeySpace
-
-MASTER = bytes(range(16))
-
-
-def test_shared_topic_key_deterministic():
-    space = TopicKeySpace()
-    assert space.topic_key(MASTER, "w") == space.topic_key(MASTER, "w")
+from repro.core.composite import CompositeKeySpace
+from repro.core.kdc import KDC
 
 
-def test_topic_key_differs_by_topic():
-    space = TopicKeySpace()
-    assert space.topic_key(MASTER, "a") != space.topic_key(MASTER, "b")
+def _kdc(master_key, *topics, per_publisher=False):
+    kdc = KDC(master_key=master_key)
+    for topic in topics:
+        kdc.register_topic(
+            topic, CompositeKeySpace({}), per_publisher=per_publisher
+        )
+    return kdc
 
 
-def test_per_publisher_keys_isolate_publishers():
+def test_shared_topic_key_deterministic(master_key):
+    kdc = _kdc(master_key, "w")
+    assert kdc.topic_key("w", epoch=0) == kdc.topic_key("w", epoch=0)
+
+
+def test_topic_key_differs_by_topic(master_key):
+    kdc = _kdc(master_key, "a", "b")
+    assert kdc.topic_key("a", epoch=0) != kdc.topic_key("b", epoch=0)
+
+
+def test_per_publisher_keys_isolate_publishers(master_key):
     """Section 3.1 "Multiple Publishers": K_P(w) != K_Q(w)."""
-    space = TopicKeySpace(per_publisher=True)
-    key_p = space.topic_key(MASTER, "w", publisher="P")
-    key_q = space.topic_key(MASTER, "w", publisher="Q")
+    kdc = _kdc(master_key, "w", per_publisher=True)
+    key_p = kdc.topic_key("w", publisher="P", epoch=0)
+    key_q = kdc.topic_key("w", publisher="Q", epoch=0)
     assert key_p != key_q
 
 
-def test_per_publisher_requires_identity():
-    space = TopicKeySpace(per_publisher=True)
-    with pytest.raises(ValueError):
-        space.topic_key(MASTER, "w")
+def test_per_publisher_requires_identity(master_key):
+    kdc = _kdc(master_key, "w", per_publisher=True)
+    with pytest.raises(ValueError, match="publisher identity is required"):
+        kdc.topic_key("w", epoch=0)
 
 
-def test_per_publisher_key_differs_from_shared():
-    shared = TopicKeySpace().topic_key(MASTER, "w")
-    scoped = TopicKeySpace(per_publisher=True).topic_key(
-        MASTER, "w", publisher="P"
+def test_per_publisher_key_differs_from_shared(master_key):
+    shared = _kdc(master_key, "w").topic_key("w", epoch=0)
+    scoped = _kdc(master_key, "w", per_publisher=True).topic_key(
+        "w", publisher="P", epoch=0
     )
     assert shared != scoped
 
 
-def test_separator_prevents_identity_splicing():
-    """K_{"ab"}("c") must differ from K_{"a"}("bc")."""
-    space = TopicKeySpace(per_publisher=True)
-    assert space.topic_key(MASTER, "c", publisher="ab") != space.topic_key(
-        MASTER, "bc", publisher="a"
+def test_separator_prevents_identity_splicing(master_key):
+    """K_{"ab"}("c") must differ from K_{"a"}("bc") in the same epoch."""
+    kdc = _kdc(master_key, "c", "bc", per_publisher=True)
+    assert kdc.topic_key("c", publisher="ab", epoch=0) != kdc.topic_key(
+        "bc", publisher="a", epoch=0
     )

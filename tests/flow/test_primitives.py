@@ -1,8 +1,7 @@
-"""Unit tests for credits, AIMD pacing, breakers, and admission."""
+"""Unit tests for credits, AIMD rate adaptation, and breakers."""
 
 import pytest
 
-from repro.flow.admission import AdmissionController, TokenBucket
 from repro.flow.aimd import AIMDRateLimiter
 from repro.flow.breaker import CLOSED, HALF_OPEN, OPEN, OverloadBreaker
 from repro.flow.credit import CreditGate
@@ -73,11 +72,12 @@ class TestCreditGate:
 
 class TestAIMDRateLimiter:
     def test_pacing(self):
-        limiter = AIMDRateLimiter(rate=10.0)
-        assert limiter.try_acquire(now=0.0)
-        assert not limiter.try_acquire(now=0.05)
-        assert limiter.try_acquire(now=0.1)
-        assert limiter.next_slot() == pytest.approx(0.2)
+        limiter = AIMDRateLimiter(rate=10.0, cooldown=0.0)
+        assert limiter.interval() == pytest.approx(0.1)
+        limiter.on_overload(now=0.0)
+        assert limiter.interval() == pytest.approx(0.2)
+        limiter.on_success()  # +increase/rate = +2 events/s
+        assert limiter.interval() == pytest.approx(1 / 7)
 
     def test_multiplicative_decrease_with_cooldown(self):
         limiter = AIMDRateLimiter(rate=100.0, cooldown=0.1)
@@ -149,42 +149,3 @@ class TestOverloadBreaker:
             "flow_breaker_transitions_total", state="open", broker="b0"
         )
         assert transitions.value == 1
-
-
-class TestAdmission:
-    def test_token_bucket_refill(self):
-        bucket = TokenBucket(rate=10.0, burst=2.0)
-        assert bucket.try_take(now=0.0)
-        assert bucket.try_take(now=0.0)
-        assert not bucket.try_take(now=0.0)
-        assert bucket.try_take(now=0.1)
-
-    def test_priority_reserve(self):
-        controller = AdmissionController(
-            rate=1.0, burst=10.0, reserve=0.5, reserve_floor=HIGH
-        )
-        # Best-effort may only spend down to the 5-token reserve.
-        admitted = sum(
-            controller.admit(BEST_EFFORT, now=0.0) for _ in range(10)
-        )
-        assert admitted == 5
-        # High priority drains the reserve too.
-        admitted = sum(controller.admit(HIGH, now=0.0) for _ in range(10))
-        assert admitted == 5
-        assert not controller.admit(HIGH, now=0.0)
-        assert controller.rejected == 11
-
-    def test_rejections_counted_as_admission_sheds(self):
-        registry = MetricsRegistry()
-        controller = AdmissionController(
-            rate=1.0, burst=1.0, reserve=0.0, registry=registry, broker="b0"
-        )
-        assert controller.admit(BEST_EFFORT, now=0.0)
-        assert not controller.admit(BEST_EFFORT, now=0.0)
-        shed = registry.counter(
-            "flow_shed_total",
-            stage="admission",
-            priority="best-effort",
-            broker="b0",
-        )
-        assert shed.value == 1

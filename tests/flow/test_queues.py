@@ -27,7 +27,7 @@ def test_depth_never_exceeds_capacity():
 
 
 def test_drop_oldest_evicts_oldest_of_worst_class():
-    q = BoundedPriorityQueue(capacity=3, shed_policy="drop-oldest")
+    q = BoundedPriorityQueue(capacity=3)
     q.offer("b1", BEST_EFFORT)
     q.offer("b2", BEST_EFFORT)
     q.offer("h1", HIGH)
@@ -37,35 +37,8 @@ def test_drop_oldest_evicts_oldest_of_worst_class():
     assert [item for item, _ in q.drain()] == ["h1", "n1", "b2"]
 
 
-def test_drop_lowest_priority_evicts_newest_queued_of_worst_class():
-    q = BoundedPriorityQueue(capacity=3, shed_policy="drop-lowest-priority")
-    q.offer("b1", BEST_EFFORT)
-    q.offer("b2", BEST_EFFORT)
-    q.offer("h1", HIGH)
-    result = q.offer("b3", BEST_EFFORT)
-    assert result.accepted
-    assert result.shed == ("b2", BEST_EFFORT)
-    assert [item for item, _ in q.drain()] == ["h1", "b1", "b3"]
-
-
-def test_reject_new_refuses_incoming_in_worst_class():
-    q = BoundedPriorityQueue(capacity=2, shed_policy="reject-new")
-    q.offer("b1", BEST_EFFORT)
-    q.offer("b2", BEST_EFFORT)
-    result = q.offer("b3", BEST_EFFORT)
-    assert not result.accepted
-    assert result.shed == ("b3", BEST_EFFORT)
-    # ... but still makes room for better-class arrivals.
-    result = q.offer("h1", HIGH)
-    assert result.accepted
-    assert result.shed == ("b2", BEST_EFFORT)
-
-
-@pytest.mark.parametrize(
-    "policy", ["drop-oldest", "drop-lowest-priority", "reject-new"]
-)
-def test_incoming_worse_than_everything_queued_is_rejected(policy):
-    q = BoundedPriorityQueue(capacity=2, shed_policy=policy)
+def test_incoming_worse_than_everything_queued_is_rejected():
+    q = BoundedPriorityQueue(capacity=2)
     q.offer("h1", HIGH)
     q.offer("n1", NORMAL)
     result = q.offer("b1", BEST_EFFORT)
@@ -74,9 +47,7 @@ def test_incoming_worse_than_everything_queued_is_rejected(policy):
     assert [item for item, _ in q.drain()] == ["h1", "n1"]
 
 
-def test_unknown_policy_rejected():
-    with pytest.raises(ValueError, match="unknown shed policy"):
-        BoundedPriorityQueue(capacity=1, shed_policy="drop-random")
+def test_zero_capacity_rejected():
     with pytest.raises(ValueError, match="at least one"):
         BoundedPriorityQueue(capacity=0)
 
@@ -93,7 +64,6 @@ def test_metrics_emission():
     registry = MetricsRegistry()
     q = BoundedPriorityQueue(
         capacity=2,
-        shed_policy="drop-oldest",
         registry=registry,
         broker="b0",
         queue="ingress",

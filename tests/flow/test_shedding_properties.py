@@ -1,38 +1,35 @@
-"""Property-based shedding invariants (ISSUE 7 satellite).
+"""Property-based shedding invariants.
 
-Under *any* arrival pattern and *any* shed policy:
+Under *any* arrival pattern:
 
 1. queue depth never exceeds its bound;
 2. a higher-priority event is never shed while a lower-priority event
    remains queued (shedding always targets the worst class present);
-3. accounting balances: accepted = taken + shed-from-queue + residual.
+3. accounting balances: accepted = taken + shed-from-queue + residual;
+4. a shed from the queue is exactly its oldest event of the worst class
+   present, and an incoming event is refused only when it is strictly
+   worse than everything queued.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.flow.policy import BEST_EFFORT, HIGH
-from repro.flow.queues import SHED_POLICIES, BoundedPriorityQueue
+from repro.flow.queues import BoundedPriorityQueue
 
 arrivals = st.lists(
     st.tuples(st.integers(0, 9999), st.integers(HIGH, BEST_EFFORT)),
     min_size=0,
     max_size=200,
 )
-policies = st.sampled_from(sorted(SHED_POLICIES))
 capacities = st.integers(1, 16)
 # Interleave occasional service (take) between arrivals.
 service_every = st.integers(0, 5)
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    arrivals=arrivals,
-    policy=policies,
-    capacity=capacities,
-    service_every=service_every,
-)
-def test_shedding_invariants(arrivals, policy, capacity, service_every):
-    q = BoundedPriorityQueue(capacity=capacity, shed_policy=policy)
+@given(arrivals=arrivals, capacity=capacities, service_every=service_every)
+def test_shedding_invariants(arrivals, capacity, service_every):
+    q = BoundedPriorityQueue(capacity=capacity)
     accepted = 0
     taken = []
     shed_from_queue = 0
@@ -68,11 +65,9 @@ def test_shedding_invariants(arrivals, policy, capacity, service_every):
 
 
 @settings(max_examples=120, deadline=None)
-@given(arrivals=arrivals, policy=policies, capacity=capacities)
-def test_high_priority_never_shed_while_worse_remains(
-    arrivals, policy, capacity
-):
-    q = BoundedPriorityQueue(capacity=capacity, shed_policy=policy)
+@given(arrivals=arrivals, capacity=capacities)
+def test_high_priority_never_shed_while_worse_remains(arrivals, capacity):
+    q = BoundedPriorityQueue(capacity=capacity)
     for item, priority in arrivals:
         result = q.offer(item, priority)
         if result.shed is not None:
@@ -83,9 +78,9 @@ def test_high_priority_never_shed_while_worse_remains(
 
 
 @settings(max_examples=120, deadline=None)
-@given(arrivals=arrivals, policy=policies, capacity=capacities)
-def test_service_order_is_priority_then_fifo(arrivals, policy, capacity):
-    q = BoundedPriorityQueue(capacity=capacity, shed_policy=policy)
+@given(arrivals=arrivals, capacity=capacities)
+def test_service_order_is_priority_then_fifo(arrivals, capacity):
+    q = BoundedPriorityQueue(capacity=capacity)
     for index, (item, priority) in enumerate(arrivals):
         q.offer((index, item), priority)
     drained = q.drain()
@@ -96,3 +91,33 @@ def test_service_order_is_priority_then_fifo(arrivals, policy, capacity):
             entry[0] for entry, priority in drained if priority == klass
         ]
         assert indices == sorted(indices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrivals=arrivals, capacity=capacities, service_every=service_every)
+def test_shed_victim_is_oldest_of_worst_class(
+    arrivals, capacity, service_every
+):
+    q = BoundedPriorityQueue(capacity=capacity)
+    # What the queue should hold, in arrival order.
+    model: list[tuple[int, int]] = []
+    for index, (_, priority) in enumerate(arrivals):
+        worst = max((p for _, p in model), default=None)
+        result = q.offer(index, priority)
+        if len(model) < capacity:
+            assert result.accepted and result.shed is None
+            model.append((index, priority))
+        elif priority > worst:
+            assert not result.accepted
+            assert result.shed == (index, priority)
+        else:
+            victim = next(entry for entry in model if entry[1] == worst)
+            assert result.accepted and result.shed == victim
+            model.remove(victim)
+            model.append((index, priority))
+        if service_every and index % service_every == 0 and model:
+            best = min(p for _, p in model)
+            head = next(entry for entry in model if entry[1] == best)
+            assert q.take() == head
+            model.remove(head)
+    assert q.drain() == sorted(model, key=lambda entry: entry[1])

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.api import System
+from repro.core.renewal import RenewalPolicy
+from repro.obs import Observability
 from repro.siena.events import Event
 from repro.siena.filters import Filter
 
@@ -12,16 +14,27 @@ def test_builder_rejects_unknown_transport():
         System.builder().transport("carrier-pigeon")
 
 
-def test_tcp_transport_rejects_unwired_extensions():
-    builder = (
+def test_tcp_transport_accepts_every_builder_setting():
+    """``build()`` refuses no setting on tcp that it accepts in process."""
+    obs = Observability()
+    system = (
         System.builder()
-        .brokers(3)
-        .topic("t", numeric={"v": 16})
+        .brokers(3, arity=2)
+        .master_key(bytes(range(16)))
+        .observability(obs)
+        .renewal(RenewalPolicy(lead=10.0, grace=1.0))
+        .topic("t", numeric={"v": 16}, epoch_length=600.0)
         .transport("tcp")
-        .admission(rate=100.0)
+        .build()
     )
-    with pytest.raises(ValueError, match="not yet wired"):
-        builder.build()
+    with system:
+        assert system.obs is obs
+        watcher = system.subscribe("w", Filter.numeric_range("t", "v", 0, 7))
+        system.publisher("p").publish(
+            Event({"topic": "t", "v": 3, "body": "x"}, publisher="p")
+        )
+        system.settle()
+        assert [r.event["body"] for r in watcher.opened] == ["x"]
 
 
 def test_tcp_transport_disseminates_over_real_sockets():

@@ -5,10 +5,9 @@ import pytest
 from repro.api import System, SystemBuilder
 from repro.core.kdc import KDC
 from repro.core.renewal import RenewalPolicy
-from repro.flow import AdmissionController
 from repro.flow import HIGH, PRIORITY_ATTRIBUTE, with_priority
 from repro.obs import Observability
-from repro.routing.tokens import tokenize_sealed, tokenized_subscription
+from repro.routing.tokens import tokenized_subscription
 from repro.siena.events import Event
 from repro.siena.filters import Filter
 
@@ -223,58 +222,3 @@ def test_package_reexports_blessed_surface():
     }
     for name in repro.__all__:
         assert getattr(repro, name) is not None
-
-
-def _news_system(**admission):
-    return (
-        System.builder()
-        .topic("news", numeric={"price": 128})
-        .admission(**admission)
-        .build()
-    )
-
-
-class TestExplicitShedVerdict:
-    def test_disseminate_returns_fanout_and_shed(self):
-        system = _news_system(rate=10.0, burst=1.0, reserve=0.0)
-        system.subscribe("w", Filter.numeric_range("news", "price", 0, 127))
-        feed = system.publisher("feed")
-        sealed = tokenize_sealed(system.authority, feed.engine.publish(
-            Event({"topic": "news", "price": 1, "b": "x"}, publisher="feed")
-        ))
-        fanout, shed = system._disseminate(sealed, 0.0)
-        assert fanout >= 1 and shed is False
-        fanout, shed = system._disseminate(sealed, 0.0)  # bucket drained
-        assert fanout == 0 and shed is True
-        assert system.shed_events == 1
-
-    def test_session_shed_count_needs_no_counter_diff(self):
-        system = _news_system(rate=10.0, burst=2.0, reserve=0.0)
-        system.subscribe("w", Filter.numeric_range("news", "price", 0, 127))
-        feed = system.publisher("feed")
-        for k in range(6):
-            feed.publish(
-                Event({"topic": "news", "price": k, "b": "x"},
-                      publisher="feed"),
-                at_time=0.0,
-            )
-        assert feed.shed == 4
-        assert system.shed_events == 4
-        assert system.admission.rejected == 4
-
-    def test_prebuilt_controller_still_counts_metric(self):
-        controller = AdmissionController(rate=5.0, burst=1.0, reserve=0.0)
-        system = (
-            System.builder()
-            .topic("news", numeric={})
-            .admission(controller)
-            .build()
-        )
-        feed = system.publisher("feed")
-        for _ in range(3):
-            feed.publish(
-                Event({"topic": "news", "b": "x"}, publisher="feed"),
-                at_time=0.0,
-            )
-        assert system.shed_events == 2
-        assert controller.rejected == 2

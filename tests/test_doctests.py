@@ -11,7 +11,6 @@ import repro.core.publisher
 import repro.crypto.aes
 import repro.crypto.hashes
 import repro.engine
-import repro.flow.admission
 import repro.flow.aimd
 import repro.flow.breaker
 import repro.flow.credit
@@ -28,7 +27,6 @@ MODULES = [
     repro.crypto.aes,
     repro.crypto.hashes,
     repro.engine,
-    repro.flow.admission,
     repro.flow.aimd,
     repro.flow.breaker,
     repro.flow.credit,

@@ -7,14 +7,12 @@ from repro.errors import (
     GrantDenied,
     GrantExpired,
     KDCUnavailable,
-    RateLimited,
     ReproError,
 )
 
 
 def test_every_package_error_derives_from_repro_error():
     for error in (
-        RateLimited,
         GrantDenied,
         GrantExpired,
         KDCUnavailable,
@@ -31,14 +29,6 @@ def test_stdlib_compat_bridges():
     assert issubclass(FrameError, ValueError)
 
 
-def test_flow_rate_limited_is_the_shared_type():
-    from repro.flow import RateLimited as FlowRateLimited
-    from repro.flow.admission import RateLimited as AdmissionRateLimited
-
-    assert FlowRateLimited is RateLimited
-    assert AdmissionRateLimited is RateLimited
-
-
 def test_top_level_reexports():
     import repro
 
@@ -47,7 +37,6 @@ def test_top_level_reexports():
     assert repro.GrantExpired is GrantExpired
     assert repro.KDCUnavailable is KDCUnavailable
     assert repro.FrameError is FrameError
-    assert repro.RateLimited is RateLimited
 
 
 def test_kdc_denial_raises_the_typed_error():
