@@ -15,13 +15,15 @@ matching the cache-size axis of Figure 11.
 A derivation therefore costs ``D + H * (levels below the deepest cached
 ancestor)`` plus bookkeeping that is constant per level: every entry
 carries its byte cost, so inserting a walk's keys or evicting for them
-never re-walks a path.
+never re-walks a path, and :meth:`KeyCache.descend` hashes and inserts
+each level in one loop.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Hashable, Sequence
+from hashlib import sha1 as _sha1
+from typing import TYPE_CHECKING, Hashable
 
 from repro.crypto.hashes import KEY_BYTES
 
@@ -32,9 +34,24 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs is runtime-free)
 CachePath = tuple[Hashable, ...]
 
 
-def _part_cost(part: Hashable) -> int:
-    """Bytes one path element adds to an entry's footprint."""
-    return len(part) if isinstance(part, (str, bytes)) else 1
+class _Steps(dict):
+    """``part -> (branch, cost)`` for one step below a tree node: the
+    bytes ``H`` appends to the parent key (``H`` is SHA-1 truncated to
+    :data:`KEY_BYTES`, :mod:`repro.crypto.hashes`) and what the part
+    adds to an entry's cost (:meth:`KeyCache.entry_cost`).  The 256 tree
+    digits are prebuilt; a label or character is encoded at each lookup,
+    so hostile string values never grow the table."""
+
+    def __missing__(self, part: Hashable) -> tuple[bytes, int]:
+        if isinstance(part, int):
+            return bytes([part]), 1
+        if isinstance(part, str):
+            return part.encode("utf-8"), len(part)
+        raise TypeError(f"unsupported path part {part!r}")
+
+
+#: The one-step table :meth:`KeyCache.descend` derives through.
+STEPS = _Steps({digit: (bytes([digit]), 1) for digit in range(256)})
 
 
 class KeyCache:
@@ -73,9 +90,16 @@ class KeyCache:
 
     @staticmethod
     def entry_cost(path: CachePath) -> int:
-        """Approximate memory footprint of one cache entry, in bytes."""
-        # key + path + bookkeeping
-        return KEY_BYTES + sum(map(_part_cost, path)) + 8
+        """Approximate memory footprint of one cache entry, in bytes.
+
+        The key, 8 bytes of bookkeeping, and the path: a string or bytes
+        part costs its length, any other part one byte.
+        """
+        cost = KEY_BYTES + 8 + len(path)
+        for part in path:
+            if isinstance(part, (str, bytes)):
+                cost += len(part) - 1
+        return cost
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -88,29 +112,8 @@ class KeyCache:
     def put(self, path: CachePath, key: bytes) -> None:
         """Insert (or refresh) a derived key; evicts LRU entries as needed."""
         cost = self.entry_cost(path)
-        if cost <= self.capacity_bytes:  # else the entry can never fit
-            self._store(path, key, cost)
-
-    def put_descent(
-        self, base: CachePath, parts: Sequence[Hashable], keys: Sequence[bytes]
-    ) -> None:
-        """Insert the keys of one downward walk from *base*, top to bottom.
-
-        ``keys[i]`` is the key at ``base + parts[:i + 1]``.  Equivalent to
-        one :meth:`put` per level, but each level's cost is its parent's
-        plus one part, so the whole descent prices *base* once instead of
-        re-walking a path per level.
-        """
-        cost = self.entry_cost(base)
-        path = base
-        for part, key in zip(parts, keys):
-            path += (part,)
-            cost += _part_cost(part)
-            if cost > self.capacity_bytes:
-                break  # nor can any level below it ever fit
-            self._store(path, key, cost)
-
-    def _store(self, path: CachePath, key: bytes, cost: int) -> None:
+        if cost > self.capacity_bytes:
+            return  # the entry can never fit
         entries = self._entries
         if path in entries:
             entries.move_to_end(path)
@@ -127,6 +130,55 @@ class KeyCache:
         self._size_bytes = size
         if self._g_bytes is not None:
             self._g_bytes.set(size)
+
+    def descend(
+        self, path: CachePath, floor: int, key: bytes
+    ) -> tuple[bytes, int]:
+        """Derive the key at *path* from *key*, the key at ``path[:floor]``.
+
+        The walk starts at the deepest cached ancestor of *path* at or
+        below *floor* and caches every key it derives, top to bottom, each
+        priced as its parent's cost plus one part.  Returns ``(key,
+        hash_operations)``.  One loop per level: ``H(key || branch)`` with
+        the branch bytes and part cost read from :data:`STEPS`, then the
+        insert.  No path it inserts is cached already -- the ancestor
+        search found nothing deeper -- so an insert never refreshes.
+        """
+        position = floor
+        hit = self.deepest_ancestor(path, floor)
+        if hit is not None:
+            position = len(hit[0])
+            key = hit[1]
+        depth = len(path)
+        if position == depth:
+            return key, 0
+        entries = self._entries
+        capacity = self.capacity_bytes
+        size = self._size_bytes
+        evictions = 0
+        cost = self.entry_cost(path[:position])
+        operations = depth - position
+        while position < depth:
+            branch, part_cost = STEPS[path[position]]
+            key = _sha1(key + branch).digest()[:KEY_BYTES]
+            position += 1
+            cost += part_cost
+            if cost > capacity:
+                continue  # nor can any level below it ever fit
+            entries[path[:position]] = (key, cost)
+            size += cost
+            while size > capacity:
+                _, (_, evicted_cost) = entries.popitem(last=False)
+                size -= evicted_cost
+                evictions += 1
+        self._size_bytes = size
+        if evictions:
+            self.evictions += evictions
+            if self._c_evictions is not None:
+                self._c_evictions.inc(evictions)
+        if self._g_bytes is not None:
+            self._g_bytes.set(size)
+        return key, operations
 
     def _count_hit(self) -> None:
         self.hits += 1

@@ -37,7 +37,9 @@ def derivation_step(key: bytes, part: PathPart) -> bytes:
     """One downward derivation step ``H(key || branch)``.
 
     Integer parts are tree digits (numeric key trees); string parts are
-    labels/characters (category trees and string tries).
+    labels/characters (category trees and string tries).  The walk
+    itself derives through :meth:`~repro.core.cache.KeyCache.descend`;
+    this is the one-step reference it is tested against.
     """
     if isinstance(part, int):
         return H(key + bytes([part]))
@@ -51,8 +53,11 @@ def cache_namespace(
 ) -> tuple[PathPart, ...]:
     """Cache namespace for one attribute tree within one epoch.
 
-    *scope* disambiguates epochs: publishers pass a topic-key fingerprint,
-    subscribers their grant's epoch number.
+    *scope* names the key tree the walk descends: publishers pass their
+    topic key (a 4-byte fingerprint of it is kept), subscribers their
+    grant's epoch and a fingerprint of the granted key, so two trees that
+    share topic, attribute and epoch -- per-publisher topic keys -- never
+    share an entry.
     """
     if isinstance(scope, (bytes, bytearray)):
         scope = bytes(scope[:4])
@@ -104,9 +109,9 @@ def cached_walk(
     key is cached on the way down.  Returns ``(key, hash_operations)``.
 
     Cost is one ``H`` per level below that ancestor plus constant cache
-    bookkeeping per level: the descent is handed to the cache in one
-    :meth:`~repro.core.cache.KeyCache.put_descent`, never re-priced per
-    level, so a hash the cache saves is not spent on the cache instead.
+    bookkeeping per level: :meth:`~repro.core.cache.KeyCache.descend`
+    hashes and inserts each level in one loop, never re-pricing a path,
+    so a hash the cache saves is not spent on the cache instead.
     """
     start = tuple(start_parts)
     target = tuple(target_parts)
@@ -114,22 +119,8 @@ def cached_walk(
         raise ValueError(
             f"start path {start!r} is not a prefix of target {target!r}"
         )
-
-    full_target = namespace + target
-    position = len(namespace) + len(start)
-    key = start_key
-
-    if cache is not None:
-        hit = cache.deepest_ancestor(full_target, floor=position)
-        if hit is not None:
-            position = len(hit[0])
-            key = hit[1]
-
-    parts = full_target[position:]
-    keys = []
-    for part in parts:
-        key = derivation_step(key, part)
-        keys.append(key)
-    if cache is not None and keys:
-        cache.put_descent(full_target[:position], parts, keys)
-    return key, len(keys)
+    if cache is None:
+        cache = KeyCache(0)  # derives every level and keeps none
+    return cache.descend(
+        namespace + target, len(namespace) + len(start), start_key
+    )

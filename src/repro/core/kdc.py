@@ -154,6 +154,8 @@ class KDC:
             revocations if revocations is not None else set()
         )
         self.stats = KDCStats()
+        #: topic -> its epoch offset as a fraction of the epoch length.
+        self._epoch_fractions: dict[str, float] = {}
 
     # -- configuration ------------------------------------------------------
 
@@ -203,12 +205,20 @@ class KDC:
 
     # -- epochs --------------------------------------------------------------
 
-    def _epoch_offset(self, topic: str) -> float:
-        """Per-topic stagger so epoch renewals spread out (Section 3.1)."""
-        config = self.config_for(topic)
-        digest = KH(b"psguard:epoch-offset", topic.encode("utf-8"))
-        fraction = int.from_bytes(digest[:8], "big") / 2**64
-        return fraction * config.epoch_length
+    def _epoch_frame(self, topic: str) -> tuple[float, float]:
+        """``(epoch length, offset)`` of *topic*'s epochs.
+
+        The offset staggers renewals per topic (Section 3.1): a fixed
+        fraction of the epoch length, ``KH`` of the topic alone, so it is
+        computed once per topic; the length can be retuned.
+        """
+        length = self.config_for(topic).epoch_length
+        fraction = self._epoch_fractions.get(topic)
+        if fraction is None:
+            digest = KH(b"psguard:epoch-offset", topic.encode("utf-8"))
+            fraction = int.from_bytes(digest[:8], "big") / 2**64
+            self._epoch_fractions[topic] = fraction
+        return length, fraction * length
 
     def epoch_of(self, topic: str, at_time: float) -> int:
         """The epoch number containing *at_time* for *topic*.
@@ -219,19 +229,18 @@ class KDC:
         boundary value (float division can land a hair on either side,
         which would seal a boundary-instant event under the wrong key).
         """
-        config = self.config_for(topic)
-        shifted = at_time - self._epoch_offset(topic)
-        epoch = int(shifted // config.epoch_length)
-        if at_time >= self.epoch_start(topic, epoch + 1):
+        length, offset = self._epoch_frame(topic)
+        epoch = int((at_time - offset) // length)
+        if at_time >= (epoch + 1) * length + offset:
             epoch += 1
-        elif at_time < self.epoch_start(topic, epoch):
+        elif at_time < epoch * length + offset:
             epoch -= 1
         return epoch
 
     def epoch_start(self, topic: str, epoch: int) -> float:
         """Wall-clock start of epoch number *epoch* for *topic*."""
-        config = self.config_for(topic)
-        return epoch * config.epoch_length + self._epoch_offset(topic)
+        length, offset = self._epoch_frame(topic)
+        return epoch * length + offset
 
     def epoch_end(self, topic: str, at_time: float) -> float:
         """Wall-clock end of the epoch containing *at_time*."""

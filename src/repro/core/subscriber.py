@@ -15,14 +15,14 @@ A sealed event that matches none of the subscriber's grants is
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from repro.core.cache import KeyCache
 from repro.core.category import CategoryKeySpace
-from repro.core.composite import AuthorizationComponent
 from repro.core.derive import cache_namespace, cached_walk, element_path, value_path
 from repro.core.envelope import OpenResult, SealedEvent, open_event
-from repro.core.kdc import TOPIC_COMPONENT, AuthorizationGrant, ClauseGrant
+from repro.core.kdc import TOPIC_COMPONENT, AuthorizationGrant
 from repro.core.ktid import KTID
 from repro.core.nakt import NumericKeySpace
 from repro.core.strings import StringKeySpace
@@ -83,12 +83,17 @@ class Subscriber:
             raise ValueError("grace period must be non-negative")
         self.subscriber_id = subscriber_id
         self.grace_period = grace_period
-        self.grants: list[AuthorizationGrant] = []
+        self._held: list[_HeldGrant] = []
         self.cache = KeyCache(cache_bytes)
         self.dedup = DedupWindow(window=dedup_window) if dedup_window else None
         self.stats = SubscriberStats()
 
     # -- grant management -----------------------------------------------------
+
+    @property
+    def grants(self) -> list[AuthorizationGrant]:
+        """The installed grants, oldest first (a copy)."""
+        return [held.grant for held in self._held]
 
     def add_grant(self, grant: AuthorizationGrant) -> None:
         """Install a grant obtained from the KDC."""
@@ -97,21 +102,25 @@ class Subscriber:
                 f"grant was issued to {grant.subscriber!r}, "
                 f"not {self.subscriber_id!r}"
             )
-        self.grants.append(grant)
+        self._held.append(_HeldGrant(grant))
 
     def active_grants(self, at_time: float = 0.0) -> list[AuthorizationGrant]:
         """Grants usable at *at_time* (epoch unexpired, or within grace)."""
         return [
-            g
-            for g in self.grants
-            if at_time < g.expires_at + self.grace_period
+            held.grant
+            for held in self._held
+            if at_time < held.grant.expires_at + self.grace_period
         ]
 
     def drop_expired(self, at_time: float) -> int:
-        """Discard expired grants; returns how many were dropped."""
-        before = len(self.grants)
-        self.grants = self.active_grants(at_time)
-        return before - len(self.grants)
+        """Discard expired grants, and their plans; returns how many."""
+        before = len(self._held)
+        self._held = [
+            held
+            for held in self._held
+            if at_time < held.grant.expires_at + self.grace_period
+        ]
+        return before - len(self._held)
 
     def key_count(self, at_time: float = 0.0) -> int:
         """Total keys held across active grants (Figure 3's metric)."""
@@ -137,39 +146,51 @@ class Subscriber:
         duplicate window (*dedup_window*) before any grant is tried and
         counts in ``stats.duplicates_suppressed``, not
         ``events_unreadable``.
+
+        Each grant is tried through its :class:`_GrantPlan`, looked up
+        (or compiled) at the first event the grant is tried on and again
+        only if the topic's schema object changes.
         """
-        self.stats.events_received += 1
+        stats = self.stats
+        stats.events_received += 1
         if (
             self.dedup is not None
             and sealed.origin is not None
             and sealed.sequence is not None
             and self.dedup.seen(sealed.origin, sealed.sequence)
         ):
-            self.stats.duplicates_suppressed += 1
+            stats.duplicates_suppressed += 1
             return None
         topic = sealed.routable.get("topic")
-        for grant in self.active_grants(at_time):
+        grace_period = self.grace_period
+        for held in self._held:
+            grant = held.grant
+            if at_time >= grant.expires_at + grace_period:
+                continue
             if grant.topic != topic:
                 continue
-            schema = schema_lookup(grant.topic)
-            for clause_grant in grant.clauses:
-                result = self._try_clause(sealed, schema, grant, clause_grant)
+            schema = schema_lookup(topic)
+            plan = held.plan
+            if plan is None or plan.schema is not schema:
+                plan = held.plan = _plan_for(grant, schema)
+            for checks, attributes in plan.clauses:
+                result = self._try_clause(sealed, schema, checks, attributes)
                 if result is not None:
-                    self.stats.events_opened += 1
-                    self.stats.hash_operations += result.hash_operations
-                    self.stats.decrypt_operations += result.decrypt_operations
+                    stats.events_opened += 1
+                    stats.hash_operations += result.hash_operations
+                    stats.decrypt_operations += result.decrypt_operations
                     if at_time >= grant.expires_at:
-                        self.stats.grace_opens += 1
+                        stats.grace_opens += 1
                     return result
-        self.stats.events_unreadable += 1
+        stats.events_unreadable += 1
         return None
 
     def _try_clause(
         self,
         sealed: SealedEvent,
         schema,
-        grant: AuthorizationGrant,
-        clause_grant: ClauseGrant,
+        checks: tuple,
+        attributes: dict,
     ) -> OpenResult | None:
         # Plaintext constraints on NON-securable attributes must hold on the
         # routable part (e.g. publisher identity, auxiliary routing labels).
@@ -178,19 +199,15 @@ class Subscriber:
         # which *is* the matching semantics (range containment, category
         # subsumption, string prefix) -- a plain EQ test here would wrongly
         # reject e.g. a category grant covering a descendant leaf.
-        securable = schema.attribute_names()
-        for constraint in clause_grant.clause:
-            if constraint.name == "topic" or constraint.name in securable:
-                continue
-            if not constraint.matches(sealed.routable):
+        routable = sealed.routable
+        for constraint in checks:
+            if not constraint.matches(routable):
                 return None
         for lock in sealed.locks:
             component_keys: dict[str, bytes] = {}
             hash_ops = 0
             for attribute in lock.attributes:
-                derived = self._derive_component(
-                    sealed, schema, grant, clause_grant, attribute
-                )
+                derived = self._derive_component(sealed, attributes, attribute)
                 if derived is None:
                     break
                 component_keys[attribute], ops = derived
@@ -205,50 +222,164 @@ class Subscriber:
         return None
 
     def _derive_component(
-        self,
-        sealed: SealedEvent,
-        schema,
-        grant: AuthorizationGrant,
-        clause_grant: ClauseGrant,
-        attribute: str,
+        self, sealed: SealedEvent, attributes: dict, attribute: str
     ) -> tuple[bytes, int] | None:
-        """Derive one component leaf key, or ``None`` when unauthorized."""
+        """Derive one component leaf key, or ``None`` when unauthorized.
+
+        The first granted component whose element covers the event's
+        walks the key cache from that element down to the event's leaf.
+        """
         event_element = sealed.elements.get(attribute)
         if event_element is None:
             return None
-        if attribute == TOPIC_COMPONENT:
-            for component in clause_grant.keys_for(TOPIC_COMPONENT):
-                if component.element == event_element:
-                    return component.key, 0
+        # A KeyError here names a lock attribute the schema does not declare.
+        kind, space, components = attributes[attribute]
+        if kind is _TOPIC:
+            for element, key in components:
+                if element == event_element:
+                    return key, 0
             return None
-
-        space = schema.space_for(attribute)
-        for component in clause_grant.keys_for(attribute):
-            if not self._covers(space, component, event_element):
-                continue
-            namespace = cache_namespace(grant.topic, attribute, grant.epoch)
-            key, ops = cached_walk(
-                self.cache,
-                namespace,
-                element_path(space, component.element),
-                component.key,
-                value_path(space, event_element),
-            )
-            return key, ops
+        if kind is _NUMERIC:
+            if not isinstance(event_element, KTID):
+                return None
+            for element, namespace, start, key in components:
+                if element.is_prefix_of(event_element):
+                    return cached_walk(
+                        self.cache, namespace, start, key, event_element.digits
+                    )
+            return None
+        if kind is _CATEGORY:
+            covers = space.tree.subsumes
+        elif kind is _STRING:
+            covers = space.matches
+        else:
+            return None
+        value = str(event_element)
+        for element, namespace, start, key in components:
+            if covers(element, value):
+                return cached_walk(
+                    self.cache,
+                    namespace,
+                    start,
+                    key,
+                    value_path(space, event_element),
+                )
         return None
 
-    @staticmethod
-    def _covers(
-        space, component: AuthorizationComponent, event_element: object
-    ) -> bool:
-        if isinstance(space, NumericKeySpace):
-            return isinstance(component.element, KTID) and isinstance(
-                event_element, KTID
-            ) and component.element.is_prefix_of(event_element)
-        if isinstance(space, CategoryKeySpace):
-            return space.tree.subsumes(
-                str(component.element), str(event_element)
+
+_TOPIC = "topic"
+_NUMERIC = "numeric"
+_CATEGORY = "category"
+_STRING = "string"
+
+
+def _plan_for(grant: AuthorizationGrant, schema) -> "_GrantPlan":
+    """The plan of *grant* under *schema*, shared by equal grants.
+
+    A plan is a pure function of the grant's topic, epoch and clauses
+    (not of its subscriber) and of the schema, so every subscriber of a
+    process holding an equal grant -- the same filter in the same epoch
+    -- uses one plan.  :data:`_PLANS` holds plans weakly: a plan lives
+    exactly as long as some held grant refers to it.
+    """
+    key = (schema, grant.topic, grant.epoch, grant.clauses)
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _PLANS[key] = _GrantPlan(grant, schema)
+    return plan
+
+
+class _GrantPlan:
+    """What trying one grant on an event needs that no event changes.
+
+    Per clause: the clause's constraints on non-securable attributes
+    (checked on the routable part), and per attribute its space kind, its
+    space, and its granted components -- for a key-tree attribute each as
+    ``(element, cache namespace, root-relative start path, key)``, for the
+    topic component as ``(element, key)``.  A component a key-space kind
+    can never cover (a numeric one without a KTID) is left out.
+
+    The namespace scopes the cache walk by the key tree it descends: the
+    grant's epoch and an 8-byte fingerprint of the granted key.  Grants
+    from two per-publisher trees share topic, attribute and epoch, so a
+    namespace without the fingerprint would let one tree's cached keys
+    seed the other's walk.  A tuple scope prices as one path part, like
+    the bare epoch did, so entry costs are unchanged.
+    """
+
+    __slots__ = ("schema", "clauses", "__weakref__")
+
+    def __init__(self, grant: AuthorizationGrant, schema):
+        self.schema = schema
+        securable = schema.attribute_names()
+        clauses = []
+        for clause_grant in grant.clauses:
+            checks = tuple(
+                constraint
+                for constraint in clause_grant.clause
+                if constraint.name != "topic"
+                and constraint.name not in securable
             )
-        if isinstance(space, StringKeySpace):
-            return space.matches(str(component.element), str(event_element))
-        return False
+            attributes = {
+                attribute: _compile_attribute(
+                    grant,
+                    clause_grant.keys_for(attribute),
+                    attribute,
+                    schema.space_for(attribute),
+                )
+                for attribute in securable
+            }
+            attributes[TOPIC_COMPONENT] = (
+                _TOPIC,
+                None,
+                tuple(
+                    (component.element, component.key)
+                    for component in clause_grant.keys_for(TOPIC_COMPONENT)
+                ),
+            )
+            clauses.append((checks, attributes))
+        self.clauses = tuple(clauses)
+
+
+def _compile_attribute(grant, components, attribute, space) -> tuple:
+    """``(kind, space, compiled components)`` for one securable attribute."""
+    if isinstance(space, NumericKeySpace):
+        kind = _NUMERIC
+        components = [c for c in components if isinstance(c.element, KTID)]
+    elif isinstance(space, CategoryKeySpace):
+        kind = _CATEGORY
+    elif isinstance(space, StringKeySpace):
+        kind = _STRING
+    else:
+        return None, space, ()  # a space no grant element can cover
+    compiled = []
+    for component in components:
+        element = component.element
+        compiled.append(
+            (
+                element if kind is _NUMERIC else str(element),
+                cache_namespace(
+                    grant.topic, attribute, (grant.epoch, component.key[:8])
+                ),
+                element_path(space, element),
+                component.key,
+            )
+        )
+    return kind, space, tuple(compiled)
+
+
+#: Live plans by ``(schema, topic, epoch, clauses)``; see :func:`_plan_for`.
+_PLANS: "weakref.WeakValueDictionary[tuple, _GrantPlan]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+class _HeldGrant:
+    """One installed grant and, once it has been tried, its (possibly
+    shared) plan, which this reference keeps alive."""
+
+    __slots__ = ("grant", "plan")
+
+    def __init__(self, grant: AuthorizationGrant):
+        self.grant = grant
+        self.plan: _GrantPlan | None = None

@@ -28,9 +28,12 @@ from repro.crypto.aes import BLOCK_SIZE
 from repro.crypto.modes import cbc_decrypt, cbc_encrypt, pkcs7_pad, pkcs7_unpad
 
 try:  # pragma: no cover - exercised indirectly depending on environment
+    # The classes are bound here, not read per call: ``algorithms`` and
+    # ``modes`` are deprecation-proxy modules, and an attribute read
+    # through one costs several times the construction it precedes.
     from cryptography.hazmat.primitives.ciphers import Cipher as _Cipher
-    from cryptography.hazmat.primitives.ciphers import algorithms as _algorithms
-    from cryptography.hazmat.primitives.ciphers import modes as _modes
+    from cryptography.hazmat.primitives.ciphers.algorithms import AES as _AES
+    from cryptography.hazmat.primitives.ciphers.modes import CBC as _CBC
 
     _HAVE_CRYPTOGRAPHY = True
 except ImportError:  # pragma: no cover
@@ -43,7 +46,7 @@ _fallback_reason: str | None = None
 
 
 def _fast_encrypt(key: bytes, plaintext: bytes, iv: bytes) -> bytes:
-    encryptor = _Cipher(_algorithms.AES(bytes(key)), _modes.CBC(iv)).encryptor()
+    encryptor = _Cipher(_AES(bytes(key)), _CBC(iv)).encryptor()
     return iv + encryptor.update(pkcs7_pad(plaintext)) + encryptor.finalize()
 
 
@@ -51,7 +54,7 @@ def _fast_decrypt(key: bytes, data: bytes) -> bytes:
     if len(data) < 2 * BLOCK_SIZE or len(data) % BLOCK_SIZE != 0:
         raise ValueError("ciphertext too short or not block aligned")
     iv, ciphertext = data[:BLOCK_SIZE], data[BLOCK_SIZE:]
-    decryptor = _Cipher(_algorithms.AES(bytes(key)), _modes.CBC(iv)).decryptor()
+    decryptor = _Cipher(_AES(bytes(key)), _CBC(iv)).decryptor()
     return pkcs7_unpad(decryptor.update(ciphertext) + decryptor.finalize())
 
 

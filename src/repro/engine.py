@@ -5,10 +5,12 @@ accumulator and, when it fills or on :meth:`~DisseminationEngine.flush`,
 walks the broker tree with one ``tree.publish(event)`` per event, in
 order: delivery streams are those of publishing each event directly.
 :class:`EngineCaches` bundles the memo layers around the tree:
-``token_authority`` memoizes Song--Wagner--Perrig token pre-computation
-on the publish side, and ``match_results`` remembers the topic pin each
-event verified under, so only the first broker on an event's path probes
-pins (``Broker.match_cache``).  Brokers check every other token
+``token_authority`` is the Song--Wagner--Perrig
+:class:`~repro.routing.tokens.TokenAuthority`, whose LRU memo holds one
+pre-keyed probe per label (a publisher's token then costs one PRF
+evaluation and no key set-up), and ``match_results`` remembers the topic
+pin each event verified under, so only the first broker on an event's
+path probes pins (``Broker.match_cache``).  Brokers check every other token
 constraint directly: ``r`` is fresh per event, so a memo of ``F_{tok}(r)``
 or of a verdict could only hit while one event was being walked.  Every
 cache memoizes a pure function, so caching changes no verdict or token.
@@ -21,11 +23,7 @@ from typing import Callable
 
 from repro.obs.lru import LRUCache
 from repro.obs.metrics import MetricsRegistry
-from repro.routing.tokens import (
-    CachingTokenAuthority,
-    TokenPRFCache,
-    tokenized_match,
-)
+from repro.routing.tokens import TokenAuthority, TokenPRFCache, tokenized_match
 from repro.siena.events import Event
 from repro.siena.filters import Filter
 from repro.siena.network import BrokerTree
@@ -62,9 +60,9 @@ class EngineCaches:
             MEMO_ENTRIES_PER_EVENT * config.batch_size, "topic_group_memo"
         )
 
-    def token_authority(self, master_key: bytes) -> CachingTokenAuthority:
-        """A memoizing token authority for *master_key*."""
-        return CachingTokenAuthority(master_key)
+    def token_authority(self, master_key: bytes) -> TokenAuthority:
+        """The token authority for *master_key* (it memoizes its probes)."""
+        return TokenAuthority(master_key)
 
     def tokenized_match(self) -> Callable[[Filter, Event], bool]:
         """The tokenized match predicate for broker trees."""

@@ -101,19 +101,34 @@ def routable_matches(token: bytes, routable: RoutableToken) -> bool:
 
 
 class TokenAuthority:
-    """Derives label tokens from the KDC master key.
+    """Derives label tokens from the KDC master key, and memoizes them.
 
     Distinct from decryption keys: compromise of a token reveals which
     events carry a label, never their contents.
+
+    A label token is a pure PRF of the master key, so memoization is
+    exact: ``T(w)`` and element tokens never change for a fixed KDC.  The
+    memo holds one :class:`TokenProbe` per label -- the token with ``F``
+    keyed under it, so a publisher's ``F_{T(w)}(r)`` costs one PRF
+    evaluation without the key set-up -- in one LRU map bounded at
+    *capacity* labels, which keeps hostile topic churn from growing it
+    without limit; ``cache.stats()`` reports hits, misses and evictions.
     """
 
-    def __init__(self, master_key: bytes):
+    def __init__(self, master_key: bytes, capacity: int = 4096):
         self.master_key = master_key
         self._prf = keyed_F(master_key)
+        self.cache = LRUCache(capacity, "token_authority_cache")
+
+    def _probe(self, label: bytes) -> TokenProbe:
+        """The probe of label token ``F_{rk}(label)``, from the memo."""
+        return self.cache.get_or_compute(
+            label, lambda: TokenProbe(self._prf(label))
+        )
 
     def topic_token(self, topic: str) -> bytes:
         """``T(w) = F_{rk}(w)``."""
-        return self._prf(b"topic:" + topic.encode("utf-8"))
+        return self._probe(b"topic:" + topic.encode("utf-8")).token
 
     def element_token(self, topic: str, attribute: str, element: object) -> bytes:
         """Token for one key-tree element of one attribute.
@@ -126,9 +141,7 @@ class TokenAuthority:
             material = element.encode("utf-8")
         else:
             raise TypeError(f"untokenizable element {element!r}")
-        label = b"element:" + topic.encode("utf-8") + b"\x00"
-        label += attribute.encode("utf-8") + b"\x00" + material
-        return self._prf(label)
+        return self._probe(_element_label(topic, attribute) + material).token
 
     def ktid_prefix_tokens(
         self, topic: str, attribute: str, leaf: KTID
@@ -144,33 +157,12 @@ class TokenAuthority:
         ]
 
 
-class CachingTokenAuthority(TokenAuthority):
-    """A :class:`TokenAuthority` that memoizes token pre-computation.
-
-    Label tokens are deterministic PRFs of the master key, so memoization
-    is exact: ``T(w)`` and element tokens never change for a fixed KDC.
-    The LRU bound keeps hostile topic churn from growing the map without
-    limit; ``cache.stats()`` reports hits, misses and evictions.
-    """
-
-    def __init__(self, master_key: bytes, capacity: int = 4096):
-        super().__init__(master_key)
-        self.cache = LRUCache(capacity, "token_authority_cache")
-
-    def topic_token(self, topic: str) -> bytes:
-        return self.cache.get_or_compute(
-            ("topic", topic), lambda: TokenAuthority.topic_token(self, topic)
-        )
-
-    def element_token(self, topic: str, attribute: str, element: object) -> bytes:
-        if isinstance(element, KTID):
-            tag: object = ("ktid", element.to_bytes())
-        else:
-            tag = element
-        return self.cache.get_or_compute(
-            ("element", topic, attribute, tag),
-            lambda: TokenAuthority.element_token(self, topic, attribute, element),
-        )
+def _element_label(topic: str, attribute: str) -> bytes:
+    """The PRF input of an element token, up to the element's material."""
+    return (
+        b"element:" + topic.encode("utf-8") + b"\x00"
+        + attribute.encode("utf-8") + b"\x00"
+    )
 
 
 # -- integration with the Siena broker ------------------------------------------
@@ -195,24 +187,47 @@ def tokenize_event(
 
     The returned event carries only the nonce/proof pairs, plus ``_seq``
     and the priority class when *routable* has them; brokers with the
-    right subscription tokens can match it, and nothing else.
+    right subscription tokens can match it, and nothing else.  Each pair
+    is ``make_routable(token, nonce).encode()`` for its own fresh nonce;
+    the event's nonces come from one ``os.urandom`` call, in attribute
+    order, and a prefix's material is the bytes of its
+    :meth:`~repro.core.ktid.KTID.to_bytes` without building the KTID.
     """
+    count = 1
+    for element in elements.values():
+        if isinstance(element, KTID):
+            count += len(element.digits) + 1
+        elif isinstance(element, str):
+            count += 1
+    nonces = os.urandom(_NONCE_BYTES * count)
+    nonce = nonces[:_NONCE_BYTES]
+    probe = authority._probe(b"topic:" + topic.encode("utf-8"))
     token_attributes: dict[str, object] = {
-        TOPIC_TOKEN_ATTRIBUTE: make_routable(
-            authority.topic_token(topic)
-        ).encode()
+        TOPIC_TOKEN_ATTRIBUTE: (nonce + probe.prf(nonce)).hex()
     }
+    offset = _NONCE_BYTES
     for attribute, element in elements.items():
         if isinstance(element, KTID):
-            prefixes = list(element.ancestors()) + [element]
-            for level, prefix in enumerate(prefixes):
-                token = authority.element_token(topic, attribute, prefix)
-                name = f"{ELEMENT_TOKEN_ATTRIBUTE}:{attribute}:{level}"
-                token_attributes[name] = make_routable(token).encode()
+            label = _element_label(topic, attribute)
+            arity, digits = element.arity, element.digits
+            name = f"{ELEMENT_TOKEN_ATTRIBUTE}:{attribute}:"
+            for level in range(len(digits) + 1):
+                probe = authority._probe(
+                    label + bytes((arity, level, *digits[:level]))
+                )
+                nonce = nonces[offset:offset + _NONCE_BYTES]
+                offset += _NONCE_BYTES
+                token_attributes[name + str(level)] = (
+                    nonce + probe.prf(nonce)
+                ).hex()
         elif isinstance(element, str):
-            token = authority.element_token(topic, attribute, element)
+            probe = authority._probe(
+                _element_label(topic, attribute) + element.encode("utf-8")
+            )
+            nonce = nonces[offset:offset + _NONCE_BYTES]
+            offset += _NONCE_BYTES
             name = f"{ELEMENT_TOKEN_ATTRIBUTE}:{attribute}"
-            token_attributes[name] = make_routable(token).encode()
+            token_attributes[name] = (nonce + probe.prf(nonce)).hex()
     for name in _KEPT_ATTRIBUTES:
         if name in routable:
             token_attributes[name] = routable[name]

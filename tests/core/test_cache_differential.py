@@ -1,10 +1,11 @@
 """KeyCache and cached_walk against the per-level reference they replaced.
 
-The reference below is the cache as it stood before the bulk descent: one
-``put`` per tree level, each pricing the whole path with ``entry_cost``
-(again on eviction).  Everything observable must agree with it -- entry
-order, byte size, counters, derived keys, hash counts -- so the bookkeeping
-got cheaper without the cache deciding anything differently.
+The reference below is the cache as it stood before the fused descent:
+one ``derivation_step`` and one ``put`` per tree level, each pricing the
+whole path with ``entry_cost`` (again on eviction).  Everything observable
+must agree with it -- entry order, byte size, counters (local and
+``instrument()``-ed), derived keys, hash counts -- so the walk got cheaper
+without the cache deciding anything differently.
 """
 
 from collections import OrderedDict
@@ -22,6 +23,7 @@ from repro.core.derive import (
 )
 from repro.core.nakt import NumericKeySpace
 from repro.core.strings import StringKeySpace
+from repro.obs.metrics import MetricsRegistry
 
 TOPIC_KEY = bytes(range(16))
 
@@ -49,10 +51,6 @@ class ReferenceCache:
             evicted_path, _ = self.entries.popitem(last=False)
             self.size_bytes -= KeyCache.entry_cost(evicted_path)
             self.evictions += 1
-
-    def put_descent(self, base, parts, keys):
-        for depth, key in enumerate(keys, start=1):
-            self.put(base + tuple(parts[:depth]), key)
 
     def get(self, path):
         key = self.entries.get(path)
@@ -93,7 +91,13 @@ def reference_walk(cache, namespace, start, start_key, target):
     return key, operations
 
 
-def assert_same_state(cache, reference):
+def instrumented(capacity):
+    """A cache whose registry counters account from its first call."""
+    registry = MetricsRegistry()
+    return KeyCache(capacity).instrument(registry), registry
+
+
+def assert_same_state(cache, reference, registry=None):
     assert [(p, k) for p, (k, _) in cache._entries.items()] == list(
         reference.entries.items()
     )
@@ -101,24 +105,30 @@ def assert_same_state(cache, reference):
     assert cache.size_bytes == sum(
         KeyCache.entry_cost(path) for path in cache._entries
     )
-    assert (cache.hits, cache.misses, cache.evictions) == (
-        reference.hits,
-        reference.misses,
-        reference.evictions,
-    )
+    expected = (reference.hits, reference.misses, reference.evictions)
+    assert (cache.hits, cache.misses, cache.evictions) == expected
+    if registry is not None:
+        assert tuple(
+            registry.get(f"key_cache_{name}_total").value
+            for name in ("hits", "misses", "evictions")
+        ) == expected
+        assert registry.get("key_cache_size_bytes").value == cache.size_bytes
 
 
 # Few distinct parts so paths collide; long strings and bytes so part costs
-# differ and some paths outgrow a small cache mid-descent.
-_PARTS = st.sampled_from([0, 1, 2, "a", "bc", "x" * 40, b"\x01\x02\x03\x04"])
+# differ and some paths outgrow a small cache mid-descent.  Bytes parts
+# only ever sit in a namespace: a walk derives through digits and labels.
+_STEP_PARTS = st.sampled_from([0, 1, 2, 255, "a", "bc", "x" * 40, "é"])
+_PARTS = st.one_of(_STEP_PARTS, st.just(b"\x01\x02\x03\x04"))
 _PATHS = st.lists(_PARTS, min_size=0, max_size=6).map(tuple)
 _KEYS = st.binary(min_size=16, max_size=16)
 _OPS = st.one_of(
     st.tuples(st.just("put"), _PATHS, _KEYS),
     st.tuples(
-        st.just("put_descent"),
+        st.just("descend"),
         _PATHS,
-        st.lists(st.tuples(_PARTS, _KEYS), min_size=0, max_size=6),
+        st.lists(_STEP_PARTS, min_size=0, max_size=6).map(tuple),
+        _KEYS,
     ),
     st.tuples(st.just("get"), _PATHS),
     st.tuples(st.just("deepest_ancestor"), _PATHS, st.integers(0, 3)),
@@ -128,19 +138,18 @@ _OPS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(capacity=st.integers(0, 400), ops=st.lists(_OPS, max_size=40))
 def test_cache_matches_per_level_reference(capacity, ops):
-    cache, reference = KeyCache(capacity), ReferenceCache(capacity)
+    cache, registry = instrumented(capacity)
+    reference = ReferenceCache(capacity)
     for name, *arguments in ops:
-        if name == "put_descent":
-            base, levels = arguments
-            arguments = (
-                base,
-                tuple(part for part, _ in levels),
-                [key for _, key in levels],
-            )
-        assert getattr(cache, name)(*arguments) == getattr(reference, name)(
-            *arguments
-        )
-        assert_same_state(cache, reference)
+        if name == "descend":
+            base, tail, key = arguments
+            got = cache.descend(base + tail, len(base), key)
+            want = reference_walk(reference, base, (), key, tail)
+        else:
+            got = getattr(cache, name)(*arguments)
+            want = getattr(reference, name)(*arguments)
+        assert got == want
+        assert_same_state(cache, reference, registry)
 
 
 _TREE = CategoryTree.from_spec(
@@ -171,7 +180,8 @@ _WALKS = st.sampled_from(sorted(_SPACES)).flatmap(
 @settings(max_examples=200, deadline=None)
 @given(capacity=st.integers(0, 1500), walks=st.lists(_WALKS, max_size=30))
 def test_cached_walk_matches_uncached_and_reference_walk(capacity, walks):
-    cache, reference = KeyCache(capacity), ReferenceCache(capacity)
+    cache, registry = instrumented(capacity)
+    reference = ReferenceCache(capacity)
     for kind, value, start_depth in walks:
         space = _SPACES[kind][0]
         namespace = cache_namespace("topic", kind, 0)
@@ -188,7 +198,45 @@ def test_cached_walk_matches_uncached_and_reference_walk(capacity, walks):
         assert walked == reference_walk(
             reference, namespace, start, start_key, target
         )
-        assert_same_state(cache, reference)
+        assert_same_state(cache, reference, registry)
+
+
+def _depth_20_walks(capacity):
+    """The same 448 depth-20 walks on the fused cache and the reference."""
+    space = NumericKeySpace("n", 1 << 20)
+    namespace = cache_namespace("topic", "n", bytes(range(4)))
+    root = space.root_key(TOPIC_KEY)
+    cache, registry = instrumented(capacity)
+    reference = ReferenceCache(capacity)
+    values = [(value * 2654435761) % (1 << 20) for value in range(448)]
+    for value in values:
+        target = value_path(space, value)
+        walked = cached_walk(cache, namespace, (), root, target)
+        assert walked == reference_walk(reference, namespace, (), root, target)
+        assert walked[0] == cached_walk(None, namespace, (), root, target)[0]
+    assert_same_state(cache, reference, registry)
+    return cache
+
+
+def test_fused_walk_with_zero_capacity_caches_nothing():
+    cache = _depth_20_walks(0)
+    assert len(cache) == 0 and cache.size_bytes == 0
+    assert cache.evictions == 0
+
+
+def test_fused_walk_stops_inserting_where_a_level_outgrows_capacity():
+    # The namespace prices 2 + 5 + 1 + 4 bytes and a key 16 + 8, so an
+    # entry at depth d costs 36 + d: levels 1-14 fit in 50 bytes, deeper
+    # ones never do -- yet every walk still derives all 20 levels.
+    cache = _depth_20_walks(50)
+    assert cache.size_bytes <= 50
+    assert max(len(path) - 4 for path in cache._entries) == 14
+    assert cache.evictions > 0
+
+
+def test_fused_walk_matches_reference_at_the_default_capacity():
+    cache = _depth_20_walks(64 * 1024)
+    assert cache.hits > 0 and cache.evictions > 0
 
 
 def test_depth_20_walk_prices_a_path_at_most_once(monkeypatch):

@@ -1,10 +1,13 @@
 """The key distribution center: epochs, statelessness, grants."""
 
+import math
+
 import pytest
 
 from repro.core.composite import CompositeKeySpace
 from repro.core.kdc import KDC, TOPIC_COMPONENT
 from repro.core.nakt import NumericKeySpace
+from repro.crypto.prf import KH
 from repro.siena.filters import Constraint, Filter
 from repro.siena.operators import Op
 
@@ -57,6 +60,64 @@ def test_epoch_offsets_are_staggered_per_topic(master_key):
     ends = {kdc.epoch_end(name, 0.0) for name in
             ("t0", "t1", "t2", "t3", "t4", "t5")}
     assert len(ends) > 1
+
+
+class _ReferenceEpochs:
+    """Epoch arithmetic as it stood before the per-topic offset fraction
+    was memoized: ``KH`` of the topic on every call."""
+
+    def __init__(self, kdc):
+        self.kdc = kdc
+
+    def offset(self, topic):
+        config = self.kdc.config_for(topic)
+        digest = KH(b"psguard:epoch-offset", topic.encode("utf-8"))
+        fraction = int.from_bytes(digest[:8], "big") / 2**64
+        return fraction * config.epoch_length
+
+    def epoch_of(self, topic, at_time):
+        config = self.kdc.config_for(topic)
+        shifted = at_time - self.offset(topic)
+        epoch = int(shifted // config.epoch_length)
+        if at_time >= self.epoch_start(topic, epoch + 1):
+            epoch += 1
+        elif at_time < self.epoch_start(topic, epoch):
+            epoch -= 1
+        return epoch
+
+    def epoch_start(self, topic, epoch):
+        config = self.kdc.config_for(topic)
+        return epoch * config.epoch_length + self.offset(topic)
+
+
+def test_memoized_epoch_offsets_match_reference_at_boundaries(master_key):
+    """Boundary instants, and a hair either side, land in the same epoch
+    and start at the same float as with the offset recomputed per call,
+    also after a retune changes the length under the memo."""
+    kdc = KDC(master_key=master_key)
+    lengths = {"a": 3600.0, "b": 640.0, "c": 0.1, "d": 7.3, "e": 1e-3}
+    for topic, length in lengths.items():
+        kdc.register_topic(topic, CompositeKeySpace({}), epoch_length=length)
+    reference = _ReferenceEpochs(kdc)
+    for retune in (1.0, 0.37):
+        for topic, length in lengths.items():
+            kdc.config_for(topic).epoch_length = length * retune
+            for epoch in range(-3, 60):
+                start = reference.epoch_start(topic, epoch)
+                assert kdc.epoch_start(topic, epoch) == start
+                for instant in (
+                    start,
+                    math.nextafter(start, -math.inf),
+                    math.nextafter(start, math.inf),
+                    start + length * retune / 2,
+                ):
+                    assert kdc.epoch_of(topic, instant) == (
+                        reference.epoch_of(topic, instant)
+                    )
+                assert kdc.epoch_of(topic, start) == epoch
+                assert kdc.epoch_end(topic, start) == (
+                    reference.epoch_start(topic, epoch + 1)
+                )
 
 
 def test_invalid_epoch_length_rejected(master_key):

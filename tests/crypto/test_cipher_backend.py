@@ -51,7 +51,7 @@ def test_failing_self_check_falls_back_under_auto(monkeypatch):
 
     def corrupted(key, plaintext, iv):
         good = cipher._Cipher(
-            cipher._algorithms.AES(bytes(key)), cipher._modes.CBC(iv)
+            cipher._AES(bytes(key)), cipher._CBC(iv)
         ).encryptor()
         data = good.update(cipher.pkcs7_pad(plaintext)) + good.finalize()
         return iv + bytes(byte ^ 0xFF for byte in data)

@@ -12,9 +12,9 @@ from repro.core.ktid import KTID
 from repro.core.nakt import NumericKeySpace
 from repro.core.publisher import Publisher
 from repro.core.subscriber import Subscriber
+from repro.crypto.prf import F
 from repro.engine import EngineCaches, EngineConfig
 from repro.routing.tokens import (
-    CachingTokenAuthority,
     RoutableToken,
     TokenAuthority,
     routable_matches,
@@ -31,27 +31,41 @@ MASTER = bytes(range(16))
 # -- token caches are exact memoizations --------------------------------------
 
 
+def _plain_topic_token(topic):
+    """``T(w) = F_{rk}(w)`` computed directly, with no memo."""
+    return F(MASTER, b"topic:" + topic.encode("utf-8"))
+
+
+def _plain_element_token(topic, attribute, element):
+    material = (
+        element.to_bytes() if isinstance(element, KTID)
+        else element.encode("utf-8")
+    )
+    label = b"element:" + topic.encode("utf-8") + b"\x00"
+    return F(MASTER, label + attribute.encode("utf-8") + b"\x00" + material)
+
+
 def test_caching_authority_matches_plain_authority():
-    plain = TokenAuthority(MASTER)
-    caching = CachingTokenAuthority(MASTER)
+    caching = TokenAuthority(MASTER)
     for topic in ("alpha", "beta"):
-        assert caching.topic_token(topic) == plain.topic_token(topic)
+        assert caching.topic_token(topic) == _plain_topic_token(topic)
         for element in (KTID(), KTID((0,)), KTID((1, 0)), "prefix-x"):
             assert caching.element_token(
                 topic, "v", element
-            ) == plain.element_token(topic, "v", element)
+            ) == _plain_element_token(topic, "v", element)
     # Second pass hits the cache; values must not change.
-    assert caching.topic_token("alpha") == plain.topic_token("alpha")
+    assert caching.topic_token("alpha") == _plain_topic_token("alpha")
+    assert caching.cache.stats()["hits"] == 1
 
 
 def test_caching_authority_correct_under_eviction():
-    plain = TokenAuthority(MASTER)
-    tiny = CachingTokenAuthority(MASTER, capacity=2)
+    tiny = TokenAuthority(MASTER, capacity=2)
     topics = [f"t{i}" for i in range(8)]
     for _ in range(2):  # second pass mostly misses after eviction
         for topic in topics:
-            assert tiny.topic_token(topic) == plain.topic_token(topic)
+            assert tiny.topic_token(topic) == _plain_topic_token(topic)
     assert tiny.cache.stats()["evictions"] > 0
+    assert len(tiny.cache) == 2
 
 
 def _uncached_match(subscription, event):

@@ -10,6 +10,7 @@ from repro.core.nakt import NumericKeySpace
 from repro.core.publisher import Publisher
 from repro.core.subscriber import Subscriber
 from repro.flow import HIGH, priority_of, with_priority
+from repro.routing import tokens as tokens_module
 from repro.routing.tokens import (
     RoutableToken,
     TokenAuthority,
@@ -257,3 +258,98 @@ def test_distinct_topics_distinct_tokens(first, second):
     authority = TokenAuthority(MASTER)
     if first != second:
         assert authority.topic_token(first) != authority.topic_token(second)
+
+
+# -- the memoizing authority's fast path --------------------------------------
+
+
+def _counting_urandom(monkeypatch):
+    """Patch ``os.urandom`` with a deterministic counter; returns the
+    sizes it was asked for."""
+    calls = []
+
+    def urandom(size):
+        calls.append(size)
+        start = sum(calls[:-1])
+        return bytes((start + offset) % 251 for offset in range(size))
+
+    monkeypatch.setattr(tokens_module.os, "urandom", urandom)
+    return calls
+
+
+@given(
+    digits=st.lists(st.integers(0, 3), max_size=12),
+    label=st.one_of(st.none(), st.text(max_size=6)),
+)
+def test_tokenize_event_equals_make_routable_per_token(digits, label):
+    """Every pair is ``make_routable(token, nonce).encode()`` for its
+    label's token and its slice of the event's one ``os.urandom`` draw,
+    in attribute order: the topic, then each prefix of each KTID."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _counting_urandom(monkeypatch)
+        authority = TokenAuthority(MASTER, capacity=8)
+        leaf = KTID(tuple(digits), 4)
+        elements = {"v": leaf, "w": KTID((1,), 2)}
+        if label is not None:
+            elements["s"] = label
+        tokenized = tokenize_event(
+            authority, Event({"_seq": 3}), elements, "alpha"
+        )
+    assert len(calls) == 1  # one draw for the whole event
+    pool = bytes(b % 251 for b in range(calls[0]))
+    nonces = [pool[i:i + 16] for i in range(0, len(pool), 16)]
+    plain = TokenAuthority(MASTER)
+    expected = {
+        "_ttok": make_routable(plain.topic_token("alpha"), nonces[0]).encode()
+    }
+    position = 1
+    for attribute in ("v", "w"):
+        prefixes = plain.ktid_prefix_tokens(
+            "alpha", attribute, elements[attribute]
+        )
+        for level, token in enumerate(prefixes):
+            expected[f"_etok:{attribute}:{level}"] = make_routable(
+                token, nonces[position]
+            ).encode()
+            position += 1
+    if label is not None:
+        expected["_etok:s"] = make_routable(
+            plain.element_token("alpha", "s", label), nonces[position]
+        ).encode()
+        position += 1
+    assert position == len(nonces)
+    assert dict(tokenized.attributes) == {**expected, "_seq": 3}
+    assert len(authority.cache) <= 8  # the memo stays within its bound
+
+
+def test_prefix_material_is_the_ktid_bytes(authority):
+    """The label of a prefix is ``KTID.to_bytes()`` of that prefix, built
+    from the leaf's digits without constructing the prefix KTID."""
+    leaf = KTID((2, 0, 1), 3)
+    for level, prefix in enumerate(list(leaf.ancestors()) + [leaf]):
+        assert bytes((3, level, *leaf.digits[:level])) == prefix.to_bytes()
+
+
+def test_authority_memo_holds_one_probe_per_label(authority):
+    leaf = KTID((1, 0, 1, 1), 2)
+    for _ in range(3):
+        tokenize_event(authority, Event({}), {"v": leaf}, "alpha")
+    stats = authority.cache.stats()
+    assert stats["entries"] == 1 + 5  # the topic and five prefixes
+    assert stats["misses"] == 6 and stats["hits"] == 12
+    # Subscription-side lookups share the same entries.
+    authority.topic_token("alpha")
+    authority.element_token("alpha", "v", KTID((1, 0), 2))
+    assert authority.cache.stats()["entries"] == 6
+    # The entry is the probe: it checks what the publisher built.
+    probe = authority._probe(b"topic:alpha")
+    routable = make_routable(probe.token)
+    assert probe.matches(routable.nonce, routable.proof)
+
+
+def test_authority_memo_evicts_at_capacity():
+    authority = TokenAuthority(MASTER, capacity=4)
+    leaf = KTID(tuple([0, 1] * 8), 2)
+    tokenize_event(authority, Event({}), {"v": leaf}, "alpha")
+    assert len(authority.cache) == 4
+    assert authority.cache.stats()["evictions"] == 1 + 17 - 4
