@@ -12,7 +12,7 @@ its modules -- :mod:`repro.core` (key derivation, epochs, the
 replicated KDC), :mod:`repro.siena` (content-based routing),
 :mod:`repro.routing` (probabilistic multi-path), :mod:`repro.net`
 (the timed fault-injected overlay), :mod:`repro.flow` (overload
-protection: bounded queues, credits, breakers -- its headline names are
+protection: bounded queues and credits -- its headline names are
 re-exported here too), :mod:`repro.rtnet` (sockets: the
 broker tree and the replicated KDC over TCP; the renewal
 :class:`~repro.core.renewal.RenewalPolicy` knob is re-exported here),

@@ -7,10 +7,10 @@ primitives threaded through the dissemination path:
   :class:`FlowControlPolicy` knob bundle;
 - :mod:`repro.flow.queues` -- bounded priority-classed queues that
   shed the oldest event of the worst class present;
-- :mod:`repro.flow.credit` -- credit-based hop-to-hop flow control;
+- :mod:`repro.flow.credit` -- credit-based hop-to-hop flow control
+  (the simulator's model of the TCP receive window);
 - :mod:`repro.flow.aimd` -- AIMD rate adaptation (the overload
-  scenario's publish pump paces by it);
-- :mod:`repro.flow.breaker` -- broker-level overload circuit breaking.
+  scenario's publish pump paces by it).
 
 The timed overlay (:mod:`repro.net.simnet`) composes these pieces, and
 the rtnet broker's egress is a :class:`BoundedPriorityQueue`;
@@ -19,7 +19,6 @@ property tests can drive directly.
 """
 
 from repro.flow.aimd import AIMDRateLimiter
-from repro.flow.breaker import CLOSED, HALF_OPEN, OPEN, OverloadBreaker
 from repro.flow.credit import CreditGate
 from repro.flow.policy import (
     BEST_EFFORT,
@@ -37,15 +36,11 @@ __all__ = [
     "AIMDRateLimiter",
     "BEST_EFFORT",
     "BoundedPriorityQueue",
-    "CLOSED",
     "CreditGate",
     "FlowControlPolicy",
-    "HALF_OPEN",
     "HIGH",
     "NORMAL",
     "Offer",
-    "OPEN",
-    "OverloadBreaker",
     "PRIORITY_ATTRIBUTE",
     "priority_name",
     "priority_of",

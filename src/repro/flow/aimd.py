@@ -1,7 +1,7 @@
 """AIMD adaptive publish-rate pacing.
 
 Publishers cannot see broker queue depths directly; they see explicit
-overload signals (shed notifications, breaker rejections).
+overload signals (shed notifications from the bounded queues).
 :class:`AIMDRateLimiter` converts those signals into a publish pace
 with TCP's additive-increase / multiplicative-decrease dynamics: each overload signal halves the target rate (at most once per
 ``cooldown`` so a burst of shed notifications from one congestion event

@@ -13,8 +13,8 @@ of the dissemination stack:
 
 :class:`FlowControlPolicy` sizes the overload-protection stack of a
 transport: bounded priority-classed queues and credit-based hop-to-hop
-flow control (the watermark-driven circuit breaker that sheds
-best-effort traffic while a broker is degraded scales with the queue).
+flow control.  Every shed is a queue overflow that drops the oldest
+event of the worst class present, so best-effort goes first.
 """
 
 from __future__ import annotations

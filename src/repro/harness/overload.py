@@ -18,8 +18,8 @@ overload stack promises:
   best-effort delivery degrading smoothly toward the analytic floor
   ``(1 - h*f) / ((1 - h) * f)`` (offered factor ``f``, high-priority
   fraction ``h``) instead of falling off a cliff;
-- **recovery** -- after the storm, queues drain, the breaker closes,
-  and steady-state traffic delivers fully again;
+- **recovery** -- after the storm, queues drain and steady-state
+  traffic delivers fully again;
 - **backpressure** -- a slowed-down interior broker makes its parents
   stall on credits instead of queueing without limit;
 - **adaptation** -- an AIMD-paced publisher fed by shed signals sheds a
@@ -150,7 +150,6 @@ class OverloadResult:
     peak_egress_depth: int = 0
     max_node_backlog: int = 0
     shed_events: int = 0
-    breaker_final: str = "closed"
     queues_drained: bool = True
     # Backpressure (slow broker) run.
     credit_stalls: int = 0
@@ -313,7 +312,6 @@ def _run_storm_timeline(config: OverloadConfig,
         node.stats.peak_backlog for node in net.nodes.values()
     )
     result.shed_events = net.shed_events
-    result.breaker_final = net.breaker_state(0) or "closed"
     result.queues_drained = all(
         depth == 0 for depth in net.flow_depths().values()
     )
@@ -522,10 +520,6 @@ def _recovery(_config, result: OverloadResult) -> str | None:
         )
     if not result.queues_drained:
         problems.append("queues still hold events after the drain window")
-    if result.breaker_final != "closed":
-        problems.append(
-            f"root breaker finished {result.breaker_final!r}, not closed"
-        )
     return all_of(problems)
 
 
@@ -599,13 +593,10 @@ def format_overload_report(
         "Metrics snapshot (overload)",
         f"  sheds         : "
         f"{counter_total(registry, 'flow_shed_total')} total "
-        f"(queues + admission)",
+        f"(ingress + egress overflows)",
         f"  queue peaks   : ingress {result.peak_ingress_depth}, "
         f"egress {result.peak_egress_depth} "
         f"(bound {QUEUE_CAPACITY})",
-        f"  breaker       : "
-        f"{counter_total(registry, 'flow_breaker_transitions_total')} "
-        f"transitions, finished {result.breaker_final}",
         f"  cpu backlog   : peak {result.max_node_backlog} "
         "(service pump)",
     ])

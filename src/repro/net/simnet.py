@@ -43,9 +43,8 @@ Passing a :class:`~repro.flow.FlowControlPolicy` activates the
   subscriptions), and senders without credits queue -- or shed -- at
   egress instead of overrunning a slow peer;
 - an overflow sheds the oldest event of the worst priority class
-  present; every shed feeds the per-broker
-  :class:`~repro.flow.OverloadBreaker`, which degrades best-effort
-  admission at the root while open;
+  present -- the one shedding rule, the same the rtnet broker's egress
+  applies;
 - sheds are surfaced to publishers via :meth:`SimulatedPubSub.on_shed`
   (the AIMD overload signal) and to operators via the ``flow_*``
   metric families.
@@ -58,9 +57,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
-from repro.flow.breaker import OverloadBreaker
 from repro.flow.credit import CreditGate
-from repro.flow.policy import NORMAL, FlowControlPolicy, priority_name, priority_of
+from repro.flow.policy import FlowControlPolicy, priority_name, priority_of
 from repro.flow.queues import BoundedPriorityQueue
 from repro.net.faults import FaultInjector
 from repro.net.links import Link
@@ -84,13 +82,6 @@ _ACK_SIZE = 16
 _HEARTBEAT_SIZE = 24
 #: Events parked per down peer before the oldest is evicted.
 _PARK_LIMIT = 4096
-#: Ingress-depth fractions that trip a broker's overload breaker open
-#: and let it close again: the hysteresis that keeps it from flapping.
-_HIGH_WATERMARK = 0.85
-_LOW_WATERMARK = 0.25
-#: Seconds an open breaker sheds best-effort before probing (half-open);
-#: while open it admits classes up to ``NORMAL`` (high and normal).
-_BREAKER_COOLDOWN = 0.25
 
 
 @dataclass
@@ -201,7 +192,7 @@ def _zero_cost(_node: Hashable, _event: Event) -> float:
 
 
 class _BrokerFlow:
-    """Per-broker overload-protection state: ingress queue + breaker.
+    """Per-broker overload-protection state: the bounded ingress queue.
 
     ``busy`` is the service pump's one-job-in-flight latch: the pump
     dequeues one ingress item, runs it on the broker CPU, and only takes
@@ -209,13 +200,10 @@ class _BrokerFlow:
     the ingress queue rather than implicit in the CPU backlog.
     """
 
-    __slots__ = ("ingress", "breaker", "busy")
+    __slots__ = ("ingress", "busy")
 
-    def __init__(
-        self, ingress: BoundedPriorityQueue, breaker: OverloadBreaker
-    ):
+    def __init__(self, ingress: BoundedPriorityQueue):
         self.ingress = ingress
-        self.breaker = breaker
         self.busy = False
 
 
@@ -350,7 +338,7 @@ class SimulatedPubSub:
         )
 
         # Overload-protection state (active only with a flow policy):
-        # per-broker bounded ingress + breaker, per-directed-link credit
+        # per-broker bounded ingress, per-directed-link credit
         # gate + bounded egress, and the credits currently held by
         # in-flight hop sends (keyed like the ack machinery).
         self.flow = flow
@@ -430,24 +418,13 @@ class SimulatedPubSub:
     # -- flow control --------------------------------------------------------
 
     def _make_broker_flow(self, broker_id: Hashable) -> _BrokerFlow:
-        capacity = self.flow.queue_capacity
-        high = max(1, round(_HIGH_WATERMARK * capacity))
-        low = max(0, min(high - 1, int(_LOW_WATERMARK * capacity)))
         ingress = BoundedPriorityQueue(
-            capacity,
+            self.flow.queue_capacity,
             registry=self.registry,
             broker=str(broker_id),
             queue="ingress",
         )
-        breaker = OverloadBreaker(
-            high_depth=high,
-            low_depth=low,
-            cooldown=_BREAKER_COOLDOWN,
-            degrade_floor=NORMAL,
-            registry=self.registry,
-            broker=str(broker_id),
-        )
-        return _BrokerFlow(ingress, breaker)
+        return _BrokerFlow(ingress)
 
     def _link_flow_for(
         self, from_id: Hashable, to_id: Hashable
@@ -480,8 +457,8 @@ class SimulatedPubSub:
         """Call ``listener(priority, stage, broker_id)`` on every shed.
 
         This is the explicit overload signal publishers feed their AIMD
-        limiters with; ``stage`` is ``"admission"``, ``"ingress"``, or
-        ``"egress"``.
+        limiters with; ``stage`` names the bounded queue that overflowed,
+        ``"ingress"`` or ``"egress"``.
         """
         self._shed_listeners.append(listener)
 
@@ -540,21 +517,17 @@ class SimulatedPubSub:
 
     def _flow_enqueue(
         self, broker_id: Hashable, item: tuple, priority: int
-    ) -> bool:
+    ) -> None:
         """Offer *item* to a broker's bounded ingress; pump on accept."""
         bf = self._broker_flow[broker_id]
         result = bf.ingress.offer(item, priority)
-        now = self.sim.now
         if result.shed is not None:
             shed_item, shed_priority = result.shed
-            bf.breaker.record_shed(now)
             self._notify_shed(shed_priority, "ingress", broker_id)
             if shed_item[0] == "hop":
                 self._forget_queued_hop(shed_item[1])
-        bf.breaker.observe_depth(len(bf.ingress), now)
         if result.accepted:
             self._pump_broker(broker_id)
-        return result.accepted
 
     def _pump_broker(self, broker_id: Hashable) -> None:
         """Feed the broker CPU one ingress item at a time."""
@@ -565,7 +538,6 @@ class SimulatedPubSub:
         if entry is None:
             return
         item, _priority = entry
-        bf.breaker.observe_depth(len(bf.ingress), self.sim.now)
         bf.busy = True
         cost, work = self._flow_service(broker_id, item)
 
@@ -1389,7 +1361,7 @@ class SimulatedPubSub:
 
         def inject() -> None:
             if self.flow is not None:
-                self._admit(("pub", tagged), priority_of(tagged))
+                self._flow_enqueue(0, ("pub", tagged), priority_of(tagged))
                 return
             cost = self._service_cost(0, tagged)
             self.nodes[0].submit(
@@ -1398,25 +1370,6 @@ class SimulatedPubSub:
 
         self.sim.schedule(delay, inject)
         return seq
-
-    def _admit(self, item: tuple, priority: int) -> bool:
-        """Admission control at the root: breaker first, then ingress.
-
-        A breaker rejection is counted as an admission-stage shed (the
-        queue counts its own overflow sheds); both reach the registered
-        shed listeners, which is how publishers learn to slow down.
-        """
-        bf = self._broker_flow[0]
-        if not bf.breaker.admits(priority, self.sim.now):
-            self.registry.counter(
-                "flow_shed_total",
-                broker="0",
-                queue="admission",
-                priority=priority_name(priority),
-            ).inc()
-            self._notify_shed(priority, "admission", 0)
-            return False
-        return self._flow_enqueue(0, item, priority)
 
     def carrier_of(self, seq: int) -> object:
         """The carrier object attached to publication *seq*."""
@@ -1466,11 +1419,6 @@ class SimulatedPubSub:
             stalls += lf.gate.stalls
             seconds += lf.gate.stall_seconds
         return stalls, seconds
-
-    def breaker_state(self, broker_id: Hashable) -> str | None:
-        """The overload breaker state of *broker_id* (None without flow)."""
-        bf = self._broker_flow.get(broker_id)
-        return bf.breaker.state_name if bf is not None else None
 
     def any_saturated(self, window: int = 5) -> bool:
         """Whether any node met the paper's saturation criterion.

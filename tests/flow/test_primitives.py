@@ -1,9 +1,8 @@
-"""Unit tests for credits, AIMD rate adaptation, and breakers."""
+"""Unit tests for flow policy, credits, and AIMD rate adaptation."""
 
 import pytest
 
 from repro.flow.aimd import AIMDRateLimiter
-from repro.flow.breaker import CLOSED, HALF_OPEN, OPEN, OverloadBreaker
 from repro.flow.credit import CreditGate
 from repro.flow.policy import (
     BEST_EFFORT,
@@ -101,51 +100,3 @@ class TestAIMDRateLimiter:
         limiter.on_overload(now=0.0)
         limiter.on_overload(now=1.0)
         assert limiter.rate == pytest.approx(1.5)
-
-
-class TestOverloadBreaker:
-    def test_lifecycle(self):
-        breaker = OverloadBreaker(
-            high_depth=4, low_depth=1, cooldown=1.0, degrade_floor=NORMAL
-        )
-        assert breaker.state == CLOSED
-        breaker.observe_depth(4, now=0.0)
-        assert breaker.state == OPEN
-        assert breaker.admits(HIGH, now=0.1)
-        assert breaker.admits(NORMAL, now=0.1)
-        assert not breaker.admits(BEST_EFFORT, now=0.1)
-        assert breaker.rejections == 1
-        # Cooldown elapses -> half-open, best-effort probes again.
-        assert breaker.admits(BEST_EFFORT, now=1.5)
-        assert breaker.state == HALF_OPEN
-        breaker.observe_depth(4, now=1.6)  # relapse
-        assert breaker.state == OPEN
-        breaker.observe_depth(0, now=3.0)
-        assert breaker.state == HALF_OPEN
-        breaker.observe_depth(0, now=3.1)
-        assert breaker.state == CLOSED
-
-    def test_shed_trips_open_and_metrics(self):
-        registry = MetricsRegistry()
-        breaker = OverloadBreaker(
-            high_depth=8,
-            low_depth=2,
-            cooldown=0.5,
-            degrade_floor=NORMAL,
-            registry=registry,
-            broker="b0",
-        )
-        breaker.record_shed(now=0.0)
-        assert breaker.state == OPEN
-        assert registry.gauge("flow_breaker_state", broker="b0").value == OPEN
-        assert not breaker.admits(BEST_EFFORT, now=0.1)
-        assert (
-            registry.counter(
-                "flow_breaker_rejections_total", broker="b0"
-            ).value
-            == 1
-        )
-        transitions = registry.counter(
-            "flow_breaker_transitions_total", state="open", broker="b0"
-        )
-        assert transitions.value == 1

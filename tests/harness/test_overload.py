@@ -64,7 +64,6 @@ def test_post_storm_recovery_is_complete(result):
     recovery = result.recovery_phase
     assert recovery.overall_delivery >= MIN_RECOVERY_DELIVERY
     assert result.queues_drained
-    assert result.breaker_final == "closed"
 
 
 def test_slow_broker_backpressures_on_credits(result):
@@ -98,6 +97,22 @@ def test_gates_pass_and_catch_violations(result):
     strict = dataclasses.replace(result, sweep=[*result.sweep[:-1], cliff])
     (gate, problem), = SCENARIO.violations(_CONFIG, strict)
     assert gate == "graceful-degradation" and "cliff" in problem
+    overflowed = dataclasses.replace(
+        result, peak_ingress_depth=QUEUE_CAPACITY + 1
+    )
+    (gate, problem), = SCENARIO.violations(_CONFIG, overflowed)
+    assert gate == "bounded-queues" and "ingress queue peaked" in problem
+    undrained = dataclasses.replace(result, queues_drained=False)
+    (gate, problem), = SCENARIO.violations(_CONFIG, undrained)
+    assert gate == "recovery" and "still hold events" in problem
+    unstalled = dataclasses.replace(result, credit_stalls=0)
+    (gate, problem), = SCENARIO.violations(_CONFIG, unstalled)
+    assert gate == "backpressure" and "never stalled" in problem
+    unpaced = dataclasses.replace(
+        result, adaptive_shed_fraction=result.static_shed_fraction
+    )
+    (gate, problem), = SCENARIO.violations(_CONFIG, unpaced)
+    assert gate == "adaptation" and "AIMD pacing shed" in problem
 
 
 def test_six_x_rung_protects_high_priority_and_sheds_fairly(result):

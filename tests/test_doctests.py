@@ -12,7 +12,6 @@ import repro.crypto.aes
 import repro.crypto.hashes
 import repro.engine
 import repro.flow.aimd
-import repro.flow.breaker
 import repro.flow.credit
 import repro.flow.queues
 import repro.recovery.dedup
@@ -28,7 +27,6 @@ MODULES = [
     repro.crypto.hashes,
     repro.engine,
     repro.flow.aimd,
-    repro.flow.breaker,
     repro.flow.credit,
     repro.flow.queues,
     repro.recovery.dedup,
