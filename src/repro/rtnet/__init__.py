@@ -8,6 +8,8 @@ bounded priority queues -- deployed over a real transport:
   (HELLO version negotiation, SUBSCRIBE/UNSUBSCRIBE, EVENT, ACK,
   HEARTBEAT, the PING/PONG settle barrier, and the KDC_CALL/KDC_REPLY
   pair and REKEY push of the KDC service links);
+- :mod:`repro.rtnet.link` -- how every connection opens: one HELLO
+  handshake, one accept, one redial loop with backoff + jitter;
 - :mod:`repro.rtnet.server` -- :class:`BrokerServer`, one broker behind
   an asyncio TCP listener with per-peer egress queues and hop-by-hop
   backpressure;
@@ -24,12 +26,7 @@ bounded priority queues -- deployed over a real transport:
   ``System.builder().transport("tcp").build()`` returns.
 """
 
-from repro.rtnet.client import (
-    HandshakeError,
-    RtEndpoint,
-    RtPublisher,
-    RtSubscriber,
-)
+from repro.rtnet.client import RtEndpoint, RtPublisher, RtSubscriber
 from repro.rtnet.cluster import ClusterLauncher
 from repro.rtnet.frames import (
     FRAME_MAX,
@@ -38,6 +35,7 @@ from repro.rtnet.frames import (
     EventFrame,
     Frame,
     FrameDecoder,
+    FrameReader,
     FrameType,
     Heartbeat,
     Hello,
@@ -52,8 +50,8 @@ from repro.rtnet.frames import (
     Unsubscribe,
     decode_payload,
     encode_frame,
-    read_frame,
 )
+from repro.rtnet.link import HandshakeError
 from repro.rtnet.live import LivePublisher, LiveSubscriber, LiveSystem
 from repro.rtnet.server import CONTROL_PRIORITY, BrokerServer
 from repro.rtnet.service import TcpServiceNetwork
@@ -67,6 +65,7 @@ __all__ = [
     "FRAME_MAX",
     "Frame",
     "FrameDecoder",
+    "FrameReader",
     "FrameType",
     "HandshakeError",
     "Heartbeat",
@@ -90,5 +89,4 @@ __all__ = [
     "Unsubscribe",
     "decode_payload",
     "encode_frame",
-    "read_frame",
 ]

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import asyncio
 import os
-import random
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -38,38 +37,18 @@ from repro.rtnet.frames import (
     Ack,
     EventFrame,
     Frame,
+    FrameReader,
     Heartbeat,
     Hello,
-    HelloAck,
     Ping,
     Pong,
     Subscribe,
     Unsubscribe,
     encode_frame,
-    read_frame,
 )
+from repro.rtnet.link import redial
 from repro.siena.events import Event
 from repro.siena.filters import Filter
-
-
-class HandshakeError(ConnectionError):
-    """The server rejected our HELLO (version mismatch); do not retry."""
-
-
-#: Redial backoff: attempt ``n`` (0-based) waits ``_REDIAL_BASE *
-#: _REDIAL_FACTOR**n`` seconds, capped at ``_REDIAL_MAX_DELAY`` and scaled
-#: down by up to ``_REDIAL_JITTER`` at random, so a herd of clients does
-#: not redial in lockstep.
-_REDIAL_BASE = 0.05
-_REDIAL_FACTOR = 2.0
-_REDIAL_MAX_DELAY = 2.0
-_REDIAL_JITTER = 0.5
-
-
-def _redial_delay(attempt: int, rng: random.Random) -> float:
-    """Seconds to wait before redial *attempt* (exponential, jittered)."""
-    raw = min(_REDIAL_MAX_DELAY, _REDIAL_BASE * _REDIAL_FACTOR ** attempt)
-    return raw * (1.0 - _REDIAL_JITTER * rng.random())
 
 
 @dataclass
@@ -78,8 +57,6 @@ class EndpointStats:
 
     connects: int = 0
     reconnects: int = 0
-    frames_sent: int = 0
-    frames_received: int = 0
 
 
 class RtEndpoint:
@@ -93,16 +70,14 @@ class RtEndpoint:
         host: str,
         port: int,
         registry: MetricsRegistry | None = None,
-        rng: random.Random | None = None,
     ):
         self.peer_id = peer_id
         self.host = host
         self.port = port
         self.registry = registry
-        self.rng = rng if rng is not None else random.Random()
         self.broker_id: str | None = None
         self.stats = EndpointStats()
-        self._reader: asyncio.StreamReader | None = None
+        self._frames: FrameReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._recv_task: asyncio.Task | None = None
         self._write_lock = asyncio.Lock()
@@ -118,59 +93,43 @@ class RtEndpoint:
         self._recv_task = asyncio.ensure_future(self._recv_loop())
 
     async def _establish(self) -> None:
-        attempt = 0
-        while True:
-            if self._closed:
-                raise ConnectionError("endpoint closed")
-            try:
-                reader, writer = await asyncio.open_connection(
-                    self.host, self.port
-                )
-                break
-            except OSError:
-                await asyncio.sleep(_redial_delay(attempt, self.rng))
-                attempt += 1
-        writer.write(
-            encode_frame(Hello(self.peer_id, self.role, PROTOCOL_VERSION))
+        self.broker_id, self._frames, self._writer = await redial(
+            self.host, self.port,
+            Hello(self.peer_id, self.role, PROTOCOL_VERSION),
+            lambda: self._closed,
         )
-        await writer.drain()
-        ack = await read_frame(reader)
-        if not isinstance(ack, HelloAck) or ack.version != PROTOCOL_VERSION:
-            writer.close()
-            raise HandshakeError(
-                f"broker rejected handshake: {ack!r}"
-            )
-        self.broker_id = ack.peer_id
-        self._reader, self._writer = reader, writer
         self.stats.connects += 1
         self._count("rtnet_client_connects_total")
         self._connected.set()
-        await self._on_connected()
+        self._writer.write(b"".join(map(encode_frame, self._replay())))
+        try:
+            await self._writer.drain()
+        except OSError:
+            pass  # the receive loop sees the dead link and redials
 
-    async def _on_connected(self) -> None:
-        """Hook run after every successful (re)connection."""
+    def _replay(self) -> list[Frame]:
+        """Frames to resend first on every (re)connection."""
+        return []
 
     async def _recv_loop(self) -> None:
         while not self._closed:
             try:
-                frame = await read_frame(self._reader)
-            except (ValueError, OSError, asyncio.IncompleteReadError):
+                frame = await self._frames.read()
+            except (ValueError, OSError):
                 frame = None
             if frame is None:
                 if self._closed:
                     return
                 self._connected.clear()
+                self._writer.close()
                 self.stats.reconnects += 1
                 self._count("rtnet_client_reconnects_total")
                 try:
                     await self._establish()
-                except HandshakeError:
+                except ConnectionError:  # a rejection, or closed meanwhile
                     self._closed = True
                     return
-                except ConnectionError:
-                    return
                 continue
-            self.stats.frames_received += 1
             await self._handle(frame)
 
     async def _handle(self, frame: Frame) -> None:
@@ -184,10 +143,7 @@ class RtEndpoint:
         self._closed = True
         if self._recv_task is not None:
             self._recv_task.cancel()
-            try:
-                await self._recv_task
-            except (asyncio.CancelledError, Exception):
-                pass
+            await asyncio.gather(self._recv_task, return_exceptions=True)
         if self._writer is not None:
             self._writer.close()
             try:
@@ -203,7 +159,6 @@ class RtEndpoint:
             await self._connected.wait()
             self._writer.write(encode_frame(frame))
             await self._writer.drain()
-        self.stats.frames_sent += 1
         self._count("rtnet_client_frames_sent_total")
 
     async def heartbeat(self) -> None:
@@ -284,14 +239,10 @@ class RtPublisher(RtEndpoint):
         """EVENT frames not yet receipted by the home broker."""
         return len(self._unacked)
 
-    async def _on_connected(self) -> None:
+    def _replay(self) -> list[Frame]:
         # At-least-once: replay the unacked tail in order; subscribers
         # suppress any double delivery through their dedup windows.
-        for seq in sorted(self._unacked):
-            frame = self._unacked[seq]
-            self._writer.write(encode_frame(frame))
-        if self._unacked:
-            await self._writer.drain()
+        return [self._unacked[seq] for seq in sorted(self._unacked)]
 
     async def _handle(self, frame: Frame) -> None:
         if isinstance(frame, Ack):
@@ -470,13 +421,10 @@ class RtSubscriber(RtEndpoint, TokenOpener):
         for routing_filter in self.routing_filters(grant):
             await self.subscribe(routing_filter)
 
-    async def _on_connected(self) -> None:
+    def _replay(self) -> list[Frame]:
         # Resubscribe-on-reconnect: the broker dropped this interface's
         # registrations when the connection died.
-        for routing_filter in self._filters:
-            self._writer.write(encode_frame(Subscribe(routing_filter)))
-        if self._filters:
-            await self._writer.drain()
+        return [Subscribe(routing_filter) for routing_filter in self._filters]
 
     # -- delivery ------------------------------------------------------------
 

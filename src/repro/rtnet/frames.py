@@ -16,8 +16,10 @@ verbatim, SUBSCRIBE/UNSUBSCRIBE carry
 :func:`repro.core.wire.encode_grant` bytes, so the framing layer adds
 no second serialization of the security-bearing payloads.
 
-Connections open with a HELLO / HELLO_ACK exchange negotiating the
-protocol version (a ``HELLO_ACK`` with version 0 is a rejection); PING /
+Every connection reads through one :class:`FrameReader` and opens with
+a HELLO / HELLO_ACK exchange negotiating the protocol version (a
+``HELLO_ACK`` with version 0 is a rejection; :mod:`repro.rtnet.link`
+runs it on both ends); PING /
 PONG implement the source-routed settle barrier brokers and clients use
 to flush in-flight control traffic (see :mod:`repro.rtnet.server`).
 The KDC service links of :mod:`repro.rtnet.service` speak one
@@ -37,6 +39,8 @@ from repro.errors import FrameError
 from repro.core.kdc import AuthorizationGrant
 from repro.core.kdcservice import KDCRequest, KDCResponse, RegistryCommand
 from repro.core.wire import (
+    _pack_bytes,
+    _unpack_bytes,
     decode_filter,
     decode_grant,
     encode_filter,
@@ -48,6 +52,8 @@ from repro.siena.filters import Filter
 PROTOCOL_VERSION = 2
 #: Hard cap on one frame's (type + body) size: 4 MiB.
 FRAME_MAX = 1 << 22
+#: Bytes a :class:`FrameReader` asks of its stream per read.
+READ_SIZE = 65536
 
 _HEADER = struct.Struct(">I")
 
@@ -319,19 +325,6 @@ def _decode_token_path(body: bytes) -> tuple[bytes, tuple[str, ...], int]:
     return token, path, offset
 
 
-def _pack_length_prefixed(raw: bytes) -> bytes:
-    return struct.pack(">I", len(raw)) + raw
-
-
-def _unpack_length_prefixed(data: bytes, offset: int) -> tuple[bytes, int]:
-    (length,) = struct.unpack_from(">I", data, offset)
-    offset += 4
-    raw = data[offset: offset + length]
-    if len(raw) != length:
-        raise FrameError("truncated length-prefixed field")
-    return raw, offset + length
-
-
 # -- KDC service bodies -------------------------------------------------------
 
 
@@ -371,7 +364,7 @@ def _pack_request(request: KDCRequest) -> bytes:
                 min_epoch is not None, min_epoch or 0,
             ),
             struct.pack(">H", len(filters)),
-            *(_pack_length_prefixed(encode_filter(f)) for f in filters),
+            *(_pack_bytes(encode_filter(f)) for f in filters),
         ]
     elif request.kind == "admin":
         parts.append(_pack_command(0, payload["op"], payload["args"]))
@@ -403,7 +396,7 @@ def _unpack_request(body: bytes, offset: int) -> tuple[KDCRequest, int]:
         offset += 2
         filters = []
         for _ in range(count):
-            raw, offset = _unpack_length_prefixed(body, offset)
+            raw, offset = _unpack_bytes(body, offset)
             filters.append(decode_filter(raw))
         payload = {
             "subscriber": subscriber,
@@ -437,7 +430,7 @@ def _pack_response(response: KDCResponse) -> bytes:
     if value is None:
         packed = bytes([_NO_VALUE])
     elif isinstance(value, AuthorizationGrant):
-        packed = bytes([_GRANT_VALUE]) + _pack_length_prefixed(
+        packed = bytes([_GRANT_VALUE]) + _pack_bytes(
             encode_grant(value)
         )
     elif isinstance(value, int):
@@ -461,7 +454,7 @@ def _unpack_response(body: bytes, offset: int) -> tuple[KDCResponse, int]:
     offset += 1
     value: object = None
     if kind == _GRANT_VALUE:
-        raw, offset = _unpack_length_prefixed(body, offset)
+        raw, offset = _unpack_bytes(body, offset)
         value = decode_grant(raw)
     elif kind == _SEQ_VALUE:
         (value,) = struct.unpack_from(">q", body, offset)
@@ -553,8 +546,7 @@ class FrameDecoder:
     Feed it whatever the transport hands you; it returns every complete
     frame and buffers the remainder.  Oversized or zero-length prefixes
     raise :class:`~repro.errors.FrameError` immediately -- a malicious
-    length prefix
-    must never make the receiver buffer unbounded input.
+    length prefix must never make the receiver buffer unbounded input.
     """
 
     def __init__(self) -> None:
@@ -563,16 +555,22 @@ class FrameDecoder:
     def feed(self, data: bytes) -> list[Frame]:
         self._buffer.extend(data)
         frames: list[Frame] = []
-        while len(self._buffer) >= 4:
-            (length,) = _HEADER.unpack_from(self._buffer, 0)
-            if not 1 <= length <= FRAME_MAX:
-                raise FrameError(f"invalid frame length {length}")
-            if len(self._buffer) < 4 + length:
-                break
-            payload = bytes(self._buffer[4: 4 + length])
-            del self._buffer[: 4 + length]
+        while (payload := self._next_payload()) is not None:
             frames.append(decode_payload(payload))
         return frames
+
+    def _next_payload(self) -> bytes | None:
+        """Cut the next frame's payload off the buffer, once it is whole."""
+        if len(self._buffer) < 4:
+            return None
+        (length,) = _HEADER.unpack_from(self._buffer, 0)
+        if not 1 <= length <= FRAME_MAX:
+            raise FrameError(f"invalid frame length {length}")
+        if len(self._buffer) < 4 + length:
+            return None
+        payload = bytes(self._buffer[4: 4 + length])
+        del self._buffer[: 4 + length]
+        return payload
 
     @property
     def pending(self) -> int:
@@ -580,27 +578,24 @@ class FrameDecoder:
         return len(self._buffer)
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Frame | None:
-    """Read one frame from *reader*; ``None`` on clean EOF.
-
-    EOF mid-frame and malformed prefixes raise
-    :class:`~repro.errors.FrameError` (a :class:`ValueError` subclass),
-    so connection loops need exactly two exit paths: ``None`` (peer
-    closed) and ``ValueError``/``OSError`` (broken peer).
+class FrameReader(FrameDecoder):
+    """How every rtnet connection reads: a :class:`FrameDecoder` fed from
+    ``reader.read(READ_SIZE)``.  :meth:`read` returns one frame, or
+    ``None`` on clean EOF; EOF mid frame raises, and so does a frame that
+    does not decode, in its place -- the frames behind it stay buffered.
     """
-    header = await reader.read(4)
-    if not header:
-        return None
-    while len(header) < 4:
-        more = await reader.read(4 - len(header))
-        if not more:
-            raise FrameError("connection closed mid frame header")
-        header += more
-    (length,) = _HEADER.unpack(header)
-    if not 1 <= length <= FRAME_MAX:
-        raise FrameError(f"invalid frame length {length}")
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise FrameError("connection closed mid frame body") from exc
-    return decode_payload(payload)
+
+    def __init__(self, reader: asyncio.StreamReader) -> None:
+        super().__init__()
+        self._reader = reader
+
+    async def read(self) -> Frame | None:
+        while (payload := self._next_payload()) is None:
+            data = await self._reader.read(READ_SIZE)
+            if not data:
+                if not self._buffer:
+                    return None
+                part = "header" if len(self._buffer) < 4 else "body"
+                raise FrameError(f"connection closed mid frame {part}")
+            self._buffer.extend(data)
+        return decode_payload(payload)

@@ -28,7 +28,6 @@ flush barrier (see :class:`repro.rtnet.frames.Ping`).
 from __future__ import annotations
 
 import asyncio
-import random
 import time
 from dataclasses import dataclass
 from typing import Hashable
@@ -37,22 +36,20 @@ from repro.flow.policy import NORMAL, priority_of
 from repro.flow.queues import BoundedPriorityQueue
 from repro.obs.metrics import MetricsRegistry
 from repro.routing.tokens import tokenized_match
-from repro.rtnet.client import _redial_delay
 from repro.rtnet.frames import (
-    PROTOCOL_VERSION,
     Ack,
     EventFrame,
     Frame,
+    FrameReader,
     Heartbeat,
     Hello,
-    HelloAck,
     Ping,
     Pong,
     Subscribe,
     Unsubscribe,
     encode_frame,
-    read_frame,
 )
+from repro.rtnet.link import accept, redial
 from repro.siena.broker import Broker, MatchPredicate
 from repro.core.wire import decode_sealed_event
 
@@ -82,7 +79,6 @@ class _Peer:
     pump: asyncio.Task | None = None
     reader_task: asyncio.Task | None = None
     next_seq: int = 0
-    last_seen: float = 0.0
 
 
 class BrokerServer:
@@ -115,7 +111,6 @@ class BrokerServer:
         self._dispatcher: asyncio.Task | None = None
         self._peers: dict[str, _Peer] = {}
         self._parent: _Peer | None = None
-        self._parent_reader: asyncio.StreamReader | None = None
         self._parent_task: asyncio.Task | None = None
         self._parent_addr: tuple[str, int] | None = None
         self._closed = False
@@ -138,33 +133,18 @@ class BrokerServer:
 
     async def stop(self) -> None:
         self._closed = True
-        tasks = []
-        if self._parent_task is not None:
-            self._parent_task.cancel()
-            tasks.append(self._parent_task)
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            tasks.append(self._dispatcher)
-        for peer in list(self._peers.values()):
-            if peer.pump is not None:
-                peer.pump.cancel()
-                tasks.append(peer.pump)
-            if peer.reader_task is not None:
-                peer.reader_task.cancel()
-                tasks.append(peer.reader_task)
-            peer.writer.close()
-        if self._parent is not None and self._parent.pump is not None:
-            self._parent.pump.cancel()
-            tasks.append(self._parent.pump)
-            self._parent.writer.close()
+        tasks = [self._parent_task, self._dispatcher]
+        for peer in [*self._peers.values(), self._parent]:
+            if peer is not None:
+                tasks += [peer.pump, peer.reader_task]
+                peer.writer.close()
+        tasks = [task for task in tasks if task is not None]
+        for task in tasks:
+            task.cancel()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for task in tasks:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+        await asyncio.gather(*tasks, return_exceptions=True)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -178,50 +158,35 @@ class BrokerServer:
         # Swallow the shutdown cancellation so asyncio's stream-protocol
         # done-callback does not log it as an unhandled exception.
         try:
-            await self._serve_connection(reader, writer)
+            accepted = await accept(reader, writer, self.broker_id)
+            if accepted is None:
+                self._count("rtnet_handshakes_rejected_total")
+                return
+            hello, frames = accepted
+            stale = self._peers.get(hello.peer_id)
+            if stale is not None:
+                stale.pump.cancel()
+                stale.writer.close()
+            peer = self._peers[hello.peer_id] = self._new_peer(
+                hello.peer_id, hello.role, writer, f"egress:{hello.peer_id}"
+            )
+            if hello.role == "broker":
+                self.broker.attach_child(
+                    hello.peer_id, self._link_sender(peer)
+                )
+            elif hello.role == "subscriber":
+                self.broker.attach_client(
+                    hello.peer_id,
+                    lambda event: self._forward_event(peer, event),
+                )
+            peer.reader_task = asyncio.current_task()
+            await self._read_loop(peer, frames)
         except asyncio.CancelledError:
             pass
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            hello = await read_frame(reader)
-        except (ValueError, OSError):
-            writer.close()
-            return
-        if not isinstance(hello, Hello) or hello.version != PROTOCOL_VERSION:
-            # Version 0 in the HELLO_ACK tells the dialer "rejected".
-            try:
-                writer.write(encode_frame(HelloAck(self.broker_id, 0)))
-                await writer.drain()
-            except OSError:
-                pass
-            writer.close()
-            self._count("rtnet_handshakes_rejected_total")
-            return
-        writer.write(encode_frame(HelloAck(self.broker_id, PROTOCOL_VERSION)))
-        await writer.drain()
-
-        peer = self._register_peer(hello.peer_id, hello.role, writer)
-        if hello.role == "broker":
-            self.broker.attach_child(
-                hello.peer_id, self._link_sender(peer)
-            )
-        elif hello.role == "subscriber":
-            self.broker.attach_client(
-                hello.peer_id, self._client_deliverer(peer)
-            )
-        peer.reader_task = asyncio.current_task()
-        await self._reader_loop(peer, reader)
-
-    def _register_peer(
-        self, peer_id: str, role: str, writer: asyncio.StreamWriter
+    def _new_peer(
+        self, peer_id: str, role: str, writer: asyncio.StreamWriter, queue: str
     ) -> _Peer:
-        stale = self._peers.pop(peer_id, None)
-        if stale is not None and stale.pump is not None:
-            stale.pump.cancel()
-            stale.writer.close()
         peer = _Peer(
             peer_id,
             role,
@@ -230,42 +195,46 @@ class BrokerServer:
                 self.egress_capacity,
                 registry=self.registry,
                 broker=self.broker_id,
-                queue=f"egress:{peer_id}",
+                queue=queue,
             ),
             asyncio.Event(),
-            last_seen=time.time(),
         )
         peer.pump = asyncio.ensure_future(self._pump_loop(peer))
-        self._peers[peer_id] = peer
         return peer
 
-    async def _reader_loop(
-        self, peer: _Peer, reader: asyncio.StreamReader
-    ) -> None:
-        try:
-            while not self._closed:
-                frame = await read_frame(reader)
-                if frame is None:
-                    break
-                self._count(
-                    "rtnet_frames_total",
-                    direction="in",
-                    type=frame.type.name.lower(),
-                )
-                await self._ingress.put((peer, frame))
-                self._gauge("rtnet_ingress_depth", self._ingress.qsize())
-        except (ValueError, OSError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            if not self._closed:
+    async def _read_loop(self, peer: _Peer, frames: FrameReader) -> None:
+        """Queue *peer*'s frames for the dispatcher until its connection
+        ends; then drop an inbound peer, or redial a lost parent and
+        replay the covering set to it (tree repair over a real socket)."""
+        while True:
+            try:
+                while (frame := await frames.read()) is not None:
+                    self._count(
+                        "rtnet_frames_total",
+                        direction="in",
+                        type=frame.type.name.lower(),
+                    )
+                    await self._ingress.put((peer, frame))
+                    self._gauge("rtnet_ingress_depth", self._ingress.qsize())
+            except (ValueError, OSError):
+                pass
+            if self._closed:
+                return
+            if peer is not self._parent:
                 self._drop_peer(peer)
+                return
+            peer.pump.cancel()
+            peer.writer.close()
+            self._parent = None
+            peer, frames = await self._dial_parent()
+            self.broker.replay_upstream()
+            self._count("rtnet_parent_reconnects_total")
 
     def _drop_peer(self, peer: _Peer) -> None:
         if self._peers.get(peer.peer_id) is not peer:
             return
         del self._peers[peer.peer_id]
-        if peer.pump is not None:
-            peer.pump.cancel()
+        peer.pump.cancel()
         peer.writer.close()
         if peer.role == "broker":
             self.broker.detach_child(peer.peer_id)
@@ -278,82 +247,19 @@ class BrokerServer:
     async def connect_parent(self, host: str, port: int) -> None:
         """Dial the parent broker; keeps the link alive until stopped."""
         self._parent_addr = (host, port)
-        await self._dial_parent(first=True)
-        self._parent_task = asyncio.ensure_future(self._parent_loop())
+        link = await self._dial_parent()
+        self._parent_task = asyncio.ensure_future(self._read_loop(*link))
 
-    async def _dial_parent(self, first: bool) -> None:
-        attempt = 0
-        while not self._closed:
-            try:
-                reader, writer = await asyncio.open_connection(
-                    *self._parent_addr
-                )
-                writer.write(
-                    encode_frame(
-                        Hello(self.broker_id, "broker", PROTOCOL_VERSION)
-                    )
-                )
-                await writer.drain()
-                ack = await read_frame(reader)
-            except (OSError, ValueError):
-                await asyncio.sleep(_redial_delay(attempt, self.backoff_rng))
-                attempt += 1
-                continue
-            if not isinstance(ack, HelloAck) or ack.version != PROTOCOL_VERSION:
-                writer.close()
-                raise ConnectionError(
-                    f"parent rejected handshake: {ack!r}"
-                )
-            parent = _Peer(
-                ack.peer_id,
-                "parent",
-                writer,
-                BoundedPriorityQueue(
-                    self.egress_capacity,
-                        registry=self.registry,
-                    broker=self.broker_id,
-                    queue="egress:parent",
-                ),
-                asyncio.Event(),
-            )
-            parent.pump = asyncio.ensure_future(self._pump_loop(parent))
-            self._parent = parent
-            self._parent_reader = reader
-            self.broker.attach_parent(ack.peer_id, self._link_sender(parent))
-            if not first:
-                # The parent lost this interface's registrations; replay
-                # the covering set (tree repair over a real socket).
-                self.broker.replay_upstream()
-                self._count("rtnet_parent_reconnects_total")
-            return
-
-    async def _parent_loop(self) -> None:
-        """Read from the parent link; redial (with replay) when it dies."""
-        while not self._closed:
-            try:
-                frame = await read_frame(self._parent_reader)
-            except (ValueError, OSError, asyncio.IncompleteReadError):
-                frame = None
-            if frame is None:
-                if self._closed:
-                    return
-                old = self._parent
-                if old is not None and old.pump is not None:
-                    old.pump.cancel()
-                    old.writer.close()
-                self._parent = None
-                await self._dial_parent(first=False)
-                continue
-            self._count(
-                "rtnet_frames_total",
-                direction="in",
-                type=frame.type.name.lower(),
-            )
-            await self._ingress.put((self._parent, frame))
-
-    # The backoff RNG is deliberately shared process state: parent links
-    # of co-located brokers should not redial in lockstep either.
-    backoff_rng = random.Random()
+    async def _dial_parent(self) -> tuple[_Peer, FrameReader]:
+        parent_id, frames, writer = await redial(
+            *self._parent_addr, Hello(self.broker_id, "broker"),
+            lambda: self._closed,
+        )
+        self._parent = self._new_peer(
+            parent_id, "parent", writer, "egress:parent"
+        )
+        self.broker.attach_parent(parent_id, self._link_sender(self._parent))
+        return self._parent, frames
 
     # -- dispatch ---------------------------------------------------------------
 
@@ -367,7 +273,6 @@ class BrokerServer:
                 self._count("rtnet_protocol_errors_total")
 
     def _dispatch(self, peer: _Peer, frame: Frame) -> None:
-        peer.last_seen = time.time()
         if isinstance(frame, Subscribe):
             self.broker.subscribe(peer.peer_id, frame.filter)
         elif isinstance(frame, Unsubscribe):
@@ -433,12 +338,6 @@ class BrokerServer:
                 raise ValueError(f"unroutable message kind {kind!r}")
 
         return send
-
-    def _client_deliverer(self, peer: _Peer):
-        def deliver(event) -> None:
-            self._forward_event(peer, event)
-
-        return deliver
 
     def _forward_event(self, peer: _Peer, event) -> None:
         relay = self._relay

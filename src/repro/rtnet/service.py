@@ -20,16 +20,14 @@ from typing import Callable, Hashable
 from repro.core.kdcservice import KDCResponse
 from repro.obs.metrics import MetricsRegistry
 from repro.rtnet.frames import (
-    PROTOCOL_VERSION,
     Hello,
-    HelloAck,
     KdcCall,
     KdcReply,
     MalformedCall,
     Rekey,
     encode_frame,
-    read_frame,
 )
+from repro.rtnet.link import accept, dial
 
 
 class _LoopClock:
@@ -192,30 +190,25 @@ class TcpServiceNetwork:
     async def _dial(self, src, dst, session: _Session) -> None:
         """Connect, shake hands, flush the queue, then read replies and
         pushes in a task of their own."""
-        writer = None
         try:
-            reader, writer = await asyncio.open_connection(
-                self.host, self.ports[dst]
+            _, frames, session.writer = await dial(
+                self.host, self.ports[dst], Hello(str(src), "kdc")
             )
-            writer.write(encode_frame(Hello(str(src), "kdc")))
-            ack = await read_frame(reader)
-        except (KeyError, ValueError, OSError):
-            ack = None
-        session.writer = writer
-        accepted = isinstance(ack, HelloAck) and ack.version == PROTOCOL_VERSION
+        except (KeyError, OSError):
+            frames = None
         # A session forgotten while it dialed -- its node crashed, or the
         # host stopped -- sends nothing it queued.
-        if not accepted or self._outbound.get((src, dst)) is not session:
+        if frames is None or self._outbound.get((src, dst)) is not session:
             self._forget((src, dst), session)
             return
-        writer.write(b"".join(session.queued))
+        session.writer.write(b"".join(session.queued))
         session.queued.clear()
-        self._spawn(self._read_replies(src, dst, session, reader))
+        self._spawn(self._read_replies(src, dst, session, frames))
 
-    async def _read_replies(self, src, dst, session, reader) -> None:
+    async def _read_replies(self, src, dst, session, frames) -> None:
         while True:
             try:
-                frame = await read_frame(reader)
+                frame = await frames.read()
             except (ValueError, OSError):
                 break
             if frame is None:
@@ -231,22 +224,17 @@ class TcpServiceNetwork:
     async def _serve(self, node_id, reader, writer) -> None:
         self._tasks.add(task := asyncio.current_task())
         task.add_done_callback(self._tasks.discard)
-        try:
-            hello = await read_frame(reader)
-        except (ValueError, OSError):
-            hello = None
-        if not (self.node_up(node_id) and isinstance(hello, Hello)
-                and hello.version == PROTOCOL_VERSION):
-            # Version 0 in the HELLO_ACK tells the dialer "rejected".
-            writer.write(encode_frame(HelloAck(str(node_id), 0)))
-            writer.close()
+        accepted = await accept(reader, writer, str(node_id))
+        if accepted is None:
             return
-        session, live = _Session(hello.peer_id, writer), self._inbound[node_id]
-        live.add(session)
-        session.send(HelloAck(str(node_id), PROTOCOL_VERSION))
-        while True:
+        (hello, frames), live = accepted, self._inbound[node_id]
+        session = _Session(hello.peer_id, writer)
+        # A node that crashed while this HELLO was in flight serves nothing.
+        if self.node_up(node_id):
+            live.add(session)
+        while session in live:
             try:
-                frame = await read_frame(reader)
+                frame = await frames.read()
             except MalformedCall as exc:
                 session.send(KdcReply(
                     exc.args[0], KDCResponse(ok=False, error="bad_request")

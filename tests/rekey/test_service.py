@@ -17,12 +17,12 @@ from repro.net.service import ServiceNetwork
 from repro.net.sim import Simulator
 from repro.rtnet.cluster import KDC_REPLICAS, ClusterLauncher
 from repro.rtnet.frames import (
+    FrameReader,
     FrameType,
     Hello,
     KdcCall,
     KdcReply,
     encode_frame,
-    read_frame,
 )
 from repro.rtnet.service import TcpServiceNetwork
 from repro.siena.filters import Filter
@@ -174,20 +174,56 @@ def test_malformed_call_answers_bad_request_without_killing_session():
     async def scenario(cluster, client):
         port = cluster.kdc_network.ports["kdc0"]
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        frames = FrameReader(reader)
         writer.write(encode_frame(Hello("raw", "kdc")))
-        await read_frame(reader)  # HELLO_ACK
-        garbage = bytes([FrameType.KDC_CALL]) + struct.pack(">q", 41) + b"\xff"
-        writer.write(struct.pack(">I", len(garbage)) + garbage)
-        reply = await read_frame(reader)
+        await frames.read()  # HELLO_ACK
+        writer.write(_malformed_call(41))
+        reply = await frames.read()
         assert reply == KdcReply(41, KDCResponse(ok=False, error="bad_request"))
         # The session lives on: a well-formed call is answered.
-        request = KDCRequest("authorize", ("raw", 0), {
-            "subscriber": "alice", "filters": FULL, "at_time": 5.0,
-            "publisher": None, "min_epoch": None,
-        })
-        writer.write(encode_frame(KdcCall(42, request)))
-        reply = await read_frame(reader)
+        writer.write(encode_frame(KdcCall(42, _authorize("raw", 0))))
+        reply = await frames.read()
         assert reply.tag == 42 and reply.response.ok
+        writer.close()
+
+    _hosted(scenario)
+
+
+def _malformed_call(tag: int) -> bytes:
+    """A KDC_CALL frame whose tag decodes and whose request does not."""
+    garbage = bytes([FrameType.KDC_CALL]) + struct.pack(">q", tag) + b"\xff"
+    return struct.pack(">I", len(garbage)) + garbage
+
+
+def _authorize(client: str, counter: int) -> KDCRequest:
+    return KDCRequest("authorize", (client, counter), {
+        "subscriber": "alice", "filters": FULL, "at_time": 5.0,
+        "publisher": None, "min_epoch": None,
+    })
+
+
+def test_malformed_call_between_good_calls_in_one_write_is_answered_in_place():
+    async def scenario(cluster, client):
+        port = cluster.kdc_network.ports["kdc0"]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        frames = FrameReader(reader)
+        # HELLO and three calls in one write: the replica's reader holds
+        # them all after its handshake, the bad one in the middle.
+        writer.write(
+            encode_frame(Hello("raw", "kdc"))
+            + encode_frame(KdcCall(1, _authorize("raw", 1)))
+            + _malformed_call(2)
+            + encode_frame(KdcCall(3, _authorize("raw", 3)))
+        )
+        await frames.read()  # HELLO_ACK
+        replies = [await frames.read() for _ in range(3)]
+        assert [reply.tag for reply in replies] == [1, 2, 3]
+        assert replies[0].response.ok and replies[2].response.ok
+        assert replies[1].response == KDCResponse(ok=False, error="bad_request")
+        # The session is still up.
+        writer.write(encode_frame(KdcCall(4, _authorize("raw", 4))))
+        reply = await frames.read()
+        assert reply.tag == 4 and reply.response.ok
         writer.close()
 
     _hosted(scenario)

@@ -32,8 +32,8 @@ from repro.rtnet.frames import (
     Hello,
     HelloAck,
     Subscribe,
+    FrameReader,
     encode_frame,
-    read_frame,
 )
 from repro.rtnet.server import CONTROL_PRIORITY, FLUSH_BYTES, BrokerServer
 from repro.siena.events import Event
@@ -68,10 +68,11 @@ async def _dial(server, peer_id, role, rcvbuf=None):
     sock.setblocking(False)
     await asyncio.get_running_loop().sock_connect(sock, server.address)
     reader, writer = await asyncio.open_connection(sock=sock)
+    frames = FrameReader(reader)
     writer.write(encode_frame(Hello(peer_id, role)))
     await writer.drain()
-    assert isinstance(await read_frame(reader), HelloAck)
-    return reader, writer
+    assert isinstance(await frames.read(), HelloAck)
+    return frames, writer
 
 
 async def _wait_for(predicate, timeout=10.0):
@@ -120,7 +121,7 @@ def test_frames_queued_while_the_pump_is_parked_leave_in_one_write():
             server._enqueue(peer, events[1], NORMAL)
             server._enqueue(peer, control[1], CONTROL_PRIORITY)
             server._enqueue(peer, events[2], NORMAL)
-            received = [await read_frame(reader) for _ in range(5)]
+            received = [await reader.read() for _ in range(5)]
             await _wait_for(lambda: not peer.wake.is_set())
             writer.close()
             return recorder, received, control + events
@@ -152,7 +153,7 @@ def test_the_flush_cap_splits_a_large_backlog():
             frames = [EventFrame(seq, 0.0, payload) for seq in range(10)]
             for frame in frames:
                 server._enqueue(peer, frame, NORMAL)
-            received = [await read_frame(reader) for _ in frames]
+            received = [await reader.read() for _ in frames]
             await _wait_for(lambda: not peer.wake.is_set())
             writer.close()
             return recorder, received, frames
@@ -201,7 +202,7 @@ def test_a_stalled_reader_backs_up_into_the_egress_queue_and_sheds():
                     encode_frame(EventFrame(seq, time.time(), payload))
                 )
                 await pub_writer.drain()
-            acks = [await read_frame(pub_reader) for _ in range(published)]
+            acks = [await pub_reader.read() for _ in range(published)]
             peer = server._peers["s0"]
             buffered = peer.writer.transport.get_write_buffer_size()
             depth = len(peer.egress)
@@ -339,7 +340,7 @@ def test_a_corrupt_sealed_body_is_refused_whatever_role_the_peer_claims(role):
             for seq, payload in enumerate((good, corrupt, good[:-1], good)):
                 sender.write(encode_frame(EventFrame(seq, 0.0, payload)))
             await sender.drain()
-            received = [await read_frame(reader) for _ in range(2)]
+            received = [await reader.read() for _ in range(2)]
             await _wait_for(
                 lambda: server.broker.stats.events_received == 2
                 and registry.total("rtnet_protocol_errors_total") == 2
@@ -375,7 +376,7 @@ def test_heartbeats_and_events_share_one_flush_per_wakeup():
             ]
             for frame in frames:
                 server._enqueue(peer, frame, NORMAL)
-            received = [await read_frame(reader) for _ in frames]
+            received = [await reader.read() for _ in frames]
             writer.close()
             return received, frames
         finally:

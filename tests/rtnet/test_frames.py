@@ -14,6 +14,7 @@ from repro.rtnet.frames import (
     Ack,
     EventFrame,
     FrameDecoder,
+    FrameReader,
     FrameType,
     Heartbeat,
     Hello,
@@ -28,7 +29,6 @@ from repro.rtnet.frames import (
     Unsubscribe,
     decode_payload,
     encode_frame,
-    read_frame,
 )
 from repro.siena.filters import Filter
 
@@ -344,7 +344,7 @@ def test_decoder_tracks_pending_bytes():
     assert decoder.pending == 0
 
 
-# -- stream reader -------------------------------------------------------------
+# -- stream reader: FrameReader.read ------------------------------------------
 
 
 def _stream_with(data: bytes, eof: bool = True) -> asyncio.StreamReader:
@@ -357,7 +357,7 @@ def _stream_with(data: bytes, eof: bool = True) -> asyncio.StreamReader:
 
 def test_read_frame_returns_none_on_clean_eof():
     async def scenario():
-        return await read_frame(_stream_with(b""))
+        return await FrameReader(_stream_with(b"")).read()
 
     assert asyncio.run(scenario()) is None
 
@@ -365,7 +365,7 @@ def test_read_frame_returns_none_on_clean_eof():
 def test_read_frame_raises_on_mid_frame_eof():
     async def scenario():
         wire = encode_frame(Ack(5))
-        return await read_frame(_stream_with(wire[:-2]))
+        return await FrameReader(_stream_with(wire[:-2])).read()
 
     with pytest.raises(ValueError, match="mid frame"):
         asyncio.run(scenario())
@@ -373,7 +373,7 @@ def test_read_frame_raises_on_mid_frame_eof():
 
 def test_read_frame_raises_on_mid_header_eof():
     async def scenario():
-        return await read_frame(_stream_with(b"\x00\x00"))
+        return await FrameReader(_stream_with(b"\x00\x00")).read()
 
     with pytest.raises(ValueError, match="mid frame header"):
         asyncio.run(scenario())
@@ -381,12 +381,12 @@ def test_read_frame_raises_on_mid_header_eof():
 
 def test_read_frame_reads_back_to_back_frames():
     async def scenario():
-        reader = _stream_with(
+        reader = FrameReader(_stream_with(
             encode_frame(Ack(1)) + encode_frame(Heartbeat(2.0))
-        )
-        first = await read_frame(reader)
-        second = await read_frame(reader)
-        third = await read_frame(reader)
+        ))
+        first = await reader.read()
+        second = await reader.read()
+        third = await reader.read()
         return first, second, third
 
     assert asyncio.run(scenario()) == (Ack(1), Heartbeat(2.0), None)

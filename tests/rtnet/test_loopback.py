@@ -228,3 +228,70 @@ def test_version_mismatch_is_rejected_with_hello_ack_zero():
             await server.stop()
 
     assert asyncio.run(scenario()) is True
+
+
+async def _answer_hello_with(data: bytes):
+    """A listener that answers every HELLO with *data* in one write."""
+
+    async def answer(reader, writer):
+        await reader.read(65536)
+        writer.write(data)
+        await writer.drain()
+        writer.close()
+
+    return await asyncio.start_server(answer, "127.0.0.1", 0)
+
+
+def test_a_frame_in_the_hello_ack_segment_comes_back_after_it():
+    from repro.rtnet.frames import Ack, HelloAck, Hello, encode_frame
+    from repro.rtnet.link import dial
+
+    async def scenario():
+        listener = await _answer_hello_with(
+            encode_frame(HelloAck("b0")) + encode_frame(Ack(7))
+        )
+        port = listener.sockets[0].getsockname()[1]
+        peer_id, frames, writer = await dial(
+            "127.0.0.1", port, Hello("p", "publisher")
+        )
+        read = [await frames.read(), await frames.read()]
+        writer.close()
+        listener.close()
+        return peer_id, read
+
+    assert asyncio.run(scenario()) == ("b0", [Ack(7), None])
+
+
+def test_only_a_hello_ack_at_another_version_is_a_handshake_error():
+    from repro.rtnet import HandshakeError
+    from repro.rtnet.frames import Ack, HelloAck, Hello, encode_frame
+    from repro.rtnet.link import dial
+
+    async def outcome(answer: bytes) -> type:
+        listener = await _answer_hello_with(answer)
+        port = listener.sockets[0].getsockname()[1]
+        try:
+            await dial("127.0.0.1", port, Hello("p", "publisher"))
+        except ConnectionError as exc:
+            return type(exc)
+        finally:
+            listener.close()
+        return type(None)
+
+    async def scenario():
+        return [
+            await outcome(answer)
+            for answer in (
+                encode_frame(HelloAck("b0", 0)),
+                encode_frame(HelloAck("b0", 99)),
+                b"",
+                encode_frame(HelloAck("b0"))[:5],
+                b"\xff" * 8,
+                encode_frame(Ack(1)),
+            )
+        ]
+
+    assert asyncio.run(scenario()) == [
+        HandshakeError, HandshakeError,
+        ConnectionError, ConnectionError, ConnectionError, ConnectionError,
+    ]

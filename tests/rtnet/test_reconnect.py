@@ -9,7 +9,7 @@ from repro.core.kdc import KDC
 from repro.core.nakt import NumericKeySpace
 from repro.routing.tokens import TokenAuthority
 from repro.rtnet import BrokerServer, RtPublisher, RtSubscriber
-from repro.rtnet.client import _redial_delay
+from repro.rtnet.link import _redial_delay
 from repro.siena.events import Event
 from repro.siena.filters import Filter
 
@@ -195,3 +195,94 @@ def test_dedup_window_makes_resends_exactly_once():
     assert opened == 1
     assert duplicates == 1
     assert verdicts == ["open", "duplicate"]
+
+
+async def _listen_once_and_hang_up(host: str, port: int) -> asyncio.Event:
+    """Listen on *port* for one connection that reads HELLO and closes
+    without a HELLO_ACK -- a transient failure, not a rejection -- then
+    stop listening; the returned event is set once that has happened."""
+    hung_up = asyncio.Event()
+
+    async def hang_up(reader, writer):
+        listener.close()
+        await reader.read(65536)
+        writer.close()
+        hung_up.set()
+
+    listener = await asyncio.start_server(hang_up, host, port)
+    return hung_up
+
+
+def test_endpoint_redials_after_eof_before_hello_ack():
+    kdc = _make_kdc()
+    authority = TokenAuthority(kdc.master_key)
+
+    async def scenario():
+        server = BrokerServer("b0")
+        await server.start()
+        host, port = server.address
+        publisher = RtPublisher("p", host, port, kdc, authority=authority)
+        await publisher.connect()
+
+        await server.stop()
+        hung_up = await _listen_once_and_hang_up(host, port)
+        await asyncio.wait_for(hung_up.wait(), 5.0)
+        server = BrokerServer("b0-prime", port=port)
+        await server.start()
+        await _wait_for(lambda: publisher.broker_id == "b0-prime"
+                        and publisher._connected.is_set())
+        await publisher.publish(Event({"topic": "t", "v": 3}, publisher="p"))
+        await publisher.settle()
+
+        state = publisher._closed, server.broker.stats.events_received
+        await publisher.close()
+        await server.stop()
+        return state
+
+    assert asyncio.run(scenario()) == (False, 1)
+
+
+def test_child_broker_redials_a_parent_that_hung_up_before_hello_ack():
+    kdc = _make_kdc()
+    authority = TokenAuthority(kdc.master_key)
+
+    async def scenario():
+        parent, child = BrokerServer("b0"), BrokerServer("b1")
+        await parent.start()
+        await child.start()
+        host, port = parent.address
+        await child.connect_parent(host, port)
+        subscriber = RtSubscriber(
+            "s", *child.address,
+            schema_lookup=lambda topic: kdc.config_for(topic).schema,
+            authority=authority,
+        )
+        await subscriber.connect()
+        await subscriber.add_grant(
+            kdc.authorize("s", Filter.numeric_range("t", "v", 0, 63))
+        )
+        await subscriber.settle()
+
+        await parent.stop()
+        hung_up = await _listen_once_and_hang_up(host, port)
+        await asyncio.wait_for(hung_up.wait(), 5.0)
+        parent = BrokerServer("b0-prime", port=port)
+        await parent.start()
+        await _wait_for(lambda: child._parent is not None
+                        and child._parent.peer_id == "b0-prime")
+        # The redialled link replayed the child's covering set: an event
+        # published at the new root reaches the subscriber behind it.
+        publisher = RtPublisher("p", host, port, kdc, authority=authority)
+        await publisher.connect()
+        await publisher.publish(Event({"topic": "t", "v": 7}, publisher="p"))
+        await publisher.settle()
+        await subscriber.settle()
+        await _wait_for(lambda: len(subscriber.opened) == 1)
+
+        for endpoint in (publisher, subscriber):
+            await endpoint.close()
+        for server in (child, parent):
+            await server.stop()
+        return len(subscriber.opened)
+
+    assert asyncio.run(scenario()) == 1
