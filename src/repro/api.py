@@ -113,33 +113,22 @@ class SessionSubscriber(TokenOpener):
         self.system = system
         policy = system.renewal
         super().__init__(
-            Subscriber(
-                subscriber_id,
-                grace_period=policy.grace if policy is not None else 0.0,
-            ),
+            Subscriber(subscriber_id, grace_period=policy.grace),
             system.schema_lookup,
             system.authority,
         )
-        #: Standing-subscription manager, or None without a renewal
-        #: policy (grants are then one-shot, anchored at *at_time*).
-        self.renewal: RenewalManager | None = None
-        if policy is not None:
-            self.renewal = RenewalManager(
-                self.engine, system.kdc, renew_lead_time=policy.lead
-            )
+        #: Every grant is a lease: this manager fetches each one and
+        #: renews it at :meth:`System.roll_epoch`.
+        self.renewal = RenewalManager(
+            self.engine, system.kdc, renew_lead_time=policy.lead
+        )
         # Every grant first: a refused filter raises before the tree or
         # the system holds anything of this session.
         routing_filters: list[Filter] = []
         for subscription_filter in filters:
-            if self.renewal is not None:
-                grant = self.renewal.add_subscription(
-                    subscription_filter, at_time=at_time
-                )
-            else:
-                grant = system.kdc.authorize(
-                    subscriber_id, subscription_filter, at_time=at_time
-                )
-                self.engine.add_grant(grant)
+            grant = self.renewal.add_subscription(
+                subscription_filter, at_time=at_time
+            )
             if grant is not None:
                 routing_filters += self.routing_filters(grant)
         self.home = system._next_leaf()
@@ -149,9 +138,8 @@ class SessionSubscriber(TokenOpener):
 
     @property
     def renewal_stats(self):
-        """The session's :class:`~repro.core.renewal.RenewalStats`,
-        or ``None`` without a renewal policy."""
-        return self.renewal.stats if self.renewal is not None else None
+        """The session's :class:`~repro.core.renewal.RenewalStats`."""
+        return self.renewal.stats
 
     @property
     def subscriber_id(self) -> str:
@@ -177,19 +165,18 @@ class System:
         kdc: KDC,
         tree: BrokerTree,
         obs: Observability,
-        renewal: RenewalPolicy | None = None,
+        renewal: RenewalPolicy,
     ):
         self.kdc = kdc
         self.tree = tree
         self.obs = obs
         self.authority = TokenAuthority(kdc.master_key)
-        #: Default key-lifecycle policy for subscribers; when set,
-        #: ``subscribe()`` opens standing subscriptions and
-        #: :meth:`advance` renews them across epoch boundaries.
+        #: Key-lifecycle policy of every subscriber: each grant is a
+        #: lease that :meth:`roll_epoch` renews across epoch boundaries.
         self.renewal = renewal
         #: The publication timeline's current instant: only
-        #: :meth:`advance` moves it, and :meth:`subscribe` anchors
-        #: one-shot grants at it by default.
+        #: :meth:`roll_epoch` moves it, and :meth:`subscribe` anchors
+        #: first grants at it by default.
         self.clock = 0.0
         self.registry = obs.registry
         self.tracer = obs.tracer
@@ -223,13 +210,11 @@ class System:
     ) -> SessionSubscriber:
         """Authorize and attach a subscriber in one call.
 
-        With a renewal policy on the system this opens *standing*
-        subscriptions: the session holds a
-        :class:`~repro.core.renewal.RenewalManager` and
-        :meth:`advance` keeps its grants fresh across epoch
-        boundaries.  Without one, grants are one-shot, anchored at
-        *at_time* (default: the system clock).  An expired grant stays
-        usable for the policy's ``grace`` (none without a policy), as on
+        Every subscription is *standing*: the session's
+        :class:`~repro.core.renewal.RenewalManager` fetches the first
+        grants, anchored at *at_time* (default: the system clock), and
+        :meth:`roll_epoch` renews them across epoch boundaries.  An
+        expired grant stays usable for the policy's ``grace``, as on
         the tcp transport.
         """
         if subscriber_id in self.subscribers:
@@ -243,17 +228,31 @@ class System:
         self.subscribers[subscriber_id] = session
         return session
 
-    def advance(self, at_time: float) -> int:
+    # -- key lifecycle and membership churn ----------------------------------
+
+    def roll_epoch(self, topic: str, at_time: float) -> int:
         """Move the publication timeline to *at_time* and run every
-        session's renewal tick (renew due grants, drop expired ones).
-        Returns how many renewals completed.  The in-process analogue
-        of the REKEY broadcast on the tcp transport."""
+        session's renewal tick (renew due grants, drop expired ones);
+        returns *topic*'s epoch at *at_time*.  The in-process REKEY
+        push of :meth:`LiveSystem.roll_epoch`."""
         self.clock = max(self.clock, at_time)
-        renewed = 0
         for session in self.subscribers.values():
-            if session.renewal is not None:
-                renewed += session.renewal.tick(self.clock)
-        return renewed
+            session.renewal.tick(self.clock)
+        return self.kdc.epoch_of(topic, at_time)
+
+    def revoke(self, subscriber_id: str, topic: str) -> None:
+        """Revoke (subscriber, topic) lazily at the KDC, which is the
+        primary here: the current grant lapses with its epoch, the next
+        renewal is denied."""
+        self.kdc.revoke(subscriber_id, topic)
+
+    def leave(self, subscriber_id: str) -> SessionSubscriber:
+        """Detach *subscriber_id*: stop renewing (held grants lapse),
+        withdraw its routing filters and free its broker endpoint."""
+        session = self.subscribers.pop(subscriber_id)
+        session.renewal.cancel_all(self.clock)
+        self.tree.detach_subscriber(subscriber_id)
+        return session
 
     def schema_lookup(self, topic: str) -> CompositeKeySpace:
         """Topic schema resolver (schemas are public configuration)."""
@@ -306,7 +305,7 @@ class SystemBuilder:
         self._num_brokers = 3
         self._arity = 2
         self._master_key: bytes | None = None
-        self._renewal: RenewalPolicy | None = None
+        self._renewal = RenewalPolicy()
         self._kdc: KDC | None = None
         self._obs: Observability | None = None
         self._topics: list[tuple[str, CompositeKeySpace, float]] = []
@@ -350,16 +349,16 @@ class SystemBuilder:
         lead: float = 0.0,
         grace: float = 0.0,
     ) -> "SystemBuilder":
-        """Keep subscriber grants fresh across epoch boundaries.
+        """How subscriber grants are renewed across epoch boundaries.
 
         Pass a ready :class:`~repro.core.renewal.RenewalPolicy`, or let
         the builder make one from *lead* (renew this many seconds before
         a grant's epoch expires) and *grace* (keep an expired grant
-        usable this long after the boundary).  On the inproc transport
-        renewals run from :meth:`System.advance`; on tcp the built
-        :class:`~repro.rtnet.LiveSystem` hosts 3 KDC replicas beside the
-        broker tree and subscribers renew in-band through a failover
-        client, driven by REKEY pushes.
+        usable this long after the boundary).  The default is
+        ``RenewalPolicy()``: renew and drop exactly at the boundary.
+        Renewals run at ``roll_epoch`` on either transport: in process
+        against the KDC, on tcp in-band through a failover client to
+        the 3 KDC replicas the :class:`~repro.rtnet.LiveSystem` hosts.
         """
         if policy is None:
             policy = RenewalPolicy(lead=lead, grace=grace)
@@ -407,4 +406,4 @@ class SystemBuilder:
             match=tokenized_match,
             registry=obs.registry,
         )
-        return System(kdc, tree, obs, renewal=self._renewal)
+        return System(kdc, tree, obs, self._renewal)

@@ -129,7 +129,7 @@ class SweepPoint:
     high_delivery: float
     best_effort_delivery: float
     #: The analytic best-effort floor (1 - h*f) / ((1 - h) * f).
-    ideal_best_effort: float
+    analytic_best_effort: float
     shed_events: int
     #: Share of sheds that fell on best-effort, the lowest class the
     #: storm carries: 1.0 = no better-priority event was sacrificed.
@@ -326,7 +326,7 @@ def _run_sweep(config: OverloadConfig, result: OverloadResult) -> None:
         load.schedule_phase("sweep", 0.0, _SWEEP_DURATION, factor)
         load.sim.run(until=_SWEEP_DURATION + _DRAIN)
         high, best, _overall = load.delivery_ratios("sweep")
-        ideal = min(
+        analytic = min(
             1.0,
             (1.0 - HIGH_FRACTION * factor)
             / ((1.0 - HIGH_FRACTION) * factor),
@@ -335,7 +335,7 @@ def _run_sweep(config: OverloadConfig, result: OverloadResult) -> None:
             factor=factor,
             high_delivery=high,
             best_effort_delivery=best,
-            ideal_best_effort=ideal,
+            analytic_best_effort=analytic,
             shed_events=load.net.shed_events,
             shed_fairness=_ratio(sheds[BEST_EFFORT], sum(sheds.values())),
         ))
@@ -480,7 +480,7 @@ def _priority_protection(_config, result: OverloadResult) -> str | None:
 
 
 #: Measured best-effort ratio must stay above this fraction of the
-#: analytic ideal at every sweep point (the non-cliff gate).
+#: analytic floor at every sweep point (the non-cliff gate).
 DEGRADATION_FLOOR = 0.5
 #: Tolerance when requiring the sweep to degrade monotonically.
 _MONOTONE_TOLERANCE = 0.05
@@ -490,7 +490,7 @@ def _graceful_degradation(_config, result: OverloadResult) -> str | None:
     problems = []
     previous = math.inf
     for point in result.sweep:
-        floor = DEGRADATION_FLOOR * point.ideal_best_effort
+        floor = DEGRADATION_FLOOR * point.analytic_best_effort
         if point.best_effort_delivery < floor:
             problems.append(
                 f"sweep factor {point.factor:g}: best-effort delivery "
@@ -568,10 +568,10 @@ def format_overload_report(
         title=f"Storm timeline ({_NUM_BROKERS} brokers, arity {_ARITY})",
     )
     sweep_table = format_table(
-        ["factor", "high del", "best-effort del", "ideal", "shed",
+        ["factor", "high del", "best-effort del", "analytic", "shed",
          "fairness"],
         [(s.factor, s.high_delivery, s.best_effort_delivery,
-          s.ideal_best_effort, s.shed_events, s.shed_fairness)
+          s.analytic_best_effort, s.shed_events, s.shed_fairness)
          for s in result.sweep],
         title="Graceful degradation sweep",
     )

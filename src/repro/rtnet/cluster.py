@@ -70,6 +70,8 @@ class ClusterLauncher:
         self.kdc_network: TcpServiceNetwork | None = None
         self.kdc_cluster: KDCCluster | None = None
         self._admin: KDCClient | None = None
+        #: The latest instant :meth:`roll_epoch` announced.
+        self._announced_at = 0.0
         self._subscriber_cursor = 0
 
     # -- lifecycle -----------------------------------------------------------
@@ -143,11 +145,14 @@ class ClusterLauncher:
 
     async def kdc_client(self, client_id: str) -> KDCClient:
         """A :class:`KDCClient` on the hosted cluster, attached to every
-        replica's REKEY push, on a logical clock that starts at 0."""
+        replica's REKEY push, on a logical clock that starts at the
+        latest instant :meth:`roll_epoch` announced (0 before the
+        first), so a late joiner's first grant is for the current
+        epoch."""
         if self.kdc_network is None:
             raise ValueError("cluster launched without a kdc")
         client = KDCClient(self.kdc_network, client_id, KDC_REPLICAS)
-        client.advance(0.0)
+        client.advance(self._announced_at)
         await self.kdc_network.attach(client_id, client.rekey)
         return client
 
@@ -155,6 +160,7 @@ class ClusterLauncher:
         """Push REKEY for *topic*'s epoch at *at_time* from every live
         replica (clients advance and tick); returns the epoch."""
         epoch = self.kdc.epoch_of(topic, at_time)
+        self._announced_at = max(self._announced_at, at_time)
         self.kdc_network.push(Rekey(topic, epoch, at_time))
         return epoch
 

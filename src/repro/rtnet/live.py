@@ -1,12 +1,14 @@
 """A synchronous facade over a live TCP cluster.
 
 :class:`LiveSystem` mirrors the :class:`repro.api.System` surface --
-``publisher()``, ``subscribe()``, ``settle()``, ``close()`` -- but the
-events flow over real sockets: an asyncio loop runs in a daemon thread
-hosting a :class:`~repro.rtnet.cluster.ClusterLauncher`, and every
-facade call is submitted to it with ``run_coroutine_threadsafe``.  It is
-what ``System.builder().transport("tcp").build()`` returns, so switching
-a session from the in-process tree to a localhost TCP deployment is a
+``publisher()``, ``subscribe()``, ``roll_epoch()``, ``revoke()``,
+``leave()``, ``settle()``, ``close()`` -- but the events flow over real
+sockets and the grants over KDC sessions: an asyncio loop runs in a
+daemon thread hosting a :class:`~repro.rtnet.cluster.ClusterLauncher`
+with its 3 KDC replicas, and every facade call is submitted to it with
+``run_coroutine_threadsafe``.  It is what
+``System.builder().transport("tcp").build()`` returns, so switching a
+session from the in-process tree to a localhost TCP deployment is a
 one-line change.
 """
 
@@ -17,7 +19,7 @@ import threading
 from typing import Iterable
 
 from repro.core.envelope import OpenResult
-from repro.core.kdc import KDC, AuthorizationGrant
+from repro.core.kdc import KDC
 from repro.core.renewal import RenewalPolicy
 from repro.obs import Observability
 from repro.routing.tokens import TokenAuthority
@@ -29,23 +31,15 @@ from repro.siena.filters import Filter
 _CALL_TIMEOUT = 30.0
 
 
-async def _attach(
-    endpoint: RtSubscriber,
-    grants: list[AuthorizationGrant] | None,
-    filters: Iterable[Filter],
-    at_time: float | None,
+async def _join(
+    endpoint: RtSubscriber, filters: Iterable[Filter], at_time: float | None
 ) -> None:
-    """Dial *endpoint*, then install *grants*, or join *filters* in-band
-    when *grants* is None; an endpoint that fails on the way is closed,
-    so none of its tasks outlives it."""
+    """Dial *endpoint* and join *filters* in-band; an endpoint that
+    fails on the way is closed, so none of its tasks outlives it."""
     try:
         await endpoint.connect()
-        if grants is not None:
-            for grant in grants:
-                await endpoint.add_grant(grant)
-        else:
-            for subscription_filter in filters:
-                await endpoint.join(subscription_filter, at_time=at_time)
+        for subscription_filter in filters:
+            await endpoint.join(subscription_filter, at_time=at_time)
     except BaseException:
         await endpoint.close()
         raise
@@ -108,10 +102,8 @@ class LiveSubscriber:
 
     @property
     def renewal_stats(self):
-        """The endpoint's :class:`~repro.core.renewal.RenewalStats`,
-        or ``None`` when the subscriber was provisioned out-of-band."""
-        renewal = self.endpoint.renewal
-        return renewal.stats if renewal is not None else None
+        """The endpoint's :class:`~repro.core.renewal.RenewalStats`."""
+        return self.endpoint.renewal.stats
 
     def settle(self, timeout: float = 10.0) -> None:
         """Block until everything in flight toward this subscriber's
@@ -128,23 +120,23 @@ class LiveSystem:
         obs: Observability,
         num_brokers: int,
         arity: int,
-        renewal: RenewalPolicy | None,
+        renewal: RenewalPolicy,
         host: str = "127.0.0.1",
     ):
         self.kdc = kdc
         self.obs = obs
         self.registry = obs.registry
         self.authority = TokenAuthority(kdc.master_key)
-        #: Default key-lifecycle policy for live subscribers; when set,
-        #: ``subscribe()`` provisions grants in-band through the hosted
-        #: KDC cluster and keeps them renewed across epoch rollovers.
+        #: Key-lifecycle policy of every live subscriber: grants are
+        #: leases fetched in-band from the hosted KDC replicas and
+        #: renewed at every epoch rollover.
         self.renewal = renewal
         self.cluster = ClusterLauncher(
             num_brokers=num_brokers,
             arity=arity,
             host=host,
             registry=obs.registry,
-            kdc=kdc if renewal is not None else None,
+            kdc=kdc,
         )
         self.publishers: dict[str, LivePublisher] = {}
         self.subscribers: dict[str, LiveSubscriber] = {}
@@ -194,31 +186,17 @@ class LiveSystem:
     ) -> LiveSubscriber:
         """Authorize *filters* and attach a live subscriber.
 
-        Without a renewal policy this provisions grants out-of-band
-        (directly against the KDC object, anchored at time 0).  With one
-        (``builder().renewal(...)``), the subscriber *joins*: a KDC
-        client attached to the hosted replicas fetches its grants
-        in-band and keeps them renewed across every epoch rollover,
-        failing over between replicas.  Grace comes from the policy
-        (none without one).  As in process, a refused filter raises
-        before anything is dialled or attached.
+        The subscriber *joins*: a KDC client attached to the hosted
+        replicas fetches its grants in-band, anchored at *at_time*
+        (default: the latest :meth:`roll_epoch`), and renews them at
+        every rollover, failing over between replicas.  As in process,
+        a refused filter raises before anything is dialled or attached.
         """
         if subscriber_id in self.subscribers:
             raise ValueError(f"subscriber {subscriber_id!r} already attached")
         for subscription_filter in filters:
             self.kdc.config_for(KDC.clause_topic(subscription_filter))
-        kdc_client = grants = None
-        if self.renewal is not None:
-            kdc_client = self._call(self.cluster.kdc_client(subscriber_id))
-        else:
-            grants = [
-                self.kdc.authorize(
-                    subscriber_id,
-                    subscription_filter,
-                    at_time=at_time if at_time is not None else 0.0,
-                )
-                for subscription_filter in filters
-            ]
+        kdc_client = self._call(self.cluster.kdc_client(subscriber_id))
         host, port = self.cluster.subscriber_address()
         endpoint = RtSubscriber(
             subscriber_id,
@@ -230,7 +208,7 @@ class LiveSystem:
             kdc_client=kdc_client,
             renewal=self.renewal,
         )
-        self._call(_attach(endpoint, grants, filters, at_time))
+        self._call(_join(endpoint, filters, at_time))
         session = LiveSubscriber(self, endpoint)
         self.subscribers[subscriber_id] = session
         return session
@@ -246,20 +224,15 @@ class LiveSystem:
         return session
 
     def revoke(self, subscriber_id: str, topic: str) -> None:
-        """Revoke (subscriber, topic) lazily -- the current grant lapses
-        with its epoch, the next renewal is denied -- at the hosted
-        cluster's primary, or at the in-process KDC without renewals."""
-        if self.cluster.kdc_cluster is None:
-            self.kdc.revoke(subscriber_id, topic)
-        else:
-            self._call(self.cluster.revoke(subscriber_id, topic))
+        """Revoke (subscriber, topic) lazily at the hosted cluster's
+        primary: the current grant lapses with its epoch, the next
+        renewal is denied."""
+        self._call(self.cluster.revoke(subscriber_id, topic))
 
     def roll_epoch(self, topic: str, at_time: float) -> int:
-        """Advance *topic* to its epoch at *at_time* and push REKEY to
-        every joined subscriber; requires a renewal policy (the hosted
-        KDC replicas carry the push)."""
-        if self.cluster.kdc_cluster is None:
-            raise ValueError("roll_epoch() needs a renewal policy")
+        """Push REKEY for *topic*'s epoch at *at_time* from the hosted
+        replicas and wait until every subscriber's renewals settle;
+        returns the epoch."""
         epoch = self._call(self.cluster.roll_epoch(topic, at_time))
         for session in self.subscribers.values():
             self._call(session.endpoint.settle_rekey())

@@ -53,7 +53,7 @@ def test_degradation_is_graceful_not_a_cliff(result):
     ratios = [point.best_effort_delivery for point in result.sweep]
     assert ratios == sorted(ratios, reverse=True)
     for point in result.sweep:
-        floor = DEGRADATION_FLOOR * point.ideal_best_effort
+        floor = DEGRADATION_FLOOR * point.analytic_best_effort
         assert point.best_effort_delivery >= floor
         assert point.high_delivery >= MIN_HIGH_DELIVERY
     # At sustainable load nothing is shed at all.

@@ -119,11 +119,14 @@ def test_standing_subscription_renews_and_revocation_lapses():
         )
 
     publish("a", 5.0)
-    assert system.advance(95.0) == 1  # inside the lead of epoch 0's end
+    assert reader.renewal_stats.renewals == 1  # the first grant
+    system.roll_epoch("t", 95.0)  # inside the lead of epoch 0's end
+    assert reader.renewal_stats.renewals == 2
     publish("b", 150.0)
     assert [r.event["body"] for r in reader.opened] == ["a", "b"]
-    system.kdc.revoke("r", "t")
-    assert system.advance(195.0) == 0
+    system.revoke("r", "t")
+    system.roll_epoch("t", 195.0)
+    assert reader.renewal_stats.renewals == 2
     assert reader.renewal_stats.renewals_denied == 1
     # Routing tokens outlive the epoch; the keys do not.
     publish("c", 250.0)
