@@ -5,14 +5,14 @@ their PSE2 wire format, tokenized routing, the Siena broker core,
 bounded priority queues -- deployed over a real transport:
 
 - :mod:`repro.rtnet.frames` -- the length-prefixed frame protocol
-  (HELLO version negotiation, SUBSCRIBE/UNSUBSCRIBE, EVENT, ACK,
-  HEARTBEAT, the PING/PONG settle barrier, and the KDC_CALL/KDC_REPLY
-  pair and REKEY push of the KDC service links);
+  (HELLO version negotiation, SUBSCRIBE/UNSUBSCRIBE, EVENT, ACK, the
+  PING/PONG settle barrier, and the KDC_CALL/KDC_REPLY pair and REKEY
+  push of the KDC service links);
 - :mod:`repro.rtnet.link` -- how every connection opens: one HELLO
   handshake, one accept, one redial loop with backoff + jitter;
 - :mod:`repro.rtnet.server` -- :class:`BrokerServer`, one broker behind
-  an asyncio TCP listener with per-peer egress queues and hop-by-hop
-  backpressure;
+  an asyncio TCP listener that dispatches each frame where it reads it,
+  with per-peer egress queues and hop-by-hop backpressure;
 - :mod:`repro.rtnet.client` -- :class:`RtPublisher` /
   :class:`RtSubscriber` endpoints with reconnect + exponential backoff,
   resubscribe-on-reconnect and exactly-once delivery across reconnects;
@@ -37,7 +37,6 @@ from repro.rtnet.frames import (
     FrameDecoder,
     FrameReader,
     FrameType,
-    Heartbeat,
     Hello,
     HelloAck,
     KdcCall,
@@ -68,7 +67,6 @@ __all__ = [
     "FrameReader",
     "FrameType",
     "HandshakeError",
-    "Heartbeat",
     "Hello",
     "HelloAck",
     "KdcCall",

@@ -1,9 +1,9 @@
 """Publisher and subscriber endpoints for the TCP runtime.
 
 Both endpoints share one connection core (:class:`RtEndpoint`): dial,
-HELLO/HELLO_ACK version negotiation, a reader task dispatching inbound
-frames, and automatic reconnection with exponential backoff + jitter.
-What differs is what rides on top:
+HELLO/HELLO_ACK version negotiation, a reader task handling each inbound
+frame as it reads it, and automatic reconnection with exponential
+backoff + jitter.  What differs is what rides on top:
 
 - :class:`RtPublisher` seals and tokenizes events locally (the broker
   network never sees plaintext routing attributes), numbers each EVENT
@@ -38,7 +38,6 @@ from repro.rtnet.frames import (
     EventFrame,
     Frame,
     FrameReader,
-    Heartbeat,
     Hello,
     Ping,
     Pong,
@@ -130,9 +129,9 @@ class RtEndpoint:
                     self._closed = True
                     return
                 continue
-            await self._handle(frame)
+            self._handle(frame)
 
-    async def _handle(self, frame: Frame) -> None:
+    def _handle(self, frame: Frame) -> None:
         if isinstance(frame, Pong) and not frame.path:
             waiter = self._pongs.pop(frame.token, None)
             if waiter is not None and not waiter.done():
@@ -160,9 +159,6 @@ class RtEndpoint:
             self._writer.write(encode_frame(frame))
             await self._writer.drain()
         self._count("rtnet_client_frames_sent_total")
-
-    async def heartbeat(self) -> None:
-        await self.send(Heartbeat(time.time()))
 
     async def settle(self, timeout: float = 10.0) -> None:
         """Flush the broker path: returns once a PING has round-tripped
@@ -244,11 +240,11 @@ class RtPublisher(RtEndpoint):
         # suppress any double delivery through their dedup windows.
         return [self._unacked[seq] for seq in sorted(self._unacked)]
 
-    async def _handle(self, frame: Frame) -> None:
+    def _handle(self, frame: Frame) -> None:
         if isinstance(frame, Ack):
             self._unacked.pop(frame.seq, None)
             return
-        await super()._handle(frame)
+        super()._handle(frame)
 
 
 class RtSubscriber(RtEndpoint, TokenOpener):
@@ -314,9 +310,6 @@ class RtSubscriber(RtEndpoint, TokenOpener):
             kdc_client.on_rekey.append(self._on_rekey)
             kdc_client.on_install.append(self._on_grant_installed)
         self._grant_tasks: set[asyncio.Task] = set()
-        #: end-to-end publish->open latencies (seconds), one per opened
-        #: event, measured against the EVENT frame's sent_at stamp.
-        self.latencies_s: list[float] = []
         self._filters: list[Filter] = []
 
     # -- subscriptions -------------------------------------------------------
@@ -428,9 +421,9 @@ class RtSubscriber(RtEndpoint, TokenOpener):
 
     # -- delivery ------------------------------------------------------------
 
-    async def _handle(self, frame: Frame) -> None:
+    def _handle(self, frame: Frame) -> None:
         if not isinstance(frame, EventFrame):
-            await super()._handle(frame)
+            super()._handle(frame)
             return
         try:
             sealed = decode_sealed_event(frame.payload)
@@ -440,10 +433,9 @@ class RtSubscriber(RtEndpoint, TokenOpener):
             return
         result = self.receive(sealed, self.clock())
         if result is not None:
-            self.latencies_s.append(time.time() - frame.sent_at)
             if self.registry is not None:
                 self.registry.histogram(
                     "rtnet_e2e_latency_seconds", peer=self.peer_id
-                ).observe(self.latencies_s[-1])
+                ).observe(time.time() - frame.sent_at)
             if self.on_open is not None:
                 self.on_open(result)

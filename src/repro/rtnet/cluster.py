@@ -73,6 +73,8 @@ class ClusterLauncher:
         #: The latest instant :meth:`roll_epoch` announced.
         self._announced_at = 0.0
         self._subscriber_cursor = 0
+        #: KDC clients made so far per client id (see :meth:`kdc_client`).
+        self._incarnations: dict[str, int] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -148,9 +150,16 @@ class ClusterLauncher:
         replica's REKEY push, on a logical clock that starts at the
         latest instant :meth:`roll_epoch` announced (0 before the
         first), so a late joiner's first grant is for the current
-        epoch."""
+        epoch.  A second client for one id (a departed subscriber
+        back) is named ``id#1`` and so on: the replicas answer a
+        request id they have seen from their dedup cache, so a new
+        client must not reuse its predecessor's ids."""
         if self.kdc_network is None:
             raise ValueError("cluster launched without a kdc")
+        incarnation = self._incarnations.get(client_id, 0)
+        self._incarnations[client_id] = incarnation + 1
+        if incarnation:
+            client_id = f"{client_id}#{incarnation}"
         client = KDCClient(self.kdc_network, client_id, KDC_REPLICAS)
         client.advance(self._announced_at)
         await self.kdc_network.attach(client_id, client.rekey)

@@ -49,7 +49,7 @@ from repro.core.wire import (
 from repro.siena.filters import Filter
 
 #: Version carried in HELLO; bumped on incompatible frame changes.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 #: Hard cap on one frame's (type + body) size: 4 MiB.
 FRAME_MAX = 1 << 22
 #: Bytes a :class:`FrameReader` asks of its stream per read.
@@ -67,7 +67,6 @@ class FrameType(enum.IntEnum):
     UNSUBSCRIBE = 4
     EVENT = 5
     ACK = 6
-    HEARTBEAT = 7
     PING = 8
     PONG = 9
     KDC_CALL = 10
@@ -194,18 +193,6 @@ class Ack:
 
 
 @dataclass(frozen=True)
-class Heartbeat:
-    """Liveness beacon; carries the sender's wall-clock send time."""
-
-    sent_at: float
-
-    type = FrameType.HEARTBEAT
-
-    def encode_body(self) -> bytes:
-        return struct.pack(">d", self.sent_at)
-
-
-@dataclass(frozen=True)
 class Ping:
     """Settle probe, source-routed to the tree root.
 
@@ -303,7 +290,7 @@ class Rekey:
 
 Frame = (
     Hello | HelloAck | Subscribe | Unsubscribe
-    | EventFrame | Ack | Heartbeat | Ping | Pong
+    | EventFrame | Ack | Ping | Pong
     | KdcCall | KdcReply | Rekey
 )
 
@@ -502,9 +489,6 @@ def decode_payload(payload: bytes) -> Frame:
         elif frame_type is FrameType.ACK:
             (seq,) = struct.unpack(">q", body)
             return Ack(seq)
-        elif frame_type is FrameType.HEARTBEAT:
-            (sent_at,) = struct.unpack(">d", body)
-            return Heartbeat(sent_at)
         elif frame_type is FrameType.PING:
             token, path, offset = _decode_token_path(body)
             frame = Ping(token, path)

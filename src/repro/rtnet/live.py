@@ -35,14 +35,20 @@ async def _join(
     endpoint: RtSubscriber, filters: Iterable[Filter], at_time: float | None
 ) -> None:
     """Dial *endpoint* and join *filters* in-band; an endpoint that
-    fails on the way is closed, so none of its tasks outlives it."""
+    fails on the way is dropped, so none of its tasks outlives it."""
     try:
         await endpoint.connect()
         for subscription_filter in filters:
             await endpoint.join(subscription_filter, at_time=at_time)
     except BaseException:
-        await endpoint.close()
+        await _drop(endpoint)
         raise
+
+
+async def _drop(endpoint: RtSubscriber) -> None:
+    """Close *endpoint* and its KDC client's sessions."""
+    await endpoint.close()
+    endpoint.kdc_client.network.detach(endpoint.kdc_client.client_id)
 
 
 class LivePublisher:
@@ -217,10 +223,10 @@ class LiveSystem:
 
     def leave(self, subscriber_id: str) -> LiveSubscriber:
         """Detach *subscriber_id* mid-stream: stop renewing, withdraw
-        its routing filters, and close its endpoint."""
+        its routing filters, close its endpoint and its KDC sessions."""
         session = self.subscribers.pop(subscriber_id)
         self._call(session.endpoint.leave())
-        self._call(session.endpoint.close())
+        self._call(_drop(session.endpoint))
         return session
 
     def revoke(self, subscriber_id: str, topic: str) -> None:

@@ -3,13 +3,10 @@
 The broker core stays transport-agnostic; this module supplies the real
 network around it:
 
-- one **reader task per connection** feeding a bounded shared ingress
-  queue (a full queue stops the reader, TCP's receive window fills, and
-  the sender's ``drain()`` blocks -- hop-by-hop backpressure with no
-  custom credit protocol on the wire);
-- one **dispatcher task** draining the ingress queue, so broker state is
-  only ever touched from a single task and per-connection frame order is
-  preserved;
+- one **reader task per connection** that dispatches each frame where
+  it reads it: the broker update runs to completion before the next
+  read (dispatch never awaits), so broker state is never touched by two
+  frames at once and per-connection frame order is preserved;
 - one **egress queue + pump task per peer**: the egress queue is a
   :class:`repro.flow.BoundedPriorityQueue` (control frames at a priority
   class above events, the oldest event of the worst class shed under
@@ -17,12 +14,16 @@ network around it:
   :data:`FLUSH_BYTES`) as one buffer and awaits ``drain()`` once, so a
   slow peer backpressures its queue rather than the whole process.
 
-Events arriving on the wire are PSE2 payloads; the dispatcher decodes
-the routable part for matching but forwards the *original payload
-bytes* to every matched peer -- brokers re-frame, never re-seal.
-PING frames are source-routed to the tree root and answered with a
-PONG that unwinds the recorded path, giving clients a deterministic
-flush barrier (see :class:`repro.rtnet.frames.Ping`).
+Backpressure is hop by hop with no credit protocol on the wire: a busy
+loop does not read, TCP's receive window fills, the upstream pump's
+``drain()`` blocks, and its egress queue sheds by priority.
+
+Events arriving on the wire are PSE2 payloads; the reader decodes the
+routable part for matching but forwards the *original payload bytes* to
+every matched peer -- brokers re-frame, never re-seal.  PING frames are
+source-routed to the tree root and answered with a PONG that unwinds
+the recorded path, giving clients a deterministic flush barrier (see
+:class:`repro.rtnet.frames.Ping`).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from repro.rtnet.frames import (
     EventFrame,
     Frame,
     FrameReader,
-    Heartbeat,
     Hello,
     Ping,
     Pong,
@@ -61,10 +61,6 @@ CONTROL_PRIORITY = -1
 #: Whatever a slow reader has not taken must wait in the egress queue,
 #: where the shed policy sees it, not in the transport's write buffer.
 FLUSH_BYTES = 64 * 1024
-
-#: Frames the readers may queue for the dispatcher before they stop
-#: reading (and TCP's receive window starts pushing back).
-INGRESS_CAPACITY = 1024
 
 
 @dataclass
@@ -107,8 +103,6 @@ class BrokerServer:
         self.broker = Broker(broker_id, match=match, registry=registry)
         self.egress_capacity = egress_capacity
         self._server: asyncio.AbstractServer | None = None
-        self._ingress: asyncio.Queue = asyncio.Queue(maxsize=INGRESS_CAPACITY)
-        self._dispatcher: asyncio.Task | None = None
         self._peers: dict[str, _Peer] = {}
         self._parent: _Peer | None = None
         self._parent_task: asyncio.Task | None = None
@@ -117,10 +111,6 @@ class BrokerServer:
         #: The EVENT frame currently being routed; send/deliver closures
         #: forward its payload bytes instead of re-encoding the event.
         self._relay: EventFrame | None = None
-        if registry is not None:
-            registry.gauge(
-                "rtnet_ingress_depth", broker=self.broker_id
-            ).set(0)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -129,11 +119,10 @@ class BrokerServer:
             self._on_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
 
     async def stop(self) -> None:
         self._closed = True
-        tasks = [self._parent_task, self._dispatcher]
+        tasks = [self._parent_task]
         for peer in [*self._peers.values(), self._parent]:
             if peer is not None:
                 tasks += [peer.pump, peer.reader_task]
@@ -203,9 +192,11 @@ class BrokerServer:
         return peer
 
     async def _read_loop(self, peer: _Peer, frames: FrameReader) -> None:
-        """Queue *peer*'s frames for the dispatcher until its connection
+        """Dispatch *peer*'s frames as they are read until its connection
         ends; then drop an inbound peer, or redial a lost parent and
-        replay the covering set to it (tree repair over a real socket)."""
+        replay the covering set to it (tree repair over a real socket).
+        A frame that does not decode ends the connection; one that
+        decodes but cannot be dispatched is counted and skipped."""
         while True:
             try:
                 while (frame := await frames.read()) is not None:
@@ -214,8 +205,10 @@ class BrokerServer:
                         direction="in",
                         type=frame.type.name.lower(),
                     )
-                    await self._ingress.put((peer, frame))
-                    self._gauge("rtnet_ingress_depth", self._ingress.qsize())
+                    try:
+                        self._dispatch(peer, frame)
+                    except ValueError:
+                        self._count("rtnet_protocol_errors_total")
             except (ValueError, OSError):
                 pass
             if self._closed:
@@ -263,15 +256,6 @@ class BrokerServer:
 
     # -- dispatch ---------------------------------------------------------------
 
-    async def _dispatch_loop(self) -> None:
-        while True:
-            peer, frame = await self._ingress.get()
-            self._gauge("rtnet_ingress_depth", self._ingress.qsize())
-            try:
-                self._dispatch(peer, frame)
-            except ValueError:
-                self._count("rtnet_protocol_errors_total")
-
     def _dispatch(self, peer: _Peer, frame: Frame) -> None:
         if isinstance(frame, Subscribe):
             self.broker.subscribe(peer.peer_id, frame.filter)
@@ -298,8 +282,6 @@ class BrokerServer:
                         Pong(frame.token, frame.path[:-1]),
                         NORMAL,
                     )
-        elif isinstance(frame, Heartbeat):
-            self._count("rtnet_heartbeats_total")
         elif isinstance(frame, Ack):
             pass
         else:
@@ -393,7 +375,3 @@ class BrokerServer:
             self.registry.counter(
                 name, broker=self.broker_id, **labels
             ).inc()
-
-    def _gauge(self, name: str, value: float) -> None:
-        if self.registry is not None:
-            self.registry.gauge(name, broker=self.broker_id).set(value)

@@ -166,6 +166,14 @@ class TcpServiceNetwork:
             for node_id in list(self._servers)
         ))
 
+    def detach(self, client_id) -> None:
+        """Undo :meth:`attach`: close *client_id*'s sessions (the nodes'
+        ends close on EOF) and stop handing it pushes."""
+        self._pushes.pop(client_id, None)
+        for key, session in list(self._outbound.items()):
+            if key[0] == client_id:
+                self._forget(key, session)
+
     # -- sessions -------------------------------------------------------------
 
     def _spawn(self, coroutine) -> asyncio.Task:

@@ -28,7 +28,6 @@ from repro.rtnet import ClusterLauncher, RtPublisher, RtSubscriber
 from repro.rtnet.frames import (
     Ack,
     EventFrame,
-    Heartbeat,
     Hello,
     HelloAck,
     Subscribe,
@@ -356,7 +355,7 @@ def test_a_corrupt_sealed_body_is_refused_whatever_role_the_peer_claims(role):
     assert _out_frames(registry, "event") == 2
 
 
-def test_heartbeats_and_events_share_one_flush_per_wakeup():
+def test_acks_and_events_share_one_flush_per_wakeup():
     """Mixed frame types in one flush are each counted under their own
     ``type`` label."""
     registry = MetricsRegistry()
@@ -370,9 +369,9 @@ def test_heartbeats_and_events_share_one_flush_per_wakeup():
             peer = server._peers["s0"]
             await _wait_for(lambda: not peer.wake.is_set())
             frames = [
-                Heartbeat(1.0),
+                Ack(1),
                 EventFrame(0, 0.0, _plain_payload()),
-                Heartbeat(2.0),
+                Ack(2),
             ]
             for frame in frames:
                 server._enqueue(peer, frame, NORMAL)
@@ -384,5 +383,5 @@ def test_heartbeats_and_events_share_one_flush_per_wakeup():
 
     received, frames = asyncio.run(scenario())
     assert received == frames
-    assert _out_frames(registry, "heartbeat") == 2
+    assert _out_frames(registry, "ack") == 2
     assert _out_frames(registry, "event") == 1

@@ -16,7 +16,6 @@ from repro.rtnet.frames import (
     FrameDecoder,
     FrameReader,
     FrameType,
-    Heartbeat,
     Hello,
     HelloAck,
     KdcCall,
@@ -74,12 +73,6 @@ def test_event_frame_roundtrip(seq, sent_at, payload):
 @given(seq=_INT64)
 def test_ack_roundtrip(seq):
     assert _roundtrip(Ack(seq)) == Ack(seq)
-
-
-@settings(max_examples=30, deadline=None)
-@given(sent_at=_FLOATS)
-def test_heartbeat_roundtrip(sent_at):
-    assert _roundtrip(Heartbeat(sent_at)) == Heartbeat(sent_at)
 
 
 @settings(max_examples=50, deadline=None)
@@ -196,7 +189,7 @@ def _frame_corpus():
         Subscribe(Filter.topic("t")),
         EventFrame(3, 1.5, b"payload"),
         Ack(7),
-        Heartbeat(2.0),
+        Pong(b"\x03"),
         Ping(b"\x01\x02", ("b3", "b1")),
         Pong(b"\x01\x02", ("b3",)),
         KdcCall(5, _authorize(("alice", 5))),
@@ -278,6 +271,14 @@ def test_unknown_frame_type_rejected():
         decode_payload(bytes([99]) + b"body")
 
 
+def test_retired_heartbeat_type_byte_rejected():
+    """Type byte 7 was HEARTBEAT before protocol version 3; nothing
+    decodes it now."""
+    assert 7 not in set(FrameType)
+    with pytest.raises(ValueError, match="unknown frame type 7"):
+        decode_payload(bytes([7]) + struct.pack(">d", 1.0))
+
+
 def test_empty_payload_rejected():
     with pytest.raises(ValueError, match="empty frame payload"):
         decode_payload(b"")
@@ -337,10 +338,10 @@ def test_decoder_returns_multiple_frames_per_feed():
 
 def test_decoder_tracks_pending_bytes():
     decoder = FrameDecoder()
-    wire = encode_frame(Heartbeat(1.0))
+    wire = encode_frame(Ack(1))
     assert decoder.feed(wire[:6]) == []
     assert decoder.pending == 6
-    assert decoder.feed(wire[6:]) == [Heartbeat(1.0)]
+    assert decoder.feed(wire[6:]) == [Ack(1)]
     assert decoder.pending == 0
 
 
@@ -382,11 +383,11 @@ def test_read_frame_raises_on_mid_header_eof():
 def test_read_frame_reads_back_to_back_frames():
     async def scenario():
         reader = FrameReader(_stream_with(
-            encode_frame(Ack(1)) + encode_frame(Heartbeat(2.0))
+            encode_frame(Ack(1)) + encode_frame(Pong(b"\x02"))
         ))
         first = await reader.read()
         second = await reader.read()
         third = await reader.read()
         return first, second, third
 
-    assert asyncio.run(scenario()) == (Ack(1), Heartbeat(2.0), None)
+    assert asyncio.run(scenario()) == (Ack(1), Pong(b"\x02"), None)

@@ -2,6 +2,8 @@
 
 import asyncio
 
+import pytest
+
 from repro.core.composite import CompositeKeySpace
 from repro.core.kdc import KDC
 from repro.core.nakt import NumericKeySpace
@@ -228,6 +230,34 @@ def test_version_mismatch_is_rejected_with_hello_ack_zero():
             await server.stop()
 
     assert asyncio.run(scenario()) is True
+
+
+def test_a_version_2_hello_gets_hello_ack_zero_and_dial_refuses_it():
+    """Protocol version 3 dropped HEARTBEAT with no decoder kept for
+    version 2: a version-2 HELLO is answered with version 0, which
+    :func:`repro.rtnet.link.dial` raises as final."""
+    from repro.rtnet import BrokerServer, HandshakeError
+    from repro.rtnet.frames import FrameReader, Hello, HelloAck, encode_frame
+    from repro.rtnet.link import dial
+
+    old = Hello("old", "publisher", 2)
+
+    async def scenario():
+        server = BrokerServer("b0")
+        await server.start()
+        try:
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write(encode_frame(old))
+            await writer.drain()
+            ack = await FrameReader(reader).read()
+            writer.close()
+            with pytest.raises(HandshakeError):
+                await dial(*server.address, old)
+            return ack
+        finally:
+            await server.stop()
+
+    assert asyncio.run(scenario()) == HelloAck("b0", 0)
 
 
 async def _answer_hello_with(data: bytes):

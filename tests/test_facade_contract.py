@@ -196,3 +196,42 @@ def test_leave_stops_delivery_and_frees_the_broker_endpoint(transport):
         assert _eventually(lambda: _broker_clients(system) == resident)
     finally:
         system.close()
+
+
+def _kdc_client_state(system) -> tuple[int, int, int]:
+    """The hosted KDC network's client state: sessions clients dialed,
+    their ends at the replicas, and REKEY push hooks (the replicas'
+    sessions to each other are not counted)."""
+    network = system.cluster.kdc_network
+    replicas = network._handlers
+    return (
+        sum(src not in replicas for src, _dst in list(network._outbound)),
+        sum(
+            session.peer not in replicas
+            for sessions in list(network._inbound.values())
+            for session in list(sessions)
+        ),
+        len(network._pushes),
+    )
+
+
+def test_tcp_leave_closes_the_kdc_sessions_and_the_id_can_return():
+    system = _build("tcp")
+    try:
+        before = _kdc_client_state(system)
+        members = [f"s{index}" for index in range(5)]
+        for member in members:
+            system.subscribe(member, EVERYTHING)
+        assert _kdc_client_state(system) == (15, 15, 5)
+        for member in members:
+            system.leave(member)
+        assert _eventually(lambda: _kdc_client_state(system) == before)
+
+        # A departed id comes back after a roll: its new KDC client must
+        # get a current grant, not a replica's cached answer to the old.
+        system.roll_epoch("t", 150.0)
+        again = system.subscribe("s0", EVERYTHING)
+        _publish(system, "x", at_time=150.0)
+        assert _verdicts(again) == ["open"]
+    finally:
+        system.close()
