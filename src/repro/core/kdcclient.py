@@ -3,7 +3,7 @@
 ``KDCClient`` is what a subscriber's :class:`~repro.core.renewal.RenewalManager`
 (or a publisher) binds instead of an in-process :class:`~repro.core.kdc.KDC`
 when the key service runs as :class:`~repro.core.kdcservice.KDCCluster`
-replicas on a service network -- the simulated one or asyncio TCP.  It
+replicas on the asyncio TCP service network.  It
 supplies the client half of the availability story:
 
 - **replica failover** -- attempts rotate through the replica list,
@@ -22,7 +22,7 @@ supplies the client half of the availability story:
   after the cooldown).
 
 The API is callback-based because the client lives on its host's clock
-(simulated time, or the event loop's): ``authorize`` *initiates* a
+(the event loop's, real or virtual): ``authorize`` *initiates* a
 request and returns; ``on_grant`` / ``on_error`` fire when it resolves,
 possibly several failovers later, with
 :class:`~repro.errors.KDCUnavailable` once retries are exhausted

@@ -27,9 +27,9 @@ mutations need the primary.  A replica that is down, or recovering
 until its catch-up completes, simply refuses -- the
 :class:`~repro.core.kdcclient.KDCClient` fails over to the next one.
 
-Cluster and clients run on either *service network* -- the simulated
-:class:`repro.net.service.ServiceNetwork` or the asyncio TCP
-:class:`repro.rtnet.service.TcpServiceNetwork` -- through ``register``,
+Cluster and clients run on a *service network* -- the asyncio TCP
+:class:`repro.rtnet.service.TcpServiceNetwork`, on the socket loop or a
+virtual one (:mod:`repro.net.virtual`) -- through ``register``,
 ``request``, ``node_up``, ``on_transition``, a ``clock`` (``now``,
 ``schedule``) and a metrics ``registry``.  Topic provisioning crosses
 no wire: schemas are public configuration.

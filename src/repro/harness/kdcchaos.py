@@ -13,6 +13,11 @@ subscribers must renew:
 - earlier in the run, a partition cuts every client off from the first
   replica without crashing it (failover must work on silence alone).
 
+The KDC runs on :class:`~repro.rtnet.service.TcpServiceNetwork`, the
+network production runs, over a :class:`~repro.net.virtual.VirtualLoop`
+that plays the plan: calls cross real frames and sessions on a virtual
+clock, and a crash closes real sessions.
+
 The same timeline is replayed twice:
 
 - **baseline** -- a single KDC replica and no grace window: renewals
@@ -31,6 +36,7 @@ reproducible.
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import dataclass, field
 
 from repro.core.composite import CompositeKeySpace
@@ -42,10 +48,10 @@ from repro.core.renewal import RenewalManager
 from repro.core.subscriber import Subscriber
 from repro.harness.reporting import counter_total, format_table
 from repro.harness.scenario import Gate, Scenario
-from repro.net.faults import ANY, BrokerCrash, FaultInjector, FaultPlan, LinkFault
-from repro.net.service import ServiceNetwork
-from repro.net.sim import Simulator
+from repro.net.faults import ANY, BrokerCrash, FaultPlan, LinkFault
+from repro.net.virtual import VirtualLoop
 from repro.obs import Observability
+from repro.rtnet.service import TcpServiceNetwork
 from repro.siena.events import Event
 from repro.siena.filters import Filter
 
@@ -56,7 +62,7 @@ MASTER_KEY = bytes(range(16))
 
 _TOPIC = "chaos"
 _EPOCH_LENGTH = 2.0
-#: Extra simulated seconds for late renewals/ticks to settle.
+#: Extra virtual seconds for late renewals/ticks to settle.
 _DRAIN = 2.0
 #: One-way latency of the dissemination path (publisher to subscriber);
 #: old-epoch events in flight for this long after the boundary are what
@@ -95,9 +101,7 @@ class KdcChaosConfig:
     def boundary(self) -> float:
         """The epoch boundary the outage straddles (topic-staggered)."""
         reference = KDC(master_key=MASTER_KEY)
-        reference.register_topic(
-            _TOPIC, CompositeKeySpace({}), _EPOCH_LENGTH
-        )
+        reference.register_topic(_TOPIC, CompositeKeySpace({}), _EPOCH_LENGTH)
         return reference.epoch_end(_TOPIC, self.duration / 2.0)
 
 
@@ -125,7 +129,8 @@ class KdcChaosResult:
     client_timeouts: int
     breaker_opens: int
     view_changes: int
-    #: Control-plane messages lost to crashes/partitions/link loss.
+    #: What the loop discarded: writes lost on a link, bytes that reached
+    #: a crashed replica, dials to a dead one.
     messages_lost: int
     #: Whether every alive replica ended with the same registry log.
     converged: bool
@@ -138,36 +143,21 @@ class KdcChaosResult:
 
 def _fault_plan(config: KdcChaosConfig, replicas: int) -> FaultPlan:
     """Crash/partition timeline against the first ``replicas`` KDC nodes."""
-    boundary = config.boundary()
+    boundary, outage = config.boundary(), config.outage_duration
     # Clamped at t=0 so short horizons (boundary close to the run start)
     # still yield a schedulable plan.
-    crashes = [
-        BrokerCrash(
-            "kdc0",
-            max(0.0, boundary - config.outage_duration / 2),
-            config.outage_duration,
-        )
-    ]
+    crashes = [BrokerCrash("kdc0", max(0.0, boundary - outage / 2), outage)]
     if replicas > 1:
         # A nested second outage right at the boundary: the client must
         # fail over twice to keep renewing.
         crashes.append(
-            BrokerCrash(
-                "kdc1",
-                max(0.0, boundary - config.outage_duration / 4),
-                config.outage_duration / 2,
-            )
+            BrokerCrash("kdc1", max(0.0, boundary - outage / 4), outage / 2)
         )
-    link_faults = [
-        LinkFault(
-            ANY,
-            "kdc0",
-            start=_PARTITION_START,
-            duration=_PARTITION_DURATION,
-            partitioned=True,
-        )
-    ]
-    return FaultPlan(crashes=crashes, link_faults=link_faults)
+    partition = LinkFault(
+        ANY, "kdc0", start=_PARTITION_START, duration=_PARTITION_DURATION,
+        partitioned=True,
+    )
+    return FaultPlan(crashes=crashes, link_faults=[partition])
 
 
 def run_kdc_chaos_mode(
@@ -178,28 +168,28 @@ def run_kdc_chaos_mode(
         raise ValueError("duration and publish rate must be positive")
     if config.subscribers < 1:
         raise ValueError("need at least one subscriber")
+    plan = _fault_plan(config, replicas)
+    with asyncio.Runner(
+        loop_factory=lambda: VirtualLoop(_RPC_LATENCY, plan, config.seed + 1)
+    ) as runner:
+        return runner.run(_run_mode(config, replicas, grace_period, mode))
+
+
+async def _run_mode(config, replicas, grace_period, mode) -> KdcChaosResult:
+    loop = asyncio.get_running_loop()
     obs = Observability()
-    sim = Simulator()
-    injector = FaultInjector(
-        sim, _fault_plan(config, replicas), seed=config.seed + 1
-    )
-    network = ServiceNetwork(
-        sim, injector, latency=_RPC_LATENCY, registry=obs.registry
-    )
+    network = TcpServiceNetwork(registry=obs.registry)
+    loop.play_crashes(network)
     replica_ids = [f"kdc{i}" for i in range(replicas)]
     cluster = KDCCluster(network, replica_ids, MASTER_KEY)
-    cluster.register_topic(
-        _TOPIC, CompositeKeySpace({}), _EPOCH_LENGTH
-    )
-    injector.install()
+    cluster.register_topic(_TOPIC, CompositeKeySpace({}), _EPOCH_LENGTH)
+    await network.start()
 
     # The publisher holds prefetched epoch keys (it seals against a local
     # stateless replica); the measured degradation is the *subscriber*
     # renewal path, which is where the outage bites.
     publisher_kdc = KDC(master_key=MASTER_KEY)
-    publisher_kdc.register_topic(
-        _TOPIC, CompositeKeySpace({}), _EPOCH_LENGTH
-    )
+    publisher_kdc.register_topic(_TOPIC, CompositeKeySpace({}), _EPOCH_LENGTH)
     publisher = Publisher("pub", publisher_kdc)
     schema_lookup = lambda t: publisher_kdc.config_for(t).schema  # noqa: E731
 
@@ -210,10 +200,7 @@ def run_kdc_chaos_mode(
     for index in range(config.subscribers):
         subscriber = Subscriber(f"sub{index}", grace_period=grace_period)
         client = KDCClient(
-            network,
-            f"sub{index}",
-            replica_ids,
-            seed=config.seed + 10 + index,
+            network, f"sub{index}", replica_ids, seed=config.seed + 10 + index
         )
         manager = RenewalManager(
             subscriber, client, renew_lead_time=_RENEW_LEAD_TIME
@@ -228,34 +215,32 @@ def run_kdc_chaos_mode(
     def deliver(sealed) -> None:
         for subscriber in subscribers:
             counters["attempted"] += 1
-            opened = subscriber.receive(sealed, schema_lookup, at_time=sim.now)
+            opened = subscriber.receive(
+                sealed, schema_lookup, at_time=loop.time()
+            )
             if opened is not None:
                 counters["decrypted"] += 1
 
     def publish(k: int) -> None:
         sealed = publisher.publish(
-            Event(
-                {"topic": _TOPIC, "k": k, "payload": f"m{k}"},
-                publisher="pub",
-            ),
-            secret_attributes={"payload"},
-            at_time=sim.now,
+            Event({"topic": _TOPIC, "k": k, "payload": f"m{k}"},
+                  publisher="pub"),
+            secret_attributes={"payload"}, at_time=loop.time(),
         )
-        sim.schedule(_DELIVERY_LATENCY, lambda: deliver(sealed))
+        loop.call_later(_DELIVERY_LATENCY, deliver, sealed)
 
     for k in range(config.events):
-        sim.schedule_at(k / config.publish_rate, lambda k=k: publish(k))
+        loop.call_at(k / config.publish_rate, publish, k)
 
     def tick() -> None:
         for manager in managers:
-            manager.tick(sim.now)
-        if sim.now < config.duration + _DRAIN:
-            sim.schedule(_TICK_INTERVAL, tick)
+            manager.tick(loop.time())
+        loop.call_later(_TICK_INTERVAL, tick)
 
-    sim.schedule(_TICK_INTERVAL, tick)
-    sim.run(until=config.duration + _DRAIN)
+    loop.call_later(_TICK_INTERVAL, tick)
+    await asyncio.sleep(config.duration + _DRAIN)
 
-    return KdcChaosResult(
+    result = KdcChaosResult(
         mode=mode,
         replicas=replicas,
         grace_period=grace_period,
@@ -270,10 +255,12 @@ def run_kdc_chaos_mode(
         client_timeouts=sum(c.stats.timeouts for c in clients),
         breaker_opens=sum(c.stats.breaker_opens for c in clients),
         view_changes=cluster.stats.view_changes,
-        messages_lost=network.stats.lost,
+        messages_lost=loop.discarded,
         converged=cluster.converged(),
         obs=obs,
     )
+    await network.stop()
+    return result
 
 
 @dataclass

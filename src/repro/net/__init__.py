@@ -14,7 +14,10 @@ with a discrete-event simulator:
   retries, and a heartbeat failure detector (at-least-once delivery);
 - :mod:`repro.net.faults` -- seeded fault plans (broker crashes, lossy
   and partitioned links, latency spikes) replayed deterministically
-  against the simulator.
+  against the simulator;
+- :mod:`repro.net.virtual` -- :class:`VirtualLoop`, an asyncio event
+  loop on a virtual clock with in-memory streams that plays a fault
+  plan, so the asyncio TCP runtime runs deterministically.
 """
 
 from repro.net.faults import (
@@ -28,13 +31,13 @@ from repro.net.faults import (
 )
 from repro.net.links import Link
 from repro.net.node import ProcessingNode
-from repro.net.service import ServiceNetwork, ServiceStats
 from repro.net.sim import Simulator
 from repro.net.simnet import (
     ReliabilityStats,
     RetryPolicy,
     SimulatedPubSub,
 )
+from repro.net.virtual import VirtualLoop
 
 __all__ = [
     "ANY",
@@ -48,8 +51,7 @@ __all__ = [
     "ProcessingNode",
     "ReliabilityStats",
     "RetryPolicy",
-    "ServiceNetwork",
-    "ServiceStats",
     "SimulatedPubSub",
     "Simulator",
+    "VirtualLoop",
 ]

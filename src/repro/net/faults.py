@@ -70,6 +70,10 @@ class LinkFault:
     def active(self, now: float) -> bool:
         return self.start <= now < self.start + self.duration
 
+    def severs(self, x: Hashable, y: Hashable) -> bool:
+        """Whether this fault, when active, cuts the link ``x -- y``."""
+        return self.partitioned and self.applies(x, y)
+
     def applies(self, x: Hashable, y: Hashable) -> bool:
         if self.a is ANY and self.b is ANY:
             return True
@@ -310,22 +314,24 @@ class FaultInjector:
             if fault.active(now) and fault.applies(a, b):
                 yield fault
 
-    def partition_severed(self, a: Hashable, b: Hashable) -> bool:
-        """Whether an active partition cuts the link ``a -- b`` right now."""
-        now = self.sim.now
-        return any(
-            partition.active(now) and partition.severs(a, b)
-            for partition in self.plan.partitions
-        )
+    def severed_until(self, a: Hashable, b: Hashable) -> float:
+        """When every cut of link ``a -- b`` active now has healed: now
+        when none is, ``inf`` when one never heals."""
+        until = self.sim.now
+        while ends := [
+            cut.start + cut.duration
+            for cut in (*self.plan.link_faults, *self.plan.partitions)
+            if cut.active(until) and cut.severs(a, b)
+        ]:
+            until = max(ends)
+        return until
 
     def link_loss(self, a: Hashable, b: Hashable) -> float:
         """Combined drop probability on link ``a -- b`` right now."""
-        if self.partition_severed(a, b):
+        if self.severed_until(a, b) > self.sim.now:
             return 1.0
         survive = 1.0
         for fault in self._active_faults(a, b):
-            if fault.partitioned:
-                return 1.0
             survive *= 1.0 - fault.loss
         return 1.0 - survive
 

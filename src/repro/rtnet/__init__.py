@@ -16,10 +16,9 @@ bounded priority queues -- deployed over a real transport:
 - :mod:`repro.rtnet.client` -- :class:`RtPublisher` /
   :class:`RtSubscriber` endpoints with reconnect + exponential backoff,
   resubscribe-on-reconnect and exactly-once delivery across reconnects;
-- :mod:`repro.rtnet.service` -- :class:`TcpServiceNetwork`, the asyncio
-  TCP host of the replicated KDC: the same ``KDCCluster`` and
-  ``KDCClient`` classes the simulated
-  :class:`~repro.net.service.ServiceNetwork` hosts;
+- :mod:`repro.rtnet.service` -- :class:`TcpServiceNetwork`, the one
+  network of the replicated KDC's ``KDCCluster`` and ``KDCClient``, on
+  the socket loop or on a :class:`~repro.net.virtual.VirtualLoop`;
 - :mod:`repro.rtnet.cluster` -- :class:`ClusterLauncher`, a broker tree
   as a localhost TCP cluster, with a 3-replica KDC beside it on request;
 - :mod:`repro.rtnet.live` -- :class:`LiveSystem`, the synchronous facade

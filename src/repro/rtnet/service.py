@@ -1,14 +1,14 @@
 """The KDC service network over asyncio TCP.
 
-:class:`TcpServiceNetwork` hosts the replicated-KDC classes with the
-semantics of the simulated :class:`~repro.net.service.ServiceNetwork`.
-Each node is one listener; a request rides a session from its sender
-(HELLO first) as a :class:`~repro.rtnet.frames.KdcCall` and its reply
-returns as a :class:`~repro.rtnet.frames.KdcReply`, replica traffic and
-client traffic alike.  A request to a dead node, or on a reset session,
-vanishes: the caller's timeout is the only failure detector.  ``crash``
-and ``restart`` fire the fault injector's transition hook, the clock is
-the event loop's, and REKEY (``push``) is the one frame sent unasked.
+:class:`TcpServiceNetwork` hosts the replicated-KDC classes on the
+socket loop, or on a :class:`~repro.net.virtual.VirtualLoop` for
+deterministic fault runs.  Each node is one listener; a request rides
+a session from its sender (HELLO first) as a :class:`~repro.rtnet.
+frames.KdcCall` and its reply returns as a :class:`~repro.rtnet.
+frames.KdcReply`, replica traffic and client traffic alike.  A request
+to a dead node, or on a reset session, vanishes: the caller's timeout
+is the only failure detector.  ``crash``/``restart`` fire the hook,
+the clock is the loop's, and REKEY (``push``) is the one unasked frame.
 """
 
 from __future__ import annotations

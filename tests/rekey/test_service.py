@@ -1,5 +1,6 @@
 """The replicated KDC on the TCP host: grant, deny, revoke, rekey,
-malformed calls, failover, and the same op script on both hosts."""
+malformed calls, failover, and the same op script on the socket loop
+and on a virtual loop."""
 
 import asyncio
 import struct
@@ -13,8 +14,7 @@ from repro.core.kdcservice import (
     RegistryCommand,
 )
 from repro.errors import GrantDenied
-from repro.net.service import ServiceNetwork
-from repro.net.sim import Simulator
+from repro.net.virtual import VirtualLoop
 from repro.rtnet.cluster import KDC_REPLICAS, ClusterLauncher
 from repro.rtnet.frames import (
     FrameReader,
@@ -303,17 +303,9 @@ def _cluster_on(network):
     return KDCClient(network, "alice", KDC_REPLICAS)
 
 
-def _script_on_simulated_host():
-    sim = Simulator()
-    client = _cluster_on(ServiceNetwork(sim))
-    outcomes = []
-    for op in _SCRIPT:
-        op(client, outcomes.append, lambda e: outcomes.append(type(e)))
-        sim.run(until=sim.now + 1.0)
-    return outcomes
+def _script_on(loop_factory):
+    """The op script's outcomes on a TCP host run by *loop_factory*'s loop."""
 
-
-def _script_on_tcp_host():
     async def run():
         network = TcpServiceNetwork()
         client = _cluster_on(network)
@@ -328,14 +320,15 @@ def _script_on_tcp_host():
             await network.stop()
         return outcomes
 
-    return asyncio.run(run())
+    with asyncio.Runner(loop_factory=loop_factory) as runner:
+        return runner.run(run())
 
 
 def test_one_client_script_agrees_on_both_hosts():
-    simulated = _script_on_simulated_host()
-    tcp = _script_on_tcp_host()
+    virtual = _script_on(lambda: VirtualLoop(0.005))
+    tcp = _script_on(asyncio.SelectorEventLoop)
     # Equal grants by value, the same log position, the same errors.
-    assert tcp == simulated
+    assert tcp == virtual
     grant, seq, denied, unknown, pinned = tcp
     assert grant.topic == TOPIC and grant.subscriber == "alice"
     assert seq == 2  # after the provisioned topic

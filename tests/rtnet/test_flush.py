@@ -39,6 +39,14 @@ from repro.siena.events import Event
 from repro.siena.filters import Filter
 
 
+#: The tests that dial the broker through a raw ``socket.socket``
+#: (``sock_connect``, ``SO_RCVBUF``): kernel buffers a virtual loop does
+#: not have.
+raw_socket = pytest.mark.socket_only(
+    "dials through a raw socket.socket; a VirtualLoop has no kernel buffers"
+)
+
+
 class RecordingWriter:
     """A ``StreamWriter`` stand-in that forwards to the real one and
     keeps every buffer handed to ``write``."""
@@ -98,6 +106,7 @@ def _out_frames(registry, frame_type):
     )
 
 
+@raw_socket
 def test_frames_queued_while_the_pump_is_parked_leave_in_one_write():
     registry = MetricsRegistry()
 
@@ -138,6 +147,7 @@ def test_frames_queued_while_the_pump_is_parked_leave_in_one_write():
     assert _out_frames(registry, "subscribe") == 1
 
 
+@raw_socket
 def test_the_flush_cap_splits_a_large_backlog():
     async def scenario():
         server = BrokerServer("b0")
@@ -175,6 +185,7 @@ def test_the_flush_cap_splits_a_large_backlog():
     assert recorder.drains == len(recorder.writes)
 
 
+@raw_socket
 def test_a_stalled_reader_backs_up_into_the_egress_queue_and_sheds():
     registry = MetricsRegistry()
     capacity = 8
@@ -315,6 +326,7 @@ def test_a_corrupt_sealed_body_stops_at_the_publishers_home_broker():
     assert stats["b1"]["events_received"] == 2
 
 
+@raw_socket
 @pytest.mark.parametrize("role", ["subscriber", "client", "broker", "made-up"])
 def test_a_corrupt_sealed_body_is_refused_whatever_role_the_peer_claims(role):
     """The role in HELLO is the peer's own word, and EVENT frames are
@@ -355,6 +367,7 @@ def test_a_corrupt_sealed_body_is_refused_whatever_role_the_peer_claims(role):
     assert _out_frames(registry, "event") == 2
 
 
+@raw_socket
 def test_acks_and_events_share_one_flush_per_wakeup():
     """Mixed frame types in one flush are each counted under their own
     ``type`` label."""
