@@ -49,7 +49,7 @@ from repro.core.subscriber import Subscriber
 from repro.harness.reporting import counter_total, format_table
 from repro.harness.scenario import Gate, Scenario
 from repro.net.faults import ANY, BrokerCrash, FaultPlan, LinkFault
-from repro.net.virtual import VirtualLoop
+from repro.net.virtual import VirtualLoop, run
 from repro.obs import Observability
 from repro.rtnet.service import TcpServiceNetwork
 from repro.siena.events import Event
@@ -94,10 +94,6 @@ class KdcChaosConfig:
     #: Length of the primary's crash window straddling the boundary.
     outage_duration: float = 1.0
 
-    @property
-    def events(self) -> int:
-        return max(1, int(self.publish_rate * self.duration))
-
     def boundary(self) -> float:
         """The epoch boundary the outage straddles (topic-staggered)."""
         reference = KDC(master_key=MASTER_KEY)
@@ -116,7 +112,6 @@ class KdcChaosResult:
 
     mode: str
     replicas: int
-    grace_period: float
     attempted: int
     decrypted: int
     #: Decrypts that needed the post-expiry grace window.
@@ -169,10 +164,10 @@ def run_kdc_chaos_mode(
     if config.subscribers < 1:
         raise ValueError("need at least one subscriber")
     plan = _fault_plan(config, replicas)
-    with asyncio.Runner(
-        loop_factory=lambda: VirtualLoop(_RPC_LATENCY, plan, config.seed + 1)
-    ) as runner:
-        return runner.run(_run_mode(config, replicas, grace_period, mode))
+    return run(
+        VirtualLoop(_RPC_LATENCY, plan, config.seed + 1),
+        _run_mode(config, replicas, grace_period, mode),
+    )
 
 
 async def _run_mode(config, replicas, grace_period, mode) -> KdcChaosResult:
@@ -194,7 +189,6 @@ async def _run_mode(config, replicas, grace_period, mode) -> KdcChaosResult:
     schema_lookup = lambda t: publisher_kdc.config_for(t).schema  # noqa: E731
 
     subscribers: list[Subscriber] = []
-    clients: list[KDCClient] = []
     managers: list[RenewalManager] = []
     subscription = Filter.topic(_TOPIC)
     for index in range(config.subscribers):
@@ -207,7 +201,6 @@ async def _run_mode(config, replicas, grace_period, mode) -> KdcChaosResult:
         )
         manager.add_subscription(subscription, at_time=0.0)
         subscribers.append(subscriber)
-        clients.append(client)
         managers.append(manager)
 
     counters = {"attempted": 0, "decrypted": 0}
@@ -229,7 +222,7 @@ async def _run_mode(config, replicas, grace_period, mode) -> KdcChaosResult:
         )
         loop.call_later(_DELIVERY_LATENCY, deliver, sealed)
 
-    for k in range(config.events):
+    for k in range(max(1, int(config.publish_rate * config.duration))):
         loop.call_at(k / config.publish_rate, publish, k)
 
     def tick() -> None:
@@ -243,17 +236,16 @@ async def _run_mode(config, replicas, grace_period, mode) -> KdcChaosResult:
     result = KdcChaosResult(
         mode=mode,
         replicas=replicas,
-        grace_period=grace_period,
         attempted=counters["attempted"],
         decrypted=counters["decrypted"],
         grace_opens=sum(s.stats.grace_opens for s in subscribers),
         renewals=sum(m.stats.renewals for m in managers),
         renewal_failures=sum(m.stats.renewal_failures for m in managers),
         late_renewals=sum(m.stats.late_renewals for m in managers),
-        client_failovers=sum(c.stats.failovers for c in clients),
-        client_retries=sum(c.stats.retries for c in clients),
-        client_timeouts=sum(c.stats.timeouts for c in clients),
-        breaker_opens=sum(c.stats.breaker_opens for c in clients),
+        client_failovers=counter_total(obs.registry, "kdc_client_failovers_total"),
+        client_retries=counter_total(obs.registry, "kdc_client_retries_total"),
+        client_timeouts=counter_total(obs.registry, "kdc_client_timeouts_total"),
+        breaker_opens=counter_total(obs.registry, "kdc_client_breaker_opens_total"),
         view_changes=cluster.stats.view_changes,
         messages_lost=loop.discarded,
         converged=cluster.converged(),

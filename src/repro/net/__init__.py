@@ -15,9 +15,9 @@ with a discrete-event simulator:
 - :mod:`repro.net.faults` -- seeded fault plans (broker crashes, lossy
   and partitioned links, latency spikes) replayed deterministically
   against the simulator;
-- :mod:`repro.net.virtual` -- :class:`VirtualLoop`, an asyncio event
-  loop on a virtual clock with in-memory streams that plays a fault
-  plan, so the asyncio TCP runtime runs deterministically.
+- :mod:`repro.net.virtual` -- an asyncio event loop on a virtual clock
+  that plays a fault plan on in-memory streams, so the asyncio TCP
+  runtime runs deterministically (not imported here: it loads rtnet).
 """
 
 from repro.net.faults import (
@@ -37,7 +37,6 @@ from repro.net.simnet import (
     RetryPolicy,
     SimulatedPubSub,
 )
-from repro.net.virtual import VirtualLoop
 
 __all__ = [
     "ANY",
@@ -53,5 +52,4 @@ __all__ = [
     "RetryPolicy",
     "SimulatedPubSub",
     "Simulator",
-    "VirtualLoop",
 ]

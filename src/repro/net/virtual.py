@@ -10,7 +10,8 @@ the plan on named links: ``partitioned`` holds bytes until the window
 ends, ``extra_latency`` adds to that direction's delay, and ``loss=p``
 drops the write and resets its connection.  :attr:`VirtualLoop.
 discarded` counts what never arrived: lost writes, bytes that reached
-a closed end, refused dials.
+a closed end, refused dials.  :func:`run` drives a coroutine on any
+loop to its end and closes the loop.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from types import SimpleNamespace
 
 from repro.net.faults import FaultInjector, FaultPlan
 from repro.rtnet.frames import Hello, HelloAck, decode_payload
+
 
 class _Selector(selectors.DefaultSelector):
     """Polls; a wait on a timer moves the clock, a wait on nothing (for
@@ -167,3 +169,19 @@ class VirtualLoop(asyncio.SelectorEventLoop):
         end.inflight.append(item)
         if math.isfinite(end.last):
             self.call_at(end.last, end.arrive)
+
+
+def run(loop: asyncio.AbstractEventLoop, main):
+    """Run coroutine *main* on *loop*, cancel the tasks it left, close
+    *loop*: ``asyncio.run`` on a loop the caller built, which Python
+    3.10 cannot do (``asyncio.Runner`` is 3.11+).  Nothing under
+    ``repro`` makes an async generator or uses the default executor."""
+    try:
+        return loop.run_until_complete(main)
+    finally:
+        if left := asyncio.all_tasks(loop):
+            for task in left:
+                task.cancel()
+            # return_exceptions: the gather itself never raises.
+            loop.run_until_complete(asyncio.gather(*left, return_exceptions=True))
+        loop.close()

@@ -13,7 +13,7 @@ from repro.errors import GrantDenied, KDCUnavailable
 from repro.core.kdcclient import _MAX_ATTEMPTS, KDCClient, _timeout_for
 from repro.core.kdcservice import KDCCluster
 from repro.net.faults import ANY, BrokerCrash, FaultPlan, LinkFault
-from repro.net.virtual import VirtualLoop
+from repro.net.virtual import VirtualLoop, run
 from repro.rtnet.service import TcpServiceNetwork
 from repro.siena.filters import Filter
 
@@ -39,10 +39,7 @@ def _hosted(scenario, plan=None, replicas=3, seed=2):
         finally:
             await net.stop()
 
-    with asyncio.Runner(
-        loop_factory=lambda: VirtualLoop(DELAY, plan, seed)
-    ) as runner:
-        return runner.run(main())
+    return run(VirtualLoop(DELAY, plan, seed), main())
 
 
 def _now():
@@ -228,11 +225,11 @@ def test_deterministic_replay():
         return (s.successes, s.failures, s.retries, s.failovers,
                 s.timeouts, loop.discarded)
 
-    def run():
+    def one_run():
         plan = FaultPlan(
             crashes=[BrokerCrash("kdc0", at=0.2, duration=1.0)],
             link_faults=[LinkFault(loss=0.2)],
         )
         return _hosted(scenario, plan=plan, seed=13)
 
-    assert run() == run()
+    assert one_run() == one_run()

@@ -17,7 +17,7 @@ from repro.core.kdcservice import (
     RegistryCommand,
 )
 from repro.net.faults import BrokerCrash, FaultPlan, LinkFault
-from repro.net.virtual import VirtualLoop
+from repro.net.virtual import VirtualLoop, run
 from repro.rtnet.service import TcpServiceNetwork
 from repro.siena.filters import Filter
 
@@ -41,10 +41,7 @@ def _hosted(scenario, replicas=3, plan=None, seed=1):
         finally:
             await net.stop()
 
-    with asyncio.Runner(
-        loop_factory=lambda: VirtualLoop(DELAY, plan, seed)
-    ) as runner:
-        return runner.run(main())
+    return run(VirtualLoop(DELAY, plan, seed), main())
 
 
 async def _until(when):
@@ -268,11 +265,11 @@ def test_deterministic_replay():
             cluster.view,
         )
 
-    def run():
+    def one_run():
         plan = FaultPlan(
             crashes=[BrokerCrash("kdc0", at=0.5, duration=1.0)],
             link_faults=[LinkFault(loss=0.3)],
         )
         return _hosted(scenario, plan=plan, seed=5)
 
-    assert run() == run()
+    assert one_run() == one_run()

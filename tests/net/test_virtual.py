@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.kdcservice import KDCRequest, KDCResponse
 from repro.net.faults import ANY, BrokerCrash, FaultPlan, LinkFault
-from repro.net.virtual import VirtualLoop
+from repro.net.virtual import VirtualLoop, run
 from repro.rtnet.service import TcpServiceNetwork
 
 #: One-way delay of every link in these tests.
@@ -39,10 +39,7 @@ def _on_loop(scenario, plan=None, seed=1, handler=_echo):
         finally:
             await net.stop()
 
-    with asyncio.Runner(
-        loop_factory=lambda: VirtualLoop(DELAY, plan, seed)
-    ) as runner:
-        return runner.run(main())
+    return run(VirtualLoop(DELAY, plan, seed), main())
 
 
 def _replies(loop, into):
@@ -216,8 +213,7 @@ def test_an_hour_of_sleep_takes_under_a_second():
         return loop.time()
 
     started = time.perf_counter()
-    with asyncio.Runner(loop_factory=lambda: VirtualLoop(DELAY)) as runner:
-        assert runner.run(main()) == 3600.0
+    assert run(VirtualLoop(DELAY), main()) == 3600.0
     assert time.perf_counter() - started < 1.0
     assert len(ticks) == 3601
 

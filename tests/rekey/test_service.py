@@ -14,7 +14,7 @@ from repro.core.kdcservice import (
     RegistryCommand,
 )
 from repro.errors import GrantDenied
-from repro.net.virtual import VirtualLoop
+from repro.net.virtual import VirtualLoop, run
 from repro.rtnet.cluster import KDC_REPLICAS, ClusterLauncher
 from repro.rtnet.frames import (
     FrameReader,
@@ -306,7 +306,7 @@ def _cluster_on(network):
 def _script_on(loop_factory):
     """The op script's outcomes on a TCP host run by *loop_factory*'s loop."""
 
-    async def run():
+    async def script():
         network = TcpServiceNetwork()
         client = _cluster_on(network)
         client.advance(0.0)  # the REKEY clock, not the loop's, stamps grants
@@ -320,8 +320,7 @@ def _script_on(loop_factory):
             await network.stop()
         return outcomes
 
-    with asyncio.Runner(loop_factory=loop_factory) as runner:
-        return runner.run(run())
+    return run(loop_factory(), script())
 
 
 def test_one_client_script_agrees_on_both_hosts():
