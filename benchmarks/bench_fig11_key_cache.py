@@ -13,7 +13,8 @@ temporal-locality workload (consecutive stock quotes, Section 3.2.3) --
 next to the wall time of a derivation, because a hash saved is a gain only
 when the cache's bookkeeping costs less than the hash did.  That is checked
 on the stream a cache helps least as well: uniform values in a depth-20
-tree, where most levels below the top ten are derived and inserted afresh.
+tree, whose top dozen levels fill 64 KB, so a walk inserts levels only
+until its first eviction and derives the rest without keeping them.
 """
 
 from repro.harness.endtoend import (
@@ -69,6 +70,11 @@ def test_fig11_cache_mechanism(benchmark, report):
     assert rows[0].publisher_hit_rate <= rows[-1].publisher_hit_rate
     # ...and the derivation itself gets faster, not just shorter.
     assert rows[-1].derive_s < rows[0].derive_s
+    # A walk stops inserting at its first eviction, which a cache of 16 KB
+    # or more never reaches on this stream: every level stays cached.
+    for row in rows[-2:]:
+        assert round(row.publisher_hash_per_event, 2) == 0.43
+        assert round(row.subscriber_hash_per_event, 2) == 0.29
 
 
 def test_fig11_cache_bookkeeping_on_uniform_values(benchmark, report):
@@ -85,10 +91,17 @@ def test_fig11_cache_bookkeeping_on_uniform_values(benchmark, report):
     )
     uncached, cached = rows
     assert cached.publisher_hash_per_event < uncached.publisher_hash_per_event
-    # Nearly every walk here stores ten levels where the capacity-0 cache
-    # looks up and declines twenty: 1.4x measured, the rest is host noise.
-    # (Re-pricing a path per level slowed both rows alike, so this bound
-    # cannot see it; tests/core/test_cache_differential.py's spy does.)
+    # Inserting every level below the deepest cached ancestor evicted as
+    # many entries per walk, none read again: 14.7 and 13.6 H per event.
+    # A walk that stops inserting at its first eviction keeps the top
+    # levels the capacity holds and saves more hashes.
+    assert cached.publisher_hash_per_event < 13.6
+    assert cached.subscriber_hash_per_event < 13.6
+    # The bound leaves room for host noise: the cached walk measures at
+    # parity with the capacity-0 one, and one run of either row can read
+    # 1.5x its usual time.  (Re-pricing a path per level slowed both rows
+    # alike, so this bound cannot see it; the spy in
+    # tests/core/test_cache_differential.py does.)
     assert cached.derive_s < 2 * uncached.derive_s
 
 

@@ -1,7 +1,7 @@
 """The key cache of Section 3.2.3.
 
 When a subscriber derives an encryption key ``K_{ktid_alpha}`` from an
-authorization key ``K_{ktid_phi}`` it caches every intermediate key on the
+authorization key ``K_{ktid_phi}`` it caches the intermediate keys on the
 derivation path.  A later derivation for ``ktid_alpha'`` starts from the
 *deepest cached ancestor* of the target -- the paper's "optimal cached
 key" -- so derivation cost drops from ``H * (|alpha'| - |phi|)`` to
@@ -12,11 +12,22 @@ temporal locality (e.g. consecutive stock quotes; Figure 11 and
 The cache is bounded in bytes and evicts least-recently-used entries,
 matching the cache-size axis of Figure 11.
 
+A walk inserts the levels it derives top-down until an insert forces an
+eviction, and none below it.  Until the cache fills, and under temporal
+locality where walks are short, that is every level.  Where the stream
+outruns the capacity -- uniform values in a depth-20 tree, whose top
+dozen levels fill 64 KiB -- each deeper level would evict an entry to
+hold a key that is evicted in turn before any later walk reaches it;
+the first eviction marks the depth the capacity holds, and below it the
+walk is the bare hash loop :func:`derive`, as is every walk through a
+capacity-0 cache.
+
 A derivation therefore costs ``D + H * (levels below the deepest cached
-ancestor)`` plus bookkeeping that is constant per level: every entry
-carries its byte cost, so inserting a walk's keys or evicting for them
-never re-walks a path, and :meth:`KeyCache.descend` hashes and inserts
-each level in one loop.
+ancestor)`` plus bookkeeping that is constant per level inserted: every
+entry carries its byte cost, so inserting a walk's keys or evicting for
+them never re-walks a path, and :meth:`KeyCache.descend` hashes and
+inserts each level in one loop.  The ancestor search probes only the
+path lengths that hold an entry (a count per length).
 """
 
 from __future__ import annotations
@@ -54,6 +65,14 @@ class _Steps(dict):
 STEPS = _Steps({digit: (bytes([digit]), 1) for digit in range(256)})
 
 
+def derive(path: CachePath, position: int, key: bytes) -> bytes:
+    """The key at *path* from *key*, the key at ``path[:position]``: one
+    ``H(key || branch)`` per level below *position*, nothing cached."""
+    for part in path[position:]:
+        key = _sha1(key + STEPS[part][0]).digest()[:KEY_BYTES]
+    return key
+
+
 class KeyCache:
     """A byte-bounded LRU cache of derived keys, keyed by derivation path."""
 
@@ -64,6 +83,9 @@ class KeyCache:
         #: path -> (key, byte cost): the cost is fixed at insertion so
         #: neither a refresh nor an eviction re-walks the path.
         self._entries: OrderedDict[CachePath, tuple[bytes, int]] = OrderedDict()
+        #: path length -> number of entries that long, for the lengths
+        #: that hold one: the ancestor search probes only those.
+        self._depths: dict[int, int] = {}
         self._size_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -120,11 +142,14 @@ class KeyCache:
             entries[path] = (key, cost)
             return
         entries[path] = (key, cost)
+        depths = self._depths
+        depths[len(path)] = depths.get(len(path), 0) + 1
         size = self._size_bytes + cost
         while size > self.capacity_bytes:
-            _, (_, evicted_cost) = entries.popitem(last=False)
+            evicted, (_, evicted_cost) = entries.popitem(last=False)
             size -= evicted_cost
             self.evictions += 1
+            self._forget_depth(len(evicted))
             if self._c_evictions is not None:
                 self._c_evictions.inc()
         self._size_bytes = size
@@ -137,40 +162,52 @@ class KeyCache:
         """Derive the key at *path* from *key*, the key at ``path[:floor]``.
 
         The walk starts at the deepest cached ancestor of *path* at or
-        below *floor* and caches every key it derives, top to bottom, each
-        priced as its parent's cost plus one part.  Returns ``(key,
-        hash_operations)``.  One loop per level: ``H(key || branch)`` with
-        the branch bytes and part cost read from :data:`STEPS`, then the
-        insert.  No path it inserts is cached already -- the ancestor
-        search found nothing deeper -- so an insert never refreshes.
+        below *floor* and caches the keys it derives, top to bottom, each
+        priced as its parent's cost plus one part, until an insert evicts
+        (or a level can never fit); the levels below are derived by
+        :func:`derive` and not kept.  Returns ``(key, hash_operations)``.
+        One loop per level: ``H(key || branch)`` with the branch bytes and
+        part cost read from :data:`STEPS`, then the insert.  No path it
+        inserts is cached already -- the ancestor search found nothing
+        deeper -- so an insert never refreshes.
         """
-        position = floor
-        hit = self.deepest_ancestor(path, floor)
-        if hit is not None:
-            position = len(hit[0])
-            key = hit[1]
-        depth = len(path)
-        if position == depth:
-            return key, 0
-        entries = self._entries
         capacity = self.capacity_bytes
+        if not capacity:
+            self._count_miss()
+            return derive(path, floor, key), len(path) - floor
+        entries = self._entries
+        hit = self.deepest_ancestor(path, floor)
+        if hit is None:
+            position = floor
+            cost = self.entry_cost(path[:floor])
+        else:
+            ancestor, key = hit
+            position = len(ancestor)
+            cost = entries[ancestor][1]
+        depth = len(path)
+        operations = depth - position
+        if not operations:
+            return key, 0
+        depths = self._depths
         size = self._size_bytes
         evictions = 0
-        cost = self.entry_cost(path[:position])
-        operations = depth - position
         while position < depth:
             branch, part_cost = STEPS[path[position]]
             key = _sha1(key + branch).digest()[:KEY_BYTES]
             position += 1
             cost += part_cost
             if cost > capacity:
-                continue  # nor can any level below it ever fit
+                break  # nor can any level below it ever fit
             entries[path[:position]] = (key, cost)
+            depths[position] = depths.get(position, 0) + 1
             size += cost
             while size > capacity:
-                _, (_, evicted_cost) = entries.popitem(last=False)
+                evicted, (_, evicted_cost) = entries.popitem(last=False)
                 size -= evicted_cost
                 evictions += 1
+                self._forget_depth(len(evicted))
+            if evictions:
+                break
         self._size_bytes = size
         if evictions:
             self.evictions += evictions
@@ -178,7 +215,17 @@ class KeyCache:
                 self._c_evictions.inc(evictions)
         if self._g_bytes is not None:
             self._g_bytes.set(size)
+        if position < depth:
+            key = derive(path, position, key)
         return key, operations
+
+    def _forget_depth(self, length: int) -> None:
+        """Lower the entry count at path *length* after an eviction."""
+        remaining = self._depths[length] - 1
+        if remaining:
+            self._depths[length] = remaining
+        else:
+            del self._depths[length]
 
     def _count_hit(self) -> None:
         self.hits += 1
@@ -208,13 +255,18 @@ class KeyCache:
         This is the optimal starting point for a derivation toward *path*.
         Recency is refreshed on hit.  ``floor`` lets callers exclude
         prefixes above their authorization element (keys above it are never
-        cached anyway, but the guard keeps the contract explicit).
+        cached anyway, but the guard keeps the contract explicit).  Only
+        the path lengths that hold an entry are probed.
         """
+        entries = self._entries
+        depths = self._depths
         for length in range(len(path), floor - 1, -1):
+            if length not in depths:
+                continue
             candidate = path[:length]
-            entry = self._entries.get(candidate)
+            entry = entries.get(candidate)
             if entry is not None:
-                self._entries.move_to_end(candidate)
+                entries.move_to_end(candidate)
                 self._count_hit()
                 return candidate, entry[0]
         self._count_miss()
@@ -227,6 +279,7 @@ class KeyCache:
         their lifetime totals; only the size gauge tracks the reset.
         """
         self._entries.clear()
+        self._depths.clear()
         self._size_bytes = 0
         self.hits = 0
         self.misses = 0

@@ -1,9 +1,9 @@
 """Cache-aware key derivation walks.
 
-Implements the optimization of Section 3.2.3: every intermediate key
-computed while walking a key tree is cached, and later derivations start
-from the *deepest cached ancestor* of their target instead of from the
-authorization key.
+Implements the optimization of Section 3.2.3: the intermediate keys
+computed while walking a key tree are cached (down to the level where an
+insert would evict), and later derivations start from the *deepest
+cached ancestor* of their target instead of from the authorization key.
 
 All key spaces share one path vocabulary so their entries coexist in one
 :class:`~repro.core.cache.KeyCache`:
@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Hashable, Sequence
 
 from repro.crypto.hashes import H
-from repro.core.cache import KeyCache
+from repro.core.cache import KeyCache, derive
 from repro.core.category import CategoryKeySpace
 from repro.core.ktid import KTID
 from repro.core.nakt import NumericKeySpace
@@ -105,13 +105,15 @@ def cached_walk(
 
     ``start_parts`` must be a prefix of ``target_parts`` (both
     root-relative).  When a cache is supplied, the walk starts from the
-    deepest cached ancestor at or below the start, and every intermediate
-    key is cached on the way down.  Returns ``(key, hash_operations)``.
+    deepest cached ancestor at or below the start and caches the keys it
+    derives on the way down until an insert evicts
+    (:meth:`~repro.core.cache.KeyCache.descend`).  Without one it is the
+    bare hash loop :func:`~repro.core.cache.derive`.  Returns ``(key,
+    hash_operations)``.
 
     Cost is one ``H`` per level below that ancestor plus constant cache
-    bookkeeping per level: :meth:`~repro.core.cache.KeyCache.descend`
-    hashes and inserts each level in one loop, never re-pricing a path,
-    so a hash the cache saves is not spent on the cache instead.
+    bookkeeping per level inserted, so a hash the cache saves is not
+    spent on the cache instead.
     """
     start = tuple(start_parts)
     target = tuple(target_parts)
@@ -119,8 +121,9 @@ def cached_walk(
         raise ValueError(
             f"start path {start!r} is not a prefix of target {target!r}"
         )
+    floor = len(namespace) + len(start)
     if cache is None:
-        cache = KeyCache(0)  # derives every level and keeps none
-    return cache.descend(
-        namespace + target, len(namespace) + len(start), start_key
-    )
+        return derive(namespace + target, floor, start_key), (
+            len(target) - len(start)
+        )
+    return cache.descend(namespace + target, floor, start_key)

@@ -12,11 +12,14 @@ from repro.core.kdc import KDC
 from repro.core.nakt import NumericKeySpace
 from repro.net.virtual import VirtualLoop
 
-# CI's second, deeper pass over tests/siena/test_covering_incremental.py
-# (``--hypothesis-profile=covering-deep``).  Registered here because the
-# hypothesis plugin loads the named profile before any test module is
-# imported; it changes nothing unless selected.
+# CI's second, deeper passes over tests/siena/test_covering_incremental.py
+# (``--hypothesis-profile=covering-deep``) and
+# tests/core/test_cache_differential.py (``--hypothesis-profile=cache-deep``).
+# Registered here because the hypothesis plugin loads the named profile
+# before any test module is imported; neither changes anything unless
+# selected.
 settings.register_profile("covering-deep", max_examples=1000, deadline=None)
+settings.register_profile("cache-deep", max_examples=1000, deadline=None)
 
 
 @pytest.fixture

@@ -1,13 +1,19 @@
-"""KeyCache and cached_walk against the per-level reference they replaced.
+"""KeyCache and cached_walk against an independent per-level oracle.
 
-The reference below is the cache as it stood before the fused descent:
-one ``derivation_step`` and one ``put`` per tree level, each pricing the
-whole path with ``entry_cost`` (again on eviction).  Everything observable
-must agree with it -- entry order, byte size, counters (local and
-``instrument()``-ed), derived keys, hash counts -- so the walk got cheaper
-without the cache deciding anything differently.
+The oracle below states the walk's insertion rule level by level: one
+``derivation_step`` per tree level, and one ``put`` per level -- each
+pricing the whole path with ``entry_cost`` (again on eviction) -- until a
+``put`` evicts, then none.  Its ancestor search probes every length.
+Everything observable must agree with it -- entry order, byte size,
+counters (local and ``instrument()``-ed), derived keys, hash counts --
+and every walk must return the uncached key with no more hashes.
+
+CI runs this file a second time under ``--hypothesis-profile=cache-deep``
+(registered in ``tests/conftest.py``), which scales every example budget
+below tenfold.
 """
 
+import random
 from collections import OrderedDict
 
 from hypothesis import given, settings
@@ -29,7 +35,7 @@ TOPIC_KEY = bytes(range(16))
 
 
 class ReferenceCache:
-    """The per-level implementation, kept verbatim as the oracle."""
+    """A byte-bounded LRU, per level and re-pricing every path."""
 
     def __init__(self, capacity_bytes):
         self.capacity_bytes = capacity_bytes
@@ -74,7 +80,7 @@ class ReferenceCache:
 
 
 def reference_walk(cache, namespace, start, start_key, target):
-    """``cached_walk`` as it stood: one ``put`` per level derived."""
+    """The insertion rule: one ``put`` per level until a ``put`` evicts."""
     full_target = namespace + target
     position = len(namespace) + len(start)
     key = start_key
@@ -83,11 +89,15 @@ def reference_walk(cache, namespace, start, start_key, target):
         position = len(hit[0])
         key = hit[1]
     operations = 0
+    inserting = True
     while position < len(full_target):
         key = derivation_step(key, full_target[position])
         position += 1
         operations += 1
-        cache.put(full_target[:position], key)
+        if inserting:
+            evictions = cache.evictions
+            cache.put(full_target[:position], key)
+            inserting = cache.evictions == evictions
     return key, operations
 
 
@@ -135,7 +145,12 @@ _OPS = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+def _examples(tier_one):
+    """*tier_one* examples, scaled by the loaded profile's budget."""
+    return tier_one * settings.default.max_examples // 100
+
+
+@settings(max_examples=_examples(300), deadline=None)
 @given(capacity=st.integers(0, 400), ops=st.lists(_OPS, max_size=40))
 def test_cache_matches_per_level_reference(capacity, ops):
     cache, registry = instrumented(capacity)
@@ -177,7 +192,7 @@ _WALKS = st.sampled_from(sorted(_SPACES)).flatmap(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=_examples(200), deadline=None)
 @given(capacity=st.integers(0, 1500), walks=st.lists(_WALKS, max_size=30))
 def test_cached_walk_matches_uncached_and_reference_walk(capacity, walks):
     cache, registry = instrumented(capacity)
@@ -201,14 +216,16 @@ def test_cached_walk_matches_uncached_and_reference_walk(capacity, walks):
         assert_same_state(cache, reference, registry)
 
 
-def _depth_20_walks(capacity):
-    """The same 448 depth-20 walks on the fused cache and the reference."""
+_SPREAD = [(value * 2654435761) % (1 << 20) for value in range(448)]
+
+
+def _depth_20_walks(capacity, values=_SPREAD):
+    """The same depth-20 walks on the fused cache and the oracle."""
     space = NumericKeySpace("n", 1 << 20)
     namespace = cache_namespace("topic", "n", bytes(range(4)))
     root = space.root_key(TOPIC_KEY)
     cache, registry = instrumented(capacity)
     reference = ReferenceCache(capacity)
-    values = [(value * 2654435761) % (1 << 20) for value in range(448)]
     for value in values:
         target = value_path(space, value)
         walked = cached_walk(cache, namespace, (), root, target)
@@ -222,13 +239,17 @@ def test_fused_walk_with_zero_capacity_caches_nothing():
     cache = _depth_20_walks(0)
     assert len(cache) == 0 and cache.size_bytes == 0
     assert cache.evictions == 0
+    assert cache.misses == len(_SPREAD)  # one miss per walk, as ever
 
 
 def test_fused_walk_stops_inserting_where_a_level_outgrows_capacity():
     # The namespace prices 2 + 5 + 1 + 4 bytes and a key 16 + 8, so an
     # entry at depth d costs 36 + d: levels 1-14 fit in 50 bytes, deeper
-    # ones never do -- yet every walk still derives all 20 levels.
-    cache = _depth_20_walks(50)
+    # ones never do -- yet every walk still derives all 20 levels.  One
+    # entry fits at a time, so each walk of one value starts at the level
+    # the last one kept and inserts one level deeper, evicting it, until
+    # level 14.
+    cache = _depth_20_walks(50, _SPREAD + [12345] * 20)
     assert cache.size_bytes <= 50
     assert max(len(path) - 4 for path in cache._entries) == 14
     assert cache.evictions > 0
@@ -237,6 +258,34 @@ def test_fused_walk_stops_inserting_where_a_level_outgrows_capacity():
 def test_fused_walk_matches_reference_at_the_default_capacity():
     cache = _depth_20_walks(64 * 1024)
     assert cache.hits > 0 and cache.evictions > 0
+
+
+def test_full_cache_stops_thrashing_on_uniform_depth_20_values():
+    # At 64 KiB a uniform depth-20 stream overflows the cache by the top
+    # dozen levels.  Inserting every level below the deepest cached
+    # ancestor made each walk insert ≈ 13 keys and evict as many, none of
+    # them read again before its eviction: 13.5 H per walk on this stream.
+    # Once the cache is full a walk makes one insert that evicts.  Entry
+    # costs grow with depth, so that insert may need two shallower entries
+    # out, and the next walk may make one insert into the room it left
+    # before its evicting one -- never more, since any two entries here
+    # cost more than any one.
+    space = NumericKeySpace("n", 1 << 20)
+    namespace = cache_namespace("topic", "n", bytes(range(4)))
+    root = space.root_key(TOPIC_KEY)
+    rng = random.Random(20)
+    targets = [value_path(space, rng.randrange(1 << 20)) for _ in range(2500)]
+    cache = KeyCache(64 * 1024)
+    for target in targets[:2000]:
+        cached_walk(cache, namespace, (), root, target)
+    hashes = 0
+    for target in targets[2000:]:
+        entries, evictions = len(cache), cache.evictions
+        hashes += cached_walk(cache, namespace, (), root, target)[1]
+        evicted = cache.evictions - evictions
+        assert evicted <= 2
+        assert len(cache) - entries + evicted <= 2
+    assert hashes / 500 < 13.1
 
 
 def test_depth_20_walk_prices_a_path_at_most_once(monkeypatch):
